@@ -87,39 +87,36 @@ func RandomFaultPlan(seed int64, nodes int, duration time.Duration, faults int) 
 	return plan
 }
 
-// faultFabric returns the cluster's fault-injection surface; only the
-// VIA transport has one.
-func (cl *Cluster) faultFabric() (*via.Fabric, error) {
+// faultTarget returns the cluster's fault-injection surface — only the
+// VIA transport has one — and node i's address on it.
+func (cl *Cluster) faultTarget(i int) (*via.Fabric, string, error) {
 	if cl.fabric == nil {
-		return nil, fmt.Errorf("server: fault injection needs the VIA transport")
+		return nil, "", fmt.Errorf("server: fault injection needs the VIA transport")
 	}
-	return cl.fabric, nil
+	if i < 0 || i >= len(cl.procs) {
+		return nil, "", fmt.Errorf("server: bad node %d", i)
+	}
+	return cl.fabric, fabricAddr(i), nil
 }
 
 // PartitionNode severs every fabric link of node i.
 func (cl *Cluster) PartitionNode(i int) error {
-	f, err := cl.faultFabric()
+	f, addr, err := cl.faultTarget(i)
 	if err != nil {
 		return err
 	}
-	if i < 0 || i >= len(cl.fabricAddrs) {
-		return fmt.Errorf("server: bad node %d", i)
-	}
-	f.Isolate(cl.fabricAddrs[i])
+	f.Isolate(addr)
 	return nil
 }
 
 // HealNode lifts node i's partition; the cluster re-integrates it as
 // reconnect probes land and traffic resumes.
 func (cl *Cluster) HealNode(i int) error {
-	f, err := cl.faultFabric()
+	f, addr, err := cl.faultTarget(i)
 	if err != nil {
 		return err
 	}
-	if i < 0 || i >= len(cl.fabricAddrs) {
-		return fmt.Errorf("server: bad node %d", i)
-	}
-	f.HealNode(cl.fabricAddrs[i])
+	f.HealNode(addr)
 	return nil
 }
 
@@ -128,27 +125,21 @@ func (cl *Cluster) HealNode(i int) error {
 // late. The brownout layer, not the dead-or-alive health tracker, is
 // what routes around it.
 func (cl *Cluster) SlowNode(i int, extra time.Duration) error {
-	f, err := cl.faultFabric()
+	f, addr, err := cl.faultTarget(i)
 	if err != nil {
 		return err
 	}
-	if i < 0 || i >= len(cl.fabricAddrs) {
-		return fmt.Errorf("server: bad node %d", i)
-	}
-	f.SlowNode(cl.fabricAddrs[i], extra)
+	f.SlowNode(addr, extra)
 	return nil
 }
 
 // HealSlowNode restores node i's normal fabric speed.
 func (cl *Cluster) HealSlowNode(i int) error {
-	f, err := cl.faultFabric()
+	f, addr, err := cl.faultTarget(i)
 	if err != nil {
 		return err
 	}
-	if i < 0 || i >= len(cl.fabricAddrs) {
-		return fmt.Errorf("server: bad node %d", i)
-	}
-	f.HealSlowNode(cl.fabricAddrs[i])
+	f.HealSlowNode(addr)
 	return nil
 }
 
@@ -158,7 +149,8 @@ func (cl *Cluster) CrashNode(i int) error {
 	if err := cl.PartitionNode(i); err != nil {
 		return err
 	}
-	cl.nodes[i].inject(cl.nodes[i].crashLocalState)
+	n := cl.procs[i].node
+	n.inject(n.crashLocalState)
 	return nil
 }
 
@@ -184,7 +176,7 @@ func (cl *Cluster) applyFault(ev FaultEvent) error {
 // aborts the replay early. observe, when non-nil, is called after each
 // injected event (chaos logs, test assertions).
 func (cl *Cluster) StartFaultPlan(plan FaultPlan, stop <-chan struct{}, observe func(FaultEvent, error)) (<-chan struct{}, error) {
-	if _, err := cl.faultFabric(); err != nil {
+	if _, _, err := cl.faultTarget(0); err != nil {
 		return nil, err
 	}
 	events := append([]FaultEvent(nil), plan.Events...)

@@ -116,11 +116,11 @@ type Config struct {
 	// that accepted it, with no intra-cluster communication and no
 	// cache aggregation.
 	ContentOblivious bool
-	// Mesh, when non-nil, runs this process as ONE node of a
-	// multi-process cluster (StartNode) instead of all N in-process
-	// (Start): peers live in other OS processes at Mesh.PeerAddrs and
-	// membership is negotiated with the join/leave handshake. Ignored
-	// by Start.
+	// Mesh places this process as ONE node of a multi-process cluster
+	// (StartNode): peers live in other OS processes at Mesh.PeerAddrs
+	// and membership is negotiated with the join/leave handshake. Start,
+	// which runs all N nodes in-process, ignores it and places each node
+	// on loopback itself.
 	Mesh *MeshConfig
 }
 
@@ -206,159 +206,52 @@ func (c *Config) withDefaults() (Config, error) {
 	return cfg, nil
 }
 
-// Cluster is a running PRESS cluster serving HTTP on loopback.
+// Cluster is a running PRESS cluster serving HTTP on loopback: N
+// ProcNodes in one process, on VIA sharing one fabric.
 type Cluster struct {
-	cfg         Config
-	nodes       []*Node
-	fabric      *via.Fabric
-	fabricAddrs []string // VIA NIC addresses, indexed by node
-	httpLns     []net.Listener
-	httpSrvs    []*http.Server
-	addrs       []string
-	closeOnce   sync.Once
-	wg          sync.WaitGroup
+	cfg       Config
+	procs     []*ProcNode
+	fabric    *via.Fabric // nil on TCP
+	closeOnce sync.Once
 }
 
 // Start builds and launches the cluster: transports meshed, nodes
-// running, HTTP listeners accepting.
+// running, HTTP listeners accepting. It is N StartNodes plus what one
+// process changes: Start picks the loopback addresses (every
+// intra-cluster listener is bound before the first dial), seats VIA
+// nodes on one fabric instead of bridging N over UDP, and returns only
+// when every pair is connected.
 func Start(c Config) (*Cluster, error) {
 	cfg, err := c.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	cl := &Cluster{cfg: cfg}
-
-	transports := make([]Transport, cfg.Nodes)
-	nics := make([]*via.NIC, cfg.Nodes)
-	switch cfg.Transport {
-	case TransportTCP:
-		lns := make([]net.Listener, cfg.Nodes)
-		addrs := make([]string, cfg.Nodes)
-		for i := range lns {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return nil, fmt.Errorf("server: intra-cluster listener: %w", err)
-			}
-			lns[i] = ln
-			addrs[i] = ln.Addr().String()
-		}
-		var mu sync.Mutex
-		var firstErr error
-		var wg sync.WaitGroup
-		for i := range lns {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				t, err := newTCPTransport(i, cfg.Nodes, lns[i], addrs, cfg.Metrics, cfg.Tracer.Collector(i))
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				transports[i] = t
-			}(i)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			for _, t := range transports {
-				if t != nil {
-					t.Close()
-				}
-			}
-			return nil, firstErr
-		}
-	case TransportVIA:
-		fabricOpts := cfg.FabricOptions
-		if cfg.Metrics.Enabled() {
-			fabricOpts = append(fabricOpts[:len(fabricOpts):len(fabricOpts)], via.WithMetrics(cfg.Metrics))
-		}
-		cl.fabric = via.NewFabric(fabricOpts...)
-		addrs := make([]string, cfg.Nodes)
-		cl.fabricAddrs = addrs
-		vts := make([]*viaTransport, cfg.Nodes)
-		for i := range addrs {
-			addrs[i] = fmt.Sprintf("node%d", i)
-			nic, err := cl.fabric.CreateNIC(addrs[i])
-			if err != nil {
-				cl.fabric.Close()
-				return nil, err
-			}
-			nics[i] = nic
-			vt, err := newViaTransport(nic, viaConfig{
-				self: i, nodes: cfg.Nodes, version: cfg.Version,
-				loadViaRMW: cfg.LoadViaRMW, window: cfg.Window,
-				batch: cfg.Batch, chunk: cfg.ChunkBytes,
-				fileRing: cfg.FileRingBytes, metrics: cfg.Metrics,
-				rmwTimeout: cfg.RMWTimeout, retry: cfg.Retry,
-				trc: cfg.Tracer.Collector(i),
-			})
-			if err != nil {
-				cl.fabric.Close()
-				return nil, err
-			}
-			vts[i] = vt
-			transports[i] = vt
-		}
-		var mu sync.Mutex
-		var firstErr error
-		var wg sync.WaitGroup
-		for i, vt := range vts {
-			wg.Add(1)
-			go func(i int, vt *viaTransport) {
-				defer wg.Done()
-				if err := vt.connect(addrs); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("server: node %d mesh: %w", i, err)
-					}
-					mu.Unlock()
-				}
-			}(i, vt)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			cl.fabric.Close()
-			return nil, firstErr
-		}
-	default:
-		return nil, fmt.Errorf("server: unknown transport %d", cfg.Transport)
-	}
-
-	for i := 0; i < cfg.Nodes; i++ {
-		n := newNode(i, cfg, transports[i], nics[i])
-		n.start()
-		cl.nodes = append(cl.nodes, n)
-	}
-	if err := cl.startHTTP(); err != nil {
+	if err := cl.start(); err != nil {
 		cl.Close()
 		return nil, err
 	}
 	return cl, nil
 }
 
-func (cl *Cluster) startHTTP() error {
-	for _, n := range cl.nodes {
-		ln, err := net.Listen("tcp", cl.cfg.ListenHost+":0")
-		if err != nil {
-			return err
+func (cl *Cluster) start() error {
+	addrs := make([]string, cl.cfg.Nodes)
+	for i := range addrs {
+		pn := &ProcNode{cfg: cl.cfg}
+		pn.cfg.Mesh = &MeshConfig{Self: i, PeerAddrs: addrs}
+		cl.procs = append(cl.procs, pn)
+		if cl.cfg.Transport == TransportTCP {
+			var err error
+			if pn.ln, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+				return fmt.Errorf("server: intra-cluster listener: %w", err)
+			}
+			addrs[i] = pn.ln.Addr().String()
 		}
-		// Same timeouts as ProcNode: reap request-less dial-race conns
-		// so graceful Shutdown is not stuck waiting on StateNew.
-		srv := &http.Server{
-			Handler:           &nodeHandler{node: n},
-			ReadHeaderTimeout: 2 * time.Second,
-			IdleTimeout:       60 * time.Second,
-		}
-		cl.httpLns = append(cl.httpLns, ln)
-		cl.httpSrvs = append(cl.httpSrvs, srv)
-		cl.addrs = append(cl.addrs, ln.Addr().String())
-		cl.wg.Add(1)
-		go func(srv *http.Server, ln net.Listener) {
-			defer cl.wg.Done()
-			_ = srv.Serve(ln)
-		}(srv, ln)
 	}
-	return nil
+	if cl.cfg.Transport == TransportVIA {
+		cl.fabric = newFabric(cl.cfg)
+	}
+	return bringUp(cl.procs, cl.fabric)
 }
 
 // nodeHandler is the HTTP front end: it hands GET requests to the main
@@ -543,8 +436,8 @@ type nodeStatsJSON struct {
 	ReplicaPushes int64 `json:"replicaPushes,omitempty"`
 	ReplicaPulls  int64 `json:"replicaPulls,omitempty"`
 	ReplicaDrops  int64 `json:"replicaDrops,omitempty"`
-	// Membership (multi-process mesh only): the epoch this process life
-	// runs under, the highest epoch accepted per peer (0 = never seen),
+	// Membership (TCP transport only): the epoch this process life runs
+	// under, the highest epoch accepted per peer (0 = never seen),
 	// and the count of frames dropped for carrying a stale epoch.
 	Epoch           uint64   `json:"epoch,omitempty"`
 	PeerEpochs      []uint64 `json:"peerEpochs,omitempty"`
@@ -587,7 +480,7 @@ func (h *nodeHandler) serveStats(w http.ResponseWriter) {
 	for mt := core.MsgType(0); mt < core.NumMsgTypes; mt++ {
 		out.Messages[mt.String()] = [2]int64{ms.Count[mt], ms.Bytes[mt]}
 	}
-	if et, ok := h.node.transport.(epochTransport); ok && et.SelfEpoch() != 0 {
+	if et, ok := h.node.transport.(epochTransport); ok {
 		out.Epoch = et.SelfEpoch()
 		out.PeerEpochs = make([]uint64, h.node.cfg.Nodes)
 		for p := range out.PeerEpochs {
@@ -616,16 +509,24 @@ func (h *nodeHandler) serveMetrics(w http.ResponseWriter) {
 
 // Addrs returns the nodes' HTTP addresses (host:port).
 func (cl *Cluster) Addrs() []string {
-	out := make([]string, len(cl.addrs))
-	copy(out, cl.addrs)
+	out := make([]string, len(cl.procs))
+	for i, pn := range cl.procs {
+		out[i] = pn.addr
+	}
 	return out
 }
 
 // URL returns node i's base URL.
-func (cl *Cluster) URL(i int) string { return "http://" + cl.addrs[i] }
+func (cl *Cluster) URL(i int) string { return cl.procs[i].URL() }
 
 // Nodes returns the cluster's nodes for inspection.
-func (cl *Cluster) Nodes() []*Node { return cl.nodes }
+func (cl *Cluster) Nodes() []*Node {
+	out := make([]*Node, len(cl.procs))
+	for i, pn := range cl.procs {
+		out[i] = pn.node
+	}
+	return out
+}
 
 // Stats aggregates node and message statistics.
 type Stats struct {
@@ -642,7 +543,8 @@ type Stats struct {
 // Stats sums counters across the cluster.
 func (cl *Cluster) Stats() Stats {
 	var s Stats
-	for _, n := range cl.nodes {
+	for _, pn := range cl.procs {
+		n := pn.node
 		ns := n.Stats()
 		s.Nodes.Requests += ns.Requests
 		s.Nodes.LocalHits += ns.LocalHits
@@ -665,21 +567,25 @@ func (cl *Cluster) Stats() Stats {
 	return s
 }
 
-// Close shuts the cluster down.
+// Close shuts the cluster down. It is also the unwind of a failed
+// Start, so it copes with nodes at any stage of the bring-up.
 func (cl *Cluster) Close() {
 	cl.closeOnce.Do(func() {
+		// Drain every HTTP server before stopping any node: a request in
+		// flight on one node may be waiting on another node's backend.
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		for _, srv := range cl.httpSrvs {
-			_ = srv.Shutdown(ctx)
+		for _, pn := range cl.procs {
+			if pn.httpSrv != nil {
+				_ = pn.httpSrv.Shutdown(ctx)
+			}
 		}
-		for _, n := range cl.nodes {
-			n.shutdown()
+		for _, pn := range cl.procs {
+			pn.Close()
 		}
 		if cl.fabric != nil {
 			cl.fabric.Close()
 		}
-		cl.wg.Wait()
 	})
 }
 

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -333,34 +335,67 @@ func TestStoreReadsAndDelay(t *testing.T) {
 }
 
 func TestStatsEndpoint(t *testing.T) {
-	tr := serverTestTrace(t, 6)
-	cl, err := Start(testClusterConfig(tr, TransportVIA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	fetchAll(t, cl, tr, 1, 2)
+	for _, kind := range []TransportKind{TransportVIA, TransportTCP} {
+		t.Run(kind.String(), func(t *testing.T) {
+			tr := serverTestTrace(t, 6)
+			cfg := testClusterConfig(tr, kind)
+			cl, err := Start(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			fetchAll(t, cl, tr, 1, 2)
 
-	resp, err := http.Get(cl.URL(0) + statsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	var got nodeStatsJSON
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Node != 0 {
-		t.Errorf("node = %d", got.Node)
-	}
-	if got.Requests == 0 {
-		t.Error("no requests counted")
-	}
-	if _, ok := got.Messages["File"]; !ok {
-		t.Errorf("messages missing File entry: %v", got.Messages)
+			for i := 0; i < cfg.Nodes; i++ {
+				resp, err := http.Get(cl.URL(i) + statsPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("status = %d", resp.StatusCode)
+				}
+				var got nodeStatsJSON
+				err = json.NewDecoder(resp.Body).Decode(&got)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Node != i {
+					t.Errorf("node = %d, want %d", got.Node, i)
+				}
+				if _, ok := got.Messages["File"]; !ok {
+					t.Errorf("messages missing File entry: %v", got.Messages)
+				}
+				if i == 0 && got.Requests == 0 {
+					t.Error("no requests counted")
+				}
+				if kind != TransportTCP {
+					if got.Epoch != 0 || got.PeerEpochs != nil {
+						t.Errorf("node %d: membership fields on a transport without epochs: %+v", i, got)
+					}
+					continue
+				}
+				// An in-process TCP cluster went through the same join
+				// handshake as a multi-process one: every node runs under
+				// an epoch, has accepted one from each peer, and no frame
+				// of a healthy run is mistaken for a previous life's.
+				if got.Epoch == 0 {
+					t.Errorf("node %d: no epoch", i)
+				}
+				seen := 0
+				for p, e := range got.PeerEpochs {
+					if p != i && e != 0 {
+						seen++
+					}
+				}
+				if seen != cfg.Nodes-1 {
+					t.Errorf("node %d: peerEpochs = %v, want %d non-zero", i, got.PeerEpochs, cfg.Nodes-1)
+				}
+				if got.StaleEpochDrops != 0 {
+					t.Errorf("node %d: %d frames dropped as stale", i, got.StaleEpochDrops)
+				}
+			}
+		})
 	}
 }
 
@@ -449,5 +484,69 @@ func TestHeadRequest(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	if len(body) != 0 {
 		t.Errorf("HEAD returned %d body bytes", len(body))
+	}
+}
+
+// TestClusterLifecycle: bring-up and teardown leave nothing behind. Ten
+// Start/Close rounds per transport, plus a StartNode that fails at its
+// last step (HTTP address taken) and must unwind everything it built,
+// return the goroutine count to its baseline and leave the
+// intra-cluster port bindable.
+func TestClusterLifecycle(t *testing.T) {
+	tr := serverTestTrace(t, 6)
+	idle := func() { http.DefaultTransport.(*http.Transport).CloseIdleConnections() }
+	idle()
+	baseline := runtime.NumGoroutine()
+	rebind := func(addr string) {
+		t.Helper()
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatalf("intra-cluster address not released: %v", err)
+		}
+		ln.Close()
+	}
+
+	for _, kind := range []TransportKind{TransportTCP, TransportVIA} {
+		for round := 0; round < 10; round++ {
+			cl, err := Start(testClusterConfig(tr, kind))
+			if err != nil {
+				t.Fatalf("%v round %d: %v", kind, round, err)
+			}
+			fetchAll(t, cl, tr, 1, int64(round))
+			peerAddrs := cl.procs[0].cfg.Mesh.PeerAddrs
+			cl.Close()
+			if kind == TransportTCP {
+				for _, addr := range peerAddrs {
+					rebind(addr)
+				}
+			}
+		}
+	}
+
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	cfg := testClusterConfig(tr, TransportTCP)
+	cfg.Mesh = &MeshConfig{
+		Self:      0,
+		PeerAddrs: []string{deadAddr(t), deadAddr(t), deadAddr(t)},
+		HTTPAddr:  taken.Addr().String(),
+	}
+	if pn, err := StartNode(cfg); err == nil {
+		pn.Close()
+		t.Fatal("StartNode succeeded on a bound HTTP address")
+	}
+	rebind(cfg.Mesh.PeerAddrs[0])
+
+	idle()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, baseline %d:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

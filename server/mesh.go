@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync/atomic"
@@ -15,10 +14,10 @@ import (
 	"press/tracing"
 )
 
-// Multi-process mesh mode of the TCP transport: one node per OS
-// process, peers on real addresses from a static seed list, and every
-// connection opened with a versioned MsgJoin handshake instead of the
-// in-process 2-byte hello. Epochs order a node's process lives; a
+// The membership plane of the TCP transport: peers on real addresses
+// from a static seed list — other OS processes under StartNode, sibling
+// nodes on loopback under Start — and every connection opened with a
+// versioned MsgJoin handshake. Epochs order a node's process lives; a
 // connection from a superseded life is refused at the handshake and,
 // should a frame of one still be in flight, dropped before the node
 // ever sees it.
@@ -40,7 +39,7 @@ const (
 	meshDialBackoffCap  = 2 * time.Second
 )
 
-// meshState is the membership side of a multi-process tcpTransport.
+// meshState is the membership side of a tcpTransport.
 type meshState struct {
 	// info is the self hello: node id, cluster size, epoch, strategy,
 	// transport. Sent verbatim (flags aside) on every dial and ack.
@@ -53,16 +52,6 @@ type meshState struct {
 	staleDrops atomic.Int64
 }
 
-// symmetricDialer marks transports whose Reconnect may be called for
-// any peer, not just higher-indexed ones. The in-process transports
-// split the dialer role by index to keep a reconnecting pair from
-// racing; a multi-process mesh cannot (the lower-indexed side may be
-// the one that died), so either side dials and epoch supersession
-// resolves the races.
-type symmetricDialer interface {
-	SymmetricDial() bool
-}
-
 // epochTransport is the membership observability surface of a
 // transport: the epochs it runs under and the stale frames it refused.
 type epochTransport interface {
@@ -71,19 +60,14 @@ type epochTransport interface {
 	StaleEpochDrops() int64
 }
 
-// newMeshTCPTransport builds one process's side of a multi-process
-// mesh. ln is this node's intra-cluster listener; peerAddrs[i] is node
-// i's listen address (peerAddrs[info.Node] is our own). No connection
-// exists at return: startup dialers run in the background with a
-// doubling backoff until each peer answers, and peers dial us
-// symmetrically, so whichever side comes up last completes the pair.
-func newMeshTCPTransport(ln net.Listener, info JoinInfo, peerAddrs []string, reg *metrics.Registry, trc *tracing.Collector) (*tcpTransport, error) {
-	if info.Nodes < 1 || info.Node < 0 || info.Node >= info.Nodes {
-		return nil, fmt.Errorf("server: mesh node %d of %d out of range", info.Node, info.Nodes)
-	}
-	if len(peerAddrs) != info.Nodes {
-		return nil, fmt.Errorf("server: %d peer addresses for %d nodes", len(peerAddrs), info.Nodes)
-	}
+// newMeshTCPTransport builds one node's side of the mesh. ln is this
+// node's intra-cluster listener; peerAddrs[i] is node i's listen address
+// (peerAddrs[info.Node] is our own) — the caller has checked that info
+// and peerAddrs agree on the cluster. No connection exists at return:
+// startup dialers run in the background with a doubling backoff until
+// each peer answers, and peers dial us symmetrically, so whichever side
+// comes up last completes the pair.
+func newMeshTCPTransport(ln net.Listener, info JoinInfo, peerAddrs []string, reg *metrics.Registry, trc *tracing.Collector) *tcpTransport {
 	if info.Epoch == 0 {
 		info.Epoch = newEpoch()
 	}
@@ -99,10 +83,15 @@ func newMeshTCPTransport(ln net.Listener, info JoinInfo, peerAddrs []string, reg
 		ln:        ln,
 		ins:       newTransportInstruments(reg, info.Node),
 		trc:       trc,
-		mesh: &meshState{
+		meshState: meshState{
 			info:      info,
 			peerEpoch: make([]atomic.Uint64, info.Nodes),
 		},
+		unseated: info.Nodes - 1,
+		seated:   make(chan struct{}),
+	}
+	if t.unseated == 0 {
+		close(t.seated)
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -113,30 +102,33 @@ func newMeshTCPTransport(ln net.Listener, info JoinInfo, peerAddrs []string, reg
 		t.wg.Add(1)
 		go t.meshDialLoop(j)
 	}
-	return t, nil
+	return t
 }
 
-func (t *tcpTransport) SymmetricDial() bool { return t.mesh != nil }
-
-func (t *tcpTransport) SelfEpoch() uint64 {
-	if t.mesh == nil {
-		return 0
-	}
-	return t.mesh.info.Epoch
-}
+func (t *tcpTransport) SelfEpoch() uint64 { return t.info.Epoch }
 
 func (t *tcpTransport) PeerEpoch(id int) uint64 {
-	if t.mesh == nil || id < 0 || id >= t.nodes {
+	if id < 0 || id >= t.nodes {
 		return 0
 	}
-	return t.mesh.peerEpoch[id].Load()
+	return t.peerEpoch[id].Load()
 }
 
-func (t *tcpTransport) StaleEpochDrops() int64 {
-	if t.mesh == nil {
-		return 0
+func (t *tcpTransport) StaleEpochDrops() int64 { return t.staleDrops.Load() }
+
+// awaitSeated blocks until every peer has had a connection installed.
+// Start binds every listener before the first dial, so one dial and
+// both handshake halves bound the wait unless a handshake is wedged.
+func (t *tcpTransport) awaitSeated() error {
+	const timeout = meshDialTimeout + 2*meshHelloTimeout
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	select {
+	case <-t.seated:
+		return nil
+	case <-timer.C:
+		return fmt.Errorf("server: node %d: mesh not seated within %v", t.self, timeout)
 	}
-	return t.mesh.staleDrops.Load()
 }
 
 // casMax raises a to at least v.
@@ -172,19 +164,8 @@ func writeJoinFrame(conn net.Conn, from int, j *JoinInfo) error {
 func readJoinFrame(conn net.Conn) (*JoinInfo, error) {
 	conn.SetReadDeadline(time.Now().Add(meshHelloTimeout))
 	defer conn.SetReadDeadline(time.Time{})
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
-	if n > meshJoinMaxFrame {
-		return nil, fmt.Errorf("server: oversized join frame of %d bytes", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		return nil, err
-	}
-	m, err := DecodeMessage(buf)
+	var hdr [4]byte
+	m, err := readFrame(conn, &hdr, meshJoinMaxFrame)
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +203,6 @@ func (t *tcpTransport) notifyJoin(peer int, j *JoinInfo) {
 // acceptor's epoch. Called by Reconnect (health probes) and the
 // startup dialers; a refused join surfaces as *JoinRejectedError.
 func (t *tcpTransport) dialJoin(dst int) error {
-	ms := t.mesh
 	select {
 	case <-t.done:
 		return fmt.Errorf("server: transport closed")
@@ -241,7 +221,7 @@ func (t *tcpTransport) dialJoin(dst int) error {
 		conn.Close()
 		return fmt.Errorf("server: self-connect dialing node %d at %s", dst, t.peerAddrs[dst])
 	}
-	hello := ms.info
+	hello := t.info
 	if err := writeJoinFrame(conn, t.self, &hello); err != nil {
 		conn.Close()
 		return err
@@ -263,16 +243,12 @@ func (t *tcpTransport) dialJoin(dst int) error {
 		conn.Close()
 		return fmt.Errorf("server: dialed node %d, answered by %d", dst, ack.Node)
 	}
-	casMax(&ms.peerEpoch[dst], ack.Epoch)
+	casMax(&t.peerEpoch[dst], ack.Epoch)
 	p := &tcpPeer{conn: conn, id: dst, epoch: ack.Epoch}
 	if !t.setPeer(dst, p) {
 		// setPeer closed the conn: transport closing, or a newer epoch
 		// of dst seated itself first — either way this dial lost.
 		return fmt.Errorf("server: connection to node %d superseded", dst)
-	}
-	if !t.startReadLoop(p) {
-		conn.Close()
-		return fmt.Errorf("server: transport closed")
 	}
 	t.notifyJoin(dst, ack)
 	return nil
@@ -284,14 +260,13 @@ func (t *tcpTransport) dialJoin(dst int) error {
 // or reject with a typed reason and close.
 func (t *tcpTransport) meshAccept(conn net.Conn) {
 	defer t.wg.Done()
-	ms := t.mesh
 	hello, err := readJoinFrame(conn)
 	if err != nil {
 		conn.Close()
 		return
 	}
 	reject := func(reason string) {
-		nack := ms.info
+		nack := t.info
 		nack.Ack, nack.OK, nack.Reason = true, false, reason
 		writeJoinFrame(conn, t.self, &nack)
 		conn.Close()
@@ -306,29 +281,24 @@ func (t *tcpTransport) meshAccept(conn net.Conn) {
 	case hello.Nodes != t.nodes:
 		reject(joinRejectClusterSize)
 		return
-	case hello.Strategy != ms.info.Strategy:
+	case hello.Strategy != t.info.Strategy:
 		reject(joinRejectStrategy)
 		return
-	case hello.Epoch < ms.peerEpoch[hello.Node].Load():
+	case hello.Epoch < t.peerEpoch[hello.Node].Load():
 		reject(joinRejectStaleEpoch)
 		return
 	}
-	ack := ms.info
+	ack := t.info
 	ack.Ack, ack.OK = true, true
 	if err := writeJoinFrame(conn, t.self, &ack); err != nil {
 		conn.Close()
 		return
 	}
-	casMax(&ms.peerEpoch[hello.Node], hello.Epoch)
+	casMax(&t.peerEpoch[hello.Node], hello.Epoch)
 	p := &tcpPeer{conn: conn, id: hello.Node, epoch: hello.Epoch}
-	if !t.setPeer(hello.Node, p) {
-		return // setPeer closed the conn
+	if t.setPeer(hello.Node, p) { // else setPeer closed the conn
+		t.notifyJoin(hello.Node, hello)
 	}
-	if !t.startReadLoop(p) {
-		conn.Close()
-		return
-	}
-	t.notifyJoin(hello.Node, hello)
 }
 
 // meshDialLoop brings up the initial connection to dst: re-dial on a

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"sync"
@@ -37,16 +38,13 @@ func deadAddr(t *testing.T) string {
 
 func startMesh(t *testing.T, ln net.Listener, node, nodes int, epoch uint64, peerAddrs []string) *tcpTransport {
 	t.Helper()
-	tr, err := newMeshTCPTransport(ln, JoinInfo{
-		Node:      node,
-		Nodes:     nodes,
-		Epoch:     epoch,
-		Strategy:  meshTestStrategy,
-		Transport: "tcp",
-	}, peerAddrs, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return startMeshAs(t, ln, JoinInfo{Node: node, Nodes: nodes, Epoch: epoch, Strategy: meshTestStrategy}, peerAddrs)
+}
+
+func startMeshAs(t *testing.T, ln net.Listener, info JoinInfo, peerAddrs []string) *tcpTransport {
+	t.Helper()
+	info.Transport = "tcp"
+	tr := newMeshTCPTransport(ln, info, peerAddrs, nil, nil)
 	t.Cleanup(func() { tr.Close() })
 	return tr
 }
@@ -236,6 +234,59 @@ func TestMeshAcceptRejections(t *testing.T) {
 	if got := tr.PeerEpoch(1); got != 400 {
 		t.Fatalf("PeerEpoch(1) = %d after rejoin, want 400", got)
 	}
+
+	// The same acceptor guards the nodes of a running in-process cluster:
+	// impostors of node 1 — a previous life, a misconfigured build — dial
+	// node 0 and are refused with the typed reason, and the cluster does
+	// not notice.
+	t.Run("running cluster", func(t *testing.T) {
+		files := serverTestTrace(t, 8)
+		cl, err := Start(testClusterConfig(files, TransportTCP))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		node0 := cl.procs[0].transport.(*tcpTransport)
+		seated := node0.PeerEpoch(1)
+		peerAddrs := cl.procs[0].cfg.Mesh.PeerAddrs
+		strategy := cl.cfg.Dissemination.String()
+
+		for _, tc := range []struct {
+			hello  JoinInfo
+			reason string
+		}{
+			{JoinInfo{Node: 1, Nodes: cl.cfg.Nodes, Epoch: seated - 1, Strategy: strategy}, joinRejectStaleEpoch},
+			{JoinInfo{Node: 1, Nodes: cl.cfg.Nodes, Epoch: seated + 1, Strategy: strategy + "x"}, joinRejectStrategy},
+		} {
+			impostor := startMeshAs(t, meshListener(t), tc.hello, peerAddrs)
+			err := impostor.Reconnect(0)
+			var jr *JoinRejectedError
+			if !errors.As(err, &jr) || jr.Reason != tc.reason {
+				t.Fatalf("impostor dial returned %v, want JoinRejectedError(%s)", err, tc.reason)
+			}
+			impostor.Close()
+		}
+
+		if got := node0.PeerEpoch(1); got != seated {
+			t.Fatalf("PeerEpoch(1) moved from %d to %d under rejected joins", seated, got)
+		}
+		for i := range cl.procs {
+			for _, f := range files.Files {
+				got, err := Fetch(cl.URL(i), f.Name)
+				if err != nil {
+					t.Fatalf("%s via node %d after rejected joins: %v", f.Name, i, err)
+				}
+				if !bytes.Equal(got, SynthesizeContent(f.Name, f.Size)) {
+					t.Fatalf("%s via node %d: content mismatch", f.Name, i)
+				}
+			}
+		}
+		for i, pn := range cl.procs {
+			if d := pn.transport.(*tcpTransport).StaleEpochDrops(); d != 0 {
+				t.Fatalf("node %d dropped %d frames as stale", i, d)
+			}
+		}
+	})
 }
 
 // TestMeshDialRejectedTyped checks the dialer side surfaces a refused
@@ -297,5 +348,53 @@ func TestMeshCloseReconnectRace(t *testing.T) {
 			}
 		}
 		b.Close()
+	}
+}
+
+// TestMeshSymmetricPeerDown kills one live pair of an in-process TCP
+// cluster from both ends at once. Both health probers then re-dial —
+// either side may — and whatever their dials do to each other, the pair
+// must settle on one connection both ends agree on, both verdicts must
+// return to alive, and the cluster must serve as if nothing happened.
+// Run under -race.
+func TestMeshSymmetricPeerDown(t *testing.T) {
+	files := serverTestTrace(t, 12)
+	cfg := testClusterConfig(files, TransportTCP)
+	cfg.Health = chaosHealth()
+	cl, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	fetchAll(t, cl, files, 1, 5)
+
+	const a, b = 0, 1
+	ta := cl.procs[a].transport.(*tcpTransport)
+	tb := cl.procs[b].transport.(*tcpTransport)
+	before := ta.peer(b)
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		ta.PeerDown(b, errors.New("test: both ends at once"))
+	}()
+	go func() {
+		defer wg.Done()
+		tb.PeerDown(a, errors.New("test: both ends at once"))
+	}()
+	wg.Wait()
+
+	waitFor(t, 20*time.Second, "the pair to converge on one connection", func() bool {
+		pa, pb := ta.peer(b), tb.peer(a)
+		return pa != before && pa.down() == nil && pb.down() == nil &&
+			pa.conn.LocalAddr().String() == pb.conn.RemoteAddr().String() &&
+			pa.conn.RemoteAddr().String() == pb.conn.LocalAddr().String() &&
+			cl.procs[a].node.PeerState(b) == StateAlive &&
+			cl.procs[b].node.PeerState(a) == StateAlive
+	})
+	fetchAll(t, cl, files, 2, 6)
+	if d := ta.StaleEpochDrops() + tb.StaleEpochDrops(); d != 0 {
+		t.Fatalf("%d frames dropped as stale across a same-epoch reconnect", d)
 	}
 }

@@ -1236,20 +1236,15 @@ func (n *Node) updateDegraded() {
 }
 
 // probe tries to re-establish the channel to a dead peer off the main
-// loop. On the in-process transports only the lower-indexed side dials
-// (mirroring mesh construction) and the passive side recovers when the
-// peer's dial lands; a multi-process mesh dials symmetrically, since
-// the dead side may be exactly the one that was supposed to dial. At
-// most one probe per peer is in flight.
+// loop. Whether this side is the one that should dial is the
+// transport's call: TCP dials from either side (the dead side may be
+// exactly the one a fixed role would have picked), VIA answers
+// errPassiveRole on the higher-indexed side and recovers when the
+// peer's dial lands. At most one probe per peer is in flight.
 func (n *Node) probe(peer int) {
 	ft, ok := n.transport.(faultTransport)
 	if !ok || n.probing[peer] {
 		return
-	}
-	if sd, sOK := n.transport.(symmetricDialer); !sOK || !sd.SymmetricDial() {
-		if peer < n.id {
-			return
-		}
 	}
 	n.probing[peer] = true
 	n.wg.Add(1)

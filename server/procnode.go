@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -11,11 +12,12 @@ import (
 	"press/via"
 )
 
-// One node per OS process: the paper's actual deployment model. Start
-// builds all N nodes in one process for tests and experiments;
-// StartNode builds exactly one, meshed with N-1 peer processes over
-// real sockets, joined with the membership handshake, and able to
-// leave cleanly or crash and rejoin under a new epoch.
+// One node, brought up one way. ProcNode is the unit of deployment:
+// StartNode runs its bring-up once, for the paper's one-process-per-node
+// model, and Start (cluster.go) runs the same bring-up N times inside
+// one process for tests, experiments and benchmarks. Either way the
+// node joins its peers with the membership handshake and can leave
+// cleanly or crash and rejoin under a new epoch.
 
 // MeshConfig places one process inside a multi-process cluster.
 type MeshConfig struct {
@@ -38,15 +40,20 @@ type MeshConfig struct {
 	Epoch uint64
 }
 
-// ProcNode is one running node of a multi-process cluster.
+// ProcNode is one running node of a cluster.
 type ProcNode struct {
-	cfg     Config
-	node    *Node
-	fabric  *via.Fabric
-	bridge  *via.UDPBridge
-	httpLn  net.Listener
-	httpSrv *http.Server
-	addr    string
+	cfg Config // cfg.Mesh places this node
+
+	// Filled in bring-up order. Close releases whichever exist, so a
+	// bring-up that fails half-way unwinds like a running node.
+	ln        net.Listener   // intra-cluster listener (TCP)
+	fabric    *via.Fabric    // only when this node owns it (StartNode on VIA)
+	bridge    *via.UDPBridge // likewise
+	nic       *via.NIC
+	transport Transport
+	node      *Node
+	httpSrv   *http.Server
+	addr      string
 
 	closeOnce sync.Once
 	wg        sync.WaitGroup
@@ -73,15 +80,78 @@ func StartNode(c Config) (*ProcNode, error) {
 		return nil, fmt.Errorf("server: %d peer addresses for %d nodes", len(mesh.PeerAddrs), cfg.Nodes)
 	}
 	pn := &ProcNode{cfg: cfg}
-
-	var tr Transport
-	var nic *via.NIC
-	switch cfg.Transport {
-	case TransportTCP:
-		ln, err := net.Listen("tcp", mesh.PeerAddrs[mesh.Self])
-		if err != nil {
+	if cfg.Transport == TransportTCP {
+		if pn.ln, err = net.Listen("tcp", mesh.PeerAddrs[mesh.Self]); err != nil {
 			return nil, fmt.Errorf("server: intra-cluster listener: %w", err)
 		}
+	}
+	if err := bringUp([]*ProcNode{pn}, nil); err != nil {
+		pn.Close()
+		return nil, err
+	}
+	return pn, nil
+}
+
+// bringUp is the one way a node comes to serve: transport built, mesh
+// connected, node started, HTTP accepting. StartNode passes its one
+// node, Start all N; placement (cfg.Mesh) and the intra-cluster
+// listener are already set, and a failure is unwound by the caller's
+// Close.
+//
+// Build and connect are separate passes because of VIA: a vi.Connect to
+// an address nobody listens on yet fails rather than retries, so on a
+// shared fabric every NIC and listener must exist before the first
+// connect. TCP's dialers retry, but ride the same sequence.
+func bringUp(procs []*ProcNode, shared *via.Fabric) error {
+	for _, pn := range procs {
+		if err := pn.build(shared); err != nil {
+			return err
+		}
+	}
+	// With the whole cluster in this call every peer is certain to
+	// exist, so connect may wait for them; a lone process must not.
+	awaitPeers := len(procs) == procs[0].cfg.Nodes
+	errs := make([]error, len(procs))
+	var wg sync.WaitGroup
+	for i, pn := range procs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = pn.connect(awaitPeers)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	for _, pn := range procs {
+		if err := pn.serve(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// newFabric makes a VIA fabric shaped by the configuration.
+func newFabric(cfg Config) *via.Fabric {
+	opts := cfg.FabricOptions
+	if cfg.Metrics.Enabled() {
+		opts = append(opts[:len(opts):len(opts)], via.WithMetrics(cfg.Metrics))
+	}
+	return via.NewFabric(opts...)
+}
+
+// fabricAddr is node i's NIC address on the fabric.
+func fabricAddr(i int) string { return fmt.Sprintf("node%d", i) }
+
+// build constructs the node's transport end-point. shared is the fabric
+// every node of an in-process Cluster sits on; nil means this node is
+// alone in its process, so on VIA it makes its own fabric and bridges
+// it to the peers' over UDP.
+func (pn *ProcNode) build(shared *via.Fabric) error {
+	cfg, mesh := pn.cfg, pn.cfg.Mesh
+	switch cfg.Transport {
+	case TransportTCP:
 		info := JoinInfo{
 			Node:      mesh.Self,
 			Nodes:     cfg.Nodes,
@@ -89,47 +159,36 @@ func StartNode(c Config) (*ProcNode, error) {
 			Strategy:  cfg.Dissemination.String(),
 			Transport: "tcp",
 		}
-		t, err := newMeshTCPTransport(ln, info, mesh.PeerAddrs, cfg.Metrics, cfg.Tracer.Collector(mesh.Self))
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		tr = t
+		pn.transport = newMeshTCPTransport(pn.ln, info, mesh.PeerAddrs, cfg.Metrics, cfg.Tracer.Collector(mesh.Self))
 	case TransportVIA:
-		if len(mesh.UDPAddrs) != cfg.Nodes {
-			return nil, fmt.Errorf("server: VIA mesh needs %d UDP addresses, have %d", cfg.Nodes, len(mesh.UDPAddrs))
-		}
-		fabricOpts := cfg.FabricOptions
-		if cfg.Metrics.Enabled() {
-			fabricOpts = append(fabricOpts[:len(fabricOpts):len(fabricOpts)], via.WithMetrics(cfg.Metrics))
-		}
-		pn.fabric = via.NewFabric(fabricOpts...)
-		addrs := make([]string, cfg.Nodes)
-		for i := range addrs {
-			addrs[i] = fmt.Sprintf("node%d", i)
+		fabric := shared
+		if fabric == nil {
+			if len(mesh.UDPAddrs) != cfg.Nodes {
+				return fmt.Errorf("server: VIA mesh needs %d UDP addresses, have %d", cfg.Nodes, len(mesh.UDPAddrs))
+			}
+			pn.fabric = newFabric(cfg)
+			fabric = pn.fabric
 		}
 		var err error
-		if nic, err = pn.fabric.CreateNIC(addrs[mesh.Self]); err != nil {
-			pn.fabric.Close()
-			return nil, err
+		if pn.nic, err = fabric.CreateNIC(fabricAddr(mesh.Self)); err != nil {
+			return err
 		}
-		if pn.bridge, err = via.NewUDPBridge(pn.fabric, mesh.UDPAddrs[mesh.Self]); err != nil {
-			pn.fabric.Close()
-			return nil, err
-		}
-		for j := range addrs {
-			if j == mesh.Self {
-				continue
+		if shared == nil {
+			if pn.bridge, err = via.NewUDPBridge(fabric, mesh.UDPAddrs[mesh.Self]); err != nil {
+				return err
 			}
-			// The remote node's transport listens on "press-<j>"; dials to
-			// its proxy relay there.
-			if err := pn.bridge.Proxy(addrs[j], mesh.UDPAddrs[j], fmt.Sprintf("press-%d", j)); err != nil {
-				pn.bridge.Close()
-				pn.fabric.Close()
-				return nil, err
+			for j := 0; j < cfg.Nodes; j++ {
+				if j == mesh.Self {
+					continue
+				}
+				// The remote node's transport listens on "press-<j>"; dials to
+				// its proxy relay there.
+				if err := pn.bridge.Proxy(fabricAddr(j), mesh.UDPAddrs[j], fmt.Sprintf("press-%d", j)); err != nil {
+					return err
+				}
 			}
 		}
-		vt, err := newViaTransport(nic, viaConfig{
+		vt, err := newViaTransport(pn.nic, viaConfig{
 			self: mesh.Self, nodes: cfg.Nodes, version: cfg.Version,
 			loadViaRMW: cfg.LoadViaRMW, window: cfg.Window,
 			batch: cfg.Batch, chunk: cfg.ChunkBytes,
@@ -138,38 +197,52 @@ func StartNode(c Config) (*ProcNode, error) {
 			trc: cfg.Tracer.Collector(mesh.Self),
 		})
 		if err != nil {
-			pn.bridge.Close()
-			pn.fabric.Close()
-			return nil, err
+			return err
 		}
-		// The VIA mesh setup is synchronous: every peer process must come
-		// up for connect to return. Crash-restart chaos runs on the TCP
-		// mesh; the VIA bridge exists so V0–V5 comparisons still run
-		// cross-process.
-		if err := vt.connect(addrs); err != nil {
-			vt.Close()
-			pn.bridge.Close()
-			pn.fabric.Close()
-			return nil, fmt.Errorf("server: node %d mesh: %w", mesh.Self, err)
-		}
-		tr = vt
+		pn.transport = vt
 	default:
-		return nil, fmt.Errorf("server: unknown transport %d", cfg.Transport)
+		return fmt.Errorf("server: unknown transport %d", cfg.Transport)
 	}
+	return nil
+}
 
-	pn.node = newNode(mesh.Self, cfg, tr, nic)
+// connect completes the node's side of the mesh. The VIA setup is
+// synchronous: every peer must come up for it to return (crash-restart
+// chaos across processes runs on TCP; the VIA bridge exists so V0–V5
+// comparisons still run cross-process). TCP has been dialing since
+// build; with awaitPeers it returns once every pair is seated.
+func (pn *ProcNode) connect(awaitPeers bool) error {
+	switch t := pn.transport.(type) {
+	case *viaTransport:
+		addrs := make([]string, pn.cfg.Nodes)
+		for i := range addrs {
+			addrs[i] = fabricAddr(i)
+		}
+		if err := t.connect(addrs); err != nil {
+			return fmt.Errorf("server: node %d mesh: %w", pn.cfg.Mesh.Self, err)
+		}
+	case *tcpTransport:
+		if awaitPeers {
+			return t.awaitSeated()
+		}
+	}
+	return nil
+}
+
+// serve starts the node on its transport and opens the HTTP front end.
+func (pn *ProcNode) serve() error {
+	mesh := pn.cfg.Mesh
+	pn.node = newNode(mesh.Self, pn.cfg, pn.transport, pn.nic)
 	pn.node.start()
 
 	httpAddr := mesh.HTTPAddr
 	if httpAddr == "" {
-		httpAddr = cfg.ListenHost + ":0"
+		httpAddr = pn.cfg.ListenHost + ":0"
 	}
 	ln, err := net.Listen("tcp", httpAddr)
 	if err != nil {
-		pn.shutdownBackend()
-		return nil, err
+		return err
 	}
-	pn.httpLn = ln
 	pn.addr = ln.Addr().String()
 	// ReadHeaderTimeout reaps connections that never send a request
 	// (client transports open dial-race losers that sit in StateNew
@@ -185,7 +258,7 @@ func StartNode(c Config) (*ProcNode, error) {
 		defer pn.wg.Done()
 		_ = pn.httpSrv.Serve(ln)
 	}()
-	return pn, nil
+	return nil
 }
 
 // HTTPAddr returns the node's client-facing address (host:port).
@@ -228,18 +301,30 @@ func (pn *ProcNode) Drain(timeout time.Duration) error {
 	return err
 }
 
-// Close hard-stops the node: in-flight clients are cut.
+// Close hard-stops the node: in-flight clients are cut. It is also the
+// unwind of a failed bring-up, so every layer is optional.
 func (pn *ProcNode) Close() {
 	pn.closeOnce.Do(func() {
-		pn.httpSrv.Close()
+		if pn.httpSrv != nil {
+			pn.httpSrv.Close()
+		}
 		pn.shutdownBackend()
 		pn.wg.Wait()
 	})
 }
 
+// shutdownBackend releases everything below the HTTP server. Each layer
+// closes what it took ownership of and every Close here is idempotent,
+// so closing all that exist is right at any stage of the bring-up.
 func (pn *ProcNode) shutdownBackend() {
 	if pn.node != nil {
 		pn.node.shutdown()
+	}
+	if pn.transport != nil {
+		pn.transport.Close()
+	}
+	if pn.ln != nil {
+		pn.ln.Close()
 	}
 	if pn.bridge != nil {
 		pn.bridge.Close()

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"press/core"
-	"press/metrics"
 	"press/tracing"
 )
 
@@ -16,10 +15,11 @@ import (
 // paper's portable baseline. Flow control is TCP's own, transparent to
 // the server (Section 2.2), so no flow messages appear on the wire.
 //
-// With mesh set, the transport runs in multi-process mode: one node per
-// OS process, peers on real (possibly remote) addresses, and every
-// connection opened with a versioned MsgJoin handshake instead of the
-// 2-byte hello — see mesh.go.
+// This file is the data plane: peer table, framing, Send, read loop.
+// How connections come to exist — the MsgJoin handshake every one opens
+// with, epochs, the startup dialers — is mesh.go. There is one mode:
+// sibling nodes of an in-process Cluster pair up over loopback exactly
+// as pressd processes do across hosts.
 type tcpTransport struct {
 	self      int
 	nodes     int
@@ -28,13 +28,18 @@ type tcpTransport struct {
 	ins       transportInstruments
 	trc       *tracing.Collector
 	done      chan struct{}
-	mesh      *meshState // nil for the in-process mesh
+	meshState
 
-	// peersMu guards the peer table and the closed flag; peers[i] is
-	// replaced wholesale when a connection is re-established.
+	// peersMu guards the peer table, the closed flag and the seating
+	// count; peers[i] is replaced wholesale when a connection is
+	// re-established.
 	peersMu sync.RWMutex
 	peers   []*tcpPeer // indexed by node, nil for self
 	closed  bool
+	// unseated counts peers that never had a connection installed; seated
+	// closes when it reaches zero (what Start waits for).
+	unseated int
+	seated   chan struct{}
 
 	// inboundMu guards delivery into inbound from goroutines outside wg
 	// (a Reconnect caller's join notification): Close marks inClosed
@@ -52,11 +57,10 @@ type tcpPeer struct {
 	conn net.Conn
 	mu   sync.Mutex // serializes frame writes
 
-	// id and epoch are fixed at handshake time (mesh mode only): the
-	// peer's node index and the epoch of the process life that opened
-	// this connection. A conn whose epoch falls behind the highest
-	// accepted for the same id is from a previous life; its messages
-	// are dropped, never served.
+	// id and epoch are fixed at handshake time: the peer's node index
+	// and the epoch of the process life that opened this connection. A
+	// conn whose epoch falls behind the highest accepted for the same id
+	// is from a previous life; its messages are dropped, never served.
 	id    int
 	epoch uint64
 
@@ -84,97 +88,6 @@ func (p *tcpPeer) down() error {
 
 const maxFrame = 8 << 20
 
-// newTCPTransport builds node self's side of the mesh. Every node
-// listens on its own loopback address; node i dials every j > i and
-// identifies itself with a 2-byte hello, mirroring how the VIA version
-// sets up VI end-points with each other node.
-func newTCPTransport(self, nodes int, ln net.Listener, peerAddrs []string, reg *metrics.Registry, trc *tracing.Collector) (*tcpTransport, error) {
-	t := &tcpTransport{
-		self:      self,
-		nodes:     nodes,
-		peerAddrs: append([]string(nil), peerAddrs...),
-		peers:     make([]*tcpPeer, nodes),
-		inbound:   make(chan *Message, 1024),
-		done:      make(chan struct{}),
-		ln:        ln,
-		ins:       newTransportInstruments(reg, self),
-		trc:       trc,
-	}
-
-	errc := make(chan error, nodes)
-	var setup sync.WaitGroup
-	// Accept connections from lower-numbered peers.
-	for i := 0; i < self; i++ {
-		setup.Add(1)
-		go func() {
-			defer setup.Done()
-			conn, err := ln.Accept()
-			if err != nil {
-				errc <- fmt.Errorf("server: node %d accept: %w", self, err)
-				return
-			}
-			var hello [2]byte
-			if _, err := io.ReadFull(conn, hello[:]); err != nil {
-				errc <- fmt.Errorf("server: node %d hello: %w", self, err)
-				return
-			}
-			from := int(binary.LittleEndian.Uint16(hello[:]))
-			if from < 0 || from >= nodes || from == self {
-				errc <- fmt.Errorf("server: node %d: bad hello from %d", self, from)
-				return
-			}
-			t.peers[from] = &tcpPeer{conn: conn, id: from}
-		}()
-	}
-	// Dial higher-numbered peers.
-	for j := self + 1; j < nodes; j++ {
-		setup.Add(1)
-		go func(j int) {
-			defer setup.Done()
-			conn, err := net.Dial("tcp", peerAddrs[j])
-			if err != nil {
-				errc <- fmt.Errorf("server: node %d dial %d: %w", self, j, err)
-				return
-			}
-			var hello [2]byte
-			binary.LittleEndian.PutUint16(hello[:], uint16(self))
-			if _, err := conn.Write(hello[:]); err != nil {
-				errc <- fmt.Errorf("server: node %d hello to %d: %w", self, j, err)
-				return
-			}
-			t.peers[j] = &tcpPeer{conn: conn, id: j}
-		}(j)
-	}
-	setup.Wait()
-	select {
-	case err := <-errc:
-		t.Close()
-		return nil, err
-	default:
-	}
-	for i, p := range t.peers {
-		if i == self {
-			continue
-		}
-		if p == nil {
-			t.Close()
-			return nil, fmt.Errorf("server: node %d missing connection to %d", self, i)
-		}
-		if !t.startReadLoop(p) {
-			break
-		}
-	}
-	// The initial mesh is up; further accepts are peers re-dialing
-	// after a failure.
-	t.peersMu.Lock()
-	if !t.closed {
-		t.wg.Add(1)
-		go t.acceptLoop()
-	}
-	t.peersMu.Unlock()
-	return t, nil
-}
-
 // peer returns the live connection to dst, nil if none.
 func (t *tcpTransport) peer(dst int) *tcpPeer {
 	t.peersMu.RLock()
@@ -185,14 +98,15 @@ func (t *tcpTransport) peer(dst int) *tcpPeer {
 	return t.peers[dst]
 }
 
-// setPeer installs a fresh connection, retiring any predecessor so its
-// read loop exits and blocked writers fail over. The closed check and
-// the install are one critical section: a redial that wins the race
-// against Close must not resurrect a table entry (Close has already
-// snapshotted the table) or leak its conn, so a closing transport
-// refuses the install, closes the conn, and reports false. In mesh
-// mode an install is also refused when a connection from a newer epoch
-// of the same peer is already seated — the stale dialer lost.
+// setPeer installs a fresh connection and starts its reader, retiring
+// any predecessor so its read loop exits and blocked writers fail over.
+// The closed check, the install and the reader's registration are one
+// critical section: a redial that wins the race against Close must not
+// resurrect a table entry (Close has already snapshotted the table),
+// leak its conn, or add to wg after Close's Wait, so a closing
+// transport refuses the install, closes the conn, and reports false. An
+// install is also refused when a connection from a newer epoch of the
+// same peer is already seated — the stale dialer lost.
 func (t *tcpTransport) setPeer(id int, p *tcpPeer) bool {
 	t.peersMu.Lock()
 	if t.closed {
@@ -201,30 +115,23 @@ func (t *tcpTransport) setPeer(id int, p *tcpPeer) bool {
 		return false
 	}
 	old := t.peers[id]
-	if old != nil && t.mesh != nil && old.epoch > p.epoch {
+	if old != nil && old.epoch > p.epoch {
 		t.peersMu.Unlock()
 		p.markDown(fmt.Errorf("%w: node %d epoch %d superseded by %d", ErrPeerDown, id, p.epoch, old.epoch))
 		return false
 	}
 	t.peers[id] = p
-	t.peersMu.Unlock()
-	if old != nil && old != p {
-		old.markDown(fmt.Errorf("%w: node %d connection superseded by reconnect", ErrPeerDown, id))
-	}
-	return true
-}
-
-// startReadLoop spawns the per-connection reader unless the transport
-// is already closing. Registration happens under the table lock so
-// Close cannot race past wg.Wait while a loop is being added.
-func (t *tcpTransport) startReadLoop(p *tcpPeer) bool {
-	t.peersMu.Lock()
-	defer t.peersMu.Unlock()
-	if t.closed {
-		return false
+	if old == nil {
+		if t.unseated--; t.unseated == 0 {
+			close(t.seated)
+		}
 	}
 	t.wg.Add(1)
 	go t.readLoop(p)
+	t.peersMu.Unlock()
+	if old != nil {
+		old.markDown(fmt.Errorf("%w: node %d connection superseded by reconnect", ErrPeerDown, id))
+	}
 	return true
 }
 
@@ -237,49 +144,20 @@ func (t *tcpTransport) PeerDown(dst int, reason error) {
 	}
 }
 
-// Reconnect re-dials dst. In-process, the hello handshake of the
-// initial mesh is replayed and only the lower-indexed side dials (the
-// other side's acceptLoop answers); in mesh mode either side may dial
-// and the connection opens with the full MsgJoin handshake.
+// Reconnect re-dials dst with the full join handshake. Either side of a
+// pair may call it — the peer that died may be exactly the one a fixed
+// dialer role would have assigned — and epoch supersession in setPeer
+// resolves the races.
 func (t *tcpTransport) Reconnect(dst int) error {
 	if dst == t.self || dst < 0 || dst >= t.nodes {
 		return fmt.Errorf("server: bad reconnect destination %d", dst)
 	}
-	if t.mesh != nil {
-		return t.dialJoin(dst)
-	}
-	if dst < t.self {
-		return errPassiveRole
-	}
-	select {
-	case <-t.done:
-		return fmt.Errorf("server: transport closed")
-	default:
-	}
-	conn, err := net.Dial("tcp", t.peerAddrs[dst])
-	if err != nil {
-		return err
-	}
-	var hello [2]byte
-	binary.LittleEndian.PutUint16(hello[:], uint16(t.self))
-	if _, err := conn.Write(hello[:]); err != nil {
-		conn.Close()
-		return err
-	}
-	p := &tcpPeer{conn: conn, id: dst}
-	if !t.setPeer(dst, p) {
-		return fmt.Errorf("server: transport closed")
-	}
-	if !t.startReadLoop(p) {
-		conn.Close()
-	}
-	return nil
+	return t.dialJoin(dst)
 }
 
-// acceptLoop answers post-mesh redials: a peer that lost its connection
-// to us identifies itself with the hello and supersedes the dead one.
-// In mesh mode the handshake is a full MsgJoin exchange, run off the
-// accept path so a slow or hostile dialer cannot block other peers.
+// acceptLoop hands every inbound connection to the acceptor half of the
+// join handshake, run off the accept path so a slow or hostile dialer
+// cannot block other peers.
 func (t *tcpTransport) acceptLoop() {
 	defer t.wg.Done()
 	for {
@@ -287,31 +165,10 @@ func (t *tcpTransport) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		if t.mesh != nil {
-			// Safe to Add here: acceptLoop itself is counted in wg, so
-			// Close's Wait cannot have completed yet.
-			t.wg.Add(1)
-			go t.meshAccept(conn)
-			continue
-		}
-		var hello [2]byte
-		if _, err := io.ReadFull(conn, hello[:]); err != nil {
-			conn.Close()
-			continue
-		}
-		from := int(binary.LittleEndian.Uint16(hello[:]))
-		if from < 0 || from >= t.nodes || from == t.self {
-			conn.Close()
-			continue
-		}
-		p := &tcpPeer{conn: conn, id: from}
-		if !t.setPeer(from, p) {
-			return
-		}
-		if !t.startReadLoop(p) {
-			conn.Close()
-			return
-		}
+		// Safe to Add here: acceptLoop itself is counted in wg, so
+		// Close's Wait cannot have completed yet.
+		t.wg.Add(1)
+		go t.meshAccept(conn)
 	}
 }
 
@@ -355,6 +212,23 @@ func (t *tcpTransport) Send(dst int, m *Message) error {
 	return err
 }
 
+// readFrame reads one length-prefixed Message of at most max bytes. hdr
+// is the caller's scratch, so a read loop pays for it once.
+func readFrame(r io.Reader, hdr *[4]byte, max uint32) (*Message, error) {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[:])
+	if n > max {
+		return nil, fmt.Errorf("server: oversized frame of %d bytes", n)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	return DecodeMessage(buf)
+}
+
 func (t *tcpTransport) readLoop(p *tcpPeer) {
 	defer t.wg.Done()
 	conn := p.conn
@@ -365,32 +239,18 @@ func (t *tcpTransport) readLoop(p *tcpPeer) {
 			p.markDown(err)
 		}
 	}
-	var lenBuf [4]byte
+	var hdr [4]byte
 	for {
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-			fail(err)
-			return
-		}
-		n := binary.LittleEndian.Uint32(lenBuf[:])
-		if n > maxFrame {
-			fail(fmt.Errorf("server: oversized frame of %d bytes", n))
-			return
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(conn, buf); err != nil {
-			fail(err)
-			return
-		}
-		m, err := DecodeMessage(buf)
+		m, err := readFrame(conn, &hdr, maxFrame)
 		if err != nil {
 			fail(err)
 			return
 		}
-		if t.mesh != nil && (m.From != p.id || p.epoch != t.mesh.peerEpoch[p.id].Load()) {
+		if m.From != p.id || p.epoch != t.peerEpoch[p.id].Load() {
 			// A frame from a previous life of the peer (or one lying
 			// about its identity): the connection's epoch has been
 			// superseded by a newer join. Never serve it.
-			t.mesh.staleDrops.Add(1)
+			t.staleDrops.Add(1)
 			continue
 		}
 		// Blocking here is the flow control: TCP backpressure reaches
@@ -418,9 +278,7 @@ func (t *tcpTransport) Close() error {
 		t.closed = true
 		peers := append([]*tcpPeer(nil), t.peers...)
 		t.peersMu.Unlock()
-		if t.ln != nil {
-			t.ln.Close()
-		}
+		t.ln.Close()
 		for _, p := range peers {
 			if p != nil {
 				p.conn.Close()

@@ -51,10 +51,11 @@ type Transport interface {
 // retrying cannot help until the peer is reconnected.
 var ErrPeerDown = errors.New("server: peer down")
 
-// errPassiveRole is returned by Reconnect when re-establishing the
-// channel is the other side's job: the node with the lower index dials,
-// mirroring how the initial mesh was built, so concurrent reconnects of
-// the same pair cannot race.
+// errPassiveRole is returned by the VIA transport's Reconnect when
+// re-establishing the channel is the other side's job: the node with
+// the lower index dials, mirroring how the VI mesh was built, so
+// concurrent reconnects of the same pair cannot race. (TCP dials from
+// either side and lets epochs settle the race.)
 var errPassiveRole = errors.New("server: reconnect is dialed from the other side")
 
 // errSuperseded marks a send that failed because the peer re-dialed and
