@@ -28,18 +28,13 @@ benchsmoke:
 	$(GO) test -run '^$$' -bench '^$$' ./...
 	$(GO) test -run '^$$' -bench BenchmarkViaSendMetrics -benchtime 1x .
 
-# bench records the directory-scaling baseline (directory messages per
-# request vs cluster size, broadcast vs sharded vs gossip) into
-# BENCH_directory.json, the telemetry-plane overhead baseline (sampler
-# off/on, event hot path, exposition render) into BENCH_telemetry.json,
-# and the hot-object replication baseline (goodput/p99 across Zipf
-# exponents, replication off vs on) into BENCH_replication.json. The
-# tracing/metrics on-off overhead is in the press-bench ledger
-# (bench/README.md: driver.trace_overhead_frac, via.send_4b_*).
+# bench runs the press-bench performance ledger: six real-cluster
+# workloads, end-to-end and per-layer metrics, into bench/out/result.json
+# (bench/README.md). The simulator sweeps the ledger does not cover are
+# press-sim experiments: dirsweep, hotspot (add -json for machine-
+# readable output).
 bench:
-	sh scripts/bench_directory.sh BENCH_directory.json
-	sh scripts/bench_telemetry.sh BENCH_telemetry.json
-	sh scripts/bench_replication.sh BENCH_replication.json
+	bash bench/run.sh
 
 # check is the full gate: vet, build, race-enabled tests, presslint,
 # benchmark smoke.

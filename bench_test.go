@@ -1,23 +1,19 @@
 // Package press benchmarks regenerate every table and figure of the
 // paper's evaluation: run `go test -bench=. -benchmem` and compare the
-// reported metrics against EXPERIMENTS.md. Simulation benches report
-// simulated request throughput; real-stack benches report wall-clock
-// throughput of the runnable PRESS cluster.
+// reported metrics against EXPERIMENTS.md. They report simulated request
+// throughput; wall-clock numbers for the runnable cluster come from the
+// press-bench ledger (`bash bench/run.sh`).
 package press
 
 import (
-	"context"
 	"fmt"
 	"testing"
 	"time"
 
 	"press/core"
 	"press/experiments"
-	"press/loadgen"
 	"press/metrics"
 	"press/model"
-	"press/netmodel"
-	"press/server"
 	"press/trace"
 	"press/tracing"
 	"press/via"
@@ -231,103 +227,10 @@ func BenchmarkAblationOverloadThreshold(b *testing.B) {
 	}
 }
 
-// Real-stack benches: the runnable PRESS server driven end to end.
-
-func benchRealCluster(b *testing.B, kind server.TransportKind, version string) {
-	b.Helper()
-	tr, err := trace.Synthesize(trace.Spec{
-		Name: "bench", NumFiles: 300, AvgFileKB: 8,
-		NumRequests: 20000, AvgReqKB: 6, Seed: 5,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ver, err := netmodel.VersionByName(version)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cl, err := server.Start(server.Config{
-		Nodes: 4, Trace: tr, Transport: kind, Version: ver,
-		CacheBytes: 4 << 20, DiskDelay: 200 * time.Microsecond,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-	targets := make([]string, 0, 4)
-	for _, a := range cl.Addrs() {
-		targets = append(targets, "http://"+a)
-	}
-	b.ResetTimer()
-	var throughput float64
-	for i := 0; i < b.N; i++ {
-		res, err := loadgen.Run(context.Background(), loadgen.Config{
-			Targets: targets, Trace: tr, Concurrency: 16,
-			Requests: 3000, Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Errors > 0 {
-			b.Fatalf("%d errors", res.Errors)
-		}
-		throughput = res.Throughput
-	}
-	b.ReportMetric(throughput, "req/s")
-}
-
-func BenchmarkRealClusterTCP(b *testing.B)   { benchRealCluster(b, server.TransportTCP, "V0") }
-func BenchmarkRealClusterVIAV0(b *testing.B) { benchRealCluster(b, server.TransportVIA, "V0") }
-func BenchmarkRealClusterVIAV3(b *testing.B) { benchRealCluster(b, server.TransportVIA, "V3") }
-func BenchmarkRealClusterVIAV5(b *testing.B) { benchRealCluster(b, server.TransportVIA, "V5") }
-
-// Software VIA microbenchmarks (the Section 3.2 measurements against
-// the software implementation).
-
-func viaPair(b *testing.B, opts ...via.FabricOption) (*via.NIC, *via.NIC, *via.VI, *via.VI, func()) {
-	b.Helper()
-	f := via.NewFabric(opts...)
-	na, err := f.CreateNIC("a")
-	if err != nil {
-		b.Fatal(err)
-	}
-	nb, err := f.CreateNIC("b")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ln, err := nb.Listen("bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	vb, err := nb.CreateVI(via.ReliableDelivery, 256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	va, err := na.CreateVI(via.ReliableDelivery, 256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := ln.Accept(vb)
-		done <- err
-	}()
-	if err := va.Connect("b", "bench"); err != nil {
-		b.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		b.Fatal(err)
-	}
-	return na, nb, va, vb, f.Close
-}
-
-func BenchmarkViaSendRecv4B(b *testing.B) {
-	benchViaSend(b, 4)
-}
-
-func BenchmarkViaSendRecv32K(b *testing.B) {
-	benchViaSend(b, 32*1024)
-}
+// The real stack is measured by the press-bench ledger (bench/README.md):
+// end to end per transport and version, and per layer down to the VIA
+// send and RDMA-write costs. What stays here are the two on/off overhead
+// pairs scripts/check.sh gates.
 
 // BenchmarkViaSendMetricsOff and ...On bracket the cost of the
 // observability layer on the VIA send path. Off (no registry) is the
@@ -377,8 +280,39 @@ func benchServeTracing(b *testing.B, c *tracing.Collector) {
 }
 
 func benchViaSend(b *testing.B, size int, opts ...via.FabricOption) {
-	na, nb, va, vb, closeF := viaPair(b, opts...)
-	defer closeF()
+	f := via.NewFabric(opts...)
+	defer f.Close()
+	na, err := f.CreateNIC("a")
+	if err != nil {
+		b.Fatal(err)
+	}
+	nb, err := f.CreateNIC("b")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ln, err := nb.Listen("bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	vb, err := nb.CreateVI(via.ReliableDelivery, 256)
+	if err != nil {
+		b.Fatal(err)
+	}
+	va, err := na.CreateVI(via.ReliableDelivery, 256)
+	if err != nil {
+		b.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := ln.Accept(vb)
+		done <- err
+	}()
+	if err := va.Connect("b", "bench"); err != nil {
+		b.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		b.Fatal(err)
+	}
 	sreg, err := na.RegisterMemory(make([]byte, size))
 	if err != nil {
 		b.Fatal(err)
@@ -400,33 +334,6 @@ func benchViaSend(b *testing.B, size int, opts ...via.FabricOption) {
 			b.Fatal(err)
 		}
 		if err := sd.Wait(time.Second); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkViaRDMAWrite(b *testing.B) {
-	na, nb, va, _, closeF := viaPair(b)
-	defer closeF()
-	const size = 4096
-	sreg, err := na.RegisterMemory(make([]byte, size))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rreg, err := nb.RegisterMemory(make([]byte, size))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rreg.EnableRemoteWrite()
-	b.SetBytes(size)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := via.MustDescriptor(via.Segment{Region: sreg, Offset: 0, Len: size})
-		if err := va.PostRDMAWrite(d, rreg.Handle(), 0); err != nil {
-			b.Fatal(err)
-		}
-		if err := d.Wait(time.Second); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -477,44 +384,6 @@ func BenchmarkNodeSweep(b *testing.B) {
 		}
 		if i == 0 {
 			b.ReportMetric(pts[len(pts)-1].Gain*100, "gain_at_32_nodes_%")
-		}
-	}
-}
-
-// BenchmarkRealClusterZeroCopyBytes measures the staging/receive copy
-// volume of the real server per version — V5 must report zero.
-func BenchmarkRealClusterZeroCopyBytes(b *testing.B) {
-	tr, err := trace.Synthesize(trace.Spec{
-		Name: "zc", NumFiles: 100, AvgFileKB: 8,
-		NumRequests: 1000, AvgReqKB: 6, Seed: 5,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		for _, name := range []string{"V3", "V5"} {
-			ver, _ := netmodel.VersionByName(name)
-			cl, err := server.Start(server.Config{
-				Nodes: 3, Trace: tr, Transport: server.TransportVIA, Version: ver,
-				CacheBytes: 2 << 20, DiskDelay: 100 * time.Microsecond,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			targets := make([]string, 0, 3)
-			for _, a := range cl.Addrs() {
-				targets = append(targets, "http://"+a)
-			}
-			res, err := loadgen.Run(context.Background(), loadgen.Config{
-				Targets: targets, Trace: tr, Concurrency: 8, Requests: 600, Seed: 1,
-			})
-			if err != nil || res.Errors > 0 {
-				b.Fatalf("loadgen: %v (%d errors)", err, res.Errors)
-			}
-			if i == 0 {
-				b.ReportMetric(float64(cl.Stats().CopiedBytes)/1e6, name+"_copied_MB")
-			}
-			cl.Close()
 		}
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"press/cache"
 	"press/core"
 	"press/trace"
 )
@@ -87,5 +88,76 @@ func TestSimReplicationDeterministic(t *testing.T) {
 	if a.Throughput != b.Throughput || a.ReplicaPushes != b.ReplicaPushes ||
 		a.ReplicaDrops != b.ReplicaDrops || a.DiskReads != b.DiskReads {
 		t.Errorf("replicated runs diverged: %+v vs %+v", a, b)
+	}
+}
+
+// replState is a two-node simulated cluster with replication on and
+// room for three files per cache, for driving the replication model's
+// transitions one at a time.
+func replState(t *testing.T) *simState {
+	t.Helper()
+	cfg := baseConfig(hotTrace(t, 100))
+	cfg.Nodes = 2
+	cfg.Replication = core.ReplicationConfig{Enabled: true}
+	var maxSize int64
+	for _, f := range cfg.Trace.Files[:5] {
+		if f.Size > maxSize {
+			maxSize = f.Size
+		}
+	}
+	cfg.CacheBytes = 3 * maxSize
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newSimState(cfg)
+}
+
+// TestSimReplicationSeedsFreshReplica: a freshly installed replica's
+// rate starts at the trigger threshold, as on the server, so the first
+// scans after its cooldown do not read it as cold and drop it before
+// routing has sent it any traffic.
+func TestSimReplicationSeedsFreshReplica(t *testing.T) {
+	s := replState(t)
+	rc := s.cfg.Replication
+	s.cacheInsert(0, 0, s.cfg.Trace.Files[0].Size) // the original
+	s.replInstall(1, 0, s.cfg.Trace.Files[0].Size)
+	if !s.replPulled[1][0] {
+		t.Fatal("replica not installed")
+	}
+	if got := s.replRates[1][0]; got < rc.HotRate {
+		t.Errorf("fresh replica's rate = %v, want the trigger threshold %v", got, rc.HotRate)
+	}
+	// One idle scan past the cooldown: the seeded rate has decayed by one
+	// fold, nowhere near DecayRate, and the copy stays.
+	s.sim.After(rc.Cooldown+rc.Interval, s.replScan)
+	s.sim.Run()
+	if !s.nodes[1].cache.Contains(0) {
+		t.Error("replica dropped on the first scan after its cooldown")
+	}
+}
+
+// TestSimReplicationEvictionClearsPulled: "pulled" marks the copy, not
+// the file — once a disk read has pushed the replica out of the cache,
+// a copy the node later reads from its own disk is an original, which
+// de-replication must not drop.
+func TestSimReplicationEvictionClearsPulled(t *testing.T) {
+	s := replState(t)
+	files := s.cfg.Trace.Files
+	s.replInstall(1, 0, files[0].Size)
+	if !s.replPulled[1][0] {
+		t.Fatal("replica not installed")
+	}
+	for id := 1; id < 5; id++ {
+		s.readFromDisk(1, cache.FileID(id), files[id].Size, func() {})
+	}
+	s.sim.Run()
+	if s.nodes[1].cache.Contains(0) {
+		t.Fatal("setup: four disk reads did not evict the replica")
+	}
+	s.readFromDisk(1, 0, files[0].Size, func() {})
+	s.sim.Run()
+	if s.replPulled[1][0] {
+		t.Error("a copy read from disk after the replica was evicted is still marked pulled")
 	}
 }

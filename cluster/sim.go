@@ -185,13 +185,10 @@ func (v nodeView) LoadKnown() bool {
 
 func (v nodeView) Nodes() int { return v.s.cfg.Nodes }
 
-// Run simulates the configured experiment to completion and returns its
-// measurements. Runs are deterministic for a given Config.
-func Run(c Config) (*Result, error) {
-	cfg, err := c.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// newSimState builds the simulated cluster for a defaulted Config:
+// nodes, directory, and the sharded-directory and replication state.
+// It schedules nothing; Run launches the workload on it.
+func newSimState(cfg Config) *simState {
 	s := &simState{
 		cfg: cfg,
 		sim: eventsim.New(),
@@ -231,6 +228,28 @@ func Run(c Config) (*Result, error) {
 		}
 		s.interest = make([]cache.NodeSet, len(cfg.Trace.Files))
 	}
+	if cfg.Replication.Enabled && !cfg.ContentOblivious && cfg.Nodes > 1 {
+		s.replOn = true
+		nf := len(cfg.Trace.Files)
+		for i := 0; i < cfg.Nodes; i++ {
+			s.replCounts = append(s.replCounts, make([]uint32, nf))
+			s.replRates = append(s.replRates, make([]float64, nf))
+			s.replLast = append(s.replLast, map[cache.FileID]eventsim.Time{})
+			s.replPulled = append(s.replPulled, map[cache.FileID]bool{})
+			s.replPulling = append(s.replPulling, map[cache.FileID]bool{})
+		}
+	}
+	return s
+}
+
+// Run simulates the configured experiment to completion and returns its
+// measurements. Runs are deterministic for a given Config.
+func Run(c Config) (*Result, error) {
+	cfg, err := c.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	s := newSimState(cfg)
 	// Span timestamps must read simulated time, not the wall clock.
 	cfg.Tracing.SetClock(s.sim.NowNanos)
 	// Telemetry series likewise: the plane samples the registry every
@@ -263,16 +282,7 @@ func Run(c Config) (*Result, error) {
 			s.scheduleGossip(i)
 		}
 	}
-	if cfg.Replication.Enabled && !cfg.ContentOblivious && cfg.Nodes > 1 {
-		s.replOn = true
-		nf := len(cfg.Trace.Files)
-		for i := 0; i < cfg.Nodes; i++ {
-			s.replCounts = append(s.replCounts, make([]uint32, nf))
-			s.replRates = append(s.replRates, make([]float64, nf))
-			s.replLast = append(s.replLast, map[cache.FileID]eventsim.Time{})
-			s.replPulled = append(s.replPulled, map[cache.FileID]bool{})
-			s.replPulling = append(s.replPulling, map[cache.FileID]bool{})
-		}
+	if s.replOn {
 		s.sim.Every(cfg.Replication.Interval, func() bool {
 			if s.workloadDrained() {
 				return false
@@ -560,15 +570,28 @@ func (s *simState) readFromDisk(nid int, fileID cache.FileID, size int64, done f
 	h := s.cfg.Host
 	demand := h.DiskFixed + netmodel.DurationOver(size, h.DiskRate)
 	n.disk.Acquire(0, demand, func() {
-		evicted, inserted := n.cache.Insert(fileID, size)
-		for _, ev := range evicted {
-			s.cachingChange(nid, ev, false)
-		}
-		if inserted {
-			s.cachingChange(nid, fileID, true)
-		}
+		s.cacheInsert(nid, fileID, size)
 		done()
 	})
+}
+
+// cacheInsert puts the file in node nid's cache and disseminates the
+// caching-information changes, evictions first; it reports whether the
+// file fit. An evicted copy stops being a pulled replica: if the node
+// reads the file again it holds an original, as on the server
+// (Node.insertCache).
+func (s *simState) cacheInsert(nid int, fileID cache.FileID, size int64) bool {
+	evicted, inserted := s.nodes[nid].cache.Insert(fileID, size)
+	for _, ev := range evicted {
+		if s.replOn {
+			delete(s.replPulled[nid], ev)
+		}
+		s.cachingChange(nid, ev, false)
+	}
+	if inserted {
+		s.cachingChange(nid, fileID, true)
+	}
+	return inserted
 }
 
 // cachingChange applies one caching-information change to the directory
@@ -990,21 +1013,22 @@ func (s *simState) replPush(src int, fileID cache.FileID) {
 // announces the caching change, exactly as a disk read would.
 func (s *simState) replInstall(dst int, fileID cache.FileID, size int64) {
 	delete(s.replPulling[dst], fileID)
-	n := s.nodes[dst]
-	if n.cache.Contains(fileID) {
+	if s.nodes[dst].cache.Contains(fileID) {
 		return // raced with a local disk read; already a cacher
 	}
-	evicted, inserted := n.cache.Insert(fileID, size)
-	for _, ev := range evicted {
-		delete(s.replPulled[dst], ev)
-		s.cachingChange(dst, ev, false)
-	}
-	if !inserted {
+	if !s.cacheInsert(dst, fileID, size) {
 		return
 	}
 	s.replPulled[dst][fileID] = true
 	s.replLast[dst][fileID] = s.sim.Now()
-	s.cachingChange(dst, fileID, true)
+	// Seed the replica's rate at the trigger threshold, as the server
+	// does (Node.replFinishPull): the pull happened because the file
+	// runs that hot somewhere, and left at zero the copy reads as cold
+	// the moment the cooldown expires and is dropped before routing has
+	// sent it any traffic.
+	if hot := s.cfg.Replication.HotRate; s.replRates[dst][fileID] < hot {
+		s.replRates[dst][fileID] = hot
+	}
 }
 
 // replDrop de-replicates a cold pulled copy, re-reading the cacher set

@@ -265,9 +265,9 @@ func main() {
 	}
 
 	s := cl.Stats()
-	fmt.Printf("\nrequests=%d localHits=%d remoteHits=%d forwarded=%d diskReads=%d replicas=%d errors=%d\n",
-		s.Nodes.Requests, s.Nodes.LocalHits, s.Nodes.RemoteHits,
-		s.Nodes.Forwarded, s.Nodes.DiskReads, s.Nodes.Replicas, s.Nodes.Errors)
+	fmt.Printf("\nrequests=%d localHits=%d localMisses=%d forwarded=%d remoteHits=%d replicas=%d diskReads=%d errors=%d\n",
+		s.Nodes.Requests, s.Nodes.LocalHits, s.Nodes.LocalMisses, s.Nodes.Forwarded,
+		s.Nodes.RemoteHits, s.Nodes.Replicas, s.Nodes.DiskReads, s.Nodes.Errors)
 	for mt := core.MsgType(0); mt < core.NumMsgTypes; mt++ {
 		fmt.Printf("  %-8s %8d msgs %12d bytes\n", mt, s.Msgs.Count[mt], s.Msgs.Bytes[mt])
 	}

@@ -42,6 +42,13 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+# The ledger (bench/) is its own module that BENCHMARK.json's command
+# builds against this tree, and ./... above does not reach it: vet and
+# test it here, so a change to the exported API it reads (server.Config,
+# Stats, NodeStats) fails this gate instead of the benchmark pipeline.
+echo "==> bench module: go vet ./... && go test ./..."
+(cd bench && go vet ./... && go test ./...)
+
 race_suites <<'EOF'
 # The metrics package is all lock-free concurrency: let the race
 # detector see every interleaving attempt fresh.

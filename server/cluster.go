@@ -52,8 +52,6 @@ type Config struct {
 	Version netmodel.Version
 	// Dissemination is the load-information strategy.
 	Dissemination core.Strategy
-	// LoadViaRMW sends threshold load broadcasts as remote writes.
-	LoadViaRMW bool
 	// Policy holds the distribution tunables; zero means defaults.
 	Policy core.PolicyConfig
 	// CacheBytes is each node's cache capacity (default 64 MB).
@@ -62,20 +60,14 @@ type Config struct {
 	DiskDelay time.Duration
 	// DiskThreads is the number of disk helper threads per node (2).
 	DiskThreads int
-	// Window and Batch configure VIA flow control.
-	Window int
-	Batch  int
-	// ChunkBytes caps a regular-channel file message (default 32 KB).
-	ChunkBytes int
 	// FileRingBytes sizes the RMW file data ring (default 1 MB; must
 	// exceed the large-file cutoff so every forwarded file fits).
 	FileRingBytes int
-	// FabricOptions shape the VIA fabric (latency, bandwidth, loss).
-	FabricOptions []via.FabricOption
 	// Metrics, when non-nil, collects the cluster's observability
 	// counters: per-node/per-type message accounting, copied bytes,
-	// credit stalls, NIC activity, and service-decision counts. Nil
-	// (the default) disables all of it at near-zero cost.
+	// credit stalls, NIC activity, and the request account. With nil
+	// (the default) the counters Stats reports are standalone, nothing
+	// else is collected, and /_press/metrics answers 404.
 	Metrics *metrics.Registry
 	// Tracer, when non-nil, records end-to-end request traces: every
 	// sampled HTTP request becomes a span tree that follows the request
@@ -167,15 +159,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if cfg.DiskThreads <= 0 {
 		cfg.DiskThreads = 2
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 2 * core.DefaultWindow
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = core.DefaultCreditBatch
-	}
-	if cfg.ChunkBytes <= 0 {
-		cfg.ChunkBytes = 32 << 10
 	}
 	if cfg.FileRingBytes <= 0 {
 		cfg.FileRingBytes = 1 << 20
@@ -327,7 +310,6 @@ func (h *nodeHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			req.accept.Cancel()
 			req.span.AnnotateStr("shed", shedQueueAccept+"/"+shedReasonFull)
 			req.span.End()
-			h.node.count(func(s *NodeStats) { s.Shed++ })
 			h.node.ov.im.shedInc(shedQueueAccept, shedReasonFull)
 			h.reject(w, "request shed: accept queue full")
 			return
@@ -347,6 +329,10 @@ func (h *nodeHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// The safety net for a request the cluster never answers. Stopped on
+	// return: an unstopped timer stays live for its whole 30 s.
+	timeout := time.NewTimer(clientTimeout)
+	defer timeout.Stop()
 	select {
 	case res := <-req.resp:
 		if res.err != nil {
@@ -373,10 +359,14 @@ func (h *nodeHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			// serving it would reward the queue, not the client.
 			req.span.AnnotateStr("deadline-expired", dlStageReply)
 			req.span.End()
-			h.node.count(func(s *NodeStats) { s.DeadlineExpired++ })
 			h.node.ov.im.expiredInc(dlStageReply)
 			h.reject(w, ErrDeadlineExpired.Error())
 			return
+		}
+		if ov {
+			// Booked before the body goes out, so a client that has its
+			// answer never finds it missing from the count.
+			h.node.ov.im.goodput.Inc()
 		}
 		rep := req.span.StartChild("reply")
 		w.Header().Set("Content-Length", fmt.Sprint(len(res.data)))
@@ -387,11 +377,7 @@ func (h *nodeHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		rep.Annotate("bytes", int64(len(res.data)))
 		rep.End()
 		req.span.End()
-		if ov {
-			h.node.count(func(s *NodeStats) { s.Goodput++ })
-			h.node.ov.im.goodput.Inc()
-		}
-	case <-time.After(clientTimeout):
+	case <-timeout.C:
 		req.span.AnnotateStr("error", "timeout")
 		req.span.End()
 		http.Error(w, "cluster timeout", http.StatusGatewayTimeout)
@@ -409,33 +395,21 @@ func (h *nodeHandler) reject(w http.ResponseWriter, msg string) {
 	http.Error(w, msg, http.StatusServiceUnavailable)
 }
 
-// nodeStatsJSON is the wire form of the stats endpoint.
+// nodeStatsJSON is the wire form of the stats endpoint: the node's
+// NodeStats, flattened, plus what only the live node can say.
 type nodeStatsJSON struct {
-	Node     int                 `json:"node"`
-	Strategy string              `json:"strategy"`
-	Requests int64               `json:"requests"`
-	Local    int64               `json:"localHits"`
-	Remote   int64               `json:"remoteHits"`
-	Forward  int64               `json:"forwarded"`
-	Disk     int64               `json:"diskReads"`
-	Replicas int64               `json:"replicas"`
-	Errors   int64               `json:"errors"`
+	Node     int    `json:"node"`
+	Strategy string `json:"strategy"`
+	NodeStats
 	Messages map[string][2]int64 `json:"messages"` // type -> [count, bytes]
 	// Peers is this node's health verdict per node ("alive", "suspect",
 	// "dead"; its own entry always "alive"); Degraded reports the
 	// content-oblivious fallback.
 	Peers    []string `json:"peers"`
 	Degraded bool     `json:"degraded"`
-	// Overload accounting (zero when the layer is off). BrownedOut lists
-	// the peers this node has browned out of its forwarding path.
-	Shed            int64 `json:"shed"`
-	DeadlineExpired int64 `json:"deadlineExpired"`
-	Goodput         int64 `json:"goodput"`
-	BrownedOut      []int `json:"brownedOut,omitempty"`
-	// Hot-object replication accounting (zero when the layer is off).
-	ReplicaPushes int64 `json:"replicaPushes,omitempty"`
-	ReplicaPulls  int64 `json:"replicaPulls,omitempty"`
-	ReplicaDrops  int64 `json:"replicaDrops,omitempty"`
+	// BrownedOut lists the peers this node has browned out of its
+	// forwarding path.
+	BrownedOut []int `json:"brownedOut,omitempty"`
 	// Membership (TCP transport only): the epoch this process life runs
 	// under, the highest epoch accepted per peer (0 = never seen),
 	// and the count of frames dropped for carrying a stale epoch.
@@ -445,32 +419,18 @@ type nodeStatsJSON struct {
 }
 
 func (h *nodeHandler) serveStats(w http.ResponseWriter) {
-	ns := h.node.Stats()
 	ms := h.node.MsgStats()
 	peers := make([]string, h.node.cfg.Nodes)
 	for p := range peers {
 		peers[p] = h.node.PeerState(p).String()
 	}
 	out := nodeStatsJSON{
-		Node:     h.node.ID(),
-		Strategy: h.node.cfg.Dissemination.String(),
-		Requests: ns.Requests,
-		Local:    ns.LocalHits,
-		Remote:   ns.RemoteHits,
-		Forward:  ns.Forwarded,
-		Disk:     ns.DiskReads,
-		Replicas: ns.Replicas,
-		Errors:   ns.Errors,
-		Messages: map[string][2]int64{},
-		Peers:    peers,
-		Degraded: h.node.Degraded(),
-
-		Shed:            ns.Shed,
-		DeadlineExpired: ns.DeadlineExpired,
-		Goodput:         ns.Goodput,
-		ReplicaPushes:   ns.ReplicaPushes,
-		ReplicaPulls:    ns.ReplicaPulls,
-		ReplicaDrops:    ns.ReplicaDrops,
+		Node:      h.node.ID(),
+		Strategy:  h.node.cfg.Dissemination.String(),
+		NodeStats: h.node.Stats(),
+		Messages:  map[string][2]int64{},
+		Peers:     peers,
+		Degraded:  h.node.Degraded(),
 	}
 	for p := 0; p < h.node.cfg.Nodes; p++ {
 		if h.node.PeerBrownedOut(p) {
@@ -544,22 +504,8 @@ type Stats struct {
 func (cl *Cluster) Stats() Stats {
 	var s Stats
 	for _, pn := range cl.procs {
-		n := pn.node
-		ns := n.Stats()
-		s.Nodes.Requests += ns.Requests
-		s.Nodes.LocalHits += ns.LocalHits
-		s.Nodes.RemoteHits += ns.RemoteHits
-		s.Nodes.Forwarded += ns.Forwarded
-		s.Nodes.DiskReads += ns.DiskReads
-		s.Nodes.Replicas += ns.Replicas
-		s.Nodes.ReplicaPushes += ns.ReplicaPushes
-		s.Nodes.ReplicaPulls += ns.ReplicaPulls
-		s.Nodes.ReplicaDrops += ns.ReplicaDrops
-		s.Nodes.Errors += ns.Errors
-		s.Nodes.Shed += ns.Shed
-		s.Nodes.DeadlineExpired += ns.DeadlineExpired
-		s.Nodes.Goodput += ns.Goodput
-		tm := n.transport.Metrics()
+		s.Nodes.add(pn.node.Stats())
+		tm := pn.node.transport.Metrics()
 		s.Msgs.Merge(&tm.Msgs)
 		s.CopiedBytes += tm.CopiedBytes
 		s.CreditStalls += tm.CreditStalls

@@ -2,13 +2,13 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -347,19 +347,7 @@ func TestStatsEndpoint(t *testing.T) {
 			fetchAll(t, cl, tr, 1, 2)
 
 			for i := 0; i < cfg.Nodes; i++ {
-				resp, err := http.Get(cl.URL(i) + statsPath)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("status = %d", resp.StatusCode)
-				}
-				var got nodeStatsJSON
-				err = json.NewDecoder(resp.Body).Decode(&got)
-				resp.Body.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := getStats(t, cl.URL(i))
 				if got.Node != i {
 					t.Errorf("node = %d, want %d", got.Node, i)
 				}
@@ -485,6 +473,75 @@ func TestHeadRequest(t *testing.T) {
 	if len(body) != 0 {
 		t.Errorf("HEAD returned %d body bytes", len(body))
 	}
+}
+
+// liveTimersUnder counts the heap objects time.NewTimer allocated below
+// a function whose name contains caller and that survive a collection.
+// A timer that was stopped, or fired, is garbage; one left running is
+// held by the runtime until it fires. Needs runtime.MemProfileRate == 1
+// while the allocations happen.
+func liveTimersUnder(caller string) int64 {
+	runtime.GC()
+	runtime.GC() // the profile trails the collector by one cycle
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, ok := runtime.MemProfile(recs, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, 2*len(recs))
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	var live int64
+	for _, r := range recs[:n] {
+		if r.InUseObjects() == 0 {
+			continue
+		}
+		var timer, under bool
+		for frames := runtime.CallersFrames(r.Stack()); ; {
+			f, more := frames.Next()
+			timer = timer || f.Function == "time.NewTimer"
+			under = under || strings.Contains(f.Function, caller)
+			if !more {
+				break
+			}
+		}
+		if timer && under {
+			live += r.InUseObjects()
+		}
+	}
+	return live
+}
+
+// TestTimersStoppedOnReturn: the 30 s safety-net timers on the request
+// path and the reconnect path must not outlive the call that armed
+// them. One per request left running is the ledger's RSS drift: at
+// 50k req/s, 1.5 M live timers.
+func TestTimersStoppedOnReturn(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+
+	t.Run("ServeHTTP", func(t *testing.T) {
+		tr := serverTestTrace(t, 4)
+		cfg := testClusterConfig(tr, TransportVIA)
+		cfg.Nodes = 1
+		cl, err := Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		fetchAll(t, cl, tr, 25, 1)
+		if live := liveTimersUnder("(*nodeHandler).ServeHTTP"); live != 0 {
+			t.Errorf("%d timer objects still live after %d answered requests", live, 25*len(tr.Files))
+		}
+	})
+	t.Run("Reconnect", func(t *testing.T) {
+		a, _ := newViaPair(t, netmodel.Versions()[0])
+		if err := a.Reconnect(1); err != nil {
+			t.Fatal(err)
+		}
+		if live := liveTimersUnder("(*viaTransport).Reconnect"); live != 0 {
+			t.Errorf("%d timer objects still live after Reconnect returned", live)
+		}
+	})
 }
 
 // TestClusterLifecycle: bring-up and teardown leave nothing behind. Ten

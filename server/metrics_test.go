@@ -1,6 +1,9 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,92 +12,173 @@ import (
 	"press/netmodel"
 )
 
-// TestClusterMetricsVIA wires a registry through a VIA cluster and
-// checks that the registry's counters agree with the legacy aggregate
-// Stats path — they are the same counters, so any divergence is a bug.
-func TestClusterMetricsVIA(t *testing.T) {
-	tr := serverTestTrace(t, 16)
-	reg := metrics.NewRegistry()
-	cfg := testClusterConfig(tr, TransportVIA)
-	cfg.Version = netmodel.Versions()[3] // V3: RMW control + file rings
-	cfg.Metrics = reg
-	cl, err := Start(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	fetchAll(t, cl, tr, 2, 7)
-
-	s := cl.Stats()
-	snap := reg.Snapshot()
-
-	var msgTotal, copied int64
-	for k, v := range snap.Counters {
-		fam, _ := metrics.Family(k)
-		switch fam {
-		case "press_msgs_total":
-			msgTotal += v
-		case "press_copied_bytes":
-			copied += v
-		}
-	}
-	count, _ := s.Msgs.Total()
-	if msgTotal != count {
-		t.Errorf("registry msgs %d != Stats msgs %d", msgTotal, count)
-	}
-	if copied != s.CopiedBytes {
-		t.Errorf("registry copied %d != Stats copied %d", copied, s.CopiedBytes)
-	}
-
-	// Per-type labels exist for file transfers.
-	if n := snap.Counters[metrics.Key("press_msgs_total", "node=0", "type="+core.MsgFile.String())]; n == 0 {
-		t.Error("no per-type file message counter on node 0")
-	}
-	// Forward vs. local service counters must cover every request.
-	var local, forward int64
-	for i := range cl.Nodes() {
-		node := metrics.Key("press_serve_local_total", nodeLabel(i))
-		local += snap.Counters[node]
-		forward += snap.Counters[metrics.Key("press_serve_forward_total", nodeLabel(i))]
-	}
-	if local+forward < s.Nodes.Requests {
-		t.Errorf("local %d + forward %d < requests %d", local, forward, s.Nodes.Requests)
-	}
-	// The fabric got the registry too: NIC families must be present.
-	found := false
-	for k := range snap.Counters {
-		if strings.HasPrefix(k, "via_sends_posted_total{") {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Error("VIA NIC counters missing from cluster registry")
-	}
-	// V3 moves control and file traffic to remote writes.
-	var rmw int64
-	for k, v := range snap.Counters {
-		if fam, _ := metrics.Family(k); fam == "via_rmw_total" {
-			rmw += v
-		}
-	}
-	if rmw == 0 {
-		t.Error("no remote memory writes recorded under V3")
-	}
-	// Completion latency histograms fill in when metrics are on.
-	var latObs int64
-	for k, h := range snap.Histograms {
-		if fam, _ := metrics.Family(k); fam == "via_send_latency_ns" {
-			latObs += h.Count
-		}
-	}
-	if latObs == 0 {
-		t.Error("no send completion latencies recorded")
+// statFamilies is the accounting vocabulary: the registry family (summed
+// over its other labels) each NodeStats field is a read of.
+func statFamilies(ns NodeStats) map[string]int64 {
+	return map[string]int64{
+		"press_requests_total":          ns.Requests,
+		"press_serve_local_total":       ns.LocalHits,
+		"press_serve_local_miss_total":  ns.LocalMisses,
+		"press_serve_forward_total":     ns.Forwarded,
+		"press_serve_remote_total":      ns.RemoteHits,
+		"press_serve_remote_miss_total": ns.Replicas,
+		"press_disk_reads_total":        ns.DiskReads,
+		"press_errors_total":            ns.Errors,
+		"press_replica_pushes_total":    ns.ReplicaPushes,
+		"press_replica_pulls_total":     ns.ReplicaPulls,
+		"press_replica_drops_total":     ns.ReplicaDrops,
+		"press_shed_total":              ns.Shed,
+		"press_deadline_expired_total":  ns.DeadlineExpired,
+		"press_goodput_requests_total":  ns.Goodput,
 	}
 }
 
-func nodeLabel(i int) string {
-	return "node=" + string(rune('0'+i))
+// getStats fetches and decodes a node's stats endpoint.
+func getStats(t *testing.T, url string) nodeStatsJSON {
+	t.Helper()
+	var got nodeStatsJSON
+	body, err := Fetch(url, statsPath)
+	if err == nil {
+		err = json.Unmarshal(body, &got)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestClusterMetricsVIA: the server keeps one account. Node.Stats,
+// /_press/stats, Cluster.Stats and (when there is one) the registry are
+// reads of the same counters, so after a drive they carry identical
+// values whether or not a registry is configured, and on a fault-free
+// run those values partition the requests the way the paper's Table 5
+// terms need. Every view is also read while the counters move, for the
+// race detector. With a registry, the transport and NIC families agree
+// with the aggregate Stats path the same way.
+func TestClusterMetricsVIA(t *testing.T) {
+	for _, withRegistry := range []bool{true, false} {
+		t.Run(fmt.Sprintf("registry=%v", withRegistry), func(t *testing.T) {
+			tr := serverTestTrace(t, 24)
+			cfg := testClusterConfig(tr, TransportVIA)
+			cfg.Nodes = 4
+			cfg.Version = netmodel.Versions()[3] // V3: RMW control + file rings
+			// Overload control on, far from its limits: nothing is shed, and
+			// goodput counts every answered request.
+			cfg.Overload.Enabled = true
+			var reg *metrics.Registry
+			if withRegistry {
+				reg = metrics.NewRegistry()
+				cfg.Metrics = reg
+			}
+			cl, err := Start(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+
+			// 25 names over 4 nodes: the drive reaches every file through
+			// every node, and one name in 25 is a 404.
+			names := []string{"/no-such-file"}
+			for _, f := range tr.Files {
+				names = append(names, f.Name)
+			}
+			drv := startDrive(cl, []int{0, 1, 2, 3}, names, 4)
+			for round := 0; round < 10; round++ {
+				for i, n := range cl.Nodes() {
+					_, _, _ = getStats(t, cl.URL(i)), n.Stats(), cl.Stats()
+					_, err := Fetch(cl.URL(i), metricsPath)
+					if withRegistry != (err == nil) || err != nil && !strings.Contains(err.Error(), "404") {
+						t.Fatalf("node %d: %s with registry=%v: %v", i, metricsPath, withRegistry, err)
+					}
+				}
+			}
+			answered, notFound := drv.stop()
+
+			// Requests are quiescent now; heartbeats are not, so the message
+			// counts are bracketed instead of matched.
+			before := cl.Stats()
+			snap := reg.Snapshot()
+			s := cl.Stats()
+			var sum NodeStats
+			for i, n := range cl.Nodes() {
+				ns := n.Stats()
+				sum.add(ns)
+				if wire := getStats(t, cl.URL(i)).NodeStats; wire != ns {
+					t.Errorf("node %d: %s says %+v, Stats() %+v", i, statsPath, wire, ns)
+				}
+				node := fmt.Sprintf("node=%d", i)
+				inReg := map[string]int64{}
+				for k, v := range snap.Counters {
+					fam, labels := metrics.Family(k)
+					if slices.Contains(strings.Split(labels, ","), node) {
+						inReg[fam] += v
+					}
+				}
+				for fam, want := range statFamilies(ns) {
+					if withRegistry && inReg[fam] != want {
+						t.Errorf("node %d: registry %s = %d, Stats() has %d", i, fam, inReg[fam], want)
+					}
+				}
+				if ns.Shed != 0 || ns.DeadlineExpired != 0 {
+					t.Fatalf("node %d: not a fault-free run: %+v", i, ns)
+				}
+				if got := ns.LocalHits + ns.LocalMisses + ns.Forwarded + ns.Errors; got != ns.Requests {
+					t.Errorf("node %d: hits %d + misses %d + forwarded %d + not-found %d = %d, requests %d",
+						i, ns.LocalHits, ns.LocalMisses, ns.Forwarded, ns.Errors, got, ns.Requests)
+				}
+				if ns.Goodput != ns.Requests-ns.Errors {
+					t.Errorf("node %d: goodput %d, answered requests %d", i, ns.Goodput, ns.Requests-ns.Errors)
+				}
+			}
+			if s.Nodes != sum {
+				t.Errorf("Cluster.Stats() = %+v, sum of nodes %+v", s.Nodes, sum)
+			}
+			if answered == 0 || sum.Requests != answered+notFound || sum.Errors != notFound {
+				t.Errorf("cluster counted %+v; clients saw %d answers and %d not-founds", sum, answered, notFound)
+			}
+			if sum.Forwarded == 0 || sum.Forwarded != sum.RemoteHits+sum.Replicas {
+				t.Errorf("forwarded %d, peers served %d from cache + %d from disk",
+					sum.Forwarded, sum.RemoteHits, sum.Replicas)
+			}
+			msgsBefore, _ := before.Msgs.Total()
+			msgs, _ := s.Msgs.Total()
+			if msgsBefore == 0 {
+				t.Error("no messages accounted")
+			}
+			if !withRegistry {
+				return
+			}
+
+			// The transport's and the fabric's families, summed over labels.
+			total := map[string]int64{}
+			for k, v := range snap.Counters {
+				fam, _ := metrics.Family(k)
+				total[fam] += v
+			}
+			for k, h := range snap.Histograms {
+				fam, _ := metrics.Family(k)
+				total[fam] += h.Count
+			}
+			if got := total["press_msgs_total"]; got < msgsBefore || got > msgs {
+				t.Errorf("registry msgs %d outside Stats msgs %d..%d", got, msgsBefore, msgs)
+			}
+			if total["press_copied_bytes"] != s.CopiedBytes {
+				t.Errorf("registry copied %d != Stats copied %d", total["press_copied_bytes"], s.CopiedBytes)
+			}
+			if snap.Counters[metrics.Key("press_msgs_total", "node=0", "type="+core.MsgFile.String())] == 0 {
+				t.Error("no per-type file message counter on node 0")
+			}
+			for fam, why := range map[string]string{
+				"via_sends_posted_total": "the fabric did not get the registry",
+				"via_rmw_total":          "V3 moves control and file traffic to remote writes",
+				"via_send_latency_ns":    "completion latencies fill in when metrics are on",
+			} {
+				if total[fam] == 0 {
+					t.Errorf("%s is empty: %s", fam, why)
+				}
+			}
+		})
+	}
 }
 
 // TestClusterMetricsTCP: the TCP baseline reports through the same
@@ -122,21 +206,5 @@ func TestClusterMetricsTCP(t *testing.T) {
 	}
 	if cl.Stats().CopiedBytes == 0 {
 		t.Error("TCP transport must report kernel copies")
-	}
-}
-
-// TestTransportMetricsDisabled: a nil registry leaves the Metrics
-// surface fully functional (standalone counters back it).
-func TestTransportMetricsDisabled(t *testing.T) {
-	tr := serverTestTrace(t, 8)
-	cl, err := Start(testClusterConfig(tr, TransportVIA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	fetchAll(t, cl, tr, 1, 5)
-	s := cl.Stats()
-	if c, _ := s.Msgs.Total(); c == 0 {
-		t.Error("message accounting must work without a registry")
 	}
 }

@@ -102,16 +102,28 @@ type sendFailure struct {
 	err error
 }
 
-// nodeInstruments are the node-level registry counters separating
-// forward from local (and on-behalf-of-peers) service. All fields are
-// nil — and their methods no-ops — when observability is off; the
-// NodeStats mutex path stays the authoritative accounting either way.
+// nodeInstruments are the node's counters. The first block is the
+// node's account of its requests in the paper's terms: every event
+// increments exactly one of these counters and nothing else. They are
+// made with counterIn, so they exist with or without a registry, and
+// Node.Stats, /_press/stats and /_press/metrics are all reads of them.
+// The fault-tolerance families have no NodeStats view; they are nil —
+// their methods no-ops — without a registry.
 type nodeInstruments struct {
-	requests *metrics.Counter
-	local    *metrics.Counter
-	remote   *metrics.Counter
-	forward  *metrics.Counter
-	disk     *metrics.Counter
+	requests   *metrics.Counter // client requests the main loop dequeued
+	localHit   *metrics.Counter // served here from the cache
+	localMiss  *metrics.Counter // served here from the disk
+	forward    *metrics.Counter // handed to a peer
+	remoteHit  *metrics.Counter // a peer's forward served from the cache
+	remoteMiss *metrics.Counter // a peer's forward served from the disk
+	disk       *metrics.Counter // reads queued (coalesced waiters share one)
+	errors     *metrics.Counter // requests or deliveries that failed
+
+	// Replication: pushes requested, replicas pulled in, surplus
+	// replicas dropped.
+	replPushes *metrics.Counter
+	replPulls  *metrics.Counter
+	replDrops  *metrics.Counter
 
 	// Fault-tolerance families. sendErrs is indexed by message type
 	// (press_node_send_errors_total{node,type}); failovers by reason.
@@ -120,12 +132,6 @@ type nodeInstruments struct {
 	failovers map[string]*metrics.Counter
 	purged    *metrics.Counter
 	degraded  *metrics.Gauge
-
-	// Replication families: pushes requested, replicas pulled in,
-	// surplus replicas dropped.
-	replPushes *metrics.Counter
-	replPulls  *metrics.Counter
-	replDrops  *metrics.Counter
 }
 
 // The failover reasons press_failovers_total distinguishes.
@@ -137,23 +143,24 @@ const (
 )
 
 func newNodeInstruments(r *metrics.Registry, id int) nodeInstruments {
-	if !r.Enabled() {
-		return nodeInstruments{}
-	}
 	node := fmt.Sprintf("node=%d", id)
 	ni := nodeInstruments{
-		requests:   r.Counter("press_requests_total", node),
-		local:      r.Counter("press_serve_local_total", node),
-		remote:     r.Counter("press_serve_remote_total", node),
-		forward:    r.Counter("press_serve_forward_total", node),
-		disk:       r.Counter("press_disk_reads_total", node),
-		retries:    r.Counter("press_retries_total", node),
-		purged:     r.Counter("press_dir_purged_total", node),
-		degraded:   r.Gauge("press_degraded", node),
-		failovers:  make(map[string]*metrics.Counter, 3),
-		replPushes: r.Counter("press_replica_pushes_total", node),
-		replPulls:  r.Counter("press_replica_pulls_total", node),
-		replDrops:  r.Counter("press_replica_drops_total", node),
+		requests:   counterIn(r, "press_requests_total", node),
+		localHit:   counterIn(r, "press_serve_local_total", node),
+		localMiss:  counterIn(r, "press_serve_local_miss_total", node),
+		forward:    counterIn(r, "press_serve_forward_total", node),
+		remoteHit:  counterIn(r, "press_serve_remote_total", node),
+		remoteMiss: counterIn(r, "press_serve_remote_miss_total", node),
+		disk:       counterIn(r, "press_disk_reads_total", node),
+		errors:     counterIn(r, "press_errors_total", node),
+		replPushes: counterIn(r, "press_replica_pushes_total", node),
+		replPulls:  counterIn(r, "press_replica_pulls_total", node),
+		replDrops:  counterIn(r, "press_replica_drops_total", node),
+
+		retries:   r.Counter("press_retries_total", node),
+		purged:    r.Counter("press_dir_purged_total", node),
+		degraded:  r.Gauge("press_degraded", node),
+		failovers: make(map[string]*metrics.Counter, 4),
 	}
 	for mt := core.MsgType(0); mt < core.NumMsgTypes; mt++ {
 		ni.sendErrs[mt] = r.Counter("press_node_send_errors_total", node, "type="+mt.String())
@@ -164,25 +171,50 @@ func newNodeInstruments(r *metrics.Registry, id int) nodeInstruments {
 	return ni
 }
 
-// NodeStats counts one node's request handling.
+// NodeStats is a snapshot of one node's request accounting, in the
+// paper's terms: a request is a local hit, a local miss, or forwarded
+// (or fails); a forward is a remote hit or a remote miss at the peer
+// that serves it. The JSON names are the /_press/stats wire format.
 type NodeStats struct {
-	Requests   int64
-	LocalHits  int64
-	RemoteHits int64 // served here for another node, from cache
-	Forwarded  int64
-	DiskReads  int64
-	Replicas   int64 // disk reads caused by the replication path
+	Requests    int64 `json:"requests"`
+	LocalHits   int64 `json:"localHits"`
+	LocalMisses int64 `json:"localMisses"`
+	Forwarded   int64 `json:"forwarded"`
+	RemoteHits  int64 `json:"remoteHits"` // served here for another node, from cache
+	// Replicas counts remote misses: served here for another node, from
+	// disk, which caches the file here too — how a second copy of a file
+	// materializes without the replication layer.
+	Replicas  int64 `json:"replicas"`
+	DiskReads int64 `json:"diskReads"`
+	Errors    int64 `json:"errors"`
 	// Hot-object replication accounting: pushes requested of peers,
 	// replica pulls completed here, surplus replicas dropped here.
-	ReplicaPushes int64
-	ReplicaPulls  int64
-	ReplicaDrops  int64
-	Errors        int64
+	ReplicaPushes int64 `json:"replicaPushes,omitempty"`
+	ReplicaPulls  int64 `json:"replicaPulls,omitempty"`
+	ReplicaDrops  int64 `json:"replicaDrops,omitempty"`
 	// Overload accounting: requests refused by admission control,
 	// dropped past their deadline, and served within it (goodput).
-	Shed            int64
-	DeadlineExpired int64
-	Goodput         int64
+	Shed            int64 `json:"shed"`
+	DeadlineExpired int64 `json:"deadlineExpired"`
+	Goodput         int64 `json:"goodput"`
+}
+
+// add accumulates o into s.
+func (s *NodeStats) add(o NodeStats) {
+	s.Requests += o.Requests
+	s.LocalHits += o.LocalHits
+	s.LocalMisses += o.LocalMisses
+	s.Forwarded += o.Forwarded
+	s.RemoteHits += o.RemoteHits
+	s.Replicas += o.Replicas
+	s.DiskReads += o.DiskReads
+	s.Errors += o.Errors
+	s.ReplicaPushes += o.ReplicaPushes
+	s.ReplicaPulls += o.ReplicaPulls
+	s.ReplicaDrops += o.ReplicaDrops
+	s.Shed += o.Shed
+	s.DeadlineExpired += o.DeadlineExpired
+	s.Goodput += o.Goodput
 }
 
 // Node is one PRESS server node: an event-driven main loop owning the
@@ -248,9 +280,6 @@ type Node struct {
 	m   nodeInstruments
 	trc *tracing.Collector
 	tel *telemetry.Plane // flight-recorder event sink; nil-safe
-
-	statsMu sync.Mutex
-	stats   NodeStats
 }
 
 // view adapts the node's state to core.View.
@@ -367,17 +396,27 @@ func (n *Node) start() {
 	}
 }
 
-// Stats snapshots the node's counters.
+// Stats reads the node's counters; callable from any goroutine. Each
+// field is one atomic load (a labelled family's sum for the overload
+// three), so the snapshot is not a consistent cut under load — it is
+// exact once the requests it describes have been answered.
 func (n *Node) Stats() NodeStats {
-	n.statsMu.Lock()
-	defer n.statsMu.Unlock()
-	return n.stats
-}
-
-func (n *Node) count(f func(*NodeStats)) {
-	n.statsMu.Lock()
-	f(&n.stats)
-	n.statsMu.Unlock()
+	return NodeStats{
+		Requests:        n.m.requests.Value(),
+		LocalHits:       n.m.localHit.Value(),
+		LocalMisses:     n.m.localMiss.Value(),
+		Forwarded:       n.m.forward.Value(),
+		RemoteHits:      n.m.remoteHit.Value(),
+		Replicas:        n.m.remoteMiss.Value(),
+		DiskReads:       n.m.disk.Value(),
+		Errors:          n.m.errors.Value(),
+		ReplicaPushes:   n.m.replPushes.Value(),
+		ReplicaPulls:    n.m.replPulls.Value(),
+		ReplicaDrops:    n.m.replDrops.Value(),
+		Shed:            sumCounters(n.ov.im.shed),
+		DeadlineExpired: sumCounters(n.ov.im.expired),
+		Goodput:         n.ov.im.goodput.Value(),
+	}
 }
 
 // mainLoop is the event-driven heart of the node: it owns all policy
@@ -493,7 +532,6 @@ func (n *Node) healthActive() bool {
 
 func (n *Node) handleClient(r *clientRequest) {
 	r.accept.End()
-	n.count(func(s *NodeStats) { s.Requests++ })
 	n.m.requests.Inc()
 	n.loadChange(+1)
 	if n.ov.on {
@@ -513,7 +551,7 @@ func (n *Node) handleClient(r *clientRequest) {
 	}
 	id, ok := n.nameToID[r.name]
 	if !ok {
-		n.count(func(s *NodeStats) { s.Errors++ })
+		n.m.errors.Inc()
 		r.resp <- clientResult{err: fmt.Errorf("%w: %q", ErrNoSuchFile, r.name)}
 		return
 	}
@@ -562,7 +600,6 @@ func (n *Node) dispatchDecided(r *clientRequest, id cache.FileID, cachers cache.
 		n.serveLocal(r, id)
 		return
 	}
-	n.count(func(s *NodeStats) { s.Forwarded++ })
 	n.m.forward.Inc()
 	n.nextReqID++
 	reqID := n.nextReqID
@@ -583,12 +620,12 @@ func (n *Node) dispatchDecided(r *clientRequest, id cache.FileID, cachers cache.
 
 func (n *Node) serveLocal(r *clientRequest, id cache.FileID) {
 	n.replNoteServe(id)
-	n.m.local.Inc()
 	if n.lru.Touch(id) {
-		n.count(func(s *NodeStats) { s.LocalHits++ })
+		n.m.localHit.Inc()
 		r.resp <- clientResult{data: n.content[id]}
 		return
 	}
+	n.m.localMiss.Inc()
 	n.readDisk(n.files[id].Name, diskWaiter{local: r, span: r.span.StartChild("disk"),
 		deadline: r.deadline})
 }
@@ -609,12 +646,10 @@ func (n *Node) readDisk(name string, w diskWaiter) {
 			n.shedClient(w.local, ErrShed, shedQueueDisk, shedReasonFull)
 			return
 		}
-		n.count(func(s *NodeStats) { s.Shed++ })
 		n.ov.im.shedInc(shedQueueDisk, shedReasonFull)
 		return
 	}
 	n.waiting[name] = []diskWaiter{w}
-	n.count(func(s *NodeStats) { s.DiskReads++ })
 	n.m.disk.Inc()
 }
 
@@ -622,7 +657,7 @@ func (n *Node) handleDiskDone(d diskDone) {
 	waiters := n.waiting[d.name]
 	delete(n.waiting, d.name)
 	if d.err != nil {
-		n.count(func(s *NodeStats) { s.Errors++ })
+		n.m.errors.Inc()
 		for _, w := range waiters {
 			w.span.End()
 			w.serve.End()
@@ -647,7 +682,6 @@ func (n *Node) handleDiskDone(d diskDone) {
 			if w.local != nil {
 				n.expireClient(w.local, dlStageDisk)
 			} else {
-				n.count(func(s *NodeStats) { s.DeadlineExpired++ })
 				n.ov.im.expiredInc(dlStageDisk)
 				w.serve.AnnotateStr("deadline-expired", dlStageDisk)
 				w.serve.End()
@@ -674,6 +708,9 @@ func (n *Node) insertCache(id cache.FileID, data []byte) {
 			_ = n.nic.DeregisterMemory(reg)
 			delete(n.regions, ev)
 		}
+		// A later copy of ev comes from this node's own disk: an original,
+		// which de-replication must never drop.
+		delete(n.repl.pulled, ev)
 		n.dir.LocalCached(ev, false)
 	}
 	if !inserted {
@@ -830,13 +867,12 @@ func (n *Node) handleForward(m *Message) {
 	}
 	n.replNoteServe(id)
 	if n.lru.Touch(id) {
-		n.count(func(s *NodeStats) { s.RemoteHits++ })
-		n.m.remote.Inc()
+		n.m.remoteHit.Inc()
 		n.sendFile(m.From, m.ReqID, id, n.content[id], srv, deadline)
 		srv.End()
 		return
 	}
-	n.count(func(s *NodeStats) { s.Replicas++ })
+	n.m.remoteMiss.Inc()
 	n.readDisk(m.Name, diskWaiter{peer: m.From, reqID: m.ReqID, forServe: true,
 		span: srv.StartChild("disk"), serve: srv, deadline: deadline})
 }
@@ -855,7 +891,7 @@ func (n *Node) handleFileChunk(m *Message) {
 		p.buf = make([]byte, m.Total)
 	}
 	if int(m.Offset)+len(m.Data) > len(p.buf) {
-		n.count(func(s *NodeStats) { s.Errors++ })
+		n.m.errors.Inc()
 		delete(n.pending, m.ReqID)
 		if n.ov.on {
 			now := time.Now()
@@ -1017,7 +1053,6 @@ func (n *Node) handleSendFailure(sf sendFailure) {
 		// the peer's fault: no health suspicion. Answer the owning
 		// request promptly; an expired file reply just vanishes (the
 		// origin's own deadline sweep covers it).
-		n.count(func(s *NodeStats) { s.DeadlineExpired++ })
 		n.ov.im.expiredInc(dlStageSend)
 		if sf.msg.Type != core.MsgForward {
 			return
@@ -1038,7 +1073,7 @@ func (n *Node) handleSendFailure(sf sendFailure) {
 		p.req.resp <- clientResult{err: fmt.Errorf("%w (%s)", ErrDeadlineExpired, dlStageSend)}
 		return
 	}
-	n.count(func(s *NodeStats) { s.Errors++ })
+	n.m.errors.Inc()
 	if n.healthActive() {
 		hard := errors.Is(sf.err, ErrPeerDown) || errors.Is(sf.err, via.ErrLinkDown) ||
 			errors.Is(sf.err, via.ErrBroken)
@@ -1150,7 +1185,7 @@ func (n *Node) failover(reqID uint64, p *pendingRemote, reason string) {
 	id, ok := n.nameToID[p.req.name]
 	if !ok {
 		p.span.End()
-		n.count(func(s *NodeStats) { s.Errors++ })
+		n.m.errors.Inc()
 		p.req.resp <- clientResult{err: fmt.Errorf("%w: %q", ErrNoSuchFile, p.req.name)}
 		return
 	}

@@ -131,39 +131,39 @@ const (
 	dlStageReply   = "reply"   // completed, but past deadline: not served
 )
 
-// overloadInstruments are the goodput-accounting metric families. All
-// nil (and no-ops) when the registry is off; the maps are built once
-// and only read afterwards, so the HTTP goroutines may touch them
-// concurrently with the main loop.
+// overloadInstruments are the goodput-accounting metric families.
+// shed, expired and goodput are the node's account of those events —
+// counterIn counters, summed per family by Node.Stats — and exist
+// whenever the layer is on; brownouts and acceptDelay have no NodeStats
+// view and are nil without a registry. The maps are built once and only
+// read afterwards, so the HTTP goroutines may touch them concurrently
+// with the main loop.
 type overloadInstruments struct {
 	shed        map[[2]string]*metrics.Counter // [queue, reason]
 	expired     map[string]*metrics.Counter    // stage
-	brownouts   []*metrics.Counter             // transitions into brownout, per peer
 	goodput     *metrics.Counter
+	brownouts   []*metrics.Counter // transitions into brownout, per peer
 	acceptDelay *metrics.Histogram // accept-queue wait, nanoseconds
 }
 
 func newOverloadInstruments(r *metrics.Registry, id, nodes int) overloadInstruments {
-	if !r.Enabled() {
-		return overloadInstruments{}
-	}
 	node := fmt.Sprintf("node=%d", id)
 	im := overloadInstruments{
 		shed:      make(map[[2]string]*metrics.Counter),
 		expired:   make(map[string]*metrics.Counter),
+		goodput:   counterIn(r, "press_goodput_requests_total", node),
 		brownouts: make([]*metrics.Counter, nodes),
-		goodput:   r.Counter("press_goodput_requests_total", node),
 		acceptDelay: r.Histogram("press_queue_delay_ns", node,
 			"queue="+shedQueueAccept),
 	}
 	for _, q := range []string{shedQueueAccept, shedQueueDispatch, shedQueueDisk} {
 		for _, reason := range []string{shedReasonFull, shedReasonQueueDelay} {
-			im.shed[[2]string{q, reason}] = r.Counter("press_shed_total", node,
+			im.shed[[2]string{q, reason}] = counterIn(r, "press_shed_total", node,
 				"queue="+q, "reason="+reason)
 		}
 	}
 	for _, st := range []string{dlStageAccept, dlStageSend, dlStagePending, dlStageDisk, dlStageReply} {
-		im.expired[st] = r.Counter("press_deadline_expired_total", node, "stage="+st)
+		im.expired[st] = counterIn(r, "press_deadline_expired_total", node, "stage="+st)
 	}
 	for p := 0; p < nodes; p++ {
 		im.brownouts[p] = r.Counter("press_brownout_total", node, fmt.Sprintf("peer=%d", p))
@@ -179,10 +179,13 @@ func (im *overloadInstruments) expiredInc(stage string) {
 	im.expired[stage].Inc()
 }
 
-func (im *overloadInstruments) brownoutInc(peer int) {
-	if im.brownouts != nil {
-		im.brownouts[peer].Inc()
+// sumCounters totals one labelled family.
+func sumCounters[K comparable](family map[K]*metrics.Counter) int64 {
+	var sum int64
+	for _, c := range family {
+		sum += c.Value()
 	}
+	return sum
 }
 
 // peerPace is the main loop's view of one peer's responsiveness: the
@@ -278,7 +281,7 @@ func (n *Node) ovUpdateBrown(dst int, now time.Time) {
 		p.browned = true
 		p.lastProbe = now
 		n.ov.brownedPub[dst].Store(true)
-		n.ov.im.brownoutInc(dst)
+		n.ov.im.brownouts[dst].Inc()
 		n.tel.Event(telemetry.EvBrownoutEnter, n.id, dst, "latency/backlog over threshold", int64(p.ewma))
 		return
 	}
@@ -361,7 +364,6 @@ func (n *Node) pickRedirect(id cache.FileID, avoid int) int {
 // dequeue-side shed runs, so the HTTP handler's completion event keeps
 // the load books balanced.
 func (n *Node) shedClient(r *clientRequest, err error, queue, reason string) {
-	n.count(func(s *NodeStats) { s.Shed++ })
 	n.ov.im.shedInc(queue, reason)
 	r.span.AnnotateStr("shed", queue+"/"+reason)
 	r.resp <- clientResult{err: fmt.Errorf("%w (%s queue, %s)", err, queue, reason)}
@@ -369,7 +371,6 @@ func (n *Node) shedClient(r *clientRequest, err error, queue, reason string) {
 
 // expireClient answers a request whose deadline passed and books it.
 func (n *Node) expireClient(r *clientRequest, stage string) {
-	n.count(func(s *NodeStats) { s.DeadlineExpired++ })
 	n.ov.im.expiredInc(stage)
 	r.span.AnnotateStr("deadline-expired", stage)
 	r.resp <- clientResult{err: fmt.Errorf("%w (%s)", ErrDeadlineExpired, stage)}
@@ -384,7 +385,6 @@ func (n *Node) expireClient(r *clientRequest, stage string) {
 // VIA), but dropping it is still safer than blocking the main loop.
 func (n *Node) ovShedDispatch(dst int, m *Message) {
 	n.ov.im.shedInc(shedQueueDispatch, shedReasonFull)
-	n.count(func(s *NodeStats) { s.Shed++ })
 	if m.Type != core.MsgForward {
 		return
 	}
@@ -404,7 +404,7 @@ func (n *Node) ovShedDispatch(dst int, m *Message) {
 		n.serveLocal(p.req, id)
 		return
 	}
-	n.count(func(s *NodeStats) { s.Errors++ })
+	n.m.errors.Inc()
 	p.req.resp <- clientResult{err: fmt.Errorf("%w: %q", ErrNoSuchFile, p.req.name)}
 }
 
@@ -420,7 +420,6 @@ func (n *Node) overloadTick(now time.Time) {
 		n.ovForwardFailed(p.dst, now.Sub(p.sentAt), now)
 		p.span.AnnotateStr("deadline-expired", dlStagePending)
 		p.span.End()
-		n.count(func(s *NodeStats) { s.DeadlineExpired++ })
 		n.ov.im.expiredInc(dlStagePending)
 		p.req.resp <- clientResult{err: fmt.Errorf("%w (%s)", ErrDeadlineExpired, dlStagePending)}
 	}

@@ -364,23 +364,17 @@ func TestBrownoutSlowPeer(t *testing.T) {
 	// Brownout must not purge directory state: the origin still lists
 	// the victim as a cacher (the LRUs churn, so not every file — but a
 	// dead-style purge would leave zero entries).
-	dirEntries := make(chan int, 1)
-	origin.inject(func() {
+	entries := onMainLoop(t, origin, func() int {
 		entries := 0
 		for _, id := range victimIDs {
 			if origin.dir.Cachers(id).Has(victim) {
 				entries++
 			}
 		}
-		dirEntries <- entries
+		return entries
 	})
-	select {
-	case entries := <-dirEntries:
-		if entries == 0 {
-			t.Error("directory entries for the browned-out victim were purged")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("directory inspection did not run")
+	if entries == 0 {
+		t.Error("directory entries for the browned-out victim were purged")
 	}
 
 	// Recovery: heal the fabric; the probe trickle refreshes the EWMA

@@ -132,13 +132,9 @@ func bringUp(procs []*ProcNode, shared *via.Fabric) error {
 	return nil
 }
 
-// newFabric makes a VIA fabric shaped by the configuration.
+// newFabric makes the VIA fabric a cluster's NICs sit on.
 func newFabric(cfg Config) *via.Fabric {
-	opts := cfg.FabricOptions
-	if cfg.Metrics.Enabled() {
-		opts = append(opts[:len(opts):len(opts)], via.WithMetrics(cfg.Metrics))
-	}
-	return via.NewFabric(opts...)
+	return via.NewFabric(via.WithMetrics(cfg.Metrics))
 }
 
 // fabricAddr is node i's NIC address on the fabric.
@@ -190,8 +186,7 @@ func (pn *ProcNode) build(shared *via.Fabric) error {
 		}
 		vt, err := newViaTransport(pn.nic, viaConfig{
 			self: mesh.Self, nodes: cfg.Nodes, version: cfg.Version,
-			loadViaRMW: cfg.LoadViaRMW, window: cfg.Window,
-			batch: cfg.Batch, chunk: cfg.ChunkBytes,
+			window: viaWindow, batch: viaBatch, chunk: viaChunkBytes,
 			fileRing: cfg.FileRingBytes, metrics: cfg.Metrics,
 			rmwTimeout: cfg.RMWTimeout, retry: cfg.Retry,
 			trc: cfg.Tracer.Collector(mesh.Self),

@@ -139,7 +139,6 @@ func (n *Node) replMaybePush(id cache.FileID, now time.Time) {
 		return
 	}
 	r.lastAction[id] = now
-	n.count(func(s *NodeStats) { s.ReplicaPushes++ })
 	n.m.replPushes.Inc()
 	n.send(dst, &Message{Type: core.MsgReplicate, Name: n.files[id].Name})
 }
@@ -186,7 +185,6 @@ func (n *Node) replMaybeDrop(id cache.FileID, now time.Time) {
 	}
 	delete(r.pulled, id)
 	r.lastAction[id] = now
-	n.count(func(s *NodeStats) { s.ReplicaDrops++ })
 	n.m.replDrops.Inc()
 	n.dir.LocalCached(id, false)
 	n.tel.Event(telemetry.EvReplicaDrop, n.id, -1, n.files[id].Name, n.files[id].Size)
@@ -251,7 +249,6 @@ func (n *Node) replFinishPull(p *pendingRemote, data []byte) {
 	if n.repl.rates[p.replID] < n.repl.cfg.HotRate {
 		n.repl.rates[p.replID] = n.repl.cfg.HotRate
 	}
-	n.count(func(s *NodeStats) { s.ReplicaPulls++ })
 	n.m.replPulls.Inc()
 	n.tel.Event(telemetry.EvReplicaCreate, n.id, p.dst, n.files[p.replID].Name, int64(len(data)))
 }

@@ -45,19 +45,25 @@ func replTestKnobs() core.ReplicationConfig {
 	}
 }
 
-// dirCachers reads a node's directory view of a file on the node's own
-// main loop.
+// onMainLoop runs f on the node's main loop, which owns the cache,
+// directory and replication state, and returns its result.
+func onMainLoop[T any](t *testing.T, n *Node, f func() T) T {
+	t.Helper()
+	ch := make(chan T, 1)
+	n.inject(func() { ch <- f() })
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(5 * time.Second):
+		t.Fatal("main-loop inspection did not run")
+		panic("unreachable")
+	}
+}
+
+// dirCachers reads a node's directory view of a file.
 func dirCachers(t *testing.T, n *Node, id cache.FileID) cache.NodeSet {
 	t.Helper()
-	ch := make(chan cache.NodeSet, 1)
-	n.inject(func() { ch <- n.dir.Cachers(id) })
-	select {
-	case set := <-ch:
-		return set
-	case <-time.After(5 * time.Second):
-		t.Fatal("directory inspection did not run")
-		return cache.NodeSet{}
-	}
+	return onMainLoop(t, n, func() cache.NodeSet { return n.dir.Cachers(id) })
 }
 
 // pendingForwardsTo counts, across the given nodes, forwarded client
@@ -71,8 +77,7 @@ func pendingForwardsTo(t *testing.T, cl *Cluster, nodes []int, dst int, maxAge t
 	total := 0
 	for _, i := range nodes {
 		n := cl.Nodes()[i]
-		ch := make(chan int, 1)
-		n.inject(func() {
+		total += onMainLoop(t, n, func() int {
 			c := 0
 			now := time.Now()
 			for _, p := range n.pending {
@@ -80,14 +85,8 @@ func pendingForwardsTo(t *testing.T, cl *Cluster, nodes []int, dst int, maxAge t
 					c++
 				}
 			}
-			ch <- c
+			return c
 		})
-		select {
-		case c := <-ch:
-			total += c
-		case <-time.After(5 * time.Second):
-			t.Fatal("pending inspection did not run")
-		}
 	}
 	return total
 }
@@ -95,15 +94,7 @@ func pendingForwardsTo(t *testing.T, cl *Cluster, nodes []int, dst int, maxAge t
 // nodeCaches reports whether the node's LRU truly holds the file.
 func nodeCaches(t *testing.T, n *Node, id cache.FileID) bool {
 	t.Helper()
-	ch := make(chan bool, 1)
-	n.inject(func() { ch <- n.lru.Contains(id) })
-	select {
-	case got := <-ch:
-		return got
-	case <-time.After(5 * time.Second):
-		t.Fatal("cache inspection did not run")
-		return false
-	}
+	return onMainLoop(t, n, func() bool { return n.lru.Contains(id) })
 }
 
 // driver is a closed-loop load generator hammering a file set through
@@ -209,6 +200,48 @@ func TestReplicationSpreadsAndDecays(t *testing.T) {
 	}
 	if st := cl.Stats().Nodes; st.ReplicaDrops < 1 {
 		t.Errorf("no replica drops counted (stats: %+v)", st)
+	}
+}
+
+// TestEvictedReplicaIsNotPulledAgain: "pulled" marks the copy, not the
+// file. Once a pulled replica has been evicted, a later copy the node
+// reads from its own disk is an original, and de-replication — which
+// drops only pulled copies so a file's count never decays to zero —
+// must not see it as droppable.
+func TestEvictedReplicaIsNotPulledAgain(t *testing.T) {
+	tr := serverTestTrace(t, 16)
+	cfg := testClusterConfig(tr, TransportVIA)
+	cfg.Nodes = 2
+	cfg.CacheBytes = 64 << 10
+	cfg.Replication = replTestKnobs()
+	cl, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	n := cl.Nodes()[1]
+	content := func(id cache.FileID) []byte {
+		return SynthesizeContent(tr.Files[id].Name, tr.Files[id].Size)
+	}
+	type view struct{ pulled, evicted, after bool }
+	v := onMainLoop(t, n, func() (v view) {
+		n.repl.pulling[0] = true
+		n.replFinishPull(&pendingRemote{replicate: true, replID: 0}, content(0))
+		v.pulled = n.repl.pulled[0]
+		for id := cache.FileID(1); int(id) < len(tr.Files) && n.lru.Contains(0); id++ {
+			n.insertCache(id, content(id))
+		}
+		v.evicted = !n.lru.Contains(0)
+		n.insertCache(0, content(0)) // as handleDiskDone does
+		v.after = n.repl.pulled[0]
+		return v
+	})
+	if !v.pulled || !v.evicted {
+		t.Fatalf("setup: pulled %v, evicted %v", v.pulled, v.evicted)
+	}
+	if v.after {
+		t.Error("a copy read from disk after the replica was evicted is still marked pulled")
 	}
 }
 

@@ -56,25 +56,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpointDisabled: without a registry the endpoint 404s
-// with a hint instead of an empty 200 a scraper would treat as healthy.
-func TestMetricsEndpointDisabled(t *testing.T) {
-	tr := serverTestTrace(t, 4)
-	cl, err := Start(testClusterConfig(tr, TransportVIA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	resp, err := http.Get(cl.URL(0) + metricsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("status = %d, want 404 when metrics are off", resp.StatusCode)
-	}
-}
-
 // TestClusterTelemetryEvents kills a peer under a telemetry plane and
 // checks the flight recorder saw the transitions the health layer
 // reported: suspect and dead for the victim, and a failover or purge

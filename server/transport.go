@@ -101,6 +101,18 @@ func (a *msgAccounting) snapshot() core.MsgStats {
 	return s
 }
 
+// counterIn returns the counter for family+labels: interned in r when a
+// registry is configured, standalone otherwise. Every count a view other
+// than /_press/metrics reads (Transport.Metrics, Node.Stats, the stats
+// endpoint) is made this way, so the counter is the one account of its
+// event and the registry only decides whether scrapers see it too.
+func counterIn(r *metrics.Registry, family string, labels ...string) *metrics.Counter {
+	if !r.Enabled() {
+		return metrics.NewCounter()
+	}
+	return r.Counter(family, labels...)
+}
+
 // transportInstruments bundles the counters every transport maintains.
 // With a registry they appear as press_msgs_total{node=N,type=T},
 // press_msg_bytes{node=N,type=T}, press_copied_bytes{node=N}, and
@@ -114,23 +126,14 @@ type transportInstruments struct {
 
 func newTransportInstruments(r *metrics.Registry, self int) transportInstruments {
 	var ins transportInstruments
-	if !r.Enabled() {
-		for t := core.MsgType(0); t < core.NumMsgTypes; t++ {
-			ins.acct.count[t] = metrics.NewCounter()
-			ins.acct.bytes[t] = metrics.NewCounter()
-		}
-		ins.copied = metrics.NewCounter()
-		ins.stalls = metrics.NewCounter()
-		return ins
-	}
 	node := fmt.Sprintf("node=%d", self)
 	for t := core.MsgType(0); t < core.NumMsgTypes; t++ {
 		typ := "type=" + t.String()
-		ins.acct.count[t] = r.Counter("press_msgs_total", node, typ)
-		ins.acct.bytes[t] = r.Counter("press_msg_bytes", node, typ)
+		ins.acct.count[t] = counterIn(r, "press_msgs_total", node, typ)
+		ins.acct.bytes[t] = counterIn(r, "press_msg_bytes", node, typ)
 	}
-	ins.copied = r.Counter("press_copied_bytes", node)
-	ins.stalls = r.Counter("press_credit_stalls_total", node)
+	ins.copied = counterIn(r, "press_copied_bytes", node)
+	ins.stalls = counterIn(r, "press_credit_stalls_total", node)
 	return ins
 }
 

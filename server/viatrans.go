@@ -54,7 +54,6 @@ type viaConfig struct {
 	self       int
 	nodes      int
 	version    netmodel.Version
-	loadViaRMW bool
 	window     int
 	batch      int
 	chunk      int
@@ -66,6 +65,15 @@ type viaConfig struct {
 	// traced messages passing through the transport.
 	trc *tracing.Collector
 }
+
+// The flow-control window, credit batch and regular-channel chunk size
+// every node runs with; tests shrink them through viaConfig so small
+// inputs stall on credit and chunk.
+const (
+	viaWindow     = 2 * core.DefaultWindow
+	viaBatch      = core.DefaultCreditBatch
+	viaChunkBytes = 32 << 10
+)
 
 type viaPeer struct {
 	id    int
@@ -131,11 +139,9 @@ func newViaTransport(nic *via.NIC, cfg viaConfig) (*viaTransport, error) {
 		peers:   make([]*viaPeer, cfg.nodes),
 		pending: make(map[*via.VI]*viaPeer),
 		ins:     newTransportInstruments(cfg.metrics, cfg.self),
-	}
-	if cfg.metrics.Enabled() {
-		t.reconnects = cfg.metrics.Counter("press_reconnects_total", fmt.Sprintf("node=%d", cfg.self))
-	} else {
-		t.reconnects = metrics.NewCounter()
+
+		// Registry-only (nothing else reads it): nil, and free, without one.
+		reconnects: cfg.metrics.Counter("press_reconnects_total", fmt.Sprintf("node=%d", cfg.self)),
 	}
 	cq, err := via.NewCompletionQueue(cfg.nodes * (cfg.window + 16))
 	if err != nil {
@@ -369,11 +375,13 @@ func (t *viaTransport) Reconnect(dst int) error {
 		p.fail(err)
 		return err
 	}
+	setupTimer := time.NewTimer(t.cfg.rmwTimeout)
+	defer setupTimer.Stop()
 	select {
 	case <-p.ready:
 	case <-p.failed:
 		return p.failErr
-	case <-time.After(t.cfg.rmwTimeout):
+	case <-setupTimer.C:
 		err := fmt.Errorf("server: node %d: no setup frame from %d after reconnect", t.cfg.self, dst)
 		p.fail(err)
 		return err
@@ -633,11 +641,6 @@ func (t *viaTransport) style(mt core.MsgType) netmodel.Style {
 		return t.cfg.version.File
 	case core.MsgFlow:
 		return t.cfg.version.Flow
-	case core.MsgLoad:
-		if t.cfg.loadViaRMW {
-			return netmodel.StyleRMW
-		}
-		return netmodel.StyleRegular
 	default:
 		return netmodel.StyleRegular
 	}

@@ -51,7 +51,7 @@ func BenchmarkEventOn(b *testing.B) {
 
 // BenchmarkSamplerTick is one full sampling pass over the realistic
 // registry — the recurring cost of running telemetry, paid once per
-// interval, recorded in BENCH_telemetry.json.
+// interval.
 func BenchmarkSamplerTick(b *testing.B) {
 	p := New(Config{Registry: benchRegistry(), Capacity: 256})
 	p.Poll(0)
