@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"press/core"
 	"press/metrics"
 	"press/netmodel"
 	"press/trace"
@@ -60,6 +61,19 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// waitQuiet waits until count stops moving: two reads 20 ms apart agree.
+func waitQuiet(t *testing.T, what string, count func() int64) {
+	t.Helper()
+	last := count()
+	waitFor(t, 5*time.Second, what, func() bool {
+		time.Sleep(20 * time.Millisecond)
+		now := count()
+		quiet := now == last
+		last = now
+		return quiet
+	})
 }
 
 // TestChaosPartitionFailover is the acceptance scenario: an 8-node VIA
@@ -170,6 +184,9 @@ func TestChaosPartitionFailover(t *testing.T) {
 	time.Sleep(400 * time.Millisecond) // load keeps running against the 7-node cluster
 
 	remoteBeforeHeal := cl.Nodes()[victim].Stats().RemoteHits
+	victimLabel := fmt.Sprintf("node=%d", victim)
+	wakesBeforeHeal := reg.Counter("press_poll_wakes_total", victimLabel).Value()
+	emptyBeforeHeal := reg.Counter("press_poll_empty_total", victimLabel).Value()
 	if err := cl.HealNode(victim); err != nil {
 		t.Fatal(err)
 	}
@@ -189,6 +206,15 @@ func TestChaosPartitionFailover(t *testing.T) {
 	waitFor(t, 10*time.Second, "healed node to serve remote hits", func() bool {
 		return cl.Nodes()[victim].Stats().RemoteHits > remoteBeforeHeal
 	})
+	// Those forwards reached it through rings that did not exist before
+	// the heal: every reconnect swapped a fresh channel into the peer
+	// table, and the poll thread — which looks only where it was told a
+	// write landed — was told about each (promote kicks it).
+	wakes := reg.Counter("press_poll_wakes_total", victimLabel).Value() - wakesBeforeHeal
+	empty := reg.Counter("press_poll_empty_total", victimLabel).Value() - emptyBeforeHeal
+	if wakes-empty <= 0 {
+		t.Errorf("healed node's poll thread found nothing in its fresh rings (%d wakes, %d empty)", wakes, empty)
+	}
 
 	close(stopLoad)
 	wg.Wait()
@@ -411,4 +437,68 @@ func TestFailoverSendErrorWithoutHealth(t *testing.T) {
 	if !sawError {
 		t.Skip("policy never forwarded to the dead node; nothing to assert")
 	}
+}
+
+// TestFailoverPromoteKicksPoller pins the one reconnect interleaving in
+// which only promote's kick stands between a fresh channel and silence:
+// the re-dialing peer's setup frame is handled while the channel is
+// still pending, so the kick it raises rebuilds the poll thread's view
+// of a peer table that does not hold the channel yet. The promotion
+// that follows must send the poll thread back to the table, or writes
+// into the fresh rings ring a bell nobody maps to a peer.
+func TestFailoverPromoteKicksPoller(t *testing.T) {
+	vt, raw, addrs := newRawMesh(t, 1)
+	first := raw.newVI()
+	connected := make(chan error, 1)
+	go func() { connected <- vt.connect(addrs) }()
+	// The transport may not be listening yet; the mesh dials until it is.
+	waitFor(t, 5*time.Second, "the raw peer's first dial", func() bool {
+		return first.Connect(addrs[1], "press-1") == nil
+	})
+	raw.sendSetup(first)
+	if err := <-connected; err != nil {
+		t.Fatal(err)
+	}
+	old := vt.peer(0)
+	raw.writeCtrl(first, old.inCtrl.region.Handle(), 1, &Message{Type: core.MsgLoad, From: 0, Load: 1})
+	expectInbound(t, vt, 1)
+
+	// The re-dial, by hand and in the unlucky order: connect a pending
+	// channel, let its setup frame be handled, and only then promote it.
+	ln, err := raw.nic.Listen("redial")
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := raw.newVI()
+	accepted := make(chan error, 1)
+	go func() {
+		_, err := ln.Accept(second)
+		accepted <- err
+	}()
+	p, err := vt.newPeer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.id = 0
+	vt.addPending(p)
+	if err := p.vi.Connect(addrs[0], "redial"); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-accepted; err != nil {
+		t.Fatal(err)
+	}
+	wakes := vt.Metrics().PollWakes
+	raw.sendSetup(second)
+	select {
+	case <-p.ready:
+	case <-time.After(5 * time.Second):
+		t.Fatal("setup frame on the pending channel never handled")
+	}
+	waitFor(t, 5*time.Second, "the poll thread to take the setup frame's kick", func() bool {
+		return vt.Metrics().PollWakes > wakes
+	})
+	vt.promote(p)
+
+	raw.writeCtrl(second, p.inCtrl.region.Handle(), 1, &Message{Type: core.MsgLoad, From: 0, Load: 2})
+	expectInbound(t, vt, 2)
 }

@@ -288,13 +288,15 @@ func (t *tcpTransport) meshAccept(conn net.Conn) {
 		reject(joinRejectStaleEpoch)
 		return
 	}
+	// Record the epoch, then ack: whoever has read the ack may rely on
+	// PeerEpoch, and a dialer of an older life is refused from here on.
+	casMax(&t.peerEpoch[hello.Node], hello.Epoch)
 	ack := t.info
 	ack.Ack, ack.OK = true, true
 	if err := writeJoinFrame(conn, t.self, &ack); err != nil {
 		conn.Close()
 		return
 	}
-	casMax(&t.peerEpoch[hello.Node], hello.Epoch)
 	p := &tcpPeer{conn: conn, id: hello.Node, epoch: hello.Epoch}
 	if t.setPeer(hello.Node, p) { // else setPeer closed the conn
 		t.notifyJoin(hello.Node, hello)

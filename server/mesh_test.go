@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -169,6 +170,47 @@ func rawJoin(t *testing.T, addr string, hello *JoinInfo) (*JoinInfo, net.Conn, e
 		return nil, nil, err
 	}
 	return ack, conn, nil
+}
+
+// prefixedConn reads r (bytes already taken off the conn, then the conn).
+type prefixedConn struct {
+	net.Conn
+	r io.Reader
+}
+
+func (c prefixedConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+
+// TestMeshAckFollowsEpoch: the acceptor records the joiner's epoch
+// before it acks, so whoever has read the ack may rely on PeerEpoch. On
+// a synchronous pipe the acceptor stays parked inside its ack write
+// until the whole frame is read; after the first byte the epoch must
+// already be there.
+func TestMeshAckFollowsEpoch(t *testing.T) {
+	ln := meshListener(t)
+	tr := startMesh(t, ln, 0, 2, 500, []string{ln.Addr().String(), deadAddr(t)})
+	client, srv := net.Pipe()
+	defer client.Close()
+	tr.wg.Add(1)
+	go tr.meshAccept(srv)
+
+	hello := &JoinInfo{Node: 1, Nodes: 2, Epoch: 200, Strategy: meshTestStrategy, Transport: "tcp"}
+	if err := writeJoinFrame(client, hello.Node, hello); err != nil {
+		t.Fatal(err)
+	}
+	var first [1]byte
+	if _, err := io.ReadFull(client, first[:]); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.PeerEpoch(1); got != 200 {
+		t.Errorf("PeerEpoch(1) = %d while the ack is on the wire, want 200", got)
+	}
+	ack, err := readJoinFrame(prefixedConn{client, io.MultiReader(bytes.NewReader(first[:]), client)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ack.Ack || !ack.OK {
+		t.Fatalf("join acked %+v", ack)
+	}
 }
 
 // TestMeshAcceptRejections drives every typed rejection of the accept

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"press/core"
 	"press/metrics"
@@ -200,11 +201,106 @@ func TestClusterMetricsTCP(t *testing.T) {
 		if tm.CreditStalls != 0 {
 			t.Errorf("node %d: TCP transport reports %d credit stalls", n.ID(), tm.CreditStalls)
 		}
+		if tm.PollWakes != 0 || tm.PollEmpty != 0 {
+			t.Errorf("node %d: TCP transport reports %d poll wakes, %d empty", n.ID(), tm.PollWakes, tm.PollEmpty)
+		}
 		if c, _ := tm.Msgs.Total(); c == 0 && len(cl.Nodes()) > 1 {
 			t.Errorf("node %d: no messages accounted", n.ID())
 		}
 	}
 	if cl.Stats().CopiedBytes == 0 {
 		t.Error("TCP transport must report kernel copies")
+	}
+}
+
+// TestViaPollThreadIsEventDriven counts instead of timing: the V5 poll
+// threads of a quiescent cluster make no pass at all, and under load
+// they make at most one pass per remote write that landed — a wake is
+// the NIC saying a write arrived, never a look just in case. The two
+// poll counters follow the rule of every other family: the same counts
+// with and without a registry, in the registry when there is one.
+func TestViaPollThreadIsEventDriven(t *testing.T) {
+	for _, withRegistry := range []bool{true, false} {
+		t.Run(fmt.Sprintf("registry=%v", withRegistry), func(t *testing.T) {
+			tr := serverTestTrace(t, 24)
+			cfg := testClusterConfig(tr, TransportVIA)
+			cfg.Nodes = 4
+			cfg.Version = netmodel.Versions()[5]
+			cfg.Health.Disabled = true // heartbeats are traffic; this test wants none
+			var reg *metrics.Registry
+			if withRegistry {
+				reg = metrics.NewRegistry()
+				cfg.Metrics = reg
+			}
+			cl, err := Start(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			// passes and remote writes so far, cluster-wide.
+			counts := func() (wakes, empty, writes int64) {
+				for _, pn := range cl.procs {
+					tm := pn.node.transport.Metrics()
+					wakes += tm.PollWakes
+					empty += tm.PollEmpty
+					writes += pn.nic.Stats().RDMAWrites
+				}
+				return
+			}
+			settle := func() {
+				t.Helper()
+				waitQuiet(t, "the cluster to go quiet", func() int64 {
+					wakes, _, _ := counts()
+					return wakes
+				})
+			}
+
+			fetchAll(t, cl, tr, 2, 5)
+			settle()
+			idle, _, _ := counts()
+			time.Sleep(200 * time.Millisecond)
+			if now, _, _ := counts(); now != idle {
+				t.Errorf("quiescent cluster made %d poll passes in 200ms, want none", now-idle)
+			}
+
+			wakes0, empty0, writes0 := counts()
+			names := make([]string, len(tr.Files))
+			for i, f := range tr.Files {
+				names[i] = f.Name
+			}
+			drv := startDrive(cl, []int{0, 1, 2, 3}, names, 4)
+			waitFor(t, 10*time.Second, "the drive to forward", func() bool {
+				ok, _ := drv.counts()
+				return ok >= 400
+			})
+			if _, errs := drv.stop(); errs != 0 {
+				t.Fatalf("%d requests failed", errs)
+			}
+			settle()
+			wakes1, empty1, writes1 := counts()
+			wakes, empty, writes := wakes1-wakes0, empty1-empty0, writes1-writes0
+			t.Logf("%d passes (%d empty) for %d remote writes", wakes, empty, writes)
+			if wakes == 0 || wakes > writes {
+				t.Errorf("%d poll passes for %d remote writes, want 0 < passes <= writes", wakes, writes)
+			}
+			if empty >= wakes {
+				t.Errorf("%d of %d passes found nothing", empty, wakes)
+			}
+			if !withRegistry {
+				return
+			}
+			var regWakes, regEmpty int64
+			for k, v := range reg.Snapshot().Counters {
+				switch fam, _ := metrics.Family(k); fam {
+				case "press_poll_wakes_total":
+					regWakes += v
+				case "press_poll_empty_total":
+					regEmpty += v
+				}
+			}
+			if regWakes != wakes1 || regEmpty != empty1 {
+				t.Errorf("registry has %d wakes, %d empty; Metrics() %d, %d", regWakes, regEmpty, wakes1, empty1)
+			}
+		})
 	}
 }

@@ -35,6 +35,7 @@ const (
 	flowFileMeta   = 16 // file metadata slots consumed
 	flowFileData   = 24 // file data ring: virtual bytes consumed
 	flowRegionSize = 32
+	flowCounters   = flowRegionSize / 8
 )
 
 // rmwRingOut is the sender's view of a control ring living in the
@@ -44,10 +45,24 @@ type rmwRingOut struct {
 	slots  uint64
 	gate   *creditGate
 	next   uint64 // sequence of the next write (0-based)
+
+	// stage holds the slot image of the write in flight and desc
+	// describes it; both serve every write, which the caller serializes
+	// and which completes before write returns.
+	stage *via.MemoryRegion
+	desc  *via.Descriptor
+	timer *time.Timer // bounds each completion wait (waitRMW)
 }
 
-func newRingOut(handle via.Handle, slots int) *rmwRingOut {
-	return &rmwRingOut{handle: handle, slots: uint64(slots), gate: newCreditGate(slots)}
+// newRingOut builds the sender side of the ring behind handle; slot
+// images are staged at the start of stage.
+func newRingOut(handle via.Handle, slots int, stage *via.MemoryRegion) *rmwRingOut {
+	return &rmwRingOut{
+		handle: handle, slots: uint64(slots), gate: newCreditGate(slots),
+		stage: stage,
+		desc:  via.MustDescriptor(via.Segment{Region: stage, Len: ctrlSlotSize}),
+		timer: newStoppedTimer(),
+	}
 }
 
 // write stages the payload into a slot image and remote-writes it.
@@ -55,7 +70,7 @@ func newRingOut(handle via.Handle, slots int) *rmwRingOut {
 // timeout. trc/trace/parent carry the sender's trace context so a
 // blocked slot acquire records as a credit-stall span (nil collector or
 // zero trace: no span, no cost).
-func (r *rmwRingOut) write(vi *via.VI, staging *via.MemoryRegion, stagingOff int, payload []byte,
+func (r *rmwRingOut) write(vi *via.VI, payload []byte,
 	timeout time.Duration, trc *tracing.Collector, trace tracing.TraceID, parent tracing.SpanID) error {
 	if len(payload) > ctrlSlotSize-8 {
 		return fmt.Errorf("server: control message of %d bytes exceeds ring slot", len(payload))
@@ -75,15 +90,14 @@ func (r *rmwRingOut) write(vi *via.VI, staging *via.MemoryRegion, stagingOff int
 	binary.LittleEndian.PutUint32(slot[0:], uint32(len(payload)))
 	copy(slot[4:], payload)
 	binary.LittleEndian.PutUint32(slot[ctrlSlotSize-4:], uint32(r.next+1))
-	if err := staging.Write(slot[:], stagingOff); err != nil {
+	if err := r.stage.Write(slot[:], 0); err != nil {
 		return err
 	}
-	d := via.MustDescriptor(via.Segment{Region: staging, Offset: stagingOff, Len: ctrlSlotSize})
 	off := int(r.next%r.slots) * ctrlSlotSize
-	if err := vi.PostRDMAWrite(d, r.handle, off); err != nil {
+	if err := vi.PostRDMAWrite(r.desc, r.handle, off); err != nil {
 		return err
 	}
-	if err := waitRMW(d, "ctrl-ring", timeout); err != nil {
+	if err := waitRMW(r.desc, r.timer, "ctrl-ring", timeout); err != nil {
 		return err
 	}
 	r.next++
@@ -153,9 +167,19 @@ type fileRingOut struct {
 
 	nextMeta uint64
 	virt     uint64 // virtual write offset into the data ring
+
+	// stage holds the metadata entry of the transfer in flight and
+	// metaDesc describes it; dataDesc is pointed at each transfer's
+	// payload in turn. Both serve every transfer (see rmwRingOut).
+	stage    *via.MemoryRegion
+	metaDesc *via.Descriptor
+	dataDesc *via.Descriptor
+	timer    *time.Timer
 }
 
-func newFileRingOut(metaHandle, dataHandle via.Handle, dataSize int) *fileRingOut {
+// newFileRingOut builds the sender side of the file rings behind the
+// two handles; metadata entries are staged at the start of stage.
+func newFileRingOut(metaHandle, dataHandle via.Handle, dataSize int, stage *via.MemoryRegion) *fileRingOut {
 	return &fileRingOut{
 		metaHandle: metaHandle,
 		dataHandle: dataHandle,
@@ -163,22 +187,32 @@ func newFileRingOut(metaHandle, dataHandle via.Handle, dataSize int) *fileRingOu
 		dataSize:   uint64(dataSize),
 		metaGate:   newCreditGate(fileMetaSlots),
 		dataGate:   newDataGate(uint64(dataSize)),
+		stage:      stage,
+		metaDesc:   via.MustDescriptor(via.Segment{Region: stage, Len: fileMetaSlotSize}),
+		dataDesc:   via.MustDescriptor(via.Segment{Region: stage}),
+		timer:      newStoppedTimer(),
 	}
 }
 
 // write transfers one file: a remote write of the data followed by a
 // remote write of the metadata entry pointing at it — the two messages
-// per file that keep version 3 from improving on version 2.
+// per file that keep version 3 from improving on version 2. The two are
+// posted back to back and only the second is waited for: the engine
+// works in post order, and on a reliable VI a failed data write breaks
+// the connection before the metadata can land, so a completed metadata
+// write means the data is there too.
 //
 // src must be registered memory holding the payload (the cache page
 // itself under zero-copy transmit, a staging copy otherwise).
 // trc/trace/parent record blocked ring-space acquires as credit-stall
 // spans, one per gate that actually waited.
-func (f *fileRingOut) write(vi *via.VI, staging *via.MemoryRegion, stagingOff int,
-	src *via.MemoryRegion, srcOff, n int, reqID uint64,
+func (f *fileRingOut) write(vi *via.VI, src *via.MemoryRegion, srcOff, n int, reqID uint64,
 	timeout time.Duration, trc *tracing.Collector, trace tracing.TraceID, parent tracing.SpanID) error {
 	if uint64(n) > f.dataSize {
 		return fmt.Errorf("server: file of %d bytes exceeds %d-byte data ring", n, f.dataSize)
+	}
+	if err := f.dataDesc.SetSegment(0, via.Segment{Region: src, Offset: srcOff, Len: n}); err != nil {
+		return err
 	}
 	// Allocate data-ring space, skipping the tail when the file would
 	// wrap: virtual offsets keep sender and receiver's space accounting
@@ -188,8 +222,9 @@ func (f *fileRingOut) write(vi *via.VI, staging *via.MemoryRegion, stagingOff in
 		f.virt += f.dataSize - phys
 		phys = 0
 	}
+	virtEnd := f.virt + uint64(n)
 	stall := trc.StartSpan("credit-stall", trace, parent)
-	ok, stalled := f.dataGate.acquire(f.virt+uint64(n), via.ErrClosed)
+	ok, stalled := f.dataGate.acquire(virtEnd, via.ErrClosed)
 	if stalled {
 		stall.AnnotateStr("gate", "file-data")
 		stall.End()
@@ -199,15 +234,6 @@ func (f *fileRingOut) write(vi *via.VI, staging *via.MemoryRegion, stagingOff in
 	if !ok {
 		return f.dataGate.g.closedErr()
 	}
-	dd := via.MustDescriptor(via.Segment{Region: src, Offset: srcOff, Len: n})
-	if err := vi.PostRDMAWrite(dd, f.dataHandle, int(phys)); err != nil {
-		return err
-	}
-	if err := waitRMW(dd, "file-data", timeout); err != nil {
-		return err
-	}
-	virtEnd := f.virt + uint64(n)
-
 	stall = trc.StartSpan("credit-stall", trace, parent)
 	ok, stalled = f.metaGate.acquire()
 	if stalled {
@@ -225,15 +251,24 @@ func (f *fileRingOut) write(vi *via.VI, staging *via.MemoryRegion, stagingOff in
 	binary.LittleEndian.PutUint32(meta[12:], uint32(n))
 	binary.LittleEndian.PutUint64(meta[16:], virtEnd)
 	binary.LittleEndian.PutUint32(meta[fileMetaSlotSize-4:], uint32(f.nextMeta+1))
-	if err := staging.Write(meta[:], stagingOff); err != nil {
+	if err := f.stage.Write(meta[:], 0); err != nil {
 		return err
 	}
-	md := via.MustDescriptor(via.Segment{Region: staging, Offset: stagingOff, Len: fileMetaSlotSize})
+	if err := vi.PostRDMAWrite(f.dataDesc, f.dataHandle, int(phys)); err != nil {
+		return err
+	}
 	metaOff := int(f.nextMeta%f.metaSlots) * fileMetaSlotSize
-	if err := vi.PostRDMAWrite(md, f.metaHandle, metaOff); err != nil {
+	if err := vi.PostRDMAWrite(f.metaDesc, f.metaHandle, metaOff); err != nil {
+		// The data write is in flight alone: reap it, so the descriptor
+		// is the caller's again.
+		_ = waitRMW(f.dataDesc, f.timer, "file-data", timeout)
 		return err
 	}
-	if err := waitRMW(md, "file-meta", timeout); err != nil {
+	if err := waitRMW(f.metaDesc, f.timer, "file-meta", timeout); err != nil {
+		// The data write came first; when it is what failed, say so.
+		if f.dataDesc.Status() == via.DescError {
+			return f.dataDesc.Err()
+		}
 		return err
 	}
 	f.nextMeta++
@@ -369,14 +404,24 @@ func (e *RMWTimeoutError) Error() string {
 func (e *RMWTimeoutError) Unwrap() error { return via.ErrTimeout }
 
 // waitRMW waits for d's completion, converting an expired wait into a
-// typed RMWTimeoutError while passing link faults through untouched.
-func waitRMW(d *via.Descriptor, op string, timeout time.Duration) error {
+// typed RMWTimeoutError while passing link faults through untouched. t,
+// when non-nil, is the caller's reusable timer (Descriptor.WaitTimer);
+// nil arms a fresh one.
+func waitRMW(d *via.Descriptor, t *time.Timer, op string, timeout time.Duration) error {
 	if timeout <= 0 {
 		timeout = DefaultRMWTimeout
 	}
-	err := d.Wait(timeout)
+	err := d.WaitTimer(t, timeout)
 	if errors.Is(err, via.ErrTimeout) {
 		return &RMWTimeoutError{Op: op, Timeout: timeout}
 	}
 	return err
+}
+
+// newStoppedTimer returns a timer in the state Descriptor.WaitTimer
+// takes and leaves it in: stopped, channel empty.
+func newStoppedTimer() *time.Timer {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
 }

@@ -14,7 +14,6 @@ import (
 type ringFixture struct {
 	na, nb  *via.NIC
 	va      *via.VI
-	staging *via.MemoryRegion
 	ctrlIn  *rmwRingIn
 	ctrlOut *rmwRingOut
 	fileIn  *fileRingIn
@@ -58,7 +57,11 @@ func newRingFixture(t *testing.T, dataRing int) *ringFixture {
 		t.Fatal(err)
 	}
 
-	staging, err := na.RegisterMemory(make([]byte, ctrlSlotSize+fileMetaSlotSize))
+	ctrlStage, err := na.RegisterMemory(make([]byte, ctrlSlotSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	metaStage, err := na.RegisterMemory(make([]byte, fileMetaSlotSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +83,12 @@ func newRingFixture(t *testing.T, dataRing int) *ringFixture {
 	}
 	fx := &ringFixture{
 		na: na, nb: nb, va: va,
-		staging: staging,
-		src:     src,
-		ctrlIn:  newRingIn(ctrlRegion),
-		fileIn:  newFileRingIn(metaRegion, dataRegion),
+		src:    src,
+		ctrlIn: newRingIn(ctrlRegion),
+		fileIn: newFileRingIn(metaRegion, dataRegion),
 	}
-	fx.ctrlOut = newRingOut(ctrlRegion.Handle(), ctrlSlots)
-	fx.fileOut = newFileRingOut(metaRegion.Handle(), dataRegion.Handle(), dataRing)
+	fx.ctrlOut = newRingOut(ctrlRegion.Handle(), ctrlSlots, ctrlStage)
+	fx.fileOut = newFileRingOut(metaRegion.Handle(), dataRegion.Handle(), dataRing, metaStage)
 	return fx
 }
 
@@ -129,7 +131,7 @@ func TestCtrlRingDeliversInOrder(t *testing.T) {
 	fx := newRingFixture(t, 1<<16)
 	for i := 0; i < 10; i++ {
 		msg := []byte(fmt.Sprintf("ctrl-%03d", i))
-		if err := fx.ctrlOut.write(fx.va, fx.staging, 0, msg, 0, nil, 0, 0); err != nil {
+		if err := fx.ctrlOut.write(fx.va, msg, 0, nil, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,7 +158,7 @@ func TestCtrlRingWrapsAround(t *testing.T) {
 		// loop is not consuming.
 		for wrote < total && wrote-read < ctrlSlots-8 {
 			msg := []byte(fmt.Sprintf("wrap-%04d", wrote))
-			if err := fx.ctrlOut.write(fx.va, fx.staging, 0, msg, 0, nil, 0, 0); err != nil {
+			if err := fx.ctrlOut.write(fx.va, msg, 0, nil, 0, 0); err != nil {
 				t.Fatal(err)
 			}
 			wrote++
@@ -176,7 +178,7 @@ func TestCtrlRingWrapsAround(t *testing.T) {
 func TestCtrlRingRejectsOversized(t *testing.T) {
 	fx := newRingFixture(t, 1<<16)
 	big := make([]byte, ctrlSlotSize)
-	if err := fx.ctrlOut.write(fx.va, fx.staging, 0, big, 0, nil, 0, 0); err == nil {
+	if err := fx.ctrlOut.write(fx.va, big, 0, nil, 0, 0); err == nil {
 		t.Fatal("oversized control message accepted")
 	}
 }
@@ -187,7 +189,7 @@ func TestFileRingRoundTrip(t *testing.T) {
 	if err := fx.src.Write(payload, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := fx.fileOut.write(fx.va, fx.staging, ctrlSlotSize, fx.src, 0, len(payload), 42, 0, nil, 0, 0); err != nil {
+	if err := fx.fileOut.write(fx.va, fx.src, 0, len(payload), 42, 0, nil, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	arr := fx.pollFile(t, false)
@@ -211,7 +213,7 @@ func TestFileRingWrapSkipsTail(t *testing.T) {
 		if err := fx.src.Write(payload, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := fx.fileOut.write(fx.va, fx.staging, ctrlSlotSize, fx.src, 0, len(payload), uint64(i), 0, nil, 0, 0); err != nil {
+		if err := fx.fileOut.write(fx.va, fx.src, 0, len(payload), uint64(i), 0, nil, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		arr := fx.pollFile(t, i%2 == 0) // alternate extra-copy mode
@@ -235,7 +237,7 @@ func TestFileRingRejectsOversized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fx.fileOut.write(fx.va, fx.staging, ctrlSlotSize, src, 0, len(payload), 1, 0, nil, 0, 0); err == nil {
+	if err := fx.fileOut.write(fx.va, src, 0, len(payload), 1, 0, nil, 0, 0); err == nil {
 		t.Fatal("file larger than data ring accepted")
 	}
 }
@@ -250,13 +252,13 @@ func TestFileRingBlocksUntilAcked(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := fx.fileOut.write(fx.va, fx.staging, ctrlSlotSize, fx.src, 0, len(payload), uint64(i), 0, nil, 0, 0); err != nil {
+		if err := fx.fileOut.write(fx.va, fx.src, 0, len(payload), uint64(i), 0, nil, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- fx.fileOut.write(fx.va, fx.staging, ctrlSlotSize, fx.src, 0, len(payload), 99, 0, nil, 0, 0)
+		done <- fx.fileOut.write(fx.va, fx.src, 0, len(payload), 99, 0, nil, 0, 0)
 	}()
 	select {
 	case err := <-done:

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"press/trace"
+	"press/via"
 )
 
 // ErrNoSuchFile reports a request for a name outside the served file
@@ -68,8 +69,10 @@ func (s *Store) Read(name string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchFile, name)
 	}
 	if s.delay > 0 {
-		//presslint:ignore naked-sleep the simulated disk latency IS the modeled workload delay (paper's disk-bound working sets)
-		time.Sleep(s.delay)
+		// The simulated disk latency is the modelled workload delay (the
+		// paper's disk-bound working sets); via.Delay keeps a
+		// sub-millisecond one from being rounded up to the runtime's 1 ms.
+		via.Delay(s.delay)
 	}
 	s.mu.Lock()
 	s.reads++

@@ -27,6 +27,11 @@ type TransportMetrics struct {
 	// flow control before a slot freed up. Always zero on TCP, whose
 	// flow control is the kernel's.
 	CreditStalls int64
+	// PollWakes counts the times the VIA poll thread woke — on the NIC's
+	// remote-write doorbell or a transport kick — and PollEmpty those
+	// wakes that found nothing to deliver. An idle transport adds to
+	// neither. Always zero on TCP, which has no poll thread.
+	PollWakes, PollEmpty int64
 }
 
 // Transport moves Messages between cluster nodes. Implementations:
@@ -115,13 +120,16 @@ func counterIn(r *metrics.Registry, family string, labels ...string) *metrics.Co
 
 // transportInstruments bundles the counters every transport maintains.
 // With a registry they appear as press_msgs_total{node=N,type=T},
-// press_msg_bytes{node=N,type=T}, press_copied_bytes{node=N}, and
-// press_credit_stalls_total{node=N}; without one they are standalone
-// and only back Metrics().
+// press_msg_bytes{node=N,type=T}, press_copied_bytes{node=N},
+// press_credit_stalls_total{node=N}, press_poll_wakes_total{node=N} and
+// press_poll_empty_total{node=N}; without one they are standalone and
+// only back Metrics().
 type transportInstruments struct {
-	acct   msgAccounting
-	copied *metrics.Counter
-	stalls *metrics.Counter
+	acct      msgAccounting
+	copied    *metrics.Counter
+	stalls    *metrics.Counter
+	pollWakes *metrics.Counter
+	pollEmpty *metrics.Counter
 }
 
 func newTransportInstruments(r *metrics.Registry, self int) transportInstruments {
@@ -134,6 +142,8 @@ func newTransportInstruments(r *metrics.Registry, self int) transportInstruments
 	}
 	ins.copied = counterIn(r, "press_copied_bytes", node)
 	ins.stalls = counterIn(r, "press_credit_stalls_total", node)
+	ins.pollWakes = counterIn(r, "press_poll_wakes_total", node)
+	ins.pollEmpty = counterIn(r, "press_poll_empty_total", node)
 	return ins
 }
 
@@ -143,6 +153,8 @@ func (ins *transportInstruments) metrics() TransportMetrics {
 		Msgs:         ins.acct.snapshot(),
 		CopiedBytes:  ins.copied.Value(),
 		CreditStalls: ins.stalls.Value(),
+		PollWakes:    ins.pollWakes.Value(),
+		PollEmpty:    ins.pollEmpty.Value(),
 	}
 }
 

@@ -109,15 +109,16 @@ func (t *viaTransport) returnCredits(p *viaPeer, n int64) {
 	// RMW flow control: accumulate the counter locally and write it
 	// into the sender's flow region; load and overwrite semantics make
 	// this the cheapest possible credit return (Section 2.2).
-	p.ackMu.Lock()
-	defer p.ackMu.Unlock()
 	p.regAcked += n
 	t.ins.acct.add(core.MsgFlow, 8)
 	t.writeFlowCounter(p, flowRegChannel, uint64(p.regAcked))
 }
 
-// writeFlowCounter RDMA-writes one cumulative counter into the peer's
-// flow region. Caller holds p.ackMu.
+// writeFlowCounter remote-writes one cumulative counter into the peer's
+// flow region and does not wait for it: the counter's descriptor is
+// reaped by the next write of the same counter, a credit batch of
+// messages later, so the calling thread parks only if the engine is
+// that far behind. Each counter has one writer goroutine (see viaPeer).
 func (t *viaTransport) writeFlowCounter(p *viaPeer, off int, v uint64) {
 	p.peerMu.Lock()
 	handle := p.peerFlowHandle
@@ -125,16 +126,17 @@ func (t *viaTransport) writeFlowCounter(p *viaPeer, off int, v uint64) {
 	if handle == 0 {
 		return // peer setup not seen yet; counters are cumulative
 	}
+	d := p.ackDesc[off/8]
+	if d.Status() == via.DescPosted && errors.Is(d.Wait(t.cfg.rmwTimeout), via.ErrTimeout) {
+		return // the engine is wedged; the next batch carries the count
+	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
 	if p.ackReg.Write(buf[:], off) != nil {
 		return
 	}
-	d := via.MustDescriptor(via.Segment{Region: p.ackReg, Offset: off, Len: 8})
-	if t.postRDMARetry(p.vi, d, handle, off) != nil {
-		return
-	}
-	_ = d.Wait(t.cfg.rmwTimeout)
+	//presslint:ignore unchecked-comms-error counters are cumulative, so the next batch repairs a write that could not be posted; a broken VI fails the channel through its senders
+	_ = t.postRDMARetry(p.vi, d, handle, off)
 }
 
 // postRDMARetry retries a momentarily full work queue a bounded number
@@ -184,8 +186,8 @@ func (t *viaTransport) handleSetup(p *viaPeer, frame []byte) {
 	dataSize := int(binary.LittleEndian.Uint64(frame[17:]))
 	p.peerMu.Lock()
 	p.peerFlowHandle = flow
-	p.outCtrl = newRingOut(ctrl, ctrlSlots)
-	p.outFile = newFileRingOut(meta, data, dataSize)
+	p.outCtrl = newRingOut(ctrl, ctrlSlots, p.ringStage)
+	p.outFile = newFileRingOut(meta, data, dataSize, p.metaStage)
 	// The ring gates are credit gates too: count their stalls with the
 	// regular channel's.
 	p.outCtrl.gate.stalls = t.ins.stalls
@@ -200,55 +202,105 @@ func (t *viaTransport) handleSetup(p *viaPeer, frame []byte) {
 	default:
 	}
 	p.readyOnce.Do(func() { close(p.ready) })
+	// The peer may have written into our rings as soon as it had our
+	// setup frame; the poll thread passed those writes over while the
+	// channel was not ready.
+	t.kickPoller()
+}
+
+// inRegion names one of the regions a peer remote-writes on this node.
+type inRegion uint8
+
+const (
+	inFlow inRegion = iota
+	inCtrlRing
+	inFileMeta
+	// The file data region is not listed: the metadata write that
+	// follows it in post order is what publishes a transfer.
+)
+
+// regionOwner says whose region a written region is, and which.
+type regionOwner struct {
+	p    *viaPeer
+	kind inRegion
 }
 
 // pollThread is the main loop's polling duty factored into its own
-// goroutine: at the end of each iteration it checks the sequence
-// numbers of every peer's control and file rings and the flow counters
-// peers remote-write into our memory. Remote memory writes require no
-// interrupt and no receive thread (Section 2.2).
+// goroutine: it checks the sequence numbers of peers' control and file
+// rings and the flow counters peers remote-write into our memory.
+// Remote memory writes require no interrupt and no receive thread
+// (Section 2.2) — and no blind polling either: the thread parks until
+// the NIC's doorbell says a remote write landed, then looks at exactly
+// the regions written. A kick (peer table changed, a channel became
+// ready) makes it re-read the table and look at every live peer, which
+// also picks up writes it passed over while a channel was not ready.
 func (t *viaTransport) pollThread() {
 	defer t.wg.Done()
-	idle := 0
+	// Thread-local view of the peer table, rebuilt on every kick, so a
+	// doorbell wake takes no lock and allocates nothing.
+	owners := make(map[*via.MemoryRegion]regionOwner)
+	var written []*via.MemoryRegion
 	for {
+		progressed := false
 		select {
 		case <-t.done:
 			return
-		default:
-		}
-		progressed := false
-		for _, p := range t.peerList() {
-			if p == nil {
-				continue
+		case <-t.nic.Doorbell():
+			written = t.nic.Written(written[:0])
+			for _, r := range written {
+				if o, ok := owners[r]; ok && t.pollRegion(o) {
+					progressed = true
+				}
 			}
-			select {
-			case <-p.ready:
-			default:
-				continue // setup not complete yet
+		case <-t.kick:
+			clear(owners)
+			t.peersMu.RLock()
+			for _, p := range t.peers {
+				if p != nil {
+					owners[p.flowIn] = regionOwner{p, inFlow}
+					owners[p.inCtrl.region] = regionOwner{p, inCtrlRing}
+					owners[p.inFile.meta] = regionOwner{p, inFileMeta}
+				}
 			}
-			if t.pollPeer(p) {
-				progressed = true
+			t.peersMu.RUnlock()
+			for _, o := range owners {
+				if t.pollRegion(o) {
+					progressed = true
+				}
 			}
 		}
-		if progressed {
-			idle = 0
-			continue
-		}
-		idle++
-		if idle > 64 {
-			//presslint:ignore naked-sleep bounded backoff after 64 empty polls; caps busy-wait burn, not a modeled latency
-			time.Sleep(50 * time.Microsecond)
+		t.ins.pollWakes.Inc()
+		if !progressed {
+			t.ins.pollEmpty.Inc()
 		}
 	}
 }
 
-func (t *viaTransport) pollPeer(p *viaPeer) bool {
+// pollRegion looks at one written region; it reports whether anything
+// was there. Regions of a channel whose setup is not complete are
+// passed over: handleSetup kicks when it is.
+func (t *viaTransport) pollRegion(o regionOwner) bool {
+	select {
+	case <-o.p.ready:
+	default:
+		return false
+	}
+	switch o.kind {
+	case inCtrlRing:
+		return t.drainCtrlRing(o.p)
+	case inFileMeta:
+		return t.drainFileRing(o.p)
+	default:
+		return t.readFlowCounters(o.p)
+	}
+}
+
+func (t *viaTransport) drainCtrlRing(p *viaPeer) bool {
 	progressed := false
-	// Control ring.
 	for {
 		payload, ok, err := p.inCtrl.poll()
 		if err != nil || !ok {
-			break
+			return progressed
 		}
 		progressed = true
 		if m, err := DecodeMessage(payload); err == nil {
@@ -259,19 +311,21 @@ func (t *viaTransport) pollPeer(p *viaPeer) bool {
 			}
 		}
 		if ack, due := p.inCtrl.ackDue(uint64(t.cfg.batch)); due {
-			p.ackMu.Lock()
 			t.ins.acct.add(core.MsgFlow, 8)
 			t.writeFlowCounter(p, flowCtrlRing, ack)
-			p.ackMu.Unlock()
 		}
 	}
-	// File ring: version 3 copies arrivals to another buffer before
-	// replying; versions 4-5 reply right out of the communication
-	// buffer (zero-copy receive).
+}
+
+// drainFileRing delivers arrived files: version 3 copies arrivals to
+// another buffer before replying; versions 4-5 reply right out of the
+// communication buffer (zero-copy receive).
+func (t *viaTransport) drainFileRing(p *viaPeer) bool {
+	progressed := false
 	for {
 		arr, ok, err := p.inFile.poll(!t.cfg.version.ZeroCopyRX)
 		if err != nil || !ok {
-			break
+			return progressed
 		}
 		if !t.cfg.version.ZeroCopyRX {
 			// Receiver-side copy to another buffer (version 3),
@@ -289,30 +343,42 @@ func (t *viaTransport) pollPeer(p *viaPeer) bool {
 			return true
 		}
 		if metaAck, virtAck, due := p.inFile.ackDue(uint64(t.cfg.batch)); due {
-			p.ackMu.Lock()
 			t.ins.acct.add(core.MsgFlow, 16)
 			t.writeFlowCounter(p, flowFileMeta, metaAck)
 			t.writeFlowCounter(p, flowFileData, virtAck)
-			p.ackMu.Unlock()
 		}
 	}
-	// Flow counters peers wrote into our memory gate our outbound
-	// rings and, under RMW flow control, the regular channel.
-	if v, err := p.flowIn.Load64(flowRegChannel); err == nil && v > 0 {
-		p.regGate.setConsumed(int64(v))
+}
+
+// readFlowCounters applies the counters the peer wrote into our memory:
+// they gate our outbound rings and, under RMW flow control, the regular
+// channel. One locked read; a gate is touched only if its counter moved.
+func (t *viaTransport) readFlowCounters(p *viaPeer) bool {
+	var buf [flowRegionSize]byte
+	if p.flowIn.Read(buf[:], 0) != nil {
+		return false
 	}
-	if out := p.ring(); out != nil {
-		if v, err := p.flowIn.Load64(flowCtrlRing); err == nil {
-			out.gate.setConsumed(int64(v))
+	p.peerMu.Lock()
+	ctrl, file := p.outCtrl, p.outFile
+	p.peerMu.Unlock()
+	moved := false
+	for i := range p.flowSeen {
+		v := binary.LittleEndian.Uint64(buf[8*i:])
+		if v == p.flowSeen[i] {
+			continue
+		}
+		p.flowSeen[i] = v
+		moved = true
+		switch 8 * i {
+		case flowRegChannel:
+			p.regGate.setConsumed(int64(v))
+		case flowCtrlRing:
+			ctrl.gate.setConsumed(int64(v))
+		case flowFileMeta:
+			file.metaGate.setConsumed(int64(v))
+		case flowFileData:
+			file.dataGate.setConsumed(v)
 		}
 	}
-	if out := p.fileRing(); out != nil {
-		if v, err := p.flowIn.Load64(flowFileMeta); err == nil {
-			out.metaGate.setConsumed(int64(v))
-		}
-		if v, err := p.flowIn.Load64(flowFileData); err == nil {
-			out.dataGate.setConsumed(v)
-		}
-	}
-	return progressed
+	return moved
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
@@ -157,5 +158,205 @@ func TestViaTransportRaceStress(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// rawPeer plays one node of a two-node VIA mesh by hand — a NIC, VIs
+// with posted receives, and remote-writable regions standing in for its
+// rings — so a test decides exactly when its setup frame and each of
+// its remote writes happen.
+type rawPeer struct {
+	t     *testing.T
+	nic   *via.NIC
+	stage *via.MemoryRegion
+	// The regions a setup frame announces, in frame order.
+	flow, ctrl, meta, data *via.MemoryRegion
+}
+
+func newRawPeer(t *testing.T, fabric *via.Fabric, addr string) *rawPeer {
+	t.Helper()
+	nic, err := fabric.CreateNIC(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &rawPeer{t: t, nic: nic}
+	for _, reg := range []struct {
+		dst  **via.MemoryRegion
+		size int
+	}{
+		{&r.stage, ctrlSlotSize}, {&r.flow, flowRegionSize}, {&r.ctrl, ctrlSlots * ctrlSlotSize},
+		{&r.meta, fileMetaSlots * fileMetaSlotSize}, {&r.data, 1 << 16},
+	} {
+		if *reg.dst, err = nic.RegisterMemory(make([]byte, reg.size)); err != nil {
+			t.Fatal(err)
+		}
+		(*reg.dst).EnableRemoteWrite()
+	}
+	return r
+}
+
+// newVI returns a VI with receives posted, ready to connect.
+func (r *rawPeer) newVI() *via.VI {
+	r.t.Helper()
+	vi, err := r.nic.CreateVI(via.ReliableDelivery, 16)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		reg, err := r.nic.RegisterMemory(make([]byte, 256))
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		if err := vi.PostRecv(via.MustDescriptor(via.Segment{Region: reg, Len: 256})); err != nil {
+			r.t.Fatal(err)
+		}
+	}
+	return vi
+}
+
+// post stages frame and runs one transfer of it to completion.
+func (r *rawPeer) post(frame []byte, post func(d *via.Descriptor) error) {
+	r.t.Helper()
+	if err := r.stage.Write(frame, 0); err != nil {
+		r.t.Fatal(err)
+	}
+	d := via.MustDescriptor(via.Segment{Region: r.stage, Len: len(frame)})
+	if err := post(d); err != nil {
+		r.t.Fatal(err)
+	}
+	if err := d.Wait(5 * time.Second); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+// sendSetup announces the raw peer's regions, as viaTransport.sendSetup
+// announces a real node's.
+func (r *rawPeer) sendSetup(vi *via.VI) {
+	r.t.Helper()
+	frame := make([]byte, 1+4*4+8)
+	frame[0] = setupMagic
+	for i, reg := range []*via.MemoryRegion{r.flow, r.ctrl, r.meta, r.data} {
+		binary.LittleEndian.PutUint32(frame[1+4*i:], uint32(reg.Handle()))
+	}
+	binary.LittleEndian.PutUint64(frame[17:], uint64(r.data.Size()))
+	r.post(frame, vi.PostSend)
+}
+
+// writeCtrl remote-writes m into slot seq (1-based) of the control ring
+// behind handle, as rmwRingOut.write does.
+func (r *rawPeer) writeCtrl(vi *via.VI, handle via.Handle, seq uint32, m *Message) {
+	r.t.Helper()
+	payload, err := m.Encode(nil)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	slot := make([]byte, ctrlSlotSize)
+	binary.LittleEndian.PutUint32(slot, uint32(len(payload)))
+	copy(slot[4:], payload)
+	binary.LittleEndian.PutUint32(slot[ctrlSlotSize-4:], seq)
+	off := int(seq-1) % ctrlSlots * ctrlSlotSize
+	r.post(slot, func(d *via.Descriptor) error { return vi.PostRDMAWrite(d, handle, off) })
+}
+
+// newRawMesh builds one real V5 transport (node self of two) on a fresh
+// fabric beside a raw peer playing the other node.
+func newRawMesh(t *testing.T, self int) (*viaTransport, *rawPeer, []string) {
+	t.Helper()
+	fabric := via.NewFabric()
+	t.Cleanup(fabric.Close)
+	addrs := []string{"node0", "node1"}
+	nic, err := fabric.CreateNIC(addrs[self])
+	if err != nil {
+		t.Fatal(err)
+	}
+	vt, err := newViaTransport(nic, viaConfig{
+		self: self, nodes: 2, version: netmodel.Versions()[5],
+		window: 8, batch: 4, chunk: 1 << 10, fileRing: 1 << 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { vt.Close() })
+	return vt, newRawPeer(t, fabric, addrs[1-self]), addrs
+}
+
+// expectInbound waits for the next inbound message and checks it is the
+// load report a test's raw peer wrote.
+func expectInbound(t *testing.T, vt *viaTransport, load int32) {
+	t.Helper()
+	select {
+	case m := <-vt.Inbound():
+		if m == nil || m.Type != core.MsgLoad || m.Load != load {
+			t.Fatalf("inbound %+v, want load %d", m, load)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("load %d was written into the ring and never delivered", load)
+	}
+}
+
+// TestViaPollWriteBeforeReady: a peer may write into our rings as soon
+// as it has OUR setup frame, before ITS frame completes the channel. The
+// poll thread passes such a write over — the channel is not ready — and
+// nothing else will ever ring for it, so the arrival of the peer's setup
+// frame must itself send the poll thread back to the rings.
+func TestViaPollWriteBeforeReady(t *testing.T) {
+	vt, raw, addrs := newRawMesh(t, 0)
+	ln, err := raw.nic.Listen("press-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vi := raw.newVI()
+	connected := make(chan error, 1)
+	go func() { connected <- vt.connect(addrs) }()
+	if _, err := ln.Accept(vi); err != nil {
+		t.Fatal(err)
+	}
+	// The transport's setup frame: from here on its rings are writable.
+	c, err := vi.RecvWait(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := vt.peer(1)
+	if c.Desc.Err() != nil || p == nil {
+		t.Fatalf("no setup frame from the transport: %v", c.Desc.Err())
+	}
+	raw.writeCtrl(vi, p.inCtrl.region.Handle(), 1, &Message{Type: core.MsgLoad, From: 1, Load: 7})
+	// Two wakes, both empty: the peer-table kick, then this write's bell.
+	waitFor(t, 5*time.Second, "the poll thread to pass the early write over", func() bool {
+		return vt.Metrics().PollEmpty >= 2
+	})
+	select {
+	case m := <-vt.Inbound():
+		t.Fatalf("%+v delivered on a channel that is not ready", m)
+	default:
+	}
+	raw.sendSetup(vi)
+	expectInbound(t, vt, 7)
+	if err := <-connected; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestViaCloseJoinsParkedPoller: an idle poll thread is parked on the
+// doorbell with nothing coming; Close must wake it and wait it out.
+func TestViaCloseJoinsParkedPoller(t *testing.T) {
+	a, b := newViaPair(t, netmodel.Versions()[5])
+	for _, vt := range []*viaTransport{a, b} {
+		// The kicks of the setup exchange may still be in hand; parked is
+		// when the wake count stops moving.
+		waitQuiet(t, "the poll thread to park", func() int64 { return vt.Metrics().PollWakes })
+		closed := make(chan struct{})
+		go func() {
+			vt.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("node %d: Close did not join the poll thread", vt.cfg.self)
+		}
+		if _, open := <-vt.Inbound(); open {
+			t.Errorf("node %d: inbound still open after Close", vt.cfg.self)
+		}
 	}
 }

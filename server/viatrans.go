@@ -44,6 +44,11 @@ type viaTransport struct {
 
 	reconnects *metrics.Counter
 
+	// kick wakes the poll thread for something the NIC's doorbell does
+	// not announce: the peer table changed, or a peer's rings came into
+	// use. Capacity one; raising it never blocks.
+	kick chan struct{}
+
 	done      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
@@ -111,14 +116,23 @@ type viaPeer struct {
 	flowIn *via.MemoryRegion // peers write consumed counters here
 	inCtrl *rmwRingIn
 	inFile *fileRingIn
+	// flowSeen is what the poll thread last read from each flowIn
+	// counter: only a counter that moved touches its gate.
+	flowSeen [flowCounters]uint64
 
 	peerMu         sync.Mutex
 	outCtrl        *rmwRingOut  // set once the peer's setup frame arrives
 	outFile        *fileRingOut // "
 	peerFlowHandle via.Handle
-	ackMu          sync.Mutex
-	ackReg         *via.MemoryRegion
-	regAcked       int64
+
+	// Credit write-back: ackReg stages the cumulative counters this node
+	// remote-writes into the peer's flow region, one descriptor each.
+	// Every counter has one writer goroutine — the receive thread for
+	// the regular channel (regAcked is its running count), the poll
+	// thread for the rings — so none of this is locked.
+	ackReg   *via.MemoryRegion
+	ackDesc  [flowCounters]*via.Descriptor
+	regAcked int64
 }
 
 const setupMagic = 0xFF
@@ -135,6 +149,7 @@ func newViaTransport(nic *via.NIC, cfg viaConfig) (*viaTransport, error) {
 		cfg:     cfg,
 		nic:     nic,
 		inbound: make(chan *Message, 1024),
+		kick:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 		peers:   make([]*viaPeer, cfg.nodes),
 		pending: make(map[*via.VI]*viaPeer),
@@ -265,6 +280,16 @@ func (t *viaTransport) setPeer(id int, p *viaPeer) {
 	t.peersMu.Lock()
 	t.peers[id] = p
 	t.peersMu.Unlock()
+	t.kickPoller()
+}
+
+// kickPoller makes the poll thread re-read the peer table and look at
+// every live peer's rings.
+func (t *viaTransport) kickPoller() {
+	select {
+	case t.kick <- struct{}{}:
+	default:
+	}
 }
 
 // peer returns the live channel to node dst, nil if none.
@@ -275,16 +300,6 @@ func (t *viaTransport) peer(dst int) *viaPeer {
 		return nil
 	}
 	return t.peers[dst]
-}
-
-// peerList snapshots the live peer table for iteration without holding
-// the lock across per-peer work.
-func (t *viaTransport) peerList() []*viaPeer {
-	t.peersMu.RLock()
-	defer t.peersMu.RUnlock()
-	out := make([]*viaPeer, len(t.peers))
-	copy(out, t.peers)
-	return out
 }
 
 func (t *viaTransport) addPending(p *viaPeer) {
@@ -308,6 +323,7 @@ func (t *viaTransport) promote(p *viaPeer) {
 	t.peers[p.id] = p
 	delete(t.pending, p.vi)
 	t.peersMu.Unlock()
+	t.kickPoller()
 	if old != nil && old != p {
 		old.fail(fmt.Errorf("%w: node %d", errSuperseded, p.id))
 		t.retirePeer(old)
@@ -516,6 +532,9 @@ func (t *viaTransport) newPeer() (*viaPeer, error) {
 	if p.ackReg, err = t.nic.RegisterMemory(make([]byte, flowRegionSize)); err != nil {
 		return nil, err
 	}
+	for i := range p.ackDesc {
+		p.ackDesc[i] = via.MustDescriptor(via.Segment{Region: p.ackReg, Offset: 8 * i, Len: 8})
+	}
 	flowIn, err := t.nic.RegisterMemory(make([]byte, flowRegionSize))
 	if err != nil {
 		return nil, err
@@ -577,7 +596,7 @@ func (t *viaTransport) rawSend(p *viaPeer, frame []byte) error {
 	if err := t.postSendRetry(p.vi, d); err != nil {
 		return err
 	}
-	return waitRMW(d, "regular-send", t.cfg.rmwTimeout)
+	return waitRMW(d, nil, "regular-send", t.cfg.rmwTimeout)
 }
 
 // postSendRetry retries a bounded number of times with capped
@@ -770,8 +789,10 @@ func (t *viaTransport) sendFileChunked(p *viaPeer, m *Message) error {
 
 // sendCtrlRMW writes a control message into the peer's circular buffer.
 func (t *viaTransport) sendCtrlRMW(p *viaPeer, m *Message) error {
-	frame := make([]byte, 0, m.EncodedLen())
-	frame, err := m.Encode(frame)
+	// A message that fits a slot encodes on the stack; one that does not
+	// grows onto the heap and is refused by the ring.
+	var buf [ctrlSlotSize]byte
+	frame, err := m.Encode(buf[:0])
 	if err != nil {
 		return err
 	}
@@ -782,7 +803,7 @@ func (t *viaTransport) sendCtrlRMW(p *viaPeer, m *Message) error {
 	if out == nil {
 		return via.ErrClosed
 	}
-	return out.write(p.vi, p.ringStage, 0, frame, t.cfg.rmwTimeout, t.cfg.trc, m.TraceID, m.ParentSpan)
+	return out.write(p.vi, frame, t.cfg.rmwTimeout, t.cfg.trc, m.TraceID, m.ParentSpan)
 }
 
 // sendFileRMW transfers a file with remote memory writes: the data into
@@ -814,7 +835,7 @@ func (t *viaTransport) sendFileRMW(p *viaPeer, m *Message) error {
 		t.ins.copied.Add(int64(len(m.Data)))
 		src, srcOff = p.fileStage, 0
 	}
-	return out.write(p.vi, p.metaStage, 0, src, srcOff, len(m.Data), m.ReqID,
+	return out.write(p.vi, src, srcOff, len(m.Data), m.ReqID,
 		t.cfg.rmwTimeout, t.cfg.trc, m.TraceID, m.ParentSpan)
 }
 

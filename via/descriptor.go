@@ -113,6 +113,15 @@ func (d *Descriptor) Transferred() int {
 // Wait blocks until the descriptor completes or the timeout elapses
 // (timeout <= 0 waits forever). It returns the completion error.
 func (d *Descriptor) Wait(timeout time.Duration) error {
+	return d.WaitTimer(nil, timeout)
+}
+
+// WaitTimer is Wait for a caller that waits on transfer after transfer:
+// instead of arming a fresh timer per call it bounds the wait with
+// reused, which the caller owns and hands over stopped and drained, and
+// which is stopped and drained again when WaitTimer returns. A nil
+// reused arms a fresh timer, as Wait does.
+func (d *Descriptor) WaitTimer(reused *time.Timer, timeout time.Duration) error {
 	d.mu.Lock()
 	if d.status == DescDone || d.status == DescError {
 		err := d.err
@@ -128,14 +137,42 @@ func (d *Descriptor) Wait(timeout time.Duration) error {
 		<-ch
 		return d.Err()
 	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
+	t := reused
+	if t == nil {
+		t = time.NewTimer(timeout)
+		defer t.Stop()
+	} else {
+		t.Reset(timeout)
+	}
 	select {
 	case <-ch:
+		if reused != nil && !t.Stop() {
+			<-t.C
+		}
 		return d.Err()
 	case <-t.C:
 		return ErrTimeout
 	}
+}
+
+// SetSegment points segment i of an idle or completed descriptor at a
+// new range, so one descriptor serves transfers whose source moves (a
+// different cache page each time). The NIC owns a posted descriptor:
+// retargeting one is an error.
+func (d *Descriptor) SetSegment(i int, s Segment) error {
+	if err := s.validate(); err != nil {
+		return err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.status == DescPosted {
+		return fmt.Errorf("via: SetSegment of a posted descriptor")
+	}
+	if i < 0 || i >= len(d.segments) {
+		return fmt.Errorf("via: descriptor has no segment %d", i)
+	}
+	d.segments[i] = s
+	return nil
 }
 
 // Reset returns a completed descriptor to the idle state so it can be
@@ -192,10 +229,14 @@ func (d *Descriptor) complete(n int, err error) {
 }
 
 // gather serializes the descriptor's segments ("DMA out" of sender
-// memory onto the wire) into one buffer, copying each segment directly
-// into its slice of the result.
-func (d *Descriptor) gather() ([]byte, error) {
-	out := make([]byte, d.Len())
+// memory onto the wire) into buf, grown if it is too small, copying
+// each segment directly into its slice of the result.
+func (d *Descriptor) gather(buf []byte) ([]byte, error) {
+	size := d.Len()
+	if cap(buf) < size {
+		buf = make([]byte, size)
+	}
+	out := buf[:size]
 	n := 0
 	for _, s := range d.segments {
 		if err := s.Region.Read(out[n:n+s.Len], s.Offset); err != nil {

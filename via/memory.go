@@ -22,6 +22,9 @@ type Handle uint32
 type MemoryRegion struct {
 	nic    *NIC
 	handle Handle
+	// written marks the region as on its NIC's written list; guarded by
+	// nic.bellMu.
+	written bool
 
 	mu sync.Mutex
 	// buf is nil once deregistered.

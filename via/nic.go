@@ -87,6 +87,16 @@ type NIC struct {
 
 	work chan workItem
 	done chan struct{}
+	// wire is the engine's transfer buffer: each descriptor is gathered
+	// into it and delivered from it. Only the engine goroutine touches
+	// it, and every delivery path copies out before process returns.
+	wire []byte
+
+	// bell is the remote-write doorbell (see Doorbell); written lists
+	// the regions marked since the last Written call, each once.
+	bell    chan struct{}
+	bellMu  sync.Mutex
+	written []*MemoryRegion
 
 	m nicMetrics
 }
@@ -139,6 +149,7 @@ func newNIC(f *Fabric, addr string, opts ...NICOption) *NIC {
 		listeners: make(map[string]*Listener),
 		work:      make(chan workItem, cfg.workDepth),
 		done:      make(chan struct{}),
+		bell:      make(chan struct{}, 1),
 		m:         newNICMetrics(f.metrics, addr),
 	}
 	go n.engine()
@@ -306,11 +317,12 @@ func (n *NIC) drainWork() {
 
 func (n *NIC) process(w workItem) {
 	n.m.workDepth.Set(int64(len(n.work)))
-	payload, err := w.desc.gather()
+	payload, err := w.desc.gather(n.wire)
 	if err != nil {
 		n.completeSend(w, 0, err)
 		return
 	}
+	n.wire = payload
 	peer, peerVI, perr := w.vi.peerRef()
 	if perr != nil {
 		n.completeSend(w, 0, perr)
@@ -427,7 +439,49 @@ func (n *NIC) deliverRDMA(h Handle, off int, payload []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: unknown handle %d", ErrProtection, h)
 	}
-	return r.rdmaWrite(payload, off)
+	if err := r.rdmaWrite(payload, off); err != nil {
+		return err
+	}
+	n.ringDoorbell(r)
+	return nil
+}
+
+// Doorbell is raised after a remote write lands in this NIC's
+// registered memory — the one event a remote write, which consumes no
+// descriptor and completes nothing locally, otherwise leaves behind. It
+// coalesces: any number of writes between two receives raise it once,
+// and raising it never blocks the engine. A consumer parks on it and,
+// on each signal, asks Written which regions to look at. Writes refused
+// by the protection checks raise nothing.
+func (n *NIC) Doorbell() <-chan struct{} { return n.bell }
+
+// Written appends to buf the regions remotely written since the
+// previous call, each once, and clears their marks. A region is marked
+// before the doorbell is raised, so a consumer that calls Written after
+// every signal misses no write.
+func (n *NIC) Written(buf []*MemoryRegion) []*MemoryRegion {
+	n.bellMu.Lock()
+	for i, r := range n.written {
+		r.written = false
+		buf = append(buf, r)
+		n.written[i] = nil
+	}
+	n.written = n.written[:0]
+	n.bellMu.Unlock()
+	return buf
+}
+
+func (n *NIC) ringDoorbell(r *MemoryRegion) {
+	n.bellMu.Lock()
+	if !r.written {
+		r.written = true
+		n.written = append(n.written, r)
+	}
+	n.bellMu.Unlock()
+	select {
+	case n.bell <- struct{}{}:
+	default:
+	}
 }
 
 // Close shuts the NIC down: the engine stops, pending descriptors and

@@ -430,8 +430,17 @@ func (b *UDPBridge) handleConnect(frame []byte, from net.Addr) {
 		}
 		return
 	}
-	b.accepted[key] = nil
 	proxy := b.proxies[fromAddr]
+	if proxy == nil {
+		// Startup race: the dial crossed the wire between this process's
+		// NewUDPBridge and its Proxy call for the dialer. Not known yet is
+		// not known bad: stay silent and cache nothing, so the dialer's
+		// retransmit connects once the proxy exists (or its deadline
+		// fires). Only a verdict on a known peer is ever cached.
+		b.mu.Unlock()
+		return
+	}
+	b.accepted[key] = nil
 	b.mu.Unlock()
 
 	reply := func(ok bool, chanB uint64, msg string) {
@@ -453,10 +462,6 @@ func (b *UDPBridge) handleConnect(frame []byte, from net.Addr) {
 		b.accepted[key] = f
 		b.mu.Unlock()
 		_, _ = b.pc.WriteTo(f, from)
-	}
-	if proxy == nil {
-		reply(false, 0, fmt.Sprintf("no proxy for %q", fromAddr))
-		return
 	}
 	b.wg.Add(1)
 	go func() {

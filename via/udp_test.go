@@ -19,6 +19,22 @@ type bridgedPair struct {
 
 func newBridgedPair(t *testing.T) *bridgedPair {
 	t.Helper()
+	p := newBridges(t)
+	// Each side proxies the other, exposing the service its real
+	// listener runs under.
+	if err := p.ba.Proxy("nodeB", p.bb.Addr(), "svc"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.bb.Proxy("nodeA", p.ba.Addr(), "svc"); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// newBridges is newBridgedPair before either side has been told about
+// the other: two fabrics, a NIC and a bridge on each, no proxies.
+func newBridges(t *testing.T) *bridgedPair {
+	t.Helper()
 	p := &bridgedPair{fa: NewFabric(), fb: NewFabric()}
 	t.Cleanup(func() {
 		p.ba.Close()
@@ -37,14 +53,6 @@ func newBridgedPair(t *testing.T) *bridgedPair {
 		t.Fatal(err)
 	}
 	if p.bb, err = NewUDPBridge(p.fb, "127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	// Each side proxies the other, exposing the service its real
-	// listener runs under.
-	if err := p.ba.Proxy("nodeB", p.bb.Addr(), "svc"); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.bb.Proxy("nodeA", p.ba.Addr(), "svc"); err != nil {
 		t.Fatal(err)
 	}
 	return p
@@ -261,6 +269,54 @@ func TestBridgeConnectSurvivesLateListener(t *testing.T) {
 	}
 }
 
+// TestBridgeConnectBeforeProxy: a CONNECT that reaches a bridge before
+// its Proxy call for the dialer (multi-process startup is unordered) is
+// met with silence, not a cached reject, so the dialer's retransmit
+// connects once the proxy is registered.
+func TestBridgeConnectBeforeProxy(t *testing.T) {
+	p := newBridges(t)
+	ln, err := p.nb.Listen("svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	vb, err := p.nb.CreateVI(ReliableDelivery, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acceptErr := make(chan error, 1)
+	go func() {
+		_, err := ln.Accept(vb)
+		acceptErr <- err
+	}()
+
+	// A knows B; B does not know A yet.
+	if err := p.ba.Proxy("nodeB", p.bb.Addr(), "svc"); err != nil {
+		t.Fatal(err)
+	}
+	va, err := p.na.CreateVI(ReliableDelivery, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dialErr := make(chan error, 1)
+	go func() { dialErr <- va.Connect("nodeB", "svc") }()
+	select {
+	case err := <-dialErr:
+		t.Fatalf("dial resolved before the proxy existed: %v", err)
+	case <-time.After(udpConnectRetry / 2):
+		// The first CONNECT has long crossed loopback; no verdict came back.
+	}
+	if err := p.bb.Proxy("nodeA", p.ba.Addr(), "svc"); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-dialErr; err != nil {
+		t.Fatalf("retransmitted dial after Proxy: %v", err)
+	}
+	if err := <-acceptErr; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBridgeOversizeSendFails(t *testing.T) {
 	p := newBridgedPair(t)
 	va, vb := p.connect(t, ReliableDelivery)
@@ -282,5 +338,44 @@ func TestBridgeOversizeSendFails(t *testing.T) {
 	_ = sd.Wait(testTimeout)
 	if err := sd.Err(); !errors.Is(err, ErrTooLong) {
 		t.Fatalf("oversize send: %v", err)
+	}
+}
+
+// TestBridgeRDMARaisesDoorbell: a remote write that arrives over the
+// wire lands through the same delivery function as an in-process one,
+// so it marks its region and raises the real NIC's bell too.
+func TestBridgeRDMARaisesDoorbell(t *testing.T) {
+	p := newBridgedPair(t)
+	va, _ := p.connect(t, ReliableDelivery)
+	dreg, err := p.nb.RegisterMemory(make([]byte, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dreg.EnableRemoteWrite()
+	sreg, err := p.na.RegisterMemory([]byte("over the wire"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd := MustDescriptor(Segment{Region: sreg, Offset: 0, Len: 13})
+	if err := va.PostRDMAWrite(sd, dreg.Handle(), 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := sd.Wait(testTimeout); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-p.nb.Doorbell():
+	case <-time.After(testTimeout):
+		t.Fatal("bridged remote write raised no bell")
+	}
+	if got := p.nb.Written(nil); len(got) != 1 || got[0] != dreg {
+		t.Fatalf("Written = %v, want the written region", got)
+	}
+	got := make([]byte, 13)
+	if err := dreg.Read(got, 3); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "over the wire" {
+		t.Errorf("region holds %q when the bell rings", got)
 	}
 }

@@ -2,11 +2,30 @@ package via
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 )
 
-func defaultSleep(d time.Duration) { time.Sleep(d) }
+// defaultSleep waits out a modelled device latency on the real clock.
+// An idle Go process parks in epoll_wait, whose timeout is whole
+// milliseconds, so time.Sleep of a sub-millisecond d takes 1-1.5 ms
+// whenever nothing else keeps the runtime's timers sharp. Delays of a
+// millisecond and up are slept; shorter ones are waited on the
+// monotonic clock, yielding the processor between looks.
+func defaultSleep(d time.Duration) {
+	if d >= time.Millisecond {
+		time.Sleep(d)
+		return
+	}
+	for start := time.Now(); time.Since(start) < d; {
+		runtime.Gosched()
+	}
+}
+
+// Delay is the wait the fabric's shaping delays use, for the other
+// modelled devices of a node (the server's simulated disk).
+func Delay(d time.Duration) { defaultSleep(d) }
 
 type viState int
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -766,5 +767,204 @@ func TestGatherScatterIntegrityProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// bellRaised reports whether the NIC's doorbell is up, taking it down.
+func bellRaised(n *NIC) bool {
+	select {
+	case <-n.Doorbell():
+		return true
+	default:
+		return false
+	}
+}
+
+// TestDoorbellCoalesces: any number of back-to-back remote writes, with
+// nobody listening, raise the bell once and never block the engine, and
+// each written region is listed once however often it was written.
+func TestDoorbellCoalesces(t *testing.T) {
+	_, na, nb, va, _ := pair(t, ReliableDelivery)
+	r1, _ := nb.RegisterMemory(make([]byte, 64))
+	r2, _ := nb.RegisterMemory(make([]byte, 64))
+	r1.EnableRemoteWrite()
+	r2.EnableRemoteWrite()
+	local, _ := na.RegisterMemory([]byte("ding"))
+
+	if bellRaised(nb) || len(nb.Written(nil)) != 0 {
+		t.Fatal("bell up before any remote write")
+	}
+	// Three send queues' worth, far more than the bell's one slot.
+	const writes = 48
+	descs := make([]*Descriptor, 16)
+	for i := 0; i < writes; i++ {
+		target := r1
+		if i%4 == 3 {
+			target = r2
+		}
+		d := MustDescriptor(Segment{Region: local, Offset: 0, Len: 4})
+		if err := va.PostRDMAWrite(d, target.Handle(), i); err != nil {
+			t.Fatal(err)
+		}
+		if descs[i%len(descs)] = d; i%len(descs) != len(descs)-1 {
+			continue
+		}
+		for _, d := range descs {
+			if err := d.Wait(testTimeout); err != nil {
+				t.Fatalf("write %d, bell never taken: %v", i, err)
+			}
+		}
+	}
+	if !bellRaised(nb) {
+		t.Fatalf("%d remote writes raised no bell", writes)
+	}
+	if bellRaised(nb) {
+		t.Error("bell raised twice between two receives")
+	}
+	got := nb.Written(nil)
+	if len(got) != 2 || got[0] != r1 || got[1] != r2 {
+		t.Errorf("Written = %v, want the two regions once each in first-write order", got)
+	}
+	if again := nb.Written(got[:0]); len(again) != 0 {
+		t.Errorf("Written did not clear its marks: %v", again)
+	}
+	if bellRaised(na) {
+		t.Error("the writer's own bell rang")
+	}
+	// A write after the marks were taken marks and rings again.
+	d := MustDescriptor(Segment{Region: local, Offset: 0, Len: 4})
+	if err := va.PostRDMAWrite(d, r2.Handle(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Wait(testTimeout); err != nil {
+		t.Fatal(err)
+	}
+	if !bellRaised(nb) {
+		t.Error("no bell for a write after Written")
+	}
+	if got := nb.Written(nil); len(got) != 1 || got[0] != r2 {
+		t.Errorf("Written = %v, want r2", got)
+	}
+}
+
+// TestDoorbellSilentOnRefusedWrite: a remote write the protection checks
+// refuse — region not enabled, out of bounds, deregistered — lands
+// nowhere and announces nothing.
+func TestDoorbellSilentOnRefusedWrite(t *testing.T) {
+	local := func(na *NIC) *Descriptor {
+		reg, _ := na.RegisterMemory([]byte("0123456789"))
+		return MustDescriptor(Segment{Region: reg, Offset: 0, Len: 10})
+	}
+	for _, tc := range []struct {
+		name    string
+		prepare func(nb *NIC) (Handle, int)
+	}{
+		{"not enabled", func(nb *NIC) (Handle, int) {
+			r, _ := nb.RegisterMemory(make([]byte, 16))
+			return r.Handle(), 0
+		}},
+		{"out of bounds", func(nb *NIC) (Handle, int) {
+			r, _ := nb.RegisterMemory(make([]byte, 16))
+			r.EnableRemoteWrite()
+			return r.Handle(), 8
+		}},
+		{"deregistered", func(nb *NIC) (Handle, int) {
+			r, _ := nb.RegisterMemory(make([]byte, 16))
+			r.EnableRemoteWrite()
+			_ = nb.DeregisterMemory(r)
+			return r.Handle(), 0
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, na, nb, va, _ := pair(t, ReliableDelivery)
+			h, off := tc.prepare(nb)
+			d := local(na)
+			if err := va.PostRDMAWrite(d, h, off); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Wait(testTimeout); err == nil {
+				t.Fatal("refused write completed without error")
+			}
+			if bellRaised(nb) {
+				t.Error("a refused write raised the bell")
+			}
+			if got := nb.Written(nil); len(got) != 0 {
+				t.Errorf("a refused write marked %v", got)
+			}
+		})
+	}
+}
+
+// TestWaitTimerReuse: one caller-owned timer bounds wait after wait —
+// completed transfers leave it stopped and drained, an expired wait
+// reports ErrTimeout and leaves it usable — and SetSegment moves a
+// descriptor's source between transfers but never under the NIC.
+func TestWaitTimerReuse(t *testing.T) {
+	_, na, nb, va, _ := pair(t, ReliableDelivery)
+	rreg, _ := nb.RegisterMemory(make([]byte, 8))
+	rreg.EnableRemoteWrite()
+	src, _ := na.RegisterMemory([]byte("abcdefgh"))
+	d := MustDescriptor(Segment{Region: src, Offset: 0, Len: 4})
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+
+	for i := 0; i < 50; i++ {
+		if err := d.SetSegment(0, Segment{Region: src, Offset: i % 4, Len: 4}); err != nil {
+			t.Fatal(err)
+		}
+		if err := va.PostRDMAWrite(d, rreg.Handle(), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.WaitTimer(timer, testTimeout); err != nil {
+			t.Fatalf("wait %d: %v", i, err)
+		}
+		select {
+		case <-timer.C:
+			t.Fatalf("wait %d left a value in the timer", i)
+		default:
+		}
+	}
+	got := make([]byte, 4)
+	rreg.Read(got, 0)
+	if string(got) != "bcde" {
+		t.Errorf("last transfer wrote %q, want the retargeted segment", got)
+	}
+
+	// A descriptor nobody completes: the reused timer expires the wait.
+	stuck := MustDescriptor(Segment{Region: src, Offset: 0, Len: 4})
+	if err := stuck.markPosted(); err != nil {
+		t.Fatal(err)
+	}
+	if err := stuck.WaitTimer(timer, 5*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("stuck wait: %v", err)
+	}
+	if err := stuck.SetSegment(0, Segment{Region: src, Offset: 0, Len: 1}); err == nil {
+		t.Error("SetSegment of a posted descriptor accepted")
+	}
+	stuck.complete(0, nil)
+	if err := stuck.WaitTimer(timer, testTimeout); err != nil {
+		t.Fatalf("wait after the timeout: %v", err)
+	}
+	if err := d.SetSegment(1, Segment{Region: src}); err == nil {
+		t.Error("SetSegment past the segment list accepted")
+	}
+}
+
+// TestDelayIsHonest: a sub-millisecond delay takes about what it says —
+// not the 1 ms an idle runtime rounds time.Sleep up to — and never less.
+func TestDelayIsHonest(t *testing.T) {
+	const d = 50 * time.Microsecond
+	took := make([]time.Duration, 200)
+	for i := range took {
+		start := time.Now()
+		Delay(d)
+		took[i] = time.Since(start)
+	}
+	sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })
+	if took[0] < d {
+		t.Errorf("shortest delay %v, below %v", took[0], d)
+	}
+	if median := took[len(took)/2]; median >= 500*time.Microsecond {
+		t.Errorf("median %v delay took %v, want < 500µs", d, median)
 	}
 }
