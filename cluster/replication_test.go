@@ -122,10 +122,10 @@ func TestSimReplicationSeedsFreshReplica(t *testing.T) {
 	rc := s.cfg.Replication
 	s.cacheInsert(0, 0, s.cfg.Trace.Files[0].Size) // the original
 	s.replInstall(1, 0, s.cfg.Trace.Files[0].Size)
-	if !s.replPulled[1][0] {
+	if !s.nodes[1].repl.Pulled(0) {
 		t.Fatal("replica not installed")
 	}
-	if got := s.replRates[1][0]; got < rc.HotRate {
+	if got := s.nodes[1].repl.Rate(0); got < rc.HotRate {
 		t.Errorf("fresh replica's rate = %v, want the trigger threshold %v", got, rc.HotRate)
 	}
 	// One idle scan past the cooldown: the seeded rate has decayed by one
@@ -145,7 +145,7 @@ func TestSimReplicationEvictionClearsPulled(t *testing.T) {
 	s := replState(t)
 	files := s.cfg.Trace.Files
 	s.replInstall(1, 0, files[0].Size)
-	if !s.replPulled[1][0] {
+	if !s.nodes[1].repl.Pulled(0) {
 		t.Fatal("replica not installed")
 	}
 	for id := 1; id < 5; id++ {
@@ -157,7 +157,7 @@ func TestSimReplicationEvictionClearsPulled(t *testing.T) {
 	}
 	s.readFromDisk(1, 0, files[0].Size, func() {})
 	s.sim.Run()
-	if s.replPulled[1][0] {
+	if s.nodes[1].repl.Pulled(0) {
 		t.Error("a copy read from disk after the replica was evicted is still marked pulled")
 	}
 }

@@ -34,6 +34,9 @@ type node struct {
 	// peerLoad is this node's (possibly stale) view of peer loads,
 	// updated by load broadcasts, piggy-backed values, or gossip.
 	peerLoad []int
+	// repl is the node's hot-object replication policy, nil when off;
+	// the simulator only costs and schedules what it decides.
+	repl *core.Replicator
 }
 
 type simState struct {
@@ -63,16 +66,7 @@ type simState struct {
 	rcValid  [][]bool        // [node][file]: read-cached entry still valid
 	interest []cache.NodeSet // [file]: readers holding a cached entry
 
-	// Hot-object replication model (cfg.Replication.Enabled): per-node
-	// per-file serve counts fold into rate EWMAs on a periodic scan;
-	// hot files push replicas to lightly loaded peers over the modeled
-	// forward/file-transfer path, and cold pulled copies drop.
-	replOn        bool
-	replCounts    [][]uint32                       // [node][file] serves since last fold
-	replRates     [][]float64                      // [node][file] request-rate EWMA
-	replLast      []map[cache.FileID]eventsim.Time // last push/drop per file
-	replPulled    []map[cache.FileID]bool          // local copies created by a pull
-	replPulling   []map[cache.FileID]bool          // pulls in flight at the target
+	// Hot-object replication activity in the measured window.
 	replicaPushes int64
 	replicaDrops  int64
 
@@ -185,8 +179,17 @@ func (v nodeView) LoadKnown() bool {
 
 func (v nodeView) Nodes() int { return v.s.cfg.Nodes }
 
+// replView adapts one node to core.ReplicaView. The simulator models no
+// failures and no brownout, so every peer is eligible.
+type replView struct{ nodeView }
+
+func (v replView) Cached() []cache.FileID     { return v.s.nodes[v.id].cache.Files() }
+func (v replView) Eligible(int) bool          { return true }
+func (v replView) Size(id cache.FileID) int64 { return v.s.cfg.Trace.Files[id].Size }
+
 // newSimState builds the simulated cluster for a defaulted Config:
-// nodes, directory, and the sharded-directory and replication state.
+// nodes (each with its replication policy), directory, and the
+// sharded-directory state.
 // It schedules nothing; Run launches the workload on it.
 func newSimState(cfg Config) *simState {
 	s := &simState{
@@ -210,6 +213,10 @@ func newSimState(cfg Config) *simState {
 			diss:     core.NewDisseminator(cfg.Dissemination, i, cfg.Nodes, cfg.Seed),
 			peerLoad: make([]int, cfg.Nodes),
 		}
+		if !cfg.ContentOblivious {
+			n.repl = core.NewReplicator(cfg.Replication, i, cfg.Nodes, len(cfg.Trace.Files),
+				cfg.Policy.LargeFileBytes, s.instant())
+		}
 		s.nodes = append(s.nodes, n)
 		s.ins = append(s.ins, newSimNodeInstruments(cfg.Metrics, i))
 		s.trc = append(s.trc, cfg.Tracing.Collector(i))
@@ -227,17 +234,6 @@ func newSimState(cfg Config) *simState {
 			s.rcValid = append(s.rcValid, make([]bool, len(cfg.Trace.Files)))
 		}
 		s.interest = make([]cache.NodeSet, len(cfg.Trace.Files))
-	}
-	if cfg.Replication.Enabled && !cfg.ContentOblivious && cfg.Nodes > 1 {
-		s.replOn = true
-		nf := len(cfg.Trace.Files)
-		for i := 0; i < cfg.Nodes; i++ {
-			s.replCounts = append(s.replCounts, make([]uint32, nf))
-			s.replRates = append(s.replRates, make([]float64, nf))
-			s.replLast = append(s.replLast, map[cache.FileID]eventsim.Time{})
-			s.replPulled = append(s.replPulled, map[cache.FileID]bool{})
-			s.replPulling = append(s.replPulling, map[cache.FileID]bool{})
-		}
 	}
 	return s
 }
@@ -282,7 +278,7 @@ func Run(c Config) (*Result, error) {
 			s.scheduleGossip(i)
 		}
 	}
-	if s.replOn {
+	if s.nodes[0].repl != nil {
 		s.sim.Every(cfg.Replication.Interval, func() bool {
 			if s.workloadDrained() {
 				return false
@@ -510,7 +506,7 @@ func (s *simState) shardedLookup(initial int, fileID cache.FileID, size int64,
 func (s *simState) serviceLocal(nid int, fileID cache.FileID, size int64, t0 eventsim.Time,
 	root *tracing.Span) {
 	n := s.nodes[nid]
-	s.replNote(nid, fileID)
+	n.repl.NoteServe(fileID)
 	if n.cache.Touch(fileID) {
 		if s.measuring {
 			s.localHits++
@@ -541,7 +537,7 @@ func (s *simState) forward(initial, svc int, fileID cache.FileID, size int64, t0
 	s.sendMsg(initial, svc, core.MsgForward, core.ForwardMsgBytes, fwd.SendCPU, fwd.RecvCPU, func() {
 		srv := s.trc[svc].StartSpan("serve-remote", fwdSpan.Trace(), fwdSpan.ID())
 		n := s.nodes[svc]
-		s.replNote(svc, fileID)
+		n.repl.NoteServe(fileID)
 		if n.cache.Touch(fileID) {
 			if s.measuring {
 				s.remoteHits++
@@ -577,15 +573,12 @@ func (s *simState) readFromDisk(nid int, fileID cache.FileID, size int64, done f
 
 // cacheInsert puts the file in node nid's cache and disseminates the
 // caching-information changes, evictions first; it reports whether the
-// file fit. An evicted copy stops being a pulled replica: if the node
-// reads the file again it holds an original, as on the server
-// (Node.insertCache).
+// file fit.
 func (s *simState) cacheInsert(nid int, fileID cache.FileID, size int64) bool {
-	evicted, inserted := s.nodes[nid].cache.Insert(fileID, size)
+	n := s.nodes[nid]
+	evicted, inserted := n.cache.Insert(fileID, size)
 	for _, ev := range evicted {
-		if s.replOn {
-			delete(s.replPulled[nid], ev)
-		}
+		n.repl.Evicted(ev)
 		s.cachingChange(nid, ev, false)
 	}
 	if inserted {
@@ -912,96 +905,51 @@ func (s *simState) sendMsg(src, dst int, mt core.MsgType, wireBytes int64,
 	})
 }
 
-// replNote counts one serve of fileID at node nid against the
-// replication rate tracker, mirroring the server's replNoteServe.
-func (s *simState) replNote(nid int, fileID cache.FileID) {
-	if !s.replOn {
-		return
-	}
-	s.replCounts[nid][fileID]++
-}
+// instant is the simulated clock in the form core.Replicator takes.
+func (s *simState) instant() time.Time { return time.Unix(0, s.sim.NowNanos()) }
 
-// replScan is the simulator's counterpart of the server's replTick:
-// fold the scan window's serve counts into the per-file rate EWMAs,
-// then walk each node's cached files for hot/cold transitions.
+// replScan runs every node's replication policy and models what each
+// decides.
 func (s *simState) replScan() {
-	rc := s.cfg.Replication
-	alpha := float64(rc.Interval) / float64(rc.HalfLife+rc.Interval)
-	sec := rc.Interval.Seconds()
-	for nid := range s.nodes {
-		counts, rates := s.replCounts[nid], s.replRates[nid]
-		for id := range rates {
-			if counts[id] == 0 && rates[id] == 0 {
-				continue
-			}
-			inst := float64(counts[id]) / sec
-			counts[id] = 0
-			rates[id] += alpha * (inst - rates[id])
-		}
-	}
+	now := s.instant()
 	for nid, n := range s.nodes {
-		load := n.diss.Load()
-		for _, id := range n.cache.Files() {
-			switch rate := s.replRates[nid][id]; {
-			case rate >= rc.HotRate && load >= rc.MinLoad:
-				s.replPush(nid, id)
-			case rate < rc.DecayRate && s.replPulled[nid][id]:
-				s.replDrop(nid, id)
+		for _, a := range n.repl.Tick(now, replView{nodeView{s: s, id: nid}}) {
+			if a.Drop {
+				s.replDrop(nid, a.File, now)
+			} else {
+				s.replPush(nid, a.Dst, a.File)
 			}
 		}
 	}
 }
 
 // replPush models one replica push: the hot cacher offers the file to
-// the least-loaded peer outside the cacher set (by the cacher's own
-// possibly-stale load view), which pulls it back with an ordinary
-// forward plus file transfer and installs the copy.
-func (s *simState) replPush(src int, fileID cache.FileID) {
-	rc := s.cfg.Replication
-	now := s.sim.Now()
-	if last, ok := s.replLast[src][fileID]; ok && time.Duration(now-last) < rc.Cooldown {
-		return
-	}
-	size := s.cfg.Trace.Files[fileID].Size
-	if size >= s.cfg.Policy.LargeFileBytes {
-		return // large files are always serviced by the initial node
-	}
-	cachers := s.dir.Cachers(fileID)
-	if cachers.Len() >= rc.MaxReplicas {
-		return
-	}
-	dst, bestLoad := -1, int(^uint(0)>>1)
-	for p := 0; p < s.cfg.Nodes; p++ {
-		if p == src || cachers.Has(p) || s.replPulling[p][fileID] {
-			continue
-		}
-		if l := s.nodes[src].peerLoad[p]; l < bestLoad {
-			dst, bestLoad = p, l
-		}
-	}
-	if dst < 0 {
-		return
-	}
-	s.replLast[src][fileID] = now
-	s.replPulling[dst][fileID] = true
+// the peer its policy picked, which — if its own policy accepts — pulls
+// it back with an ordinary forward plus file transfer and installs the
+// copy.
+func (s *simState) replPush(src, dst int, fileID cache.FileID) {
 	if s.measuring {
 		s.replicaPushes++
 	}
+	size := s.cfg.Trace.Files[fileID].Size
 	style := s.cfg.Version.Forward
 	pc := s.cfg.Combo.Cost(style, core.ReplicateMsgBytes, true, true)
 	fc := s.cfg.Combo.Cost(style, core.ForwardMsgBytes, true, true)
 	if s.isRMW(style) {
 		s.rmwWrite(src)
 	}
+	from, to := s.nodes[src], s.nodes[dst]
 	s.sendMsg(src, dst, core.MsgReplicate, core.ReplicateMsgBytes, pc.SendCPU, pc.RecvCPU, func() {
-		if s.nodes[dst].cache.Contains(fileID) {
-			delete(s.replPulling[dst], fileID)
+		if !to.repl.Offer(fileID, to.cache.Contains(fileID), true) {
 			return
 		}
 		if s.isRMW(style) {
 			s.rmwWrite(dst)
 		}
 		s.sendMsg(dst, src, core.MsgForward, core.ForwardMsgBytes, fc.SendCPU, fc.RecvCPU, func() {
+			// The source serves the pull as it serves any forward.
+			from.repl.NoteServe(fileID)
+			from.cache.Touch(fileID)
 			s.transferFile(src, dst, size, func() {
 				s.replInstall(dst, fileID, size)
 			})
@@ -1010,43 +958,24 @@ func (s *simState) replPush(src int, fileID cache.FileID) {
 }
 
 // replInstall lands a pulled replica in the target's cache and
-// announces the caching change, exactly as a disk read would.
+// announces the caching change, exactly as a disk read would — unless a
+// local disk read cached the file first or the copy does not fit.
 func (s *simState) replInstall(dst int, fileID cache.FileID, size int64) {
-	delete(s.replPulling[dst], fileID)
-	if s.nodes[dst].cache.Contains(fileID) {
-		return // raced with a local disk read; already a cacher
-	}
-	if !s.cacheInsert(dst, fileID, size) {
+	n := s.nodes[dst]
+	if !n.cache.Contains(fileID) && s.cacheInsert(dst, fileID, size) {
+		n.repl.Installed(fileID, s.instant())
 		return
 	}
-	s.replPulled[dst][fileID] = true
-	s.replLast[dst][fileID] = s.sim.Now()
-	// Seed the replica's rate at the trigger threshold, as the server
-	// does (Node.replFinishPull): the pull happened because the file
-	// runs that hot somewhere, and left at zero the copy reads as cold
-	// the moment the cooldown expires and is dropped before routing has
-	// sent it any traffic.
-	if hot := s.cfg.Replication.HotRate; s.replRates[dst][fileID] < hot {
-		s.replRates[dst][fileID] = hot
-	}
+	n.repl.Aborted(fileID)
 }
 
-// replDrop de-replicates a cold pulled copy, re-reading the cacher set
-// first so a file never goes from one copy to zero.
-func (s *simState) replDrop(nid int, fileID cache.FileID) {
-	rc := s.cfg.Replication
-	now := s.sim.Now()
-	if last, ok := s.replLast[nid][fileID]; ok && time.Duration(now-last) < rc.Cooldown {
+// replDrop evicts a cold pulled copy and announces the change.
+func (s *simState) replDrop(nid int, fileID cache.FileID, now time.Time) {
+	n := s.nodes[nid]
+	if !n.cache.Remove(fileID) {
 		return
 	}
-	if s.dir.Cachers(fileID).Remove(nid).Empty() {
-		return // we are the last cacher
-	}
-	if !s.nodes[nid].cache.Remove(fileID) {
-		return
-	}
-	delete(s.replPulled[nid], fileID)
-	s.replLast[nid][fileID] = now
+	n.repl.Dropped(fileID, now)
 	if s.measuring {
 		s.replicaDrops++
 	}

@@ -2,23 +2,11 @@ package core
 
 import "time"
 
-// ReplicationConfig tunes hot-object replication: when a cached file's
-// observed request rate and the node's own load both say "hotspot", the
-// node pushes a replica to a lightly loaded peer so routing (and
-// failover) can spread the head of the Zipf distribution across
-// several nodes instead of funnelling it into one cacher.
-//
-// The policy has three knobs per the trigger/placement/eviction seam:
-//
-//   - trigger: HotRate (requests/sec EWMA over HalfLife) gated on the
-//     local load reaching MinLoad, so a hot file on an idle node is
-//     left alone;
-//   - placement: least-loaded alive, non-browned peer outside the
-//     current replica set, capped at MaxReplicas copies cluster-wide;
-//   - eviction: when the per-replica rate decays below DecayRate the
-//     highest-numbered replica drops its copy (a deterministic single
-//     evictor per view), so the aggregate cache is not permanently
-//     diluted by yesterday's hot set.
+// ReplicationConfig parameterises the hot-object replication policy;
+// Replicator owns every rule the fields below feed. Every non-test
+// caller (pressd, press-sim, the hotspot experiment) sets only Enabled:
+// the other six exist so tests can make the policy converge in
+// milliseconds.
 type ReplicationConfig struct {
 	// Enabled turns the subsystem on. Default false: all hooks on the
 	// request path must be free when disabled (check.sh gates on it).
@@ -26,20 +14,16 @@ type ReplicationConfig struct {
 	// HotRate is the per-file request rate (req/s EWMA) above which a
 	// cacher pushes a new replica. Default 100.
 	HotRate float64
-	// DecayRate is the per-file rate below which a surplus replica is
+	// DecayRate is the per-file rate below which a pulled copy is
 	// dropped. Default HotRate/4 (hysteresis against flapping).
 	DecayRate float64
 	// HalfLife is the EWMA time constant for the per-file rate.
 	// Default 2s.
 	HalfLife time.Duration
-	// MaxReplicas caps the replica set size per file. Default 3.
+	// MaxReplicas caps the live replica set size per file. Default 3.
 	MaxReplicas int
-	// MinLoad gates replication on the cacher's own load (open
-	// connections): no pushes while the node is nearly idle even if a
-	// file's rate is high. Default 1.
-	MinLoad int
-	// Interval is the policy tick period (rate folding, hot/cold
-	// scans). Default 100ms.
+	// Interval is the minimum window between rate folds (and the
+	// hot/cold scan that follows each). Default 100ms.
 	Interval time.Duration
 	// Cooldown is the minimum gap between replication actions on the
 	// same file, bounding churn under a noisy rate signal. Default 1s.
@@ -60,9 +44,6 @@ func (c ReplicationConfig) WithDefaults() ReplicationConfig {
 	}
 	if c.MaxReplicas <= 0 {
 		c.MaxReplicas = 3
-	}
-	if c.MinLoad <= 0 {
-		c.MinLoad = 1
 	}
 	if c.Interval <= 0 {
 		c.Interval = 100 * time.Millisecond

@@ -82,11 +82,28 @@ TestRing|TestSharded|TestGossip|TestDisseminator|TestStrategy|./cache ./core ./s
 TestSimSharded|TestSimGossip|./cluster
 # Hot-object replication races the push/pull/drop policy against the
 # failover machinery by design (crash the hottest cacher mid-drive,
-# fail pendings over to surviving replicas); the server suites and the
-# simulator's replication model.
+# fail pendings over to surviving replicas): the policy machine's own
+# table tests, then its two drivers — the server suites and the
+# simulator's — and the simulator↔real parity leg, which runs a real
+# cluster beside the simulator on one trace.
+TestReplicator|./core
 TestReplication|TestReplicated|TestChaosReplica|TestHotspotCrash|./server
 TestSimReplication|./cluster
+TestSimRealParity|.
 EOF
+
+# core holds the mechanisms the simulator and the server share (Policy,
+# Disseminator, Replicator): it must know neither of them, nor a
+# transport, nor the wall clock — time is an argument.
+echo "==> core stays driver-agnostic"
+if go list -f '{{join .Imports "\n"}}' ./core | grep -E '^press/(server|cluster|eventsim|via)$'; then
+    echo "check: core imports a driver package" >&2
+    exit 1
+fi
+if grep -n 'time\.Now' $(ls core/*.go | grep -v _test.go); then
+    echo "check: core reads the wall clock" >&2
+    exit 1
+fi
 
 echo "==> presslint ./..."
 go run ./cmd/presslint ./...
@@ -138,7 +155,8 @@ go test -run '^$' -bench BenchmarkViaSendMetrics -benchtime 1x .
 # with no tracer. Overload: the admission, deadline and brownout gates.
 # Telemetry: servers always call plane.Event at the fault-tolerance
 # call sites, so a nil plane is the hot path. Replication: the rate
-# hook runs on every serve.
+# hook runs on every serve and the eviction hook on every eviction,
+# both on the nil *core.Replicator a node holds when the layer is off.
 zero_alloc BenchmarkServeTracing . "disabled tracing must be free"
 zero_alloc BenchmarkOverloadOff ./server "disabled overload control must be free"
 zero_alloc BenchmarkSamplerOff ./telemetry "a disabled telemetry plane must be free"

@@ -3,13 +3,17 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"press/core"
+	"press/metrics"
+	"press/telemetry"
 )
 
 // The mesh transport tests run real handshakes over loopback sockets:
@@ -438,5 +442,118 @@ func TestMeshSymmetricPeerDown(t *testing.T) {
 	fetchAll(t, cl, files, 2, 6)
 	if d := ta.StaleEpochDrops() + tb.StaleEpochDrops(); d != 0 {
 		t.Fatalf("%d frames dropped as stale across a same-epoch reconnect", d)
+	}
+}
+
+// TestMeshSendAcrossRedial parks a send inside a connection's Write —
+// the receiver never drains, so its inbound queue and then the socket
+// buffers fill — and seats a replacement connection underneath it, as a
+// completed re-dial does. A reconnect proves the peer alive: the old
+// connection must fail as superseded (transient, not ErrPeerDown), and
+// the parked send must bounce to the fresh connection and succeed. (The
+// replacement is seated by hand so that this side retires the old
+// connection first; when the far side's close wins that race the send
+// sees a bare socket error, which is suspicion, not death, either way.)
+func TestMeshSendAcrossRedial(t *testing.T) {
+	lnA, lnB := meshListener(t), meshListener(t)
+	addrs := []string{lnA.Addr().String(), lnB.Addr().String()}
+	a := startMesh(t, lnA, 0, 2, 100, addrs)
+	b := startMesh(t, lnB, 1, 2, 200, addrs)
+	waitMeshLive(t, a, 1, 5*time.Second)
+	waitMeshLive(t, b, 0, 5*time.Second)
+	old := a.peer(1)
+
+	var sent atomic.Int64
+	result := make(chan error, 1)
+	go func() {
+		m := &Message{Type: core.MsgFile, From: 0, Data: make([]byte, 32<<10), Total: 32 << 10}
+		for a.peer(1) == old { // one more send lands on the replacement
+			if err := a.Send(1, m); err != nil {
+				result <- err
+				return
+			}
+			sent.Add(1)
+		}
+		result <- nil
+	}()
+	waitQuiet(t, "the sender to park in Write", sent.Load)
+
+	// The replacement: a loopback connection whose far end just drains.
+	sink := meshListener(t)
+	defer sink.Close()
+	go func() {
+		if c, err := sink.Accept(); err == nil {
+			io.Copy(io.Discard, c)
+			c.Close()
+		}
+	}()
+	conn, err := net.Dial("tcp", sink.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.setPeer(1, &tcpPeer{conn: conn, id: 1, epoch: old.epoch}) {
+		t.Fatal("replacement connection refused")
+	}
+
+	select {
+	case err := <-result:
+		if err != nil {
+			t.Fatalf("send across the re-dial failed: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the parked send never completed on the fresh connection")
+	}
+	if err := old.down(); !errors.Is(err, errSuperseded) || errors.Is(err, ErrPeerDown) || !transientSendErr(err) {
+		t.Fatalf("replaced connection failed with %v, want transient errSuperseded", err)
+	}
+}
+
+// TestMeshSupersedeIsNotDeath forces re-dials of live pairs while a
+// closed-loop drive keeps forwards and file replies riding them. A peer
+// that has just reconnected has proven it is alive: whatever the sends
+// in flight ran into, nobody may declare it dead or purge its directory
+// entries, and every request is answered. Run under -race.
+func TestMeshSupersedeIsNotDeath(t *testing.T) {
+	files := serverTestTrace(t, 12)
+	cfg := testClusterConfig(files, TransportTCP)
+	cfg.Health = chaosHealth()
+	reg := metrics.NewRegistry()
+	cfg.Metrics = reg
+	plane := telemetry.New(telemetry.Config{Registry: reg})
+	cfg.Telemetry = plane
+	cl, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	fetchAll(t, cl, files, 1, 7)
+
+	var names []string
+	for _, f := range files.Files {
+		names = append(names, f.Name)
+	}
+	drv := startDrive(cl, []int{0, 1, 2}, names, 6)
+	ta := cl.procs[0].transport.(*tcpTransport)
+	for round := 0; round < 20; round++ {
+		for b := 1; b < cfg.Nodes; b++ {
+			if err := ta.Reconnect(b); err != nil {
+				t.Fatalf("forced re-dial of node %d: %v", b, err)
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if ok, errs := drv.stop(); errs > 0 || ok == 0 {
+		t.Errorf("drive across the re-dials: %d ok, %d failed", ok, errs)
+	}
+
+	for _, ev := range plane.Events() {
+		if ev.Type == telemetry.EvPeerDead {
+			t.Errorf("node %d declared node %d dead (%s) across a reconnect", ev.Node, ev.Peer, ev.Detail)
+		}
+	}
+	for i := 0; i < cfg.Nodes; i++ {
+		if p := reg.Counter("press_dir_purged_total", fmt.Sprintf("node=%d", i)).Value(); p != 0 {
+			t.Errorf("node %d purged %d directory entries across a reconnect", i, p)
+		}
 	}
 }

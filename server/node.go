@@ -79,8 +79,8 @@ type diskWaiter struct {
 // the request has been dispatched to so a failover never bounces back;
 // deadline re-dispatches the request even without a detected death.
 // A replica pull rides the same machinery with no client attached
-// (replicate true, req nil): completion lands in the cache instead of
-// an HTTP response, and failure just abandons the pull.
+// (replicate true, req nil): nothing re-dispatches it, and finish lands
+// it in the cache instead of an HTTP response.
 type pendingRemote struct {
 	req       *clientRequest
 	buf       []byte
@@ -257,9 +257,9 @@ type Node struct {
 	// Overload control (admission, deadlines, brownout); see overload.go.
 	ov overloadCtl
 
-	// Hot-object replication (rate tracking, push/pull, de-replication);
-	// see replication.go.
-	repl replicationCtl
+	// Hot-object replication: the policy machine, nil when the layer is
+	// off; replication.go drives it.
+	repl *core.Replicator
 
 	httpCh     chan *clientRequest
 	doneCh     chan struct{} // HTTP completion events (load decrement)
@@ -358,7 +358,10 @@ func newNode(id int, cfg Config, tr Transport, nic *via.NIC) *Node {
 	}
 	n.health = newHealthTracker(id, cfg.Nodes, cfg.Health, cfg.Retry.Seed, cfg.Metrics)
 	n.ov = newOverloadCtl(cfg, id)
-	n.repl = newReplicationCtl(cfg)
+	if !cfg.ContentOblivious {
+		n.repl = core.NewReplicator(cfg.Replication, id, cfg.Nodes, len(cfg.Trace.Files),
+			cfg.Policy.LargeFileBytes, time.Now())
+	}
 	n.pb = n.diss.Piggyback()
 	for i, f := range cfg.Trace.Files {
 		n.nameToID[f.Name] = cache.FileID(i)
@@ -460,9 +463,7 @@ func (n *Node) mainLoop() {
 			if n.ov.on {
 				n.overloadTick(now)
 			}
-			if n.repl.on {
-				n.replTick(now)
-			}
+			n.replTick(now)
 			n.dir.Tick(now)
 			n.gossipTick(now)
 		}
@@ -485,9 +486,9 @@ func (n *Node) tickInterval() time.Duration {
 	if n.ov.on {
 		lower(n.ov.cfg.RequestTimeout / 4)
 	}
-	if n.repl.on {
+	if n.repl != nil {
 		// Half the fold interval so rate folds land close to cadence.
-		lower(n.repl.cfg.Interval / 2)
+		lower(n.cfg.Replication.Interval / 2)
 	}
 	// Sharded-directory lookup timeouts and gossip rounds also ride the
 	// main-loop ticker.
@@ -619,7 +620,7 @@ func (n *Node) dispatchDecided(r *clientRequest, id cache.FileID, cachers cache.
 }
 
 func (n *Node) serveLocal(r *clientRequest, id cache.FileID) {
-	n.replNoteServe(id)
+	n.repl.NoteServe(id)
 	if n.lru.Touch(id) {
 		n.m.localHit.Inc()
 		r.resp <- clientResult{data: n.content[id]}
@@ -703,15 +704,8 @@ func (n *Node) handleDiskDone(d diskDone) {
 func (n *Node) insertCache(id cache.FileID, data []byte) {
 	evicted, inserted := n.lru.Insert(id, int64(len(data)))
 	for _, ev := range evicted {
-		delete(n.content, ev)
-		if reg := n.regions[ev]; reg != nil {
-			_ = n.nic.DeregisterMemory(reg)
-			delete(n.regions, ev)
-		}
-		// A later copy of ev comes from this node's own disk: an original,
-		// which de-replication must never drop.
-		delete(n.repl.pulled, ev)
-		n.dir.LocalCached(ev, false)
+		n.uncache(ev)
+		n.repl.Evicted(ev)
 	}
 	if !inserted {
 		return
@@ -725,6 +719,17 @@ func (n *Node) insertCache(id cache.FileID, data []byte) {
 		}
 	}
 	n.dir.LocalCached(id, true)
+}
+
+// uncache forgets a file the LRU has let go of: its bytes, its zero-copy
+// registration, and its entry in the cluster's caching view.
+func (n *Node) uncache(id cache.FileID) {
+	delete(n.content, id)
+	if reg := n.regions[id]; reg != nil {
+		_ = n.nic.DeregisterMemory(reg)
+		delete(n.regions, id)
+	}
+	n.dir.LocalCached(id, false)
 }
 
 // sendFile queues a file reply; parent (the serve-remote span, nil when
@@ -865,7 +870,7 @@ func (n *Node) handleForward(m *Message) {
 		srv.End()
 		return
 	}
-	n.replNoteServe(id)
+	n.repl.NoteServe(id)
 	if n.lru.Touch(id) {
 		n.m.remoteHit.Inc()
 		n.sendFile(m.From, m.ReqID, id, n.content[id], srv, deadline)
@@ -897,12 +902,7 @@ func (n *Node) handleFileChunk(m *Message) {
 			now := time.Now()
 			n.ovForwardFailed(p.dst, now.Sub(p.sentAt), now)
 		}
-		p.span.End()
-		if p.replicate {
-			n.replAbortPull(p)
-			return
-		}
-		p.req.resp <- clientResult{err: fmt.Errorf("server: corrupt file reply")}
+		p.finish(n, clientResult{err: fmt.Errorf("server: corrupt file reply")})
 		return
 	}
 	copy(p.buf[m.Offset:], m.Data)
@@ -916,12 +916,7 @@ func (n *Node) handleFileChunk(m *Message) {
 		n.ovForwardDone(p.dst, now.Sub(p.sentAt), now)
 	}
 	p.span.Annotate("bytes", int64(m.Total))
-	p.span.End()
-	if p.replicate {
-		n.replFinishPull(p, p.buf)
-		return
-	}
-	p.req.resp <- clientResult{data: p.buf}
+	p.finish(n, clientResult{data: p.buf})
 }
 
 // loadChange tracks open client connections, broadcasting under the
@@ -1065,12 +1060,7 @@ func (n *Node) handleSendFailure(sf sendFailure) {
 		now := time.Now()
 		n.ovForwardFailed(sf.dst, now.Sub(p.sentAt), now)
 		p.span.AnnotateStr("deadline-expired", dlStageSend)
-		p.span.End()
-		if p.replicate {
-			n.replAbortPull(p)
-			return
-		}
-		p.req.resp <- clientResult{err: fmt.Errorf("%w (%s)", ErrDeadlineExpired, dlStageSend)}
+		p.finish(n, clientResult{err: fmt.Errorf("%w (%s)", ErrDeadlineExpired, dlStageSend)})
 		return
 	}
 	n.m.errors.Inc()
@@ -1097,12 +1087,7 @@ func (n *Node) handleSendFailure(sf sendFailure) {
 		// instead of letting the client time out.
 		delete(n.pending, sf.msg.ReqID)
 		p.span.AnnotateStr("error", sf.err.Error())
-		p.span.End()
-		if p.replicate {
-			n.replAbortPull(p)
-			return
-		}
-		p.req.resp <- clientResult{err: fmt.Errorf("server: forward to node %d: %w", sf.dst, sf.err)}
+		p.finish(n, clientResult{err: fmt.Errorf("server: forward to node %d: %w", sf.dst, sf.err)})
 		return
 	}
 	n.failover(sf.msg.ReqID, p, failoverSendError)
@@ -1171,12 +1156,11 @@ func (n *Node) failover(reqID uint64, p *pendingRemote, reason string) {
 	delete(n.pending, reqID)
 	now := time.Now()
 	n.ovForwardFailed(p.dst, now.Sub(p.sentAt), now)
-	if p.replicate {
-		// A replica pull has no client to answer: abandon it — the
-		// source died or stalled, and the pusher's policy re-triggers
-		// while the file stays hot.
-		n.replAbortPull(p)
-		p.span.End()
+	if p.req == nil {
+		// A replica pull has no client to re-dispatch for: the source
+		// died or stalled, and the pusher's policy re-triggers while the
+		// file stays hot.
+		p.finish(n, clientResult{err: fmt.Errorf("server: pull from node %d: %s", p.dst, reason)})
 		return
 	}
 	n.m.failovers[reason].Inc()
@@ -1184,9 +1168,8 @@ func (n *Node) failover(reqID uint64, p *pendingRemote, reason string) {
 	p.span.AnnotateStr("failover", reason)
 	id, ok := n.nameToID[p.req.name]
 	if !ok {
-		p.span.End()
 		n.m.errors.Inc()
-		p.req.resp <- clientResult{err: fmt.Errorf("%w: %q", ErrNoSuchFile, p.req.name)}
+		p.finish(n, clientResult{err: fmt.Errorf("%w: %q", ErrNoSuchFile, p.req.name)})
 		return
 	}
 	dst := n.pickFailover(id, p.tried)
@@ -1320,15 +1303,11 @@ func (n *Node) crashLocalState() {
 	}
 	n.lru = cache.NewLRU(n.cfg.CacheBytes)
 	n.dir.Crash()
-	n.replCrash()
+	n.repl.Reset(time.Now())
 	for reqID, p := range n.pending {
 		delete(n.pending, reqID)
 		p.span.AnnotateStr("error", "node crashed")
-		p.span.End()
-		if p.replicate {
-			continue
-		}
-		p.req.resp <- clientResult{err: fmt.Errorf("server: node %d crashed", n.id)}
+		p.finish(n, clientResult{err: fmt.Errorf("server: node %d crashed", n.id)})
 	}
 }
 

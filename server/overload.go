@@ -396,8 +396,8 @@ func (n *Node) ovShedDispatch(dst int, m *Message) {
 	n.ovForwardFailed(dst, time.Since(p.sentAt), time.Now())
 	p.span.AnnotateStr("shed", "dispatch/full")
 	p.span.End()
-	if p.replicate {
-		n.replAbortPull(p)
+	if p.req == nil {
+		p.finish(n, clientResult{err: ErrShed}) // a replica pull: no client to serve locally
 		return
 	}
 	if id, ok := n.nameToID[p.req.name]; ok {
@@ -405,7 +405,7 @@ func (n *Node) ovShedDispatch(dst int, m *Message) {
 		return
 	}
 	n.m.errors.Inc()
-	p.req.resp <- clientResult{err: fmt.Errorf("%w: %q", ErrNoSuchFile, p.req.name)}
+	p.finish(n, clientResult{err: fmt.Errorf("%w: %q", ErrNoSuchFile, p.req.name)})
 }
 
 // overloadTick sweeps pending forwards whose request deadline has
@@ -419,8 +419,7 @@ func (n *Node) overloadTick(now time.Time) {
 		delete(n.pending, reqID)
 		n.ovForwardFailed(p.dst, now.Sub(p.sentAt), now)
 		p.span.AnnotateStr("deadline-expired", dlStagePending)
-		p.span.End()
 		n.ov.im.expiredInc(dlStagePending)
-		p.req.resp <- clientResult{err: fmt.Errorf("%w (%s)", ErrDeadlineExpired, dlStagePending)}
+		p.finish(n, clientResult{err: fmt.Errorf("%w (%s)", ErrDeadlineExpired, dlStagePending)})
 	}
 }

@@ -18,7 +18,7 @@ func TestReplicationConfigDefaults(t *testing.T) {
 	if c.HotRate != 100 || c.DecayRate != 25 || c.HalfLife != 2*time.Second {
 		t.Errorf("trigger defaults: %+v", c)
 	}
-	if c.MaxReplicas != 3 || c.MinLoad != 1 {
+	if c.MaxReplicas != 3 {
 		t.Errorf("placement defaults: %+v", c)
 	}
 	if c.Interval != 100*time.Millisecond || c.Cooldown != time.Second {
@@ -226,15 +226,15 @@ func TestEvictedReplicaIsNotPulledAgain(t *testing.T) {
 	}
 	type view struct{ pulled, evicted, after bool }
 	v := onMainLoop(t, n, func() (v view) {
-		n.repl.pulling[0] = true
-		n.replFinishPull(&pendingRemote{replicate: true, replID: 0}, content(0))
-		v.pulled = n.repl.pulled[0]
+		n.repl.Offer(0, false, true)
+		(&pendingRemote{replicate: true, replID: 0}).finish(n, clientResult{data: content(0)})
+		v.pulled = n.repl.Pulled(0)
 		for id := cache.FileID(1); int(id) < len(tr.Files) && n.lru.Contains(0); id++ {
 			n.insertCache(id, content(id))
 		}
 		v.evicted = !n.lru.Contains(0)
 		n.insertCache(0, content(0)) // as handleDiskDone does
-		v.after = n.repl.pulled[0]
+		v.after = n.repl.Pulled(0)
 		return v
 	})
 	if !v.pulled || !v.evicted {
@@ -737,14 +737,16 @@ func TestReplicatedDirPeerJoinedBatches(t *testing.T) {
 }
 
 // BenchmarkReplicationOff proves the disabled replication layer costs
-// nothing on the serve path it instruments: the per-request rate hook
-// must be allocation-free when Enabled is false (the default). check.sh
-// gates on 0 allocs/op.
+// nothing on the paths it instruments: the per-serve rate hook and the
+// per-eviction hook are calls on the nil *core.Replicator a node holds
+// when Enabled is false (the default), and must be allocation-free.
+// check.sh gates on 0 allocs/op.
 func BenchmarkReplicationOff(b *testing.B) {
-	n := &Node{} // repl.on == false, exactly as newNode leaves it when disabled
+	n := &Node{} // repl == nil, exactly as newNode leaves it when disabled
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.replNoteServe(0)
+		n.repl.NoteServe(0)
+		n.repl.Evicted(0)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -130,7 +131,9 @@ func (t *tcpTransport) setPeer(id int, p *tcpPeer) bool {
 	go t.readLoop(p)
 	t.peersMu.Unlock()
 	if old != nil {
-		old.markDown(fmt.Errorf("%w: node %d connection superseded by reconnect", ErrPeerDown, id))
+		// Not a death — the peer has just proven it is alive — so sends
+		// riding the old connection bounce to this one (see Send).
+		old.markDown(fmt.Errorf("%w: node %d", errSuperseded, id))
 	}
 	return true
 }
@@ -180,6 +183,21 @@ func (t *tcpTransport) Send(dst int, m *Message) error {
 	if p == nil {
 		return fmt.Errorf("server: no connection to %d", dst)
 	}
+	err := t.sendOn(p, m)
+	if errors.Is(err, errSuperseded) {
+		// A reconnect replaced the connection under the send: retry once,
+		// on a peer object that actually changed, as viaTransport.Send
+		// does. The receiver discards whatever part of the frame reached
+		// the closed connection.
+		if np := t.peer(dst); np != nil && np != p {
+			return t.sendOn(np, m)
+		}
+	}
+	return err
+}
+
+// sendOn runs one send attempt over a specific connection.
+func (t *tcpTransport) sendOn(p *tcpPeer, m *Message) error {
 	if err := p.down(); err != nil {
 		return err
 	}
@@ -206,10 +224,13 @@ func (t *tcpTransport) Send(dst int, m *Message) error {
 	defer p.mu.Unlock()
 	if _, err = p.conn.Write(frame); err != nil {
 		// A TCP write error is a hard connection fault; poison the peer
-		// so subsequent sends fail fast instead of each timing out.
+		// so subsequent sends fail fast instead of each timing out. If a
+		// reconnect closed the socket under the write, the supersede —
+		// already recorded, and the first failure sticks — is the story.
 		p.markDown(err)
+		return p.down()
 	}
-	return err
+	return nil
 }
 
 // readFrame reads one length-prefixed Message of at most max bytes. hdr
