@@ -37,6 +37,10 @@ type node struct {
 	// repl is the node's hot-object replication policy, nil when off;
 	// the simulator only costs and schedules what it decides.
 	repl *core.Replicator
+	// dir is the node's half of the sharded directory, nil under the
+	// replicated one: every directory read and change of this node goes
+	// through it, and the simulator only costs and schedules its messages.
+	dir *core.ShardDir
 }
 
 type simState struct {
@@ -45,26 +49,15 @@ type simState struct {
 	rng *rand.Rand
 
 	nodes []*node
-	dir   *cache.Directory
-	fc    *core.FlowControl
+	// dir is the replicated directory, one instantaneous global copy (the
+	// paper's figures are calibrated on it); nil under directory sharding,
+	// where each node's ShardDir holds what that node knows.
+	dir *cache.Directory
+	fc  *core.FlowControl
 
 	// pb is true when every intra-cluster message carries the sender's
 	// load (PiggyBack strategies).
 	pb bool
-
-	// Sharded-directory model (Dissemination.Dir == core.DirSharded).
-	// The shared dir above stays the ground truth — every node lives in
-	// this one process — so the sharded mode changes only which messages
-	// flow: a read-side cache of directory entries per node (validity
-	// tracked in rcValid) is filled by a directed lookup/reply exchange
-	// with the entry's consistent-hash owner and invalidated by the owner
-	// when the entry changes, instead of N-1 caching broadcasts.
-	sharded  bool
-	ring     *cache.Ring
-	fileKey  []uint64        // consistent-hash key per file
-	allNodes cache.NodeSet   // every node; the sim models no failures
-	rcValid  [][]bool        // [node][file]: read-cached entry still valid
-	interest []cache.NodeSet // [file]: readers holding a cached entry
 
 	// Hot-object replication activity in the measured window.
 	replicaPushes int64
@@ -164,7 +157,12 @@ type nodeView struct {
 	id int
 }
 
-func (v nodeView) Cachers(id cache.FileID) cache.NodeSet { return v.s.dir.Cachers(id) }
+func (v nodeView) Cachers(id cache.FileID) cache.NodeSet {
+	if d := v.s.nodes[v.id].dir; d != nil {
+		return d.Cachers(id)
+	}
+	return v.s.dir.Cachers(id)
+}
 
 func (v nodeView) Load(n int) int {
 	if n == v.id {
@@ -179,6 +177,22 @@ func (v nodeView) LoadKnown() bool {
 
 func (v nodeView) Nodes() int { return v.s.cfg.Nodes }
 
+// lookupView pins the dispatched file's cacher set to the directory
+// lookup's result, as the server's does: by the time a sharded lookup
+// resolves, the node's live view may not cover the file at all.
+type lookupView struct {
+	nodeView
+	file cache.FileID
+	set  cache.NodeSet
+}
+
+func (v lookupView) Cachers(id cache.FileID) cache.NodeSet {
+	if id == v.file {
+		return v.set
+	}
+	return v.nodeView.Cachers(id)
+}
+
 // replView adapts one node to core.ReplicaView. The simulator models no
 // failures and no brownout, so every peer is eligible.
 type replView struct{ nodeView }
@@ -188,15 +202,14 @@ func (v replView) Eligible(int) bool          { return true }
 func (v replView) Size(id cache.FileID) int64 { return v.s.cfg.Trace.Files[id].Size }
 
 // newSimState builds the simulated cluster for a defaulted Config:
-// nodes (each with its replication policy), directory, and the
-// sharded-directory state.
+// nodes (each with its replication policy) and the directory, one
+// global replica or a ShardDir per node.
 // It schedules nothing; Run launches the workload on it.
 func newSimState(cfg Config) *simState {
 	s := &simState{
 		cfg: cfg,
 		sim: eventsim.New(),
 		rng: rand.New(rand.NewSource(cfg.Seed)),
-		dir: cache.NewDirectory(cfg.Nodes, len(cfg.Trace.Files)),
 		fc:  core.NewFlowControl(max(cfg.Nodes, 2), cfg.FlowWindow, cfg.FlowBatch),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
@@ -222,18 +235,24 @@ func newSimState(cfg Config) *simState {
 		s.trc = append(s.trc, cfg.Tracing.Collector(i))
 	}
 	s.pb = s.nodes[0].diss.Piggyback()
-	if cfg.Dissemination.Dir == core.DirSharded && !cfg.ContentOblivious {
-		s.sharded = true
-		s.ring = cache.NewRing(cfg.Nodes, cache.DefaultVnodes)
-		s.fileKey = make([]uint64, len(cfg.Trace.Files))
-		for fi, f := range cfg.Trace.Files {
-			s.fileKey[fi] = cache.KeyForName(f.Name)
-		}
-		for i := 0; i < cfg.Nodes; i++ {
-			s.allNodes = s.allNodes.Add(i)
-			s.rcValid = append(s.rcValid, make([]bool, len(cfg.Trace.Files)))
-		}
-		s.interest = make([]cache.NodeSet, len(cfg.Trace.Files))
+	if cfg.Dissemination.Dir != core.DirSharded || cfg.ContentOblivious {
+		s.dir = cache.NewDirectory(cfg.Nodes, len(cfg.Trace.Files))
+		return s
+	}
+	ring := core.NewShardRing(cfg.Nodes, len(cfg.Trace.Files),
+		func(id cache.FileID) string { return cfg.Trace.Files[id].Name })
+	// The simulator models no failures: every node stays alive, and
+	// nothing ever re-announces a cache (ShardEnv.Cached).
+	var all cache.NodeSet
+	for i := range s.nodes {
+		all = all.Add(i)
+	}
+	for _, n := range s.nodes {
+		src := n.id
+		n.dir = core.NewShardDir(src, ring, core.ShardEnv{
+			Emit:  func(m core.DirMsg) { s.dirSend(src, m) },
+			Alive: func() cache.NodeSet { return all },
+		})
 	}
 	return s
 }
@@ -361,10 +380,9 @@ func (s *simState) prewarm() {
 		id := cache.FileID(fi)
 		for _, node := range s.nodes {
 			if _, ok := node.cache.Insert(id, size); ok {
-				s.dir.SetCached(id, node.id, true)
+				s.seedCached(node.id, id)
 			}
 		}
-		s.dir.FirstRequest(id)
 	}
 	for i, fi := range order[replicated:] {
 		id := cache.FileID(fi)
@@ -375,12 +393,23 @@ func (s *simState) prewarm() {
 				continue
 			}
 			if _, ok := node.cache.Insert(id, size); ok {
-				s.dir.SetCached(id, node.id, true)
-				s.dir.FirstRequest(id)
+				s.seedCached(node.id, id)
 			}
 			break
 		}
 	}
+}
+
+// seedCached records a prewarmed copy in the directory, already seen,
+// at no cost: in the global replica, or in the shard of the file's
+// owner.
+func (s *simState) seedCached(nid int, id cache.FileID) {
+	if d := s.nodes[nid].dir; d != nil {
+		s.nodes[d.Owner(id)].dir.Seed(id, nid)
+		return
+	}
+	s.dir.SetCached(id, nid, true)
+	s.dir.MarkSeen(id)
 }
 
 // issueNext starts the next trace request on a random node, if any
@@ -426,20 +455,25 @@ func (s *simState) distribute(initial int, fileID cache.FileID, t0 eventsim.Time
 		s.serviceLocal(initial, fileID, size, t0, root)
 		return
 	}
-	if s.sharded {
-		s.shardedLookup(initial, fileID, size, t0, root, dsp)
+	if d := s.nodes[initial].dir; d != nil {
+		// Free when the initial node owns the entry or holds a read copy,
+		// one lookup/reply round trip with the owner otherwise.
+		d.Lookup(fileID, s.instant(), func(cachers cache.NodeSet, first bool) {
+			s.decide(initial, fileID, size, cachers, first, t0, root, dsp)
+		})
 		return
 	}
-	s.decide(initial, fileID, size, s.dir.FirstRequest(fileID), t0, root, dsp)
+	s.decide(initial, fileID, size, s.dir.Cachers(fileID), s.dir.FirstRequest(fileID), t0, root, dsp)
 }
 
 // decide runs the distribution decision once directory information is at
 // hand — immediately under a replicated directory, after the owner's
 // reply under a sharded one — then routes the request.
-func (s *simState) decide(initial int, fileID cache.FileID, size int64, first bool,
-	t0 eventsim.Time, root, dsp *tracing.Span) {
+func (s *simState) decide(initial int, fileID cache.FileID, size int64, cachers cache.NodeSet,
+	first bool, t0 eventsim.Time, root, dsp *tracing.Span) {
 	n := s.nodes[initial]
-	d := n.policy.Decide(initial, fileID, size, first, nodeView{s: s, id: initial})
+	d := n.policy.Decide(initial, fileID, size, first,
+		lookupView{nodeView: nodeView{s: s, id: initial}, file: fileID, set: cachers})
 	if s.measuring {
 		s.reasons[d.Reason]++
 	}
@@ -453,52 +487,6 @@ func (s *simState) decide(initial int, fileID cache.FileID, size int64, first bo
 		s.forwarded++
 	}
 	s.forward(initial, d.Service, fileID, size, t0, root)
-}
-
-// owner returns the consistent-hash owner of a file's directory entry.
-func (s *simState) owner(fileID cache.FileID) int {
-	return s.ring.Owner(s.fileKey[fileID], s.allNodes)
-}
-
-// shardedLookup resolves the cacher set under directory sharding: free
-// when the initial node owns the entry or still holds a valid read-cached
-// copy, one directed lookup/reply round trip with the owner otherwise.
-// The first-request verdict is the owner's and rides the reply.
-func (s *simState) shardedLookup(initial int, fileID cache.FileID, size int64,
-	t0 eventsim.Time, root, dsp *tracing.Span) {
-	owner := s.owner(fileID)
-	if owner == initial {
-		s.decide(initial, fileID, size, s.dir.FirstRequest(fileID), t0, root, dsp)
-		return
-	}
-	if s.rcValid[initial][fileID] {
-		// Looked up before and no invalidation since: decide on the
-		// cached entry, no messages. An invalidation still in flight
-		// would briefly have the reader deciding on fresher data than
-		// its real stale copy — the model keeps the message pattern
-		// exact, not the staleness window.
-		s.decide(initial, fileID, size, false, t0, root, dsp)
-		return
-	}
-	style := s.cfg.Version.Caching
-	lc := s.cfg.Combo.Cost(style, core.DirLookupBytes, true, true)
-	rc := s.cfg.Combo.Cost(style, core.DirReplyBytes, true, true)
-	if s.isRMW(style) {
-		s.rmwWrite(initial)
-	}
-	s.sendMsg(initial, owner, core.MsgDirLookup, core.DirLookupBytes, lc.SendCPU, lc.RecvCPU, func() {
-		// The owner answers with the entry and its first-request verdict,
-		// registering the reader's interest for later invalidation.
-		first := s.dir.FirstRequest(fileID)
-		s.interest[fileID] = s.interest[fileID].Add(initial)
-		if s.isRMW(style) {
-			s.rmwWrite(owner)
-		}
-		s.sendMsg(owner, initial, core.MsgDirReply, core.DirReplyBytes, rc.SendCPU, rc.RecvCPU, func() {
-			s.rcValid[initial][fileID] = true
-			s.decide(initial, fileID, size, first, t0, root, dsp)
-		})
-	})
 }
 
 // serviceLocal satisfies the request at the initial node: from its cache
@@ -589,51 +577,41 @@ func (s *simState) cacheInsert(nid int, fileID cache.FileID, size int64) bool {
 
 // cachingChange applies one caching-information change to the directory
 // and models its dissemination: an N-1 broadcast under the replicated
-// directory, a single directed update to the entry's owner (plus
-// invalidations to interested readers) under the sharded one.
+// directory; under the sharded one whatever the node's ShardDir sends (a
+// directed update to the entry's owner, invalidations to its readers).
 func (s *simState) cachingChange(nid int, fileID cache.FileID, cached bool) {
+	if d := s.nodes[nid].dir; d != nil {
+		d.LocalCached(fileID, cached)
+		return
+	}
 	s.dir.SetCached(fileID, nid, cached)
 	if s.cfg.ContentOblivious {
 		// No one consults the directory; no messages flow.
 		return
 	}
-	if !s.sharded {
-		s.broadcastCaching(nid)
-		return
-	}
-	owner := s.owner(fileID)
-	if owner == nid {
-		s.shardInval(nid, fileID)
-		return
-	}
-	c := s.cfg.Combo.Cost(s.cfg.Version.Caching, core.CachingMsgBytes, true, true)
-	if s.isRMW(s.cfg.Version.Caching) {
-		s.rmwWrite(nid)
-	}
-	s.sendMsg(nid, owner, core.MsgCaching, core.CachingMsgBytes, c.SendCPU, c.RecvCPU, func() {
-		s.shardInval(owner, fileID)
-	})
+	s.broadcastCaching(nid)
 }
 
-// shardInval has the entry's owner invalidate every interested reader's
-// cached copy; they pay a fresh lookup on their next decision.
-func (s *simState) shardInval(owner int, fileID cache.FileID) {
-	in := s.interest[fileID]
-	if in.Empty() {
-		return
+// dirWireBytes is the modelled wire size of each sharded-directory
+// message.
+var dirWireBytes = [core.NumMsgTypes]int64{
+	core.MsgCaching:   core.CachingMsgBytes,
+	core.MsgDirLookup: core.DirLookupBytes,
+	core.MsgDirReply:  core.DirReplyBytes,
+	core.MsgDirInval:  core.DirInvalBytes,
+}
+
+// dirSend models one message of node src's ShardDir — all of them ride
+// the caching path — and hands it to the destination's machine on
+// arrival.
+func (s *simState) dirSend(src int, m core.DirMsg) {
+	style := s.cfg.Version.Caching
+	c := s.cfg.Combo.Cost(style, dirWireBytes[m.Type], true, true)
+	if s.isRMW(style) {
+		s.rmwWrite(src)
 	}
-	s.interest[fileID] = cache.NodeSet{}
-	c := s.cfg.Combo.Cost(s.cfg.Version.Caching, core.DirInvalBytes, true, true)
-	invalRMW := s.isRMW(s.cfg.Version.Caching)
-	in.ForEach(func(r int) {
-		s.rcValid[r][fileID] = false
-		if r == owner {
-			return
-		}
-		if invalRMW {
-			s.rmwWrite(owner)
-		}
-		s.sendMsg(owner, r, core.MsgDirInval, core.DirInvalBytes, c.SendCPU, c.RecvCPU, nil)
+	s.sendMsg(src, m.To, m.Type, dirWireBytes[m.Type], c.SendCPU, c.RecvCPU, func() {
+		s.nodes[m.To].dir.Handle(src, m)
 	})
 }
 

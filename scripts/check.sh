@@ -77,15 +77,17 @@ TestMetricsEndpoint|TestClusterTelemetry|./server
 TestRunTelemetry|./cluster
 # The dissemination seam (consistent-hash ring ownership, sharded
 # directory lookup/invalidation, gossip views) runs concurrently with
-# the chaos harness and the server main loops.
-TestRing|TestSharded|TestGossip|TestDisseminator|TestStrategy|./cache ./core ./server
+# the chaos harness and the server main loops: the ShardDir machine's
+# own rule and property tests, then its two drivers.
+TestShardDir|./core
+TestRing|TestGossip|TestDisseminator|TestStrategy|./cache ./core ./server
 TestSimSharded|TestSimGossip|./cluster
 # Hot-object replication races the push/pull/drop policy against the
 # failover machinery by design (crash the hottest cacher mid-drive,
 # fail pendings over to surviving replicas): the policy machine's own
 # table tests, then its two drivers — the server suites and the
-# simulator's — and the simulator↔real parity leg, which runs a real
-# cluster beside the simulator on one trace.
+# simulator's — and the simulator↔real parity test, which runs a real
+# cluster beside the simulator on one trace, once per directory form.
 TestReplicator|./core
 TestReplication|TestReplicated|TestChaosReplica|TestHotspotCrash|./server
 TestSimReplication|./cluster
@@ -93,7 +95,7 @@ TestSimRealParity|.
 EOF
 
 # core holds the mechanisms the simulator and the server share (Policy,
-# Disseminator, Replicator): it must know neither of them, nor a
+# Disseminator, Replicator, ShardDir): it must know neither of them, nor a
 # transport, nor the wall clock — time is an argument.
 echo "==> core stays driver-agnostic"
 if go list -f '{{join .Imports "\n"}}' ./core | grep -E '^press/(server|cluster|eventsim|via)$'; then

@@ -527,12 +527,21 @@ func TestHeadRequest(t *testing.T) {
 	}
 }
 
-// liveTimersUnder counts the heap objects time.NewTimer allocated below
-// a function whose name contains caller and that survive a collection.
-// A timer that was stopped, or fired, is garbage; one left running is
-// held by the runtime until it fires. Needs runtime.MemProfileRate == 1
-// while the allocations happen.
+// liveTimersUnder counts the timers time.NewTimer allocated below a
+// function whose name contains caller and that are still running. Under
+// this module's timer semantics the runtime holds a running timer until
+// it fires, so it survives a collection; a stopped or fired one is
+// garbage. Two things the heap profile would otherwise count are not
+// running timers. Deeper in the NewTimer call the runtime may grow its
+// P's timer heap (runtime.(*timers).addHeap), an array that belongs to
+// the P for the rest of the process: only records whose innermost frame
+// is the timer's own allocation count. And a stopped timer stays linked
+// in its P's heap, reachable, until that P compacts it, which it does
+// once stopped timers exceed a quarter of the heap: flushStoppedTimers
+// provokes that first. Needs runtime.MemProfileRate == 1 while the
+// allocations happen.
 func liveTimersUnder(caller string) int64 {
+	flushStoppedTimers()
 	runtime.GC()
 	runtime.GC() // the profile trails the collector by one cycle
 	n, _ := runtime.MemProfile(nil, true)
@@ -547,20 +556,55 @@ func liveTimersUnder(caller string) int64 {
 		if r.InUseObjects() == 0 {
 			continue
 		}
-		var timer, under bool
-		for frames := runtime.CallersFrames(r.Stack()); ; {
-			f, more := frames.Next()
-			timer = timer || f.Function == "time.NewTimer"
+		frames := runtime.CallersFrames(r.Stack())
+		f, more := frames.Next()
+		timer := f.Function == "time.NewTimer" || f.Function == "time.newTimer"
+		under := false
+		for more {
+			f, more = frames.Next()
 			under = under || strings.Contains(f.Function, caller)
-			if !more {
-				break
-			}
 		}
 		if timer && under {
 			live += r.InUseObjects()
 		}
 	}
 	return live
+}
+
+// flushStoppedTimers has every P unlink the stopped timers still in its
+// heap: a burst of stopped timers per goroutine, several goroutines per
+// P, and a yield so the P's next scheduling pass finds the heap worth
+// compacting. Which P a goroutine lands on is the scheduler's choice, so
+// callers that need zero retry.
+func flushStoppedTimers() {
+	var wg sync.WaitGroup
+	for g := 0; g < 4*runtime.GOMAXPROCS(0); g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var burst [512]*time.Timer
+			for i := range burst {
+				burst[i] = time.NewTimer(time.Hour)
+			}
+			for _, t := range burst {
+				t.Stop()
+			}
+			runtime.Gosched()
+		}()
+	}
+	wg.Wait()
+}
+
+// noLiveTimersUnder waits for liveTimersUnder(caller) to read zero and
+// returns the last reading: a client can hold its whole answer a moment
+// before the handler that wrote it has returned and stopped its timer,
+// and one flush may miss a P.
+func noLiveTimersUnder(caller string) (live int64) {
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if live = liveTimersUnder(caller); live == 0 || time.Now().After(deadline) {
+			return live
+		}
+	}
 }
 
 // TestTimersStoppedOnReturn: the 30 s safety-net timers on the request
@@ -581,15 +625,7 @@ func TestTimersStoppedOnReturn(t *testing.T) {
 		}
 		defer cl.Close()
 		fetchAll(t, cl, tr, 25, 1)
-		// A client can hold its whole answer a moment before the handler
-		// that wrote it has returned and stopped its timer.
-		var live int64
-		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-			if live = liveTimersUnder("(*nodeHandler).ServeHTTP"); live == 0 || time.Now().After(deadline) {
-				break
-			}
-		}
-		if live != 0 {
+		if live := noLiveTimersUnder("(*nodeHandler).ServeHTTP"); live != 0 {
 			t.Errorf("%d timer objects still live after %d answered requests", live, 25*len(tr.Files))
 		}
 	})
@@ -598,7 +634,7 @@ func TestTimersStoppedOnReturn(t *testing.T) {
 		if err := a.Reconnect(1); err != nil {
 			t.Fatal(err)
 		}
-		if live := liveTimersUnder("(*viaTransport).Reconnect"); live != 0 {
+		if live := noLiveTimersUnder("(*viaTransport).Reconnect"); live != 0 {
 			t.Errorf("%d timer objects still live after Reconnect returned", live)
 		}
 	})

@@ -70,12 +70,11 @@ type dirEnv struct {
 	event func(typ telemetry.EventType, peer int, detail string, value int64)
 }
 
-// newDirectory builds the Directory the strategy asks for.
+// newDirectory builds the Directory the strategy asks for. A content-
+// oblivious node consults no directory and announces nothing, which the
+// replicated form already knows how to do.
 func newDirectory(s core.Strategy, env dirEnv) Directory {
-	if env.event == nil {
-		env.event = func(telemetry.EventType, int, string, int64) {}
-	}
-	if s.Dir == core.DirSharded {
+	if s.Dir == core.DirSharded && !env.oblivious {
 		return newShardedDirectory(env)
 	}
 	return newReplicatedDirectory(env)
@@ -201,291 +200,54 @@ func (r *replicatedDirectory) Tick(time.Time) {}
 
 func (r *replicatedDirectory) TickInterval() time.Duration { return 0 }
 
-// Sharded-directory timing: a lookup that outlives dirLookupTimeout is
-// answered with an empty set (the request is serviced locally — the
-// availability fallback), and Tick runs often enough to notice.
-const (
-	dirLookupTimeout      = 250 * time.Millisecond
-	dirLookupTickInterval = 50 * time.Millisecond
-)
-
-// pendingDirLookup is one dispatch decision waiting on a shard owner.
-type pendingDirLookup struct {
-	done     func(cache.NodeSet, bool)
-	deadline time.Time
-}
-
-// shardedDirectory partitions directory ownership over a consistent-
-// hash ring: the owner of a file's key holds the authoritative cacher
-// set and first-request bit. Reads are one MsgDirLookup/MsgDirReply
-// exchange, cached locally until the owner invalidates (MsgDirInval);
-// writes are one directed MsgCaching to the owner. Per-node directory
-// traffic is O(1) per event instead of O(N).
+// shardedDirectory drives core.ShardDir, which holds the sharded
+// directory's every rule and all of its state: this driver supplies the
+// wall clock, translates file IDs to names and DirMsg values to
+// *Message, and raises the lookup-timeout event. Cachers, LocalCached,
+// PeerDead, PeerJoined and Crash are the machine's own.
 type shardedDirectory struct {
-	env  dirEnv
-	ring *cache.Ring
-	keys []uint64 // per file, the ring key of its name
-
-	// Authoritative shard state, meaningful for files this node owns.
-	// Full-population slices: ownership moves with membership, so any
-	// file can become ours. A non-owner's stale slice entries are
-	// harmless — only the current owner's are consulted.
-	cachers  []cache.NodeSet
-	seen     []bool
-	interest []cache.NodeSet // readers holding a cached copy of the entry
-
-	// Read-side cache of other owners' entries.
-	rc      []cache.NodeSet
-	rcValid []bool
-
-	pending map[cache.FileID][]pendingDirLookup
+	*core.ShardDir
+	env dirEnv
 }
 
 func newShardedDirectory(env dirEnv) *shardedDirectory {
-	if env.event == nil {
-		env.event = func(telemetry.EventType, int, string, int64) {}
-	}
-	s := &shardedDirectory{
-		env:      env,
-		ring:     cache.NewRing(env.nodes, 0),
-		keys:     make([]uint64, env.files),
-		cachers:  make([]cache.NodeSet, env.files),
-		seen:     make([]bool, env.files),
-		interest: make([]cache.NodeSet, env.files),
-		rc:       make([]cache.NodeSet, env.files),
-		rcValid:  make([]bool, env.files),
-		pending:  make(map[cache.FileID][]pendingDirLookup),
-	}
-	for id := 0; id < env.files; id++ {
-		s.keys[id] = cache.KeyForName(env.fileName(cache.FileID(id)))
-	}
-	return s
-}
-
-// owner returns the file's current shard owner among alive nodes.
-func (s *shardedDirectory) owner(id cache.FileID) int {
-	return s.ring.Owner(s.keys[id], s.env.alive())
+	ring := core.NewShardRing(env.nodes, env.files, env.fileName)
+	return &shardedDirectory{env: env, ShardDir: core.NewShardDir(env.self, ring, core.ShardEnv{
+		Emit: func(m core.DirMsg) {
+			// A reply reuses the Cached header byte for the first-request
+			// verdict and carries the cacher set in the dir extension.
+			env.send(m.To, &Message{Type: m.Type, Name: env.fileName(m.File), Cached: m.Cached,
+				DirSet: m.Set, DirSetValid: m.Type == core.MsgDirReply})
+		},
+		Alive:  env.alive,
+		Cached: env.localFiles,
+	})}
 }
 
 func (s *shardedDirectory) Lookup(id cache.FileID, done func(cache.NodeSet, bool)) {
-	own := s.owner(id)
-	if own == s.env.self || own < 0 {
-		// Own shard (or no peers left): resolve authoritatively.
-		first := !s.seen[id]
-		s.seen[id] = true
-		done(s.cachers[id], first)
-		return
-	}
-	if s.rcValid[id] {
-		done(s.rc[id], false)
-		return
-	}
-	waiters := s.pending[id]
-	s.pending[id] = append(waiters, pendingDirLookup{
-		done: done, deadline: time.Now().Add(dirLookupTimeout)})
-	if len(waiters) == 0 {
-		s.env.send(own, &Message{Type: core.MsgDirLookup, Name: s.env.fileName(id)})
-	}
-}
-
-func (s *shardedDirectory) Cachers(id cache.FileID) cache.NodeSet {
-	own := s.owner(id)
-	if own == s.env.self || own < 0 {
-		return s.cachers[id]
-	}
-	if s.rcValid[id] {
-		return s.rc[id]
-	}
-	return cache.NodeSet{} // unknown beats stale: callers fall back to local
-}
-
-func (s *shardedDirectory) LocalCached(id cache.FileID, cached bool) {
-	own := s.owner(id)
-	if own == s.env.self || own < 0 {
-		s.applyOwned(id, s.env.self, cached)
-		return
-	}
-	if s.rcValid[id] {
-		// Keep the read copy coherent with our own change; the owner's
-		// invalidation for it is redundant but harmless.
-		if cached {
-			s.rc[id] = s.rc[id].Add(s.env.self)
-		} else {
-			s.rc[id] = s.rc[id].Remove(s.env.self)
-		}
-	}
-	if !s.env.oblivious {
-		s.env.send(own, &Message{Type: core.MsgCaching,
-			Name: s.env.fileName(id), Cached: cached})
-	}
-}
-
-// applyOwned mutates an entry of this node's shard and invalidates
-// every reader holding a cached copy.
-func (s *shardedDirectory) applyOwned(id cache.FileID, node int, cached bool) {
-	if cached {
-		s.cachers[id] = s.cachers[id].Add(node)
-	} else {
-		s.cachers[id] = s.cachers[id].Remove(node)
-	}
-	s.seen[id] = true
-	if s.interest[id].Empty() {
-		return
-	}
-	name := s.env.fileName(id)
-	s.interest[id].ForEach(func(reader int) {
-		s.env.send(reader, &Message{Type: core.MsgDirInval, Name: name})
-	})
-	s.interest[id] = cache.NodeSet{} // readers re-register on next lookup
+	s.ShardDir.Lookup(id, time.Now(), done)
 }
 
 func (s *shardedDirectory) HandleMessage(m *Message) bool {
 	switch m.Type {
-	case core.MsgCaching:
-		// Directed update from a peer to the shard owner (us — or a
-		// stale view of us; recording it is harmless either way).
-		if id, ok := s.env.fileID(m.Name); ok {
-			s.applyOwned(id, m.From, m.Cached)
-		}
-		return true
-	case core.MsgDirLookup:
-		id, ok := s.env.fileID(m.Name)
-		if !ok {
-			return true
-		}
-		first := !s.seen[id]
-		s.seen[id] = true
-		s.interest[id] = s.interest[id].Add(m.From)
-		// The reply reuses the Cached header byte for the first-request
-		// verdict and carries the cacher set in the dir extension.
-		s.env.send(m.From, &Message{Type: core.MsgDirReply, Name: m.Name,
-			Cached: first, DirSet: s.cachers[id], DirSetValid: true})
-		return true
+	case core.MsgCaching, core.MsgDirLookup, core.MsgDirInval:
 	case core.MsgDirReply:
-		id, ok := s.env.fileID(m.Name)
-		if !ok {
-			return true
+		if !m.DirSetValid {
+			return true // a reply without its set answers nothing
 		}
-		if m.DirSetValid {
-			s.rc[id] = m.DirSet
-			s.rcValid[id] = true
-		}
-		waiters := s.pending[id]
-		delete(s.pending, id)
-		for i, w := range waiters {
-			// Only the lookup that reached the owner first can be the
-			// file's first request.
-			w.done(m.DirSet, m.Cached && i == 0)
-		}
-		return true
-	case core.MsgDirInval:
-		if id, ok := s.env.fileID(m.Name); ok {
-			s.rcValid[id] = false
-		}
-		return true
+	default:
+		return false
 	}
-	return false
-}
-
-func (s *shardedDirectory) PeerDead(peer int) int {
-	purged := 0
-	for id := range s.cachers {
-		if s.cachers[id].Has(peer) {
-			s.cachers[id] = s.cachers[id].Remove(peer)
-			purged++
-		}
-		s.interest[id] = s.interest[id].Remove(peer)
+	if id, ok := s.env.fileID(m.Name); ok {
+		s.Handle(m.From, core.DirMsg{Type: m.Type, File: id, Cached: m.Cached, Set: m.DirSet})
 	}
-	// Ownership arcs moved: every cached read may now name the wrong
-	// owner, and entries the dead node owned are gone. Drop the read
-	// cache, fail pending lookups fast (local service), and re-announce
-	// our own cache so the new owners rebuild their shards.
-	s.invalidateReadCache()
-	s.flushPending()
-	s.reannounce()
-	return purged
-}
-
-func (s *shardedDirectory) PeerJoined(peer int) {
-	if s.env.oblivious {
-		return
-	}
-	// The rejoined node reclaims its arcs (with empty shard state) and
-	// every other owner's arc boundaries shifted back.
-	s.invalidateReadCache()
-	s.reannounce()
-}
-
-func (s *shardedDirectory) Crash() {
-	for id := range s.cachers {
-		s.cachers[id] = cache.NodeSet{}
-		s.seen[id] = false
-		s.interest[id] = cache.NodeSet{}
-	}
-	s.invalidateReadCache()
-	s.flushPending()
+	return true
 }
 
 func (s *shardedDirectory) Tick(now time.Time) {
-	var timedOut int64
-	for id, waiters := range s.pending {
-		kept := waiters[:0]
-		for _, w := range waiters {
-			if now.After(w.deadline) {
-				timedOut++
-				w.done(cache.NodeSet{}, false)
-			} else {
-				kept = append(kept, w)
-			}
-		}
-		if len(kept) == 0 {
-			delete(s.pending, id)
-		} else {
-			s.pending[id] = kept
-		}
-	}
-	if timedOut > 0 {
-		s.env.event(telemetry.EvDirLookupTimeout, -1, "lookups fell back to local service", timedOut)
+	if n := s.ShardDir.Tick(now); n > 0 {
+		s.env.event(telemetry.EvDirLookupTimeout, -1, "lookups fell back to local service", int64(n))
 	}
 }
 
-func (s *shardedDirectory) TickInterval() time.Duration { return dirLookupTickInterval }
-
-func (s *shardedDirectory) invalidateReadCache() {
-	for id := range s.rcValid {
-		s.rcValid[id] = false
-	}
-}
-
-// flushPending answers every waiting lookup with an empty set: the
-// dispatch falls back to local service, trading a cache miss for not
-// stalling the request on a directory in flux.
-func (s *shardedDirectory) flushPending() {
-	if len(s.pending) == 0 {
-		return
-	}
-	flushed := s.pending
-	s.pending = make(map[cache.FileID][]pendingDirLookup)
-	for _, waiters := range flushed {
-		for _, w := range waiters {
-			w.done(cache.NodeSet{}, false)
-		}
-	}
-}
-
-// reannounce re-registers this node's cache contents with the current
-// shard owners, rebuilding entries lost to an ownership change.
-func (s *shardedDirectory) reannounce() {
-	if s.env.oblivious {
-		return
-	}
-	s.env.localFiles(func(id cache.FileID) {
-		own := s.owner(id)
-		if own == s.env.self || own < 0 {
-			s.applyOwned(id, s.env.self, true)
-			return
-		}
-		s.env.send(own, &Message{Type: core.MsgCaching,
-			Name: s.env.fileName(id), Cached: true})
-	})
-}
+func (s *shardedDirectory) TickInterval() time.Duration { return core.ShardTickInterval }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -31,257 +30,6 @@ func (f *fakeDirNet) drain() []struct {
 	out := f.sent
 	f.sent = nil
 	return out
-}
-
-// newTestShardedDir builds a sharded directory for `self` in a cluster
-// of `nodes` over a synthetic file population, plus knobs the tests
-// poke: the fake network and a mutable alive set.
-func newTestShardedDir(self, nodes, files int) (*shardedDirectory, *fakeDirNet, *cache.NodeSet, map[cache.FileID][]byte) {
-	net := &fakeDirNet{}
-	alive := new(cache.NodeSet)
-	*alive = cache.NodeSet{}
-	for n := 0; n < nodes; n++ {
-		*alive = alive.Add(n)
-	}
-	names := make([]string, files)
-	ids := make(map[string]cache.FileID, files)
-	for i := range names {
-		names[i] = fmt.Sprintf("/f%03d.html", i)
-		ids[names[i]] = cache.FileID(i)
-	}
-	content := make(map[cache.FileID][]byte)
-	env := dirEnv{
-		self: self, nodes: nodes, files: files,
-		send:     net.send,
-		fileName: func(id cache.FileID) string { return names[id] },
-		fileID: func(name string) (cache.FileID, bool) {
-			id, ok := ids[name]
-			return id, ok
-		},
-		localFiles: func(fn func(id cache.FileID)) {
-			for id := range content {
-				fn(id)
-			}
-		},
-		alive: func() cache.NodeSet { return *alive },
-	}
-	return newShardedDirectory(env), net, alive, content
-}
-
-// fileOwnedBy finds a file whose shard owner is (or is not) `self`.
-func fileOwnedBy(s *shardedDirectory, self int, want bool) cache.FileID {
-	for id := range s.keys {
-		if (s.owner(cache.FileID(id)) == self) == want {
-			return cache.FileID(id)
-		}
-	}
-	panic("no file with requested ownership in test population")
-}
-
-func TestShardedLookupOwnedResolvesLocally(t *testing.T) {
-	s, net, _, _ := newTestShardedDir(0, 4, 64)
-	id := fileOwnedBy(s, 0, true)
-	var gotFirst []bool
-	s.Lookup(id, func(set cache.NodeSet, first bool) {
-		if !set.Empty() {
-			t.Errorf("fresh entry has cachers %v", set.Nodes())
-		}
-		gotFirst = append(gotFirst, first)
-	})
-	s.Lookup(id, func(set cache.NodeSet, first bool) { gotFirst = append(gotFirst, first) })
-	if len(gotFirst) != 2 || !gotFirst[0] || gotFirst[1] {
-		t.Fatalf("first verdicts = %v, want [true false]", gotFirst)
-	}
-	if len(net.drain()) != 0 {
-		t.Fatal("owned lookup sent messages")
-	}
-}
-
-func TestShardedLookupRemoteRoundTrip(t *testing.T) {
-	s, net, _, _ := newTestShardedDir(0, 4, 64)
-	id := fileOwnedBy(s, 0, false)
-	own := s.owner(id)
-
-	resolved := 0
-	s.Lookup(id, func(set cache.NodeSet, first bool) {
-		if !first || !set.Has(3) || set.Len() != 1 {
-			t.Errorf("resolved set=%v first=%v", set.Nodes(), first)
-		}
-		resolved++
-	})
-	// A second waiter coalesces onto the in-flight lookup and must not
-	// get the first-request verdict.
-	s.Lookup(id, func(set cache.NodeSet, first bool) {
-		if first {
-			t.Error("coalesced waiter got the first verdict")
-		}
-		resolved++
-	})
-	sent := net.drain()
-	if len(sent) != 1 || sent[0].dst != own || sent[0].m.Type != core.MsgDirLookup {
-		t.Fatalf("lookup traffic = %+v", sent)
-	}
-	if resolved != 0 {
-		t.Fatal("resolved before the reply")
-	}
-	s.HandleMessage(&Message{Type: core.MsgDirReply, From: own, Name: s.env.fileName(id),
-		Cached: true, DirSet: cache.NodeSetOf(3), DirSetValid: true})
-	if resolved != 2 {
-		t.Fatalf("resolved %d of 2 waiters", resolved)
-	}
-	// The reply populated the read cache: the next lookup is free.
-	s.Lookup(id, func(set cache.NodeSet, first bool) {
-		if first || !set.Has(3) {
-			t.Errorf("cached read: set=%v first=%v", set.Nodes(), first)
-		}
-		resolved++
-	})
-	if resolved != 3 || len(net.drain()) != 0 {
-		t.Fatal("read-cache hit still sent a lookup")
-	}
-	// An invalidation from the owner forces the next lookup remote.
-	s.HandleMessage(&Message{Type: core.MsgDirInval, From: own, Name: s.env.fileName(id)})
-	s.Lookup(id, func(cache.NodeSet, bool) {})
-	if sent := net.drain(); len(sent) != 1 || sent[0].m.Type != core.MsgDirLookup {
-		t.Fatalf("post-inval traffic = %+v", sent)
-	}
-}
-
-func TestShardedOwnerInvalidatesReaders(t *testing.T) {
-	s, net, _, _ := newTestShardedDir(0, 4, 64)
-	id := fileOwnedBy(s, 0, true)
-	name := s.env.fileName(id)
-
-	// Reader 2 looks the entry up: it gets a reply and is registered.
-	s.HandleMessage(&Message{Type: core.MsgDirLookup, From: 2, Name: name})
-	sent := net.drain()
-	if len(sent) != 1 || sent[0].dst != 2 || sent[0].m.Type != core.MsgDirReply ||
-		!sent[0].m.DirSetValid || !sent[0].m.Cached {
-		t.Fatalf("reply = %+v", sent)
-	}
-	// A directed caching update from node 1 changes the entry: reader 2
-	// must be invalidated, and only reader 2.
-	s.HandleMessage(&Message{Type: core.MsgCaching, From: 1, Name: name, Cached: true})
-	sent = net.drain()
-	if len(sent) != 1 || sent[0].dst != 2 || sent[0].m.Type != core.MsgDirInval {
-		t.Fatalf("invalidation traffic = %+v", sent)
-	}
-	if !s.cachers[id].Has(1) {
-		t.Fatal("owner did not record the update")
-	}
-	// Interest was cleared: another change invalidates no one.
-	s.HandleMessage(&Message{Type: core.MsgCaching, From: 3, Name: name, Cached: true})
-	if sent := net.drain(); len(sent) != 0 {
-		t.Fatalf("second change re-invalidated: %+v", sent)
-	}
-	// The owner's own lookups never see a first request again.
-	s.Lookup(id, func(set cache.NodeSet, first bool) {
-		if first || !set.Has(1) || !set.Has(3) {
-			t.Errorf("owner view: set=%v first=%v", set.Nodes(), first)
-		}
-	})
-}
-
-func TestShardedLocalCachedGoesToOwnerOnly(t *testing.T) {
-	s, net, _, _ := newTestShardedDir(0, 4, 64)
-	id := fileOwnedBy(s, 0, false)
-	s.LocalCached(id, true)
-	sent := net.drain()
-	if len(sent) != 1 || sent[0].dst != s.owner(id) || sent[0].m.Type != core.MsgCaching || !sent[0].m.Cached {
-		t.Fatalf("caching update traffic = %+v", sent)
-	}
-	s.LocalCached(id, false)
-	sent = net.drain()
-	if len(sent) != 1 || sent[0].m.Cached {
-		t.Fatalf("evict update traffic = %+v", sent)
-	}
-}
-
-func TestShardedLookupTimeoutFallsBackLocal(t *testing.T) {
-	s, net, _, _ := newTestShardedDir(0, 4, 64)
-	id := fileOwnedBy(s, 0, false)
-	resolved := 0
-	s.Lookup(id, func(set cache.NodeSet, first bool) {
-		if !set.Empty() || first {
-			t.Errorf("timeout resolution: set=%v first=%v", set.Nodes(), first)
-		}
-		resolved++
-	})
-	net.drain()
-	s.Tick(time.Now()) // deadline not yet passed
-	if resolved != 0 {
-		t.Fatal("resolved before the timeout")
-	}
-	s.Tick(time.Now().Add(2 * dirLookupTimeout))
-	if resolved != 1 {
-		t.Fatal("timeout did not resolve the lookup")
-	}
-	if len(s.pending) != 0 {
-		t.Fatal("pending entry leaked")
-	}
-}
-
-func TestShardedPeerDeadReownsAndReannounces(t *testing.T) {
-	s, net, alive, content := newTestShardedDir(0, 4, 128)
-	// This node caches a file owned by a peer that is about to die.
-	var victimFile cache.FileID
-	var victim int
-	found := false
-	for id := range s.keys {
-		if own := s.owner(cache.FileID(id)); own != 0 {
-			victimFile, victim, found = cache.FileID(id), own, true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("no remotely owned file")
-	}
-	content[victimFile] = []byte("x")
-	s.LocalCached(victimFile, true)
-	net.drain()
-
-	// Populate the read cache for the victim's file, then kill it.
-	s.HandleMessage(&Message{Type: core.MsgDirReply, From: victim, Name: s.env.fileName(victimFile),
-		DirSet: cache.NodeSetOf(0), DirSetValid: true})
-	*alive = alive.Remove(victim)
-	s.PeerDead(victim)
-
-	// The read cache must be dropped (ownership moved) and the local
-	// content re-announced to the file's new owner.
-	if s.rcValid[victimFile] {
-		t.Fatal("read cache survived an ownership change")
-	}
-	newOwner := s.owner(victimFile)
-	if newOwner == victim {
-		t.Fatal("dead node still owns its arc")
-	}
-	foundAnnounce := false
-	for _, sm := range net.drain() {
-		if sm.m.Type == core.MsgCaching && sm.m.Name == s.env.fileName(victimFile) {
-			if sm.dst != newOwner || !sm.m.Cached {
-				t.Fatalf("re-announce went to %d (cached=%v), owner is %d", sm.dst, sm.m.Cached, newOwner)
-			}
-			foundAnnounce = true
-		}
-	}
-	if !foundAnnounce && newOwner != 0 {
-		t.Fatal("local content not re-announced to the new owner")
-	}
-}
-
-func TestShardedPeerDeadPurgesCachers(t *testing.T) {
-	s, _, alive, _ := newTestShardedDir(0, 4, 64)
-	id := fileOwnedBy(s, 0, true)
-	name := s.env.fileName(id)
-	s.HandleMessage(&Message{Type: core.MsgCaching, From: 2, Name: name, Cached: true})
-	s.HandleMessage(&Message{Type: core.MsgCaching, From: 3, Name: name, Cached: true})
-	*alive = alive.Remove(2)
-	if purged := s.PeerDead(2); purged != 1 {
-		t.Fatalf("purged = %d", purged)
-	}
-	if set := s.cachers[id]; set.Has(2) || !set.Has(3) {
-		t.Fatalf("cachers after death = %v", set.Nodes())
-	}
 }
 
 func TestMessageDirSetExtension(t *testing.T) {
@@ -458,9 +206,9 @@ func shardedDirConsistent(cl *Cluster) bool {
 			truth[i] = t
 			rec := make(map[cache.FileID]cache.NodeSet)
 			if sd, ok := n.dir.(*shardedDirectory); ok {
-				for id := range sd.cachers {
-					if sd.owner(cache.FileID(id)) == n.id {
-						rec[cache.FileID(id)] = sd.cachers[id]
+				for id := range n.files {
+					if id := cache.FileID(id); sd.Owner(id) == n.id {
+						rec[id] = sd.Cachers(id)
 					}
 				}
 			}

@@ -69,23 +69,29 @@ func (t *viaTransport) handleFrame(p *viaPeer, frame []byte) {
 		return
 	}
 	m, err := DecodeMessage(frame)
-	if err != nil {
-		return
-	}
-	switch m.Type {
-	case core.MsgFlow:
+	// One rule for a frame we refuse, whether it does not decode or
+	// claims a sender that is not this channel's peer (From is a wire
+	// uint16 that indexes per-peer tables from here on, and over the UDP
+	// bridge it is socket input): it never reaches Inbound, as on TCP, but
+	// it did occupy a slot of the window, so it is counted below like any
+	// data frame; returning before the count would shrink the sender's
+	// window by one for good.
+	refused := err != nil || m.From != p.id
+	if !refused && m.Type == core.MsgFlow {
 		p.regGate.credit(int64(m.Credits))
 		return
-	default:
-		// A data message consumed a window slot; return credits in
-		// batches, either as explicit flow messages or as a remote
-		// write of the cumulative count (version 1+).
-		p.consumed++
-		if p.consumed >= int64(t.cfg.batch) {
-			granted := p.consumed
-			p.consumed = 0
-			t.returnCredits(p, granted)
-		}
+	}
+	// A data message consumed a window slot; return credits in batches,
+	// either as explicit flow messages or as a remote write of the
+	// cumulative count (version 1+).
+	p.consumed++
+	if p.consumed >= int64(t.cfg.batch) {
+		granted := p.consumed
+		p.consumed = 0
+		t.returnCredits(p, granted)
+	}
+	if refused {
+		return
 	}
 	select {
 	case t.inbound <- m:
@@ -303,7 +309,9 @@ func (t *viaTransport) drainCtrlRing(p *viaPeer) bool {
 			return progressed
 		}
 		progressed = true
-		if m, err := DecodeMessage(payload); err == nil {
+		// A slot that does not decode or names another sender is refused
+		// as handleFrame refuses a frame: dropped, and acknowledged below.
+		if m, err := DecodeMessage(payload); err == nil && m.From == p.id {
 			select {
 			case t.inbound <- m:
 			case <-t.done:

@@ -337,6 +337,67 @@ func TestViaPollWriteBeforeReady(t *testing.T) {
 	}
 }
 
+// TestViaRefusesForeignFrom: From is a uint16 off the wire, and the main
+// loop and the directory index per-peer tables with it. A frame or a
+// control-ring slot that names anyone but the channel's peer — an id past
+// the cluster, a third node's, our own — must never reach Inbound, and
+// must still be counted as a consumed slot so the sender's window does
+// not shrink.
+func TestViaRefusesForeignFrom(t *testing.T) {
+	vt, raw, addrs := newRawMesh(t, 0)
+	ln, err := raw.nic.Listen("press-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vi := raw.newVI()
+	connected := make(chan error, 1)
+	go func() { connected <- vt.connect(addrs) }()
+	if _, err := ln.Accept(vi); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := vi.RecvWait(5 * time.Second); err != nil || c.Desc.Err() != nil {
+		t.Fatalf("no setup frame from the transport: %v", err)
+	}
+	raw.sendSetup(vi)
+	if err := <-connected; err != nil {
+		t.Fatal(err)
+	}
+	p := vt.peer(1)
+	foreign := []int{65535, 2, 0}
+
+	// Regular channel: three refused frames and one good one are a whole
+	// credit batch (4), which the transport returns by writing the count
+	// into our flow region.
+	sendRegular := func(m *Message) {
+		frame, err := m.Encode(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw.post(frame, vi.PostSend)
+	}
+	for _, from := range foreign {
+		sendRegular(&Message{Type: core.MsgLoad, From: from, Load: 66})
+	}
+	sendRegular(&Message{Type: core.MsgLoad, From: 1, Load: 7})
+	expectInbound(t, vt, 7)
+	waitFor(t, 5*time.Second, "the refused frames' credits to come back", func() bool {
+		var buf [8]byte
+		return raw.flow.Read(buf[:], flowRegChannel) == nil && binary.LittleEndian.Uint64(buf[:]) == 4
+	})
+
+	// Control ring: the same, slot by slot.
+	for i, from := range foreign {
+		raw.writeCtrl(vi, p.inCtrl.region.Handle(), uint32(i+1), &Message{Type: core.MsgLoad, From: from, Load: 66})
+	}
+	raw.writeCtrl(vi, p.inCtrl.region.Handle(), uint32(len(foreign)+1), &Message{Type: core.MsgLoad, From: 1, Load: 8})
+	expectInbound(t, vt, 8)
+	select {
+	case m := <-vt.Inbound():
+		t.Fatalf("%+v delivered besides the two genuine messages", m)
+	default:
+	}
+}
+
 // TestViaCloseJoinsParkedPoller: an idle poll thread is parked on the
 // doorbell with nothing coming; Close must wake it and wait it out.
 func TestViaCloseJoinsParkedPoller(t *testing.T) {
