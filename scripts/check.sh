@@ -33,6 +33,19 @@ zero_alloc() {
     fi
 }
 
+# max_bytes_op <bench> <pkg> <limit> <message> is an allocation budget
+# on an enabled path: run the benchmark and fail with the message when it
+# reports more than <limit> B/op.
+max_bytes_op() {
+    out=$(go test -run '^$' -bench "$1" -benchtime 1000x -benchmem "$2")
+    echo "$out"
+    got=$(echo "$out" | awk -v b="$1" 'index($1, b) == 1 { for (i = 2; i <= NF; i++) if ($i == "B/op") print $(i - 1) }')
+    if [ -z "$got" ] || [ "$got" -gt "$3" ]; then
+        echo "check: $1 allocates ${got:-?} B/op, budget $3; $4" >&2
+        exit 1
+    fi
+}
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -92,6 +105,11 @@ TestReplicator|./core
 TestReplication|TestReplicated|TestChaosReplica|TestHotspotCrash|./server
 TestSimReplication|./cluster
 TestSimRealParity|.
+# A forwarded reply's receive buffer changes hands four times (transport,
+# main loop, HTTP handler, pool) and a release one hand too early is a
+# recycled page under a reader: ten fresh passes of the ownership suites
+# on all three receive paths.
+-count=10 TestRecvBufNotRecycledUnderReader|TestReplicaPullKeepsItsBuffer|TestFailoverMidReassembly|TestHandleFileChunk|./server
 EOF
 
 # core holds the mechanisms the simulator and the server share (Policy,
@@ -163,5 +181,10 @@ zero_alloc BenchmarkServeTracing . "disabled tracing must be free"
 zero_alloc BenchmarkOverloadOff ./server "disabled overload control must be free"
 zero_alloc BenchmarkSamplerOff ./telemetry "a disabled telemetry plane must be free"
 zero_alloc BenchmarkReplicationOff ./server "disabled replication must be free"
+
+# The forwarded-reply budget: a 64 KiB file crosses a V5 pair in one
+# pooled receive buffer, so the whole request (client included) allocates
+# ~8 KB. A per-arrival or a reassembly make coming back adds 64 KiB each.
+max_bytes_op BenchmarkForwardedReply64K ./server 16384 "a forwarded file must not be allocated per request"
 
 echo "check: all gates passed"

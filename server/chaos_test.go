@@ -52,7 +52,7 @@ func chaosClusterConfig(t *testing.T, nodes int) (Config, *trace.Trace, *metrics
 }
 
 // waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
+func waitFor(t testing.TB, d time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(d)
 	for !cond() {

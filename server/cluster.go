@@ -374,6 +374,10 @@ func (h *nodeHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodHead {
 			_, _ = w.Write(res.data)
 		}
+		// Write may not retain data (io.Writer), so a forwarded reply's
+		// receive buffer goes back here, its one release. Every return
+		// above leaves it to the GC.
+		res.buf.release()
 		rep.Annotate("bytes", int64(len(res.data)))
 		rep.End()
 		req.span.End()

@@ -87,6 +87,11 @@ type Message struct {
 	// the wire and transports without zero-copy support ignore it.
 	SrcRegion *via.MemoryRegion
 	SrcOffset int
+
+	// buf is the receive buffer Data points into, set only on a received
+	// MsgFile: the message owns it, and handleFileChunk passes it on or
+	// gives it back. Never on the wire.
+	buf *recvBuf
 }
 
 const msgHeaderLen = 1 + 2 + 4 + 8 + 1 + 4 + 4 + 4 + 2 + 4
@@ -195,6 +200,23 @@ func (m *Message) Encode(dst []byte) ([]byte, error) {
 	dst = append(dst, m.Name...)
 	dst = append(dst, m.Data...)
 	return dst, nil
+}
+
+// decodeFrame parses the frame a transport received into buf and
+// settles who owns buf from here on. A message with no payload points
+// nowhere into the frame (Name is a copy), so the frame goes straight
+// back; a file message owns it; any other payload (a gossip digest, a
+// join record) may be read by the main loop at any later time, so the
+// frame is left to the GC.
+func decodeFrame(buf *recvBuf) (*Message, error) {
+	m, err := DecodeMessage(buf.b)
+	switch {
+	case err != nil || len(m.Data) == 0:
+		buf.release()
+	case m.Type == core.MsgFile:
+		m.buf = buf
+	}
+	return m, err
 }
 
 // DecodeMessage parses one wire message. The returned message's Data

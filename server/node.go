@@ -16,9 +16,12 @@ import (
 	"press/via"
 )
 
-// clientResult is a node's answer to one HTTP request.
+// clientResult is a node's answer to one HTTP request. buf, when set,
+// is the receive buffer data points into (a forwarded reply): whoever
+// writes data to the client owns it and releases it after the write.
 type clientResult struct {
 	data []byte
+	buf  *recvBuf
 	err  error
 }
 
@@ -72,7 +75,7 @@ type diskWaiter struct {
 	deadline time.Time
 }
 
-// pendingRemote reassembles a file reply for a forwarded request. span
+// pendingRemote awaits the file reply to a forwarded request. span
 // is the "forward" span covering queue-to-wire, wire, remote service,
 // and the reply's way back; it ends when the last chunk arrives. dst is
 // the node currently serving the request; tried accumulates every node
@@ -80,10 +83,14 @@ type diskWaiter struct {
 // deadline re-dispatches the request even without a detected death.
 // A replica pull rides the same machinery with no client attached
 // (replicate true, req nil): nothing re-dispatches it, and finish lands
-// it in the cache instead of an HTTP response.
+// it in the cache instead of an HTTP response. file is what was asked
+// for, so a reply is checked against the size stored for it; buf is the
+// reassembly buffer of a reply that comes in more than one chunk, of
+// which received bytes are in place.
 type pendingRemote struct {
 	req       *clientRequest
-	buf       []byte
+	file      cache.FileID
+	buf       *recvBuf
 	received  int
 	span      *tracing.Span
 	dst       int
@@ -91,7 +98,6 @@ type pendingRemote struct {
 	deadline  time.Time
 	sentAt    time.Time // dispatch time of the current forward (brownout latency sample)
 	replicate bool
-	replID    cache.FileID
 }
 
 // sendFailure is the send thread's report of a delivery it gave up on,
@@ -606,7 +612,7 @@ func (n *Node) dispatchDecided(r *clientRequest, id cache.FileID, cachers cache.
 	reqID := n.nextReqID
 	fwd := r.span.StartChild("forward")
 	fwd.Annotate("dst", int64(dst))
-	p := &pendingRemote{req: r, span: fwd, dst: dst,
+	p := &pendingRemote{req: r, file: id, span: fwd, dst: dst,
 		tried: cache.NodeSetOf(n.id, dst)}
 	now := time.Now()
 	p.sentAt = now
@@ -882,9 +888,13 @@ func (n *Node) handleForward(m *Message) {
 		span: srv.StartChild("disk"), serve: srv, deadline: deadline})
 }
 
-// handleFileChunk reassembles a file reply and answers the waiting
-// client. The initial node does not cache the file, avoiding excessive
-// replication (Section 2.2).
+// handleFileChunk takes in a file reply and answers the waiting client.
+// A message that is the whole file — every RMW transfer, every regular
+// or TCP reply of up to one chunk — is adopted: its receive buffer
+// becomes the reply, not a byte moves. A reply in several chunks is
+// reassembled in one buffer from the same pool, each chunk's frame going
+// back once copied. The initial node does not cache the file, avoiding
+// excessive replication (Section 2.2).
 func (n *Node) handleFileChunk(m *Message) {
 	p := n.pending[m.ReqID]
 	if p == nil || m.From != p.dst {
@@ -892,10 +902,12 @@ func (n *Node) handleFileChunk(m *Message) {
 		// already failed over away from.
 		return
 	}
-	if p.buf == nil {
-		p.buf = make([]byte, m.Total)
-	}
-	if int(m.Offset)+len(m.Data) > len(p.buf) {
+	// Total and Offset are socket input (TCP mesh, UDP-bridged VIA) and
+	// the pending request knows its file: a reply must be exactly the
+	// stored size, chunk following chunk with no gap or overlap, before
+	// it sizes a buffer or completes a request.
+	if int64(m.Total) != n.files[p.file].Size || int(m.Offset) != p.received ||
+		len(m.Data) > int(m.Total)-p.received {
 		n.m.errors.Inc()
 		delete(n.pending, m.ReqID)
 		if n.ov.on {
@@ -905,10 +917,18 @@ func (n *Node) handleFileChunk(m *Message) {
 		p.finish(n, clientResult{err: fmt.Errorf("server: corrupt file reply")})
 		return
 	}
-	copy(p.buf[m.Offset:], m.Data)
-	p.received += len(m.Data)
-	if p.received < int(m.Total) {
-		return
+	res := clientResult{data: m.Data, buf: m.buf}
+	if len(m.Data) < int(m.Total) {
+		if p.buf == nil {
+			p.buf = getRecvBuf(int(m.Total))
+		}
+		copy(p.buf.b[m.Offset:], m.Data)
+		m.buf.release()
+		p.received += len(m.Data)
+		if p.received < int(m.Total) {
+			return
+		}
+		res = clientResult{data: p.buf.b, buf: p.buf}
 	}
 	delete(n.pending, m.ReqID)
 	if n.ov.on {
@@ -916,7 +936,7 @@ func (n *Node) handleFileChunk(m *Message) {
 		n.ovForwardDone(p.dst, now.Sub(p.sentAt), now)
 	}
 	p.span.Annotate("bytes", int64(m.Total))
-	p.finish(n, clientResult{data: p.buf})
+	p.finish(n, res)
 }
 
 // loadChange tracks open client connections, broadcasting under the
@@ -1184,7 +1204,7 @@ func (n *Node) failover(reqID uint64, p *pendingRemote, reason string) {
 	n.tel.Event(telemetry.EvReplicaFailover, n.id, dst, p.req.name, 0)
 	p.dst = dst
 	p.tried = p.tried.Add(dst)
-	p.buf, p.received = nil, 0
+	p.buf, p.received = nil, 0 // the partial buffer is the GC's (recvbuf.go)
 	p.sentAt = now
 	p.deadline = now.Add(n.cfg.Health.FailoverTimeout)
 	p.span.Annotate("failover-dst", int64(dst))

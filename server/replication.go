@@ -54,7 +54,7 @@ func (n *Node) handleReplicate(m *Message) {
 	}
 	n.nextReqID++
 	reqID := n.nextReqID
-	p := &pendingRemote{replicate: true, replID: id, dst: m.From,
+	p := &pendingRemote{replicate: true, file: id, dst: m.From,
 		tried: cache.NodeSetOf(n.id, m.From)}
 	now := time.Now()
 	p.sentAt = now
@@ -70,7 +70,9 @@ func (n *Node) handleReplicate(m *Message) {
 // of n.pending: its span ends, and the waiting client gets its answer.
 // A replica pull instead lands in the cache, registering pages for
 // zero-copy transmit and announcing the caching change exactly as a
-// disk read would, or is abandoned; the Replicator hears which.
+// disk read would, or is abandoned; the Replicator hears which. The
+// cache then holds res.data for as long as the replica lives, so its
+// receive buffer (res.buf) is never released.
 func (p *pendingRemote) finish(n *Node, res clientResult) {
 	p.span.End()
 	if !p.replicate {
@@ -79,14 +81,14 @@ func (p *pendingRemote) finish(n *Node, res clientResult) {
 	}
 	// A local disk read may have cached the file while the pull flew,
 	// and a copy that does not fit (everything pinned) is no replica.
-	if res.err == nil && !n.lru.Contains(p.replID) {
-		n.insertCache(p.replID, res.data)
-		if n.lru.Contains(p.replID) {
-			n.repl.Installed(p.replID, time.Now())
+	if res.err == nil && !n.lru.Contains(p.file) {
+		n.insertCache(p.file, res.data)
+		if n.lru.Contains(p.file) {
+			n.repl.Installed(p.file, time.Now())
 			n.m.replPulls.Inc()
-			n.tel.Event(telemetry.EvReplicaCreate, n.id, p.dst, n.files[p.replID].Name, int64(len(res.data)))
+			n.tel.Event(telemetry.EvReplicaCreate, n.id, p.dst, n.files[p.file].Name, int64(len(res.data)))
 			return
 		}
 	}
-	n.repl.Aborted(p.replID)
+	n.repl.Aborted(p.file)
 }

@@ -47,7 +47,7 @@ func replTestKnobs() core.ReplicationConfig {
 
 // onMainLoop runs f on the node's main loop, which owns the cache,
 // directory and replication state, and returns its result.
-func onMainLoop[T any](t *testing.T, n *Node, f func() T) T {
+func onMainLoop[T any](t testing.TB, n *Node, f func() T) T {
 	t.Helper()
 	ch := make(chan T, 1)
 	n.inject(func() { ch <- f() })
@@ -61,7 +61,7 @@ func onMainLoop[T any](t *testing.T, n *Node, f func() T) T {
 }
 
 // dirCachers reads a node's directory view of a file.
-func dirCachers(t *testing.T, n *Node, id cache.FileID) cache.NodeSet {
+func dirCachers(t testing.TB, n *Node, id cache.FileID) cache.NodeSet {
 	t.Helper()
 	return onMainLoop(t, n, func() cache.NodeSet { return n.dir.Cachers(id) })
 }
@@ -227,7 +227,7 @@ func TestEvictedReplicaIsNotPulledAgain(t *testing.T) {
 	type view struct{ pulled, evicted, after bool }
 	v := onMainLoop(t, n, func() (v view) {
 		n.repl.Offer(0, false, true)
-		(&pendingRemote{replicate: true, replID: 0}).finish(n, clientResult{data: content(0)})
+		(&pendingRemote{replicate: true, file: 0}).finish(n, clientResult{data: content(0)})
 		v.pulled = n.repl.Pulled(0)
 		for id := cache.FileID(1); int(id) < len(tr.Files) && n.lru.Contains(0); id++ {
 			n.insertCache(id, content(id))

@@ -110,6 +110,9 @@ type rmwRingIn struct {
 	slots   uint64
 	read    uint64
 	lastAck uint64
+
+	// scratch holds the payload of the slot polled last.
+	scratch [ctrlSlotSize - 8]byte
 }
 
 func newRingIn(region *via.MemoryRegion) *rmwRingIn {
@@ -118,7 +121,9 @@ func newRingIn(region *via.MemoryRegion) *rmwRingIn {
 }
 
 // poll returns the next message payload if one has arrived, detected by
-// its sequence number, copied out of the ring.
+// its sequence number. The payload is read into the ring's scratch and
+// is valid until the next poll: the caller decodes it at once and copies
+// out whatever the message would keep pointing at.
 func (r *rmwRingIn) poll() ([]byte, bool, error) {
 	off := int(r.read%r.slots) * ctrlSlotSize
 	seq, err := r.region.Load32(off + ctrlSlotSize - 4)
@@ -135,7 +140,7 @@ func (r *rmwRingIn) poll() ([]byte, bool, error) {
 	if n > ctrlSlotSize-8 {
 		return nil, false, fmt.Errorf("server: corrupt ring slot length %d", n)
 	}
-	payload := make([]byte, n)
+	payload := r.scratch[:n]
 	if err := r.region.Read(payload, off+4); err != nil {
 		return nil, false, err
 	}
@@ -293,15 +298,19 @@ func newFileRingIn(meta, data *via.MemoryRegion) *fileRingIn {
 	return &fileRingIn{meta: meta, data: data}
 }
 
-// fileArrival is one polled file transfer.
+// fileArrival is one polled file transfer; buf.b is the payload, and
+// the arrival owns buf.
 type fileArrival struct {
-	reqID   uint64
-	payload []byte
+	reqID uint64
+	buf   *recvBuf
 }
 
 // poll detects the next file arrival via the metadata sequence number
-// and copies the payload out of the data ring. extraCopy models version
-// 3's copy-to-another-buffer before replying (absent under zero-copy
+// and copies the payload out of the data ring into a receive buffer the
+// arrival owns — the one copy of the receive path: the ring's space is
+// acknowledged to the sender as soon as it is polled, whatever becomes
+// of the client the file is for. extraCopy models version 3's
+// copy-to-another-buffer before replying (absent under zero-copy
 // receive, versions 4-5).
 func (f *fileRingIn) poll(extraCopy bool) (fileArrival, bool, error) {
 	off := int(f.read%fileMetaSlots) * fileMetaSlotSize
@@ -321,20 +330,27 @@ func (f *fileRingIn) poll(extraCopy bool) (fileArrival, bool, error) {
 	n := binary.LittleEndian.Uint32(hdr[12:])
 	virtEnd := binary.LittleEndian.Uint64(hdr[16:])
 
-	payload := make([]byte, n)
-	if err := f.data.Read(payload, int(phys)); err != nil {
+	// The metadata is the peer's to write: bound it by the ring before it
+	// sizes a buffer.
+	if uint64(phys)+uint64(n) > uint64(f.data.Size()) {
+		return fileArrival{}, false, fmt.Errorf("server: corrupt file ring entry: %d bytes at %d", n, phys)
+	}
+	buf := getRecvBuf(int(n))
+	if err := f.data.Read(buf.b, int(phys)); err != nil {
+		buf.release()
 		return fileArrival{}, false, err
 	}
 	if extraCopy {
 		// Version 3: the file is copied to another buffer before being
 		// sent back to the requesting client (Section 3.4).
-		staged := make([]byte, n)
-		copy(staged, payload)
-		payload = staged
+		staged := getRecvBuf(int(n))
+		copy(staged.b, buf.b)
+		buf.release()
+		buf = staged
 	}
 	f.read++
 	f.virtSeen = virtEnd
-	return fileArrival{reqID: reqID, payload: payload}, true, nil
+	return fileArrival{reqID: reqID, buf: buf}, true, nil
 }
 
 // ackDue reports whether consumed counters should be written back:

@@ -196,7 +196,7 @@ func TestFileRingRoundTrip(t *testing.T) {
 	if arr.reqID != 42 {
 		t.Fatalf("reqID = %d", arr.reqID)
 	}
-	if !bytes.Equal(arr.payload, payload) {
+	if !bytes.Equal(arr.buf.b, payload) {
 		t.Fatal("payload corrupted")
 	}
 }
@@ -220,7 +220,7 @@ func TestFileRingWrapSkipsTail(t *testing.T) {
 		if arr.reqID != uint64(i) {
 			t.Fatalf("transfer %d: reqID %d", i, arr.reqID)
 		}
-		if !bytes.Equal(arr.payload, payload) {
+		if !bytes.Equal(arr.buf.b, payload) {
 			t.Fatalf("transfer %d corrupted", i)
 		}
 		if meta, virt, due := fx.fileIn.ackDue(1); due {

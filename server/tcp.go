@@ -243,11 +243,12 @@ func readFrame(r io.Reader, hdr *[4]byte, max uint32) (*Message, error) {
 	if n > max {
 		return nil, fmt.Errorf("server: oversized frame of %d bytes", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf := getRecvBuf(int(n))
+	if _, err := io.ReadFull(r, buf.b); err != nil {
+		buf.release()
 		return nil, err
 	}
-	return DecodeMessage(buf)
+	return decodeFrame(buf)
 }
 
 func (t *tcpTransport) readLoop(p *tcpPeer) {

@@ -32,9 +32,9 @@ func (t *viaTransport) recvThread() {
 		if region == nil || c.Desc.Err() != nil {
 			continue
 		}
-		n := c.Desc.Transferred()
-		frame := make([]byte, n)
-		if err := region.Read(frame, 0); err != nil {
+		frame := getRecvBuf(c.Desc.Transferred())
+		if err := region.Read(frame.b, 0); err != nil {
+			frame.release()
 			continue
 		}
 		// Repost before processing: the window stays open.
@@ -60,15 +60,19 @@ func (t *viaTransport) peerByVI(vi *via.VI) *viaPeer {
 	return t.pending[vi]
 }
 
-func (t *viaTransport) handleFrame(p *viaPeer, frame []byte) {
-	if len(frame) == 0 {
+// handleFrame takes over the frame recvThread copied out of a receive
+// region: it goes back to the pool here unless decodeFrame hands it on.
+func (t *viaTransport) handleFrame(p *viaPeer, frame *recvBuf) {
+	switch {
+	case len(frame.b) == 0:
+		frame.release()
+		return
+	case frame.b[0] == setupMagic:
+		t.handleSetup(p, frame.b) // reads the handles out; keeps nothing
+		frame.release()
 		return
 	}
-	if frame[0] == setupMagic {
-		t.handleSetup(p, frame)
-		return
-	}
-	m, err := DecodeMessage(frame)
+	m, err := decodeFrame(frame)
 	// One rule for a frame we refuse, whether it does not decode or
 	// claims a sender that is not this channel's peer (From is a wire
 	// uint16 that indexes per-peer tables from here on, and over the UDP
@@ -312,6 +316,11 @@ func (t *viaTransport) drainCtrlRing(p *viaPeer) bool {
 		// A slot that does not decode or names another sender is refused
 		// as handleFrame refuses a frame: dropped, and acknowledged below.
 		if m, err := DecodeMessage(payload); err == nil && m.From == p.id {
+			// payload is the ring's scratch, which the next poll reuses:
+			// Name is a copy already, a gossip digest is copied out here.
+			if len(m.Data) > 0 {
+				m.Data = append([]byte(nil), m.Data...)
+			}
 			select {
 			case t.inbound <- m:
 			case <-t.done:
@@ -338,12 +347,12 @@ func (t *viaTransport) drainFileRing(p *viaPeer) bool {
 		if !t.cfg.version.ZeroCopyRX {
 			// Receiver-side copy to another buffer (version 3),
 			// eliminated by zero-copy receive (versions 4-5).
-			t.ins.copied.Add(int64(len(arr.payload)))
+			t.ins.copied.Add(int64(len(arr.buf.b)))
 		}
 		progressed = true
 		m := &Message{
 			Type: core.MsgFile, From: p.id, Load: -1, ReqID: arr.reqID,
-			Data: arr.payload, Offset: 0, Total: uint32(len(arr.payload)),
+			Data: arr.buf.b, Offset: 0, Total: uint32(len(arr.buf.b)), buf: arr.buf,
 		}
 		select {
 		case t.inbound <- m:

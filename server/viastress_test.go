@@ -1,8 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
+	"math/rand"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -280,6 +284,32 @@ func newRawMesh(t *testing.T, self int) (*viaTransport, *rawPeer, []string) {
 	return vt, newRawPeer(t, fabric, addrs[1-self]), addrs
 }
 
+// acceptTransport connects the raw peer (node 1) to the transport and
+// returns once the transport's setup frame has arrived: from there on its
+// rings are writable, while the channel is not ready until the test calls
+// raw.sendSetup. connected reports the transport's connect.
+func acceptTransport(t *testing.T, vt *viaTransport, raw *rawPeer, addrs []string) (vi *via.VI, connected <-chan error) {
+	t.Helper()
+	ln, err := raw.nic.Listen("press-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vi = raw.newVI()
+	done := make(chan error, 1)
+	go func() { done <- vt.connect(addrs) }()
+	if _, err := ln.Accept(vi); err != nil {
+		t.Fatal(err)
+	}
+	c, err := vi.RecvWait(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Desc.Err() != nil || vt.peer(1) == nil {
+		t.Fatalf("no setup frame from the transport: %v", c.Desc.Err())
+	}
+	return vi, done
+}
+
 // expectInbound waits for the next inbound message and checks it is the
 // load report a test's raw peer wrote.
 func expectInbound(t *testing.T, vt *viaTransport, load int32) {
@@ -301,25 +331,8 @@ func expectInbound(t *testing.T, vt *viaTransport, load int32) {
 // frame must itself send the poll thread back to the rings.
 func TestViaPollWriteBeforeReady(t *testing.T) {
 	vt, raw, addrs := newRawMesh(t, 0)
-	ln, err := raw.nic.Listen("press-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vi := raw.newVI()
-	connected := make(chan error, 1)
-	go func() { connected <- vt.connect(addrs) }()
-	if _, err := ln.Accept(vi); err != nil {
-		t.Fatal(err)
-	}
-	// The transport's setup frame: from here on its rings are writable.
-	c, err := vi.RecvWait(5 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	vi, connected := acceptTransport(t, vt, raw, addrs)
 	p := vt.peer(1)
-	if c.Desc.Err() != nil || p == nil {
-		t.Fatalf("no setup frame from the transport: %v", c.Desc.Err())
-	}
 	raw.writeCtrl(vi, p.inCtrl.region.Handle(), 1, &Message{Type: core.MsgLoad, From: 1, Load: 7})
 	// Two wakes, both empty: the peer-table kick, then this write's bell.
 	waitFor(t, 5*time.Second, "the poll thread to pass the early write over", func() bool {
@@ -345,19 +358,7 @@ func TestViaPollWriteBeforeReady(t *testing.T) {
 // not shrink.
 func TestViaRefusesForeignFrom(t *testing.T) {
 	vt, raw, addrs := newRawMesh(t, 0)
-	ln, err := raw.nic.Listen("press-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vi := raw.newVI()
-	connected := make(chan error, 1)
-	go func() { connected <- vt.connect(addrs) }()
-	if _, err := ln.Accept(vi); err != nil {
-		t.Fatal(err)
-	}
-	if c, err := vi.RecvWait(5 * time.Second); err != nil || c.Desc.Err() != nil {
-		t.Fatalf("no setup frame from the transport: %v", err)
-	}
+	vi, connected := acceptTransport(t, vt, raw, addrs)
 	raw.sendSetup(vi)
 	if err := <-connected; err != nil {
 		t.Fatal(err)
@@ -419,5 +420,101 @@ func TestViaCloseJoinsParkedPoller(t *testing.T) {
 		if _, open := <-vt.Inbound(); open {
 			t.Errorf("node %d: inbound still open after Close", vt.cfg.self)
 		}
+	}
+}
+
+// TestCtrlRingPollsDoNotAlias: the control ring decodes every slot out
+// of one scratch array, so a message that keeps a payload (the gossip
+// digest on MsgLoad) must have copied it out before the next slot is
+// polled. Two digests written back to back and drained in one pass must
+// both arrive intact.
+func TestCtrlRingPollsDoNotAlias(t *testing.T) {
+	vt, raw, addrs := newRawMesh(t, 0)
+	vi, connected := acceptTransport(t, vt, raw, addrs)
+	// Both slots are in the ring before the channel is ready, so one
+	// drain polls them back to back.
+	ctrl := vt.peer(1).inCtrl.region.Handle()
+	digests := [][]byte{bytes.Repeat([]byte{0xA1}, 48), bytes.Repeat([]byte{0xB2}, 48)}
+	for i, d := range digests {
+		raw.writeCtrl(vi, ctrl, uint32(i+1), &Message{Type: core.MsgLoad, From: 1, Load: int32(i), Data: d})
+	}
+	raw.sendSetup(vi)
+	if err := <-connected; err != nil {
+		t.Fatal(err)
+	}
+	var got []*Message
+	for range digests {
+		select {
+		case m := <-vt.Inbound():
+			got = append(got, m)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d digests delivered", len(got), len(digests))
+		}
+	}
+	for i, m := range got {
+		if m.Load != int32(i) || !bytes.Equal(m.Data, digests[i]) {
+			t.Errorf("message %d: load %d, digest %x..., want load %d, %x...", i, m.Load, m.Data[:4], i, digests[i][:4])
+		}
+	}
+}
+
+// TestRecvBufNotRecycledUnderReader: a forwarded reply's receive buffer
+// goes back to the pool only after the body has been written to the
+// client. Many keep-alive clients fetch a file set that sits in one pool
+// class — on V0 the two-chunk reassembly buffers and the chunk frames
+// share it — with no two files the same length, through every node of a
+// 4-node cluster; a buffer released while anyone can still read it is
+// refilled by another reply at once and shows as a wrong body, or as a
+// race under -race.
+func TestRecvBufNotRecycledUnderReader(t *testing.T) {
+	const (
+		nodes    = 4
+		files    = 16
+		workers  = 12
+		requests = 120 // per worker
+	)
+	for _, tp := range recvBufTransports {
+		t.Run(tp.name, func(t *testing.T) {
+			tr := uniformTrace(files, 36<<10, 1500)
+			cl := startRecvBufCluster(t, tr, nodes, tp.kind, tp.version, nil)
+			want := make([][]byte, files)
+			for id, f := range tr.Files {
+				want[id] = SynthesizeContent(f.Name, f.Size)
+				warmAt(t, cl, tr, id, id%nodes)
+			}
+			client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: workers}}
+			defer client.CloseIdleConnections()
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(w)))
+					for i := 0; i < requests; i++ {
+						id, node := rng.Intn(files), rng.Intn(nodes)
+						resp, err := client.Get(cl.URL(node) + tr.Files[id].Name)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						got, err := io.ReadAll(resp.Body)
+						resp.Body.Close()
+						if err != nil || resp.StatusCode != http.StatusOK {
+							t.Errorf("%s via node %d: %s, %v", tr.Files[id].Name, node, resp.Status, err)
+							return
+						}
+						if !bytes.Equal(got, want[id]) {
+							t.Errorf("%s via node %d: wrong body (%d bytes, want %d)",
+								tr.Files[id].Name, node, len(got), len(want[id]))
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if fwd := cl.Stats().Nodes.Forwarded; fwd < workers*requests/2 {
+				t.Fatalf("only %d of %d requests were forwarded", fwd, workers*requests)
+			}
+		})
 	}
 }
