@@ -22,9 +22,10 @@ import (
 //	defer vi.Connect(a, s)    // error unobservable at return
 //
 // The call set covers the via API (PostSend, PostRecv, PostRDMAWrite,
-// Connect, Accept) and the server transport send paths (Send, rawSend,
-// sendSetup, sendRegular, sendCtrlRMW, sendFileRMW, sendFileChunked,
-// postSendRetry, postRDMARetry). Intentional discards take a
+// Connect, Accept) and the server transport send paths (Send, sendSetup,
+// sendRegular, sendCtrlRMW, sendFileRMW, sendFileChunked, and the one
+// outbound write under them all: transfer, with the ring writes
+// writeEntry and writeFile). Intentional discards take a
 // //presslint:ignore comment with a justification.
 const uncheckedCommsErrorName = "unchecked-comms-error"
 
@@ -46,14 +47,14 @@ var commsCalls = map[string]bool{
 	"Accept":        true,
 	// server transport send paths
 	"Send":            true,
-	"rawSend":         true,
 	"sendSetup":       true,
 	"sendRegular":     true,
 	"sendCtrlRMW":     true,
 	"sendFileRMW":     true,
 	"sendFileChunked": true,
-	"postSendRetry":   true,
-	"postRDMARetry":   true,
+	"transfer":        true,
+	"writeEntry":      true,
+	"writeFile":       true,
 }
 
 func runUncheckedCommsError(p *Package, f *File) []Finding {

@@ -46,6 +46,14 @@ max_bytes_op() {
     fi
 }
 
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "check: gofmt would change:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -110,6 +118,10 @@ TestSimRealParity|.
 # recycled page under a reader: ten fresh passes of the ownership suites
 # on all three receive paths.
 -count=10 TestRecvBufNotRecycledUnderReader|TestReplicaPullKeepsItsBuffer|TestFailoverMidReassembly|TestHandleFileChunk|./server
+# Credit conservation is an invariant of every VIA channel (a refused
+# write gives its slot back, a posted one keeps it) that only shows when
+# refusals, timeouts and acks interleave: ten fresh passes.
+-count=10 TestCreditConservation|./server
 EOF
 
 # core holds the mechanisms the simulator and the server share (Policy,
@@ -158,11 +170,11 @@ EOF
 # Fuzz smoke over the wire format: ten seconds of mutation on the
 # Message encode/decode round-trip catches framing regressions the
 # table tests miss, and the same treatment for the membership
-# handshake payload.
-echo "==> fuzz smoke (FuzzMessageRoundTrip)"
-go test -run '^$' -fuzz 'FuzzMessageRoundTrip' -fuzztime 10s ./server
-echo "==> fuzz smoke (FuzzJoinInfo)"
-go test -run '^$' -fuzz 'FuzzJoinInfo' -fuzztime 10s ./server
+# handshake payload and for what a peer may remote-write into our rings.
+for target in FuzzMessageRoundTrip FuzzJoinInfo FuzzSlotRingPoll; do
+    echo "==> fuzz smoke ($target)"
+    go test -run '^$' -fuzz "$target" -fuzztime 10s ./server
+done
 
 # Benchmarks are part of the observability surface (the registry and
 # tracer on/off overhead proofs live there); make sure they still build

@@ -185,25 +185,10 @@ func (cl *Cluster) StartFaultPlan(plan FaultPlan, stop <-chan struct{}, observe 
 	go func() {
 		defer close(done)
 		start := time.Now()
-		var timer *time.Timer // reused: time.After in the loop would leak one per event
-		defer func() {
-			if timer != nil {
-				timer.Stop()
-			}
-		}()
+		var pause sleeper
 		for _, ev := range events {
-			delay := ev.At - time.Since(start)
-			if delay > 0 {
-				if timer == nil {
-					timer = time.NewTimer(delay)
-				} else {
-					timer.Reset(delay)
-				}
-				select {
-				case <-timer.C:
-				case <-stop:
-					return
-				}
+			if delay := ev.At - time.Since(start); delay > 0 && !pause.sleep(delay, stop) {
+				return
 			}
 			err := cl.applyFault(ev)
 			if observe != nil {

@@ -85,9 +85,6 @@ type Config struct {
 	// (default DefaultRMWTimeout). Expiry surfaces as *RMWTimeoutError,
 	// distinguishable from a hard via.ErrLinkDown.
 	RMWTimeout time.Duration
-	// Retry bounds in-place retries of transient transport failures;
-	// zero value selects the defaults.
-	Retry RetryConfig
 	// Health tunes failure detection and failover; zero value selects
 	// the defaults, Health.Disabled turns the subsystem off.
 	Health HealthConfig
@@ -101,8 +98,6 @@ type Config struct {
 	// (Enabled false) keeps single-cacher routing and costs one branch
 	// on the serve path.
 	Replication core.ReplicationConfig
-	// ListenHost is the HTTP bind host (default 127.0.0.1).
-	ListenHost string
 	// ContentOblivious turns the cluster into the baseline server class
 	// PRESS is motivated against: every request is serviced by the node
 	// that accepted it, with no intra-cluster communication and no
@@ -174,17 +169,11 @@ func (c *Config) withDefaults() (Config, error) {
 		return cfg, fmt.Errorf("server: negative RMWTimeout %v", cfg.RMWTimeout)
 	}
 	var err error
-	if cfg.Retry, err = cfg.Retry.withDefaults(); err != nil {
-		return cfg, err
-	}
 	if cfg.Health, err = cfg.Health.withDefaults(); err != nil {
 		return cfg, err
 	}
 	if cfg.Overload, err = cfg.Overload.withDefaults(); err != nil {
 		return cfg, err
-	}
-	if cfg.ListenHost == "" {
-		cfg.ListenHost = "127.0.0.1"
 	}
 	return cfg, nil
 }

@@ -181,27 +181,8 @@ func TestNodeStateString(t *testing.T) {
 	}
 }
 
-func TestRetryConfigDefaultsAndValidation(t *testing.T) {
-	cfg, err := RetryConfig{}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Attempts != 4 || cfg.Base != 100*time.Microsecond || cfg.Cap != 5*time.Millisecond {
-		t.Errorf("defaults = %+v", cfg)
-	}
-	for i, bad := range []RetryConfig{
-		{Attempts: -1},
-		{Base: time.Second, Cap: time.Millisecond},
-	} {
-		if _, err := bad.withDefaults(); err == nil {
-			t.Errorf("config %d accepted", i)
-		}
-	}
-}
-
 func TestBackoffSchedule(t *testing.T) {
-	cfg, _ := RetryConfig{Attempts: 4, Base: time.Millisecond, Cap: 3 * time.Millisecond, Seed: 7}.withDefaults()
-	bo := newBackoff(cfg, 0)
+	bo := newBackoff(7)
 	var pauses []time.Duration
 	for {
 		d, ok := bo.next()
@@ -210,13 +191,13 @@ func TestBackoffSchedule(t *testing.T) {
 		}
 		pauses = append(pauses, d)
 	}
-	if len(pauses) != cfg.Attempts-1 {
-		t.Fatalf("%d pauses for %d attempts", len(pauses), cfg.Attempts)
+	if len(pauses) != retryAttempts-1 {
+		t.Fatalf("%d pauses for %d attempts", len(pauses), retryAttempts)
 	}
 	for i, d := range pauses {
-		step := cfg.Base << i
-		if step > cfg.Cap {
-			step = cfg.Cap
+		step := time.Duration(retryBase) << i
+		if step > retryCap {
+			step = retryCap
 		}
 		if d < step/2 || d > step {
 			t.Errorf("pause %d = %v outside [%v, %v]", i, d, step/2, step)
@@ -226,6 +207,29 @@ func TestBackoffSchedule(t *testing.T) {
 	bo.reset()
 	if _, ok := bo.next(); !ok {
 		t.Error("reset did not rewind the schedule")
+	}
+}
+
+// TestSleeper: the one reusable pause timer waits its time out, and gives
+// up at once when stopped — also on the turn after a stop, when a stale
+// tick must not cut the wait short.
+func TestSleeper(t *testing.T) {
+	var s sleeper
+	stop := make(chan struct{})
+	start := time.Now()
+	if !s.sleep(5*time.Millisecond, stop) || !s.sleep(5*time.Millisecond, stop) {
+		t.Fatal("sleep reported a stop nobody asked for")
+	}
+	if e := time.Since(start); e < 10*time.Millisecond {
+		t.Fatalf("two 5 ms sleeps took %v", e)
+	}
+	close(stop)
+	start = time.Now()
+	if s.sleep(time.Hour, stop) {
+		t.Fatal("sleep outlasted its stop channel")
+	}
+	if e := time.Since(start); e > time.Second {
+		t.Fatalf("stopped sleep took %v", e)
 	}
 }
 

@@ -317,15 +317,10 @@ func (t *tcpTransport) meshDialLoop(dst int) {
 		wait = meshDialBackoffBase + time.Duration(rng.Int63n(int64(meshDialBackoffBase)))
 	}
 	step := meshDialBackoffBase
+	var pause sleeper
 	for {
-		if wait > 0 {
-			timer := time.NewTimer(wait)
-			select {
-			case <-t.done:
-				timer.Stop()
-				return
-			case <-timer.C:
-			}
+		if wait > 0 && !pause.sleep(wait, t.done) {
+			return
 		}
 		if p := t.peer(dst); p != nil && p.down() == nil {
 			return

@@ -96,36 +96,73 @@ type Message struct {
 
 const msgHeaderLen = 1 + 2 + 4 + 8 + 1 + 4 + 4 + 4 + 2 + 4
 
-// msgTraceFlag on the type byte signals the tracing extension: TraceID
-// and ParentSpan, appended right after the fixed header. The flag sits
-// above every valid core.MsgType value, so a decoder unaware of it sees
-// an invalid type and fails cleanly rather than misparsing.
-const msgTraceFlag = 0x80
+// The wire extensions: each is a flag bit on the type byte and a fixed
+// run of little-endian words after the fixed header. The flags sit above
+// every valid core.MsgType value, so a decoder that predates one sees an
+// invalid type and fails cleanly rather than misparsing, and a message
+// that carries none encodes to the exact original format.
+const (
+	// Tracing: TraceID and ParentSpan.
+	msgTraceFlag, msgTraceExtLen = 0x80, 8 + 8
+	// Deadline: the remaining request budget in nanoseconds.
+	msgDeadlineFlag, msgDeadlineExtLen = 0x40, 8
+	// Directory set: a cacher NodeSet.
+	msgDirFlag, msgDirExtLen = 0x20, 32
+	// 0x10, the last spare bit, is reserved for "a length-prefixed tail
+	// follows": whatever comes after these three goes there.
+)
 
-// msgDeadlineFlag on the type byte signals the deadline extension: the
-// remaining request budget in nanoseconds, appended after the tracing
-// extension (when both are present). Like the trace flag it sits above
-// every valid core.MsgType value, so pre-deadline decoders fail
-// cleanly on it.
-const msgDeadlineFlag = 0x40
+// msgExts is the one table of wire extensions, in wire order; EncodedLen,
+// Encode and DecodeMessage iterate it. extWords/setExtWords map words to
+// fields by flag: function-valued rows would heap-allocate every message.
+var msgExts = [...]struct {
+	flag byte
+	size int
+}{
+	{msgTraceFlag, msgTraceExtLen},
+	{msgDeadlineFlag, msgDeadlineExtLen},
+	{msgDirFlag, msgDirExtLen},
+}
 
-// msgDirFlag on the type byte signals the directory-set extension: a
-// 32-byte cacher NodeSet, appended after the deadline extension (when
-// present). Like the other flags it sits above every valid core.MsgType
-// value, so earlier decoders fail cleanly on it.
-const msgDirFlag = 0x20
+// msgFlagMask covers every extension's flag bit; msgMaxExtLen is the
+// room a frame needs for all of them at once.
+var msgFlagMask, msgMaxExtLen = func() (mask byte, n int) {
+	for _, e := range msgExts {
+		mask |= e.flag
+		n += e.size
+	}
+	return mask, n
+}()
 
-// msgFlagMask covers every wire-extension flag bit on the type byte.
-const msgFlagMask = msgTraceFlag | msgDeadlineFlag | msgDirFlag
+// extWords returns extension flag's words as m carries them, if it does.
+func (m *Message) extWords(flag byte) (w [4]uint64, present bool) {
+	switch {
+	case flag == msgTraceFlag && m.TraceID != 0:
+		return [4]uint64{uint64(m.TraceID), uint64(m.ParentSpan)}, true
+	case flag == msgDeadlineFlag && m.Budget > 0:
+		return [4]uint64{uint64(m.Budget)}, true
+	case flag == msgDirFlag && m.DirSetValid:
+		return m.DirSet, true
+	}
+	return w, false
+}
 
-// msgTraceExtLen is the wire size of the tracing extension.
-const msgTraceExtLen = 8 + 8
-
-// msgDeadlineExtLen is the wire size of the deadline extension.
-const msgDeadlineExtLen = 8
-
-// msgDirExtLen is the wire size of the directory-set extension.
-const msgDirExtLen = 32
+// setExtWords installs a decoded extension, refusing what no encoder emits.
+func (m *Message) setExtWords(flag byte, w [4]uint64) error {
+	switch flag {
+	case msgTraceFlag:
+		if m.TraceID, m.ParentSpan = tracing.TraceID(w[0]), tracing.SpanID(w[1]); m.TraceID == 0 {
+			return fmt.Errorf("server: trace extension with zero trace id")
+		}
+	case msgDeadlineFlag:
+		if m.Budget = time.Duration(w[0]); m.Budget <= 0 {
+			return fmt.Errorf("server: deadline extension with non-positive budget %v", m.Budget)
+		}
+	default:
+		m.DirSet, m.DirSetValid = w, true
+	}
+	return nil
+}
 
 // maxNameLen bounds file names on the wire.
 const maxNameLen = 1 << 15
@@ -133,14 +170,10 @@ const maxNameLen = 1 << 15
 // EncodedLen returns the wire size of the message.
 func (m *Message) EncodedLen() int {
 	n := msgHeaderLen + len(m.Name) + len(m.Data)
-	if m.TraceID != 0 {
-		n += msgTraceExtLen
-	}
-	if m.Budget > 0 {
-		n += msgDeadlineExtLen
-	}
-	if m.DirSetValid {
-		n += msgDirExtLen
+	for _, e := range msgExts {
+		if _, present := m.extWords(e.flag); present {
+			n += e.size
+		}
 	}
 	return n
 }
@@ -158,15 +191,6 @@ func (m *Message) Encode(dst []byte) ([]byte, error) {
 	}
 	var h [msgHeaderLen]byte
 	h[0] = byte(m.Type)
-	if m.TraceID != 0 {
-		h[0] |= msgTraceFlag
-	}
-	if m.Budget > 0 {
-		h[0] |= msgDeadlineFlag
-	}
-	if m.DirSetValid {
-		h[0] |= msgDirFlag
-	}
 	binary.LittleEndian.PutUint16(h[1:], uint16(m.From))
 	binary.LittleEndian.PutUint32(h[3:], uint32(m.Load))
 	binary.LittleEndian.PutUint64(h[7:], m.ReqID)
@@ -178,24 +202,15 @@ func (m *Message) Encode(dst []byte) ([]byte, error) {
 	binary.LittleEndian.PutUint32(h[24:], m.Total)
 	binary.LittleEndian.PutUint16(h[28:], uint16(len(m.Name)))
 	binary.LittleEndian.PutUint32(h[30:], uint32(len(m.Data)))
+	at := len(dst)
 	dst = append(dst, h[:]...)
-	if m.TraceID != 0 {
-		var ext [msgTraceExtLen]byte
-		binary.LittleEndian.PutUint64(ext[0:], uint64(m.TraceID))
-		binary.LittleEndian.PutUint64(ext[8:], uint64(m.ParentSpan))
-		dst = append(dst, ext[:]...)
-	}
-	if m.Budget > 0 {
-		var ext [msgDeadlineExtLen]byte
-		binary.LittleEndian.PutUint64(ext[:], uint64(m.Budget))
-		dst = append(dst, ext[:]...)
-	}
-	if m.DirSetValid {
-		var ext [msgDirExtLen]byte
-		for i, w := range m.DirSet {
-			binary.LittleEndian.PutUint64(ext[i*8:], w)
+	for _, e := range msgExts {
+		if w, present := m.extWords(e.flag); present {
+			dst[at] |= e.flag
+			for _, word := range w[:e.size/8] {
+				dst = binary.LittleEndian.AppendUint64(dst, word)
+			}
 		}
-		dst = append(dst, ext[:]...)
 	}
 	dst = append(dst, m.Name...)
 	dst = append(dst, m.Data...)
@@ -226,7 +241,7 @@ func DecodeMessage(buf []byte) (*Message, error) {
 		return nil, fmt.Errorf("server: short message (%d bytes)", len(buf))
 	}
 	m := &Message{
-		Type:    core.MsgType(buf[0] &^ byte(msgFlagMask)),
+		Type:    core.MsgType(buf[0] &^ msgFlagMask),
 		From:    int(binary.LittleEndian.Uint16(buf[1:])),
 		Load:    int32(binary.LittleEndian.Uint32(buf[3:])),
 		ReqID:   binary.LittleEndian.Uint64(buf[7:]),
@@ -241,36 +256,21 @@ func DecodeMessage(buf []byte) (*Message, error) {
 	nameLen := int(binary.LittleEndian.Uint16(buf[28:]))
 	dataLen := int(binary.LittleEndian.Uint32(buf[30:]))
 	body := msgHeaderLen
-	if buf[0]&msgTraceFlag != 0 {
-		if len(buf) < body+msgTraceExtLen {
-			return nil, fmt.Errorf("server: short trace extension (%d bytes)", len(buf))
+	for _, e := range msgExts {
+		if buf[0]&e.flag == 0 {
+			continue
 		}
-		m.TraceID = tracing.TraceID(binary.LittleEndian.Uint64(buf[body:]))
-		m.ParentSpan = tracing.SpanID(binary.LittleEndian.Uint64(buf[body+8:]))
-		if m.TraceID == 0 {
-			return nil, fmt.Errorf("server: trace extension with zero trace id")
+		if len(buf) < body+e.size {
+			return nil, fmt.Errorf("server: short extension %#x (%d bytes)", e.flag, len(buf))
 		}
-		body += msgTraceExtLen
-	}
-	if buf[0]&msgDeadlineFlag != 0 {
-		if len(buf) < body+msgDeadlineExtLen {
-			return nil, fmt.Errorf("server: short deadline extension (%d bytes)", len(buf))
+		var w [4]uint64
+		for i := range w[:e.size/8] {
+			w[i] = binary.LittleEndian.Uint64(buf[body+8*i:])
 		}
-		m.Budget = time.Duration(binary.LittleEndian.Uint64(buf[body:]))
-		if m.Budget <= 0 {
-			return nil, fmt.Errorf("server: deadline extension with non-positive budget %v", m.Budget)
+		if err := m.setExtWords(e.flag, w); err != nil {
+			return nil, err
 		}
-		body += msgDeadlineExtLen
-	}
-	if buf[0]&msgDirFlag != 0 {
-		if len(buf) < body+msgDirExtLen {
-			return nil, fmt.Errorf("server: short directory-set extension (%d bytes)", len(buf))
-		}
-		for i := range m.DirSet {
-			m.DirSet[i] = binary.LittleEndian.Uint64(buf[body+i*8:])
-		}
-		m.DirSetValid = true
-		body += msgDirExtLen
+		body += e.size
 	}
 	if body+nameLen+dataLen > len(buf) {
 		return nil, fmt.Errorf("server: truncated message: header wants %d+%d bytes, have %d",

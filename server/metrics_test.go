@@ -93,6 +93,9 @@ func TestClusterMetricsVIA(t *testing.T) {
 					}
 				}
 			}
+			// The drive pairs name k with node k%4 until it wraps the 25 names:
+			// on a fast run the rounds above end before anything is forwarded.
+			waitFor(t, 10*time.Second, "a forwarded request", func() bool { return cl.Stats().Nodes.Forwarded > 0 })
 			answered, notFound := drv.stop()
 
 			// Requests are quiescent now; heartbeats are not, so the message

@@ -343,7 +343,7 @@ func newNode(id int, cfg Config, tr Transport, nic *via.NIC) *Node {
 		content:    make(map[cache.FileID][]byte),
 		regions:    make(map[cache.FileID]*via.MemoryRegion),
 		policy:     core.NewPolicy(cfg.Policy),
-		diss:       core.NewDisseminator(cfg.Dissemination, id, cfg.Nodes, cfg.Retry.Seed),
+		diss:       core.NewDisseminator(cfg.Dissemination, id, cfg.Nodes, retrySeed),
 		peerLoad:   make([]int, cfg.Nodes),
 		nameToID:   make(map[string]cache.FileID, len(cfg.Trace.Files)),
 		files:      cfg.Trace.Files,
@@ -362,7 +362,7 @@ func newNode(id int, cfg Config, tr Transport, nic *via.NIC) *Node {
 		trc:        cfg.Tracer.Collector(id),
 		tel:        cfg.Telemetry,
 	}
-	n.health = newHealthTracker(id, cfg.Nodes, cfg.Health, cfg.Retry.Seed, cfg.Metrics)
+	n.health = newHealthTracker(id, cfg.Nodes, cfg.Health, retrySeed, cfg.Metrics)
 	n.ov = newOverloadCtl(cfg, id)
 	if !cfg.ContentOblivious {
 		n.repl = core.NewReplicator(cfg.Replication, id, cfg.Nodes, len(cfg.Trace.Files),
@@ -980,13 +980,8 @@ func (n *Node) send(dst int, m *Message) {
 func (n *Node) sendThread() {
 	defer n.wg.Done()
 	pb := n.pb
-	bo := newBackoff(n.cfg.Retry, int64(n.id))
-	var pauseTimer *time.Timer // reused across retries: time.After would leak one per attempt
-	defer func() {
-		if pauseTimer != nil {
-			pauseTimer.Stop()
-		}
-	}()
+	bo := newBackoff(int64(n.id))
+	var pause sleeper
 	for {
 		item, ok := n.sendQ.pop()
 		if !ok {
@@ -1021,21 +1016,14 @@ func (n *Node) sendThread() {
 		ns.AnnotateStr("type", item.msg.Type.String())
 		err := n.transport.Send(item.dst, item.msg)
 		for bo.reset(); err != nil && transientSendErr(err); {
-			pause, more := bo.next()
+			d, more := bo.next()
 			if !more {
 				break
 			}
 			n.m.retries.Inc()
-			if pauseTimer == nil {
-				pauseTimer = time.NewTimer(pause)
-			} else {
-				pauseTimer.Reset(pause)
-			}
-			select {
-			case <-n.stop:
+			if !pause.sleep(d, n.stop) {
 				ns.End()
 				return
-			case <-pauseTimer.C:
 			}
 			err = n.transport.Send(item.dst, item.msg)
 		}
@@ -1149,9 +1137,7 @@ func (n *Node) healthTick(now time.Time) {
 // fast (parked senders wake), its entries leave the caching view, and
 // every request it was serving is re-dispatched.
 func (n *Node) onPeerDead(peer int, reason string) {
-	if ft, ok := n.transport.(faultTransport); ok {
-		ft.PeerDown(peer, fmt.Errorf("health: declared dead (%s)", reason))
-	}
+	n.transport.PeerDown(peer, fmt.Errorf("health: declared dead (%s)", reason))
 	n.tel.Event(telemetry.EvPeerDead, n.id, peer, reason, 0)
 	purged := n.dir.PeerDead(peer)
 	n.m.purged.Add(int64(purged))
@@ -1280,15 +1266,14 @@ func (n *Node) updateDegraded() {
 // errPassiveRole on the higher-indexed side and recovers when the
 // peer's dial lands. At most one probe per peer is in flight.
 func (n *Node) probe(peer int) {
-	ft, ok := n.transport.(faultTransport)
-	if !ok || n.probing[peer] {
+	if n.probing[peer] {
 		return
 	}
 	n.probing[peer] = true
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		err := ft.Reconnect(peer)
+		err := n.transport.Reconnect(peer)
 		n.inject(func() {
 			n.probing[peer] = false
 			if err != nil {

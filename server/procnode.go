@@ -188,8 +188,7 @@ func (pn *ProcNode) build(shared *via.Fabric) error {
 			self: mesh.Self, nodes: cfg.Nodes, version: cfg.Version,
 			window: viaWindow, batch: viaBatch, chunk: viaChunkBytes,
 			fileRing: cfg.FileRingBytes, metrics: cfg.Metrics,
-			rmwTimeout: cfg.RMWTimeout, retry: cfg.Retry,
-			trc: cfg.Tracer.Collector(mesh.Self),
+			rmwTimeout: cfg.RMWTimeout, trc: cfg.Tracer.Collector(mesh.Self),
 		})
 		if err != nil {
 			return err
@@ -232,7 +231,7 @@ func (pn *ProcNode) serve() error {
 
 	httpAddr := mesh.HTTPAddr
 	if httpAddr == "" {
-		httpAddr = pn.cfg.ListenHost + ":0"
+		httpAddr = "127.0.0.1:0"
 	}
 	ln, err := net.Listen("tcp", httpAddr)
 	if err != nil {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -16,68 +15,45 @@ import (
 // delays failover. The classification lives here so every retry site in
 // the server agrees on it.
 
-// RetryConfig bounds the retry policy for transient transport failures.
-// The zero value selects the defaults.
-type RetryConfig struct {
-	// Attempts is the maximum number of tries per operation, the first
-	// included. Default 4.
-	Attempts int
-	// Base is the backoff before the first retry. Default 100µs — the
-	// send queue drains in microseconds on the software VIA.
-	Base time.Duration
-	// Cap bounds the exponentially growing backoff. Default 5ms.
-	Cap time.Duration
-	// Seed makes the jitter deterministic for reproducible tests.
-	// Default 1.
-	Seed int64
-}
+// The retry policy for transient transport failures. No caller ever set
+// these, so they are constants.
+const (
+	// retryAttempts is the maximum number of tries per operation, the
+	// first included.
+	retryAttempts = 4
+	// retryBase is the backoff before the first retry — the send queue
+	// drains in microseconds on the software VIA.
+	retryBase = 100 * time.Microsecond
+	// retryCap bounds the exponentially growing backoff.
+	retryCap = 5 * time.Millisecond
+	// retrySeed makes the jitter deterministic; it also seeds the load
+	// disseminator and the health tracker's probe jitter.
+	retrySeed = 1
+)
 
-func (c RetryConfig) withDefaults() (RetryConfig, error) {
-	if c.Attempts == 0 {
-		c.Attempts = 4
-	}
-	if c.Base == 0 {
-		c.Base = 100 * time.Microsecond
-	}
-	if c.Cap == 0 {
-		c.Cap = 5 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Attempts < 1 {
-		return c, fmt.Errorf("server: RetryConfig.Attempts %d < 1", c.Attempts)
-	}
-	if c.Base < 0 || c.Cap < c.Base {
-		return c, fmt.Errorf("server: RetryConfig backoff range [%v, %v] invalid", c.Base, c.Cap)
-	}
-	return c, nil
-}
-
-// backoff walks one operation's retry schedule: exponential from Base,
-// capped at Cap, with each step jittered to [step/2, step) so colliding
-// retriers desynchronize. Not safe for concurrent use; each goroutine
-// owns its own.
+// backoff walks one operation's retry schedule: exponential from
+// retryBase, capped at retryCap, with each step jittered to
+// [step/2, step) so colliding retriers desynchronize. Not safe for
+// concurrent use; each goroutine owns its own.
 type backoff struct {
-	cfg     RetryConfig
 	rng     *rand.Rand
 	attempt int
 }
 
-func newBackoff(cfg RetryConfig, seedOffset int64) *backoff {
-	return &backoff{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed + seedOffset))}
+func newBackoff(seedOffset int64) *backoff {
+	return &backoff{rng: rand.New(rand.NewSource(retrySeed + seedOffset))}
 }
 
 // next returns the pause before the next attempt, or ok == false when
 // the attempt budget is exhausted.
 func (b *backoff) next() (time.Duration, bool) {
 	b.attempt++
-	if b.attempt >= b.cfg.Attempts {
+	if b.attempt >= retryAttempts {
 		return 0, false
 	}
-	step := b.cfg.Base << (b.attempt - 1)
-	if step > b.cfg.Cap || step <= 0 {
-		step = b.cfg.Cap
+	step := retryBase << (b.attempt - 1)
+	if step > retryCap || step <= 0 {
+		step = retryCap
 	}
 	half := step / 2
 	return half + time.Duration(b.rng.Int63n(int64(half)+1)), true
@@ -85,6 +61,26 @@ func (b *backoff) next() (time.Duration, bool) {
 
 // reset rewinds the schedule after a success.
 func (b *backoff) reset() { b.attempt = 0 }
+
+// sleeper paces a loop — a retry schedule, a fault plan, a redial — on
+// one reusable timer: time.After in a loop would leak a timer per turn.
+type sleeper struct{ timer *time.Timer }
+
+// sleep waits d out and reports true, or false as soon as stop closes.
+func (s *sleeper) sleep(d time.Duration, stop <-chan struct{}) bool {
+	if s.timer == nil {
+		s.timer = time.NewTimer(d)
+	} else {
+		s.timer.Reset(d)
+	}
+	select {
+	case <-s.timer.C:
+		return true
+	case <-stop:
+		s.timer.Stop()
+		return false
+	}
+}
 
 // transientSendErr reports whether a send failure is worth retrying in
 // place: backpressure clears, a dropped unreliable frame can be re-sent.

@@ -27,6 +27,7 @@ const (
 	// fileMetaSlot: [reqID:8][physOff:4][len:4][virtEnd:8][pad][seq:4].
 	fileMetaSlotSize = 64
 	fileMetaSlots    = 64
+	fileMetaLen      = 24
 
 	// flow-region layout: cumulative consumed counters the receiver
 	// remote-writes into the *sender's* memory.
@@ -38,168 +39,260 @@ const (
 	flowCounters   = flowRegionSize / 8
 )
 
-// rmwRingOut is the sender's view of a control ring living in the
-// peer's memory.
-type rmwRingOut struct {
-	handle via.Handle
-	slots  uint64
-	gate   *creditGate
-	next   uint64 // sequence of the next write (0-based)
+// ringGeom is the shape of a slot ring: slots entries of size bytes, the
+// last four the sequence number. fixed is the body length of a
+// fixed-layout entry; zero means the body is length-prefixed. The two
+// rings of the transport are constants, not options.
+type ringGeom struct{ slots, size, fixed int }
 
-	// stage holds the slot image of the write in flight and desc
-	// describes it; both serve every write, which the caller serializes
-	// and which completes before write returns.
-	stage *via.MemoryRegion
-	desc  *via.Descriptor
-	timer *time.Timer // bounds each completion wait (waitRMW)
+var (
+	ctrlRing     = ringGeom{slots: ctrlSlots, size: ctrlSlotSize}
+	fileMetaRing = ringGeom{slots: fileMetaSlots, size: fileMetaSlotSize, fixed: fileMetaLen}
+)
+
+// room is the largest body an entry holds.
+func (g ringGeom) room() int {
+	if g.fixed > 0 {
+		return g.fixed
+	}
+	return g.size - 8
 }
 
-// newRingOut builds the sender side of the ring behind handle; slot
-// images are staged at the start of stage.
-func newRingOut(handle via.Handle, slots int, stage *via.MemoryRegion) *rmwRingOut {
-	return &rmwRingOut{
-		handle: handle, slots: uint64(slots), gate: newCreditGate(slots),
-		stage: stage,
-		desc:  via.MustDescriptor(via.Segment{Region: stage, Len: ctrlSlotSize}),
-		timer: newStoppedTimer(),
+// outWrite is one outbound transfer a channel posts over and over: the
+// registered staging image, the descriptor over it and the timer that
+// bounds its completion wait. The regular channel, each slot ring, the
+// file data area and each flow counter own one; the owner serializes
+// its writes.
+type outWrite struct {
+	op      string // names the channel in an RMWTimeoutError
+	vi      *via.VI
+	timeout time.Duration // bounds each completion wait (Config.RMWTimeout)
+	// remote is the peer region written to; zero posts a send instead.
+	remote via.Handle
+	stage  *via.MemoryRegion
+	off    int // where in stage the image lives
+	desc   *via.Descriptor
+	timer  *time.Timer // reused wait after wait; nil arms a fresh one each time
+	// lazy: a write is not waited for; the next write of the channel reaps
+	// it, so the calling thread parks only if the engine is that far behind.
+	lazy bool
+}
+
+// newOutWrite builds a channel whose images, n bytes at most, are staged
+// at off in stage.
+func newOutWrite(op string, vi *via.VI, timeout time.Duration, remote via.Handle, stage *via.MemoryRegion, off, n int) outWrite {
+	if timeout <= 0 {
+		timeout = DefaultRMWTimeout
+	}
+	return outWrite{
+		op: op, vi: vi, timeout: timeout, remote: remote, stage: stage, off: off,
+		desc: via.MustDescriptor(via.Segment{Region: stage, Offset: off, Len: n}),
 	}
 }
 
-// write stages the payload into a slot image and remote-writes it.
-// The caller serializes writes per peer and bounds completion waits by
-// timeout. trc/trace/parent carry the sender's trace context so a
-// blocked slot acquire records as a credit-stall span (nil collector or
-// zero trace: no span, no cost).
-func (r *rmwRingOut) write(vi *via.VI, payload []byte,
-	timeout time.Duration, trc *tracing.Collector, trace tracing.TraceID, parent tracing.SpanID) error {
-	if len(payload) > ctrlSlotSize-8 {
-		return fmt.Errorf("server: control message of %d bytes exceeds ring slot", len(payload))
+// transfer is every outbound write of the transport: stage image (nil:
+// the descriptor already points at the payload), post it — at remoteOff
+// of the remote region, or as a send — and wait for the completion
+// unless the channel reaps lazily. g, when non-nil, is the gate the
+// caller claimed n units from for this write. posted reports whether the
+// NIC took the descriptor, and three rules hang on it, written here once:
+//
+//   - Slot return. The units go back to g exactly when the write never
+//     reached the NIC (staging or the post refused), and the caller's
+//     sequence stays put; a posted write keeps them and moves the
+//     sequence whatever becomes of it, for the peer may yet consume it.
+//   - Never restage under a posted descriptor. After a completion wait
+//     timed out the NIC still owns descriptor and image: the next write
+//     is refused with the same timeout error until the first completes.
+//   - A full work queue is not retried here. via.ErrQueueFull was counted
+//     over go test ./server and one run of each VIA workload: zero, at
+//     most 6 posts pending of a depth of 32 (sends are serialized and
+//     waited, so a VI carries one data write, one credit message and four
+//     flow counters). It surfaces to sendThread's backoff, the one retry
+//     that classifies it (transientSendErr).
+func (w *outWrite) transfer(g *creditGate, n int64, image []byte, remoteOff int) (posted bool, err error) {
+	if w.lazy {
+		w.reap()
 	}
-	stall := trc.StartSpan("credit-stall", trace, parent)
-	ok, stalled := r.gate.acquire()
-	if stalled {
-		stall.AnnotateStr("gate", "ctrl-ring")
-		stall.End()
-	} else {
-		stall.Cancel()
+	if err = w.idle(); err == nil && image != nil {
+		if len(image) != w.desc.Len() {
+			err = w.desc.SetSegment(0, via.Segment{Region: w.stage, Offset: w.off, Len: len(image)})
+		}
+		if err == nil {
+			err = w.stage.Write(image, w.off)
+		}
 	}
-	if !ok {
-		return r.gate.closedErr()
+	if err == nil {
+		if w.remote == 0 {
+			err = w.vi.PostSend(w.desc)
+		} else {
+			err = w.vi.PostRDMAWrite(w.desc, w.remote, remoteOff)
+		}
 	}
-	var slot [ctrlSlotSize]byte
-	binary.LittleEndian.PutUint32(slot[0:], uint32(len(payload)))
-	copy(slot[4:], payload)
-	binary.LittleEndian.PutUint32(slot[ctrlSlotSize-4:], uint32(r.next+1))
-	if err := r.stage.Write(slot[:], 0); err != nil {
-		return err
+	if err != nil {
+		if g != nil {
+			g.release(n)
+		}
+		return false, err
 	}
-	off := int(r.next%r.slots) * ctrlSlotSize
-	if err := vi.PostRDMAWrite(r.desc, r.handle, off); err != nil {
-		return err
+	if w.lazy {
+		return true, nil
 	}
-	if err := waitRMW(r.desc, r.timer, "ctrl-ring", timeout); err != nil {
-		return err
+	return true, w.reap()
+}
+
+// idle refuses, as the timeout it is, a channel whose last transfer the
+// NIC still owns.
+func (w *outWrite) idle() error {
+	if w.desc.Status() == via.DescPosted {
+		return &RMWTimeoutError{Op: w.op, Timeout: w.timeout}
 	}
-	r.next++
 	return nil
 }
 
-// rmwRingIn is the receiver's local control ring.
-type rmwRingIn struct {
-	region  *via.MemoryRegion
-	slots   uint64
-	read    uint64
-	lastAck uint64
-
-	// scratch holds the payload of the slot polled last.
-	scratch [ctrlSlotSize - 8]byte
+// reap waits out the transfer in flight, if any: afterwards descriptor
+// and image are the owner's again, unless the wait timed out — which it
+// reports as a typed RMWTimeoutError, passing link faults through
+// untouched.
+func (w *outWrite) reap() error {
+	if w.desc.Status() == via.DescIdle {
+		return nil
+	}
+	err := w.desc.WaitTimer(w.timer, w.timeout)
+	if errors.Is(err, via.ErrTimeout) {
+		return &RMWTimeoutError{Op: w.op, Timeout: w.timeout}
+	}
+	return err
 }
 
-func newRingIn(region *via.MemoryRegion) *rmwRingIn {
+// ackBatch is the receiver half of flow control on every channel: what
+// was consumed is acknowledged a batch at a time.
+type ackBatch struct{ acked uint64 }
+
+// due reports whether seen, the cumulative count consumed, is a batch
+// past what the sender was last told and, if so, records it as told;
+// fresh is how much of it is new.
+func (a *ackBatch) due(seen, batch uint64) (fresh uint64, ok bool) {
+	if fresh = seen - a.acked; fresh < batch {
+		return 0, false
+	}
+	a.acked = seen
+	return fresh, true
+}
+
+// slotRing is the paper's one remote-write mechanism, used for control
+// messages and file metadata alike and in both directions: fixed-size
+// entries in a circular buffer in the receiver's memory, each closed by
+// the sequence number of the write that filled it, polled by the
+// receiver, the space returned by a consumed counter written back into
+// the sender's memory. An instance is one half of a ring: the sender's
+// view of the ring living in the peer's memory (newSlotRingOut) or the
+// receiver's local ring (newSlotRingIn).
+type slotRing struct {
+	ringGeom
+
+	// Sender half: gate counts the free entries, next is the sequence of
+	// the next write (0-based), out stages and posts the entry image.
+	gate *creditGate
+	next uint64
+	out  outWrite
+
+	// Receiver half: read counts the entries polled, ack what of them the
+	// sender has been told.
+	region *via.MemoryRegion
+	read   uint64
+	ack    ackBatch
+
+	// buf is ring-owned scratch: the image of the entry being written, or
+	// the body of the entry polled last.
+	buf []byte
+}
+
+// newSlotRingOut builds the sender half over out, which targets the
+// peer's ring and stages one entry image. Every write is waited for, so
+// the ring owns the timer that bounds the wait.
+func newSlotRingOut(geom ringGeom, gate *creditGate, out outWrite) *slotRing {
+	out.timer = newStoppedTimer()
+	return &slotRing{ringGeom: geom, gate: gate, out: out, buf: make([]byte, geom.size)}
+}
+
+func newSlotRingIn(geom ringGeom, region *via.MemoryRegion) *slotRing {
 	region.EnableRemoteWrite()
-	return &rmwRingIn{region: region, slots: ctrlSlots}
+	return &slotRing{ringGeom: geom, region: region, buf: make([]byte, geom.room())}
 }
 
-// poll returns the next message payload if one has arrived, detected by
-// its sequence number. The payload is read into the ring's scratch and
-// is valid until the next poll: the caller decodes it at once and copies
-// out whatever the message would keep pointing at.
-func (r *rmwRingIn) poll() ([]byte, bool, error) {
-	off := int(r.read%r.slots) * ctrlSlotSize
-	seq, err := r.region.Load32(off + ctrlSlotSize - 4)
-	if err != nil {
+// writeEntry claims an entry, builds its image around body —
+// [len:4][body][pad][seq:4], or [body][pad][seq:4] on a fixed layout —
+// and remote-writes it into the slot its sequence number selects. The
+// caller serializes writes per peer. A blocked claim records as a
+// credit-stall span under the sender's trace context.
+func (r *slotRing) writeEntry(body []byte, trace tracing.TraceID, parent tracing.SpanID) (posted bool, err error) {
+	if len(body) > r.room() {
+		return false, fmt.Errorf("server: %s entry of %d bytes exceeds the slot's %d", r.out.op, len(body), r.room())
+	}
+	if err := r.gate.acquire(1, trace, parent); err != nil {
+		return false, err
+	}
+	img, at := r.buf, 0
+	clear(img)
+	if r.fixed == 0 {
+		binary.LittleEndian.PutUint32(img, uint32(len(body)))
+		at = 4
+	}
+	copy(img[at:], body)
+	binary.LittleEndian.PutUint32(img[r.size-4:], uint32(r.next+1))
+	posted, err = r.out.transfer(r.gate, 1, img, int(r.next%uint64(r.slots))*r.size)
+	if posted {
+		r.next++
+	}
+	return posted, err
+}
+
+// poll returns the body of the next entry if it has arrived, detected by
+// its sequence number. The body is read into the ring's scratch and is
+// valid until the next poll: the caller decodes it at once and copies
+// out whatever it would keep pointing at.
+func (r *slotRing) poll() ([]byte, bool, error) {
+	off := int(r.read%uint64(r.slots)) * r.size
+	seq, err := r.region.Load32(off + r.size - 4)
+	if err != nil || seq != uint32(r.read+1) {
 		return nil, false, err
 	}
-	if seq != uint32(r.read+1) {
-		return nil, false, nil
+	n, at := uint32(r.fixed), 0
+	if r.fixed == 0 {
+		// The length is the peer's to write: bound it by the slot.
+		if n, err = r.region.Load32(off); err != nil {
+			return nil, false, err
+		}
+		if n > uint32(r.room()) {
+			return nil, false, fmt.Errorf("server: corrupt ring slot length %d", n)
+		}
+		at = 4
 	}
-	n, err := r.region.Load32(off)
-	if err != nil {
-		return nil, false, err
-	}
-	if n > ctrlSlotSize-8 {
-		return nil, false, fmt.Errorf("server: corrupt ring slot length %d", n)
-	}
-	payload := r.scratch[:n]
-	if err := r.region.Read(payload, off+4); err != nil {
+	body := r.buf[:n]
+	if err := r.region.Read(body, off+at); err != nil {
 		return nil, false, err
 	}
 	r.read++
-	return payload, true, nil
-}
-
-// ackDue reports whether a consumed-counter write-back is due and, if
-// so, the value to publish.
-func (r *rmwRingIn) ackDue(batch uint64) (uint64, bool) {
-	if r.read-r.lastAck >= batch {
-		r.lastAck = r.read
-		return r.read, true
-	}
-	return 0, false
+	return body, true, nil
 }
 
 // fileRingOut is the sender's view of a peer's file-transfer buffers: a
-// small circular buffer for metadata and a large circular buffer for
+// slot ring for metadata and a large byte-granular circular buffer for
 // the actual file data (Section 3.4, version 3).
 type fileRingOut struct {
-	metaHandle via.Handle
-	dataHandle via.Handle
-	metaSlots  uint64
+	meta *slotRing
+
+	// dataCredit counts virtual bytes of the data area: its window is the
+	// area's size and its sent count the virtual write offset. data's
+	// descriptor is pointed at each transfer's payload in turn; nothing
+	// is staged.
 	dataSize   uint64
-
-	metaGate *creditGate
-	dataGate *dataGate
-
-	nextMeta uint64
-	virt     uint64 // virtual write offset into the data ring
-
-	// stage holds the metadata entry of the transfer in flight and
-	// metaDesc describes it; dataDesc is pointed at each transfer's
-	// payload in turn. Both serve every transfer (see rmwRingOut).
-	stage    *via.MemoryRegion
-	metaDesc *via.Descriptor
-	dataDesc *via.Descriptor
-	timer    *time.Timer
+	dataCredit *creditGate
+	data       outWrite
 }
 
-// newFileRingOut builds the sender side of the file rings behind the
-// two handles; metadata entries are staged at the start of stage.
-func newFileRingOut(metaHandle, dataHandle via.Handle, dataSize int, stage *via.MemoryRegion) *fileRingOut {
-	return &fileRingOut{
-		metaHandle: metaHandle,
-		dataHandle: dataHandle,
-		metaSlots:  fileMetaSlots,
-		dataSize:   uint64(dataSize),
-		metaGate:   newCreditGate(fileMetaSlots),
-		dataGate:   newDataGate(uint64(dataSize)),
-		stage:      stage,
-		metaDesc:   via.MustDescriptor(via.Segment{Region: stage, Len: fileMetaSlotSize}),
-		dataDesc:   via.MustDescriptor(via.Segment{Region: stage}),
-		timer:      newStoppedTimer(),
-	}
-}
-
-// write transfers one file: a remote write of the data followed by a
+// writeFile transfers one file: a remote write of the data followed by a
 // remote write of the metadata entry pointing at it — the two messages
 // per file that keep version 3 from improving on version 2. The two are
 // posted back to back and only the second is waited for: the engine
@@ -209,93 +302,63 @@ func newFileRingOut(metaHandle, dataHandle via.Handle, dataSize int, stage *via.
 //
 // src must be registered memory holding the payload (the cache page
 // itself under zero-copy transmit, a staging copy otherwise).
-// trc/trace/parent record blocked ring-space acquires as credit-stall
-// spans, one per gate that actually waited.
-func (f *fileRingOut) write(vi *via.VI, src *via.MemoryRegion, srcOff, n int, reqID uint64,
-	timeout time.Duration, trc *tracing.Collector, trace tracing.TraceID, parent tracing.SpanID) error {
+// trace/parent record blocked ring-space claims as credit-stall spans,
+// one per gate that actually waited.
+func (f *fileRingOut) writeFile(src *via.MemoryRegion, srcOff, n int, reqID uint64,
+	trace tracing.TraceID, parent tracing.SpanID) error {
 	if uint64(n) > f.dataSize {
 		return fmt.Errorf("server: file of %d bytes exceeds %d-byte data ring", n, f.dataSize)
 	}
-	if err := f.dataDesc.SetSegment(0, via.Segment{Region: src, Offset: srcOff, Len: n}); err != nil {
+	// via refuses this while a timed-out transfer still owns the descriptor.
+	if err := f.data.desc.SetSegment(0, via.Segment{Region: src, Offset: srcOff, Len: n}); err != nil {
 		return err
 	}
 	// Allocate data-ring space, skipping the tail when the file would
 	// wrap: virtual offsets keep sender and receiver's space accounting
 	// in step.
-	phys := f.virt % f.dataSize
+	virt, _ := f.dataCredit.inFlight()
+	phys, claim := uint64(virt)%f.dataSize, int64(n)
 	if phys+uint64(n) > f.dataSize {
-		f.virt += f.dataSize - phys
+		claim += int64(f.dataSize - phys)
 		phys = 0
 	}
-	virtEnd := f.virt + uint64(n)
-	stall := trc.StartSpan("credit-stall", trace, parent)
-	ok, stalled := f.dataGate.acquire(virtEnd, via.ErrClosed)
-	if stalled {
-		stall.AnnotateStr("gate", "file-data")
-		stall.End()
-	} else {
-		stall.Cancel()
+	if err := f.dataCredit.acquire(claim, trace, parent); err != nil {
+		return err
 	}
-	if !ok {
-		return f.dataGate.g.closedErr()
+	if _, err := f.data.transfer(f.dataCredit, claim, nil, int(phys)); err != nil {
+		return err
 	}
-	stall = trc.StartSpan("credit-stall", trace, parent)
-	ok, stalled = f.metaGate.acquire()
-	if stalled {
-		stall.AnnotateStr("gate", "file-meta")
-		stall.End()
-	} else {
-		stall.Cancel()
-	}
-	if !ok {
-		return f.metaGate.closedErr()
-	}
-	var meta [fileMetaSlotSize]byte
+	var meta [fileMetaLen]byte
 	binary.LittleEndian.PutUint64(meta[0:], reqID)
 	binary.LittleEndian.PutUint32(meta[8:], uint32(phys))
 	binary.LittleEndian.PutUint32(meta[12:], uint32(n))
-	binary.LittleEndian.PutUint64(meta[16:], virtEnd)
-	binary.LittleEndian.PutUint32(meta[fileMetaSlotSize-4:], uint32(f.nextMeta+1))
-	if err := f.stage.Write(meta[:], 0); err != nil {
-		return err
+	binary.LittleEndian.PutUint64(meta[16:], uint64(virt+claim))
+	posted, err := f.meta.writeEntry(meta[:], trace, parent)
+	if !posted {
+		// The data write is in flight alone: reap it, so the descriptor is
+		// the caller's again. Its bytes stay claimed — they reached the
+		// NIC — until the next transfer's virtEnd acknowledges past them.
+		f.data.reap()
 	}
-	if err := vi.PostRDMAWrite(f.dataDesc, f.dataHandle, int(phys)); err != nil {
-		return err
+	// The data write came first; when it is what failed, say so.
+	if err != nil && f.data.desc.Status() == via.DescError {
+		return f.data.desc.Err()
 	}
-	metaOff := int(f.nextMeta%f.metaSlots) * fileMetaSlotSize
-	if err := vi.PostRDMAWrite(f.metaDesc, f.metaHandle, metaOff); err != nil {
-		// The data write is in flight alone: reap it, so the descriptor
-		// is the caller's again.
-		_ = waitRMW(f.dataDesc, f.timer, "file-data", timeout)
-		return err
-	}
-	if err := waitRMW(f.metaDesc, f.timer, "file-meta", timeout); err != nil {
-		// The data write came first; when it is what failed, say so.
-		if f.dataDesc.Status() == via.DescError {
-			return f.dataDesc.Err()
-		}
-		return err
-	}
-	f.nextMeta++
-	f.virt = virtEnd
-	return nil
+	return err
 }
 
 // fileRingIn is the receiver's local file-transfer buffers.
 type fileRingIn struct {
-	meta *via.MemoryRegion
+	meta *slotRing
 	data *via.MemoryRegion
-
-	read     uint64
-	lastAck  uint64
-	virtAck  uint64
+	// virtSeen is the virtual end of the transfer polled last: what the
+	// data area's consumed counter is acknowledged up to.
 	virtSeen uint64
 }
 
 func newFileRingIn(meta, data *via.MemoryRegion) *fileRingIn {
-	meta.EnableRemoteWrite()
 	data.EnableRemoteWrite()
-	return &fileRingIn{meta: meta, data: data}
+	return &fileRingIn{meta: newSlotRingIn(fileMetaRing, meta), data: data}
 }
 
 // fileArrival is one polled file transfer; buf.b is the payload, and
@@ -305,36 +368,28 @@ type fileArrival struct {
 	buf   *recvBuf
 }
 
-// poll detects the next file arrival via the metadata sequence number
-// and copies the payload out of the data ring into a receive buffer the
-// arrival owns — the one copy of the receive path: the ring's space is
+// poll detects the next file arrival via the metadata ring and copies
+// the payload out of the data ring into a receive buffer the arrival
+// owns — the one copy of the receive path: the ring's space is
 // acknowledged to the sender as soon as it is polled, whatever becomes
 // of the client the file is for. extraCopy models version 3's
 // copy-to-another-buffer before replying (absent under zero-copy
 // receive, versions 4-5).
 func (f *fileRingIn) poll(extraCopy bool) (fileArrival, bool, error) {
-	off := int(f.read%fileMetaSlots) * fileMetaSlotSize
-	seq, err := f.meta.Load32(off + fileMetaSlotSize - 4)
-	if err != nil {
-		return fileArrival{}, false, err
-	}
-	if seq != uint32(f.read+1) {
-		return fileArrival{}, false, nil
-	}
-	var hdr [24]byte
-	if err := f.meta.Read(hdr[:], off); err != nil {
+	hdr, ok, err := f.meta.poll()
+	if err != nil || !ok {
 		return fileArrival{}, false, err
 	}
 	reqID := binary.LittleEndian.Uint64(hdr[0:])
 	phys := binary.LittleEndian.Uint32(hdr[8:])
 	n := binary.LittleEndian.Uint32(hdr[12:])
-	virtEnd := binary.LittleEndian.Uint64(hdr[16:])
 
 	// The metadata is the peer's to write: bound it by the ring before it
 	// sizes a buffer.
 	if uint64(phys)+uint64(n) > uint64(f.data.Size()) {
 		return fileArrival{}, false, fmt.Errorf("server: corrupt file ring entry: %d bytes at %d", n, phys)
 	}
+	f.virtSeen = binary.LittleEndian.Uint64(hdr[16:])
 	buf := getRecvBuf(int(n))
 	if err := f.data.Read(buf.b, int(phys)); err != nil {
 		buf.release()
@@ -348,53 +403,8 @@ func (f *fileRingIn) poll(extraCopy bool) (fileArrival, bool, error) {
 		buf.release()
 		buf = staged
 	}
-	f.read++
-	f.virtSeen = virtEnd
 	return fileArrival{reqID: reqID, buf: buf}, true, nil
 }
-
-// ackDue reports whether consumed counters should be written back:
-// the meta-slot count and the data-ring virtual offset.
-func (f *fileRingIn) ackDue(batch uint64) (metaRead, virtConsumed uint64, due bool) {
-	if f.read-f.lastAck >= batch {
-		f.lastAck = f.read
-		f.virtAck = f.virtSeen
-		return f.read, f.virtAck, true
-	}
-	return 0, 0, false
-}
-
-// dataGate tracks byte-granular ring space: the writer blocks until the
-// consumed virtual offset is within dataSize of the requested end.
-type dataGate struct {
-	g        *creditGate
-	capacity uint64
-}
-
-func newDataGate(capacity uint64) *dataGate {
-	// Reuse creditGate with "sent" as requested virtual end and
-	// "consumed" as acked virtual offset; window is the capacity.
-	g := newCreditGate(int(capacity))
-	return &dataGate{g: g, capacity: capacity}
-}
-
-// acquire blocks until virtEnd - consumed <= capacity. stalled reports
-// whether it had to wait, mirroring creditGate.acquire.
-func (d *dataGate) acquire(virtEnd uint64, closedErr error) (ok, stalled bool) {
-	d.g.mu.Lock()
-	defer d.g.mu.Unlock()
-	for int64(virtEnd)-d.g.consumed > int64(d.capacity) && !d.g.closed {
-		if !stalled {
-			stalled = true
-			d.g.stalls.Inc()
-		}
-		d.g.cond.Wait()
-	}
-	return !d.g.closed, stalled
-}
-
-func (d *dataGate) setConsumed(v uint64) { d.g.setConsumed(int64(v)) }
-func (d *dataGate) close()               { d.g.close() }
 
 // DefaultRMWTimeout is the default bound on the wait for a remote
 // write completion (Config.RMWTimeout). The engine processes work in
@@ -407,7 +417,8 @@ const DefaultRMWTimeout = 30 * time.Second
 // treating it as ErrLinkDown. errors.Is(err, via.ErrTimeout) also
 // matches, via Unwrap.
 type RMWTimeoutError struct {
-	// Op names the ring that timed out: ctrl-ring, file-data, file-meta.
+	// Op names the channel that timed out: regular-send, ctrl-ring,
+	// file-data, file-meta, flow-counter.
 	Op string
 	// Timeout is the configured bound that expired.
 	Timeout time.Duration
@@ -418,21 +429,6 @@ func (e *RMWTimeoutError) Error() string {
 }
 
 func (e *RMWTimeoutError) Unwrap() error { return via.ErrTimeout }
-
-// waitRMW waits for d's completion, converting an expired wait into a
-// typed RMWTimeoutError while passing link faults through untouched. t,
-// when non-nil, is the caller's reusable timer (Descriptor.WaitTimer);
-// nil arms a fresh one.
-func waitRMW(d *via.Descriptor, t *time.Timer, op string, timeout time.Duration) error {
-	if timeout <= 0 {
-		timeout = DefaultRMWTimeout
-	}
-	err := d.WaitTimer(t, timeout)
-	if errors.Is(err, via.ErrTimeout) {
-		return &RMWTimeoutError{Op: op, Timeout: timeout}
-	}
-	return err
-}
 
 // newStoppedTimer returns a timer in the state Descriptor.WaitTimer
 // takes and leaves it in: stopped, channel empty.

@@ -7,6 +7,7 @@ import (
 
 	"press/core"
 	"press/metrics"
+	"press/tracing"
 	"press/via"
 )
 
@@ -49,10 +50,17 @@ type Transport interface {
 	Metrics() TransportMetrics
 	// Close tears the transport down; Inbound is closed afterwards.
 	Close() error
+	// PeerDown marks dst dead: in-flight and future sends to it fail
+	// promptly with an error wrapping ErrPeerDown instead of blocking on
+	// flow control.
+	PeerDown(dst int, reason error)
+	// Reconnect re-establishes the channel to dst after a failure. It
+	// returns errPassiveRole when dst is expected to dial us instead.
+	Reconnect(dst int) error
 }
 
 // ErrPeerDown marks a send addressed to a peer the transport has been
-// told is dead (see faultTransport.PeerDown). It is a hard failure:
+// told is dead (see Transport.PeerDown). It is a hard failure:
 // retrying cannot help until the peer is reconnected.
 var ErrPeerDown = errors.New("server: peer down")
 
@@ -68,20 +76,6 @@ var errPassiveRole = errors.New("server: reconnect is dialed from the other side
 // opposite of evidence of death — the peer just proved it is alive — so
 // it is transient: the retry goes out on the fresh channel.
 var errSuperseded = errors.New("server: channel superseded by reconnect")
-
-// faultTransport is the optional fault-management surface of a
-// Transport. Both built-in transports implement it; the node type-
-// asserts so external Transport implementations keep working (they
-// simply never fail fast or reconnect).
-type faultTransport interface {
-	// PeerDown marks dst dead: in-flight and future sends to it fail
-	// promptly with an error wrapping ErrPeerDown instead of blocking on
-	// flow control.
-	PeerDown(dst int, reason error)
-	// Reconnect re-establishes the channel to dst after a failure. It
-	// returns errPassiveRole when dst is expected to dial us instead.
-	Reconnect(dst int) error
-}
 
 // msgAccounting counts messages per type on lock-free counters, either
 // standalone or interned in a metrics registry under the owning node's
@@ -159,9 +153,11 @@ func (ins *transportInstruments) metrics() TransportMetrics {
 }
 
 // creditGate implements the sender half of window-based flow control:
-// at most window messages in flight per channel, unblocked by credits
-// that arrive either as explicit flow messages or as a consumed counter
-// remote-memory-written into the sender's registered region.
+// at most window units in flight per channel, unblocked by credits that
+// arrive either as explicit flow messages or as a consumed counter
+// remote-memory-written into the sender's registered region. A unit is
+// a message on the regular channel, an entry of a slot ring, or a byte of
+// the file data area, whose sent count is its virtual write offset.
 type creditGate struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -174,37 +170,64 @@ type creditGate struct {
 	// instead of a generic closed error, so a request waiting for credit
 	// from a dead peer fails over immediately.
 	failErr error
+	// name labels the gate in the credit-stall span of a traced wait.
+	name string
 	// stalls, when set, counts acquires that had to wait (one per
 	// acquire, not per wakeup). Nil-safe, so gates on disabled
-	// transports leave it unset.
+	// transports leave it unset; so is trc.
 	stalls *metrics.Counter
+	trc    *tracing.Collector
 }
 
-func newCreditGate(window int) *creditGate {
-	g := &creditGate{window: int64(window)}
+func newCreditGate(name string, window int, stalls *metrics.Counter, trc *tracing.Collector) *creditGate {
+	g := &creditGate{name: name, window: int64(window), stalls: stalls, trc: trc}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
 
-// acquire blocks until a window slot is free, then claims it. ok is
-// false if the gate was closed; stalled reports whether the acquire had
-// to wait, so callers can attribute the wait to a credit-stall trace
-// span.
-func (g *creditGate) acquire() (ok, stalled bool) {
+// acquire blocks until n more units fit the window, then claims them.
+// trace and parent carry the sender's trace context: the span is
+// speculative, recorded only if the window was actually exhausted and
+// discarded otherwise (nil collector or zero trace: no span, no cost).
+// The error is why the gate closed.
+func (g *creditGate) acquire(n int64, trace tracing.TraceID, parent tracing.SpanID) error {
+	stall := g.trc.StartSpan("credit-stall", trace, parent)
+	stalled := false
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	for g.sent-g.consumed >= g.window && !g.closed {
+	for g.sent+n-g.consumed > g.window && !g.closed {
 		if !stalled {
 			stalled = true
 			g.stalls.Inc()
 		}
 		g.cond.Wait()
 	}
-	if g.closed {
-		return false, stalled
+	var err error
+	switch {
+	case !g.closed:
+		g.sent += n
+	case g.failErr != nil:
+		err = g.failErr
+	default:
+		err = via.ErrClosed
 	}
-	g.sent++
-	return true, stalled
+	g.mu.Unlock()
+	if stalled {
+		stall.AnnotateStr("gate", g.name)
+		stall.End()
+	} else {
+		stall.Cancel()
+	}
+	return err
+}
+
+// release gives back n units claimed for a write that never reached the
+// NIC (outWrite.transfer): the peer will not consume what was not sent,
+// so nothing else would ever return them to the window.
+func (g *creditGate) release(n int64) {
+	g.mu.Lock()
+	g.sent -= n
+	g.mu.Unlock()
+	g.cond.Broadcast()
 }
 
 // credit grants n slots back (explicit flow message).
@@ -226,17 +249,9 @@ func (g *creditGate) setConsumed(v int64) {
 	g.cond.Broadcast()
 }
 
-// close releases all waiters.
-func (g *creditGate) close() {
-	g.mu.Lock()
-	g.closed = true
-	g.mu.Unlock()
-	g.cond.Broadcast()
-}
-
-// fail closes the gate attributing the closure to err; waiters parked
-// on acquire wake and their callers report err. The first failure
-// sticks; a plain close never overwrites it.
+// fail closes the gate attributing the closure to err (nil: orderly
+// shutdown); waiters parked on acquire wake and their callers report it.
+// The first failure sticks; a plain close never overwrites it.
 func (g *creditGate) fail(err error) {
 	g.mu.Lock()
 	g.closed = true
@@ -247,18 +262,9 @@ func (g *creditGate) fail(err error) {
 	g.cond.Broadcast()
 }
 
-// closedErr returns the error a failed acquire should surface.
-func (g *creditGate) closedErr() error {
+// inFlight returns the units sent and, of those, not yet consumed.
+func (g *creditGate) inFlight() (sent, unacked int64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.failErr != nil {
-		return g.failErr
-	}
-	return via.ErrClosed
-}
-
-func (g *creditGate) sentCount() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.sent
+	return g.sent, g.sent - g.consumed
 }

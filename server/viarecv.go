@@ -2,8 +2,6 @@ package server
 
 import (
 	"encoding/binary"
-	"errors"
-	"time"
 
 	"press/core"
 	"press/netmodel"
@@ -89,10 +87,8 @@ func (t *viaTransport) handleFrame(p *viaPeer, frame *recvBuf) {
 	// either as explicit flow messages or as a remote write of the
 	// cumulative count (version 1+).
 	p.consumed++
-	if p.consumed >= int64(t.cfg.batch) {
-		granted := p.consumed
-		p.consumed = 0
-		t.returnCredits(p, granted)
+	if n, due := p.regAck.due(p.consumed, uint64(t.cfg.batch)); due {
+		t.returnCredits(p, n)
 	}
 	if refused {
 		return
@@ -103,106 +99,81 @@ func (t *viaTransport) handleFrame(p *viaPeer, frame *recvBuf) {
 	}
 }
 
-func (t *viaTransport) returnCredits(p *viaPeer, n int64) {
+// returnCredits tells the peer of the n data frames consumed since it
+// was last told.
+func (t *viaTransport) returnCredits(p *viaPeer, n uint64) {
 	if t.cfg.version.Flow == netmodel.StyleRegular {
 		flow := &Message{Type: core.MsgFlow, From: t.cfg.self, Credits: int32(n), Load: -1}
 		if err := t.sendRegular(p, flow, false); err != nil {
 			// The flow message never left, so the peer will not learn
-			// these slots freed up. Put the count back so the next
+			// these slots freed up. Take the count back so the next
 			// batch retries; dropping it deadlocks the sender once the
 			// window drains. Safe without locking: only recvThread
 			// calls returnCredits.
-			p.consumed += n
+			p.regAck.acked -= n
 		}
 		return
 	}
-	// RMW flow control: accumulate the counter locally and write it
-	// into the sender's flow region; load and overwrite semantics make
-	// this the cheapest possible credit return (Section 2.2).
-	p.regAcked += n
+	// RMW flow control: write the cumulative count into the sender's flow
+	// region; load and overwrite semantics make this the cheapest
+	// possible credit return (Section 2.2).
 	t.ins.acct.add(core.MsgFlow, 8)
-	t.writeFlowCounter(p, flowRegChannel, uint64(p.regAcked))
+	t.writeFlowCounter(p, flowRegChannel, p.consumed)
 }
 
 // writeFlowCounter remote-writes one cumulative counter into the peer's
 // flow region and does not wait for it: the counter's descriptor is
 // reaped by the next write of the same counter, a credit batch of
 // messages later, so the calling thread parks only if the engine is
-// that far behind. Each counter has one writer goroutine (see viaPeer).
+// that far behind (and gives up if it is wedged: the next batch carries
+// the count). Each counter has one writer goroutine (see viaPeer).
 func (t *viaTransport) writeFlowCounter(p *viaPeer, off int, v uint64) {
-	p.peerMu.Lock()
-	handle := p.peerFlowHandle
-	p.peerMu.Unlock()
-	if handle == 0 {
+	w := &p.ack[off/8]
+	if w.remote == 0 {
 		return // peer setup not seen yet; counters are cumulative
-	}
-	d := p.ackDesc[off/8]
-	if d.Status() == via.DescPosted && errors.Is(d.Wait(t.cfg.rmwTimeout), via.ErrTimeout) {
-		return // the engine is wedged; the next batch carries the count
 	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
-	if p.ackReg.Write(buf[:], off) != nil {
-		return
-	}
 	//presslint:ignore unchecked-comms-error counters are cumulative, so the next batch repairs a write that could not be posted; a broken VI fails the channel through its senders
-	_ = t.postRDMARetry(p.vi, d, handle, off)
-}
-
-// postRDMARetry retries a momentarily full work queue a bounded number
-// of times with capped exponential backoff; counters are cumulative, so
-// giving up just leaves the credit for the next batch.
-func (t *viaTransport) postRDMARetry(vi *via.VI, d *via.Descriptor, h via.Handle, off int) error {
-	pause := t.cfg.retry.Base
-	var timer *time.Timer // reused: time.After would leak one per attempt
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
-	for attempt := 1; ; attempt++ {
-		//presslint:ignore descriptor-lifecycle re-post only happens after ErrQueueFull, which means the NIC never accepted the descriptor
-		err := vi.PostRDMAWrite(d, h, off)
-		if !errors.Is(err, via.ErrQueueFull) {
-			return err
-		}
-		if attempt >= t.cfg.retry.Attempts {
-			return err
-		}
-		if timer == nil {
-			timer = time.NewTimer(pause)
-		} else {
-			timer.Reset(pause)
-		}
-		select {
-		case <-t.done:
-			return via.ErrClosed
-		case <-timer.C:
-		}
-		if pause *= 2; pause > t.cfg.retry.Cap {
-			pause = t.cfg.retry.Cap
-		}
-	}
+	_, _ = w.transfer(nil, 0, buf[:], off)
 }
 
 func (t *viaTransport) handleSetup(p *viaPeer, frame []byte) {
 	if len(frame) < 1+16+8 {
 		return
 	}
+	// A duplicate setup frame must not restart rings that are in use (nor
+	// close ready twice).
+	select {
+	case <-p.ready:
+		return
+	default:
+	}
 	flow := via.Handle(binary.LittleEndian.Uint32(frame[1:]))
 	ctrl := via.Handle(binary.LittleEndian.Uint32(frame[5:]))
 	meta := via.Handle(binary.LittleEndian.Uint32(frame[9:]))
 	data := via.Handle(binary.LittleEndian.Uint32(frame[13:]))
 	dataSize := int(binary.LittleEndian.Uint64(frame[17:]))
+	// The ring gates are credit gates too: their stalls count with the
+	// regular channel's, their traced waits go to the same collector.
+	gate := func(name string, window int) *creditGate {
+		return newCreditGate(name, window, t.ins.stalls, t.cfg.trc)
+	}
+	out := func(op string, remote via.Handle, stage *via.MemoryRegion, n int) outWrite {
+		return newOutWrite(op, p.vi, t.cfg.rmwTimeout, remote, stage, 0, n)
+	}
 	p.peerMu.Lock()
-	p.peerFlowHandle = flow
-	p.outCtrl = newRingOut(ctrl, ctrlSlots, p.ringStage)
-	p.outFile = newFileRingOut(meta, data, dataSize, p.metaStage)
-	// The ring gates are credit gates too: count their stalls with the
-	// regular channel's.
-	p.outCtrl.gate.stalls = t.ins.stalls
-	p.outFile.metaGate.stalls = t.ins.stalls
-	p.outFile.dataGate.g.stalls = t.ins.stalls
+	for i := range p.ack {
+		p.ack[i].remote = flow
+	}
+	p.outCtrl = newSlotRingOut(ctrlRing, gate("ctrl-ring", ctrlSlots), out("ctrl-ring", ctrl, p.ringStage, ctrlSlotSize))
+	p.outFile = &fileRingOut{
+		meta:       newSlotRingOut(fileMetaRing, gate("file-meta", fileMetaSlots), out("file-meta", meta, p.metaStage, fileMetaSlotSize)),
+		dataSize:   uint64(dataSize),
+		dataCredit: gate("file-data", dataSize),
+		data:       out("file-data", data, p.metaStage, 0),
+	}
+	p.outFile.data.lazy = true
 	p.peerMu.Unlock()
 	// If the peer failed while the setup frame was in flight, the fresh
 	// rings must fail too, or a sender could park on them forever.
@@ -211,7 +182,7 @@ func (t *viaTransport) handleSetup(p *viaPeer, frame []byte) {
 		p.failGates(p.failErr)
 	default:
 	}
-	p.readyOnce.Do(func() { close(p.ready) })
+	close(p.ready)
 	// The peer may have written into our rings as soon as it had our
 	// setup frame; the poll thread passed those writes over while the
 	// channel was not ready.
@@ -269,7 +240,7 @@ func (t *viaTransport) pollThread() {
 				if p != nil {
 					owners[p.flowIn] = regionOwner{p, inFlow}
 					owners[p.inCtrl.region] = regionOwner{p, inCtrlRing}
-					owners[p.inFile.meta] = regionOwner{p, inFileMeta}
+					owners[p.inFile.meta.region] = regionOwner{p, inFileMeta}
 				}
 			}
 			t.peersMu.RUnlock()
@@ -327,9 +298,9 @@ func (t *viaTransport) drainCtrlRing(p *viaPeer) bool {
 				return true
 			}
 		}
-		if ack, due := p.inCtrl.ackDue(uint64(t.cfg.batch)); due {
+		if _, due := p.inCtrl.ack.due(p.inCtrl.read, uint64(t.cfg.batch)); due {
 			t.ins.acct.add(core.MsgFlow, 8)
-			t.writeFlowCounter(p, flowCtrlRing, ack)
+			t.writeFlowCounter(p, flowCtrlRing, p.inCtrl.read)
 		}
 	}
 }
@@ -359,10 +330,12 @@ func (t *viaTransport) drainFileRing(p *viaPeer) bool {
 		case <-t.done:
 			return true
 		}
-		if metaAck, virtAck, due := p.inFile.ackDue(uint64(t.cfg.batch)); due {
+		// One batch acknowledges both halves: the metadata entries and the
+		// data area up to the last of them.
+		if _, due := p.inFile.meta.ack.due(p.inFile.meta.read, uint64(t.cfg.batch)); due {
 			t.ins.acct.add(core.MsgFlow, 16)
-			t.writeFlowCounter(p, flowFileMeta, metaAck)
-			t.writeFlowCounter(p, flowFileData, virtAck)
+			t.writeFlowCounter(p, flowFileMeta, p.inFile.meta.read)
+			t.writeFlowCounter(p, flowFileData, p.inFile.virtSeen)
 		}
 	}
 }
@@ -370,31 +343,21 @@ func (t *viaTransport) drainFileRing(p *viaPeer) bool {
 // readFlowCounters applies the counters the peer wrote into our memory:
 // they gate our outbound rings and, under RMW flow control, the regular
 // channel. One locked read; a gate is touched only if its counter moved.
+// The channel is ready (pollRegion), so the outbound rings exist.
 func (t *viaTransport) readFlowCounters(p *viaPeer) bool {
 	var buf [flowRegionSize]byte
 	if p.flowIn.Read(buf[:], 0) != nil {
 		return false
 	}
-	p.peerMu.Lock()
-	ctrl, file := p.outCtrl, p.outFile
-	p.peerMu.Unlock()
+	// In flow-region order: flowRegChannel, flowCtrlRing, flowFileMeta,
+	// flowFileData.
+	gates := [flowCounters]*creditGate{p.regGate, p.outCtrl.gate, p.outFile.meta.gate, p.outFile.dataCredit}
 	moved := false
-	for i := range p.flowSeen {
-		v := binary.LittleEndian.Uint64(buf[8*i:])
-		if v == p.flowSeen[i] {
-			continue
-		}
-		p.flowSeen[i] = v
-		moved = true
-		switch 8 * i {
-		case flowRegChannel:
-			p.regGate.setConsumed(int64(v))
-		case flowCtrlRing:
-			ctrl.gate.setConsumed(int64(v))
-		case flowFileMeta:
-			file.metaGate.setConsumed(int64(v))
-		case flowFileData:
-			file.dataGate.setConsumed(v)
+	for i, g := range gates {
+		if v := binary.LittleEndian.Uint64(buf[8*i:]); v != p.flowSeen[i] {
+			p.flowSeen[i] = v
+			g.setConsumed(int64(v))
+			moved = true
 		}
 	}
 	return moved

@@ -247,7 +247,7 @@ func (r *rawPeer) sendSetup(vi *via.VI) {
 }
 
 // writeCtrl remote-writes m into slot seq (1-based) of the control ring
-// behind handle, as rmwRingOut.write does.
+// behind handle, as slotRing.writeEntry does.
 func (r *rawPeer) writeCtrl(vi *via.VI, handle via.Handle, seq uint32, m *Message) {
 	r.t.Helper()
 	payload, err := m.Encode(nil)

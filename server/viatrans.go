@@ -64,7 +64,6 @@ type viaConfig struct {
 	chunk      int
 	fileRing   int
 	rmwTimeout time.Duration
-	retry      RetryConfig
 	metrics    *metrics.Registry
 	// trc, when non-nil, records credit-stall and staging-copy spans for
 	// traced messages passing through the transport.
@@ -84,9 +83,6 @@ type viaPeer struct {
 	id    int
 	vi    *via.VI
 	ready chan struct{}
-	// readyOnce guards the ready close: a duplicate setup frame must
-	// not panic a reconnecting transport.
-	readyOnce sync.Once
 
 	// failed closes when the channel to this peer is declared dead —
 	// the VI broke, the node was marked down, or the peer was superseded
@@ -97,12 +93,14 @@ type viaPeer struct {
 	failOnce sync.Once
 	failErr  error
 
-	// Regular channel.
-	sendMu   sync.Mutex
-	regStage *via.MemoryRegion
-	regGate  *creditGate
-	// Receive-side bookkeeping (owned by the receive thread).
-	consumed int64
+	// Regular channel: sendMu serializes reg's sends and the ring writes.
+	sendMu  sync.Mutex
+	reg     outWrite
+	regGate *creditGate
+	// Receive-side bookkeeping (owned by the receive thread): the data
+	// frames consumed, and how many of them the peer has been told of.
+	consumed uint64
+	regAck   ackBatch
 
 	// Per-descriptor backing buffers for posted receives.
 	recvRegions map[*via.Descriptor]*via.MemoryRegion
@@ -114,25 +112,24 @@ type viaPeer struct {
 	fileStage *via.MemoryRegion // payload staging for 1-copy file sends
 
 	flowIn *via.MemoryRegion // peers write consumed counters here
-	inCtrl *rmwRingIn
+	inCtrl *slotRing
 	inFile *fileRingIn
 	// flowSeen is what the poll thread last read from each flowIn
 	// counter: only a counter that moved touches its gate.
 	flowSeen [flowCounters]uint64
 
-	peerMu         sync.Mutex
-	outCtrl        *rmwRingOut  // set once the peer's setup frame arrives
-	outFile        *fileRingOut // "
-	peerFlowHandle via.Handle
+	// Set once, when the peer's setup frame arrives and before ready
+	// closes; peerMu is for whoever cannot wait for ready (failGates).
+	peerMu  sync.Mutex
+	outCtrl *slotRing
+	outFile *fileRingOut
 
-	// Credit write-back: ackReg stages the cumulative counters this node
-	// remote-writes into the peer's flow region, one descriptor each.
-	// Every counter has one writer goroutine — the receive thread for
-	// the regular channel (regAcked is its running count), the poll
-	// thread for the rings — so none of this is locked.
-	ackReg   *via.MemoryRegion
-	ackDesc  [flowCounters]*via.Descriptor
-	regAcked int64
+	// Credit write-back: ack[i] stages cumulative counter i and
+	// remote-writes it into the peer's flow region (its remote handle
+	// arrives with the setup frame), without waiting. Every counter has
+	// one writer goroutine — the receive thread for the regular channel,
+	// the poll thread for the rings — so none of this is locked.
+	ack [flowCounters]outWrite
 }
 
 const setupMagic = 0xFF
@@ -140,10 +137,6 @@ const setupMagic = 0xFF
 func newViaTransport(nic *via.NIC, cfg viaConfig) (*viaTransport, error) {
 	if cfg.rmwTimeout <= 0 {
 		cfg.rmwTimeout = DefaultRMWTimeout
-	}
-	var err error
-	if cfg.retry, err = cfg.retry.withDefaults(); err != nil {
-		return nil, err
 	}
 	t := &viaTransport{
 		cfg:     cfg,
@@ -178,101 +171,75 @@ func newViaTransport(nic *via.NIC, cfg viaConfig) (*viaTransport, error) {
 func (t *viaTransport) connect(addrs []string) error {
 	t.addrs = addrs
 	errc := make(chan error, t.cfg.nodes)
-	var setup sync.WaitGroup
-	for range make([]struct{}, t.cfg.self) {
-		setup.Add(1)
-		go func() {
-			defer setup.Done()
+	for j := 0; j < t.cfg.nodes; j++ {
+		if j == t.cfg.self {
+			continue
+		}
+		go func(j int) {
 			// Memory is registered and receive descriptors posted
 			// before the connection exists, so the peer's first frame
 			// always finds a descriptor.
 			p, err := t.newPeer()
-			if err != nil {
-				errc <- err
-				return
+			switch {
+			case err != nil:
+			case j > t.cfg.self:
+				p.id, err = j, p.vi.Connect(addrs[j], fmt.Sprintf("press-%d", j))
+			default:
+				var remote string
+				if remote, err = t.ln.Accept(p.vi); err == nil {
+					p.id, err = nodeIndex(remote, addrs)
+				}
 			}
-			remote, err := t.ln.Accept(p.vi)
-			if err != nil {
-				errc <- err
-				return
+			if err == nil {
+				t.setPeer(p.id, p)
 			}
-			id, err := nodeIndex(remote, addrs)
-			if err != nil {
-				errc <- err
-				return
-			}
-			p.id = id
-			t.setPeer(id, p)
-			errc <- nil
-		}()
-	}
-	for j := t.cfg.self + 1; j < t.cfg.nodes; j++ {
-		setup.Add(1)
-		go func(j int) {
-			defer setup.Done()
-			p, err := t.newPeer()
-			if err != nil {
-				errc <- err
-				return
-			}
-			if err := p.vi.Connect(addrs[j], fmt.Sprintf("press-%d", j)); err != nil {
-				errc <- err
-				return
-			}
-			p.id = j
-			t.setPeer(j, p)
-			errc <- nil
+			errc <- err
 		}(j)
 	}
-	setup.Wait()
+	var failed error
 	for i := 0; i < t.cfg.nodes-1; i++ {
-		if err := <-errc; err != nil {
-			t.Close()
-			return err
+		if err := <-errc; err != nil && failed == nil {
+			failed = err
 		}
 	}
-	// Receive machinery first, then announce our buffers to each peer.
+	if failed != nil {
+		t.Close()
+		return failed
+	}
+	// Receive machinery first, then announce our buffers to every peer,
+	// then wait for every peer's.
 	t.wg.Add(2)
 	go t.recvThread()
 	go t.pollThread()
-	for id := 0; id < t.cfg.nodes; id++ {
-		p := t.peer(id)
-		if id == t.cfg.self || p == nil {
-			continue
-		}
-		if err := t.sendSetup(p); err != nil {
-			t.Close()
-			return err
-		}
-	}
-	// Wait for every peer's setup frame. One timer is reused across the
-	// loop; each peer gets a fresh full timeout.
-	setupTimer := time.NewTimer(t.cfg.rmwTimeout)
-	defer setupTimer.Stop()
-	for id := 0; id < t.cfg.nodes; id++ {
-		p := t.peer(id)
-		if id == t.cfg.self || p == nil {
-			continue
-		}
-		if !setupTimer.Stop() {
-			select {
-			case <-setupTimer.C:
-			default:
+	for _, step := range []func(*viaPeer) error{t.sendSetup, t.awaitSetup} {
+		for id := range addrs {
+			if p := t.peer(id); p != nil {
+				if err := step(p); err != nil {
+					t.Close()
+					return err
+				}
 			}
-		}
-		setupTimer.Reset(t.cfg.rmwTimeout)
-		select {
-		case <-p.ready:
-		case <-setupTimer.C:
-			t.Close()
-			return fmt.Errorf("server: node %d: no setup frame from %d", t.cfg.self, id)
-		case <-t.done:
-			return via.ErrClosed
 		}
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return nil
+}
+
+// awaitSetup waits, a full timeout long, for p's setup frame.
+func (t *viaTransport) awaitSetup(p *viaPeer) error {
+	timer := time.NewTimer(t.cfg.rmwTimeout)
+	defer timer.Stop()
+	select {
+	case <-p.ready:
+		return nil
+	case <-p.failed:
+		return p.failErr
+	case <-timer.C:
+		return fmt.Errorf("server: node %d: no setup frame from %d", t.cfg.self, p.id)
+	case <-t.done:
+		return via.ErrClosed
+	}
 }
 
 // setPeer installs the live channel for node id.
@@ -337,8 +304,8 @@ func (t *viaTransport) retirePeer(p *viaPeer) {
 		_ = t.nic.DeregisterMemory(r)
 	}
 	for _, r := range []*via.MemoryRegion{
-		p.regStage, p.ringStage, p.metaStage, p.fileStage, p.ackReg,
-		p.flowIn, p.inCtrl.region, p.inFile.meta, p.inFile.data,
+		p.reg.stage, p.ringStage, p.metaStage, p.fileStage, p.ack[0].stage,
+		p.flowIn, p.inCtrl.region, p.inFile.meta.region, p.inFile.data,
 	} {
 		if r != nil {
 			_ = t.nic.DeregisterMemory(r)
@@ -387,22 +354,13 @@ func (t *viaTransport) Reconnect(dst int) error {
 	// the moment it accepts, and senders should queue on the new
 	// channel (blocking on ready) rather than the dead one.
 	t.promote(p)
-	if err := t.sendSetup(p); err != nil {
-		p.fail(err)
-		return err
+	err = t.sendSetup(p)
+	if err == nil {
+		err = t.awaitSetup(p)
 	}
-	setupTimer := time.NewTimer(t.cfg.rmwTimeout)
-	defer setupTimer.Stop()
-	select {
-	case <-p.ready:
-	case <-p.failed:
-		return p.failErr
-	case <-setupTimer.C:
-		err := fmt.Errorf("server: node %d: no setup frame from %d after reconnect", t.cfg.self, dst)
+	if err != nil {
 		p.fail(err)
 		return err
-	case <-t.done:
-		return via.ErrClosed
 	}
 	t.reconnects.Inc()
 	return nil
@@ -449,19 +407,17 @@ func (p *viaPeer) fail(err error) {
 }
 
 // failGates fails every flow-control gate so blocked senders wake with
-// the reason instead of waiting on credit from a dead peer — the
-// "in-flight waiters fail over immediately" half of failover.
+// the reason (nil: the transport is closing) instead of waiting on
+// credit from a dead peer — the "in-flight waiters fail over
+// immediately" half of failover.
 func (p *viaPeer) failGates(err error) {
 	p.regGate.fail(err)
 	p.peerMu.Lock()
-	oc, of := p.outCtrl, p.outFile
-	p.peerMu.Unlock()
-	if oc != nil {
-		oc.gate.fail(err)
-	}
-	if of != nil {
-		of.metaGate.fail(err)
-		of.dataGate.g.fail(err)
+	defer p.peerMu.Unlock()
+	if p.outCtrl != nil {
+		p.outCtrl.gate.fail(err)
+		p.outFile.meta.gate.fail(err)
+		p.outFile.dataCredit.fail(err)
 	}
 }
 
@@ -489,81 +445,59 @@ func nodeIndex(addr string, addrs []string) (int, error) {
 	return 0, fmt.Errorf("server: unknown fabric address %q", addr)
 }
 
-func (t *viaTransport) newVI() (*via.VI, error) {
-	vi, err := t.nic.CreateVI(via.ReliableDelivery, 2*t.cfg.window+16)
-	if err != nil {
-		return nil, err
-	}
-	vi.SetRecvCQ(t.recvCQ)
-	return vi, nil
-}
-
 // newPeer allocates and registers all per-peer memory — receive
 // buffers for the regular channel, staging areas, the inbound control
 // and file rings, and the flow-counter region — and posts the receive
 // descriptors, all before the VI connects.
 func (t *viaTransport) newPeer() (*viaPeer, error) {
-	vi, err := t.newVI()
+	vi, err := t.nic.CreateVI(via.ReliableDelivery, 2*t.cfg.window+16)
 	if err != nil {
 		return nil, err
 	}
-	regMsgBuf := t.cfg.chunk + msgHeaderLen + maxNameLen + 64
+	vi.SetRecvCQ(t.recvCQ)
+	regMsgBuf := t.cfg.chunk + msgHeaderLen + msgMaxExtLen + maxNameLen
+	// register is sticky on its first error: one check covers them all.
+	register := func(size int) (r *via.MemoryRegion) {
+		if err == nil {
+			r, err = t.nic.RegisterMemory(make([]byte, size))
+		}
+		return r
+	}
 	p := &viaPeer{
 		id:          -1,
 		vi:          vi,
 		ready:       make(chan struct{}),
 		failed:      make(chan struct{}),
-		regGate:     newCreditGate(t.cfg.window),
+		regGate:     newCreditGate("regular", t.cfg.window, t.ins.stalls, t.cfg.trc),
 		recvRegions: make(map[*via.Descriptor]*via.MemoryRegion),
+		ringStage:   register(ctrlSlotSize),
+		metaStage:   register(fileMetaSlotSize),
+		fileStage:   register(t.cfg.fileRing),
+		flowIn:      register(flowRegionSize),
 	}
-	p.regGate.stalls = t.ins.stalls
-	if p.regStage, err = t.nic.RegisterMemory(make([]byte, regMsgBuf)); err != nil {
-		return nil, err
-	}
-	if p.ringStage, err = t.nic.RegisterMemory(make([]byte, ctrlSlotSize)); err != nil {
-		return nil, err
-	}
-	if p.metaStage, err = t.nic.RegisterMemory(make([]byte, fileMetaSlotSize)); err != nil {
-		return nil, err
-	}
-	if p.fileStage, err = t.nic.RegisterMemory(make([]byte, t.cfg.fileRing)); err != nil {
-		return nil, err
-	}
-	if p.ackReg, err = t.nic.RegisterMemory(make([]byte, flowRegionSize)); err != nil {
-		return nil, err
-	}
-	for i := range p.ackDesc {
-		p.ackDesc[i] = via.MustDescriptor(via.Segment{Region: p.ackReg, Offset: 8 * i, Len: 8})
-	}
-	flowIn, err := t.nic.RegisterMemory(make([]byte, flowRegionSize))
+	regStage, ackReg := register(regMsgBuf), register(flowRegionSize)
+	ctrlIn, metaIn := register(ctrlSlots*ctrlSlotSize), register(fileMetaSlots*fileMetaSlotSize)
+	dataIn := register(t.cfg.fileRing)
 	if err != nil {
 		return nil, err
 	}
-	flowIn.EnableRemoteWrite()
-	p.flowIn = flowIn
-	ctrlIn, err := t.nic.RegisterMemory(make([]byte, ctrlSlots*ctrlSlotSize))
-	if err != nil {
-		return nil, err
+	p.reg = newOutWrite("regular-send", vi, t.cfg.rmwTimeout, 0, regStage, 0, regMsgBuf)
+	for i := range p.ack {
+		p.ack[i] = newOutWrite("flow-counter", vi, t.cfg.rmwTimeout, 0, ackReg, 8*i, 8)
+		p.ack[i].lazy = true
 	}
-	p.inCtrl = newRingIn(ctrlIn)
-	metaIn, err := t.nic.RegisterMemory(make([]byte, fileMetaSlots*fileMetaSlotSize))
-	if err != nil {
-		return nil, err
-	}
-	dataIn, err := t.nic.RegisterMemory(make([]byte, t.cfg.fileRing))
-	if err != nil {
-		return nil, err
-	}
+	p.flowIn.EnableRemoteWrite()
+	p.inCtrl = newSlotRingIn(ctrlRing, ctrlIn)
 	p.inFile = newFileRingIn(metaIn, dataIn)
 
 	// Post the regular channel's receive descriptors: window data slots
 	// plus slack for flow-control and setup messages.
 	for i := 0; i < t.cfg.window+8; i++ {
-		region, err := t.nic.RegisterMemory(make([]byte, regMsgBuf))
+		region := register(regMsgBuf)
 		if err != nil {
 			return nil, err
 		}
-		d := via.MustDescriptor(via.Segment{Region: region, Offset: 0, Len: regMsgBuf})
+		d := via.MustDescriptor(via.Segment{Region: region, Len: regMsgBuf})
 		p.recvRegions[d] = region
 		if err := vi.PostRecv(d); err != nil {
 			return nil, err
@@ -578,79 +512,26 @@ func (t *viaTransport) sendSetup(p *viaPeer) error {
 	frame[0] = setupMagic
 	binary.LittleEndian.PutUint32(frame[1:], uint32(p.flowIn.Handle()))
 	binary.LittleEndian.PutUint32(frame[5:], uint32(p.inCtrl.region.Handle()))
-	binary.LittleEndian.PutUint32(frame[9:], uint32(p.inFile.meta.Handle()))
+	binary.LittleEndian.PutUint32(frame[9:], uint32(p.inFile.meta.region.Handle()))
 	binary.LittleEndian.PutUint32(frame[13:], uint32(p.inFile.data.Handle()))
 	binary.LittleEndian.PutUint64(frame[17:], uint64(t.cfg.fileRing))
 	p.sendMu.Lock()
 	defer p.sendMu.Unlock()
-	return t.rawSend(p, frame[:])
-}
-
-// rawSend stages and sends one frame over the regular channel; caller
-// holds sendMu.
-func (t *viaTransport) rawSend(p *viaPeer, frame []byte) error {
-	if err := p.regStage.Write(frame, 0); err != nil {
-		return err
-	}
-	d := via.MustDescriptor(via.Segment{Region: p.regStage, Offset: 0, Len: len(frame)})
-	if err := t.postSendRetry(p.vi, d); err != nil {
-		return err
-	}
-	return waitRMW(d, nil, "regular-send", t.cfg.rmwTimeout)
-}
-
-// postSendRetry retries a bounded number of times with capped
-// exponential backoff when the send queue is momentarily full (flow
-// control keeps this rare); exhausting the budget surfaces ErrQueueFull
-// to the caller's failure handling.
-func (t *viaTransport) postSendRetry(vi *via.VI, d *via.Descriptor) error {
-	pause := t.cfg.retry.Base
-	var timer *time.Timer // reused: time.After would leak one per attempt
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
-	for attempt := 1; ; attempt++ {
-		//presslint:ignore descriptor-lifecycle re-post only happens after ErrQueueFull, which means the NIC never accepted the descriptor
-		err := vi.PostSend(d)
-		if !errors.Is(err, via.ErrQueueFull) {
-			return err
-		}
-		if attempt >= t.cfg.retry.Attempts {
-			return err
-		}
-		if timer == nil {
-			timer = time.NewTimer(pause)
-		} else {
-			timer.Reset(pause)
-		}
-		select {
-		case <-t.done:
-			return via.ErrClosed
-		case <-timer.C:
-		}
-		if pause *= 2; pause > t.cfg.retry.Cap {
-			pause = t.cfg.retry.Cap
-		}
-	}
+	_, err := p.reg.transfer(nil, 0, frame[:], 0)
+	return err
 }
 
 // style returns the configured style for a message type.
 func (t *viaTransport) style(mt core.MsgType) netmodel.Style {
 	switch mt {
-	case core.MsgForward:
+	case core.MsgForward, core.MsgReplicate:
+		// A replica pull is request control, same class as a forward.
 		return t.cfg.version.Forward
-	case core.MsgCaching:
-		return t.cfg.version.Caching
-	case core.MsgDirLookup, core.MsgDirReply, core.MsgDirInval:
+	case core.MsgCaching, core.MsgDirLookup, core.MsgDirReply, core.MsgDirInval:
 		// Sharded-directory traffic is directory control, same class as
 		// caching broadcasts: under V1+ it rides the RMW path, which is
 		// what invalidates read-side caches "over the existing RMW path".
 		return t.cfg.version.Caching
-	case core.MsgReplicate:
-		// A replica pull is request control, same class as a forward.
-		return t.cfg.version.Forward
 	case core.MsgDirSync:
 		// Batched caching replays carry multi-KB name lists that do not
 		// fit the 512-byte control-ring slots; they always ride the
@@ -727,23 +608,9 @@ func (t *viaTransport) sendOn(p *viaPeer, m *Message) error {
 
 // sendRegular transfers one message over the send/receive channel;
 // data messages consume a flow-control credit, flow messages ride the
-// reserved slack.
+// reserved slack. The credit is claimed outside sendMu, so a sender
+// parked on the window never keeps a flow message from going out.
 func (t *viaTransport) sendRegular(p *viaPeer, m *Message, takeCredit bool) error {
-	if takeCredit {
-		// Speculative credit-stall span: recorded only if the window was
-		// actually exhausted, discarded otherwise.
-		stall := t.cfg.trc.StartSpan("credit-stall", m.TraceID, m.ParentSpan)
-		ok, stalled := p.regGate.acquire()
-		if stalled {
-			stall.AnnotateStr("gate", "regular")
-			stall.End()
-		} else {
-			stall.Cancel()
-		}
-		if !ok {
-			return p.regGate.closedErr()
-		}
-	}
 	var cp *tracing.Span
 	if m.Type == core.MsgFile {
 		cp = t.cfg.trc.StartSpan("staging-copy", m.TraceID, m.ParentSpan)
@@ -754,7 +621,6 @@ func (t *viaTransport) sendRegular(p *viaPeer, m *Message, takeCredit bool) erro
 		cp.Cancel()
 		return err
 	}
-	t.ins.acct.add(m.Type, int64(len(frame)))
 	if m.Type == core.MsgFile {
 		// Regular messages stage the payload into the registered send
 		// buffer: the sender-side copy of versions 0-2.
@@ -762,9 +628,18 @@ func (t *viaTransport) sendRegular(p *viaPeer, m *Message, takeCredit bool) erro
 		cp.Annotate("bytes", int64(len(m.Data)))
 	}
 	cp.End()
+	var gate *creditGate
+	if takeCredit {
+		gate = p.regGate
+		if err := gate.acquire(1, m.TraceID, m.ParentSpan); err != nil {
+			return err
+		}
+	}
+	t.ins.acct.add(m.Type, int64(len(frame)))
 	p.sendMu.Lock()
 	defer p.sendMu.Unlock()
-	return t.rawSend(p, frame)
+	_, err = p.reg.transfer(gate, 1, frame, 0)
+	return err
 }
 
 // sendFileChunked splits a large file over multiple regular messages.
@@ -799,11 +674,8 @@ func (t *viaTransport) sendCtrlRMW(p *viaPeer, m *Message) error {
 	t.ins.acct.add(m.Type, int64(len(frame)))
 	p.sendMu.Lock()
 	defer p.sendMu.Unlock()
-	out := p.ring()
-	if out == nil {
-		return via.ErrClosed
-	}
-	return out.write(p.vi, frame, t.cfg.rmwTimeout, t.cfg.trc, m.TraceID, m.ParentSpan)
+	_, err = p.outCtrl.writeEntry(frame, m.TraceID, m.ParentSpan)
+	return err
 }
 
 // sendFileRMW transfers a file with remote memory writes: the data into
@@ -816,9 +688,10 @@ func (t *viaTransport) sendFileRMW(p *viaPeer, m *Message) error {
 	t.ins.acct.add(core.MsgFile, core.FileMetaBytes)
 	p.sendMu.Lock()
 	defer p.sendMu.Unlock()
-	out := p.fileRing()
-	if out == nil {
-		return via.ErrClosed
+	// Descriptor and staging area are the data write's: not ours while a
+	// timed-out transfer is still posted.
+	if err := p.outFile.data.idle(); err != nil {
+		return err
 	}
 	src := m.SrcRegion
 	srcOff := m.SrcOffset
@@ -835,20 +708,7 @@ func (t *viaTransport) sendFileRMW(p *viaPeer, m *Message) error {
 		t.ins.copied.Add(int64(len(m.Data)))
 		src, srcOff = p.fileStage, 0
 	}
-	return out.write(p.vi, src, srcOff, len(m.Data), m.ReqID,
-		t.cfg.rmwTimeout, t.cfg.trc, m.TraceID, m.ParentSpan)
-}
-
-func (p *viaPeer) ring() *rmwRingOut {
-	p.peerMu.Lock()
-	defer p.peerMu.Unlock()
-	return p.outCtrl
-}
-
-func (p *viaPeer) fileRing() *fileRingOut {
-	p.peerMu.Lock()
-	defer p.peerMu.Unlock()
-	return p.outFile
+	return p.outFile.writeFile(src, srcOff, len(m.Data), m.ReqID, m.TraceID, m.ParentSpan)
 }
 
 func (t *viaTransport) Inbound() <-chan *Message { return t.inbound }
@@ -873,16 +733,7 @@ func (t *viaTransport) Close() error {
 		}
 		t.peersMu.RUnlock()
 		for _, p := range all {
-			p.regGate.close()
-			p.peerMu.Lock()
-			if p.outCtrl != nil {
-				p.outCtrl.gate.close()
-			}
-			if p.outFile != nil {
-				p.outFile.metaGate.close()
-				p.outFile.dataGate.close()
-			}
-			p.peerMu.Unlock()
+			p.failGates(nil)
 		}
 		t.ln.Close()
 		t.recvCQ.Close()

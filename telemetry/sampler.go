@@ -121,7 +121,7 @@ func (s *Sampler) Sample(now int64) {
 			delta = v // counter reset: the new value is the whole delta
 		}
 		rate := float64(delta) / dt
-		s.ring(k + ":rate").push(now, rate)
+		s.ring(k+":rate").push(now, rate)
 		if fam, _ := metrics.Family(k); fam == s.watch {
 			s.watchRate += rate
 		}
@@ -132,12 +132,12 @@ func (s *Sampler) Sample(now int64) {
 			base = metrics.HistogramSnapshot{} // reset: diff against zero
 		}
 		d := h.Diff(base)
-		s.ring(k + ":rate").push(now, float64(d.Count)/dt)
+		s.ring(k+":rate").push(now, float64(d.Count)/dt)
 		if d.Count <= 0 {
 			continue // no new observations; quantiles undefined this window
 		}
 		for i, q := range s.quantiles {
-			s.ring(k + s.qsuffix[i]).push(now, d.Quantile(q))
+			s.ring(k+s.qsuffix[i]).push(now, d.Quantile(q))
 		}
 	}
 	s.prev, s.prevT = snap, now
