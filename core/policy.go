@@ -217,11 +217,11 @@ func (p *Policy) next() uint64 {
 
 func leastLoaded(v View, set cache.NodeSet) int {
 	best, bestLoad := -1, 0
-	for _, n := range set.Nodes() {
+	set.ForEach(func(n int) {
 		if l := v.Load(n); best < 0 || l < bestLoad {
 			best, bestLoad = n, l
 		}
-	}
+	})
 	return best
 }
 

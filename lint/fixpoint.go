@@ -1,5 +1,7 @@
 package lint
 
+import "strings"
+
 // The generic fact-propagation framework: analyzers express a fact
 // domain as a set of keys per function, give a base fact set for each
 // node and a filter for which edges facts flow across, and propagate
@@ -127,4 +129,18 @@ func pathTo(root, target *CGNode, follow func(*CGNode, *CallSite) bool) []*CGNod
 		}
 	}
 	return nil
+}
+
+// chain renders pathTo(root, target) below the root as "a → b → target"
+// for findings; "" when target is the root or unreachable.
+func chain(root, target *CGNode, follow func(*CGNode, *CallSite) bool) string {
+	path := pathTo(root, target, follow)
+	if len(path) < 2 {
+		return ""
+	}
+	hops := make([]string, 0, len(path)-1)
+	for _, hop := range path[1:] {
+		hops = append(hops, shortName(hop.Name))
+	}
+	return strings.Join(hops, " → ")
 }

@@ -21,8 +21,9 @@ const hotpathAllocName = "hotpath-alloc"
 // values) and reports every allocation site it can reach; more than N
 // sites (default 0) fails the check. The classes recognized: make/new,
 // composite literals that allocate (&T{}, slice and map literals),
-// append, string conversions and concatenation, closures that capture
-// variables, method values, boxing a concrete value into an interface
+// append, string conversions and non-constant concatenation, closures
+// that capture variables (a deferred literal's does not escape its
+// frame), method values, boxing a concrete value into an interface
 // parameter, go statements, and calls into known-allocating stdlib
 // (fmt, strconv, time.NewTimer, ...). Unknown stdlib calls are assumed
 // non-allocating; calls through unresolvable function values are
@@ -118,14 +119,8 @@ func runHotpathAlloc(prog *Program) []Finding {
 		for _, s := range sites {
 			msg := fmt.Sprintf("hot path %s exceeds alloc budget %d: %s",
 				shortName(r.node.Name), r.budget, s.what)
-			if s.owner != r.node {
-				if path := pathTo(r.node, s.owner, follow); len(path) > 1 {
-					var hops []string
-					for _, hop := range path[1:] {
-						hops = append(hops, shortName(hop.Name))
-					}
-					msg += " (via " + strings.Join(hops, " → ") + ")"
-				}
+			if via := chain(r.node, s.owner, follow); via != "" {
+				msg += " (via " + via + ")"
 			}
 			out = append(out, prog.finding(s.pos, hotpathAllocName, msg))
 		}
@@ -390,6 +385,14 @@ func (w *siteWalker) stmt(s ast.Stmt) {
 	case *ast.GoStmt:
 		w.add(s.Pos(), "go statement spawns a goroutine")
 	case *ast.DeferStmt:
+		// A deferred literal's closure lives in the frame; its body is its
+		// own node, reached through the call edge.
+		if _, lit := ast.Unparen(s.Call.Fun).(*ast.FuncLit); lit {
+			for _, a := range s.Call.Args {
+				w.expr(a)
+			}
+			return
+		}
 		w.call(s.Call)
 	case *ast.ReturnStmt:
 		for _, r := range s.Results {
@@ -458,7 +461,7 @@ func (w *siteWalker) expr(e ast.Expr) {
 		}
 		w.expr(e.X)
 	case *ast.BinaryExpr:
-		if e.Op == token.ADD && w.isString(e.X) {
+		if e.Op == token.ADD && w.isString(e.X) && !w.isConstant(e) {
 			w.add(e.Pos(), "string concatenation allocates")
 		}
 		w.expr(e.X)
@@ -580,6 +583,13 @@ func (w *siteWalker) isString(e ast.Expr) bool {
 	}
 	b, ok := tv.Type.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsString != 0
+}
+
+// isConstant reports whether the compiler folds e: a constant
+// expression allocates nothing at run time.
+func (w *siteWalker) isConstant(e ast.Expr) bool {
+	info := w.info()
+	return info != nil && info.Types[e].Value != nil
 }
 
 // errorConstruction names the calls exempt as failure-path-only: the

@@ -35,6 +35,22 @@ func root(buf []byte, n int) int {
 `,
 		},
 		{
+			name: "constant concatenation and a deferred literal allocate nothing",
+			src: `package fx
+
+const a, b = "accept", "full"
+
+//presslint:hotpath
+func root(done chan struct{}, s string) string {
+	defer func() {
+		done <- struct{}{}
+	}()
+	_ = a + "/" + b
+	return s + "/" + b // want
+}
+`,
+		},
+		{
 			name: "budget admits that many sites",
 			src: `package fx
 

@@ -79,6 +79,10 @@ type Analyzer struct {
 	Doc       string
 	SkipTests bool
 	Run       func(p *Package, f *File) []Finding
+	// RunProgram, when set, is the analyzer's whole-program half: the
+	// part of its rule that needs the call graph. It runs only when the
+	// package is checked as part of a Program.
+	RunProgram func(prog *Program) []Finding
 }
 
 // Analyzers returns the full suite in a stable order.

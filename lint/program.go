@@ -82,6 +82,11 @@ func (prog *Program) CheckAnalyzers(only map[string]bool) []Finding {
 			}
 		}
 	}
+	for _, a := range Analyzers() {
+		if enabled(a.Name) && a.RunProgram != nil {
+			out = append(out, a.RunProgram(prog)...)
+		}
+	}
 	for _, a := range ProgramAnalyzers() {
 		if !enabled(a.Name) {
 			continue

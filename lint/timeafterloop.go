@@ -12,13 +12,70 @@ import (
 // time.NewTimer outside the loop, Reset per iteration (draining the
 // channel after a failed Stop). Test files are exempt — their loops run
 // a bounded number of iterations and die with the test process.
+//
+// A loop need not be lexical. An http.Handler's ServeHTTP runs once per
+// request — it is the loop, and the server the for statement — so with
+// the whole program in view the analyzer also flags time.After,
+// time.NewTimer and time.AfterFunc in any function a ServeHTTP method
+// reaches on its own goroutine. The fix is the same one level up: a
+// long-lived owner (a recycled request, a connection) holds one stopped
+// timer and Resets it per request.
 const timeAfterLoopName = "time-after-loop"
 
 var timeAfterLoop = &Analyzer{
-	Name:      timeAfterLoopName,
-	Doc:       "time.After in a loop leaks one timer per iteration; hoist a reusable time.NewTimer",
-	SkipTests: true,
-	Run:       runTimeAfterLoop,
+	Name:       timeAfterLoopName,
+	Doc:        "time.After in a loop, or any new timer on a ServeHTTP path, leaks one timer per iteration; hoist a reusable time.NewTimer",
+	SkipTests:  true,
+	Run:        runTimeAfterLoop,
+	RunProgram: runTimerPerRequest,
+}
+
+// perRequestTimers are the constructors that arm a fresh runtime timer.
+var perRequestTimers = map[string]bool{"time.After": true, "time.NewTimer": true, "time.AfterFunc": true}
+
+// runTimerPerRequest is the whole-program half: every timer constructor
+// reachable from a ServeHTTP method, reported once however many
+// handlers reach it.
+func runTimerPerRequest(prog *Program) []Finding {
+	g := prog.CallGraph()
+	sameGoroutine := func(_ *CGNode, site *CallSite) bool { return !site.Go }
+	var out []Finding
+	seen := make(map[*CGNode]bool)
+	for _, root := range g.All {
+		if !isServeHTTP(root) {
+			continue
+		}
+		for _, n := range reachable(root, sameGoroutine) {
+			if seen[n] {
+				continue
+			}
+			seen[n] = true
+			for _, site := range n.Calls {
+				if site.Go {
+					continue
+				}
+				for _, ext := range site.Ext {
+					if !perRequestTimers[ext] {
+						continue
+					}
+					where := shortName(root.Name)
+					if via := chain(root, n, sameGoroutine); via != "" {
+						where += " → " + via
+					}
+					out = append(out, prog.finding(site.Pos, timeAfterLoopName, ext+" on a per-request path ("+where+
+						") arms a timer per request; give a long-lived owner one timer and Reset it"))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// isServeHTTP reports whether n is a method with http.Handler's shape,
+// judged by name and arity so fixtures need not import net/http.
+func isServeHTTP(n *CGNode) bool {
+	d := n.Decl
+	return d != nil && d.Recv != nil && d.Name.Name == "ServeHTTP" && d.Type.Params.NumFields() == 2
 }
 
 func runTimeAfterLoop(p *Package, f *File) []Finding {

@@ -1,6 +1,9 @@
 package lint
 
-import "testing"
+import (
+	"os"
+	"testing"
+)
 
 func TestTimeAfterLoop(t *testing.T) {
 	cases := []struct {
@@ -130,4 +133,19 @@ func f() {
 			checkFixture(t, timeAfterLoopName, tc.src, tc.test)
 		})
 	}
+}
+
+// TestTimerPerRequest runs the whole-program half over the fixture pair
+// in testdata: a handler that arms timers per request, and the same
+// handler with the timer owned by a recycled object.
+func TestTimerPerRequest(t *testing.T) {
+	srcs := make(map[string]string)
+	for _, name := range []string{"flagged", "clean"} {
+		src, err := os.ReadFile("testdata/servehttp_timer/" + name + ".go")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs["fx/"+name] = string(src)
+	}
+	assertProgramFindings(t, timeAfterLoopName, srcs)
 }

@@ -33,18 +33,22 @@ zero_alloc() {
     fi
 }
 
-# max_bytes_op <bench> <pkg> <limit> <message> is an allocation budget
-# on an enabled path: run the benchmark and fail with the message when it
-# reports more than <limit> B/op.
-max_bytes_op() {
+# max_bytes_op and max_allocs_op <bench> <pkg> <limit> <message> are
+# allocation budgets on an enabled path: run the benchmark and fail with
+# the message when it reports more than <limit> B/op or allocs/op.
+max_per_op() {
+    unit=$1
+    shift
     out=$(go test -run '^$' -bench "$1" -benchtime 1000x -benchmem "$2")
     echo "$out"
-    got=$(echo "$out" | awk -v b="$1" 'index($1, b) == 1 { for (i = 2; i <= NF; i++) if ($i == "B/op") print $(i - 1) }')
+    got=$(echo "$out" | awk -v b="$1" -v u="$unit" 'index($1, b) == 1 { for (i = 2; i <= NF; i++) if ($i == u) print $(i - 1) }')
     if [ -z "$got" ] || [ "$got" -gt "$3" ]; then
-        echo "check: $1 allocates ${got:-?} B/op, budget $3; $4" >&2
+        echo "check: $1 reports ${got:-?} $unit, budget $3; $4" >&2
         exit 1
     fi
 }
+max_bytes_op() { max_per_op B/op "$@"; }
+max_allocs_op() { max_per_op allocs/op "$@"; }
 
 echo "==> gofmt -l ."
 unformatted=$(gofmt -l .)
@@ -122,6 +126,10 @@ TestSimRealParity|.
 # write gives its slot back, a posted one keeps it) that only shows when
 # refusals, timeouts and acks interleave: ten fresh passes.
 -count=10 TestCreditConservation|./server
+# A recycled request is the new way to serve the wrong bytes: handed to
+# the next client while a main loop still holds it. Every way a request
+# ends, from eight clients at once, ten fresh passes.
+-count=10 TestClientRequestRecycleStress|./server
 EOF
 
 # core holds the mechanisms the simulator and the server share (Policy,
@@ -150,7 +158,9 @@ go run ./cmd/presslint ./lint ./cmd/...
 
 # Static half of the 0-alloc proofs: every //presslint:hotpath root
 # (the VIA Post* send path, the tracing-off path, the overload-off
-# path) must be provably within budget across the whole call graph.
+# path: budget 0; the request path every request takes, ServeHTTP and
+# handleClient: budgets 1 and 5) must be provably within budget across
+# the whole call graph.
 # The dynamic half is the benchmark gates below (ViaSendMetrics,
 # ServeTracingOff, OverloadOff), which also justify the
 # //presslint:alloc-gated exemptions the static pass accepts.
@@ -198,5 +208,11 @@ zero_alloc BenchmarkReplicationOff ./server "disabled replication must be free"
 # pooled receive buffer, so the whole request (client included) allocates
 # ~8 KB. A per-arrival or a reassembly make coming back adds 64 KiB each.
 max_bytes_op BenchmarkForwardedReply64K ./server 16384 "a forwarded file must not be allocated per request"
+
+# The request path's budget: one node, one cached 1 KiB file, a client
+# that allocates nothing. 17 to 18 today, 16 of them net/http's; the ledger's
+# bare net/http null server costs 21. A request, channel, timer or header
+# value made per request again adds 2 to 3 each.
+max_allocs_op BenchmarkLocalHit1K ./server 20 "the local-hit path allocates no more than net/http does"
 
 echo "check: all gates passed"

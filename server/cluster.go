@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -244,6 +245,13 @@ const statsPath = "/_press/stats"
 // main loop.
 const metricsPath = "/_press/metrics"
 
+var octetStream = []string{"application/octet-stream"} // shared: net/http only copies header values
+
+// ServeHTTP's one budgeted site (DESIGN.md "The request path's budget")
+// is the "/"+name of a path without its slash; operator endpoints, error
+// replies and the Content-Length fallback are gated out.
+//
+//presslint:hotpath budget=1
 func (h *nodeHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -261,7 +269,8 @@ func (h *nodeHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if !strings.HasPrefix(name, "/") {
 		name = "/" + name
 	}
-	req := &clientRequest{name: name, resp: make(chan clientResult, 1)}
+	req := clientRequests.Get().(*clientRequest)
+	req.node, req.name = h.node, name
 	req.span = h.node.trc.StartTrace("request")
 	req.span.AnnotateStr("file", name)
 	req.accept = req.span.StartChild("accept-queue")
@@ -271,31 +280,12 @@ func (h *nodeHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		req.enqueued = now
 		req.deadline = now.Add(h.node.ov.cfg.RequestTimeout)
 	}
-	// The load decrement must only fire for requests the main loop will
-	// actually see (it does the matching increment at dequeue).
-	enqueued := false
-	defer func() {
-		if !enqueued {
-			return
-		}
-		// Connection closed: the load (open-connection count) drops.
-		select {
-		case h.node.doneCh <- struct{}{}:
-		case <-h.node.stop:
-		}
-	}()
-	if ov {
-		// Admission: a full accept queue sheds the newest arrival with a
-		// prompt 503 instead of queueing it forever.
-		select {
-		case h.node.httpCh <- req:
-			enqueued = true
-		case <-h.node.stop:
-			req.accept.Cancel()
-			req.span.Cancel()
-			http.Error(w, "server shutting down", http.StatusServiceUnavailable)
-			return
-		default:
+	select {
+	case h.node.httpCh <- req:
+	default:
+		if ov {
+			// Admission: a full accept queue sheds the newest arrival with a
+			// prompt 503 instead of queueing it forever.
 			req.accept.Cancel()
 			req.span.AnnotateStr("shed", shedQueueAccept+"/"+shedReasonFull)
 			req.span.End()
@@ -303,10 +293,9 @@ func (h *nodeHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			h.reject(w, "request shed: accept queue full")
 			return
 		}
-	} else {
+		// Only a full queue waits, so only it needs ctx's lazily made Done.
 		select {
 		case h.node.httpCh <- req:
-			enqueued = true
 		case <-h.node.stop:
 			req.accept.Cancel()
 			req.span.Cancel()
@@ -318,32 +307,51 @@ func (h *nodeHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// The safety net for a request the cluster never answers. Stopped on
-	// return: an unstopped timer stays live for its whole 30 s.
-	timeout := time.NewTimer(clientTimeout)
-	defer timeout.Stop()
+	defer func() { // the load the main loop counts in at dequeue drops
+		select {
+		case h.node.doneCh <- struct{}{}:
+		case <-h.node.stop:
+		}
+	}()
+	// The safety net for a request the cluster never answers; release
+	// stops it, for an armed timer stays live its whole 30 s.
+	req.timer.Reset(clientTimeout)
 	select {
 	case res := <-req.resp:
-		if res.err != nil {
-			req.span.AnnotateStr("error", res.err.Error())
-			req.span.End()
-			// A name outside the file population is the client's 404; a
-			// shed or expired request is back-pressure (503 + Retry-After);
-			// anything else — a crashed service node, an exhausted
-			// failover — is the cluster failing and must look like it
-			// (5xx) so availability tooling classifies it as such.
-			if errors.Is(res.err, ErrShed) || errors.Is(res.err, ErrDeadlineExpired) {
-				h.reject(w, res.err.Error())
-				return
-			}
-			code := http.StatusBadGateway
-			if errors.Is(res.err, ErrNoSuchFile) {
-				code = http.StatusNotFound
-			}
-			http.Error(w, res.err.Error(), code)
+		h.reply(w, r, req, res)
+		req.release()
+	case <-req.timer.C:
+		req.span.AnnotateStr("error", "timeout")
+		req.span.End()
+		http.Error(w, "cluster timeout", http.StatusGatewayTimeout)
+	}
+}
+
+// reply writes the main loop's answer and ends the request's root span.
+func (h *nodeHandler) reply(w http.ResponseWriter, r *http.Request, req *clientRequest, res clientResult) {
+	//presslint:alloc-gated error reply: every Error() and http.Error formats; the 200 path is below
+	if res.err != nil {
+		req.span.AnnotateStr("error", res.err.Error())
+		req.span.End()
+		// A name outside the file population is the client's 404; a
+		// shed or expired request is back-pressure (503 + Retry-After);
+		// anything else — a crashed service node, an exhausted
+		// failover — is the cluster failing and must look like it
+		// (5xx) so availability tooling classifies it as such.
+		if errors.Is(res.err, ErrShed) || errors.Is(res.err, ErrDeadlineExpired) {
+			h.reject(w, res.err.Error())
 			return
 		}
-		if ov && time.Now().After(req.deadline) {
+		code := http.StatusBadGateway
+		if errors.Is(res.err, ErrNoSuchFile) {
+			code = http.StatusNotFound
+		}
+		http.Error(w, res.err.Error(), code)
+		return
+	}
+	if h.node.ov.on {
+		//presslint:alloc-gated a late answer is refused: an error reply
+		if time.Now().After(req.deadline) {
 			// The answer exists but arrived too late to be goodput:
 			// serving it would reward the queue, not the client.
 			req.span.AnnotateStr("deadline-expired", dlStageReply)
@@ -352,39 +360,33 @@ func (h *nodeHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			h.reject(w, ErrDeadlineExpired.Error())
 			return
 		}
-		if ov {
-			// Booked before the body goes out, so a client that has its
-			// answer never finds it missing from the count.
-			h.node.ov.im.goodput.Inc()
-		}
-		rep := req.span.StartChild("reply")
-		w.Header().Set("Content-Length", fmt.Sprint(len(res.data)))
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if r.Method != http.MethodHead {
-			_, _ = w.Write(res.data)
-		}
-		// Write may not retain data (io.Writer), so a forwarded reply's
-		// receive buffer goes back here, its one release. Every return
-		// above leaves it to the GC.
-		res.buf.release()
-		rep.Annotate("bytes", int64(len(res.data)))
-		rep.End()
-		req.span.End()
-	case <-timeout.C:
-		req.span.AnnotateStr("error", "timeout")
-		req.span.End()
-		http.Error(w, "cluster timeout", http.StatusGatewayTimeout)
+		// Booked before the body goes out, so a client that has its
+		// answer never finds it missing from the count.
+		h.node.ov.im.goodput.Inc()
 	}
+	rep := req.span.StartChild("reply")
+	//presslint:alloc-gated never taken while served bytes are the stored size; BenchmarkLocalHit1K would show it
+	if res.clen == nil {
+		res.clen = []string{strconv.Itoa(len(res.data))}
+	}
+	w.Header()["Content-Length"] = res.clen
+	w.Header()["Content-Type"] = octetStream
+	if r.Method != http.MethodHead {
+		_, _ = w.Write(res.data)
+	}
+	// Write may not retain data (io.Writer), so a forwarded reply's
+	// receive buffer goes back here, its one release. Every return
+	// above leaves it to the GC.
+	res.buf.release()
+	rep.Annotate("bytes", int64(len(res.data)))
+	rep.End()
+	req.span.End()
 }
 
 // reject writes a 503 with the configured Retry-After hint: the
 // client should back off, not hammer an overloaded cluster.
 func (h *nodeHandler) reject(w http.ResponseWriter, msg string) {
-	retry := int(h.node.ov.cfg.RetryAfter.Round(time.Second) / time.Second)
-	if retry < 1 {
-		retry = 1
-	}
-	w.Header().Set("Retry-After", fmt.Sprint(retry))
+	w.Header()["Retry-After"] = h.node.ov.retryAfter
 	http.Error(w, msg, http.StatusServiceUnavailable)
 }
 
@@ -411,6 +413,7 @@ type nodeStatsJSON struct {
 	StaleEpochDrops int64    `json:"staleEpochDrops,omitempty"`
 }
 
+//presslint:alloc-gated operator endpoint, not the request path
 func (h *nodeHandler) serveStats(w http.ResponseWriter) {
 	ms := h.node.MsgStats()
 	peers := make([]string, h.node.cfg.Nodes)
@@ -450,6 +453,8 @@ func (h *nodeHandler) serveStats(w http.ResponseWriter) {
 // serves the full cluster's families with node=N labels telling the
 // series apart — exactly what a future multi-process deployment serves
 // per node, merged.
+//
+//presslint:alloc-gated operator endpoint, not the request path
 func (h *nodeHandler) serveMetrics(w http.ResponseWriter) {
 	reg := h.node.cfg.Metrics
 	if !reg.Enabled() {

@@ -595,22 +595,30 @@ func flushStoppedTimers() {
 	wg.Wait()
 }
 
-// noLiveTimersUnder waits for liveTimersUnder(caller) to read zero and
-// returns the last reading: a client can hold its whole answer a moment
-// before the handler that wrote it has returned and stopped its timer,
-// and one flush may miss a P.
-func noLiveTimersUnder(caller string) (live int64) {
+// timerObjects is what liveTimersUnder counts per timer: its channel and
+// the runtime's record of it.
+const timerObjects = 2
+
+// liveTimersSettle waits for liveTimersUnder(caller) to read bound or
+// less and returns the last reading: a client can hold its whole answer
+// a moment before the handler that wrote it has returned, and one flush
+// may miss a P.
+func liveTimersSettle(caller string, bound int64) (live int64) {
 	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		if live = liveTimersUnder(caller); live == 0 || time.Now().After(deadline) {
+		if live = liveTimersUnder(caller); live <= bound || time.Now().After(deadline) {
 			return live
 		}
 	}
 }
 
 // TestTimersStoppedOnReturn: the 30 s safety-net timers on the request
-// path and the reconnect path must not outlive the call that armed
-// them. One per request left running is the ledger's RSS drift: at
-// 50k req/s, 1.5 M live timers.
+// path and the reconnect path belong to long-lived owners — a recycled
+// request, a channel's outbound write — and are parked, never armed,
+// when the call that used them returns. Two things are held: the timer
+// objects alive under the caller are bounded by the owners and do not
+// grow with the calls made (one per request left running was the
+// ledger's RSS drift: at 50k req/s, 1.5 M live timers), and no owner's
+// timer is found armed afterwards.
 func TestTimersStoppedOnReturn(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
@@ -624,18 +632,50 @@ func TestTimersStoppedOnReturn(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
+		// One client, one request at a time: one owner in use, and the
+		// pool may keep an idle one per P.
+		bound := int64(1+runtime.GOMAXPROCS(0)) * timerObjects
+		const caller = "(*nodeHandler).ServeHTTP"
 		fetchAll(t, cl, tr, 25, 1)
-		if live := noLiveTimersUnder("(*nodeHandler).ServeHTTP"); live != 0 {
-			t.Errorf("%d timer objects still live after %d answered requests", live, 25*len(tr.Files))
+		after100 := liveTimersSettle(caller, bound)
+		fetchAll(t, cl, tr, 75, 2)
+		after400 := liveTimersSettle(caller, bound)
+		if after100 > bound || after400 > bound {
+			t.Errorf("%d timer objects live after 100 answered requests, %d after 400; the owners' are at most %d",
+				after100, after400, bound)
+		}
+
+		made := recordRequests(t)
+		fetchAll(t, cl, tr, 25, 3)
+		waitHandlersReturned(t, cl.Nodes()[0])
+		reqs := made()
+		if len(reqs) == 0 {
+			t.Fatal("no request was made with the pool emptied")
+		}
+		for _, r := range reqs {
+			if !parked(r.timer) {
+				t.Fatalf("a request that was answered left its 30 s timer armed (%d requests made for 100 answers)", len(reqs))
+			}
 		}
 	})
 	t.Run("Reconnect", func(t *testing.T) {
 		a, _ := newViaPair(t, netmodel.Versions()[0])
-		if err := a.Reconnect(1); err != nil {
-			t.Fatal(err)
+		// What Reconnect builds per peer: the regular channel's write and
+		// the flow counters'; the rings' are made by the receive thread.
+		const bound, caller = (1 + flowCounters) * timerObjects, "(*viaTransport).Reconnect"
+		for i := 0; i < 4; i++ {
+			if err := a.Reconnect(1); err != nil {
+				t.Fatal(err)
+			}
+			if live := liveTimersSettle(caller, bound); live > bound {
+				t.Errorf("%d timer objects live after %d Reconnects; one peer's are %d", live, i+1, bound)
+			}
 		}
-		if live := noLiveTimersUnder("(*viaTransport).Reconnect"); live != 0 {
-			t.Errorf("%d timer objects still live after Reconnect returned", live)
+		p := a.peer(1)
+		for _, w := range append([]outWrite{p.reg}, p.ack[:]...) {
+			if !parked(w.timer) {
+				t.Errorf("the %s channel's wait timer is armed after Reconnect returned", w.op)
+			}
 		}
 	})
 }

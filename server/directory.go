@@ -224,6 +224,7 @@ func newShardedDirectory(env dirEnv) *shardedDirectory {
 	})}
 }
 
+//presslint:alloc-gated a sharded lookup is a message; the request path's budget is the replicated default's
 func (s *shardedDirectory) Lookup(id cache.FileID, done func(cache.NodeSet, bool)) {
 	s.ShardDir.Lookup(id, time.Now(), done)
 }

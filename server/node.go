@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,8 +20,11 @@ import (
 // clientResult is a node's answer to one HTTP request. buf, when set,
 // is the receive buffer data points into (a forwarded reply): whoever
 // writes data to the client owns it and releases it after the write.
+// clen is the file's Content-Length value from the node's table, nil
+// when data is not the stored size (the handler then formats one).
 type clientResult struct {
 	data []byte
+	clen []string
 	buf  *recvBuf
 	err  error
 }
@@ -32,13 +36,41 @@ type clientResult struct {
 // enqueued and deadline are set only under overload control: enqueued
 // feeds the queue-delay shed check, deadline is the request's budget
 // (RequestTimeout from accept) that every stage honors.
+//
+// A request is recycled (clientRequests) and owns resp, its clientTimeout
+// timer (parked outside ServeHTTP's wait) and lookedUp, its directory
+// callback, which goes on dispatching id at node under the span dsp.
 type clientRequest struct {
 	name     string
 	resp     chan clientResult
+	timer    *time.Timer
+	lookedUp func(cachers cache.NodeSet, first bool)
+	node     *Node
+	id       cache.FileID
+	dsp      *tracing.Span
 	span     *tracing.Span
 	accept   *tracing.Span
 	enqueued time.Time
 	deadline time.Time
+}
+
+var clientRequests = sync.Pool{New: func() any {
+	r := &clientRequest{resp: make(chan clientResult, 1), timer: newStoppedTimer()}
+	r.lookedUp = func(cachers cache.NodeSet, first bool) { r.node.dispatchDecided(r, r.id, cachers, first, r.dsp) }
+	return r
+}}
+
+// release recycles r. Only ServeHTTP calls it, and only after receiving
+// from r.resp: the main loop's send there is its last touch of r, while
+// on any other return (timeout, node stop, client gone, shed) it may
+// still hold r, which is then the GC's. A timer that fired first keeps r
+// out too: a pooled request's timer is never armed, its C never full.
+func (r *clientRequest) release() {
+	if !r.timer.Stop() {
+		return
+	}
+	*r = clientRequest{resp: r.resp, timer: r.timer, lookedUp: r.lookedUp}
+	clientRequests.Put(r)
 }
 
 // diskJob asks the disk helper threads to read a file.
@@ -244,6 +276,8 @@ type Node struct {
 	peerLoad  []int
 	nameToID  map[string]cache.FileID
 	files     []trace.File
+	clen      [][]string // per file, its Content-Length header value; immutable
+	lv        lookupView // dispatchDecided's view of the file being dispatched
 	pending   map[uint64]*pendingRemote
 	nextReqID uint64
 	waiting   map[string][]diskWaiter
@@ -317,7 +351,7 @@ type lookupView struct {
 	set cache.NodeSet
 }
 
-func (v lookupView) Cachers(id cache.FileID) cache.NodeSet {
+func (v *lookupView) Cachers(id cache.FileID) cache.NodeSet {
 	if id == v.id {
 		return v.set
 	}
@@ -347,6 +381,7 @@ func newNode(id int, cfg Config, tr Transport, nic *via.NIC) *Node {
 		peerLoad:   make([]int, cfg.Nodes),
 		nameToID:   make(map[string]cache.FileID, len(cfg.Trace.Files)),
 		files:      cfg.Trace.Files,
+		clen:       make([][]string, len(cfg.Trace.Files)),
 		pending:    make(map[uint64]*pendingRemote),
 		waiting:    make(map[string][]diskWaiter),
 		httpCh:     make(chan *clientRequest, acceptQ),
@@ -371,6 +406,7 @@ func newNode(id int, cfg Config, tr Transport, nic *via.NIC) *Node {
 	n.pb = n.diss.Piggyback()
 	for i, f := range cfg.Trace.Files {
 		n.nameToID[f.Name] = cache.FileID(i)
+		n.clen[i] = []string{strconv.FormatInt(f.Size, 10)} // sizes are fixed
 	}
 	n.dir = newDirectory(cfg.Dissemination, dirEnv{
 		self:      id,
@@ -537,6 +573,12 @@ func (n *Node) healthActive() bool {
 	return !n.cfg.Health.Disabled && n.cfg.Nodes > 1 && !n.cfg.ContentOblivious
 }
 
+// handleClient's five budgeted sites: the directory's call of lookedUp
+// (not followed into dispatchDecided), readDisk's two on a miss,
+// loadChange's broadcast, shedClient's reason. Not budgeted: the 404's
+// fmt.Errorf (error path), a full send queue, a sharded lookup (gated).
+//
+//presslint:hotpath budget=5
 func (n *Node) handleClient(r *clientRequest) {
 	r.accept.End()
 	n.m.requests.Inc()
@@ -568,16 +610,14 @@ func (n *Node) handleClient(r *clientRequest) {
 		n.serveLocal(r, id)
 		return
 	}
-	dsp := r.span.StartChild("dispatch")
-	n.dir.Lookup(id, func(cachers cache.NodeSet, first bool) {
-		n.dispatchDecided(r, id, cachers, first, dsp)
-	})
+	r.id, r.dsp = id, r.span.StartChild("dispatch")
+	n.dir.Lookup(id, r.lookedUp)
 }
 
-// dispatchDecided is the second half of handleClient, entered once the
-// directory has resolved the file's cacher set — immediately for a
-// replicated directory, after a directed lookup for a sharded one. Runs
-// on the main loop.
+// dispatchDecided is the second half of handleClient, entered through
+// r.lookedUp once the directory has resolved the file's cacher set —
+// immediately for a replicated directory, after a directed lookup for a
+// sharded one. Runs on the main loop.
 func (n *Node) dispatchDecided(r *clientRequest, id cache.FileID, cachers cache.NodeSet, first bool, dsp *tracing.Span) {
 	if n.ov.on && !r.deadline.IsZero() && time.Now().After(r.deadline) {
 		// An asynchronous lookup can outlive the request's budget.
@@ -586,9 +626,9 @@ func (n *Node) dispatchDecided(r *clientRequest, id cache.FileID, cachers cache.
 		return
 	}
 	size := n.files[id].Size
-	view := lookupView{nodeView: nodeView{n}, id: id,
+	n.lv = lookupView{nodeView: nodeView{n}, id: id,
 		set: cachers.Intersect(cache.NodeSetFromMask(n.health.AliveMask()))}
-	d := n.policy.Decide(n.id, id, size, first, view)
+	d := n.policy.Decide(n.id, id, size, first, &n.lv)
 	dsp.Annotate("service", int64(d.Service))
 	dsp.End()
 	dst := d.Service
@@ -625,11 +665,20 @@ func (n *Node) dispatchDecided(r *clientRequest, id cache.FileID, cachers cache.
 		TraceID: fwd.Trace(), ParentSpan: fwd.ID(), deadline: r.deadline})
 }
 
+// fileResult answers with data as file id; bytes that are not the stored
+// size go without the table's Content-Length.
+func (n *Node) fileResult(id cache.FileID, data []byte, buf *recvBuf) clientResult {
+	if int64(len(data)) != n.files[id].Size {
+		return clientResult{data: data, buf: buf}
+	}
+	return clientResult{data: data, buf: buf, clen: n.clen[id]}
+}
+
 func (n *Node) serveLocal(r *clientRequest, id cache.FileID) {
 	n.repl.NoteServe(id)
 	if n.lru.Touch(id) {
 		n.m.localHit.Inc()
-		r.resp <- clientResult{data: n.content[id]}
+		r.resp <- n.fileResult(id, n.content[id], nil)
 		return
 	}
 	n.m.localMiss.Inc()
@@ -696,7 +745,7 @@ func (n *Node) handleDiskDone(d diskDone) {
 			continue
 		}
 		if w.local != nil {
-			w.local.resp <- clientResult{data: d.data}
+			w.local.resp <- n.fileResult(id, d.data, nil)
 			continue
 		}
 		n.sendFile(w.peer, w.reqID, id, d.data, w.serve, w.deadline)
@@ -917,7 +966,7 @@ func (n *Node) handleFileChunk(m *Message) {
 		p.finish(n, clientResult{err: fmt.Errorf("server: corrupt file reply")})
 		return
 	}
-	res := clientResult{data: m.Data, buf: m.buf}
+	res := n.fileResult(p.file, m.Data, m.buf)
 	if len(m.Data) < int(m.Total) {
 		if p.buf == nil {
 			p.buf = getRecvBuf(int(m.Total))
@@ -928,7 +977,7 @@ func (n *Node) handleFileChunk(m *Message) {
 		if p.received < int(m.Total) {
 			return
 		}
-		res = clientResult{data: p.buf.b, buf: p.buf}
+		res = n.fileResult(p.file, p.buf.b, p.buf)
 	}
 	delete(n.pending, m.ReqID)
 	if n.ov.on {

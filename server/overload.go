@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -207,18 +208,21 @@ type peerPace struct {
 type overloadCtl struct {
 	on         bool
 	cfg        OverloadConfig
+	retryAfter []string // the 503s' Retry-After header value, whole seconds
 	pace       []peerPace
 	brownedPub []atomic.Bool // published copies for tests/stats
 	im         overloadInstruments
 }
 
 func newOverloadCtl(cfg Config, id int) overloadCtl {
+	retry := []string{strconv.Itoa(max(1, int(cfg.Overload.RetryAfter.Round(time.Second)/time.Second)))}
 	if !cfg.Overload.Enabled {
-		return overloadCtl{}
+		return overloadCtl{retryAfter: retry}
 	}
 	return overloadCtl{
 		on:         true,
 		cfg:        cfg.Overload,
+		retryAfter: retry,
 		pace:       make([]peerPace, cfg.Nodes),
 		brownedPub: make([]atomic.Bool, cfg.Nodes),
 		im:         newOverloadInstruments(cfg.Metrics, id, cfg.Nodes),
@@ -383,6 +387,8 @@ func (n *Node) expireClient(r *clientRequest, stage string) {
 // dropped — the origin's failover timeout re-dispatches the request; a
 // flow message must never reach here (credits ride a dedicated path on
 // VIA), but dropping it is still safer than blocking the main loop.
+//
+//presslint:alloc-gated runs only when the bounded send queue is full
 func (n *Node) ovShedDispatch(dst int, m *Message) {
 	n.ov.im.shedInc(shedQueueDispatch, shedReasonFull)
 	if m.Type != core.MsgForward {

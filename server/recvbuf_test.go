@@ -131,7 +131,7 @@ func TestHandleFileChunk(t *testing.T) {
 			ok, pending bool
 		}
 		o := onMainLoop(t, n, func() (o out) {
-			req := &clientRequest{name: tr.Files[id].Name, resp: make(chan clientResult, 1)}
+			req := n.newRequest(tr.Files[id].Name)
 			n.nextReqID++
 			reqID := n.nextReqID
 			n.pending[reqID] = &pendingRemote{req: req, file: id, dst: 1}
@@ -248,7 +248,7 @@ func TestFailoverMidReassembly(t *testing.T) {
 			warmAt(t, cl, tr, id, 2) // the replica the request fails over to
 
 			third := len(want) / 3
-			req := &clientRequest{name: f.Name, resp: make(chan clientResult, 1)}
+			req := n.newRequest(f.Name)
 			partial := onMainLoop(t, n, func() *recvBuf {
 				n.nextReqID++
 				reqID := n.nextReqID

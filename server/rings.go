@@ -72,7 +72,7 @@ type outWrite struct {
 	stage  *via.MemoryRegion
 	off    int // where in stage the image lives
 	desc   *via.Descriptor
-	timer  *time.Timer // reused wait after wait; nil arms a fresh one each time
+	timer  *time.Timer // reused wait after wait, stopped in between
 	// lazy: a write is not waited for; the next write of the channel reaps
 	// it, so the calling thread parks only if the engine is that far behind.
 	lazy bool
@@ -86,7 +86,8 @@ func newOutWrite(op string, vi *via.VI, timeout time.Duration, remote via.Handle
 	}
 	return outWrite{
 		op: op, vi: vi, timeout: timeout, remote: remote, stage: stage, off: off,
-		desc: via.MustDescriptor(via.Segment{Region: stage, Offset: off, Len: n}),
+		desc:  via.MustDescriptor(via.Segment{Region: stage, Offset: off, Len: n}),
+		timer: newStoppedTimer(),
 	}
 }
 
@@ -209,10 +210,8 @@ type slotRing struct {
 }
 
 // newSlotRingOut builds the sender half over out, which targets the
-// peer's ring and stages one entry image. Every write is waited for, so
-// the ring owns the timer that bounds the wait.
+// peer's ring and stages one entry image.
 func newSlotRingOut(geom ringGeom, gate *creditGate, out outWrite) *slotRing {
-	out.timer = newStoppedTimer()
 	return &slotRing{ringGeom: geom, gate: gate, out: out, buf: make([]byte, geom.size)}
 }
 
