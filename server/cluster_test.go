@@ -361,28 +361,40 @@ func TestStoreDelayIsHonest(t *testing.T) {
 	}
 }
 
+// TestStoreReadsAndDelay: a miss pays the disk delay and serves the
+// file's content, and the node counts the read once, in
+// NodeStats.DiskReads — the one disk-read counter; the hit after it
+// reads nothing.
 func TestStoreReadsAndDelay(t *testing.T) {
 	tr := serverTestTrace(t, 3)
 	s := NewStore(tr, 2*time.Millisecond)
-	start := time.Now()
-	data, err := s.Read(tr.Files[0].Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 2*time.Millisecond {
-		t.Errorf("read returned in %v, want >= 2ms disk delay", elapsed)
-	}
-	if int64(len(data)) != tr.Files[0].Size {
-		t.Errorf("size %d", len(data))
-	}
 	if _, err := s.Read("/missing"); err == nil {
 		t.Error("missing file read succeeded")
 	}
-	if s.Reads() != 1 {
-		t.Errorf("reads = %d", s.Reads())
+
+	cfg := testClusterConfig(tr, TransportTCP)
+	cfg.Nodes, cfg.DiskDelay = 1, 2*time.Millisecond
+	cl, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if size, ok := s.Size(tr.Files[1].Name); !ok || size != tr.Files[1].Size {
-		t.Errorf("Size = %d, %v", size, ok)
+	defer cl.Close()
+	f := tr.Files[0]
+	for i, what := range []string{"miss", "hit"} {
+		start := time.Now()
+		data, err := Fetch(cl.URL(0), f.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if elapsed := time.Since(start); i == 0 && elapsed < 2*time.Millisecond {
+			t.Errorf("the miss returned in %v, want >= 2ms disk delay", elapsed)
+		}
+		if !bytes.Equal(data, SynthesizeContent(f.Name, f.Size)) {
+			t.Errorf("the %s served %d wrong bytes", what, len(data))
+		}
+	}
+	if reads := cl.Stats().Nodes.DiskReads; reads != 1 {
+		t.Errorf("DiskReads = %d after a miss and a hit, want 1", reads)
 	}
 }
 

@@ -57,7 +57,7 @@ type dirEnv struct {
 	nodes     int
 	files     int
 	oblivious bool
-	send      func(dst int, m *Message)
+	send      func(dst int, m Message)
 	fileName  func(id cache.FileID) string
 	fileID    func(name string) (cache.FileID, bool)
 	// localFiles iterates the node's currently cached files.
@@ -105,7 +105,7 @@ func (r *replicatedDirectory) LocalCached(id cache.FileID, cached bool) {
 	name := r.env.fileName(id)
 	for p := 0; p < r.env.nodes; p++ {
 		if p != r.env.self {
-			r.env.send(p, &Message{Type: core.MsgCaching, Name: name, Cached: cached})
+			r.env.send(p, Message{Type: core.MsgCaching, Name: name, Cached: cached})
 		}
 	}
 }
@@ -157,7 +157,7 @@ func (r *replicatedDirectory) PeerJoined(peer int) {
 	var seg []byte
 	offset := uint32(0)
 	flush := func() {
-		r.env.send(peer, &Message{Type: core.MsgDirSync, Data: seg, Offset: offset})
+		r.env.send(peer, Message{Type: core.MsgDirSync, Data: seg, Offset: offset})
 		offset++
 		seg = nil
 	}
@@ -216,7 +216,7 @@ func newShardedDirectory(env dirEnv) *shardedDirectory {
 		Emit: func(m core.DirMsg) {
 			// A reply reuses the Cached header byte for the first-request
 			// verdict and carries the cacher set in the dir extension.
-			env.send(m.To, &Message{Type: m.Type, Name: env.fileName(m.File), Cached: m.Cached,
+			env.send(m.To, Message{Type: m.Type, Name: env.fileName(m.File), Cached: m.Cached,
 				DirSet: m.Set, DirSetValid: m.Type == core.MsgDirReply})
 		},
 		Alive:  env.alive,

@@ -16,11 +16,11 @@ type fakeDirNet struct {
 	}
 }
 
-func (f *fakeDirNet) send(dst int, m *Message) {
+func (f *fakeDirNet) send(dst int, m Message) {
 	f.sent = append(f.sent, struct {
 		dst int
 		m   *Message
-	}{dst, m})
+	}{dst, &m})
 }
 
 func (f *fakeDirNet) drain() []struct {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -66,8 +65,9 @@ type epochTransport interface {
 // and peerAddrs agree on the cluster. No connection exists at return:
 // startup dialers run in the background with a doubling backoff until
 // each peer answers, and peers dial us symmetrically, so whichever side
-// comes up last completes the pair.
-func newMeshTCPTransport(ln net.Listener, info JoinInfo, peerAddrs []string, reg *metrics.Registry, trc *tracing.Collector) *tcpTransport {
+// comes up last completes the pair. names interns received file names.
+func newMeshTCPTransport(ln net.Listener, info JoinInfo, peerAddrs []string, names nameTable,
+	reg *metrics.Registry, trc *tracing.Collector) *tcpTransport {
 	if info.Epoch == 0 {
 		info.Epoch = newEpoch()
 	}
@@ -78,7 +78,8 @@ func newMeshTCPTransport(ln net.Listener, info JoinInfo, peerAddrs []string, reg
 		nodes:     info.Nodes,
 		peerAddrs: append([]string(nil), peerAddrs...),
 		peers:     make([]*tcpPeer, info.Nodes),
-		inbound:   make(chan *Message, 1024),
+		inbound:   make(chan Message, 1024),
+		names:     names,
 		done:      make(chan struct{}),
 		ln:        ln,
 		ins:       newTransportInstruments(reg, info.Node),
@@ -147,13 +148,10 @@ func writeJoinFrame(conn net.Conn, from int, j *JoinInfo) error {
 	if err != nil {
 		return err
 	}
-	m := &Message{Type: core.MsgJoin, From: from, Data: payload}
-	frame := make([]byte, 4, 4+m.EncodedLen())
-	frame, err = m.Encode(frame)
+	frame, err := appendFrame(nil, &Message{Type: core.MsgJoin, From: from, Data: payload})
 	if err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(frame)-4))
 	conn.SetWriteDeadline(time.Now().Add(meshHelloTimeout))
 	_, err = conn.Write(frame)
 	conn.SetWriteDeadline(time.Time{})
@@ -165,8 +163,8 @@ func readJoinFrame(conn net.Conn) (*JoinInfo, error) {
 	conn.SetReadDeadline(time.Now().Add(meshHelloTimeout))
 	defer conn.SetReadDeadline(time.Time{})
 	var hdr [4]byte
-	m, err := readFrame(conn, &hdr, meshJoinMaxFrame)
-	if err != nil {
+	var m Message
+	if err := nameTable(nil).readFrame(conn, &hdr, meshJoinMaxFrame, &m); err != nil {
 		return nil, err
 	}
 	if m.Type != core.MsgJoin {
@@ -185,7 +183,7 @@ func (t *tcpTransport) notifyJoin(peer int, j *JoinInfo) {
 	if err != nil {
 		return
 	}
-	m := &Message{Type: core.MsgJoin, From: peer, Data: payload}
+	m := Message{Type: core.MsgJoin, From: peer, Data: payload}
 	t.inboundMu.RLock()
 	defer t.inboundMu.RUnlock()
 	if t.inClosed {

@@ -49,7 +49,7 @@ func startMesh(t *testing.T, ln net.Listener, node, nodes int, epoch uint64, pee
 func startMeshAs(t *testing.T, ln net.Listener, info JoinInfo, peerAddrs []string) *tcpTransport {
 	t.Helper()
 	info.Transport = "tcp"
-	tr := newMeshTCPTransport(ln, info, peerAddrs, nil, nil)
+	tr := newMeshTCPTransport(ln, info, peerAddrs, nil, nil, nil)
 	t.Cleanup(func() { tr.Close() })
 	return tr
 }
@@ -78,7 +78,7 @@ func waitMeshLive(t *testing.T, tr *tcpTransport, dst int, timeout time.Duration
 
 // recvType reads inbound until a message of the wanted type arrives,
 // skipping the synthetic MsgJoin notifications the handshake raises.
-func recvType(t *testing.T, tr *tcpTransport, want core.MsgType, timeout time.Duration) *Message {
+func recvType(t *testing.T, tr *tcpTransport, want core.MsgType, timeout time.Duration) Message {
 	t.Helper()
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()

@@ -217,30 +217,47 @@ func (m *Message) Encode(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeFrame parses the frame a transport received into buf and
+// nameTable interns the file names of one cluster's trace, each mapped
+// to itself: a decoded name found in it is the table's string, not a
+// copy. Each transport holds its own cluster's table; nil interns nothing.
+type nameTable map[string]string
+
+// decodeFrame decodes the frame a transport received into buf and
 // settles who owns buf from here on. A message with no payload points
-// nowhere into the frame (Name is a copy), so the frame goes straight
-// back; a file message owns it; any other payload (a gossip digest, a
-// join record) may be read by the main loop at any later time, so the
-// frame is left to the GC.
-func decodeFrame(buf *recvBuf) (*Message, error) {
-	m, err := DecodeMessage(buf.b)
+// nowhere into the frame (Name is interned or a copy), so the frame goes
+// straight back; a file message owns it; any other payload (a gossip
+// digest, a join record) may be read by the main loop later: the GC's.
+func (nt nameTable) decodeFrame(m *Message, buf *recvBuf) error {
+	err := nt.decodeInto(m, buf.b)
 	switch {
 	case err != nil || len(m.Data) == 0:
 		buf.release()
 	case m.Type == core.MsgFile:
 		m.buf = buf
 	}
-	return m, err
+	return err
 }
 
 // DecodeMessage parses one wire message. The returned message's Data
 // aliases buf.
 func DecodeMessage(buf []byte) (*Message, error) {
-	if len(buf) < msgHeaderLen {
-		return nil, fmt.Errorf("server: short message (%d bytes)", len(buf))
+	m := &Message{}
+	if err := nameTable(nil).decodeInto(m, buf); err != nil {
+		return nil, err
 	}
-	m := &Message{
+	return m, nil
+}
+
+// decodeInto is DecodeMessage in place, over every field of m, with the
+// name interned in nt. The two counted sites are the string(name) map
+// key, which does not allocate, and the copy of a name nt lacks.
+//
+//presslint:hotpath budget=2
+func (nt nameTable) decodeInto(m *Message, buf []byte) error {
+	if len(buf) < msgHeaderLen {
+		return fmt.Errorf("server: short message (%d bytes)", len(buf))
+	}
+	*m = Message{
 		Type:    core.MsgType(buf[0] &^ msgFlagMask),
 		From:    int(binary.LittleEndian.Uint16(buf[1:])),
 		Load:    int32(binary.LittleEndian.Uint32(buf[3:])),
@@ -251,7 +268,7 @@ func DecodeMessage(buf []byte) (*Message, error) {
 		Total:   binary.LittleEndian.Uint32(buf[24:]),
 	}
 	if m.Type < 0 || m.Type >= core.NumMsgTypes {
-		return nil, fmt.Errorf("server: invalid message type %d", m.Type)
+		return fmt.Errorf("server: invalid message type %d", m.Type)
 	}
 	nameLen := int(binary.LittleEndian.Uint16(buf[28:]))
 	dataLen := int(binary.LittleEndian.Uint32(buf[30:]))
@@ -261,22 +278,26 @@ func DecodeMessage(buf []byte) (*Message, error) {
 			continue
 		}
 		if len(buf) < body+e.size {
-			return nil, fmt.Errorf("server: short extension %#x (%d bytes)", e.flag, len(buf))
+			return fmt.Errorf("server: short extension %#x (%d bytes)", e.flag, len(buf))
 		}
 		var w [4]uint64
 		for i := range w[:e.size/8] {
 			w[i] = binary.LittleEndian.Uint64(buf[body+8*i:])
 		}
 		if err := m.setExtWords(e.flag, w); err != nil {
-			return nil, err
+			return err
 		}
 		body += e.size
 	}
 	if body+nameLen+dataLen > len(buf) {
-		return nil, fmt.Errorf("server: truncated message: header wants %d+%d bytes, have %d",
+		return fmt.Errorf("server: truncated message: header wants %d+%d bytes, have %d",
 			nameLen, dataLen, len(buf)-body)
 	}
-	m.Name = string(buf[body : body+nameLen])
+	name := buf[body : body+nameLen]
+	var interned bool
+	if m.Name, interned = nt[string(name)]; !interned {
+		m.Name = string(name)
+	}
 	m.Data = buf[body+nameLen : body+nameLen+dataLen]
-	return m, nil
+	return nil
 }

@@ -2,12 +2,17 @@ package server
 
 import (
 	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
+	"press/cache"
 	"press/core"
 	"press/tracing"
+	"press/via"
 )
 
 func TestMessageRoundTrip(t *testing.T) {
@@ -313,7 +318,12 @@ func TestMessageDeadlineCompat(t *testing.T) {
 // FuzzMessageRoundTrip feeds arbitrary bytes to the decoder and checks
 // that whatever decodes re-encodes to a decodable message with the same
 // wire-visible fields. The seeds cover every message type, both trace
-// states, and the malformed-extension edges.
+// states, and the malformed-extension edges. It also holds the
+// transports' in-place decoder to the exported one: decodeInto accepts
+// exactly what DecodeMessage does and overwrites every field of a
+// Message full of garbage with the same values, a name in the intern
+// table (the seeds') decodes to the table's string, and any other name
+// to a copy that does not point into the frame.
 func FuzzMessageRoundTrip(f *testing.F) {
 	seeds := []Message{
 		{Type: core.MsgLoad, From: 3, Load: 42},
@@ -327,6 +337,7 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		{Type: core.MsgForward, From: 5, ReqID: 13, Name: "/td.html",
 			TraceID: 0xfeed, ParentSpan: 0xbeef, Budget: time.Second},
 	}
+	names := nameTable{}
 	for _, m := range seeds {
 		m := m
 		buf, err := m.Encode(nil)
@@ -334,14 +345,41 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf)
+		if m.Name != "" {
+			names[m.Name] = strings.Clone(m.Name)
+		}
 	}
 	f.Add([]byte{})
 	f.Add(make([]byte, msgHeaderLen))               // zero type, empty body
 	f.Add(append(make([]byte, msgHeaderLen), 0xFF)) // trailing garbage
+	unknown, _ := (&Message{Type: core.MsgCaching, From: 2, Name: "/not/interned.html"}).Encode(nil)
+	f.Add(unknown)
+	garbage := Message{Type: core.MsgDirSync, From: 99, Load: 7, ReqID: 1, Name: "garbage",
+		Cached: true, Credits: 3, Data: []byte("junk"), Offset: 5, Total: 6, TraceID: 9,
+		ParentSpan: 8, DirSet: cache.NodeSetOf(1, 200), DirSetValid: true, Budget: time.Hour,
+		deadline: time.Unix(1, 0), SrcRegion: new(via.MemoryRegion), SrcOffset: 4, buf: &recvBuf{}}
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		m, err := DecodeMessage(buf)
+		in := garbage
+		if inErr := names.decodeInto(&in, buf); (inErr == nil) != (err == nil) {
+			t.Fatalf("DecodeMessage says %v, decodeInto says %v", err, inErr)
+		}
 		if err != nil {
 			return // rejecting garbage is fine; crashing is not
+		}
+		if !reflect.DeepEqual(in, *m) {
+			t.Fatalf("decodeInto over garbage %+v, DecodeMessage %+v", in, *m)
+		}
+		if s, ok := names[in.Name]; ok {
+			if unsafe.StringData(in.Name) != unsafe.StringData(s) {
+				t.Fatalf("name %q in the table decoded to a copy", in.Name)
+			}
+		} else if n := len(in.Name); n > 0 {
+			at := uintptr(unsafe.Pointer(unsafe.StringData(in.Name)))
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+			if at >= lo && at < lo+uintptr(len(buf)) {
+				t.Fatalf("name %q outside the table points into the frame", in.Name)
+			}
 		}
 		re, err := m.Encode(nil)
 		if err != nil {

@@ -88,7 +88,7 @@ type diskDone struct {
 // outMsg is a send-thread work item.
 type outMsg struct {
 	dst int
-	msg *Message
+	msg Message
 }
 
 // diskWaiter is a party waiting for a disk read: a local client or a
@@ -136,7 +136,7 @@ type pendingRemote struct {
 // handed to the main loop which owns the health and failover state.
 type sendFailure struct {
 	dst int
-	msg *Message
+	msg Message
 	err error
 }
 
@@ -469,6 +469,8 @@ func (n *Node) Stats() NodeStats {
 func (n *Node) mainLoop() {
 	defer n.wg.Done()
 	inbound := n.transport.Inbound()
+	var m Message // every message is received here; see handleMessage
+	var ok bool
 	// The periodic tick drives failure detection (heartbeats, probes,
 	// overdue-reply failover) and the overload layer's expired-pending
 	// sweep; a nil channel (both subsystems off) removes the case
@@ -487,11 +489,11 @@ func (n *Node) mainLoop() {
 			n.handleClient(r)
 		case <-n.doneCh:
 			n.loadChange(-1)
-		case m, ok := <-inbound:
+		case m, ok = <-inbound:
 			if !ok {
 				return
 			}
-			n.handleMessage(m)
+			n.handleMessage(&m)
 		case d := <-n.diskDone:
 			n.handleDiskDone(d)
 		case f := <-n.ctrlCh:
@@ -561,7 +563,7 @@ func (n *Node) gossipTick(now time.Time) {
 		if n.health.isDead(dst) {
 			continue
 		}
-		n.send(dst, &Message{Type: core.MsgLoad, Load: int32(n.diss.Load()), Data: digest})
+		n.send(dst, Message{Type: core.MsgLoad, Load: int32(n.diss.Load()), Data: digest})
 	}
 }
 
@@ -661,7 +663,7 @@ func (n *Node) dispatchDecided(r *clientRequest, id cache.FileID, cachers cache.
 	}
 	n.pending[reqID] = p
 	n.ovForwardSent(dst, now)
-	n.send(dst, &Message{Type: core.MsgForward, ReqID: reqID, Name: r.name,
+	n.send(dst, Message{Type: core.MsgForward, ReqID: reqID, Name: r.name,
 		TraceID: fwd.Trace(), ParentSpan: fwd.ID(), deadline: r.deadline})
 }
 
@@ -792,14 +794,13 @@ func (n *Node) uncache(id cache.FileID) {
 // attribute to the right request. deadline, when set, lets the send
 // thread drop the reply if its budget runs out in the queue.
 func (n *Node) sendFile(dst int, reqID uint64, id cache.FileID, data []byte, parent *tracing.Span, deadline time.Time) {
-	m := &Message{Type: core.MsgFile, ReqID: reqID, Data: data, Total: uint32(len(data)),
-		TraceID: parent.Trace(), ParentSpan: parent.ID(), deadline: deadline}
-	if reg := n.regions[id]; reg != nil {
-		m.SrcRegion = reg
-	}
-	n.send(dst, m)
+	n.send(dst, Message{Type: core.MsgFile, ReqID: reqID, Data: data, Total: uint32(len(data)),
+		TraceID: parent.Trace(), ParentSpan: parent.ID(), deadline: deadline, SrcRegion: n.regions[id]})
 }
 
+// handleMessage dispatches one received message. m is the main loop's
+// one Message, overwritten by the next receive: no handler keeps m; what
+// outlives the call is copied out of it (Data, buf, Name, field values).
 func (n *Node) handleMessage(m *Message) {
 	// Every message from a peer is proof of life; a resurrection means
 	// the peer must be re-integrated into the caching view.
@@ -876,7 +877,7 @@ func (n *Node) AnnounceLeave(timeout time.Duration) {
 			if p == n.id || (n.healthActive() && n.health.isDead(p)) {
 				continue
 			}
-			n.send(p, &Message{Type: core.MsgLeave, Data: encodeLeave(epoch)})
+			n.send(p, Message{Type: core.MsgLeave, Data: encodeLeave(epoch)})
 		}
 		close(queued)
 	})
@@ -1001,21 +1002,24 @@ func (n *Node) loadChange(delta int) {
 		if p == n.id {
 			continue
 		}
-		n.send(p, &Message{Type: core.MsgLoad, Load: load})
+		n.send(p, Message{Type: core.MsgLoad, Load: load})
 	}
 }
 
-// send queues a message for the send thread. Any outbound message
-// doubles as a heartbeat, so the tracker learns it was sent. A full
-// (bounded) dispatch queue sheds by message class instead of growing
-// without bound; see ovShedDispatch.
-func (n *Node) send(dst int, m *Message) {
+// send queues a message, by value, for the send thread. Any outbound
+// message doubles as a heartbeat, so the tracker learns it was sent. A
+// full (bounded) dispatch queue sheds by message class instead of
+// growing without bound; see ovShedDispatch. The queue's growth and the
+// shed are gated: no site is counted.
+//
+//presslint:hotpath budget=0
+func (n *Node) send(dst int, m Message) {
 	m.From = n.id
 	if n.healthActive() {
 		n.health.noteSent(dst, time.Now())
 	}
 	if !n.sendQ.push(outMsg{dst: dst, msg: m}) {
-		n.ovShedDispatch(dst, m)
+		n.ovShedDispatch(dst, m.Type, m.ReqID)
 	}
 }
 
@@ -1025,15 +1029,16 @@ func (n *Node) send(dst int, m *Message) {
 // place with capped, jittered backoff; hard faults and exhausted
 // budgets are counted per message type and reported to the main loop,
 // which owns the health state and fails the owning request over instead
-// of silently dropping it.
+// of silently dropping it. Every message is popped into item, lent to Send.
 func (n *Node) sendThread() {
 	defer n.wg.Done()
 	pb := n.pb
 	bo := newBackoff(int64(n.id))
 	var pause sleeper
+	var item outMsg
 	for {
-		item, ok := n.sendQ.pop()
-		if !ok {
+		var ok bool
+		if item, ok = n.sendQ.pop(); !ok {
 			return
 		}
 		if item.msg.Type != core.MsgLoad {
@@ -1063,7 +1068,7 @@ func (n *Node) sendThread() {
 		// drain to wire hand-off, including any flow-control wait inside.
 		ns := n.trc.StartSpan("net-send", item.msg.TraceID, item.msg.ParentSpan)
 		ns.AnnotateStr("type", item.msg.Type.String())
-		err := n.transport.Send(item.dst, item.msg)
+		err := n.transport.Send(item.dst, &item.msg)
 		for bo.reset(); err != nil && transientSendErr(err); {
 			d, more := bo.next()
 			if !more {
@@ -1074,7 +1079,7 @@ func (n *Node) sendThread() {
 				ns.End()
 				return
 			}
-			err = n.transport.Send(item.dst, item.msg)
+			err = n.transport.Send(item.dst, &item.msg)
 		}
 		ns.End()
 		if err == nil {
@@ -1168,7 +1173,7 @@ func (n *Node) healthTick(now time.Time) {
 		}
 		if n.health.heartbeatDue(p, now) {
 			n.health.hbSent.Inc()
-			n.send(p, &Message{Type: core.MsgLoad, Load: int32(n.diss.Load())})
+			n.send(p, Message{Type: core.MsgLoad, Load: int32(n.diss.Load())})
 		}
 		if n.health.probeDue(p, now) {
 			n.probe(p)
@@ -1245,7 +1250,7 @@ func (n *Node) failover(reqID uint64, p *pendingRemote, reason string) {
 	p.span.Annotate("failover-dst", int64(dst))
 	n.pending[reqID] = p
 	n.ovForwardSent(dst, now)
-	n.send(dst, &Message{Type: core.MsgForward, ReqID: reqID, Name: p.req.name,
+	n.send(dst, Message{Type: core.MsgForward, ReqID: reqID, Name: p.req.name,
 		TraceID: p.span.Trace(), ParentSpan: p.span.ID(), deadline: p.req.deadline})
 }
 

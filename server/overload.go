@@ -389,16 +389,16 @@ func (n *Node) expireClient(r *clientRequest, stage string) {
 // VIA), but dropping it is still safer than blocking the main loop.
 //
 //presslint:alloc-gated runs only when the bounded send queue is full
-func (n *Node) ovShedDispatch(dst int, m *Message) {
+func (n *Node) ovShedDispatch(dst int, typ core.MsgType, reqID uint64) {
 	n.ov.im.shedInc(shedQueueDispatch, shedReasonFull)
-	if m.Type != core.MsgForward {
+	if typ != core.MsgForward {
 		return
 	}
-	p := n.pending[m.ReqID]
+	p := n.pending[reqID]
 	if p == nil || p.dst != dst {
 		return
 	}
-	delete(n.pending, m.ReqID)
+	delete(n.pending, reqID)
 	n.ovForwardFailed(dst, time.Since(p.sentAt), time.Now())
 	p.span.AnnotateStr("shed", "dispatch/full")
 	p.span.End()

@@ -146,6 +146,10 @@ func fabricAddr(i int) string { return fmt.Sprintf("node%d", i) }
 // it to the peers' over UDP.
 func (pn *ProcNode) build(shared *via.Fabric) error {
 	cfg, mesh := pn.cfg, pn.cfg.Mesh
+	names := make(nameTable, len(cfg.Trace.Files))
+	for _, f := range cfg.Trace.Files {
+		names[f.Name] = f.Name
+	}
 	switch cfg.Transport {
 	case TransportTCP:
 		info := JoinInfo{
@@ -155,7 +159,7 @@ func (pn *ProcNode) build(shared *via.Fabric) error {
 			Strategy:  cfg.Dissemination.String(),
 			Transport: "tcp",
 		}
-		pn.transport = newMeshTCPTransport(pn.ln, info, mesh.PeerAddrs, cfg.Metrics, cfg.Tracer.Collector(mesh.Self))
+		pn.transport = newMeshTCPTransport(pn.ln, info, mesh.PeerAddrs, names, cfg.Metrics, cfg.Tracer.Collector(mesh.Self))
 	case TransportVIA:
 		fabric := shared
 		if fabric == nil {
@@ -188,7 +192,7 @@ func (pn *ProcNode) build(shared *via.Fabric) error {
 			self: mesh.Self, nodes: cfg.Nodes, version: cfg.Version,
 			window: viaWindow, batch: viaBatch, chunk: viaChunkBytes,
 			fileRing: cfg.FileRingBytes, metrics: cfg.Metrics,
-			rmwTimeout: cfg.RMWTimeout, trc: cfg.Tracer.Collector(mesh.Self),
+			rmwTimeout: cfg.RMWTimeout, trc: cfg.Tracer.Collector(mesh.Self), names: names,
 		})
 		if err != nil {
 			return err

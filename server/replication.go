@@ -32,7 +32,7 @@ func (n *Node) replTick(now time.Time) {
 		switch f := n.files[a.File]; {
 		case !a.Drop:
 			n.m.replPushes.Inc()
-			n.send(a.Dst, &Message{Type: core.MsgReplicate, Name: f.Name})
+			n.send(a.Dst, Message{Type: core.MsgReplicate, Name: f.Name})
 		case n.lru.Remove(a.File):
 			// (A copy pinned under a send in flight stays, unconfirmed,
 			// and is a candidate again at the next scan.)
@@ -63,7 +63,7 @@ func (n *Node) handleReplicate(m *Message) {
 	}
 	n.pending[reqID] = p
 	n.ovForwardSent(m.From, now)
-	n.send(m.From, &Message{Type: core.MsgForward, ReqID: reqID, Name: m.Name})
+	n.send(m.From, Message{Type: core.MsgForward, ReqID: reqID, Name: m.Name})
 }
 
 // finish is the one completion of a pending forward, already taken out

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"press/netmodel"
 	"press/trace"
 	"press/tracing"
 )
@@ -314,10 +313,13 @@ func TestServeHTTPContentLength(t *testing.T) {
 // keep-alive clients at once, and checks every answer: a 200 carries the
 // file's bytes, anything else is the status that request may get. A
 // request recycled while the main loop still held it shows as another
-// client's body, or under the race detector.
+// client's body, or under the race detector. The 4-node legs run on
+// every receive path (recvBufTransports), so they also guard the main
+// loop's one inbound Message: a handler that kept it would serve the
+// next message's name.
 func TestClientRequestRecycleStress(t *testing.T) {
 	const clients = 8
-	perClient := 625 // × 8 clients × 4 clusters = 20 000 requests
+	perClient := 625 // × 8 clients = 5 000 requests per leg
 	if testing.Short() {
 		perClient = 100
 	}
@@ -330,76 +332,81 @@ func TestClientRequestRecycleStress(t *testing.T) {
 	for i, f := range tr.Files {
 		want[i] = SynthesizeContent(f.Name, f.Size)
 	}
-	v0 := netmodel.Versions()[0]
+	v0 := recvBufTransports[1]
+
+	drive := func(t *testing.T, nodes int, kind TransportKind, version string, overload bool) {
+		cl := startRecvBufCluster(t, tr, nodes, kind, version, func(cfg *Config) {
+			cfg.CacheBytes = 512 << 10 // half the population: disk reads never stop
+			if overload {
+				// Every disk read outlives its request; hits do not.
+				cfg.DiskDelay = 4 * time.Millisecond
+				cfg.Overload = OverloadConfig{Enabled: true, AcceptQueue: 1,
+					RequestTimeout: 2 * time.Millisecond}
+			}
+		})
+
+		var ok, notFound, refused atomic.Int64
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			conns := make([]*rawClient, nodes)
+			for i, addr := range cl.Addrs() {
+				conns[i] = dialRaw(t, addr, 64<<10)
+			}
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(c)))
+				for i := 0; i < perClient; i++ {
+					// Skewed to the low ids, so the cache holds a hot
+					// head; one request in thirteen names no file.
+					id, name := rng.Intn(rng.Intn(len(tr.Files)+4)+1), "/reqpath/missing.html"
+					if rng.Intn(13) == 0 {
+						id = len(tr.Files)
+					}
+					if id < len(tr.Files) {
+						name = tr.Files[id].Name
+					}
+					status, _, body, err := conns[rng.Intn(nodes)].do(rawRequest("GET", name))
+					switch {
+					case err != nil:
+						t.Errorf("client %d: GET %s: %v", c, name, err)
+						return
+					case status == http.StatusOK && id < len(tr.Files) && bytes.Equal(body, want[id]):
+						ok.Add(1)
+					case status == http.StatusNotFound && id >= len(tr.Files):
+						notFound.Add(1)
+					case status == http.StatusServiceUnavailable && overload:
+						refused.Add(1)
+					default:
+						t.Errorf("client %d: GET %s: status %d with %d body bytes", c, name, status, len(body))
+						return
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		s := cl.Stats().Nodes
+		t.Logf("%d ok, %d not found, %d refused; %+v", ok.Load(), notFound.Load(), refused.Load(), s)
+		if ok.Load() == 0 || notFound.Load() == 0 || s.LocalHits == 0 || s.DiskReads == 0 {
+			t.Error("the drive missed one of: 200, 404, local hit, disk read")
+		}
+		if nodes > 1 && s.Forwarded == 0 {
+			t.Error("nothing was forwarded")
+		}
+		if overload && (refused.Load() == 0 || s.Shed+s.DeadlineExpired == 0) {
+			t.Error("overload control refused nothing")
+		}
+	}
 
 	for _, nodes := range []int{1, 4} {
 		for _, overload := range []bool{false, true} {
 			t.Run(fmt.Sprintf("nodes=%d/overload=%v", nodes, overload), func(t *testing.T) {
-				cfg := testClusterConfig(tr, TransportVIA)
-				cfg.Nodes, cfg.Version = nodes, v0
-				cfg.CacheBytes = 512 << 10 // half the population: disk reads never stop
-				if overload {
-					// Every disk read outlives its request; hits do not.
-					cfg.DiskDelay = 4 * time.Millisecond
-					cfg.Overload = OverloadConfig{Enabled: true, AcceptQueue: 1,
-						RequestTimeout: 2 * time.Millisecond}
+				if nodes == 1 {
+					drive(t, nodes, v0.kind, v0.version, overload)
+					return
 				}
-				cl, err := Start(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer cl.Close()
-
-				var ok, notFound, refused atomic.Int64
-				var wg sync.WaitGroup
-				for c := 0; c < clients; c++ {
-					conns := make([]*rawClient, nodes)
-					for i, addr := range cl.Addrs() {
-						conns[i] = dialRaw(t, addr, 64<<10)
-					}
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						rng := rand.New(rand.NewSource(int64(c)))
-						for i := 0; i < perClient; i++ {
-							// Skewed to the low ids, so the cache holds a hot
-							// head; one request in thirteen names no file.
-							id, name := rng.Intn(rng.Intn(len(tr.Files)+4)+1), "/reqpath/missing.html"
-							if rng.Intn(13) == 0 {
-								id = len(tr.Files)
-							}
-							if id < len(tr.Files) {
-								name = tr.Files[id].Name
-							}
-							status, _, body, err := conns[rng.Intn(nodes)].do(rawRequest("GET", name))
-							switch {
-							case err != nil:
-								t.Errorf("client %d: GET %s: %v", c, name, err)
-								return
-							case status == http.StatusOK && id < len(tr.Files) && bytes.Equal(body, want[id]):
-								ok.Add(1)
-							case status == http.StatusNotFound && id >= len(tr.Files):
-								notFound.Add(1)
-							case status == http.StatusServiceUnavailable && overload:
-								refused.Add(1)
-							default:
-								t.Errorf("client %d: GET %s: status %d with %d body bytes", c, name, status, len(body))
-								return
-							}
-						}
-					}(c)
-				}
-				wg.Wait()
-				s := cl.Stats().Nodes
-				t.Logf("%d ok, %d not found, %d refused; %+v", ok.Load(), notFound.Load(), refused.Load(), s)
-				if ok.Load() == 0 || notFound.Load() == 0 || s.LocalHits == 0 || s.DiskReads == 0 {
-					t.Error("the drive missed one of: 200, 404, local hit, disk read")
-				}
-				if nodes > 1 && s.Forwarded == 0 {
-					t.Error("nothing was forwarded")
-				}
-				if overload && (refused.Load() == 0 || s.Shed+s.DeadlineExpired == 0) {
-					t.Error("overload control refused nothing")
+				for _, tp := range recvBufTransports {
+					t.Run(tp.name, func(t *testing.T) { drive(t, nodes, tp.kind, tp.version, overload) })
 				}
 			})
 		}
@@ -433,5 +440,41 @@ func BenchmarkLocalHit1K(b *testing.B) {
 	b.StopTimer()
 	if hits := cl.Stats().Nodes.LocalHits - hitsBefore; hits != int64(b.N) {
 		b.Fatalf("%d of %d requests were local hits", hits, b.N)
+	}
+}
+
+// BenchmarkForwarded1K is the message path's budget: two nodes, one
+// 1 KiB file cached only at node 1, one GET per iteration at node 0 over
+// a client that allocates nothing, so every request is a forward, its
+// reply and BenchmarkLocalHit1K's path, on each receive path. check.sh
+// fails above 20: what a forward adds over a local hit is its
+// pendingRemote.
+func BenchmarkForwarded1K(b *testing.B) {
+	for _, tp := range recvBufTransports {
+		b.Run(tp.name, func(b *testing.B) {
+			tr := sizedTrace(1 << 10)
+			cl := startRecvBufCluster(b, tr, 2, tp.kind, tp.version, nil)
+			warmAt(b, cl, tr, 0, 1)
+			rc := dialRaw(b, cl.Addrs()[0], 1<<10)
+			req, want := rawRequest("GET", tr.Files[0].Name), SynthesizeContent(tr.Files[0].Name, 1<<10)
+			get := func() {
+				status, _, body, err := rc.do(req)
+				if err != nil || status != http.StatusOK || !bytes.Equal(body, want) {
+					b.Fatalf("status %d, %d body bytes, err %v", status, len(body), err)
+				}
+			}
+			get() // connection, pools and frame scratch warm
+			get()
+			fwdBefore := cl.Stats().Nodes.Forwarded
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				get()
+			}
+			b.StopTimer()
+			if fwd := cl.Stats().Nodes.Forwarded - fwdBefore; fwd != int64(b.N) {
+				b.Fatalf("%d of %d requests were forwarded", fwd, b.N)
+			}
+		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sync"
 	"time"
 
 	"press/trace"
@@ -20,12 +19,12 @@ var ErrNoSuchFile = errors.New("server: no such file")
 // Store is a node's local disk: the full site content, as every PRESS
 // node holds the whole document tree on its SCSI disk. Reads pay a
 // configurable artificial latency so cache locality matters even with
-// an in-memory backing store.
+// an in-memory backing store. A Store is immutable after NewStore, so
+// readers share it without a lock; the node counts its reads
+// (NodeStats.DiskReads).
 type Store struct {
-	mu    sync.RWMutex
 	files map[string][]byte
 	delay time.Duration
-	reads int64
 }
 
 // NewStore builds a store holding deterministic synthetic content for
@@ -62,9 +61,7 @@ func SynthesizeContent(name string, size int64) []byte {
 // error for unknown names. The returned slice is shared; callers must
 // not modify it.
 func (s *Store) Read(name string) ([]byte, error) {
-	s.mu.RLock()
 	data, ok := s.files[name]
-	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchFile, name)
 	}
@@ -74,27 +71,5 @@ func (s *Store) Read(name string) ([]byte, error) {
 		// sub-millisecond one from being rounded up to the runtime's 1 ms.
 		via.Delay(s.delay)
 	}
-	s.mu.Lock()
-	s.reads++
-	s.mu.Unlock()
 	return data, nil
-}
-
-// Size returns a file's size without touching the disk, as a server
-// learns sizes from its metadata.
-func (s *Store) Size(name string) (int64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	data, ok := s.files[name]
-	if !ok {
-		return 0, false
-	}
-	return int64(len(data)), true
-}
-
-// Reads reports how many disk reads were served.
-func (s *Store) Reads() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.reads
 }

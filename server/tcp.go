@@ -25,7 +25,8 @@ type tcpTransport struct {
 	self      int
 	nodes     int
 	peerAddrs []string
-	inbound   chan *Message
+	inbound   chan Message
+	names     nameTable // interns the names received messages carry
 	ins       transportInstruments
 	trc       *tracing.Collector
 	done      chan struct{}
@@ -55,8 +56,9 @@ type tcpTransport struct {
 }
 
 type tcpPeer struct {
-	conn net.Conn
-	mu   sync.Mutex // serializes frame writes
+	conn  net.Conn
+	mu    sync.Mutex // serializes frame writes
+	frame []byte     // under mu: encode scratch of at most maxKeptFrame bytes
 
 	// id and epoch are fixed at handshake time: the peer's node index
 	// and the epoch of the process life that opened this connection. A
@@ -88,6 +90,21 @@ func (p *tcpPeer) down() error {
 }
 
 const maxFrame = 8 << 20
+
+// maxKeptFrame is the largest scratch a peer keeps: one regular chunk's
+// frame. A larger file's frame is not kept, so no peer pins its size.
+var maxKeptFrame = 4 + msgHeaderLen + msgMaxExtLen + maxNameLen + viaChunkBytes
+
+// appendFrame appends m's length-prefixed frame to dst.
+func appendFrame(dst []byte, m *Message) ([]byte, error) {
+	at := len(dst)
+	dst, err := m.Encode(append(dst, 0, 0, 0, 0))
+	if err != nil {
+		return nil, err
+	}
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	return dst, nil
+}
 
 // peer returns the live connection to dst, nil if none.
 func (t *tcpTransport) peer(dst int) *tcpPeer {
@@ -196,32 +213,37 @@ func (t *tcpTransport) Send(dst int, m *Message) error {
 	return err
 }
 
-// sendOn runs one send attempt over a specific connection.
+// sendOn runs one send attempt over a specific connection, encoding into
+// the peer's scratch. The four counted sites, appendFrame's append and
+// Encode's three, grow it once; a frame over maxKeptFrame allocates.
+//
+//presslint:hotpath budget=4
 func (t *tcpTransport) sendOn(p *tcpPeer, m *Message) error {
 	if err := p.down(); err != nil {
 		return err
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	var cp *tracing.Span
 	if m.Type == core.MsgFile {
 		// The frame build is the payload copy handed to the kernel, the
 		// TCP analogue of the VIA staging copy.
 		cp = t.trc.StartSpan("staging-copy", m.TraceID, m.ParentSpan)
 	}
-	frame := make([]byte, 4, 4+m.EncodedLen())
-	frame, err := m.Encode(frame)
+	frame, err := appendFrame(p.frame[:0], m)
 	if err != nil {
 		cp.Cancel()
 		return err
 	}
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(frame)-4))
+	if cap(frame) <= maxKeptFrame {
+		p.frame = frame
+	}
 	t.ins.acct.add(m.Type, int64(len(frame)-4))
 	if m.Type == core.MsgFile {
 		t.ins.copied.Add(int64(len(m.Data)))
 		cp.Annotate("bytes", int64(len(m.Data)))
 	}
 	cp.End()
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if _, err = p.conn.Write(frame); err != nil {
 		// A TCP write error is a hard connection fault; poison the peer
 		// so subsequent sends fail fast instead of each timing out. If a
@@ -233,22 +255,22 @@ func (t *tcpTransport) sendOn(p *tcpPeer, m *Message) error {
 	return nil
 }
 
-// readFrame reads one length-prefixed Message of at most max bytes. hdr
-// is the caller's scratch, so a read loop pays for it once.
-func readFrame(r io.Reader, hdr *[4]byte, max uint32) (*Message, error) {
+// readFrame reads one length-prefixed Message of at most max bytes into
+// m. hdr is the caller's scratch, so a read loop pays for it once.
+func (nt nameTable) readFrame(r io.Reader, hdr *[4]byte, max uint32, m *Message) error {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+		return err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
 	if n > max {
-		return nil, fmt.Errorf("server: oversized frame of %d bytes", n)
+		return fmt.Errorf("server: oversized frame of %d bytes", n)
 	}
 	buf := getRecvBuf(int(n))
 	if _, err := io.ReadFull(r, buf.b); err != nil {
 		buf.release()
-		return nil, err
+		return err
 	}
-	return decodeFrame(buf)
+	return nt.decodeFrame(m, buf)
 }
 
 func (t *tcpTransport) readLoop(p *tcpPeer) {
@@ -262,9 +284,9 @@ func (t *tcpTransport) readLoop(p *tcpPeer) {
 		}
 	}
 	var hdr [4]byte
+	var m Message
 	for {
-		m, err := readFrame(conn, &hdr, maxFrame)
-		if err != nil {
+		if err := t.names.readFrame(conn, &hdr, maxFrame, &m); err != nil {
 			fail(err)
 			return
 		}
@@ -285,7 +307,7 @@ func (t *tcpTransport) readLoop(p *tcpPeer) {
 	}
 }
 
-func (t *tcpTransport) Inbound() <-chan *Message { return t.inbound }
+func (t *tcpTransport) Inbound() <-chan Message { return t.inbound }
 
 // Metrics snapshots the transport's counters. CopiedBytes is the
 // send-side volume handed to the kernel TCP stack, which copies every

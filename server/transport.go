@@ -41,11 +41,12 @@ type TransportMetrics struct {
 type Transport interface {
 	// Send delivers m to node dst. It may block on flow control or
 	// transport backpressure, so the node calls it from its send
-	// helper goroutine, never from the main loop (Figure 2).
+	// helper goroutine, never from the main loop (Figure 2). It keeps
+	// nothing of m after it returns: the caller reuses the Message.
 	Send(dst int, m *Message) error
 	// Inbound is the merged stream of messages from all peers, fed by
-	// the transport's receive machinery.
-	Inbound() <-chan *Message
+	// the transport's receive machinery, by value.
+	Inbound() <-chan Message
 	// Metrics snapshots the transport's counters.
 	Metrics() TransportMetrics
 	// Close tears the transport down; Inbound is closed afterwards.

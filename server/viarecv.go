@@ -70,7 +70,8 @@ func (t *viaTransport) handleFrame(p *viaPeer, frame *recvBuf) {
 		frame.release()
 		return
 	}
-	m, err := decodeFrame(frame)
+	var m Message
+	err := t.cfg.names.decodeFrame(&m, frame)
 	// One rule for a frame we refuse, whether it does not decode or
 	// claims a sender that is not this channel's peer (From is a wire
 	// uint16 that indexes per-peer tables from here on, and over the UDP
@@ -103,8 +104,8 @@ func (t *viaTransport) handleFrame(p *viaPeer, frame *recvBuf) {
 // was last told.
 func (t *viaTransport) returnCredits(p *viaPeer, n uint64) {
 	if t.cfg.version.Flow == netmodel.StyleRegular {
-		flow := &Message{Type: core.MsgFlow, From: t.cfg.self, Credits: int32(n), Load: -1}
-		if err := t.sendRegular(p, flow, false); err != nil {
+		flow := Message{Type: core.MsgFlow, From: t.cfg.self, Credits: int32(n), Load: -1}
+		if err := t.sendRegular(p, &flow, false); err != nil {
 			// The flow message never left, so the peer will not learn
 			// these slots freed up. Take the count back so the next
 			// batch retries; dropping it deadlocks the sender once the
@@ -286,9 +287,10 @@ func (t *viaTransport) drainCtrlRing(p *viaPeer) bool {
 		progressed = true
 		// A slot that does not decode or names another sender is refused
 		// as handleFrame refuses a frame: dropped, and acknowledged below.
-		if m, err := DecodeMessage(payload); err == nil && m.From == p.id {
+		var m Message
+		if err := t.cfg.names.decodeInto(&m, payload); err == nil && m.From == p.id {
 			// payload is the ring's scratch, which the next poll reuses:
-			// Name is a copy already, a gossip digest is copied out here.
+			// Name never points into it, a gossip digest is copied out here.
 			if len(m.Data) > 0 {
 				m.Data = append([]byte(nil), m.Data...)
 			}
@@ -321,7 +323,7 @@ func (t *viaTransport) drainFileRing(p *viaPeer) bool {
 			t.ins.copied.Add(int64(len(arr.buf.b)))
 		}
 		progressed = true
-		m := &Message{
+		m := Message{
 			Type: core.MsgFile, From: p.id, Load: -1, ReqID: arr.reqID,
 			Data: arr.buf.b, Offset: 0, Total: uint32(len(arr.buf.b)), buf: arr.buf,
 		}

@@ -316,7 +316,7 @@ func expectInbound(t *testing.T, vt *viaTransport, load int32) {
 	t.Helper()
 	select {
 	case m := <-vt.Inbound():
-		if m == nil || m.Type != core.MsgLoad || m.Load != load {
+		if m.Type != core.MsgLoad || m.Load != load {
 			t.Fatalf("inbound %+v, want load %d", m, load)
 		}
 	case <-time.After(5 * time.Second):
@@ -442,7 +442,7 @@ func TestCtrlRingPollsDoNotAlias(t *testing.T) {
 	if err := <-connected; err != nil {
 		t.Fatal(err)
 	}
-	var got []*Message
+	var got []Message
 	for range digests {
 		select {
 		case m := <-vt.Inbound():

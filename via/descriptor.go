@@ -54,10 +54,10 @@ type Descriptor struct {
 	status DescStatus
 	xfer   int
 	err    error
-	// done is allocated lazily by the first Wait on an in-flight
-	// descriptor and closed (then cleared) by complete. Pollers that
-	// never block — the steady-state send path checks Status/Err — pay
-	// no channel allocation per reuse cycle.
+	// done is the completion signal: capacity one, made by the first
+	// blocking wait and kept, so reuse allocates it once. complete raises
+	// it without blocking; a signal may outlive the wait it was for, so a
+	// waiter takes a wake as "look again", never as "done".
 	done chan struct{}
 }
 
@@ -120,39 +120,56 @@ func (d *Descriptor) Wait(timeout time.Duration) error {
 // instead of arming a fresh timer per call it bounds the wait with
 // reused, which the caller owns and hands over stopped and drained, and
 // which is stopped and drained again when WaitTimer returns. A nil
-// reused arms a fresh timer, as Wait does.
+// reused arms a fresh timer, as Wait does. One waiter at a time. Only
+// the status ends the wait, looked at before the timer is armed and after
+// every wake: a signal left over from an earlier transfer costs one more
+// look, never an early return. The one counted site is done's make, once
+// per descriptor; the nil-timer path is gated.
+//
+//presslint:hotpath budget=1
 func (d *Descriptor) WaitTimer(reused *time.Timer, timeout time.Duration) error {
-	d.mu.Lock()
-	if d.status == DescDone || d.status == DescError {
-		err := d.err
-		d.mu.Unlock()
+	ch, finished, err := d.settled()
+	if finished {
 		return err
 	}
-	if d.done == nil {
-		d.done = make(chan struct{})
-	}
-	ch := d.done
-	d.mu.Unlock()
-	if timeout <= 0 {
-		<-ch
-		return d.Err()
-	}
 	t := reused
-	if t == nil {
-		t = time.NewTimer(timeout)
-		defer t.Stop()
-	} else {
-		t.Reset(timeout)
-	}
-	select {
-	case <-ch:
-		if reused != nil && !t.Stop() {
-			<-t.C
+	var expired <-chan time.Time
+	if timeout > 0 {
+		if t == nil {
+			//presslint:alloc-gated a one-off Wait; callers that wait transfer after transfer hand in their timer
+			t = time.NewTimer(timeout)
+		} else {
+			t.Reset(timeout)
 		}
-		return d.Err()
-	case <-t.C:
-		return ErrTimeout
+		expired = t.C
 	}
+	for {
+		select {
+		case <-ch:
+			if _, finished, err := d.settled(); finished {
+				if expired != nil && !t.Stop() {
+					<-t.C
+				}
+				return err
+			}
+		case <-expired:
+			return ErrTimeout
+		}
+	}
+}
+
+// settled returns the completion signal, made on first use, and whether
+// the descriptor has completed, with its error if so.
+func (d *Descriptor) settled() (done <-chan struct{}, finished bool, err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.status == DescDone || d.status == DescError {
+		return nil, true, d.err
+	}
+	if d.done == nil {
+		d.done = make(chan struct{}, 1)
+	}
+	return d.done, false, nil
 }
 
 // SetSegment points segment i of an idle or completed descriptor at a
@@ -198,8 +215,7 @@ func (d *Descriptor) markPosted() error {
 		return fmt.Errorf("via: descriptor already posted")
 	}
 	if d.status != DescIdle {
-		// Auto-reset completed descriptors on repost for convenience
-		// (complete already cleared the done channel).
+		// Auto-reset completed descriptors on repost for convenience.
 		d.err = nil
 		d.xfer = 0
 	}
@@ -221,10 +237,10 @@ func (d *Descriptor) complete(n int, err error) {
 		d.status = DescDone
 	}
 	done := d.done
-	d.done = nil
 	d.mu.Unlock()
-	if done != nil {
-		close(done)
+	select {
+	case done <- struct{}{}:
+	default: // no waiter yet, or a signal is already pending
 	}
 }
 

@@ -13,10 +13,10 @@ import (
 
 const testTimeout = 5 * time.Second
 
-// pair builds two connected reliable VIs on fresh NICs.
-func pair(t *testing.T, rel Reliability) (*Fabric, *NIC, *NIC, *VI, *VI) {
+// pair builds two connected VIs on fresh NICs of a fabric built with opts.
+func pair(t testing.TB, rel Reliability, opts ...FabricOption) (*Fabric, *NIC, *NIC, *VI, *VI) {
 	t.Helper()
-	f := NewFabric()
+	f := NewFabric(opts...)
 	t.Cleanup(f.Close)
 	na, err := f.CreateNIC("nodeA")
 	if err != nil {
@@ -947,6 +947,70 @@ func TestWaitTimerReuse(t *testing.T) {
 	}
 	if err := d.SetSegment(1, Segment{Region: src}); err == nil {
 		t.Error("SetSegment past the segment list accepted")
+	}
+}
+
+// TestWaitTimerIgnoresStaleSignal: a wait that times out leaves the
+// completion's signal behind when the transfer lands; the next wait on
+// the reused descriptor must take it as a reason to look, not as its own
+// completion, and return with the second transfer's status and count.
+func TestWaitTimerIgnoresStaleSignal(t *testing.T) {
+	const latency = 20 * time.Millisecond
+	_, na, nb, va, _ := pair(t, ReliableDelivery, WithLatency(latency))
+	dst, _ := nb.RegisterMemory(make([]byte, 8))
+	dst.EnableRemoteWrite()
+	src, _ := na.RegisterMemory([]byte("abcdefgh"))
+	d := MustDescriptor(Segment{Region: src, Len: 4})
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+
+	if err := va.PostRDMAWrite(d, dst.Handle(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WaitTimer(timer, latency/10); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("a wait shorter than the latency returned %v, want ErrTimeout", err)
+	}
+	for d.Status() == DescPosted {
+		time.Sleep(time.Millisecond)
+	}
+	if d.Transferred() != 4 {
+		t.Fatalf("first transfer moved %d bytes, want 4", d.Transferred())
+	}
+	if err := d.SetSegment(0, Segment{Region: src, Len: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if err := va.PostRDMAWrite(d, dst.Handle(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WaitTimer(timer, testTimeout); err != nil {
+		t.Fatalf("second wait: %v", err)
+	}
+	if s, n := d.Status(), d.Transferred(); s != DescDone || n != 8 {
+		t.Fatalf("the second wait returned at status %v with %d bytes moved; want done with 8", s, n)
+	}
+}
+
+// TestWaitTimerAllocs: once a descriptor has made its signal, a post and
+// a wait on it with a reused timer allocate nothing, sender and engine
+// included.
+func TestWaitTimerAllocs(t *testing.T) {
+	_, na, nb, va, _ := pair(t, ReliableDelivery)
+	dst, _ := nb.RegisterMemory(make([]byte, 8))
+	dst.EnableRemoteWrite()
+	src, _ := na.RegisterMemory([]byte("abcdefgh"))
+	d := MustDescriptor(Segment{Region: src, Len: 8})
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := va.PostRDMAWrite(d, dst.Handle(), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.WaitTimer(timer, testTimeout); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("post + WaitTimer allocates %.2f times per transfer, want 0", allocs)
 	}
 }
 
