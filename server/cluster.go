@@ -192,8 +192,9 @@ type Cluster struct {
 // running, HTTP listeners accepting. It is N StartNodes plus what one
 // process changes: Start picks the loopback addresses (every
 // intra-cluster listener is bound before the first dial), seats VIA
-// nodes on one fabric instead of bridging N over UDP, and returns only
-// when every pair is connected.
+// nodes on one fabric instead of bridging N over UDP, gives every node
+// the process's one Store, and returns only when every pair is
+// connected.
 func Start(c Config) (*Cluster, error) {
 	cfg, err := c.withDefaults()
 	if err != nil {
@@ -209,8 +210,9 @@ func Start(c Config) (*Cluster, error) {
 
 func (cl *Cluster) start() error {
 	addrs := make([]string, cl.cfg.Nodes)
+	store := NewStore(cl.cfg.Trace, cl.cfg.DiskDelay)
 	for i := range addrs {
-		pn := &ProcNode{cfg: cl.cfg}
+		pn := &ProcNode{cfg: cl.cfg, store: store}
 		pn.cfg.Mesh = &MeshConfig{Self: i, PeerAddrs: addrs}
 		cl.procs = append(cl.procs, pn)
 		if cl.cfg.Transport == TransportTCP {

@@ -141,8 +141,9 @@ func (r *replicatedDirectory) HandleMessage(m *Message) bool {
 func (r *replicatedDirectory) PeerDead(peer int) int { return r.d.PurgeNode(peer) }
 
 // dirSyncSegBytes caps one MsgDirSync segment's payload. Segments ride
-// the regular channel whole (only MsgFile is transport-chunked), so
-// they must fit any configuration's receive buffers; 16 KB does.
+// the VIA regular channel whole (only MsgFile is transport-chunked), and
+// that channel's frame bound is derived from this cap (peerLayout): on
+// V3-V5, where no file rides it, the segment is its largest payload.
 const dirSyncSegBytes = 16 << 10
 
 // PeerJoined replays this node's cache to a peer back from the dead as

@@ -358,7 +358,7 @@ func (v *lookupView) Cachers(id cache.FileID) cache.NodeSet {
 	return v.nodeView.Cachers(id)
 }
 
-func newNode(id int, cfg Config, tr Transport, nic *via.NIC) *Node {
+func newNode(id int, cfg Config, store *Store, tr Transport, nic *via.NIC) *Node {
 	// Overload control bounds the queues; disabled keeps them unbounded
 	// (the pre-overload behavior, byte for byte).
 	acceptQ, dispatchQ, diskQ := 256, 0, 0
@@ -370,7 +370,7 @@ func newNode(id int, cfg Config, tr Transport, nic *via.NIC) *Node {
 	n := &Node{
 		id:         id,
 		cfg:        cfg,
-		store:      NewStore(cfg.Trace, cfg.DiskDelay),
+		store:      store,
 		transport:  tr,
 		nic:        nic,
 		lru:        cache.NewLRU(cfg.CacheBytes),
@@ -1391,7 +1391,7 @@ func (n *Node) diskThread() {
 		if !ok {
 			return
 		}
-		data, err := n.store.Read(job.name)
+		data, err := n.store.read(job.name, n.cfg.DiskDelay)
 		select {
 		case n.diskDone <- diskDone{name: job.name, data: data, err: err}:
 		case <-n.stop:

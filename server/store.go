@@ -16,15 +16,16 @@ import (
 // so availability tooling can tell the two apart.
 var ErrNoSuchFile = errors.New("server: no such file")
 
-// Store is a node's local disk: the full site content, as every PRESS
-// node holds the whole document tree on its SCSI disk. Reads pay a
-// configurable artificial latency so cache locality matters even with
-// an in-memory backing store. A Store is immutable after NewStore, so
-// readers share it without a lock; the node counts its reads
-// (NodeStats.DiskReads).
+// Store is the site content every PRESS node holds on its local disk:
+// the whole document tree. It is one per process, not one per node: a
+// Store is immutable after NewStore, so the nodes of an in-process
+// cluster (Start) share one without a lock, and each still pays its own
+// disk delay and counts its own reads (NodeStats.DiskReads). Reads pay
+// an artificial latency so cache locality matters even with an
+// in-memory backing store.
 type Store struct {
 	files map[string][]byte
-	delay time.Duration
+	delay time.Duration // Read's; a node passes its own to read
 }
 
 // NewStore builds a store holding deterministic synthetic content for
@@ -57,19 +58,22 @@ func SynthesizeContent(name string, size int64) []byte {
 	return out
 }
 
-// Read returns the file content after the simulated disk delay, or an
-// error for unknown names. The returned slice is shared; callers must
-// not modify it.
-func (s *Store) Read(name string) ([]byte, error) {
+// Read returns the file content after the store's simulated disk delay,
+// or an error for unknown names. The returned slice is shared; callers
+// must not modify it.
+func (s *Store) Read(name string) ([]byte, error) { return s.read(name, s.delay) }
+
+// read is Read with the delay of the node reading.
+func (s *Store) read(name string, delay time.Duration) ([]byte, error) {
 	data, ok := s.files[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchFile, name)
 	}
-	if s.delay > 0 {
+	if delay > 0 {
 		// The simulated disk latency is the modelled workload delay (the
 		// paper's disk-bound working sets); via.Delay keeps a
 		// sub-millisecond one from being rounded up to the runtime's 1 ms.
-		via.Delay(s.delay)
+		via.Delay(delay)
 	}
 	return data, nil
 }

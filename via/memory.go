@@ -50,6 +50,14 @@ func (r *MemoryRegion) EnableRemoteWrite() {
 	r.remoteWrite = true
 }
 
+// RemoteWritable reports whether remote memory writes may land in the
+// region; a region is read-only to peers until EnableRemoteWrite.
+func (r *MemoryRegion) RemoteWritable() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.remoteWrite
+}
+
 // Read copies region bytes [off, off+len(dst)) into dst.
 func (r *MemoryRegion) Read(dst []byte, off int) error {
 	r.mu.Lock()
