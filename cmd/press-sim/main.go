@@ -23,8 +23,8 @@
 // With -chaos, press-sim runs a REAL VIA cluster (server.Start, HTTP on
 // loopback) under closed-loop client load while a seeded fault plan
 // partitions, heals, crashes, and restarts nodes, then reports
-// availability: error classes, failovers by reason, retries,
-// reconnects, and the final health view. Combine with -metrics for the
+// availability: error classes, failovers by reason, reconnects, send
+// errors, and the final health view. Combine with -metrics for the
 // full registry report and -trace-out to see failover annotations in
 // press-trace. -incident-out FILE arms a telemetry flight recorder
 // (100ms sampling) that writes a JSON incident report — the pre-fault
@@ -347,7 +347,7 @@ type chaosOpts struct {
 // out and the cluster has had a settle window to re-mesh, the load
 // stops and the run reports availability (error classes from the load
 // generator) plus the fault-tolerance counters: failovers by reason,
-// retries, reconnects, directory purges, heartbeats, and each node's
+// reconnects, directory purges, heartbeats, and each node's
 // final health view.
 func chaosRun(o chaosOpts) error {
 	traceName, requests, nodes, seed := o.traceName, o.requests, o.nodes, o.seed
@@ -583,7 +583,7 @@ func hottestNode(cl *server.Cluster, nodes int) int {
 // node's final health view of its peers.
 func chaosNodeTable(cl *server.Cluster, reg *metrics.Registry, nodes int) {
 	fmt.Println()
-	t := stats.NewTable("Node", "Failovers", "Retries", "Reconnects", "Purged",
+	t := stats.NewTable("Node", "Failovers", "Reconnects", "Purged",
 		"HB sent", "HB missed", "Send errs", "Peers not alive")
 	reasons := []string{"peer-dead", "send-error", "timeout"}
 	byReason := make(map[string]int64, len(reasons))
@@ -617,7 +617,6 @@ func chaosNodeTable(cl *server.Cluster, reg *metrics.Registry, nodes int) {
 			view += " (degraded)"
 		}
 		t.AddRowf(i, failovers,
-			reg.Counter("press_retries_total", node).Value(),
 			reg.Counter("press_reconnects_total", node).Value(),
 			reg.Counter("press_dir_purged_total", node).Value(),
 			reg.Counter("press_heartbeats_sent_total", node).Value(),

@@ -12,9 +12,10 @@ import (
 // it burns the CPU the event loop needs, hammers the peer's receive
 // machinery just when it is least able to absorb it, and — when many
 // nodes retry the same dead peer — synchronizes into a thundering
-// herd. Every transient-failure retry in this codebase goes through
-// the bounded, jittered backoff of server/retry.go (or an explicit
-// time.After pause); this analyzer keeps it that way.
+// herd. The server retries a failed send only on a fresh channel (the
+// transports' bounded supersede bounce) and fails over otherwise; every
+// loop that waits for a peer to come back is paced. This analyzer keeps
+// it that way.
 //
 // A loop is a retry loop when the error of a transport call (the
 // unchecked-comms-error call set) steers another attempt:
@@ -40,8 +41,8 @@ var retryWithoutBackoff = &Analyzer{
 }
 
 // pauseCalls are callee names that put time between attempts. "next"
-// covers the backoff schedule of server/retry.go (bo.next()); the Wait
-// family covers loops paced by NIC completions.
+// covers a backoff schedule (bo.next()); the Wait family covers loops
+// paced by NIC completions.
 var pauseCalls = map[string]bool{
 	"Sleep":     true,
 	"After":     true,
@@ -73,7 +74,7 @@ func runRetryWithoutBackoff(p *Package, f *File) []Finding {
 				File:     f.Name,
 				Line:     p.line(loop.Pos()),
 				Analyzer: retryWithoutBackoffName,
-				Message:  fmt.Sprintf("retry loop re-issues %s with no backoff; pause between attempts (server/retry.go newBackoff, or time.After) or fail over", name),
+				Message:  fmt.Sprintf("retry loop re-issues %s with no backoff; pause between attempts (a backoff schedule, or time.After) or fail over", name),
 			})
 		}
 		return true

@@ -87,8 +87,9 @@ TestClusterTrac|./server
 TestRunTracing|./cluster
 # The fault-tolerance layer is where the concurrency is hardest: the
 # health state machine, failover of in-flight forwards, and fabric-level
-# chaos all race the main loops by construction.
-Chaos|Failover|Health|./server/... ./cluster/...
+# chaos all race the main loops by construction. Every way a forward
+# ends, and the dead peer nothing is queued for, ride along.
+Chaos|Failover|Health|ForwardEndsOnce|NoSendToDeadPeer|./server/... ./cluster/...
 # The overload layer races admission, deadline expiry, and brownout
 # against the main loops at 2x saturation by design; the open-loop
 # generator tests ride along.
@@ -155,6 +156,16 @@ if go list -f '{{join .Imports "\n"}}' ./core | grep -E '^press/(server|cluster|
 fi
 if grep -n 'time\.Now' $(ls core/*.go | grep -v _test.go); then
     echo "check: core reads the wall clock" >&2
+    exit 1
+fi
+
+# A forward leaves the pending table in one place (Node.leavePending):
+# every ending and every failover goes through it, so the pace sample
+# and the span can never be skipped by a new exit.
+echo "==> one exit from pending"
+exits=$(cat $(ls server/*.go | grep -v _test.go) | grep -c 'delete(n.pending')
+if [ "$exits" -ne 1 ]; then
+    echo "check: delete(n.pending appears $exits times in server/, want 1" >&2
     exit 1
 fi
 

@@ -397,48 +397,6 @@ func TestChaosNeedsVIA(t *testing.T) {
 	}
 }
 
-// TestFailoverSendErrorWithoutHealth: with health disabled, a failed
-// forward still fails the owning client request promptly instead of
-// hanging it until the client timeout (the seed's sender-loop bug).
-func TestFailoverSendErrorWithoutHealth(t *testing.T) {
-	const nodes = 3
-	cfg, tr, _ := chaosClusterConfig(t, nodes)
-	cfg.Health = HealthConfig{Disabled: true}
-	cl, err := Start(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	for i, f := range tr.Files {
-		if _, err := Fetch(cl.URL(i%nodes), f.Name); err != nil {
-			t.Fatalf("warmup: %v", err)
-		}
-	}
-	if err := cl.PartitionNode(2); err != nil {
-		t.Fatal(err)
-	}
-	// Requests that the policy would forward to the dead node must come
-	// back quickly — as errors (no failover machinery) — rather than
-	// hanging for the 30s client timeout.
-	deadline := time.Now().Add(10 * time.Second)
-	sawError := false
-	for time.Now().Before(deadline) && !sawError {
-		for _, f := range tr.Files {
-			start := time.Now()
-			_, err := Fetch(cl.URL(0), f.Name)
-			if el := time.Since(start); el > 10*time.Second {
-				t.Fatalf("request took %v with health disabled", el)
-			}
-			if err != nil {
-				sawError = true
-			}
-		}
-	}
-	if !sawError {
-		t.Skip("policy never forwarded to the dead node; nothing to assert")
-	}
-}
-
 // TestFailoverPromoteKicksPoller pins the one reconnect interleaving in
 // which only promote's kick stands between a fresh channel and silence:
 // the re-dialing peer's setup frame is handled while the channel is

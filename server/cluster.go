@@ -86,8 +86,8 @@ type Config struct {
 	// (default DefaultRMWTimeout). Expiry surfaces as *RMWTimeoutError,
 	// distinguishable from a hard via.ErrLinkDown.
 	RMWTimeout time.Duration
-	// Health tunes failure detection and failover; zero value selects
-	// the defaults, Health.Disabled turns the subsystem off.
+	// Health tunes failure detection and failover; the zero value
+	// selects the defaults.
 	Health HealthConfig
 	// Overload tunes admission control, deadline propagation, and
 	// slow-peer brownout; the zero value (Enabled false) keeps the

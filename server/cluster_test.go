@@ -294,9 +294,10 @@ func TestClusterDissemination(t *testing.T) {
 		t.Run(st.String(), func(t *testing.T) {
 			cfg := testClusterConfig(tr, TransportVIA)
 			cfg.Dissemination = st
-			// Idle heartbeats ride on load messages; disable health so the
-			// dissemination strategy alone decides the MsgLoad count.
-			cfg.Health.Disabled = true
+			// Idle heartbeats ride on load messages; space them an hour
+			// apart so the dissemination strategy alone decides the
+			// MsgLoad count.
+			cfg.Health.HeartbeatInterval = time.Hour
 			cl, err := Start(cfg)
 			if err != nil {
 				t.Fatal(err)

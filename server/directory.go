@@ -57,7 +57,7 @@ type dirEnv struct {
 	nodes     int
 	files     int
 	oblivious bool
-	send      func(dst int, m Message)
+	send      func(dst int, m Message) bool
 	fileName  func(id cache.FileID) string
 	fileID    func(name string) (cache.FileID, bool)
 	// localFiles iterates the node's currently cached files.

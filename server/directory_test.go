@@ -16,11 +16,12 @@ type fakeDirNet struct {
 	}
 }
 
-func (f *fakeDirNet) send(dst int, m Message) {
+func (f *fakeDirNet) send(dst int, m Message) bool {
 	f.sent = append(f.sent, struct {
 		dst int
 		m   *Message
 	}{dst, &m})
+	return true
 }
 
 func (f *fakeDirNet) drain() []struct {

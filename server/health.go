@@ -45,11 +45,10 @@ func (s NodeState) String() string {
 	return fmt.Sprintf("NodeState(%d)", int32(s))
 }
 
-// HealthConfig tunes failure detection. The zero value selects the
-// defaults; Disabled turns the subsystem off (no heartbeats, every peer
-// permanently considered alive — the pre-fault-tolerance behavior).
+// HealthConfig tunes failure detection, which runs on every node with a
+// peer to forward to. The zero value selects the defaults; a long
+// HeartbeatInterval keeps an idle fabric silent.
 type HealthConfig struct {
-	Disabled bool
 	// HeartbeatInterval is the maximum quiet period before a node sends
 	// an idle heartbeat to a peer. Default 250ms.
 	HeartbeatInterval time.Duration
@@ -167,7 +166,7 @@ func newHealthTracker(self, n int, cfg HealthConfig, seed int64, reg *metrics.Re
 // the peer was dead and must be re-integrated (caching view re-seeded,
 // load re-learned).
 func (h *healthTracker) noteRecv(peer int, now time.Time) (resurrected bool) {
-	if h.cfg.Disabled || peer == h.self || peer < 0 || peer >= len(h.state) {
+	if peer == h.self || peer < 0 || peer >= len(h.state) {
 		return false
 	}
 	h.lastRecv[peer] = now
@@ -180,10 +179,11 @@ func (h *healthTracker) noteRecv(peer int, now time.Time) (resurrected bool) {
 	return resurrected
 }
 
-// noteSendFault records a hard send failure towards peer: immediate
-// suspicion, without waiting for the silence thresholds.
+// noteSendFault records a send failure towards peer that is not
+// evidence of death: immediate suspicion, without waiting for the
+// silence thresholds.
 func (h *healthTracker) noteSendFault(peer int) {
-	if h.cfg.Disabled || peer == h.self || peer < 0 || peer >= len(h.state) {
+	if peer == h.self || peer < 0 || peer >= len(h.state) {
 		return
 	}
 	if h.state[peer] == StateAlive {
@@ -195,7 +195,7 @@ func (h *healthTracker) noteSendFault(peer int) {
 // markDead forces the peer dead immediately (hard evidence: its channel
 // failed). Returns true if this was a transition.
 func (h *healthTracker) markDead(peer int, now time.Time) bool {
-	if h.cfg.Disabled || peer == h.self || peer < 0 || peer >= len(h.state) || h.state[peer] == StateDead {
+	if peer == h.self || peer < 0 || peer >= len(h.state) || h.state[peer] == StateDead {
 		return false
 	}
 	h.setState(peer, StateDead)
@@ -217,9 +217,6 @@ func (h *healthTracker) markAlive(peer int, now time.Time) {
 // state first; the caller reacts (suspect: nothing yet; dead: purge and
 // fail over).
 func (h *healthTracker) tick(now time.Time) []healthTransition {
-	if h.cfg.Disabled {
-		return nil
-	}
 	var out []healthTransition
 	for p := range h.state {
 		if p == h.self {
@@ -248,7 +245,7 @@ func (h *healthTracker) tick(now time.Time) []healthTransition {
 // traffic sent to it within HeartbeatInterval. Dead peers are probed,
 // not heartbeated — their channel is gone.
 func (h *healthTracker) heartbeatDue(peer int, now time.Time) bool {
-	if h.cfg.Disabled || peer == h.self || h.state[peer] == StateDead {
+	if peer == h.self || h.state[peer] == StateDead {
 		return false
 	}
 	return now.Sub(h.lastSent[peer]) >= h.cfg.HeartbeatInterval
@@ -265,7 +262,7 @@ func (h *healthTracker) noteSent(peer int, now time.Time) {
 // probeDue reports whether a reconnect probe to a dead peer is owed,
 // and advances the backoff schedule when it is.
 func (h *healthTracker) probeDue(peer int, now time.Time) bool {
-	if h.cfg.Disabled || h.state[peer] != StateDead || now.Before(h.probeAt[peer]) {
+	if h.state[peer] != StateDead || now.Before(h.probeAt[peer]) {
 		return false
 	}
 	h.scheduleProbe(peer, now)

@@ -113,25 +113,6 @@ func TestHealthSendFaultAndMarkDead(t *testing.T) {
 	}
 }
 
-func TestHealthDisabled(t *testing.T) {
-	cfg := testHealthConfig(t)
-	cfg.Disabled = true
-	h := newHealthTracker(0, 2, cfg, 1, nil)
-	if trs := h.tick(time.Now().Add(time.Hour)); trs != nil {
-		t.Errorf("disabled tracker transitioned: %+v", trs)
-	}
-	h.noteSendFault(1)
-	if h.markDead(1, time.Now()) {
-		t.Error("disabled tracker marked a peer dead")
-	}
-	if got := h.State(1); got != StateAlive {
-		t.Errorf("state = %v", got)
-	}
-	if h.heartbeatDue(1, time.Now().Add(time.Hour)) {
-		t.Error("disabled tracker owes heartbeats")
-	}
-}
-
 func TestHealthHeartbeatAndProbeSchedule(t *testing.T) {
 	cfg := testHealthConfig(t)
 	h := newHealthTracker(0, 2, cfg, 1, nil)
@@ -181,35 +162,6 @@ func TestNodeStateString(t *testing.T) {
 	}
 }
 
-func TestBackoffSchedule(t *testing.T) {
-	bo := newBackoff(7)
-	var pauses []time.Duration
-	for {
-		d, ok := bo.next()
-		if !ok {
-			break
-		}
-		pauses = append(pauses, d)
-	}
-	if len(pauses) != retryAttempts-1 {
-		t.Fatalf("%d pauses for %d attempts", len(pauses), retryAttempts)
-	}
-	for i, d := range pauses {
-		step := time.Duration(retryBase) << i
-		if step > retryCap {
-			step = retryCap
-		}
-		if d < step/2 || d > step {
-			t.Errorf("pause %d = %v outside [%v, %v]", i, d, step/2, step)
-		}
-	}
-	// Deterministic across resets with the same seed state path.
-	bo.reset()
-	if _, ok := bo.next(); !ok {
-		t.Error("reset did not rewind the schedule")
-	}
-}
-
 // TestSleeper: the one reusable pause timer waits its time out, and gives
 // up at once when stopped — also on the turn after a stop, when a stale
 // tick must not cut the wait short.
@@ -230,24 +182,6 @@ func TestSleeper(t *testing.T) {
 	}
 	if e := time.Since(start); e > time.Second {
 		t.Fatalf("stopped sleep took %v", e)
-	}
-}
-
-func TestTransientSendErrClassification(t *testing.T) {
-	transient := []error{via.ErrQueueFull, via.ErrNoRecvDescriptor, errSuperseded}
-	hard := []error{via.ErrLinkDown, via.ErrBroken, via.ErrClosed, ErrPeerDown, errors.New("other")}
-	for _, err := range transient {
-		if !transientSendErr(err) {
-			t.Errorf("%v classified hard", err)
-		}
-	}
-	for _, err := range hard {
-		if transientSendErr(err) {
-			t.Errorf("%v classified transient", err)
-		}
-	}
-	if transientSendErr(nil) {
-		t.Error("nil classified transient")
 	}
 }
 

@@ -449,7 +449,7 @@ func TestMeshSymmetricPeerDown(t *testing.T) {
 // the receiver never drains, so its inbound queue and then the socket
 // buffers fill — and seats a replacement connection underneath it, as a
 // completed re-dial does. A reconnect proves the peer alive: the old
-// connection must fail as superseded (transient, not ErrPeerDown), and
+// connection must fail as superseded (not a hard error), and
 // the parked send must bounce to the fresh connection and succeed. (The
 // replacement is seated by hand so that this side retires the old
 // connection first; when the far side's close wins that race the send
@@ -503,8 +503,8 @@ func TestMeshSendAcrossRedial(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the parked send never completed on the fresh connection")
 	}
-	if err := old.down(); !errors.Is(err, errSuperseded) || errors.Is(err, ErrPeerDown) || !transientSendErr(err) {
-		t.Fatalf("replaced connection failed with %v, want transient errSuperseded", err)
+	if err := old.down(); !errors.Is(err, errSuperseded) || hardSendErr(err) {
+		t.Fatalf("replaced connection failed with %v, want errSuperseded, which is not hard", err)
 	}
 }
 

@@ -229,7 +229,7 @@ func TestViaPollThreadIsEventDriven(t *testing.T) {
 			cfg := testClusterConfig(tr, TransportVIA)
 			cfg.Nodes = 4
 			cfg.Version = netmodel.Versions()[5]
-			cfg.Health.Disabled = true // heartbeats are traffic; this test wants none
+			cfg.Health.HeartbeatInterval = time.Hour // heartbeats are traffic; this test wants none
 			var reg *metrics.Registry
 			if withRegistry {
 				reg = metrics.NewRegistry()

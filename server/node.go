@@ -113,23 +113,22 @@ type diskWaiter struct {
 // the node currently serving the request; tried accumulates every node
 // the request has been dispatched to so a failover never bounces back;
 // deadline re-dispatches the request even without a detected death.
-// A replica pull rides the same machinery with no client attached
-// (replicate true, req nil): nothing re-dispatches it, and finish lands
-// it in the cache instead of an HTTP response. file is what was asked
-// for, so a reply is checked against the size stored for it; buf is the
-// reassembly buffer of a reply that comes in more than one chunk, of
-// which received bytes are in place.
+// A replica pull rides the same machinery with no client attached (req
+// nil): nothing re-dispatches it, and finish lands it in the cache
+// instead of an HTTP response. file is what was asked for, so a reply
+// is checked against the size stored for it; buf is the reassembly
+// buffer of a reply that comes in more than one chunk, of which
+// received bytes are in place.
 type pendingRemote struct {
-	req       *clientRequest
-	file      cache.FileID
-	buf       *recvBuf
-	received  int
-	span      *tracing.Span
-	dst       int
-	tried     cache.NodeSet
-	deadline  time.Time
-	sentAt    time.Time // dispatch time of the current forward (brownout latency sample)
-	replicate bool
+	req      *clientRequest
+	file     cache.FileID
+	buf      *recvBuf
+	received int
+	span     *tracing.Span
+	dst      int
+	tried    cache.NodeSet
+	deadline time.Time
+	sentAt   time.Time // dispatch time of the current forward (brownout latency sample)
 }
 
 // sendFailure is the send thread's report of a delivery it gave up on,
@@ -166,7 +165,6 @@ type nodeInstruments struct {
 	// Fault-tolerance families. sendErrs is indexed by message type
 	// (press_node_send_errors_total{node,type}); failovers by reason.
 	sendErrs  [core.NumMsgTypes]*metrics.Counter
-	retries   *metrics.Counter
 	failovers map[string]*metrics.Counter
 	purged    *metrics.Counter
 	degraded  *metrics.Gauge
@@ -195,7 +193,6 @@ func newNodeInstruments(r *metrics.Registry, id int) nodeInstruments {
 		replPulls:  counterIn(r, "press_replica_pulls_total", node),
 		replDrops:  counterIn(r, "press_replica_drops_total", node),
 
-		retries:   r.Counter("press_retries_total", node),
 		purged:    r.Counter("press_dir_purged_total", node),
 		degraded:  r.Gauge("press_degraded", node),
 		failovers: make(map[string]*metrics.Counter, 4),
@@ -288,8 +285,12 @@ type Node struct {
 	// pb mirrors diss.Piggyback() for the send thread (immutable).
 	pb bool
 
-	// Fault tolerance, owned by the main loop except where noted.
+	// Fault tolerance, owned by the main loop except where noted. Health
+	// runs wherever there is a peer to forward to (healthOn): more than
+	// one node, and not content-oblivious — the baseline PRESS is
+	// measured against does no intra-cluster communication at all.
 	health   *healthTracker
+	healthOn bool
 	degraded bool // all peers dead: content-oblivious fallback
 	probing  []bool
 	degFlag  atomic.Bool // published copy of degraded
@@ -398,6 +399,7 @@ func newNode(id int, cfg Config, store *Store, tr Transport, nic *via.NIC) *Node
 		tel:        cfg.Telemetry,
 	}
 	n.health = newHealthTracker(id, cfg.Nodes, cfg.Health, retrySeed, cfg.Metrics)
+	n.healthOn = cfg.Nodes > 1 && !cfg.ContentOblivious
 	n.ov = newOverloadCtl(cfg, id)
 	if !cfg.ContentOblivious {
 		n.repl = core.NewReplicator(cfg.Replication, id, cfg.Nodes, len(cfg.Trace.Files),
@@ -471,9 +473,9 @@ func (n *Node) mainLoop() {
 	inbound := n.transport.Inbound()
 	var m Message // every message is received here; see handleMessage
 	var ok bool
-	// The periodic tick drives failure detection (heartbeats, probes,
-	// overdue-reply failover) and the overload layer's expired-pending
-	// sweep; a nil channel (both subsystems off) removes the case
+	// The periodic tick sweeps pending forwards (expired deadlines,
+	// overdue replies) and drives failure detection (heartbeats, probes);
+	// a nil channel (nothing ticks on this node) removes the case
 	// entirely.
 	var tickCh <-chan time.Time
 	if interval := n.tickInterval(); interval > 0 {
@@ -501,11 +503,9 @@ func (n *Node) mainLoop() {
 		case sf := <-n.sendFailCh:
 			n.handleSendFailure(sf)
 		case now := <-tickCh:
-			if n.healthActive() {
+			n.sweepPending(now)
+			if n.healthOn {
 				n.healthTick(now)
-			}
-			if n.ov.on {
-				n.overloadTick(now)
 			}
 			n.replTick(now)
 			n.dir.Tick(now)
@@ -524,7 +524,7 @@ func (n *Node) tickInterval() time.Duration {
 			interval = d
 		}
 	}
-	if n.healthActive() {
+	if n.healthOn {
 		lower(n.cfg.Health.HeartbeatInterval / 2)
 	}
 	if n.ov.on {
@@ -560,19 +560,8 @@ func (n *Node) gossipTick(now time.Time) {
 	digest := n.diss.Digest(nil)
 	n.gossipDst = n.diss.GossipTargets(n.gossipDst)
 	for _, dst := range n.gossipDst {
-		if n.health.isDead(dst) {
-			continue
-		}
 		n.send(dst, Message{Type: core.MsgLoad, Load: int32(n.diss.Load()), Data: digest})
 	}
-}
-
-// healthActive reports whether failure detection runs on this node. A
-// content-oblivious cluster does no intra-cluster communication at all
-// — the baseline PRESS is measured against — so it gets no heartbeats
-// either.
-func (n *Node) healthActive() bool {
-	return !n.cfg.Health.Disabled && n.cfg.Nodes > 1 && !n.cfg.ContentOblivious
 }
 
 // handleClient's five budgeted sites: the directory's call of lookedUp
@@ -637,11 +626,9 @@ func (n *Node) dispatchDecided(r *clientRequest, id cache.FileID, cachers cache.
 	if dst != n.id && !n.health.isDead(dst) && !n.ovAllowForward(dst, time.Now()) {
 		// The chosen service node is browned out (slow but alive): route
 		// around it without touching its directory entries — next-best
-		// cacher, else local disk.
+		// healthy cacher, else local disk.
 		r.span.Annotate("brownout-redirect", int64(dst))
-		if alt := n.pickRedirect(id, dst); alt >= 0 {
-			dst = alt
-		} else {
+		if dst = n.pickFailover(id, cache.NodeSetOf(n.id, dst)); dst < 0 || n.ovBrowned(dst) {
 			dst = n.id
 		}
 	}
@@ -650,21 +637,9 @@ func (n *Node) dispatchDecided(r *clientRequest, id cache.FileID, cachers cache.
 		return
 	}
 	n.m.forward.Inc()
-	n.nextReqID++
-	reqID := n.nextReqID
 	fwd := r.span.StartChild("forward")
 	fwd.Annotate("dst", int64(dst))
-	p := &pendingRemote{req: r, file: id, span: fwd, dst: dst,
-		tried: cache.NodeSetOf(n.id, dst)}
-	now := time.Now()
-	p.sentAt = now
-	if n.healthActive() {
-		p.deadline = now.Add(n.cfg.Health.FailoverTimeout)
-	}
-	n.pending[reqID] = p
-	n.ovForwardSent(dst, now)
-	n.send(dst, Message{Type: core.MsgForward, ReqID: reqID, Name: r.name,
-		TraceID: fwd.Trace(), ParentSpan: fwd.ID(), deadline: r.deadline})
+	n.startForward(&pendingRemote{req: r, file: id, span: fwd, tried: cache.NodeSetOf(n.id)}, dst)
 }
 
 // fileResult answers with data as file id; bytes that are not the stored
@@ -804,7 +779,7 @@ func (n *Node) sendFile(dst int, reqID uint64, id cache.FileID, data []byte, par
 func (n *Node) handleMessage(m *Message) {
 	// Every message from a peer is proof of life; a resurrection means
 	// the peer must be re-integrated into the caching view.
-	if n.healthActive() && m.From != n.id {
+	if n.healthOn && m.From != n.id {
 		if n.health.noteRecv(m.From, time.Now()) {
 			n.reintegrate(m.From)
 		}
@@ -855,17 +830,15 @@ func (n *Node) peerLeft(peer int, epoch uint64) {
 		return
 	}
 	n.tel.Event(telemetry.EvPeerLeave, n.id, peer, "leave announced", int64(epoch))
-	if !n.healthActive() {
-		return
-	}
 	if n.health.markDead(peer, time.Now()) {
 		n.onPeerDead(peer, failoverPeerLeft)
 	}
 }
 
 // AnnounceLeave queues a leave announcement to every peer not already
-// known dead, then waits (bounded) so the send thread has a chance to
-// put the messages on the wire before the caller tears the node down.
+// known dead (send skips those), then waits (bounded) so the send thread
+// has a chance to put the messages on the wire before the caller tears
+// the node down.
 func (n *Node) AnnounceLeave(timeout time.Duration) {
 	var epoch uint64
 	if et, ok := n.transport.(epochTransport); ok {
@@ -874,10 +847,9 @@ func (n *Node) AnnounceLeave(timeout time.Duration) {
 	queued := make(chan struct{})
 	n.inject(func() {
 		for p := 0; p < n.cfg.Nodes; p++ {
-			if p == n.id || (n.healthActive() && n.health.isDead(p)) {
-				continue
+			if p != n.id {
+				n.send(p, Message{Type: core.MsgLeave, Data: encodeLeave(epoch)})
 			}
-			n.send(p, Message{Type: core.MsgLeave, Data: encodeLeave(epoch)})
 		}
 		close(queued)
 	})
@@ -938,6 +910,9 @@ func (n *Node) handleForward(m *Message) {
 		span: srv.StartChild("disk"), serve: srv, deadline: deadline})
 }
 
+// errCorruptReply ends a forward whose reply is not the stored file.
+var errCorruptReply = errors.New("server: corrupt file reply")
+
 // handleFileChunk takes in a file reply and answers the waiting client.
 // A message that is the whole file — every RMW transfer, every regular
 // or TCP reply of up to one chunk — is adopted: its receive buffer
@@ -948,8 +923,9 @@ func (n *Node) handleForward(m *Message) {
 func (n *Node) handleFileChunk(m *Message) {
 	p := n.pending[m.ReqID]
 	if p == nil || m.From != p.dst {
-		// Unknown request, or a stale reply from a node the request
-		// already failed over away from.
+		// Unknown request — a reply to a forward that has ended, or that
+		// failed over and went out again under a fresh id — or a reply
+		// from a node the forward was not sent to.
 		return
 	}
 	// Total and Offset are socket input (TCP mesh, UDP-bridged VIA) and
@@ -959,12 +935,7 @@ func (n *Node) handleFileChunk(m *Message) {
 	if int64(m.Total) != n.files[p.file].Size || int(m.Offset) != p.received ||
 		len(m.Data) > int(m.Total)-p.received {
 		n.m.errors.Inc()
-		delete(n.pending, m.ReqID)
-		if n.ov.on {
-			now := time.Now()
-			n.ovForwardFailed(p.dst, now.Sub(p.sentAt), now)
-		}
-		p.finish(n, clientResult{err: fmt.Errorf("server: corrupt file reply")})
+		n.endForward(m.ReqID, p, clientResult{err: errCorruptReply})
 		return
 	}
 	res := n.fileResult(p.file, m.Data, m.buf)
@@ -980,13 +951,7 @@ func (n *Node) handleFileChunk(m *Message) {
 		}
 		res = n.fileResult(p.file, p.buf.b, p.buf)
 	}
-	delete(n.pending, m.ReqID)
-	if n.ov.on {
-		now := time.Now()
-		n.ovForwardDone(p.dst, now.Sub(p.sentAt), now)
-	}
-	p.span.Annotate("bytes", int64(m.Total))
-	p.finish(n, res)
+	n.endForward(m.ReqID, p, res)
 }
 
 // loadChange tracks open client connections, broadcasting under the
@@ -1006,35 +971,39 @@ func (n *Node) loadChange(delta int) {
 	}
 }
 
-// send queues a message, by value, for the send thread. Any outbound
-// message doubles as a heartbeat, so the tracker learns it was sent. A
-// full (bounded) dispatch queue sheds by message class instead of
-// growing without bound; see ovShedDispatch. The queue's growth and the
+// send queues a message, by value, for the send thread — unless dst is
+// a peer this node has declared dead: routing already avoids it, its
+// channel has been failed, and it comes back only through markAlive,
+// after which PeerJoined replays the directory, so nothing queued for it
+// meanwhile is owed. Any outbound message doubles as a heartbeat, so the
+// tracker learns it was sent. A full (bounded) dispatch queue sheds the
+// message instead of growing without bound. queued reports whether the
+// message went out; only startForward looks. The queue's growth and the
 // shed are gated: no site is counted.
 //
 //presslint:hotpath budget=0
-func (n *Node) send(dst int, m Message) {
+func (n *Node) send(dst int, m Message) (queued bool) {
+	if n.health.isDead(dst) {
+		return false
+	}
 	m.From = n.id
-	if n.healthActive() {
-		n.health.noteSent(dst, time.Now())
-	}
+	n.health.noteSent(dst, time.Now())
 	if !n.sendQ.push(outMsg{dst: dst, msg: m}) {
-		n.ovShedDispatch(dst, m.Type, m.ReqID)
+		n.ov.im.shedInc(shedQueueDispatch, shedReasonFull)
+		return false
 	}
+	return true
 }
 
 // sendThread drains the send queue, stamping the piggy-backed load and
-// calling the (possibly blocking) transport. Transient failures — a
-// momentarily full queue, a dropped unreliable frame — are retried in
-// place with capped, jittered backoff; hard faults and exhausted
-// budgets are counted per message type and reported to the main loop,
-// which owns the health state and fails the owning request over instead
-// of silently dropping it. Every message is popped into item, lent to Send.
+// calling the (possibly blocking) transport once per message: the
+// transports' supersede bounce is the one retry. A failure is counted per
+// message type and reported to the main loop, which owns the health
+// state and fails the owning forward over instead of silently dropping
+// it. Every message is popped into item, lent to Send.
 func (n *Node) sendThread() {
 	defer n.wg.Done()
 	pb := n.pb
-	bo := newBackoff(int64(n.id))
-	var pause sleeper
 	var item outMsg
 	for {
 		var ok bool
@@ -1069,18 +1038,6 @@ func (n *Node) sendThread() {
 		ns := n.trc.StartSpan("net-send", item.msg.TraceID, item.msg.ParentSpan)
 		ns.AnnotateStr("type", item.msg.Type.String())
 		err := n.transport.Send(item.dst, &item.msg)
-		for bo.reset(); err != nil && transientSendErr(err); {
-			d, more := bo.next()
-			if !more {
-				break
-			}
-			n.m.retries.Inc()
-			if !pause.sleep(d, n.stop) {
-				ns.End()
-				return
-			}
-			err = n.transport.Send(item.dst, &item.msg)
-		}
 		ns.End()
 		if err == nil {
 			continue
@@ -1099,65 +1056,43 @@ func (n *Node) sendThread() {
 	}
 }
 
-// handleSendFailure reacts to a delivery the send thread gave up on.
-// Hard channel faults are evidence of death; anything else is grounds
-// for suspicion. A failed forward is re-dispatched immediately — the
-// client must not ride out its full timeout for a message that never
-// left this node.
+// handleSendFailure reacts to a message the send thread could not
+// deliver, in this order. An expired one ran out of budget in our own
+// send queue — not the peer's fault — and its forward ends. A hard
+// channel fault (hardSendErr) is evidence of death; anything else is
+// grounds for suspicion. A forward whose send failed then fails over:
+// the client must not ride out its full timeout for a message that
+// never left this node.
 func (n *Node) handleSendFailure(sf sendFailure) {
-	if errors.Is(sf.err, ErrDeadlineExpired) {
-		// The budget ran out in the send queue — our own backlog, not
-		// the peer's fault: no health suspicion. Answer the owning
-		// request promptly; an expired file reply just vanishes (the
-		// origin's own deadline sweep covers it).
+	expired := errors.Is(sf.err, ErrDeadlineExpired)
+	switch {
+	case expired:
 		n.ov.im.expiredInc(dlStageSend)
-		if sf.msg.Type != core.MsgForward {
-			return
+	case hardSendErr(sf.err):
+		n.m.errors.Inc()
+		if n.health.markDead(sf.dst, time.Now()) {
+			n.onPeerDead(sf.dst, failoverSendError)
 		}
-		p := n.pending[sf.msg.ReqID]
-		if p == nil || p.dst != sf.dst {
-			return
-		}
-		delete(n.pending, sf.msg.ReqID)
-		now := time.Now()
-		n.ovForwardFailed(sf.dst, now.Sub(p.sentAt), now)
-		p.span.AnnotateStr("deadline-expired", dlStageSend)
-		p.finish(n, clientResult{err: fmt.Errorf("%w (%s)", ErrDeadlineExpired, dlStageSend)})
-		return
-	}
-	n.m.errors.Inc()
-	if n.healthActive() {
-		hard := errors.Is(sf.err, ErrPeerDown) || errors.Is(sf.err, via.ErrLinkDown) ||
-			errors.Is(sf.err, via.ErrBroken)
-		if hard {
-			if n.health.markDead(sf.dst, time.Now()) {
-				n.onPeerDead(sf.dst, failoverSendError)
-			}
-		} else {
-			n.health.noteSendFault(sf.dst)
-		}
-	}
-	if sf.msg.Type != core.MsgForward {
-		return
+	default:
+		n.m.errors.Inc()
+		n.health.noteSendFault(sf.dst)
 	}
 	p := n.pending[sf.msg.ReqID]
-	if p == nil || p.dst != sf.dst {
+	if sf.msg.Type != core.MsgForward || p == nil || p.dst != sf.dst {
+		// Not a forward (an expired file reply just vanishes; the origin's
+		// own sweep covers it), or one the peer's death has failed over.
 		return
 	}
-	if !n.healthActive() {
-		// No failover machinery: fail the owning request promptly
-		// instead of letting the client time out.
-		delete(n.pending, sf.msg.ReqID)
-		p.span.AnnotateStr("error", sf.err.Error())
-		p.finish(n, clientResult{err: fmt.Errorf("server: forward to node %d: %w", sf.dst, sf.err)})
+	if expired {
+		n.endForward(sf.msg.ReqID, p, clientResult{err: fmt.Errorf("%w (%s)", ErrDeadlineExpired, dlStageSend)})
 		return
 	}
 	n.failover(sf.msg.ReqID, p, failoverSendError)
 }
 
 // healthTick advances failure detection and everything driven by it:
-// silence-based state transitions, idle heartbeats, reconnect probes to
-// dead peers, and failover of forwarded requests whose reply is overdue.
+// silence-based state transitions, idle heartbeats, and reconnect probes
+// to dead peers.
 func (n *Node) healthTick(now time.Time) {
 	for _, tr := range n.health.tick(now) {
 		switch tr.to {
@@ -1177,11 +1112,6 @@ func (n *Node) healthTick(now time.Time) {
 		}
 		if n.health.probeDue(p, now) {
 			n.probe(p)
-		}
-	}
-	for reqID, p := range n.pending {
-		if !p.deadline.IsZero() && now.After(p.deadline) {
-			n.failover(reqID, p, failoverTimeout)
 		}
 	}
 	n.updateDegraded()
@@ -1208,57 +1138,123 @@ func (n *Node) onPeerDead(peer int, reason string) {
 	n.updateDegraded()
 }
 
-// failover re-dispatches a forwarded request: to the least-loaded alive
-// cacher it has not tried yet, else to the local disk — the paper's
-// locality goal yields to availability. A half-received reply from the
-// previous service node is discarded.
-func (n *Node) failover(reqID uint64, p *pendingRemote, reason string) {
-	delete(n.pending, reqID)
+// A forward's life cycle: startForward is the one way one begins,
+// endForward the one way one ends, and leavePending the one way one
+// leaves n.pending — an ending, or a failover on its way to the next
+// startForward. Between them sweepPending expires and fails over what
+// waits too long.
+
+// startForward sends p's request to dst: a client's dispatch, a replica
+// pull, or a failover's re-dispatch. Each send gets a fresh request id,
+// so a late reply from a node the request has since failed over away
+// from matches nothing, and a half-received reply from it is discarded;
+// dst joins p.tried, so a failover never bounces back. A forward the
+// full dispatch queue sheds never starts: the request is served here.
+func (n *Node) startForward(p *pendingRemote, dst int) {
 	now := time.Now()
-	n.ovForwardFailed(p.dst, now.Sub(p.sentAt), now)
-	if p.req == nil {
-		// A replica pull has no client to re-dispatch for: the source
-		// died or stalled, and the pusher's policy re-triggers while the
-		// file stays hot.
-		p.finish(n, clientResult{err: fmt.Errorf("server: pull from node %d: %s", p.dst, reason)})
+	n.nextReqID++
+	p.dst, p.tried, p.sentAt = dst, p.tried.Add(dst), now
+	p.deadline = now.Add(n.cfg.Health.FailoverTimeout)
+	p.buf, p.received = nil, 0 // a partial buffer is the GC's (recvbuf.go)
+	m := Message{Type: core.MsgForward, ReqID: n.nextReqID, Name: n.files[p.file].Name,
+		TraceID: p.span.Trace(), ParentSpan: p.span.ID()}
+	if p.req != nil {
+		m.deadline = p.req.deadline
+	}
+	if !n.send(dst, m) {
+		p.span.AnnotateStr("shed", shedQueueDispatch+"/"+shedReasonFull)
+		n.serveHere(p)
 		return
 	}
+	n.pending[n.nextReqID] = p
+	n.ovForwardSent(dst, now)
+}
+
+// leavePending takes forward reqID out of n.pending and gives dst's pace
+// its sample back: the wait for a reply, or for the failure that ended
+// it — a peer that times requests out is slow by definition.
+func (n *Node) leavePending(reqID uint64, p *pendingRemote) {
+	delete(n.pending, reqID)
+	if n.ov.on {
+		now := time.Now()
+		n.ovForwardDone(p.dst, now.Sub(p.sentAt), now)
+	}
+}
+
+// endForward ends forward reqID with res, a reply or why there is none:
+// it leaves pending, its span records the outcome, and finish answers
+// the client or lands the pull.
+func (n *Node) endForward(reqID uint64, p *pendingRemote, res clientResult) {
+	n.leavePending(reqID, p)
+	if res.err != nil {
+		p.span.AnnotateStr("error", res.err.Error())
+	} else {
+		p.span.Annotate("bytes", int64(len(res.data)))
+	}
+	p.finish(n, res)
+}
+
+// serveHere gives up forwarding p's request, whose span ends: a client
+// is served from this node's cache or disk — the paper's locality goal
+// yields to availability. A replica pull, which never fails over, gets
+// here only when shed, and is abandoned.
+func (n *Node) serveHere(p *pendingRemote) {
+	p.span.End()
+	if p.req == nil {
+		p.finish(n, clientResult{err: ErrShed})
+		return
+	}
+	n.serveLocal(p.req, p.file)
+}
+
+// sweepPending is the tick's one pass over pending. A forward whose
+// client has given up (deadline passed) ends expired — it is not failed
+// over first, to a peer whose reply nobody would wait for — and one
+// whose reply is overdue past FailoverTimeout fails over.
+func (n *Node) sweepPending(now time.Time) {
+	for reqID, p := range n.pending {
+		switch {
+		case p.req != nil && !p.req.deadline.IsZero() && now.After(p.req.deadline):
+			n.ov.im.expiredInc(dlStagePending)
+			n.endForward(reqID, p, clientResult{err: fmt.Errorf("%w (%s)", ErrDeadlineExpired, dlStagePending)})
+		case now.After(p.deadline):
+			n.failover(reqID, p, failoverTimeout)
+		}
+	}
+}
+
+// failover re-dispatches a forwarded request: to the least-loaded alive
+// cacher it has not tried yet, else to the local disk. A replica pull
+// has no client to re-dispatch for and ends: the source died or
+// stalled, and the pusher's policy re-triggers while the file stays hot.
+func (n *Node) failover(reqID uint64, p *pendingRemote, reason string) {
+	if p.req == nil {
+		n.endForward(reqID, p, clientResult{err: fmt.Errorf("server: pull from node %d: %s", p.dst, reason)})
+		return
+	}
+	n.leavePending(reqID, p)
 	n.m.failovers[reason].Inc()
 	n.tel.Event(telemetry.EvFailover, n.id, p.dst, reason, 0)
 	p.span.AnnotateStr("failover", reason)
-	id, ok := n.nameToID[p.req.name]
-	if !ok {
-		n.m.errors.Inc()
-		p.finish(n, clientResult{err: fmt.Errorf("%w: %q", ErrNoSuchFile, p.req.name)})
-		return
-	}
-	dst := n.pickFailover(id, p.tried)
+	dst := n.pickFailover(p.file, p.tried)
 	if dst < 0 {
 		p.span.Annotate("failover-dst", int64(n.id))
-		p.span.End()
-		n.serveLocal(p.req, id)
+		n.serveHere(p)
 		return
 	}
 	// A surviving cacher takes over: the request moves to another
 	// replica of the file instead of falling back to local disk.
 	n.tel.Event(telemetry.EvReplicaFailover, n.id, dst, p.req.name, 0)
-	p.dst = dst
-	p.tried = p.tried.Add(dst)
-	p.buf, p.received = nil, 0 // the partial buffer is the GC's (recvbuf.go)
-	p.sentAt = now
-	p.deadline = now.Add(n.cfg.Health.FailoverTimeout)
 	p.span.Annotate("failover-dst", int64(dst))
-	n.pending[reqID] = p
-	n.ovForwardSent(dst, now)
-	n.send(dst, Message{Type: core.MsgForward, ReqID: reqID, Name: p.req.name,
-		TraceID: p.span.Trace(), ParentSpan: p.span.ID(), deadline: p.req.deadline})
+	n.startForward(p, dst)
 }
 
 // pickFailover returns the least-loaded alive cacher of the file not
 // yet tried, -1 if none. Browned-out peers are passed over when a
 // healthy candidate exists, but — unlike dead ones — remain eligible as
 // a last resort: slow beats local disk when the disk path is the
-// bottleneck being escaped.
+// bottleneck being escaped. (A brownout redirect wants a healthy peer
+// or none, and checks the answer.)
 func (n *Node) pickFailover(id cache.FileID, tried cache.NodeSet) int {
 	set := n.dir.Cachers(id).Intersect(cache.NodeSetFromMask(n.health.AliveMask()))
 	best, bestLoad := -1, int(^uint(0)>>1)
@@ -1298,7 +1294,7 @@ func (n *Node) reintegrate(peer int) {
 // updateDegraded recomputes the content-oblivious fallback flag: with
 // every peer dead there is no cluster left to aggregate caches with.
 func (n *Node) updateDegraded() {
-	deg := n.healthActive() && n.health.alivePeers() == 0
+	deg := n.healthOn && n.health.alivePeers() == 0
 	if deg == n.degraded {
 		return
 	}
@@ -1364,9 +1360,7 @@ func (n *Node) crashLocalState() {
 	n.dir.Crash()
 	n.repl.Reset(time.Now())
 	for reqID, p := range n.pending {
-		delete(n.pending, reqID)
-		p.span.AnnotateStr("error", "node crashed")
-		p.finish(n, clientResult{err: fmt.Errorf("server: node %d crashed", n.id)})
+		n.endForward(reqID, p, clientResult{err: fmt.Errorf("server: node %d crashed", n.id)})
 	}
 }
 

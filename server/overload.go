@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"press/cache"
-	"press/core"
 	"press/metrics"
 	"press/telemetry"
 )
@@ -247,7 +245,9 @@ func (n *Node) ovForwardSent(dst int, now time.Time) {
 	n.ovUpdateBrown(dst, now)
 }
 
-// ovForwardDone records a completed forward and its latency sample.
+// ovForwardDone records a forward that has left pending — answered,
+// failed or failed over — and its latency sample: a peer that times
+// requests out is slow by definition.
 //
 //presslint:hotpath budget=0
 func (n *Node) ovForwardDone(dst int, elapsed time.Duration, now time.Time) {
@@ -264,13 +264,6 @@ func (n *Node) ovForwardDone(dst int, elapsed time.Duration, now time.Time) {
 		p.ewma += (elapsed - p.ewma) * ewmaAlphaNum / ewmaAlphaDen
 	}
 	n.ovUpdateBrown(dst, now)
-}
-
-// ovForwardFailed records a forward that ended without a reply — send
-// failure, failover, or expired deadline. The elapsed time counts as a
-// latency sample: a peer that times requests out is slow by definition.
-func (n *Node) ovForwardFailed(dst int, elapsed time.Duration, now time.Time) {
-	n.ovForwardDone(dst, elapsed, now)
 }
 
 // ovUpdateBrown recomputes dst's brownout state with hysteresis: enter
@@ -345,24 +338,6 @@ func (n *Node) PeerBrownedOut(peer int) bool {
 		n.ov.brownedPub[peer].Load()
 }
 
-// pickRedirect is pickFailover with brownout awareness: the least-
-// loaded alive, non-browned cacher of the file, excluding avoid; -1 if
-// none. Used to route around a browned-out service node without
-// touching its directory entries.
-func (n *Node) pickRedirect(id cache.FileID, avoid int) int {
-	set := n.dir.Cachers(id).Intersect(cache.NodeSetFromMask(n.health.AliveMask()))
-	best, bestLoad := -1, int(^uint(0)>>1)
-	for _, c := range set.Nodes() {
-		if c == n.id || c == avoid || n.ov.pace[c].browned {
-			continue
-		}
-		if l := n.peerLoad[c]; l < bestLoad {
-			best, bestLoad = c, l
-		}
-	}
-	return best
-}
-
 // shedClient answers a dequeued request with a shed/expired error and
 // books it. The loadChange(+1) has already happened by the time any
 // dequeue-side shed runs, so the HTTP handler's completion event keeps
@@ -378,54 +353,4 @@ func (n *Node) expireClient(r *clientRequest, stage string) {
 	n.ov.im.expiredInc(stage)
 	r.span.AnnotateStr("deadline-expired", stage)
 	r.resp <- clientResult{err: fmt.Errorf("%w (%s)", ErrDeadlineExpired, stage)}
-}
-
-// ovShedDispatch reacts to a full send queue, per message class:
-// advisory gossip (load, caching) is simply dropped — the dissemination
-// protocols tolerate loss; a forward falls back to local service — the
-// client must not hang on a message that never left; a file reply is
-// dropped — the origin's failover timeout re-dispatches the request; a
-// flow message must never reach here (credits ride a dedicated path on
-// VIA), but dropping it is still safer than blocking the main loop.
-//
-//presslint:alloc-gated runs only when the bounded send queue is full
-func (n *Node) ovShedDispatch(dst int, typ core.MsgType, reqID uint64) {
-	n.ov.im.shedInc(shedQueueDispatch, shedReasonFull)
-	if typ != core.MsgForward {
-		return
-	}
-	p := n.pending[reqID]
-	if p == nil || p.dst != dst {
-		return
-	}
-	delete(n.pending, reqID)
-	n.ovForwardFailed(dst, time.Since(p.sentAt), time.Now())
-	p.span.AnnotateStr("shed", "dispatch/full")
-	p.span.End()
-	if p.req == nil {
-		p.finish(n, clientResult{err: ErrShed}) // a replica pull: no client to serve locally
-		return
-	}
-	if id, ok := n.nameToID[p.req.name]; ok {
-		n.serveLocal(p.req, id)
-		return
-	}
-	n.m.errors.Inc()
-	p.finish(n, clientResult{err: fmt.Errorf("%w: %q", ErrNoSuchFile, p.req.name)})
-}
-
-// overloadTick sweeps pending forwards whose request deadline has
-// passed: the origin stops waiting, counts the expiry, and answers the
-// client promptly instead of riding out the failover timeout.
-func (n *Node) overloadTick(now time.Time) {
-	for reqID, p := range n.pending {
-		if p.req == nil || p.req.deadline.IsZero() || !now.After(p.req.deadline) {
-			continue
-		}
-		delete(n.pending, reqID)
-		n.ovForwardFailed(p.dst, now.Sub(p.sentAt), now)
-		p.span.AnnotateStr("deadline-expired", dlStagePending)
-		n.ov.im.expiredInc(dlStagePending)
-		p.finish(n, clientResult{err: fmt.Errorf("%w (%s)", ErrDeadlineExpired, dlStagePending)})
-	}
 }

@@ -123,8 +123,8 @@ func openLoopDrive(urls, names []string, rate float64, dur, timeout time.Duratio
 // overloadTestConfig is a deliberately slow 8-node TCP cluster: one
 // disk thread, 40 ms per read, and a cache too small to absorb the file
 // population, so saturation sits at a couple hundred requests per
-// second — far under what the open-loop driver offers. Health is off to
-// keep failure detection out of a test about overload.
+// second — far under what the open-loop driver offers. Heartbeats are an
+// hour apart to keep failure detection out of a test about overload.
 func overloadTestConfig(tr *trace.Trace) Config {
 	return Config{
 		Nodes:       8,
@@ -133,7 +133,7 @@ func overloadTestConfig(tr *trace.Trace) Config {
 		CacheBytes:  16 << 10,
 		DiskDelay:   40 * time.Millisecond,
 		DiskThreads: 1,
-		Health:      HealthConfig{Disabled: true},
+		Health:      HealthConfig{HeartbeatInterval: time.Hour},
 	}
 }
 

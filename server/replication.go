@@ -52,18 +52,7 @@ func (n *Node) handleReplicate(m *Message) {
 	if !ok || !n.repl.Offer(id, n.lru.Contains(id), !n.health.isDead(m.From)) {
 		return
 	}
-	n.nextReqID++
-	reqID := n.nextReqID
-	p := &pendingRemote{replicate: true, file: id, dst: m.From,
-		tried: cache.NodeSetOf(n.id, m.From)}
-	now := time.Now()
-	p.sentAt = now
-	if n.healthActive() {
-		p.deadline = now.Add(n.cfg.Health.FailoverTimeout)
-	}
-	n.pending[reqID] = p
-	n.ovForwardSent(m.From, now)
-	n.send(m.From, Message{Type: core.MsgForward, ReqID: reqID, Name: m.Name})
+	n.startForward(&pendingRemote{file: id, tried: cache.NodeSetOf(n.id)}, m.From)
 }
 
 // finish is the one completion of a pending forward, already taken out
@@ -75,7 +64,7 @@ func (n *Node) handleReplicate(m *Message) {
 // receive buffer (res.buf) is never released.
 func (p *pendingRemote) finish(n *Node, res clientResult) {
 	p.span.End()
-	if !p.replicate {
+	if p.req != nil {
 		p.req.resp <- res
 		return
 	}

@@ -81,7 +81,7 @@ func pendingForwardsTo(t *testing.T, cl *Cluster, nodes []int, dst int, maxAge t
 			c := 0
 			now := time.Now()
 			for _, p := range n.pending {
-				if p.dst == dst && !p.replicate && now.Sub(p.sentAt) < maxAge {
+				if p.dst == dst && p.req != nil && now.Sub(p.sentAt) < maxAge {
 					c++
 				}
 			}
@@ -227,7 +227,7 @@ func TestEvictedReplicaIsNotPulledAgain(t *testing.T) {
 	type view struct{ pulled, evicted, after bool }
 	v := onMainLoop(t, n, func() (v view) {
 		n.repl.Offer(0, false, true)
-		(&pendingRemote{replicate: true, file: 0}).finish(n, clientResult{data: content(0)})
+		(&pendingRemote{file: 0}).finish(n, clientResult{data: content(0)})
 		v.pulled = n.repl.Pulled(0)
 		for id := cache.FileID(1); int(id) < len(tr.Files) && n.lru.Contains(0); id++ {
 			n.insertCache(id, content(id))

@@ -105,12 +105,13 @@ func newOutWrite(op string, vi *via.VI, timeout time.Duration, remote via.Handle
 //   - Never restage under a posted descriptor. After a completion wait
 //     timed out the NIC still owns descriptor and image: the next write
 //     is refused with the same timeout error until the first completes.
-//   - A full work queue is not retried here. via.ErrQueueFull was counted
+//   - A full work queue is not retried. via.ErrQueueFull was counted
 //     over go test ./server and one run of each VIA workload: zero, at
 //     most 6 posts pending of a depth of 32 (sends are serialized and
 //     waited, so a VI carries one data write, one credit message and four
-//     flow counters). It surfaces to sendThread's backoff, the one retry
-//     that classifies it (transientSendErr).
+//     flow counters). It surfaces as a send failure, which
+//     handleSendFailure counts as suspicion before failing the forward
+//     over.
 func (w *outWrite) transfer(g *creditGate, n int64, image []byte, remoteOff int) (posted bool, err error) {
 	if w.lazy {
 		w.reap()

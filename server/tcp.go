@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -196,21 +195,19 @@ func (t *tcpTransport) Send(dst int, m *Message) error {
 	if dst < 0 || dst >= t.nodes || dst == t.self {
 		return fmt.Errorf("server: bad destination %d", dst)
 	}
-	p := t.peer(dst)
-	if p == nil {
-		return fmt.Errorf("server: no connection to %d", dst)
-	}
-	err := t.sendOn(p, m)
-	if errors.Is(err, errSuperseded) {
-		// A reconnect replaced the connection under the send: retry once,
-		// on a peer object that actually changed, as viaTransport.Send
-		// does. The receiver discards whatever part of the frame reached
-		// the closed connection.
-		if np := t.peer(dst); np != nil && np != p {
-			return t.sendOn(np, m)
+	// A reconnect can replace the connection under the send; it bounces
+	// (supersedeBounces). The receiver discards whatever part of the
+	// frame reached the closed connection.
+	for bounce := 0; ; bounce++ {
+		p := t.peer(dst)
+		if p == nil {
+			return fmt.Errorf("server: no connection to %d", dst)
+		}
+		err := t.sendOn(p, m)
+		if !bounces(err) || bounce == supersedeBounces || t.peer(dst) == p {
+			return err
 		}
 	}
-	return err
 }
 
 // sendOn runs one send attempt over a specific connection, encoding into

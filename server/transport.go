@@ -75,8 +75,24 @@ var errPassiveRole = errors.New("server: reconnect is dialed from the other side
 // errSuperseded marks a send that failed because the peer re-dialed and
 // a fresh channel replaced the one the send was riding. It is the
 // opposite of evidence of death — the peer just proved it is alive — so
-// it is transient: the retry goes out on the fresh channel.
+// the transport sends again on the fresh channel.
 var errSuperseded = errors.New("server: channel superseded by reconnect")
+
+// supersedeBounces bounds that retry, the only one a send gets, on TCP
+// and VIA alike: a send that failed as superseded (bounces) goes out
+// again while the peer table holds a newer channel than the one it
+// failed on, at most this many times. Each bounce needs an actually-new
+// channel, so it cannot spin.
+const supersedeBounces = 8
+
+// bounces reports whether a failed send may go out again on a fresh
+// channel. Besides errSuperseded that is via.ErrNoRecvDescriptor: a VI
+// closed by its owner has no receive posted for the instant before it
+// goes, so a send meets it when the peer retires a channel a reconnect
+// replaced before this side has marked the old one superseded.
+func bounces(err error) bool {
+	return errors.Is(err, errSuperseded) || errors.Is(err, via.ErrNoRecvDescriptor)
+}
 
 // msgAccounting counts messages per type on lock-free counters, either
 // standalone or interned in a metrics registry under the owning node's

@@ -662,21 +662,17 @@ func (t *viaTransport) Send(dst int, m *Message) error {
 	}
 	// A reconnect can supersede the channel while a send rides it. That
 	// is not a peer failure — the reconnect proves the peer is alive —
-	// so the send bounces to the fresh channel instead of surfacing an
-	// error that would be misread as a death. Bounded: each retry needs
-	// an actually-new peer object, so this cannot spin in place.
-	for attempt := 0; ; attempt++ {
+	// so the send bounces to the fresh channel (supersedeBounces) instead
+	// of surfacing an error that would be misread as a death.
+	for bounce := 0; ; bounce++ {
 		p := t.peer(dst)
 		if p == nil {
 			return fmt.Errorf("server: no channel to %d", dst)
 		}
 		err := t.sendOn(p, m)
-		if errors.Is(err, errSuperseded) && attempt < 8 {
-			if np := t.peer(dst); np != nil && np != p {
-				continue
-			}
+		if !bounces(err) || bounce == supersedeBounces || t.peer(dst) == p {
+			return err
 		}
-		return err
 	}
 }
 
