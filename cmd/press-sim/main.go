@@ -44,10 +44,11 @@
 // failover keeping goodput up when the hot cacher dies.
 //
 // With -overload, press-sim starts a real VIA cluster with overload
-// control enabled, calibrates its saturation throughput with a
-// closed-loop burst, then ramps an open-loop Poisson arrival process
-// through 0.5x-3x of saturation, reporting goodput, latency quantiles,
-// and shed counts per step — the goodput-vs-offered-load knee.
+// control sized to the deadline, calibrates its saturation throughput
+// with a closed-loop burst, then ramps an open-loop Poisson arrival
+// process through 0.5x-3x of saturation, reporting goodput, latency
+// quantiles, and shed counts per step — the goodput-vs-offered-load
+// knee.
 // -dissemination all repeats the ramp for every strategy.
 //
 //	press-sim -overload [-overload-duration D] [-overload-deadline D]

@@ -34,12 +34,12 @@ var overloadRateSteps = []float64{0.5, 1.0, 1.5, 2.0, 3.0}
 // reliably marks the first real shed burst while ignoring stragglers.
 const overloadShedTrigger = 50
 
-// overloadRun starts a real VIA cluster with overload control enabled
-// and ramps an open-loop Poisson arrival process past its saturation
-// point, one step per multiplier in overloadRateSteps. Each step
-// reports client-side goodput and latency quantiles plus the cluster's
-// own shed/expired/goodput deltas, exposing the goodput-vs-offered-load
-// knee. With dissemination "all" the ramp repeats for every strategy,
+// overloadRun starts a real VIA cluster with overload control sized to
+// the deadline and ramps an open-loop Poisson arrival process past its
+// saturation point, one step per multiplier in overloadRateSteps. Each
+// step reports client-side goodput and latency quantiles plus the
+// cluster's own shed/expired/goodput deltas, exposing the
+// goodput-vs-offered-load knee. With dissemination "all" the ramp repeats for every strategy,
 // showing how much offered load each one absorbs before shedding.
 //
 // With incidentOut, each ramp runs a telemetry flight recorder sampling
@@ -131,7 +131,6 @@ func overloadRamp(tr *trace.Trace, nodes int, seed int64, ver netmodel.Version,
 		CacheBytes: 1 << 20,
 		DiskDelay:  2 * time.Millisecond,
 		Overload: server.OverloadConfig{
-			Enabled:        true,
 			RequestTimeout: deadline,
 			// Queues sized to the deadline, not to memory: a deep accept
 			// queue admits requests that are doomed to expire. The CoDel

@@ -240,7 +240,6 @@ func TestOpenLoopShedClass(t *testing.T) {
 		Nodes: 1, Trace: tr, Transport: server.TransportVIA,
 		CacheBytes: 1 << 20, DiskDelay: 2 * time.Millisecond,
 		Overload: server.OverloadConfig{
-			Enabled:     true,
 			AcceptQueue: 1,
 			DiskQueue:   1,
 		},

@@ -91,9 +91,10 @@ TestRunTracing|./cluster
 # ends, and the dead peer nothing is queued for, ride along.
 Chaos|Failover|Health|ForwardEndsOnce|NoSendToDeadPeer|./server/... ./cluster/...
 # The overload layer races admission, deadline expiry, and brownout
-# against the main loops at 2x saturation by design; the open-loop
-# generator tests ride along.
-TestOverload|TestBrownout|./server
+# against the main loops at 2x saturation by design, and a full accept
+# queue sheds from the HTTP goroutine; the open-loop generator tests
+# ride along.
+TestOverload|TestBrownout|TestFullQueueSheds|./server
 TestOpenLoop|./loadgen
 # The telemetry plane races its sampler (ticker goroutine) against
 # event producers (server main loops) and incident dumps (signal
@@ -169,6 +170,14 @@ if [ "$exits" -ne 1 ]; then
     exit 1
 fi
 
+# Overload control is how a node runs, not an option: no switch, no
+# unbounded queue.
+echo "==> overload control has no off switch"
+if grep -n 'ov\.on\|Overload\.Enabled\|newUnboundedQueue' server/*.go; then
+    echo "check: server/ has an overload-off path again" >&2
+    exit 1
+fi
+
 echo "==> presslint ./..."
 go run ./cmd/presslint ./...
 
@@ -181,15 +190,15 @@ echo "==> presslint self-lint ./lint ./cmd/..."
 go run ./cmd/presslint ./lint ./cmd/...
 
 # Static half of the 0-alloc proofs: every //presslint:hotpath root
-# (the VIA Post* send path, the tracing-off path, the overload-off
-# path: budget 0; the request path every request takes, ServeHTTP and
+# (the VIA Post* send path, the tracing-off path, the overload hooks:
+# budget 0; the request path every request takes, ServeHTTP and
 # handleClient: budgets 1 and 5; the message path — Node.send 0,
 # sendRegular, sendCtrlRMW and the TCP sendOn 3, 3, 4 (the encoder's
 # appends into owned scratch), sendFileRMW 0 (its staging area's one-time
 # registration gated), decodeInto 2, Descriptor.WaitTimer 1)
 # must be provably within budget across the whole call graph.
 # The dynamic half is the benchmark gates below (ViaSendMetrics,
-# ServeTracingOff, OverloadOff), which also justify the
+# ServeTracingOff, LocalHit1K, Forwarded1K), which also justify the
 # //presslint:alloc-gated exemptions the static pass accepts.
 echo "==> presslint -analyzer hotpath-alloc,lock-order,atomic-consistency ./..."
 go run ./cmd/presslint -analyzer hotpath-alloc,lock-order,atomic-consistency ./...
@@ -221,13 +230,14 @@ go test -run '^$' -bench '^$' ./...
 go test -run '^$' -bench BenchmarkViaSendMetrics -benchtime 1x .
 
 # The dynamic half of the free-when-off proofs. Tracing: the serve path
-# with no tracer. Overload: the admission, deadline and brownout gates.
-# Telemetry: servers always call plane.Event at the fault-tolerance
-# call sites, so a nil plane is the hot path. Replication: the rate
-# hook runs on every serve and the eviction hook on every eviction,
-# both on the nil *core.Replicator a node holds when the layer is off.
+# with no tracer. Telemetry: servers always call plane.Event at the
+# fault-tolerance call sites, so a nil plane is the hot path.
+# Replication: the rate hook runs on every serve and the eviction hook
+# on every eviction, both on the nil *core.Replicator a node holds when
+# the layer is off. Overload control has no off: its admission,
+# deadline and brownout hooks run inside the LocalHit1K and Forwarded1K
+# budgets below.
 zero_alloc BenchmarkServeTracing . "disabled tracing must be free"
-zero_alloc BenchmarkOverloadOff ./server "disabled overload control must be free"
 zero_alloc BenchmarkSamplerOff ./telemetry "a disabled telemetry plane must be free"
 zero_alloc BenchmarkReplicationOff ./server "disabled replication must be free"
 

@@ -90,8 +90,8 @@ type Config struct {
 	// selects the defaults.
 	Health HealthConfig
 	// Overload tunes admission control, deadline propagation, and
-	// slow-peer brownout; the zero value (Enabled false) keeps the
-	// pre-overload behavior: unbounded queues and no deadlines.
+	// slow-peer brownout, which every node runs; the zero value selects
+	// the defaults.
 	Overload OverloadConfig
 	// Replication tunes hot-object replication: popularity- and
 	// load-triggered replica pushes, power-of-two-choices routing among
@@ -173,7 +173,7 @@ func (c *Config) withDefaults() (Config, error) {
 	if cfg.Health, err = cfg.Health.withDefaults(); err != nil {
 		return cfg, err
 	}
-	if cfg.Overload, err = cfg.Overload.withDefaults(); err != nil {
+	if cfg.Overload, err = cfg.Overload.withDefaults(cfg.Health.FailoverTimeout); err != nil {
 		return cfg, err
 	}
 	return cfg, nil
@@ -276,38 +276,20 @@ func (h *nodeHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	req.span = h.node.trc.StartTrace("request")
 	req.span.AnnotateStr("file", name)
 	req.accept = req.span.StartChild("accept-queue")
-	ov := h.node.ov.on
-	if ov {
-		now := time.Now()
-		req.enqueued = now
-		req.deadline = now.Add(h.node.ov.cfg.RequestTimeout)
-	}
+	now := time.Now()
+	req.enqueued = now
+	req.deadline = now.Add(h.node.ov.cfg.RequestTimeout)
 	select {
 	case h.node.httpCh <- req:
 	default:
-		if ov {
-			// Admission: a full accept queue sheds the newest arrival with a
-			// prompt 503 instead of queueing it forever.
-			req.accept.Cancel()
-			req.span.AnnotateStr("shed", shedQueueAccept+"/"+shedReasonFull)
-			req.span.End()
-			h.node.ov.im.shedInc(shedQueueAccept, shedReasonFull)
-			h.reject(w, "request shed: accept queue full")
-			return
-		}
-		// Only a full queue waits, so only it needs ctx's lazily made Done.
-		select {
-		case h.node.httpCh <- req:
-		case <-h.node.stop:
-			req.accept.Cancel()
-			req.span.Cancel()
-			http.Error(w, "server shutting down", http.StatusServiceUnavailable)
-			return
-		case <-r.Context().Done():
-			req.accept.Cancel()
-			req.span.Cancel()
-			return
-		}
+		// Admission: a full accept queue sheds the newest arrival with a
+		// prompt 503 instead of queueing it. The request is the GC's.
+		req.accept.Cancel()
+		req.span.AnnotateStr("shed", shedQueueAccept+"/"+shedReasonFull)
+		req.span.End()
+		h.node.ov.im.shedInc(shedQueueAccept, shedReasonFull)
+		h.reject(w, "request shed: accept queue full")
+		return
 	}
 	defer func() { // the load the main loop counts in at dequeue drops
 		select {
@@ -351,21 +333,19 @@ func (h *nodeHandler) reply(w http.ResponseWriter, r *http.Request, req *clientR
 		http.Error(w, res.err.Error(), code)
 		return
 	}
-	if h.node.ov.on {
-		//presslint:alloc-gated a late answer is refused: an error reply
-		if time.Now().After(req.deadline) {
-			// The answer exists but arrived too late to be goodput:
-			// serving it would reward the queue, not the client.
-			req.span.AnnotateStr("deadline-expired", dlStageReply)
-			req.span.End()
-			h.node.ov.im.expiredInc(dlStageReply)
-			h.reject(w, ErrDeadlineExpired.Error())
-			return
-		}
-		// Booked before the body goes out, so a client that has its
-		// answer never finds it missing from the count.
-		h.node.ov.im.goodput.Inc()
+	//presslint:alloc-gated a late answer is refused: an error reply
+	if time.Now().After(req.deadline) {
+		// The answer exists but arrived too late to be goodput:
+		// serving it would reward the queue, not the client.
+		req.span.AnnotateStr("deadline-expired", dlStageReply)
+		req.span.End()
+		h.node.ov.im.expiredInc(dlStageReply)
+		h.reject(w, ErrDeadlineExpired.Error())
+		return
 	}
+	// Booked before the body goes out, so a client that has its answer
+	// never finds it missing from the count.
+	h.node.ov.im.goodput.Inc()
 	rep := req.span.StartChild("reply")
 	//presslint:alloc-gated never taken while served bytes are the stored size; BenchmarkLocalHit1K would show it
 	if res.clen == nil {
@@ -385,10 +365,10 @@ func (h *nodeHandler) reply(w http.ResponseWriter, r *http.Request, req *clientR
 	req.span.End()
 }
 
-// reject writes a 503 with the configured Retry-After hint: the
-// client should back off, not hammer an overloaded cluster.
+// reject writes a 503 with the Retry-After hint: the client should back
+// off, not hammer an overloaded cluster.
 func (h *nodeHandler) reject(w http.ResponseWriter, msg string) {
-	w.Header()["Retry-After"] = h.node.ov.retryAfter
+	w.Header()["Retry-After"] = retryAfter
 	http.Error(w, msg, http.StatusServiceUnavailable)
 }
 

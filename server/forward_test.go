@@ -24,7 +24,7 @@ func (idleTransport) PeerDown(int, error) {}
 // every peer's pace is back to 0 outstanding, the forward span has
 // ended, and the client was answered exactly once, with an error where
 // the row fails — or, for a replica pull, the Replicator released the
-// pull. Overload control is on, since it is what tracks the pace.
+// pull.
 func TestForwardEndsOnce(t *testing.T) {
 	tr := uniformTrace(2, 2000, 500)
 	const file, pull = 0, 1 // pull is cached nowhere but at node 1
@@ -79,7 +79,7 @@ func TestForwardEndsOnce(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			tracer := tracing.New()
 			cfg, err := (&Config{Nodes: 3, Trace: tr, Tracer: tracer,
-				Overload: OverloadConfig{Enabled: true, RequestTimeout: time.Hour},
+				Overload: OverloadConfig{RequestTimeout: time.Hour},
 				// The layer is on so a pull is accepted; the policy never acts.
 				Replication: core.ReplicationConfig{Enabled: true, HotRate: 1e12,
 					HalfLife: time.Hour, Interval: time.Hour, Cooldown: time.Hour, MaxReplicas: 2},

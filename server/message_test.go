@@ -414,28 +414,3 @@ func TestSynthesizeContentDeterministic(t *testing.T) {
 		t.Errorf("length %d", len(a))
 	}
 }
-
-func TestUnboundedQueue(t *testing.T) {
-	q := newUnboundedQueue[int]()
-	for i := 0; i < 10; i++ {
-		q.push(i)
-	}
-	if q.len() != 10 {
-		t.Fatalf("len = %d", q.len())
-	}
-	for i := 0; i < 10; i++ {
-		v, ok := q.pop()
-		if !ok || v != i {
-			t.Fatalf("pop %d = %d, %v", i, v, ok)
-		}
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, ok := q.pop(); ok {
-			t.Error("pop after close returned ok")
-		}
-	}()
-	q.close()
-	<-done
-}

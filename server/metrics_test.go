@@ -63,9 +63,8 @@ func TestClusterMetricsVIA(t *testing.T) {
 			cfg := testClusterConfig(tr, TransportVIA)
 			cfg.Nodes = 4
 			cfg.Version = netmodel.Versions()[3] // V3: RMW control + file rings
-			// Overload control on, far from its limits: nothing is shed, and
-			// goodput counts every answered request.
-			cfg.Overload.Enabled = true
+			// Overload control at its defaults is far from its limits:
+			// nothing is shed, and goodput counts every answered request.
 			var reg *metrics.Registry
 			if withRegistry {
 				reg = metrics.NewRegistry()

@@ -33,9 +33,8 @@ type clientResult struct {
 // request's root trace span (nil when untraced); accept times the wait
 // in httpCh until the main loop picks the request up. Spans cross
 // goroutines only via channel hand-off, which orders their use.
-// enqueued and deadline are set only under overload control: enqueued
-// feeds the queue-delay shed check, deadline is the request's budget
-// (RequestTimeout from accept) that every stage honors.
+// enqueued feeds the queue-delay shed check; deadline is the request's
+// budget (RequestTimeout from accept) that every stage honors.
 //
 // A request is recycled (clientRequests) and owns resp, its clientTimeout
 // timer (parked outside ServeHTTP's wait) and lookedUp, its directory
@@ -360,14 +359,6 @@ func (v *lookupView) Cachers(id cache.FileID) cache.NodeSet {
 }
 
 func newNode(id int, cfg Config, store *Store, tr Transport, nic *via.NIC) *Node {
-	// Overload control bounds the queues; disabled keeps them unbounded
-	// (the pre-overload behavior, byte for byte).
-	acceptQ, dispatchQ, diskQ := 256, 0, 0
-	if cfg.Overload.Enabled {
-		acceptQ = cfg.Overload.AcceptQueue
-		dispatchQ = cfg.Overload.DispatchQueue
-		diskQ = cfg.Overload.DiskQueue
-	}
 	n := &Node{
 		id:         id,
 		cfg:        cfg,
@@ -385,11 +376,11 @@ func newNode(id int, cfg Config, store *Store, tr Transport, nic *via.NIC) *Node
 		clen:       make([][]string, len(cfg.Trace.Files)),
 		pending:    make(map[uint64]*pendingRemote),
 		waiting:    make(map[string][]diskWaiter),
-		httpCh:     make(chan *clientRequest, acceptQ),
+		httpCh:     make(chan *clientRequest, cfg.Overload.AcceptQueue),
 		doneCh:     make(chan struct{}, 1024),
-		diskQ:      newWorkQueue[diskJob](diskQ),
+		diskQ:      newWorkQueue[diskJob](cfg.Overload.DiskQueue),
 		diskDone:   make(chan diskDone, 256),
-		sendQ:      newWorkQueue[outMsg](dispatchQ),
+		sendQ:      newWorkQueue[outMsg](dispatchQueueLimit),
 		ctrlCh:     make(chan func(), 64),
 		sendFailCh: make(chan sendFailure, 256),
 		probing:    make([]bool, cfg.Nodes),
@@ -514,9 +505,10 @@ func (n *Node) mainLoop() {
 	}
 }
 
-// tickInterval sizes the main-loop ticker: half the heartbeat interval
-// for failure detection, and never slower than a quarter of the request
-// timeout so expired pending work is swept promptly. Zero = no ticker.
+// tickInterval sizes the main-loop ticker: where there are peers to
+// forward to, half the heartbeat interval for failure detection, and
+// never slower than a quarter of the request timeout so expired pending
+// forwards are swept promptly. Zero = no ticker.
 func (n *Node) tickInterval() time.Duration {
 	var interval time.Duration
 	lower := func(d time.Duration) {
@@ -526,8 +518,6 @@ func (n *Node) tickInterval() time.Duration {
 	}
 	if n.healthOn {
 		lower(n.cfg.Health.HeartbeatInterval / 2)
-	}
-	if n.ov.on {
 		lower(n.ov.cfg.RequestTimeout / 4)
 	}
 	if n.repl != nil {
@@ -574,20 +564,18 @@ func (n *Node) handleClient(r *clientRequest) {
 	r.accept.End()
 	n.m.requests.Inc()
 	n.loadChange(+1)
-	if n.ov.on {
-		// Dequeue-side admission: both checks run after loadChange(+1),
-		// so the HTTP handler's completion event balances the books.
-		now := time.Now()
-		wait := now.Sub(r.enqueued)
-		n.ov.im.acceptDelay.Observe(int64(wait))
-		if now.After(r.deadline) {
-			n.expireClient(r, dlStageAccept)
-			return
-		}
-		if t := n.ov.cfg.QueueDelayTarget; t > 0 && wait > t {
-			n.shedClient(r, ErrShed, shedQueueAccept, shedReasonQueueDelay)
-			return
-		}
+	// Dequeue-side admission: both checks run after loadChange(+1), so
+	// the HTTP handler's completion event balances the books.
+	now := time.Now()
+	wait := now.Sub(r.enqueued)
+	n.ov.im.acceptDelay.Observe(int64(wait))
+	if now.After(r.deadline) {
+		n.expireClient(r, dlStageAccept)
+		return
+	}
+	if t := n.ov.cfg.QueueDelayTarget; t > 0 && wait > t {
+		n.shedClient(r, ErrShed, shedQueueAccept, shedReasonQueueDelay)
+		return
 	}
 	id, ok := n.nameToID[r.name]
 	if !ok {
@@ -610,8 +598,9 @@ func (n *Node) handleClient(r *clientRequest) {
 // immediately for a replicated directory, after a directed lookup for a
 // sharded one. Runs on the main loop.
 func (n *Node) dispatchDecided(r *clientRequest, id cache.FileID, cachers cache.NodeSet, first bool, dsp *tracing.Span) {
-	if n.ov.on && !r.deadline.IsZero() && time.Now().After(r.deadline) {
-		// An asynchronous lookup can outlive the request's budget.
+	if _, async := n.dir.(*shardedDirectory); async && time.Now().After(r.deadline) {
+		// A sharded lookup can outlive the request's budget; a replicated
+		// one ran inside handleClient, which has just checked it.
 		dsp.End()
 		n.expireClient(r, dlStageAccept)
 		return
@@ -664,9 +653,9 @@ func (n *Node) serveLocal(r *clientRequest, id cache.FileID) {
 }
 
 // readDisk queues a disk read, coalescing concurrent readers of the
-// same file onto one disk access. A full (bounded) disk queue sheds the
-// waiter: a local client gets a prompt 503, a peer's forward is dropped
-// and recovered by its failover timeout.
+// same file onto one disk access. A full disk queue sheds the waiter:
+// a local client gets a prompt 503, a peer's forward is dropped and
+// recovered by its failover timeout.
 func (n *Node) readDisk(name string, w diskWaiter) {
 	if ws, inFlight := n.waiting[name]; inFlight {
 		n.waiting[name] = append(ws, w)
@@ -702,10 +691,7 @@ func (n *Node) handleDiskDone(d diskDone) {
 	}
 	id := n.nameToID[d.name]
 	n.insertCache(id, d.data)
-	now := time.Time{}
-	if n.ov.on {
-		now = time.Now()
-	}
+	now := time.Now()
 	for _, w := range waiters {
 		w.span.Annotate("bytes", int64(len(d.data)))
 		w.span.End()
@@ -976,10 +962,10 @@ func (n *Node) loadChange(delta int) {
 // channel has been failed, and it comes back only through markAlive,
 // after which PeerJoined replays the directory, so nothing queued for it
 // meanwhile is owed. Any outbound message doubles as a heartbeat, so the
-// tracker learns it was sent. A full (bounded) dispatch queue sheds the
-// message instead of growing without bound. queued reports whether the
-// message went out; only startForward looks. The queue's growth and the
-// shed are gated: no site is counted.
+// tracker learns it was sent. A full dispatch queue sheds the message
+// instead of growing without bound. queued reports whether the message
+// went out; only startForward looks. The queue's growth and the shed
+// are gated: no site is counted.
 //
 //presslint:hotpath budget=0
 func (n *Node) send(dst int, m Message) (queued bool) {
@@ -1175,10 +1161,8 @@ func (n *Node) startForward(p *pendingRemote, dst int) {
 // it — a peer that times requests out is slow by definition.
 func (n *Node) leavePending(reqID uint64, p *pendingRemote) {
 	delete(n.pending, reqID)
-	if n.ov.on {
-		now := time.Now()
-		n.ovForwardDone(p.dst, now.Sub(p.sentAt), now)
-	}
+	now := time.Now()
+	n.ovForwardDone(p.dst, now.Sub(p.sentAt), now)
 }
 
 // endForward ends forward reqID with res, a reply or why there is none:

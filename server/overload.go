@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -32,34 +31,26 @@ var ErrShed = errors.New("server: request shed by overload control")
 var ErrDeadlineExpired = errors.New("server: request deadline expired")
 
 // OverloadConfig tunes admission control, deadline propagation, and
-// slow-peer brownout. The zero value (Enabled false) preserves the
-// pre-overload behavior exactly: unbounded queues, no deadlines, no
-// brownout, and zero cost on the serve path.
+// slow-peer brownout, which every node runs; the zero value selects the
+// defaults.
 type OverloadConfig struct {
-	// Enabled turns the overload layer on.
-	Enabled bool
 	// AcceptQueue bounds the HTTP accept queue (requests waiting for
 	// the main loop). Arrivals beyond it are shed with 503. Default 128.
 	AcceptQueue int
-	// DispatchQueue bounds the send queue (outbound intra-cluster
-	// messages). When full, advisory gossip is dropped, forwards fall
-	// back to local service, and file replies are dropped (the origin's
-	// failover recovers them). Default 1024.
-	DispatchQueue int
 	// DiskQueue bounds the disk-read queue. Reads beyond it are shed.
 	// Default 256.
 	DiskQueue int
 	// RequestTimeout is each request's deadline budget, stamped at
 	// accept; the remaining budget travels with every forward. Work
-	// whose budget runs out is dropped, not served. Default 5s.
+	// whose budget runs out is dropped, not served. Default twice
+	// Health.FailoverTimeout, so an overdue forward fails over once
+	// before its client's budget runs out.
 	RequestTimeout time.Duration
 	// QueueDelayTarget, when positive, sheds a request at dequeue if it
 	// waited in the accept queue longer than this (CoDel-style: under
 	// standing queues, sustained delay — not occupancy — is the overload
 	// signal). Zero keeps drop-newest-only admission.
 	QueueDelayTarget time.Duration
-	// RetryAfter is the Retry-After hint on 503 responses. Default 1s.
-	RetryAfter time.Duration
 	// BrownoutLatency, when positive, browns a peer out once the EWMA of
 	// its forward→reply latency exceeds it; recovery needs the EWMA back
 	// under half the threshold (hysteresis). Zero disables the
@@ -75,24 +66,30 @@ type OverloadConfig struct {
 	BrownoutProbeInterval time.Duration
 }
 
-func (c OverloadConfig) withDefaults() (OverloadConfig, error) {
-	if !c.Enabled {
-		return c, nil
-	}
+// The two overload settings no deployment tunes.
+const (
+	// dispatchQueueLimit bounds the send queue (outbound intra-cluster
+	// messages). When full, advisory gossip is dropped, forwards fall
+	// back to local service, and file replies are dropped (the origin's
+	// failover recovers them).
+	dispatchQueueLimit = 1024
+	// retryAfterSeconds is the Retry-After hint on 503 responses.
+	retryAfterSeconds = "1"
+)
+
+var retryAfter = []string{retryAfterSeconds} // shared: net/http only copies header values
+
+// withDefaults fills in the zero fields; failoverTimeout is the
+// defaulted Health.FailoverTimeout the request deadline is sized to.
+func (c OverloadConfig) withDefaults(failoverTimeout time.Duration) (OverloadConfig, error) {
 	if c.AcceptQueue == 0 {
 		c.AcceptQueue = 128
-	}
-	if c.DispatchQueue == 0 {
-		c.DispatchQueue = 1024
 	}
 	if c.DiskQueue == 0 {
 		c.DiskQueue = 256
 	}
 	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 5 * time.Second
-	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = time.Second
+		c.RequestTimeout = 2 * failoverTimeout
 	}
 	if c.BrownoutOutstanding == 0 {
 		c.BrownoutOutstanding = 64
@@ -100,10 +97,10 @@ func (c OverloadConfig) withDefaults() (OverloadConfig, error) {
 	if c.BrownoutProbeInterval == 0 {
 		c.BrownoutProbeInterval = 200 * time.Millisecond
 	}
-	if c.AcceptQueue < 0 || c.DispatchQueue < 0 || c.DiskQueue < 0 {
+	if c.AcceptQueue < 0 || c.DiskQueue < 0 {
 		return c, fmt.Errorf("server: OverloadConfig queue limits must be positive")
 	}
-	if c.RequestTimeout < 0 || c.QueueDelayTarget < 0 || c.RetryAfter < 0 ||
+	if c.RequestTimeout < 0 || c.QueueDelayTarget < 0 ||
 		c.BrownoutLatency < 0 || c.BrownoutProbeInterval < 0 {
 		return c, fmt.Errorf("server: OverloadConfig durations must be non-negative")
 	}
@@ -132,11 +129,10 @@ const (
 
 // overloadInstruments are the goodput-accounting metric families.
 // shed, expired and goodput are the node's account of those events —
-// counterIn counters, summed per family by Node.Stats — and exist
-// whenever the layer is on; brownouts and acceptDelay have no NodeStats
-// view and are nil without a registry. The maps are built once and only
-// read afterwards, so the HTTP goroutines may touch them concurrently
-// with the main loop.
+// counterIn counters, summed per family by Node.Stats; brownouts and
+// acceptDelay have no NodeStats view and are nil without a registry.
+// The maps are built once and only read afterwards, so the HTTP
+// goroutines may touch them concurrently with the main loop.
 type overloadInstruments struct {
 	shed        map[[2]string]*metrics.Counter // [queue, reason]
 	expired     map[string]*metrics.Counter    // stage
@@ -200,27 +196,17 @@ type peerPace struct {
 }
 
 // overloadCtl is the per-node overload state. Everything except
-// brownedPub is owned by the main loop. on is false when the layer is
-// disabled, and every hook guards on it first, so the disabled path
-// costs one branch and zero allocations.
+// brownedPub is owned by the main loop.
 type overloadCtl struct {
-	on         bool
 	cfg        OverloadConfig
-	retryAfter []string // the 503s' Retry-After header value, whole seconds
 	pace       []peerPace
 	brownedPub []atomic.Bool // published copies for tests/stats
 	im         overloadInstruments
 }
 
 func newOverloadCtl(cfg Config, id int) overloadCtl {
-	retry := []string{strconv.Itoa(max(1, int(cfg.Overload.RetryAfter.Round(time.Second)/time.Second)))}
-	if !cfg.Overload.Enabled {
-		return overloadCtl{retryAfter: retry}
-	}
 	return overloadCtl{
-		on:         true,
 		cfg:        cfg.Overload,
-		retryAfter: retry,
 		pace:       make([]peerPace, cfg.Nodes),
 		brownedPub: make([]atomic.Bool, cfg.Nodes),
 		im:         newOverloadInstruments(cfg.Metrics, id, cfg.Nodes),
@@ -238,9 +224,6 @@ const (
 //
 //presslint:hotpath budget=0
 func (n *Node) ovForwardSent(dst int, now time.Time) {
-	if !n.ov.on {
-		return
-	}
 	n.ov.pace[dst].outstanding++
 	n.ovUpdateBrown(dst, now)
 }
@@ -251,9 +234,6 @@ func (n *Node) ovForwardSent(dst int, now time.Time) {
 //
 //presslint:hotpath budget=0
 func (n *Node) ovForwardDone(dst int, elapsed time.Duration, now time.Time) {
-	if !n.ov.on {
-		return
-	}
 	p := &n.ov.pace[dst]
 	if p.outstanding > 0 {
 		p.outstanding--
@@ -298,9 +278,6 @@ func (n *Node) ovUpdateBrown(dst int, now time.Time) {
 //
 //presslint:hotpath budget=0
 func (n *Node) ovAllowForward(dst int, now time.Time) bool {
-	if !n.ov.on {
-		return true
-	}
 	p := &n.ov.pace[dst]
 	if !p.browned {
 		return true
@@ -316,15 +293,12 @@ func (n *Node) ovAllowForward(dst int, now time.Time) bool {
 //
 //presslint:hotpath budget=0
 func (n *Node) ovBrowned(dst int) bool {
-	return n.ov.on && n.ov.pace[dst].browned
+	return n.ov.pace[dst].browned
 }
 
 // ovResetPeer clears a peer's pace on death or re-integration: the
 // samples described a channel that no longer exists.
 func (n *Node) ovResetPeer(peer int) {
-	if !n.ov.on {
-		return
-	}
 	n.ov.pace[peer] = peerPace{}
 	n.ov.brownedPub[peer].Store(false)
 }
@@ -334,8 +308,7 @@ func (n *Node) ovResetPeer(peer int) {
 //
 //presslint:hotpath budget=0
 func (n *Node) PeerBrownedOut(peer int) bool {
-	return n.ov.on && peer >= 0 && peer < len(n.ov.brownedPub) &&
-		n.ov.brownedPub[peer].Load()
+	return peer >= 0 && peer < len(n.ov.brownedPub) && n.ov.brownedPub[peer].Load()
 }
 
 // shedClient answers a dequeued request with a shed/expired error and

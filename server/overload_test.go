@@ -1,123 +1,60 @@
 package server
 
 import (
+	"context"
 	"fmt"
-	"io"
-	"math/rand"
-	"net/http"
 	"sync"
 	"testing"
 	"time"
 
 	"press/cache"
+	"press/loadgen"
 	"press/trace"
 )
 
 func TestOverloadConfigDefaults(t *testing.T) {
-	c, err := OverloadConfig{Enabled: true}.withDefaults()
+	const failover = 6 * time.Second
+	rows := []struct {
+		name    string
+		in      OverloadConfig
+		timeout time.Duration // the RequestTimeout withDefaults settles on
+		bad     bool
+	}{
+		{name: "zero value", timeout: 2 * failover},
+		{name: "explicit timeout kept", in: OverloadConfig{RequestTimeout: time.Second}, timeout: time.Second},
+		{name: "negative queue limit", in: OverloadConfig{AcceptQueue: -1}, bad: true},
+		{name: "negative timeout", in: OverloadConfig{RequestTimeout: -time.Second}, bad: true},
+	}
+	for _, row := range rows {
+		c, err := row.in.withDefaults(failover)
+		if row.bad {
+			if err == nil {
+				t.Errorf("%s: accepted", row.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		if c.AcceptQueue != 128 || c.DiskQueue != 256 {
+			t.Errorf("%s: queue defaults: %+v", row.name, c)
+		}
+		if c.RequestTimeout != row.timeout {
+			t.Errorf("%s: RequestTimeout %v, want %v", row.name, c.RequestTimeout, row.timeout)
+		}
+		if c.BrownoutOutstanding != 64 || c.BrownoutProbeInterval != 200*time.Millisecond {
+			t.Errorf("%s: brownout defaults: %+v", row.name, c)
+		}
+	}
+	// The derived default leaves room for one failover: twice the
+	// health defaults' FailoverTimeout (4 × DeadAfter 1.5 s).
+	cfg, err := (&Config{Nodes: 1, Trace: sizedTrace(1 << 10)}).withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.AcceptQueue != 128 || c.DispatchQueue != 1024 || c.DiskQueue != 256 {
-		t.Errorf("queue defaults: %+v", c)
+	if got := cfg.Overload.RequestTimeout; got != 12*time.Second || got != 2*cfg.Health.FailoverTimeout {
+		t.Errorf("default RequestTimeout %v with FailoverTimeout %v, want 12s and twice it", got, cfg.Health.FailoverTimeout)
 	}
-	if c.RequestTimeout != 5*time.Second || c.RetryAfter != time.Second {
-		t.Errorf("duration defaults: %+v", c)
-	}
-	if c.BrownoutOutstanding != 64 || c.BrownoutProbeInterval != 200*time.Millisecond {
-		t.Errorf("brownout defaults: %+v", c)
-	}
-	// Disabled: the zero value passes through untouched.
-	z, err := OverloadConfig{}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if z != (OverloadConfig{}) {
-		t.Errorf("disabled config gained defaults: %+v", z)
-	}
-	if _, err := (OverloadConfig{Enabled: true, AcceptQueue: -1}).withDefaults(); err == nil {
-		t.Error("negative queue limit accepted")
-	}
-	if _, err := (OverloadConfig{Enabled: true, RequestTimeout: -time.Second}).withDefaults(); err == nil {
-		t.Error("negative timeout accepted")
-	}
-}
-
-// olStats is what the inline open-loop driver measured.
-type olStats struct {
-	issued, ok, shed, errs int
-	maxLatency             time.Duration
-}
-
-// openLoopDrive offers GETs for the given names at a fixed Poisson rate
-// across the targets for dur, regardless of how fast they complete —
-// the only load shape that can hold a cluster past saturation. sample,
-// when non-nil, runs every ~25 ms of the schedule (queue inspections).
-func openLoopDrive(urls, names []string, rate float64, dur, timeout time.Duration,
-	seed int64, sample func()) olStats {
-	client := &http.Client{
-		Timeout: timeout,
-		Transport: &http.Transport{
-			MaxIdleConnsPerHost: 256,
-			MaxIdleConns:        2048,
-		},
-	}
-	defer client.CloseIdleConnections()
-	rng := rand.New(rand.NewSource(seed))
-	var (
-		mu sync.Mutex
-		st olStats
-		wg sync.WaitGroup
-	)
-	start := time.Now()
-	deadline := start.Add(dur)
-	next := start
-	lastSample := start
-	for {
-		next = next.Add(time.Duration(rng.ExpFloat64() / rate * float64(time.Second)))
-		if next.After(deadline) {
-			break
-		}
-		if wait := time.Until(next); wait > 0 {
-			time.Sleep(wait)
-		}
-		if sample != nil && time.Since(lastSample) > 25*time.Millisecond {
-			lastSample = time.Now()
-			sample()
-		}
-		url := urls[rng.Intn(len(urls))] + names[rng.Intn(len(names))]
-		st.issued++
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t0 := time.Now()
-			resp, err := client.Get(url)
-			if err != nil {
-				mu.Lock()
-				st.errs++
-				mu.Unlock()
-				return
-			}
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			lat := time.Since(t0)
-			mu.Lock()
-			switch resp.StatusCode {
-			case http.StatusOK:
-				st.ok++
-				if lat > st.maxLatency {
-					st.maxLatency = lat
-				}
-			case http.StatusServiceUnavailable:
-				st.shed++
-			default:
-				st.errs++
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	return st
 }
 
 // overloadTestConfig is a deliberately slow 8-node TCP cluster: one
@@ -137,48 +74,84 @@ func overloadTestConfig(tr *trace.Trace) Config {
 	}
 }
 
-// TestOverloadGoodputUnderSaturation is the acceptance scenario: an
-// 8-node cluster is offered roughly twice its saturation rate by an
-// open-loop generator, once without overload control and once with it.
-// With control on, excess arrivals get prompt 503s, nothing is served
-// past its deadline, the bounded queues never exceed their limits, and
-// goodput beats the unbounded baseline at the same offered load.
-func TestOverloadGoodputUnderSaturation(t *testing.T) {
-	tr := serverTestTrace(t, 64)
-	names := make([]string, len(tr.Files))
-	for i, f := range tr.Files {
-		names[i] = f.Name
+// overloadDrive offers the trace's requests to cl at a Poisson rate
+// past saturation for the run, with the given client timeout, through
+// the open-loop generator; sample, when non-nil, runs every 25 ms from
+// its own goroutine until the run ends (queue inspections).
+func overloadDrive(t *testing.T, cl *Cluster, tr *trace.Trace, timeout time.Duration, sample func()) *loadgen.Result {
+	t.Helper()
+	targets := make([]string, len(cl.Addrs()))
+	for i := range targets {
+		targets[i] = cl.URL(i)
 	}
-	const (
-		offered     = 1200.0 // req/s; saturation is in the 400-500 range
-		runFor      = 2500 * time.Millisecond
-		reqDeadline = 500 * time.Millisecond
-	)
-
-	// Baseline: unbounded queues, no deadlines. The client's own timeout
-	// stands in for the deadline, so "goodput" means the same thing in
-	// both runs: answered within reqDeadline of arrival.
-	base, err := Start(overloadTestConfig(tr))
+	done := make(chan struct{})
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		tick := time.NewTicker(25 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				if sample != nil {
+					sample()
+				}
+			}
+		}
+	}()
+	res, err := loadgen.Run(context.Background(), loadgen.Config{
+		Targets:  targets,
+		Trace:    tr,
+		Rate:     1200, // req/s; saturation is in the 400-500 range
+		Duration: 2500 * time.Millisecond,
+		Timeout:  timeout,
+		Seed:     11,
+	})
+	close(done)
+	<-sampled
 	if err != nil {
 		t.Fatal(err)
 	}
-	urls := make([]string, len(base.Addrs()))
-	for i := range urls {
-		urls[i] = base.URL(i)
+	return res
+}
+
+// TestOverloadGoodputUnderSaturation is the acceptance scenario: an
+// 8-node cluster is offered roughly twice its saturation rate by the
+// open-loop generator, once with overload control configured out of the
+// way and once tuned to a deadline. Tuned, excess arrivals get prompt
+// 503s, nothing is served past its deadline, the bounded queues never
+// exceed their limits, and goodput beats the baseline at the same
+// offered load.
+func TestOverloadGoodputUnderSaturation(t *testing.T) {
+	tr := serverTestTrace(t, 64)
+	const reqDeadline = 500 * time.Millisecond
+
+	// Baseline: queues deeper than the run's whole excess over
+	// saturation (about 1 900 requests, 240 a node) and a deadline that
+	// never comes. The client's own timeout stands in for the deadline,
+	// so "goodput" means the same thing in both runs: answered within
+	// reqDeadline of arrival.
+	cfg := overloadTestConfig(tr)
+	cfg.Overload = OverloadConfig{AcceptQueue: 4096, DiskQueue: 4096, RequestTimeout: time.Hour}
+	base, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	baseSt := openLoopDrive(urls, names, offered, runFor, reqDeadline, 11, nil)
+	baseRes := overloadDrive(t, base, tr, reqDeadline, nil)
 	base.Close()
-	t.Logf("baseline: issued %d ok %d shed %d errs %d", baseSt.issued, baseSt.ok, baseSt.shed, baseSt.errs)
-	if baseSt.shed != 0 {
-		t.Errorf("baseline cluster shed %d requests with overload control off", baseSt.shed)
+	baseOK := baseRes.Requests - baseRes.Errors
+	t.Logf("baseline: issued %d ok %d shed %d errs %d", baseRes.Requests, baseOK, baseRes.ErrShed, baseRes.Errors)
+	if baseRes.ErrShed != 0 {
+		t.Errorf("baseline cluster shed %d requests with overload control out of the way", baseRes.ErrShed)
 	}
 
-	// Controlled: bounded queues and a propagated deadline. The client
+	// Controlled: shallow queues and a propagated deadline. The client
 	// timeout is generous so anything the cluster served late would be
 	// visible as a success with a too-large latency.
-	cfg := overloadTestConfig(tr)
+	cfg = overloadTestConfig(tr)
 	cfg.Overload = OverloadConfig{
-		Enabled:             true,
 		AcceptQueue:         8,
 		DiskQueue:           4,
 		RequestTimeout:      reqDeadline,
@@ -189,16 +162,8 @@ func TestOverloadGoodputUnderSaturation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	for i := range urls {
-		urls[i] = cl.URL(i)
-	}
-	var (
-		violMu     sync.Mutex
-		violations []string
-	)
+	var violations []string // the sampler's, read once it has stopped
 	sample := func() {
-		violMu.Lock()
-		defer violMu.Unlock()
 		for i, n := range cl.Nodes() {
 			if l := len(n.httpCh); l > cfg.Overload.AcceptQueue {
 				violations = append(violations, fmt.Sprintf("node %d accept queue %d > %d", i, l, cfg.Overload.AcceptQueue))
@@ -206,22 +171,22 @@ func TestOverloadGoodputUnderSaturation(t *testing.T) {
 			if l := n.diskQ.len(); l > cfg.Overload.DiskQueue {
 				violations = append(violations, fmt.Sprintf("node %d disk queue %d > %d", i, l, cfg.Overload.DiskQueue))
 			}
-			if l := n.sendQ.len(); l > 1024 {
-				violations = append(violations, fmt.Sprintf("node %d send queue %d > 1024", i, l))
+			if l := n.sendQ.len(); l > dispatchQueueLimit {
+				violations = append(violations, fmt.Sprintf("node %d send queue %d > %d", i, l, dispatchQueueLimit))
 			}
 		}
 	}
-	ctlSt := openLoopDrive(urls, names, offered, runFor, 4*reqDeadline, 11, sample)
+	ctlRes := overloadDrive(t, cl, tr, 4*reqDeadline, sample)
+	ctlOK := ctlRes.Requests - ctlRes.Errors
+	maxLatency := time.Duration(ctlRes.LatencyMax * float64(time.Second))
 	st := cl.Stats()
 	t.Logf("controlled: issued %d ok %d shed %d errs %d maxLat %v; server shed %d expired %d goodput %d",
-		ctlSt.issued, ctlSt.ok, ctlSt.shed, ctlSt.errs, ctlSt.maxLatency, st.Nodes.Shed, st.Nodes.DeadlineExpired, st.Nodes.Goodput)
+		ctlRes.Requests, ctlOK, ctlRes.ErrShed, ctlRes.Errors, maxLatency, st.Nodes.Shed, st.Nodes.DeadlineExpired, st.Nodes.Goodput)
 
-	violMu.Lock()
 	for _, v := range violations {
 		t.Errorf("queue bound violated: %s", v)
 	}
-	violMu.Unlock()
-	if ctlSt.shed == 0 {
+	if ctlRes.ErrShed == 0 {
 		t.Error("no prompt 503s at twice the saturation rate")
 	}
 	if st.Nodes.Shed == 0 {
@@ -230,17 +195,16 @@ func TestOverloadGoodputUnderSaturation(t *testing.T) {
 	// Zero served after deadline: the slack covers client-side transfer
 	// and scheduling, not server-side serving — a request served a full
 	// deadline late would stand out well past it.
-	if slack := 700 * time.Millisecond; ctlSt.maxLatency > reqDeadline+slack {
-		t.Errorf("a request was served %v after arrival; deadline is %v", ctlSt.maxLatency, reqDeadline)
+	if slack := 700 * time.Millisecond; maxLatency > reqDeadline+slack {
+		t.Errorf("a request was served %v after arrival; deadline is %v", maxLatency, reqDeadline)
 	}
-	if int64(ctlSt.ok) > st.Nodes.Goodput {
-		t.Errorf("client saw %d successes but the cluster booked only %d as goodput", ctlSt.ok, st.Nodes.Goodput)
+	if ctlOK > st.Nodes.Goodput {
+		t.Errorf("client saw %d successes but the cluster booked only %d as goodput", ctlOK, st.Nodes.Goodput)
 	}
 	// The point of the exercise: bounded queues + deadlines beat the
-	// unbounded baseline on within-deadline answers at the same offered
-	// load.
-	if ctlSt.ok <= baseSt.ok {
-		t.Errorf("goodput with overload control (%d) does not beat the unbounded baseline (%d)", ctlSt.ok, baseSt.ok)
+	// baseline on within-deadline answers at the same offered load.
+	if ctlOK <= baseOK {
+		t.Errorf("goodput with overload control (%d) does not beat the baseline (%d)", ctlOK, baseOK)
 	}
 }
 
@@ -272,7 +236,6 @@ func TestBrownoutSlowPeer(t *testing.T) {
 			FailoverTimeout:   6 * time.Second,
 		},
 		Overload: OverloadConfig{
-			Enabled:               true,
 			RequestTimeout:        10 * time.Second, // deadlines out of the picture
 			BrownoutLatency:       40 * time.Millisecond,
 			BrownoutOutstanding:   -1, // isolate the latency signal
@@ -389,31 +352,4 @@ func TestBrownoutSlowPeer(t *testing.T) {
 	waitFor(t, 10*time.Second, "forwards to resume after recovery", func() bool {
 		return vnode.Stats().RemoteHits > resumeStart+3
 	})
-}
-
-// BenchmarkOverloadOff proves the disabled overload layer costs nothing
-// on the hot paths it instruments: the per-forward pacing hooks, the
-// admission decision, and the work-queue push/pop cycle must all be
-// allocation-free when Enabled is false (the default). check.sh gates
-// on 0 allocs/op.
-func BenchmarkOverloadOff(b *testing.B) {
-	n := &Node{} // ov.on == false, exactly as newNode leaves it when disabled
-	q := newUnboundedQueue[outMsg]()
-	now := time.Now()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.ovForwardSent(0, now)
-		if !n.ovAllowForward(0, now) {
-			b.Fatal("disabled overload refused a forward")
-		}
-		n.ovForwardDone(0, time.Millisecond, now)
-		if n.ovBrowned(0) || n.PeerBrownedOut(0) {
-			b.Fatal("disabled overload browned a peer")
-		}
-		q.push(outMsg{})
-		if _, ok := q.pop(); !ok {
-			b.Fatal("queue closed")
-		}
-	}
 }

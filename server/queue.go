@@ -6,10 +6,9 @@ import "sync"
 // helper threads (Figure 2): the main loop must never block, so it
 // pushes digests here and the helper drains them at its own pace.
 //
-// A limit of 0 keeps the queue unbounded (the pre-overload behavior);
-// a positive limit makes push refuse new work when the backlog is at
-// the limit, which is the admission-control half of the overload layer
-// — the caller sheds, the queue never grows without bound.
+// push refuses new work when the backlog is at the limit, which is the
+// admission-control half of the overload layer — the caller sheds, the
+// queue never grows without bound.
 //
 // Popped slots are zeroed and the backing array is compacted once the
 // drained prefix dominates it, so a long-lived queue under sustained
@@ -21,7 +20,7 @@ type workQueue[T any] struct {
 	cond   *sync.Cond
 	items  []T
 	head   int // items[:head] are popped, zeroed slots
-	limit  int // 0 = unbounded
+	limit  int
 	closed bool
 }
 
@@ -36,21 +35,18 @@ func newWorkQueue[T any](limit int) *workQueue[T] {
 	return q
 }
 
-// newUnboundedQueue returns a queue with no admission limit.
-func newUnboundedQueue[T any]() *workQueue[T] { return newWorkQueue[T](0) }
-
-// push enqueues an item; it never blocks. On a bounded queue it
-// reports false — and enqueues nothing — when the backlog already sits
-// at the limit; the caller owns the shed decision.
+// push enqueues an item; it never blocks. It reports false — and
+// enqueues nothing — when the backlog already sits at the limit; the
+// caller owns the shed decision.
 //
 //presslint:hotpath budget=0
 func (q *workQueue[T]) push(item T) bool {
 	q.mu.Lock()
-	if q.limit > 0 && len(q.items)-q.head >= q.limit {
+	if len(q.items)-q.head >= q.limit {
 		q.mu.Unlock()
 		return false
 	}
-	//presslint:alloc-gated amortized-free: append reuses capacity reclaimed by compactLocked; steady state proven by BenchmarkOverloadOff
+	//presslint:alloc-gated amortized-free: append reuses capacity reclaimed by compactLocked; steady state proven by BenchmarkForwarded1K
 	q.items = append(q.items, item)
 	q.mu.Unlock()
 	q.cond.Signal()

@@ -26,13 +26,40 @@ func TestWorkQueueBounded(t *testing.T) {
 	}
 }
 
+// TestWorkQueueFIFOAndClose: items come out in push order, and a pop
+// on a drained queue returns once the queue is closed.
+func TestWorkQueueFIFOAndClose(t *testing.T) {
+	q := newWorkQueue[int](10)
+	for i := 0; i < 10; i++ {
+		q.push(i)
+	}
+	if q.len() != 10 {
+		t.Fatalf("len = %d", q.len())
+	}
+	for i := 0; i < 10; i++ {
+		v, ok := q.pop()
+		if !ok || v != i {
+			t.Fatalf("pop %d = %d, %v", i, v, ok)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if _, ok := q.pop(); ok {
+			t.Error("pop after close returned ok")
+		}
+	}()
+	q.close()
+	<-done
+}
+
 // TestWorkQueueCompaction pins the memory-retention fix: popping used
 // to do items = items[1:], which kept both the popped element and the
 // whole backing array alive forever. The drained array must be
 // released (observable via cap) and popped slots zeroed.
 func TestWorkQueueCompaction(t *testing.T) {
-	q := newUnboundedQueue[*[]byte]()
 	const n = 4096
+	q := newWorkQueue[*[]byte](n)
 	for i := 0; i < n; i++ {
 		buf := make([]byte, 16)
 		q.push(&buf)
@@ -86,7 +113,7 @@ func TestWorkQueueCompaction(t *testing.T) {
 // TestWorkQueueZeroesPoppedSlot checks pop does not leave the dequeued
 // element reachable from the backing array.
 func TestWorkQueueZeroesPoppedSlot(t *testing.T) {
-	q := newUnboundedQueue[*int]()
+	q := newWorkQueue[*int](2)
 	x := new(int)
 	q.push(x)
 	q.push(new(int))
@@ -99,8 +126,8 @@ func TestWorkQueueZeroesPoppedSlot(t *testing.T) {
 }
 
 func TestWorkQueueConcurrent(t *testing.T) {
-	q := newUnboundedQueue[int]()
 	const producers, each = 8, 500
+	q := newWorkQueue[int](producers * each)
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -16,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"press/metrics"
 	"press/trace"
 	"press/tracing"
 )
@@ -185,21 +185,21 @@ func TestClientRequestRelease(t *testing.T) {
 	})
 }
 
-// TestFullQueueHonoursCancelAndStop: behind a full accept queue and a
-// main loop that does not drain it, a request still returns when its
-// client goes away and when the node stops — and on neither return is it
-// recycled, for nothing has answered it.
-func TestFullQueueHonoursCancelAndStop(t *testing.T) {
+// TestFullQueueSheds: behind a full accept queue and a main loop that
+// does not drain it, a request at a node with the default Config is
+// shed at once — 503 with Retry-After, booked as an accept-queue shed —
+// and not recycled, for nothing has answered it.
+func TestFullQueueSheds(t *testing.T) {
 	tr := sizedTrace(1 << 10)
-	cfg := testClusterConfig(tr, TransportVIA)
-	cfg.Nodes = 1
-	cl, err := Start(cfg)
+	reg := metrics.NewRegistry()
+	cl, err := Start(Config{Nodes: 1, Trace: tr, Transport: TransportVIA, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	n := cl.Nodes()[0]
 	h := &nodeHandler{node: n}
+	shed := reg.Counter("press_shed_total", "node=0", "queue="+shedQueueAccept, "reason="+shedReasonFull)
 
 	isParked := make(chan struct{})
 	n.inject(func() {
@@ -211,56 +211,30 @@ func TestFullQueueHonoursCancelAndStop(t *testing.T) {
 		n.httpCh <- n.newRequest(tr.Files[0].Name)
 	}
 	made := recordRequests(t)
+	shedBefore := shed.Value()
 
-	serve := func(ctx context.Context) (*httptest.ResponseRecorder, chan struct{}) {
-		rec, done := httptest.NewRecorder(), make(chan struct{})
-		go func() {
-			defer close(done)
-			h.ServeHTTP(rec, httptest.NewRequest("GET", tr.Files[0].Name, nil).WithContext(ctx))
-		}()
-		return rec, done
-	}
-	returned := func(what string, done chan struct{}) {
-		t.Helper()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("the handler did not return on %s", what)
-		}
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	rec, done := serve(ctx)
+	rec, done := httptest.NewRecorder(), make(chan struct{})
+	go func() {
+		defer close(done)
+		h.ServeHTTP(rec, httptest.NewRequest("GET", tr.Files[0].Name, nil))
+	}()
 	select {
 	case <-done:
-		t.Fatal("the handler returned with the queue full and the client still there")
-	case <-time.After(50 * time.Millisecond):
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handler waited behind the full queue instead of shedding")
 	}
-	cancel()
-	returned("client disconnect", done)
-	if rec.Body.Len() != 0 {
-		t.Errorf("a gone client was written %q", rec.Body.String())
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") != retryAfterSeconds {
+		t.Errorf("status %d, Retry-After %q; want 503 and %q", rec.Code, rec.Header().Get("Retry-After"), retryAfterSeconds)
 	}
-
-	rec, done = serve(context.Background())
-	time.Sleep(20 * time.Millisecond)
-	cl.Close()
-	returned("node stop", done)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Errorf("status on node stop = %d, want 503", rec.Code)
+	if got := shed.Value() - shedBefore; got != 1 {
+		t.Errorf("press_shed_total{queue=accept,reason=full} moved by %d, want 1", got)
 	}
-
 	reqs := made()
-	if len(reqs) != 2 {
-		t.Fatalf("%d requests were made, want 2", len(reqs))
+	if len(reqs) != 1 {
+		t.Fatalf("%d requests were made, want 1", len(reqs))
 	}
-	for i, r := range reqs {
-		if r.node != n || r.name == "" {
-			t.Errorf("request %d was recycled though nothing answered it", i)
-		}
-		if !parked(r.timer) {
-			t.Errorf("request %d left its safety net armed", i)
-		}
+	if r := reqs[0]; r.node != n || r.name == "" || !parked(r.timer) {
+		t.Error("the shed request was recycled, or left its safety net armed")
 	}
 }
 
@@ -340,8 +314,7 @@ func TestClientRequestRecycleStress(t *testing.T) {
 			if overload {
 				// Every disk read outlives its request; hits do not.
 				cfg.DiskDelay = 4 * time.Millisecond
-				cfg.Overload = OverloadConfig{Enabled: true, AcceptQueue: 1,
-					RequestTimeout: 2 * time.Millisecond}
+				cfg.Overload = OverloadConfig{AcceptQueue: 1, RequestTimeout: 2 * time.Millisecond}
 			}
 		})
 
