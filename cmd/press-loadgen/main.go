@@ -44,10 +44,10 @@ func main() {
 		targets     = flag.String("targets", "", "comma-separated base URLs of cluster nodes")
 		traceName   = flag.String("trace", "clarknet", "trace name (must match pressd)")
 		files       = flag.Int("files", 2000, "file population limit (must match pressd)")
-		requests    = flag.Int("requests", 20000, "number of requests to issue (open loop: cap, 0 = until -duration)")
+		requests    = flag.Int("requests", 20000, "cap on requests issued (0 = until -duration)")
 		concurrency = flag.Int("concurrency", 32, "closed-loop clients")
 		rate        = flag.Float64("rate", 0, "open-loop Poisson arrival rate in req/s (0 = closed loop)")
-		duration    = flag.Duration("duration", 10*time.Second, "open-loop run length")
+		duration    = flag.Duration("duration", 10*time.Second, "run length: an open loop offers load this long; a closed loop stops here or at -requests, whichever comes first")
 		hotspot     = flag.Float64("hotspot", 0, "Zipf-hotspot preset: draw each request from Zipf(alpha) over popularity ranks instead of the trace order (0 = off; 1.5-2 concentrates the head)")
 		seed        = flag.Int64("seed", 1, "random seed")
 		dissem      = flag.String("dissemination", "", "verify the cluster runs this strategy before driving it ("+cliflag.DisseminationNames()+"; empty = don't check)")

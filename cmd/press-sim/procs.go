@@ -1,14 +1,17 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
+	"press/loadgen"
 	"press/server/procharness"
 )
 
-// procsRun is the multi-process availability scenario: N real node
-// processes mesh over loopback, a closed-loop driver hammers them, the
+// procsRun is the multi-process availability scenario: N pressd
+// processes mesh over loopback, closed-loop loadgen clients replay the
+// harness's trace against them (2 s patience per request), the
 // hottest cacher is killed -9 mid-drive and restarted, and the run
 // reports availability, the epoch turnover, and rejoin convergence —
 // the crash-restart experiment from EXPERIMENTS.md on live processes
@@ -18,12 +21,11 @@ func procsRun(procs int, traceName, version, dissem, transport string, dur time.
 		return fmt.Errorf("-procs needs at least 2 processes, got %d", procs)
 	}
 	h, err := procharness.Start(procharness.Options{
-		Nodes:      procs,
-		Transport:  transport,
-		Version:    version,
-		Strategy:   dissem,
-		TraceName:  traceName,
-		FastHealth: true,
+		Nodes:     procs,
+		Transport: transport,
+		Version:   version,
+		Strategy:  dissem,
+		TraceName: traceName,
 	})
 	if err != nil {
 		return err
@@ -41,12 +43,27 @@ func procsRun(procs int, traceName, version, dissem, transport string, dur time.
 		return err
 	}
 	fmt.Println("mesh converged; driving")
-	names := h.FileNames(80)
 	seg := dur / 3
 
-	var total procharness.DriveResult
-	add := func(r procharness.DriveResult) { total.OK += r.OK; total.Errors += r.Errors }
-	add(procharness.Drive(urls, names, seg, 8))
+	var requests, errs int64
+	drive := func(targets []string) error {
+		res, err := loadgen.Run(context.Background(), loadgen.Config{
+			Targets:     targets,
+			Trace:       h.Trace(),
+			Concurrency: 8,
+			Duration:    seg,
+			Timeout:     2 * time.Second,
+		})
+		if err != nil {
+			return err
+		}
+		requests += res.Requests
+		errs += res.Errors
+		return nil
+	}
+	if err := drive(urls); err != nil {
+		return err
+	}
 
 	victim, hottest := 0, int64(-1)
 	epochs := make([]uint64, procs)
@@ -72,7 +89,9 @@ func procsRun(procs int, traceName, version, dissem, transport string, dur time.
 
 	killAt := time.AfterFunc(seg/4, func() { _ = h.Kill(victim) })
 	defer killAt.Stop()
-	add(procharness.Drive(survivorURLs, names, seg, 8))
+	if err := drive(survivorURLs); err != nil {
+		return err
+	}
 
 	fmt.Printf("restarting node %d\n", victim)
 	if err := h.Restart(victim); err != nil {
@@ -81,11 +100,13 @@ func procsRun(procs int, traceName, version, dissem, transport string, dur time.
 	if err := h.WaitConverged(20*time.Second, all...); err != nil {
 		return err
 	}
-	add(procharness.Drive(urls, names, seg, 8))
+	if err := drive(urls); err != nil {
+		return err
+	}
 
 	avail := 1.0
-	if total.OK+total.Errors > 0 {
-		avail = float64(total.OK) / float64(total.OK+total.Errors)
+	if requests > 0 {
+		avail = float64(requests-errs) / float64(requests)
 	}
 	ns, err := h.Stats(victim)
 	if err != nil {
@@ -99,7 +120,7 @@ func procsRun(procs int, traceName, version, dissem, transport string, dur time.
 		}
 		staleDrops += ss.StaleEpochDrops
 	}
-	fmt.Printf("\navailability: %.4f (%d ok, %d errors)\n", avail, total.OK, total.Errors)
+	fmt.Printf("\navailability: %.4f (%d ok, %d errors)\n", avail, requests-errs, errs)
 	if ns.Epoch != 0 {
 		// Epoch accounting rides the TCP mesh handshake; the VIA bridge
 		// orders lives with per-process id spaces instead.

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -38,15 +39,17 @@ type Config struct {
 	// Concurrency is the number of closed-loop clients (default 16).
 	// Ignored in open-loop mode (Rate > 0).
 	Concurrency int
-	// Requests caps the run; 0 replays the whole trace (closed loop) or
-	// runs until Duration (open loop).
+	// Requests caps the run; 0 replays the whole trace once (closed loop
+	// without Duration) or runs until Duration.
 	Requests int
 	// Rate, when positive, switches to open-loop mode: requests arrive
 	// as a Poisson process at this many per second (seeded exponential
 	// inter-arrival times), each on its own goroutine, regardless of how
 	// many are still in flight.
 	Rate float64
-	// Duration bounds an open-loop run (default 10 s; ignored closed-loop).
+	// Duration bounds the run. An open loop offers arrivals for this
+	// long (default 10 s); a closed loop with Duration set replays the
+	// trace in a cycle until it has passed (0: one pass over the trace).
 	Duration time.Duration
 	// Hotspot, when positive, replaces the trace's request order with a
 	// Zipf-hotspot stream: each request draws a popularity rank from a
@@ -265,12 +268,17 @@ func (p *picker) file(i int64, rng *rand.Rand) int {
 }
 
 func runClosedLoop(ctx context.Context, cfg Config, client *http.Client, b *books, pk *picker, concurrency int) (*Result, error) {
-	total := len(cfg.Trace.Requests)
-	if cfg.Requests > 0 && cfg.Requests < total {
-		total = cfg.Requests
+	nTrace := int64(len(cfg.Trace.Requests))
+	total := nTrace
+	if cfg.Duration > 0 {
+		total = math.MaxInt64 // cycle until the deadline
+	}
+	if cfg.Requests > 0 && int64(cfg.Requests) < total {
+		total = int64(cfg.Requests)
 	}
 	var cursor atomic.Int64
 	start := time.Now()
+	deadline := start.Add(cfg.Duration)
 	var wg sync.WaitGroup
 	for c := 0; c < concurrency; c++ {
 		wg.Add(1)
@@ -278,14 +286,14 @@ func runClosedLoop(ctx context.Context, cfg Config, client *http.Client, b *book
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(c)))
 			for {
-				if ctx.Err() != nil {
+				if ctx.Err() != nil || (cfg.Duration > 0 && time.Now().After(deadline)) {
 					return
 				}
 				i := cursor.Add(1) - 1
-				if i >= int64(total) {
+				if i >= total {
 					return
 				}
-				if !doOne(ctx, cfg, client, b, rng.Intn(len(cfg.Targets)), pk.file(i, rng)) {
+				if !doOne(ctx, cfg, client, b, rng.Intn(len(cfg.Targets)), pk.file(i%nTrace, rng)) {
 					return
 				}
 			}

@@ -152,6 +152,47 @@ func TestAvailabilityKillNodeMidRun(t *testing.T) {
 	}
 }
 
+// TestClosedLoopDuration: with Duration set, a closed loop replays its
+// trace in a cycle until the time is up, so a 10-request trace drives
+// more than 10 requests, and the run ends within the duration plus one
+// request timeout.
+func TestClosedLoopDuration(t *testing.T) {
+	tr := loadgenTrace(t)
+	tr.Requests = tr.Requests[:10]
+	cl, err := server.Start(server.Config{
+		Nodes: 1, Trace: tr, Transport: server.TransportVIA,
+		CacheBytes: 1 << 20, DiskDelay: 50 * time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	const duration, timeout = 300 * time.Millisecond, 2 * time.Second
+	start := time.Now()
+	res, err := Run(context.Background(), Config{
+		Targets:     []string{"http://" + cl.Addrs()[0]},
+		Trace:       tr,
+		Concurrency: 2,
+		Duration:    duration,
+		Timeout:     timeout,
+		Seed:        5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > duration+timeout {
+		t.Errorf("closed loop ran %v, want at most %v", took, duration+timeout)
+	}
+	if res.Requests <= int64(len(tr.Requests)) {
+		t.Errorf("closed loop issued %d requests over a %d-request trace in %v, want the trace cycled",
+			res.Requests, len(tr.Requests), duration)
+	}
+	if res.Errors != 0 {
+		t.Errorf("errors = %d", res.Errors)
+	}
+}
+
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		err    error

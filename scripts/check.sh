@@ -178,6 +178,15 @@ if grep -n 'ov\.on\|Overload\.Enabled\|newUnboundedQueue' server/*.go; then
     exit 1
 fi
 
+# The process harness builds no node of its own: every child is pressd,
+# run with pressd's command line, so the node the proc tests kill is the
+# node that ships.
+echo "==> the process harness runs pressd"
+if grep -n 'StartNode\|SpecEnv\|json.Marshal' server/procharness/*.go; then
+    echo "check: server/procharness builds a node of its own again" >&2
+    exit 1
+fi
+
 echo "==> presslint ./..."
 go run ./cmd/presslint ./...
 
@@ -206,7 +215,7 @@ go run ./cmd/presslint -analyzer hotpath-alloc,lock-order,atomic-consistency ./.
 race_suites <<'EOF'
 # The membership seam is real sockets: join handshakes over loopback,
 # the Close-vs-redial race, both-ends-at-once reconnects — and the
-# multi-process smoke: three node processes, one killed -9 mid-run and
+# multi-process smoke: three pressd processes, one killed -9 mid-run and
 # restarted, availability and rejoin convergence asserted. Hard timeout
 # so a wedged child cannot park the gate.
 TestMesh|TestJoinInfo|TestLeaveCodec|./server

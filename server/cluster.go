@@ -99,11 +99,6 @@ type Config struct {
 	// (Enabled false) keeps single-cacher routing and costs one branch
 	// on the serve path.
 	Replication core.ReplicationConfig
-	// ContentOblivious turns the cluster into the baseline server class
-	// PRESS is motivated against: every request is serviced by the node
-	// that accepted it, with no intra-cluster communication and no
-	// cache aggregation.
-	ContentOblivious bool
 	// Mesh places this process as ONE node of a multi-process cluster
 	// (StartNode): peers live in other OS processes at Mesh.PeerAddrs
 	// and membership is negotiated with the join/leave handshake. Start,

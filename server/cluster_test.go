@@ -530,35 +530,6 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-func TestClusterContentOblivious(t *testing.T) {
-	tr := serverTestTrace(t, 16)
-	cfg := testClusterConfig(tr, TransportVIA)
-	cfg.ContentOblivious = true
-	cl, err := Start(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	fetchAll(t, cl, tr, 2, 9)
-	s := cl.Stats()
-	if s.Nodes.Errors != 0 {
-		t.Errorf("errors = %d", s.Nodes.Errors)
-	}
-	if s.Nodes.Forwarded != 0 {
-		t.Errorf("oblivious cluster forwarded %d requests", s.Nodes.Forwarded)
-	}
-	count, _ := s.Msgs.Total()
-	if count != 0 {
-		t.Errorf("oblivious cluster sent %d intra-cluster messages", count)
-	}
-	// Without cache aggregation, every node reads popular files from its
-	// own disk: more disk reads than files.
-	if s.Nodes.DiskReads <= int64(len(tr.Files)) {
-		t.Errorf("disk reads = %d, want more than %d (no aggregation)",
-			s.Nodes.DiskReads, len(tr.Files))
-	}
-}
-
 func TestZeroCopySemantics(t *testing.T) {
 	// The point of versions 3-5: each step removes a payload copy. Run
 	// the same workload and compare actual copied bytes: V3 pays a

@@ -53,13 +53,12 @@ type Directory interface {
 // dirEnv is the narrow slice of node state a Directory runs against,
 // kept as funcs so the implementations never reach into Node.
 type dirEnv struct {
-	self      int
-	nodes     int
-	files     int
-	oblivious bool
-	send      func(dst int, m Message) bool
-	fileName  func(id cache.FileID) string
-	fileID    func(name string) (cache.FileID, bool)
+	self     int
+	nodes    int
+	files    int
+	send     func(dst int, m Message) bool
+	fileName func(id cache.FileID) string
+	fileID   func(name string) (cache.FileID, bool)
 	// localFiles iterates the node's currently cached files.
 	localFiles func(fn func(id cache.FileID))
 	// alive is the health tracker's current non-dead set (self always
@@ -70,11 +69,9 @@ type dirEnv struct {
 	event func(typ telemetry.EventType, peer int, detail string, value int64)
 }
 
-// newDirectory builds the Directory the strategy asks for. A content-
-// oblivious node consults no directory and announces nothing, which the
-// replicated form already knows how to do.
+// newDirectory builds the Directory the strategy asks for.
 func newDirectory(s core.Strategy, env dirEnv) Directory {
-	if s.Dir == core.DirSharded && !env.oblivious {
+	if s.Dir == core.DirSharded {
 		return newShardedDirectory(env)
 	}
 	return newReplicatedDirectory(env)
@@ -99,9 +96,6 @@ func (r *replicatedDirectory) Cachers(id cache.FileID) cache.NodeSet { return r.
 
 func (r *replicatedDirectory) LocalCached(id cache.FileID, cached bool) {
 	r.d.SetCached(id, r.env.self, cached)
-	if r.env.oblivious {
-		return // no one consults the directory
-	}
 	name := r.env.fileName(id)
 	for p := 0; p < r.env.nodes; p++ {
 		if p != r.env.self {
@@ -152,9 +146,6 @@ const dirSyncSegBytes = 16 << 10
 // segment so the peer reconciles: its stale view of this node's cache
 // is purged even when nothing is cached here anymore.
 func (r *replicatedDirectory) PeerJoined(peer int) {
-	if r.env.oblivious {
-		return
-	}
 	var seg []byte
 	offset := uint32(0)
 	flush := func() {

@@ -286,8 +286,7 @@ type Node struct {
 
 	// Fault tolerance, owned by the main loop except where noted. Health
 	// runs wherever there is a peer to forward to (healthOn): more than
-	// one node, and not content-oblivious — the baseline PRESS is
-	// measured against does no intra-cluster communication at all.
+	// one node.
 	health   *healthTracker
 	healthOn bool
 	degraded bool // all peers dead: content-oblivious fallback
@@ -390,24 +389,21 @@ func newNode(id int, cfg Config, store *Store, tr Transport, nic *via.NIC) *Node
 		tel:        cfg.Telemetry,
 	}
 	n.health = newHealthTracker(id, cfg.Nodes, cfg.Health, retrySeed, cfg.Metrics)
-	n.healthOn = cfg.Nodes > 1 && !cfg.ContentOblivious
+	n.healthOn = cfg.Nodes > 1
 	n.ov = newOverloadCtl(cfg, id)
-	if !cfg.ContentOblivious {
-		n.repl = core.NewReplicator(cfg.Replication, id, cfg.Nodes, len(cfg.Trace.Files),
-			cfg.Policy.LargeFileBytes, time.Now())
-	}
+	n.repl = core.NewReplicator(cfg.Replication, id, cfg.Nodes, len(cfg.Trace.Files),
+		cfg.Policy.LargeFileBytes, time.Now())
 	n.pb = n.diss.Piggyback()
 	for i, f := range cfg.Trace.Files {
 		n.nameToID[f.Name] = cache.FileID(i)
 		n.clen[i] = []string{strconv.FormatInt(f.Size, 10)} // sizes are fixed
 	}
 	n.dir = newDirectory(cfg.Dissemination, dirEnv{
-		self:      id,
-		nodes:     cfg.Nodes,
-		files:     len(cfg.Trace.Files),
-		oblivious: cfg.ContentOblivious,
-		send:      n.send,
-		fileName:  func(id cache.FileID) string { return n.files[id].Name },
+		self:     id,
+		nodes:    cfg.Nodes,
+		files:    len(cfg.Trace.Files),
+		send:     n.send,
+		fileName: func(id cache.FileID) string { return n.files[id].Name },
 		fileID: func(name string) (cache.FileID, bool) {
 			id, ok := n.nameToID[name]
 			return id, ok
@@ -535,7 +531,7 @@ func (n *Node) tickInterval() time.Duration {
 
 // gossipActive reports whether epidemic load rounds run on this node.
 func (n *Node) gossipActive() bool {
-	return n.diss.GossipInterval() > 0 && n.cfg.Nodes > 1 && !n.cfg.ContentOblivious
+	return n.diss.GossipInterval() > 0 && n.cfg.Nodes > 1
 }
 
 // gossipTick pushes the node's versioned load digest to this round's
@@ -583,9 +579,9 @@ func (n *Node) handleClient(r *clientRequest) {
 		r.resp <- clientResult{err: fmt.Errorf("%w: %q", ErrNoSuchFile, r.name)}
 		return
 	}
-	if n.cfg.ContentOblivious || n.degraded {
-		// Baseline server class — or graceful degradation: an isolated
-		// node keeps serving from its own cache and disk.
+	if n.degraded {
+		// Graceful degradation: an isolated node keeps serving from its
+		// own cache and disk.
 		n.serveLocal(r, id)
 		return
 	}

@@ -1,81 +1,32 @@
 // Package procharness runs a real multi-process PRESS cluster: each
-// node is one OS process (a re-exec of the current binary), meshed
-// over real sockets with the membership handshake, driven and killed
-// by a parent harness. It exists for the crash-restart acceptance
-// tests and for press-sim -procs, where in-process chaos would prove
-// nothing about surviving a kill -9.
+// node is one OS process (a re-exec of the current binary into pressd's
+// Main, with pressd's mesh-mode command line), meshed over real sockets
+// with the membership handshake, driven and killed by a parent harness.
+// It exists for the crash-restart acceptance tests and for press-sim
+// -procs, where in-process chaos would prove nothing about surviving a
+// kill -9.
 package procharness
 
 import (
-	"encoding/json"
-	"fmt"
-	"log"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"press/core"
-	"press/metrics"
-	"press/netmodel"
-	"press/server"
-	"press/telemetry"
-	"press/trace"
+	"press/pressd"
 )
 
-// SpecEnv carries the child's Spec as JSON. Its presence turns any
-// binary that calls MaybeChild into one cluster node.
-const SpecEnv = "PRESS_PROC_SPEC"
-
-// readyPrefix starts the line a child prints once its node serves.
-const readyPrefix = "PRESSPROC READY "
-
-// Spec tells a child process which node to be.
-type Spec struct {
-	Nodes     int      `json:"nodes"`
-	Self      int      `json:"self"`
-	PeerAddrs []string `json:"peerAddrs"`
-	// UDPAddrs are the VIA bridge endpoints; only set for transport
-	// "via".
-	UDPAddrs  []string `json:"udpAddrs,omitempty"`
-	HTTPAddr  string   `json:"httpAddr"`
-	Transport string   `json:"transport"`          // "tcp" or "via"
-	Version   string   `json:"version,omitempty"`  // V0..V5, VIA only
-	Strategy  string   `json:"strategy,omitempty"` // dissemination name
-	TraceName string   `json:"trace"`
-	Files     int      `json:"files"`
-	CacheMB   int64    `json:"cacheMB,omitempty"`
-	// FastHealth compresses failure-detection timers (50ms heartbeats)
-	// so chaos tests converge in seconds instead of minutes.
-	FastHealth bool `json:"fastHealth,omitempty"`
-	// IncidentOut, when set, runs the telemetry flight recorder and
-	// writes an incident report there on peer death or SIGQUIT.
-	IncidentOut string `json:"incidentOut,omitempty"`
-	// DrainMS bounds the graceful SIGTERM drain (default 5000).
-	DrainMS int `json:"drainMS,omitempty"`
-}
+// childEnv marks a re-exec as a cluster node. Its presence turns any
+// binary that calls MaybeChild into pressd, run with the argv the
+// harness built.
+const childEnv = "PRESS_PROC_CHILD"
 
 // MaybeChild checks whether this process was launched as a cluster
 // node and, if so, runs it to completion and exits. Call it first
 // thing in main() (or TestMain) of any binary the harness re-execs;
 // it returns immediately in the parent.
 func MaybeChild() {
-	raw := os.Getenv(SpecEnv)
-	if raw == "" {
+	if os.Getenv(childEnv) == "" {
 		return
 	}
-	var spec Spec
-	if err := json.Unmarshal([]byte(raw), &spec); err != nil {
-		fmt.Fprintf(os.Stderr, "procharness child: bad spec: %v\n", err)
-		os.Exit(2)
-	}
-	os.Exit(runChild(spec))
-}
-
-func runChild(spec Spec) int {
-	log.SetFlags(0)
-	log.SetPrefix(fmt.Sprintf("press-node %d: ", spec.Self))
-
 	// Orphan watchdog: a harness that dies without cleanup (test binary
 	// killed, panic in the parent) must not leave node processes bound
 	// to their ports forever.
@@ -90,118 +41,5 @@ func runChild(spec Spec) int {
 			}
 		}
 	}()
-
-	ts, err := trace.SpecByName(spec.TraceName)
-	if err != nil {
-		log.Print(err)
-		return 1
-	}
-	if spec.Files > 0 && spec.Files < ts.NumFiles {
-		ts.NumFiles = spec.Files
-	}
-	ts.NumRequests = 1 // population only; requests come from the driver
-	tr, err := trace.Synthesize(ts)
-	if err != nil {
-		log.Print(err)
-		return 1
-	}
-
-	cfg := server.Config{
-		Nodes: spec.Nodes,
-		Trace: tr,
-		Mesh: &server.MeshConfig{
-			Self:      spec.Self,
-			PeerAddrs: spec.PeerAddrs,
-			UDPAddrs:  spec.UDPAddrs,
-			HTTPAddr:  spec.HTTPAddr,
-		},
-	}
-	switch spec.Transport {
-	case "", "tcp":
-		cfg.Transport = server.TransportTCP
-	case "via":
-		cfg.Transport = server.TransportVIA
-		if cfg.Version, err = netmodel.VersionByName(spec.Version); err != nil {
-			log.Print(err)
-			return 1
-		}
-	default:
-		log.Printf("unknown transport %q", spec.Transport)
-		return 1
-	}
-	if spec.Strategy != "" {
-		if cfg.Dissemination, err = core.StrategyByName(spec.Strategy); err != nil {
-			log.Print(err)
-			return 1
-		}
-	}
-	if spec.CacheMB > 0 {
-		cfg.CacheBytes = spec.CacheMB << 20
-	}
-	if spec.FastHealth {
-		cfg.Health = server.HealthConfig{HeartbeatInterval: 50 * time.Millisecond}
-	}
-
-	var plane *telemetry.Plane
-	if spec.IncidentOut != "" {
-		cfg.Metrics = metrics.NewRegistry()
-		plane = telemetry.New(telemetry.Config{
-			Registry: cfg.Metrics,
-			Trigger:  telemetry.TriggerConfig{OnPeerDeath: true},
-		})
-		plane.OnIncident(func(inc *telemetry.Incident) {
-			f, err := os.Create(spec.IncidentOut)
-			if err != nil {
-				log.Printf("incident dump: %v", err)
-				return
-			}
-			if err := inc.WriteJSON(f); err != nil {
-				log.Printf("incident dump: %v", err)
-			}
-			f.Close()
-		})
-		// Disarmed through startup: peers that have not launched yet look
-		// dead and must not burn the trigger on a false positive. The
-		// harness's converge wait covers the arming gap.
-		plane.SetArmed(false)
-		plane.Start()
-		defer plane.Stop()
-		cfg.Telemetry = plane
-	}
-
-	pn, err := server.StartNode(cfg)
-	if err != nil {
-		log.Print(err)
-		return 1
-	}
-	plane.SetArmed(true)
-	fmt.Printf("%s%s\n", readyPrefix, pn.HTTPAddr())
-
-	drain := 5 * time.Second
-	if spec.DrainMS > 0 {
-		drain = time.Duration(spec.DrainMS) * time.Millisecond
-	}
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, syscall.SIGTERM, os.Interrupt, syscall.SIGQUIT)
-	for s := range sig {
-		switch s {
-		case syscall.SIGQUIT:
-			if plane != nil {
-				plane.DumpIncident("SIGQUIT")
-			}
-		case syscall.SIGTERM:
-			// Graceful leave: announce, drain in-flight clients, exit 0.
-			plane.SetArmed(false)
-			if err := pn.Drain(drain); err != nil {
-				log.Printf("drain: %v", err)
-				return 1
-			}
-			return 0
-		default: // SIGINT: hard stop
-			plane.SetArmed(false)
-			pn.Close()
-			return 0
-		}
-	}
-	return 0
+	os.Exit(pressd.Main(os.Args[1:]))
 }

@@ -3,14 +3,14 @@ package procharness
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -27,30 +27,35 @@ type Options struct {
 	Version string
 	// Strategy names the dissemination strategy (default PB).
 	Strategy string
-	// TraceName/Files pick the file population (default clarknet/200).
+	// TraceName picks the file population (default clarknet); every
+	// child serves its hottest files (see files).
 	TraceName string
-	Files     int
-	// CacheMB is the per-node cache size in MiB (0 = server default).
-	CacheMB int64
-	// FastHealth compresses the failure detectors for chaos tests.
-	FastHealth bool
 	// Incidents runs each child's flight recorder, dumping to
 	// IncidentPath(i) on peer death or SIGQUIT.
 	Incidents bool
-	// DrainTimeout bounds a child's graceful SIGTERM drain.
-	DrainTimeout time.Duration
-	// Dir is the scratch directory (default: a fresh temp dir, removed
-	// on Close).
-	Dir string
 }
+
+// Every child runs these pressd settings; a child drains on SIGTERM
+// within pressd's own -drain default (5 s).
+const (
+	// files bounds the population each child serves, so a node is up in
+	// a fraction of a second.
+	files = 200
+	// heartbeat compresses the failure detectors (pressd -heartbeat:
+	// suspect, dead and failover timers scale with it) so a kill -9 is
+	// detected, and a rejoin converges, in seconds instead of minutes.
+	heartbeat = 50 * time.Millisecond
+	// traceRequests sizes the request stream Trace returns; the file
+	// population does not depend on it.
+	traceRequests = 20000
+)
 
 // Harness owns N node processes. The zero value is unusable; build one
 // with Start. All methods are safe for concurrent use.
 type Harness struct {
 	opts      Options
 	exe       string
-	dir       string
-	ownDir    bool
+	dir       string // scratch: logs and incident reports, removed on Close
 	peerAddrs []string
 	udpAddrs  []string
 	httpAddrs []string
@@ -79,32 +84,26 @@ func Start(opts Options) (*Harness, error) {
 	if opts.TraceName == "" {
 		opts.TraceName = "clarknet"
 	}
-	if opts.Files <= 0 {
-		opts.Files = 200
-	}
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, fmt.Errorf("procharness: %w", err)
 	}
 	h := &Harness{opts: opts, exe: exe, procs: make([]*proc, opts.Nodes)}
-	if h.dir = opts.Dir; h.dir == "" {
-		if h.dir, err = os.MkdirTemp("", "press-proc-*"); err != nil {
-			return nil, err
-		}
-		h.ownDir = true
+	if h.dir, err = os.MkdirTemp("", "press-proc-*"); err != nil {
+		return nil, err
 	}
 
 	// The parent synthesizes the identical (seeded) population the
-	// children build, so tests know the servable file names.
+	// children build, with a request stream over it to drive them.
 	ts, err := trace.SpecByName(opts.TraceName)
 	if err != nil {
 		h.cleanup()
 		return nil, err
 	}
-	if opts.Files < ts.NumFiles {
-		ts.NumFiles = opts.Files
+	if files < ts.NumFiles {
+		ts.NumFiles = files
 	}
-	ts.NumRequests = 1
+	ts.NumRequests = traceRequests
 	if h.tr, err = trace.Synthesize(ts); err != nil {
 		h.cleanup()
 		return nil, err
@@ -175,42 +174,44 @@ func reserveUDP(n int) ([]string, error) {
 	return addrs, nil
 }
 
-func (h *Harness) spec(id int) Spec {
-	s := Spec{
-		Nodes:      h.opts.Nodes,
-		Self:       id,
-		PeerAddrs:  h.peerAddrs,
-		UDPAddrs:   h.udpAddrs,
-		HTTPAddr:   h.httpAddrs[id],
-		Transport:  h.opts.Transport,
-		Version:    h.opts.Version,
-		Strategy:   h.opts.Strategy,
-		TraceName:  h.opts.TraceName,
-		Files:      h.opts.Files,
-		CacheMB:    h.opts.CacheMB,
-		FastHealth: h.opts.FastHealth,
+// args is node id's pressd command line: mesh mode on the reserved
+// addresses, the harness's population and heartbeat, and the options
+// that were set.
+func (h *Harness) args(id int) []string {
+	args := []string{
+		"-node", strconv.Itoa(id),
+		"-peers", strings.Join(h.peerAddrs, ","),
+		"-http", h.httpAddrs[id],
+		"-transport", h.opts.Transport,
+		"-trace", h.opts.TraceName,
+		"-files", strconv.Itoa(files),
+		"-heartbeat", heartbeat.String(),
+	}
+	if h.opts.Version != "" {
+		args = append(args, "-version", h.opts.Version)
+	}
+	if h.opts.Strategy != "" {
+		args = append(args, "-dissemination", h.opts.Strategy)
+	}
+	if h.udpAddrs != nil {
+		args = append(args, "-udp-peers", strings.Join(h.udpAddrs, ","))
 	}
 	if h.opts.Incidents {
-		s.IncidentOut = h.IncidentPath(id)
+		args = append(args, "-incident-out", h.IncidentPath(id))
 	}
-	if h.opts.DrainTimeout > 0 {
-		s.DrainMS = int(h.opts.DrainTimeout / time.Millisecond)
-	}
-	return s
+	return args
 }
 
+// spawn re-execs this binary as node id: MaybeChild sees the marker
+// and runs pressd with the argv.
 func (h *Harness) spawn(id int) error {
-	data, err := json.Marshal(h.spec(id))
-	if err != nil {
-		return err
-	}
 	logf, err := os.OpenFile(filepath.Join(h.dir, fmt.Sprintf("node-%d.log", id)),
 		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
-	cmd := exec.Command(h.exe)
-	cmd.Env = append(os.Environ(), SpecEnv+"="+string(data))
+	cmd := exec.Command(h.exe, h.args(id)...)
+	cmd.Env = append(os.Environ(), childEnv+"=1")
 	cmd.Stdout = logf
 	cmd.Stderr = logf
 	if err := cmd.Start(); err != nil {
@@ -244,17 +245,9 @@ func (h *Harness) IncidentPath(id int) string {
 	return filepath.Join(h.dir, fmt.Sprintf("incident-%d.json", id))
 }
 
-// FileNames returns up to n servable request paths, hottest first.
-func (h *Harness) FileNames(n int) []string {
-	if n > len(h.tr.Files) {
-		n = len(h.tr.Files)
-	}
-	names := make([]string, n)
-	for i := range names {
-		names[i] = h.tr.Files[i].Name
-	}
-	return names
-}
+// Trace returns the stream to drive the cluster with: the children's
+// file population (same trace, same seed) and requests over it.
+func (h *Harness) Trace() *trace.Trace { return h.tr }
 
 // Running reports whether node id's process is currently alive.
 func (h *Harness) Running(id int) bool {
@@ -428,8 +421,7 @@ func (h *Harness) Restart(id int) error {
 	return h.WaitReady(id, 30*time.Second)
 }
 
-// Close kills every live child and removes the scratch directory (when
-// the harness created it).
+// Close kills every live child and removes the scratch directory.
 func (h *Harness) Close() {
 	h.mu.Lock()
 	procs := append([]*proc(nil), h.procs...)
@@ -448,50 +440,4 @@ func (h *Harness) Close() {
 	h.cleanup()
 }
 
-func (h *Harness) cleanup() {
-	if h.ownDir {
-		os.RemoveAll(h.dir)
-	}
-}
-
-// DriveResult accumulates a load-generation segment.
-type DriveResult struct {
-	OK     int64
-	Errors int64
-}
-
-// Drive fires GETs round-robin across urls and names for duration d at
-// the given concurrency. Transport failures and non-200s count as
-// errors; the caller decides which segments may contain them.
-func Drive(urls, names []string, d time.Duration, concurrency int) DriveResult {
-	if concurrency <= 0 {
-		concurrency = 4
-	}
-	client := &http.Client{Timeout: 2 * time.Second}
-	stop := time.Now().Add(d)
-	var ok, errs atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for n := w; time.Now().Before(stop); n++ {
-				url := urls[n%len(urls)] + names[n%len(names)]
-				resp, err := client.Get(url)
-				if err != nil {
-					errs.Add(1)
-					continue
-				}
-				_, _ = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					ok.Add(1)
-				} else {
-					errs.Add(1)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return DriveResult{OK: ok.Load(), Errors: errs.Load()}
-}
+func (h *Harness) cleanup() { os.RemoveAll(h.dir) }

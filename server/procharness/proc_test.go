@@ -1,17 +1,20 @@
 package procharness
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"press/loadgen"
 	"press/telemetry"
 )
 
-// TestMain makes the test binary dual-use: with SpecEnv set it IS a
-// cluster node (the harness re-execs it); otherwise it runs the tests.
+// TestMain makes the test binary dual-use: with childEnv set it IS a
+// cluster node, pressd run with the harness's argv; otherwise it runs
+// the tests.
 func TestMain(m *testing.M) {
 	MaybeChild()
 	os.Exit(m.Run())
@@ -19,10 +22,6 @@ func TestMain(m *testing.M) {
 
 func startCluster(t *testing.T, opts Options) *Harness {
 	t.Helper()
-	if opts.DrainTimeout == 0 {
-		opts.DrainTimeout = 5 * time.Second
-	}
-	opts.FastHealth = true
 	h, err := Start(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -31,12 +30,30 @@ func startCluster(t *testing.T, opts Options) *Harness {
 	return h
 }
 
-func urls(h *Harness, ids ...int) []string {
-	out := make([]string, len(ids))
+// driveResult is one load segment: successful requests and failures
+// (transport errors and non-200s alike; the caller decides which
+// segments may contain them).
+type driveResult struct{ OK, Errors int64 }
+
+// drive replays the harness's trace against nodes ids for d with the
+// given number of closed-loop clients.
+func drive(t *testing.T, h *Harness, d time.Duration, clients int, ids ...int) driveResult {
+	t.Helper()
+	targets := make([]string, len(ids))
 	for i, id := range ids {
-		out[i] = h.URL(id)
+		targets[i] = h.URL(id)
 	}
-	return out
+	res, err := loadgen.Run(context.Background(), loadgen.Config{
+		Targets:     targets,
+		Trace:       h.Trace(),
+		Concurrency: clients,
+		Duration:    d,
+		Timeout:     2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return driveResult{OK: res.Requests - res.Errors, Errors: res.Errors}
 }
 
 // TestProcSmoke is the CI gate: three real processes, one killed -9
@@ -50,9 +67,7 @@ func TestProcSmoke(t *testing.T) {
 	if err := h.WaitConverged(15*time.Second, 0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	names := h.FileNames(50)
-
-	warm := Drive(urls(h, 0, 1, 2), names, time.Second, 4)
+	warm := drive(t, h, time.Second, 4, 0, 1, 2)
 	if warm.OK == 0 {
 		t.Fatalf("no successful requests against healthy cluster: %+v", warm)
 	}
@@ -67,7 +82,7 @@ func TestProcSmoke(t *testing.T) {
 	if err := h.WaitConverged(15*time.Second, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	during := Drive(urls(h, 0, 1), names, time.Second, 4)
+	during := drive(t, h, time.Second, 4, 0, 1)
 	if during.OK == 0 {
 		t.Fatalf("survivors served nothing after kill: %+v", during)
 	}
@@ -78,7 +93,7 @@ func TestProcSmoke(t *testing.T) {
 	if err := h.WaitConverged(20*time.Second, 0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	after := Drive(urls(h, 0, 1, 2), names, time.Second, 4)
+	after := drive(t, h, time.Second, 4, 0, 1, 2)
 	if after.OK == 0 || after.Errors > 0 {
 		t.Fatalf("rejoined cluster unhealthy: %+v", after)
 	}
@@ -98,12 +113,10 @@ func TestProcCrashRestartAcceptance(t *testing.T) {
 	if err := h.WaitConverged(15*time.Second, all...); err != nil {
 		t.Fatal(err)
 	}
-	names := h.FileNames(80)
+	var total driveResult
+	add := func(r driveResult) { total.OK += r.OK; total.Errors += r.Errors }
 
-	var total DriveResult
-	add := func(r DriveResult) { total.OK += r.OK; total.Errors += r.Errors }
-
-	add(Drive(urls(h, all...), names, 2*time.Second, 8))
+	add(drive(t, h, 2*time.Second, 8, all...))
 
 	// The hottest cacher is the node answering the most requests.
 	victim, hottest := 0, int64(-1)
@@ -131,7 +144,7 @@ func TestProcCrashRestartAcceptance(t *testing.T) {
 	// caused by the crash, not a connection to a dead address.
 	killAt := time.AfterFunc(500*time.Millisecond, func() { _ = h.Kill(victim) })
 	defer killAt.Stop()
-	add(Drive(urls(h, survivors...), names, 3*time.Second, 8))
+	add(drive(t, h, 3*time.Second, 8, survivors...))
 	if h.Running(victim) {
 		t.Fatal("victim outlived its kill")
 	}
@@ -142,7 +155,7 @@ func TestProcCrashRestartAcceptance(t *testing.T) {
 	if err := h.WaitConverged(20*time.Second, all...); err != nil {
 		t.Fatal(err)
 	}
-	add(Drive(urls(h, all...), names, 2*time.Second, 8))
+	add(drive(t, h, 2*time.Second, 8, all...))
 
 	if total.OK == 0 {
 		t.Fatal("no successful requests")
@@ -214,9 +227,8 @@ func TestProcGracefulDrain(t *testing.T) {
 	if err := h.WaitConverged(15*time.Second, 0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	names := h.FileNames(50)
 	// Warm the remote-hit paths so the drain window has forwards in it.
-	Drive(urls(h, 0, 1, 2), names, time.Second, 4)
+	drive(t, h, time.Second, 4, 0, 1, 2)
 
 	type termResult struct {
 		code int
@@ -227,7 +239,7 @@ func TestProcGracefulDrain(t *testing.T) {
 		code, err := h.Terminate(2, 10*time.Second)
 		term <- termResult{code, err}
 	})
-	res := Drive(urls(h, 0, 1), names, 2*time.Second, 4)
+	res := drive(t, h, 2*time.Second, 4, 0, 1)
 	tr := <-term
 	if tr.err != nil {
 		t.Fatal(tr.err)
@@ -251,8 +263,7 @@ func TestProcViaSmoke(t *testing.T) {
 		t.Skip("multi-process smoke needs real processes")
 	}
 	h := startCluster(t, Options{Nodes: 3, Transport: "via", Version: "V5"})
-	names := h.FileNames(30)
-	res := Drive(urls(h, 0, 1, 2), names, time.Second, 4)
+	res := drive(t, h, time.Second, 4, 0, 1, 2)
 	if res.OK == 0 {
 		t.Fatalf("VIA cluster served nothing: %+v", res)
 	}
@@ -284,7 +295,7 @@ func TestProcViaSmoke(t *testing.T) {
 	if err := h.WaitConverged(20*time.Second, 0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	after := Drive(urls(h, 0, 1, 2), names, time.Second, 4)
+	after := drive(t, h, time.Second, 4, 0, 1, 2)
 	if after.OK == 0 || after.Errors > 0 {
 		t.Fatalf("rejoined VIA cluster unhealthy: %+v", after)
 	}
