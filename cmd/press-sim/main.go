@@ -123,7 +123,7 @@ func main() {
 		ovDeadline  = flag.Duration("overload-deadline", 500*time.Millisecond, "per-request deadline for -overload runs")
 		procs       = flag.Int("procs", 0, "run a REAL multi-process cluster of this many node processes, kill -9 the hottest mid-drive, restart it, and report availability and rejoin convergence")
 		procsDur    = flag.Duration("procs-duration", 6*time.Second, "total drive time for the -procs scenario")
-		procsTrans  = flag.String("procs-transport", "tcp", "intra-cluster transport for -procs: tcp, or via (UDP-framed VIA, uses -version)")
+		procsTrans  = flag.String("procs-transport", "tcp", "intra-cluster transport for -procs: tcp, or via (VIA bridged over TCP, uses -version)")
 	)
 	flag.Parse()
 	chartMode = *chart

@@ -11,7 +11,7 @@
 //	       [-metrics] [-expose]
 //	       [-incident-out FILE] [-trace-out FILE] [-trace-sample RATE]
 //	       [-pprof ADDR]
-//	pressd -node I -peers HOST:PORT,... [-http ADDR] [-udp-peers ADDR,...]
+//	pressd -node I -peers HOST:PORT,... [-http ADDR] [-via-peers ADDR,...]
 //	       [-drain 5s] ...
 //
 // With -peers, pressd runs in mesh mode: ONE node per OS process. The
@@ -19,7 +19,8 @@
 // and -node says which entry this process is. Peers mesh over the
 // versioned membership handshake; a late or restarted process joins
 // under a fresh epoch and has the directory replayed. -transport via
-// additionally needs -udp-peers, the VIA bridge endpoints. SIGTERM
+// additionally needs -via-peers, the VIA bridge endpoints: each
+// cross-process VI channel is one TCP connection between them. SIGTERM
 // announces the leave and drains in-flight clients (deadline -drain)
 // before exiting 0.
 //

@@ -30,19 +30,19 @@ func splitAddrs(s string) []string {
 
 // meshConfig checks the mesh-mode flags against each other and returns
 // this process's place in the cluster.
-func meshConfig(self int, peers, udpPeers, httpAddr string, kind server.TransportKind) (*server.MeshConfig, error) {
+func meshConfig(self int, peers, viaPeers, httpAddr string, kind server.TransportKind) (*server.MeshConfig, error) {
 	peerList := splitAddrs(peers)
-	var udpList []string
-	if udpPeers != "" {
-		udpList = splitAddrs(udpPeers)
+	var viaList []string
+	if viaPeers != "" {
+		viaList = splitAddrs(viaPeers)
 	}
 	if self < 0 || self >= len(peerList) {
 		return nil, fmt.Errorf("-node %d out of range for %d -peers", self, len(peerList))
 	}
-	if kind == server.TransportVIA && len(udpList) != len(peerList) {
-		return nil, fmt.Errorf("transport via needs -udp-peers with %d addresses, got %d", len(peerList), len(udpList))
+	if kind == server.TransportVIA && len(viaList) != len(peerList) {
+		return nil, fmt.Errorf("transport via needs -via-peers with %d addresses, got %d", len(peerList), len(viaList))
 	}
-	return &server.MeshConfig{Self: self, PeerAddrs: peerList, UDPAddrs: udpList, HTTPAddr: httpAddr}, nil
+	return &server.MeshConfig{Self: self, PeerAddrs: peerList, ViaAddrs: viaList, HTTPAddr: httpAddr}, nil
 }
 
 // runMeshNode runs one cluster node to completion. It returns the

@@ -54,7 +54,7 @@ func Main(args []string) int {
 		node        = fs.Int("node", -1, "mesh mode: run ONE node of a multi-process cluster; this process's id in the -peers list")
 		peers       = fs.String("peers", "", "mesh mode: comma-separated intra-cluster listen addresses, one per node (enables mesh mode)")
 		httpAddr    = fs.String("http", "", "mesh mode: client-facing HTTP bind address (default: loopback, ephemeral port)")
-		udpPeers    = fs.String("udp-peers", "", "mesh mode: comma-separated VIA bridge UDP addresses, one per node (transport via)")
+		viaPeers    = fs.String("via-peers", "", "mesh mode: comma-separated VIA bridge TCP addresses, one per node (transport via)")
 		drain       = fs.Duration("drain", 5*time.Second, "mesh mode: deadline for the graceful SIGTERM drain")
 	)
 	strategy := cliflag.Dissemination(fs, "dissemination", core.PB(), "")
@@ -81,7 +81,7 @@ func Main(args []string) int {
 	}
 	var mesh *server.MeshConfig
 	if *peers != "" {
-		if mesh, err = meshConfig(*node, *peers, *udpPeers, *httpAddr, kind); err != nil {
+		if mesh, err = meshConfig(*node, *peers, *viaPeers, *httpAddr, kind); err != nil {
 			lg.Print(err)
 			return 1
 		}

@@ -139,6 +139,11 @@ TestSimRealParity|.
 # that took it, so only a fresh look at the status may end a wait: a
 # stale signal against a reused descriptor, ten fresh passes.
 -count=10 TestWaitTimerIgnoresStaleSignal|TestWaitTimerAllocs|./via
+# The VIA bridge is one TCP connection per channel, and its setup races
+# the real transport: the acceptor's first send against its REPLY, a
+# dial against the peer's Proxy call and listener, a lost connection
+# against the breaks it must cause. Ten fresh passes.
+-count=10 Bridge|./via
 # What a peer registers follows its version: the file staging area is
 # registered by a sender under sendMu and released by a reconnect's
 # retirePeer, a V0 and a V5 end (or two ends with different frame
@@ -187,6 +192,15 @@ if grep -n 'StartNode\|SpecEnv\|json.Marshal' server/procharness/*.go; then
     exit 1
 fi
 
+# The bridge is a stream, one TCP connection per VI channel: the
+# datagram wire and what it rebuilt (retransmission, the pre-bind
+# queue, per-life id seeding) stay gone.
+echo "==> the VIA bridge has no datagram wire"
+if grep -n 'PacketConn\|maxUDPPayload\|udpConnectRetry\|bChanQueueMax\|nextTok' via/*.go; then
+    echo "check: via/ rebuilds a reliable wire over datagrams again" >&2
+    exit 1
+fi
+
 echo "==> presslint ./..."
 go run ./cmd/presslint ./...
 
@@ -215,20 +229,23 @@ go run ./cmd/presslint -analyzer hotpath-alloc,lock-order,atomic-consistency ./.
 race_suites <<'EOF'
 # The membership seam is real sockets: join handshakes over loopback,
 # the Close-vs-redial race, both-ends-at-once reconnects — and the
-# multi-process smoke: three pressd processes, one killed -9 mid-run and
-# restarted, availability and rejoin convergence asserted. Hard timeout
-# so a wedged child cannot park the gate.
+# multi-process smokes: three pressd processes, one killed -9 mid-run
+# and restarted, availability and rejoin convergence asserted, over the
+# TCP mesh and over the VIA bridge. Hard timeout so a wedged child
+# cannot park the gate.
 TestMesh|TestJoinInfo|TestLeaveCodec|./server
--timeout 240s TestProcSmoke|./server/procharness
+-timeout 240s TestProcSmoke|TestProcViaSmoke|./server/procharness
 EOF
 
 # Fuzz smoke over the wire format: ten seconds of mutation on the
 # Message encode/decode round-trip catches framing regressions the
 # table tests miss, and the same treatment for the membership
-# handshake payload and for what a peer may remote-write into our rings.
-for target in FuzzMessageRoundTrip FuzzJoinInfo FuzzSlotRingPoll; do
+# handshake payload, for what a peer may remote-write into our rings,
+# and for the bytes another process sends a VIA bridge.
+for fuzz in FuzzMessageRoundTrip:./server FuzzJoinInfo:./server FuzzSlotRingPoll:./server FuzzBridgeConn:./via; do
+    target=${fuzz%%:*} pkg=${fuzz#*:}
     echo "==> fuzz smoke ($target)"
-    go test -run '^$' -fuzz "$target" -fuzztime 10s ./server
+    go test -run '^$' -fuzz "$target" -fuzztime 10s "$pkg"
 done
 
 # Benchmarks are part of the observability surface (the registry and

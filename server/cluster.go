@@ -187,7 +187,7 @@ type Cluster struct {
 // running, HTTP listeners accepting. It is N StartNodes plus what one
 // process changes: Start picks the loopback addresses (every
 // intra-cluster listener is bound before the first dial), seats VIA
-// nodes on one fabric instead of bridging N over UDP, gives every node
+// nodes on one fabric instead of bridging N over TCP, gives every node
 // the process's one Store, and returns only when every pair is
 // connected.
 func Start(c Config) (*Cluster, error) {

@@ -910,7 +910,7 @@ func (n *Node) handleFileChunk(m *Message) {
 		// from a node the forward was not sent to.
 		return
 	}
-	// Total and Offset are socket input (TCP mesh, UDP-bridged VIA) and
+	// Total and Offset are socket input (TCP mesh, bridged VIA) and
 	// the pending request knows its file: a reply must be exactly the
 	// stored size, chunk following chunk with no gap or overlap, before
 	// it sizes a buffer or completes a request.

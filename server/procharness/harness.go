@@ -57,7 +57,7 @@ type Harness struct {
 	exe       string
 	dir       string // scratch: logs and incident reports, removed on Close
 	peerAddrs []string
-	udpAddrs  []string
+	viaAddrs  []string
 	httpAddrs []string
 	tr        *trace.Trace
 
@@ -118,7 +118,7 @@ func Start(opts Options) (*Harness, error) {
 		return nil, err
 	}
 	if opts.Transport == "via" {
-		if h.udpAddrs, err = reserveUDP(opts.Nodes); err != nil {
+		if h.viaAddrs, err = reserveTCP(opts.Nodes); err != nil {
 			h.cleanup()
 			return nil, err
 		}
@@ -161,19 +161,6 @@ func reserveTCP(n int) ([]string, error) {
 	return addrs, nil
 }
 
-func reserveUDP(n int) ([]string, error) {
-	addrs := make([]string, n)
-	for i := range addrs {
-		pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		addrs[i] = pc.LocalAddr().String()
-		pc.Close()
-	}
-	return addrs, nil
-}
-
 // args is node id's pressd command line: mesh mode on the reserved
 // addresses, the harness's population and heartbeat, and the options
 // that were set.
@@ -193,8 +180,8 @@ func (h *Harness) args(id int) []string {
 	if h.opts.Strategy != "" {
 		args = append(args, "-dissemination", h.opts.Strategy)
 	}
-	if h.udpAddrs != nil {
-		args = append(args, "-udp-peers", strings.Join(h.udpAddrs, ","))
+	if h.viaAddrs != nil {
+		args = append(args, "-via-peers", strings.Join(h.viaAddrs, ","))
 	}
 	if h.opts.Incidents {
 		args = append(args, "-incident-out", h.IncidentPath(id))

@@ -257,7 +257,7 @@ func TestProcGracefulDrain(t *testing.T) {
 }
 
 // TestProcViaSmoke runs the V0-V5 deployment shape: real processes
-// with the software VIA spanning them over the UDP bridge.
+// with the software VIA spanning them over the bridge.
 func TestProcViaSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process smoke needs real processes")
@@ -283,9 +283,10 @@ func TestProcViaSmoke(t *testing.T) {
 		t.Fatal("no requests recorded")
 	}
 
-	// Crash-restart over the bridge: the new life runs fresh bridge id
-	// spaces, so the survivors' stale dedup caches and dead channels
-	// from the previous life cannot poison its rejoin.
+	// Crash-restart over the bridge: the killed process's connections
+	// closed with it, breaking the survivors' channels to it, and the
+	// new life dials fresh ones, so nothing of the previous life's
+	// channels reaches its rejoin.
 	if err := h.Kill(2); err != nil {
 		t.Fatal(err)
 	}

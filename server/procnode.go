@@ -26,11 +26,11 @@ type MeshConfig struct {
 	// PeerAddrs are the intra-cluster TCP listen addresses, indexed by
 	// node; PeerAddrs[Self] is the address this process binds.
 	PeerAddrs []string
-	// UDPAddrs are the per-node UDP endpoints of the VIA fabric bridge,
+	// ViaAddrs are the per-node TCP endpoints of the VIA fabric bridge,
 	// required when Config.Transport is TransportVIA: the software VIA
-	// keeps its descriptor/credit/RMW semantics, framed over UDP
-	// between processes.
-	UDPAddrs []string
+	// keeps its descriptor/credit/RMW semantics between processes, each
+	// VI channel framed over its own TCP connection.
+	ViaAddrs []string
 	// HTTPAddr is the client-facing HTTP bind address; empty means an
 	// ephemeral loopback port.
 	HTTPAddr string
@@ -144,7 +144,7 @@ func fabricAddr(i int) string { return fmt.Sprintf("node%d", i) }
 // build constructs the node's transport end-point. shared is the fabric
 // every node of an in-process Cluster sits on; nil means this node is
 // alone in its process, so on VIA it makes its own fabric and bridges
-// it to the peers' over UDP.
+// it to the peers'.
 func (pn *ProcNode) build(shared *via.Fabric) error {
 	cfg, mesh := pn.cfg, pn.cfg.Mesh
 	names := make(nameTable, len(cfg.Trace.Files))
@@ -164,8 +164,8 @@ func (pn *ProcNode) build(shared *via.Fabric) error {
 	case TransportVIA:
 		fabric := shared
 		if fabric == nil {
-			if len(mesh.UDPAddrs) != cfg.Nodes {
-				return fmt.Errorf("server: VIA mesh needs %d UDP addresses, have %d", cfg.Nodes, len(mesh.UDPAddrs))
+			if len(mesh.ViaAddrs) != cfg.Nodes {
+				return fmt.Errorf("server: VIA mesh needs %d bridge addresses, have %d", cfg.Nodes, len(mesh.ViaAddrs))
 			}
 			pn.fabric = newFabric(cfg)
 			fabric = pn.fabric
@@ -175,7 +175,7 @@ func (pn *ProcNode) build(shared *via.Fabric) error {
 			return err
 		}
 		if shared == nil {
-			if pn.bridge, err = via.NewUDPBridge(fabric, mesh.UDPAddrs[mesh.Self]); err != nil {
+			if pn.bridge, err = via.NewUDPBridge(fabric, mesh.ViaAddrs[mesh.Self]); err != nil {
 				return err
 			}
 			for j := 0; j < cfg.Nodes; j++ {
@@ -184,7 +184,7 @@ func (pn *ProcNode) build(shared *via.Fabric) error {
 				}
 				// The remote node's transport listens on "press-<j>"; dials to
 				// its proxy relay there.
-				if err := pn.bridge.Proxy(fabricAddr(j), mesh.UDPAddrs[j], fmt.Sprintf("press-%d", j)); err != nil {
+				if err := pn.bridge.Proxy(fabricAddr(j), mesh.ViaAddrs[j], fmt.Sprintf("press-%d", j)); err != nil {
 					return err
 				}
 			}

@@ -76,7 +76,7 @@ func (t *viaTransport) handleFrame(p *viaPeer, frame *recvBuf) {
 	err := t.cfg.names.decodeFrame(&m, frame)
 	// One rule for a frame we refuse, whether it does not decode or
 	// claims a sender that is not this channel's peer (From is a wire
-	// uint16 that indexes per-peer tables from here on, and over the UDP
+	// uint16 that indexes per-peer tables from here on, and over the VIA
 	// bridge it is socket input): it never reaches Inbound, as on TCP, but
 	// it did occupy a slot of the window, so it is counted below like any
 	// data frame; returning before the count would shrink the sender's

@@ -153,7 +153,7 @@ func (r *MemoryRegion) rdmaWrite(src []byte, off int) error {
 	if !r.remoteWrite {
 		return fmt.Errorf("%w: region %d not enabled for remote write", ErrProtection, r.handle)
 	}
-	if off < 0 || off+len(src) > len(r.buf) {
+	if off < 0 || off > len(r.buf)-len(src) {
 		return fmt.Errorf("%w: remote write [%d,%d) of %d", ErrProtection, off, off+len(src), len(r.buf))
 	}
 	copy(r.buf[off:], src)

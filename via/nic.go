@@ -369,7 +369,7 @@ func (n *NIC) process(w workItem) {
 	case opSend:
 		err = peer.deliverSend(peerVI, payload, w.vi.reliability)
 	case opRDMA:
-		err = peer.deliverRDMA(w.desc.remoteHandle, w.desc.remoteOffset, payload)
+		err = peer.deliverRDMA(peerVI, w.desc.remoteHandle, w.desc.remoteOffset, payload)
 		if err == nil {
 			n.m.rdmaWrites.Inc()
 		}
@@ -400,8 +400,8 @@ func (n *NIC) completeSend(w workItem, bytes int, err error) {
 type forwarder interface {
 	// forwardSend relays a send addressed to proxy VI viID.
 	forwardSend(viID uint32, payload []byte, rel Reliability) error
-	// forwardRDMA relays a remote write addressed to the proxied NIC.
-	forwardRDMA(h Handle, off int, payload []byte) error
+	// forwardRDMA relays a remote write posted on proxy VI viID's channel.
+	forwardRDMA(viID uint32, h Handle, off int, payload []byte) error
 	// viBroken reports that proxy VI viID transitioned to broken, so
 	// the real peer process can be told.
 	viBroken(viID uint32, err error)
@@ -441,10 +441,11 @@ func (n *NIC) deliverSend(viID uint32, payload []byte, rel Reliability) error {
 
 // deliverRDMA is the remote-memory-write path: data lands directly in
 // the registered region with no processor or descriptor involvement.
-// On a proxy NIC the write is forwarded to the real process.
-func (n *NIC) deliverRDMA(h Handle, off int, payload []byte) error {
+// viID is the VI the write was posted to; on a proxy NIC the write is
+// forwarded to the real process over that VI's channel.
+func (n *NIC) deliverRDMA(viID uint32, h Handle, off int, payload []byte) error {
 	if n.fw != nil {
-		return n.fw.forwardRDMA(h, off, payload)
+		return n.fw.forwardRDMA(viID, h, off, payload)
 	}
 	r, ok := n.region(h)
 	if !ok {

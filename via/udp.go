@@ -1,12 +1,15 @@
 package via
 
 import (
+	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -15,78 +18,102 @@ import (
 // fabric address, so lookups, connection brokering, fault injection,
 // and VI binding all behave exactly as in-process — and everything
 // delivered INTO a proxy (sends, remote memory writes, connection
-// breaks) is framed over a net.PacketConn to the process that owns the
+// breaks) is framed over a TCP connection to the process that owns the
 // real NIC, where the mirror-image proxy feeds it into the real VI.
 // Descriptor, credit, and RMW semantics are preserved end to end: a
 // missing receive descriptor still breaks a reliable channel (the
-// break is relayed back), credits ride as ordinary sends, and RDMA
-// frames carry the real NIC's region handles.
+// break is relayed back), credits ride as ordinary sends, and a remote
+// write lands through the channel it was posted on.
 //
-// Caveats of the wire: UDP frames can be lost or reordered. Loopback
-// and same-host traffic make this rare, and the paper's own unreliable
-// VIA mode has the same property — but a ReliableDelivery channel over
-// the bridge is "reliable minus the wire", not a retransmitting
-// transport. One relayed send must fit one datagram (maxUDPPayload);
-// remote writes are fragmented into offset-adjusted chunks, which
-// offset-write semantics make safe. Connection setup retransmits, so
-// only it fully survives loss.
+// Each cross-process VI channel is its own TCP connection: the
+// connection is the channel. A stream delivers in order or reports
+// that it cannot, as the paper's cLAN does in hardware, so nothing on
+// a channel is lost silently: losing the connection breaks the
+// channel, and a process that dies closes its sockets, which breaks
+// its peers' VIs at once. The wire was UDP once; the type and the
+// via.udp.* probes that measure it keep the name.
+type UDPBridge struct {
+	fabric *Fabric
+	ln     net.Listener
+	ctx    context.Context // done once Close starts
+	stop   context.CancelFunc
 
-const (
-	// maxUDPPayload bounds one relayed send (header excluded). Regular
-	// channels chunk file data well below this; a chunk size above it
-	// must not be used over the bridge.
-	maxUDPPayload = 60000
-	// udpConnectRetry and udpConnectTimeout pace connection setup
-	// retransmission, the only reliable part of the wire protocol.
-	udpConnectRetry   = 250 * time.Millisecond
-	udpConnectTimeout = 10 * time.Second
-	// udpSockBuf sizes the socket buffers: bursts of relayed file
-	// chunks must not overrun the kernel default.
-	udpSockBuf = 4 << 20
-)
+	mu      sync.Mutex
+	proxies map[string]*NIC       // via address -> proxy NIC
+	chans   map[fwdKey]*bChan     // proxy VI -> its channel
+	conns   map[net.Conn]struct{} // every open connection, for Close
+	closed  bool
 
-// Frame kinds. All integers little-endian; strings length-prefixed
-// (str8: u8 length, str16: u16 length).
-//
-//	CONNECT {token u64, rel u8, chanA u64, fromAddr str8, toAddr str8, service str8}
-//	REPLY   {token u64, ok u8, chanB u64, err str16}
-//	SEND    {dstChan u64, rel u8, payload...}
-//	RDMA    {handle u64, offset u64, payload...}
-//	BREAK   {dstChan u64, err str16}
-const (
-	udpConnect = iota + 1
-	udpReply
-	udpSend
-	udpRDMA
-	udpBreak
-)
-
-// bChan is one live cross-process VI channel: the local proxy VI and
-// the id the remote bridge knows the mirror channel by. A channel is
-// registered BEFORE its VI pair is bound — the remote's first sends
-// can outrace the setup reply on the wire — so until ready, inbound
-// payloads queue in arrival order and drain at bind time.
-type bChan struct {
-	pv         *VI
-	remoteChan uint64
-	raddr      net.Addr
-	ready      bool
-	queue      [][]byte
+	wg sync.WaitGroup
 }
 
-// bChanQueueMax bounds the pre-bind queue; the race window is
-// microseconds, so hitting the cap means something is wedged and
-// dropping (the unreliable-wire caveat) beats unbounded growth.
-const bChanQueueMax = 1024
+const (
+	// bridgeRetry paces a relayed dial the remote bridge cannot take
+	// yet, and bridgeConnectTimeout bounds it. Multi-process startup is
+	// unordered: a bridge not listening yet, one with no proxy for the
+	// dialer yet, and a service no transport listens on yet are all
+	// "not yet", not "no".
+	bridgeRetry          = 50 * time.Millisecond
+	bridgeConnectTimeout = 10 * time.Second
+	// maxBridgeFrame bounds one frame. A length is input from another
+	// process: zero or anything above the bound closes the connection.
+	maxBridgeFrame = 64 << 20
+)
 
-// pendingDial is a locally initiated connection waiting for the
-// remote's reply.
-type pendingDial struct {
-	req      *connReq
-	pv       *VI
-	proxy    *NIC
-	chanAID  uint64
-	resolved chan struct{}
+// Frames are a u32 length, then a kind byte and its fields. All
+// integers little-endian; strings length-prefixed (str8: u8 length,
+// str16: u16 length). The dialer opens with CONNECT and the acceptor
+// answers with one REPLY; after an ok REPLY the connection carries
+// only its channel's SEND, RDMA and BREAK frames, both ways.
+//
+//	CONNECT {rel u8, fromAddr str8, toAddr str8, service str8}
+//	REPLY   {verdict u8, reason str16}
+//	SEND    {payload...}
+//	RDMA    {handle u64, offset u64, payload...}
+//	BREAK   {reason str16}
+const (
+	frameConnect = iota + 1
+	frameReply
+	frameSend
+	frameRDMA
+	frameBreak
+)
+
+// REPLY verdicts; not-yet asks the dialer to dial again.
+const (
+	verdictOK = iota
+	verdictRefused
+	verdictNotYet
+)
+
+var (
+	errBadFrame = errors.New("via: malformed bridge frame")
+	errNotYet   = errors.New("via: bridge not ready")
+)
+
+// reply is the REPLY to a relayed dial that ended with err. Startup
+// races are not yet, not no: the dial crossed the wire before this
+// process's Proxy call for the dialer, or before its transport
+// registered the listener (ErrUnknownService).
+func reply(err error) []byte {
+	switch {
+	case err == nil:
+		return str16([]byte{verdictOK}, "")
+	case errors.Is(err, errNotYet), errors.Is(err, ErrUnknownService):
+		return str16([]byte{verdictNotYet}, err.Error())
+	}
+	return str16([]byte{verdictRefused}, err.Error())
+}
+
+// bChan is one live cross-process VI channel: the local proxy VI and
+// the connection that carries it. wmu orders the frames written to the
+// connection, and buf, reused under it, holds the one being written.
+type bChan struct {
+	pv   *VI
+	conn net.Conn
+
+	wmu sync.Mutex
+	buf []byte
 }
 
 type fwdKey struct {
@@ -94,73 +121,115 @@ type fwdKey struct {
 	vi   uint32
 }
 
-// UDPBridge relays one process's share of a cross-process Fabric.
-type UDPBridge struct {
-	fabric *Fabric
-	pc     net.PacketConn
+func (c *bChan) key() fwdKey { return fwdKey{c.pv.nic.addr, c.pv.id} }
 
-	mu       sync.Mutex
-	proxies  map[string]*NIC     // via address -> proxy NIC
-	raddrs   map[string]net.Addr // via address -> remote bridge endpoint
-	chans    map[uint64]*bChan   // local channel id -> state
-	fwd      map[fwdKey]*bChan   // (proxy addr, proxy VI id) -> state
-	pending  map[uint64]*pendingDial
-	accepted map[string][]byte // dedup: "fromAddr/token" -> cached REPLY frame
-	closed   bool
-
-	nextChan atomic.Uint64
-	nextTok  atomic.Uint64
-
-	done chan struct{}
-	wg   sync.WaitGroup
+// write sends one frame: kind, the fixed fields in head, then body.
+func (c *bChan) write(kind byte, head, body []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.writeLocked(kind, head, body)
 }
 
-// NewUDPBridge binds addr (host:port, "127.0.0.1:0" for ephemeral) and
-// starts relaying. Remote processes are added with Proxy.
+func (c *bChan) writeLocked(kind byte, head, body []byte) error {
+	f := binary.LittleEndian.AppendUint32(c.buf[:0], uint32(1+len(head)+len(body)))
+	f = append(f, kind)
+	f = append(f, head...)
+	f = append(f, body...)
+	c.buf = f
+	_, err := c.conn.Write(f)
+	return err
+}
+
+// str16 encodes a reason as the REPLY and BREAK frames carry it, after
+// prefix, cut to 512 bytes.
+func str16(prefix []byte, msg string) []byte {
+	if len(msg) > 512 {
+		msg = msg[:512]
+	}
+	return append(binary.LittleEndian.AppendUint16(prefix, uint16(len(msg))), msg...)
+}
+
+// takeStr16 decodes a reason; a truncated one yields what arrived.
+func takeStr16(buf []byte) string {
+	if len(buf) < 2 {
+		return ""
+	}
+	return string(buf[2:min(len(buf), 2+int(binary.LittleEndian.Uint16(buf)))])
+}
+
+func takeStr8(buf []byte) (string, []byte, bool) {
+	if len(buf) < 1 || len(buf) < 1+int(buf[0]) {
+		return "", nil, false
+	}
+	n := int(buf[0])
+	return string(buf[1 : 1+n]), buf[1+n:], true
+}
+
+// frameReader reads one connection's frames into a buffer it reuses:
+// each frame is consumed before the next is read.
+type frameReader struct {
+	r   *bufio.Reader
+	buf []byte
+}
+
+// next returns the next frame, kind byte first. The buffer grows with
+// the bytes that arrive, not with the length a frame claims.
+func (fr *frameReader) next() ([]byte, error) {
+	hdr, err := fr.r.Peek(4)
+	if err != nil {
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(hdr)
+	if n == 0 || n > maxBridgeFrame {
+		return nil, errBadFrame
+	}
+	_, _ = fr.r.Discard(4)
+	buf := fr.buf[:0]
+	for len(buf) < int(n) {
+		k := min(int(n)-len(buf), 64<<10)
+		buf = slices.Grow(buf, k)
+		if _, err := io.ReadFull(fr.r, buf[len(buf):len(buf)+k]); err != nil {
+			return nil, err
+		}
+		buf = buf[:len(buf)+k]
+	}
+	fr.buf = buf
+	return buf, nil
+}
+
+// NewUDPBridge listens on addr (host:port, "127.0.0.1:0" for
+// ephemeral) and starts relaying. Remote processes are added with
+// Proxy.
 func NewUDPBridge(f *Fabric, addr string) (*UDPBridge, error) {
-	pc, err := net.ListenPacket("udp", addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("via: bridge listen: %w", err)
 	}
-	if uc, ok := pc.(*net.UDPConn); ok {
-		_ = uc.SetReadBuffer(udpSockBuf)
-		_ = uc.SetWriteBuffer(udpSockBuf)
-	}
+	ctx, stop := context.WithCancel(context.Background())
 	b := &UDPBridge{
-		fabric:   f,
-		pc:       pc,
-		proxies:  make(map[string]*NIC),
-		raddrs:   make(map[string]net.Addr),
-		chans:    make(map[uint64]*bChan),
-		fwd:      make(map[fwdKey]*bChan),
-		pending:  make(map[uint64]*pendingDial),
-		accepted: make(map[string][]byte),
-		done:     make(chan struct{}),
+		fabric:  f,
+		ln:      ln,
+		ctx:     ctx,
+		stop:    stop,
+		proxies: make(map[string]*NIC),
+		chans:   make(map[fwdKey]*bChan),
+		conns:   make(map[net.Conn]struct{}),
 	}
-	// Seed the id spaces per process life. A restarted process must not
-	// reuse the tokens or channel ids of its previous one: a peer still
-	// holds that life's dedup cache (a colliding CONNECT would be
-	// answered with a stale cached REPLY) and its dead channels (a
-	// colliding id would route a stale frame into the new life).
-	seed := uint64(time.Now().UnixNano())
-	b.nextChan.Store(seed)
-	b.nextTok.Store(seed)
 	b.wg.Add(1)
-	go b.readLoop()
+	go b.acceptLoop()
 	return b, nil
 }
 
-// Addr returns the bridge's bound UDP endpoint.
-func (b *UDPBridge) Addr() string { return b.pc.LocalAddr().String() }
+// Addr returns the bridge's listening TCP endpoint.
+func (b *UDPBridge) Addr() string { return b.ln.Addr().String() }
 
 // Proxy registers a remote process: viaAddr is the remote node's
-// fabric address, udpAddr its bridge endpoint, and services the
+// fabric address, bridgeAddr its bridge endpoint, and services the
 // listener names local VIs may dial on it. A proxy NIC with viaAddr
 // appears on the local fabric; dialing one of its services relays the
 // connection to the real process.
-func (b *UDPBridge) Proxy(viaAddr, udpAddr string, services ...string) error {
-	raddr, err := net.ResolveUDPAddr("udp", udpAddr)
-	if err != nil {
+func (b *UDPBridge) Proxy(viaAddr, bridgeAddr string, services ...string) error {
+	if _, err := net.ResolveTCPAddr("tcp", bridgeAddr); err != nil {
 		return fmt.Errorf("via: bridge peer %s: %w", viaAddr, err)
 	}
 	nic, err := b.fabric.CreateNIC(viaAddr)
@@ -177,7 +246,6 @@ func (b *UDPBridge) Proxy(viaAddr, udpAddr string, services ...string) error {
 		return ErrClosed
 	}
 	b.proxies[viaAddr] = nic
-	b.raddrs[viaAddr] = raddr
 	b.mu.Unlock()
 	for _, svc := range services {
 		l, err := nic.Listen(svc)
@@ -185,7 +253,7 @@ func (b *UDPBridge) Proxy(viaAddr, udpAddr string, services ...string) error {
 			return err
 		}
 		b.wg.Add(1)
-		go b.acceptPump(nic, l, svc)
+		go b.acceptPump(nic, l, bridgeAddr, svc)
 	}
 	return nil
 }
@@ -196,469 +264,313 @@ type proxyFwd struct {
 	addr string
 }
 
-func (p *proxyFwd) chanFor(viID uint32) (*bChan, bool) {
+func (p *proxyFwd) chanFor(viID uint32) (*bChan, error) {
 	p.b.mu.Lock()
-	defer p.b.mu.Unlock()
-	bc, ok := p.b.fwd[fwdKey{p.addr, viID}]
-	return bc, ok
-}
-
-func (p *proxyFwd) forwardSend(viID uint32, payload []byte, rel Reliability) error {
-	bc, ok := p.chanFor(viID)
-	if !ok {
-		return fmt.Errorf("%w: no bridge channel for VI %d on %s", ErrBroken, viID, p.addr)
-	}
-	if len(payload) > maxUDPPayload {
-		return fmt.Errorf("%w: %d-byte send exceeds the bridge datagram limit %d", ErrTooLong, len(payload), maxUDPPayload)
-	}
-	frame := make([]byte, 0, 10+len(payload))
-	frame = append(frame, udpSend)
-	frame = binary.LittleEndian.AppendUint64(frame, bc.remoteChan)
-	frame = append(frame, byte(rel))
-	frame = append(frame, payload...)
-	_, err := p.b.pc.WriteTo(frame, bc.raddr)
-	return err
-}
-
-func (p *proxyFwd) forwardRDMA(h Handle, off int, payload []byte) error {
-	p.b.mu.Lock()
-	raddr, ok := p.b.raddrs[p.addr]
+	c := p.b.chans[fwdKey{p.addr, viID}]
 	p.b.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s not proxied", ErrUnknownAddress, p.addr)
+	if c == nil {
+		return nil, fmt.Errorf("%w: no bridge channel for VI %d on %s", ErrBroken, viID, p.addr)
 	}
-	// Remote-write semantics — bytes land at an offset in a registered
-	// region, no descriptors consumed — make fragmentation trivially
-	// correct: each chunk carries its own adjusted offset.
-	for base := 0; base == 0 || base < len(payload); base += maxUDPPayload {
-		end := base + maxUDPPayload
-		if end > len(payload) {
-			end = len(payload)
-		}
-		chunk := payload[base:end]
-		frame := make([]byte, 0, 17+len(chunk))
-		frame = append(frame, udpRDMA)
-		frame = binary.LittleEndian.AppendUint64(frame, uint64(h))
-		frame = binary.LittleEndian.AppendUint64(frame, uint64(off+base))
-		frame = append(frame, chunk...)
-		if _, err := p.b.pc.WriteTo(frame, raddr); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c, nil
 }
 
+func (p *proxyFwd) forwardSend(viID uint32, payload []byte, _ Reliability) error {
+	c, err := p.chanFor(viID)
+	if err != nil {
+		return err
+	}
+	return c.write(frameSend, nil, payload)
+}
+
+func (p *proxyFwd) forwardRDMA(viID uint32, h Handle, off int, payload []byte) error {
+	c, err := p.chanFor(viID)
+	if err != nil {
+		return err
+	}
+	var head [16]byte
+	binary.LittleEndian.PutUint64(head[:], uint64(h))
+	binary.LittleEndian.PutUint64(head[8:], uint64(off))
+	return c.write(frameRDMA, head[:], payload)
+}
+
+// viBroken tells the real peer process. The connection stays open: the
+// peer breaks its side on the BREAK and hangs up, and the EOF ends this
+// side's reader.
 func (p *proxyFwd) viBroken(viID uint32, err error) {
-	bc, ok := p.chanFor(viID)
-	if !ok {
-		return
-	}
+	k := fwdKey{p.addr, viID}
 	p.b.mu.Lock()
-	delete(p.b.fwd, fwdKey{p.addr, viID})
+	c := p.b.chans[k]
+	delete(p.b.chans, k)
 	p.b.mu.Unlock()
-	msg := err.Error()
-	if len(msg) > 512 {
-		msg = msg[:512]
+	if c != nil {
+		_ = c.write(frameBreak, str16(nil, err.Error()), nil)
 	}
-	frame := make([]byte, 0, 11+len(msg))
-	frame = append(frame, udpBreak)
-	frame = binary.LittleEndian.AppendUint64(frame, bc.remoteChan)
-	frame = binary.LittleEndian.AppendUint16(frame, uint16(len(msg)))
-	frame = append(frame, msg...)
-	_, _ = p.b.pc.WriteTo(frame, bc.raddr)
 }
 
 // acceptPump relays connection requests that local VIs dial into a
-// proxy listener: hold the dialer, push a CONNECT to the real process
-// until its reply arrives, then bind and answer.
-func (b *UDPBridge) acceptPump(proxy *NIC, l *Listener, service string) {
+// proxy listener.
+func (b *UDPBridge) acceptPump(proxy *NIC, l *Listener, bridgeAddr, service string) {
 	defer b.wg.Done()
 	for {
 		select {
 		case req := <-l.ch:
 			b.wg.Add(1)
-			go b.relayDial(proxy, service, req)
+			go b.relayDial(proxy, bridgeAddr, service, req)
 		case <-l.closed:
 			return
-		case <-b.done:
+		case <-b.ctx.Done():
 			return
 		}
 	}
 }
 
-func (b *UDPBridge) relayDial(proxy *NIC, service string, req *connReq) {
+// relayDial carries one local dial to the real process: once its
+// listener has accepted, bind the dialer to a proxy VI, release it,
+// and serve the channel.
+func (b *UDPBridge) relayDial(proxy *NIC, bridgeAddr, service string, req *connReq) {
 	defer b.wg.Done()
-	pv, err := proxy.CreateVI(req.fromVI.reliability, req.fromVI.depth)
+	v := req.fromVI
+	pv, err := proxy.CreateVI(v.reliability, v.depth)
 	if err != nil {
 		req.reply <- err
 		return
 	}
-	tok := b.nextTok.Add(1)
-	pd := &pendingDial{
-		req:      req,
-		pv:       pv,
-		proxy:    proxy,
-		chanAID:  b.nextChan.Add(1),
-		resolved: make(chan struct{}),
+	connect := []byte{byte(v.reliability)}
+	for _, s := range []string{v.nic.addr, proxy.addr, service} {
+		connect = append(connect, byte(len(s)))
+		connect = append(connect, s...)
 	}
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
+	c := &bChan{pv: pv}
+	fr, err := b.dial(c, bridgeAddr, connect)
+	if err != nil {
 		pv.Close()
-		req.reply <- ErrClosed
+		req.reply <- err
 		return
 	}
-	raddr := b.raddrs[proxy.addr]
-	b.pending[tok] = pd
-	// Register the channel now, unready: the acceptor's first sends can
-	// reach us before its REPLY does, and they must queue, not drop.
-	b.chans[pd.chanAID] = &bChan{pv: pv, raddr: raddr}
-	b.mu.Unlock()
-
-	frame := make([]byte, 0, 64)
-	frame = append(frame, udpConnect)
-	frame = binary.LittleEndian.AppendUint64(frame, tok)
-	frame = append(frame, byte(req.fromVI.reliability))
-	frame = binary.LittleEndian.AppendUint64(frame, pd.chanAID)
-	for _, s := range []string{req.fromVI.nic.addr, proxy.addr, service} {
-		frame = append(frame, byte(len(s)))
-		frame = append(frame, s...)
+	b.register(c)
+	if err := bind(v, pv); err != nil {
+		req.reply <- err
+		b.end(c, err)
+		return
 	}
+	req.reply <- nil
+	b.end(c, b.serve(c, fr))
+}
 
-	// abandon takes the dial back from handleReply; if a reply won the
-	// race, the handler owns answering the dialer and we just wait.
-	abandon := func(failure error) {
-		b.mu.Lock()
-		_, mine := b.pending[tok]
-		delete(b.pending, tok)
-		if mine {
-			delete(b.chans, pd.chanAID)
-		}
-		b.mu.Unlock()
-		if !mine {
-			<-pd.resolved
-			return
-		}
-		pv.Close()
-		req.reply <- failure
-	}
-
-	deadline := time.NewTimer(udpConnectTimeout)
-	defer deadline.Stop()
-	retry := time.NewTicker(udpConnectRetry)
-	defer retry.Stop()
-	_, _ = b.pc.WriteTo(frame, raddr)
+// dial connects c to the bridge at addr and sends CONNECT, again every
+// bridgeRetry until the verdict is not "not yet" or
+// bridgeConnectTimeout passes. It returns the connection's reader
+// after an ok REPLY.
+func (b *UDPBridge) dial(c *bChan, addr string, connect []byte) (*frameReader, error) {
+	deadline := time.Now().Add(bridgeConnectTimeout)
+	tick := time.NewTicker(bridgeRetry)
+	defer tick.Stop()
 	for {
+		fr, err := b.tryDial(c, addr, connect, deadline)
+		switch {
+		case err == nil, errors.Is(err, ErrRejected):
+			return fr, err
+		case b.ctx.Err() != nil:
+			return nil, ErrClosed
+		case time.Now().After(deadline):
+			return nil, fmt.Errorf("%w: connect to %s over bridge: %v", ErrTimeout, c.pv.nic.addr, err)
+		}
 		select {
-		case <-pd.resolved:
-			// handleReply bound and answered (or rejected) the dialer.
-			return
-		case <-retry.C:
-			_, _ = b.pc.WriteTo(frame, raddr)
-		case <-deadline.C:
-			abandon(fmt.Errorf("%w: connect to %s over bridge", ErrTimeout, proxy.addr))
-			return
-		case <-b.done:
-			abandon(ErrClosed)
-			return
+		case <-tick.C:
+		case <-b.ctx.Done():
 		}
 	}
 }
 
-func (b *UDPBridge) readLoop() {
+// tryDial makes one attempt. An error other than ErrRejected is worth
+// another.
+func (b *UDPBridge) tryDial(c *bChan, addr string, connect []byte, deadline time.Time) (*frameReader, error) {
+	d := net.Dialer{Deadline: deadline}
+	conn, err := d.DialContext(b.ctx, "tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	if !b.track(conn) {
+		return nil, ErrClosed
+	}
+	// TCP self-connect: dialing a not-yet-bound loopback port in the
+	// ephemeral range can simultaneous-open onto itself and would hold
+	// the port the peer bridge needs (README, Deployment).
+	if conn.LocalAddr().String() == conn.RemoteAddr().String() {
+		b.hangUp(conn)
+		return nil, fmt.Errorf("via: bridge self-connect to %s", addr)
+	}
+	c.conn = conn
+	fr := &frameReader{r: bufio.NewReader(conn)}
+	_ = conn.SetDeadline(deadline)
+	var f []byte
+	err = c.write(frameConnect, connect, nil)
+	if err == nil {
+		f, err = fr.next()
+	}
+	switch {
+	case err != nil:
+	case len(f) < 2 || f[0] != frameReply:
+		err = errBadFrame
+	case f[1] == verdictOK:
+		_ = conn.SetDeadline(time.Time{})
+		return fr, nil
+	case f[1] == verdictRefused:
+		err = fmt.Errorf("%w: %s", ErrRejected, takeStr16(f[2:]))
+	default:
+		err = fmt.Errorf("%w: %s", errNotYet, takeStr16(f[2:]))
+	}
+	b.hangUp(conn)
+	return nil, err
+}
+
+func (b *UDPBridge) acceptLoop() {
 	defer b.wg.Done()
-	buf := make([]byte, 65536)
 	for {
-		n, from, err := b.pc.ReadFrom(buf)
-		if err != nil {
-			return // socket closed
+		conn, err := b.ln.Accept()
+		if err != nil || !b.track(conn) {
+			return // listener closed
 		}
-		if n < 1 {
-			continue
-		}
-		frame := make([]byte, n-1)
-		copy(frame, buf[1:n])
-		switch buf[0] {
-		case udpConnect:
-			b.handleConnect(frame, from)
-		case udpReply:
-			b.handleReply(frame, from)
-		case udpSend:
-			b.handleSend(frame)
-		case udpRDMA:
-			b.handleRDMA(frame)
-		case udpBreak:
-			b.handleBreak(frame)
-		}
+		b.wg.Add(1)
+		go b.accept(conn)
 	}
 }
 
-func takeStr8(buf []byte) (string, []byte, bool) {
-	if len(buf) < 1 || len(buf) < 1+int(buf[0]) {
-		return "", nil, false
-	}
-	n := int(buf[0])
-	return string(buf[1 : 1+n]), buf[1+n:], true
-}
-
-// handleConnect accepts a relayed dial: create the mirror proxy VI for
-// the remote dialer and connect it to the real local listener, exactly
-// as the remote VI would in-process.
-func (b *UDPBridge) handleConnect(frame []byte, from net.Addr) {
-	if len(frame) < 17 {
+// accept takes one relayed dial: create the mirror proxy VI for the
+// remote dialer and connect it to the real local listener, exactly as
+// the remote VI would in-process, then answer and serve the channel.
+func (b *UDPBridge) accept(conn net.Conn) {
+	defer b.wg.Done()
+	c := &bChan{conn: conn}
+	fr := &frameReader{r: bufio.NewReader(conn)}
+	f, err := fr.next()
+	if err != nil || f[0] != frameConnect || len(f) < 2 {
+		b.hangUp(conn) // not a bridge dialer
 		return
 	}
-	tok := binary.LittleEndian.Uint64(frame)
-	rel := Reliability(frame[8])
-	chanA := binary.LittleEndian.Uint64(frame[9:])
-	rest := frame[17:]
-	fromAddr, rest, ok1 := takeStr8(rest)
+	rel := Reliability(f[1])
+	fromAddr, rest, ok1 := takeStr8(f[2:])
 	toAddr, rest, ok2 := takeStr8(rest)
 	service, _, ok3 := takeStr8(rest)
 	if !ok1 || !ok2 || !ok3 {
+		b.hangUp(conn)
 		return
 	}
-	key := fmt.Sprintf("%s/%d", fromAddr, tok)
 	b.mu.Lock()
-	if cached, dup := b.accepted[key]; dup {
-		// Retransmitted CONNECT. Re-send the cached verdict; nil means
-		// the first copy is still dialing — the initiator's retry ticker
-		// keeps asking until a verdict exists.
-		b.mu.Unlock()
-		if cached != nil {
-			_, _ = b.pc.WriteTo(cached, from)
-		}
-		return
-	}
 	proxy := b.proxies[fromAddr]
-	if proxy == nil {
-		// Startup race: the dial crossed the wire between this process's
-		// NewUDPBridge and its Proxy call for the dialer. Not known yet is
-		// not known bad: stay silent and cache nothing, so the dialer's
-		// retransmit connects once the proxy exists (or its deadline
-		// fires). Only a verdict on a known peer is ever cached.
-		b.mu.Unlock()
-		return
-	}
-	b.accepted[key] = nil
 	b.mu.Unlock()
-
-	reply := func(ok bool, chanB uint64, msg string) {
-		if len(msg) > 512 {
-			msg = msg[:512]
-		}
-		f := make([]byte, 0, 20+len(msg))
-		f = append(f, udpReply)
-		f = binary.LittleEndian.AppendUint64(f, tok)
-		if ok {
-			f = append(f, 1)
-		} else {
-			f = append(f, 0)
-		}
-		f = binary.LittleEndian.AppendUint64(f, chanB)
-		f = binary.LittleEndian.AppendUint16(f, uint16(len(msg)))
-		f = append(f, msg...)
-		b.mu.Lock()
-		b.accepted[key] = f
-		b.mu.Unlock()
-		_, _ = b.pc.WriteTo(f, from)
+	err = fmt.Errorf("%w: no proxy for %s", errNotYet, fromAddr)
+	if proxy != nil {
+		c.pv, err = proxy.CreateVI(rel, 64)
 	}
-	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		pv, err := proxy.CreateVI(rel, 64)
-		if err != nil {
-			reply(false, 0, err.Error())
-			return
-		}
-		// Register the channel BEFORE dialing: the Accept inside Connect
-		// binds the local VI, and its owner may send on it the instant the
-		// bind lands — the forwarder must already know the route.
-		chanB := b.nextChan.Add(1)
-		// Ready at birth: the remote learns chanB only from our reply, so
-		// no inbound send can precede the bind; outbound routing (the
-		// remote channel id and endpoint) is already known.
-		bc := &bChan{pv: pv, remoteChan: chanA, raddr: from, ready: true}
-		b.mu.Lock()
-		b.chans[chanB] = bc
-		b.fwd[fwdKey{proxy.addr, pv.id}] = bc
-		b.mu.Unlock()
-		unregister := func() {
-			b.mu.Lock()
-			delete(b.chans, chanB)
-			delete(b.fwd, fwdKey{proxy.addr, pv.id})
-			b.mu.Unlock()
-		}
-		// Dialing the real listener blocks until the transport accepts,
-		// exactly as the remote dialer would in-process; the remote side
-		// keeps its dialer parked until our reply.
-		if err := pv.Connect(toAddr, service); err != nil {
-			unregister()
-			pv.Close()
-			if errors.Is(err, ErrUnknownService) {
-				// Startup race: the dial crossed the wire before this
-				// process's transport registered its listener. Forget the
-				// dedup entry and stay silent — the dialer's retransmit
-				// retries until the listener exists or its deadline fires.
-				b.mu.Lock()
-				delete(b.accepted, key)
-				b.mu.Unlock()
-				return
-			}
-			reply(false, 0, err.Error())
-			return
-		}
-		reply(true, chanB, "")
-	}()
-}
-
-// handleReply resolves a locally initiated relayed dial.
-func (b *UDPBridge) handleReply(frame []byte, from net.Addr) {
-	if len(frame) < 19 {
-		return
-	}
-	tok := binary.LittleEndian.Uint64(frame)
-	ok := frame[8] == 1
-	chanB := binary.LittleEndian.Uint64(frame[9:])
-	msgLen := int(binary.LittleEndian.Uint16(frame[17:]))
-	msg := ""
-	if len(frame) >= 19+msgLen {
-		msg = string(frame[19 : 19+msgLen])
-	}
-	b.mu.Lock()
-	pd, found := b.pending[tok]
-	delete(b.pending, tok)
-	b.mu.Unlock()
-	if !found {
-		return // duplicate reply, or the dial timed out
-	}
-	fail := func(err error) {
-		b.mu.Lock()
-		delete(b.chans, pd.chanAID)
-		b.mu.Unlock()
-		pd.pv.Close()
-		pd.req.reply <- err
-		close(pd.resolved)
-	}
-	if !ok {
-		fail(fmt.Errorf("%w: %s", ErrRejected, msg))
-		return
-	}
-	if err := bind(pd.req.fromVI, pd.pv); err != nil {
-		fail(err)
-		return
-	}
-	b.mu.Lock()
-	bc := b.chans[pd.chanAID]
-	var queued [][]byte
-	if bc != nil {
-		bc.remoteChan, bc.raddr, bc.ready = chanB, from, true
-		queued, bc.queue = bc.queue, nil
-		b.fwd[fwdKey{pd.proxy.addr, pd.pv.id}] = bc
-	}
-	b.mu.Unlock()
-	// Sends that outran the reply deliver now, in arrival order, before
-	// the dialer is released (it cannot post until reply anyway).
-	for _, payload := range queued {
-		b.deliverChan(bc, payload)
-	}
-	pd.req.reply <- nil
-	close(pd.resolved)
-}
-
-// deliverChan feeds one relayed payload into the real local VI behind
-// a bound bridge channel.
-func (b *UDPBridge) deliverChan(bc *bChan, payload []byte) {
-	realNIC, realVI, err := bc.pv.peerRef()
 	if err != nil {
+		_ = c.write(frameReply, reply(err), nil)
+		b.hangUp(conn)
 		return
 	}
-	// Delivery errors break the VI pair inside deliverSend; the proxy
-	// side of the break reaches viBroken, which reports it back.
-	_ = realNIC.deliverSend(realVI, payload, bc.pv.reliability)
+	// Register the channel before dialing: the Accept inside Connect
+	// binds the local VI, and its owner may send the instant the bind
+	// lands, so the forwarder must already know the route. The REPLY
+	// precedes every other frame of the channel: the write lock is held
+	// from before the bind until the verdict is out.
+	b.register(c)
+	c.wmu.Lock()
+	//presslint:ignore mutex-across-block a frame of this channel waits for its REPLY by design; Connect ends once the real listener accepts, and nothing it waits on writes to this channel
+	err = c.pv.Connect(toAddr, service)
+	werr := c.writeLocked(frameReply, reply(err), nil)
+	c.wmu.Unlock()
+	switch {
+	case werr != nil:
+		err = werr
+	case err == nil:
+		err = b.serve(c, fr)
+	}
+	b.end(c, err)
 }
 
-// handleSend feeds a relayed send into the real local VI the proxy is
-// bound to, with full receive-descriptor semantics: a missing
-// descriptor on a reliable channel breaks the VI pair right here, and
-// the break relays back through the forwarder hook.
-func (b *UDPBridge) handleSend(frame []byte) {
-	if len(frame) < 9 {
-		return
+// serve feeds the channel's inbound frames into the real local VI the
+// proxy is bound to until the connection or the channel ends, and
+// returns why it ended.
+func (b *UDPBridge) serve(c *bChan, fr *frameReader) error {
+	for {
+		f, err := fr.next()
+		if err != nil {
+			return fmt.Errorf("%w: bridge connection lost: %v", ErrBroken, err)
+		}
+		switch f[0] {
+		case frameSend:
+			// Full receive-descriptor semantics: a missing descriptor on a
+			// reliable channel breaks the VI pair inside deliverSend, and
+			// the proxy side of the break reaches viBroken, which reports
+			// it back.
+			if realNIC, realVI, err := c.pv.peerRef(); err == nil {
+				_ = realNIC.deliverSend(realVI, f[1:], c.pv.reliability)
+			}
+		case frameRDMA:
+			if len(f) < 17 {
+				return errBadFrame
+			}
+			realNIC, realVI, err := c.pv.peerRef()
+			if err != nil {
+				continue
+			}
+			h := Handle(binary.LittleEndian.Uint64(f[1:]))
+			off := int(binary.LittleEndian.Uint64(f[9:]))
+			// A refused write breaks its channel, as the sender's engine
+			// does in process; unreliable service drops it silently.
+			if err := realNIC.deliverRDMA(realVI, h, off, f[17:]); err != nil && c.pv.reliability == ReliableDelivery {
+				c.pv.breakConn(err)
+			}
+		case frameBreak:
+			return fmt.Errorf("%w: %s", ErrBroken, takeStr16(f[1:]))
+		default:
+			return errBadFrame
+		}
 	}
-	ch := binary.LittleEndian.Uint64(frame)
-	payload := frame[9:]
+}
+
+// register routes the proxy VI's deliveries to c.
+func (b *UDPBridge) register(c *bChan) {
 	b.mu.Lock()
-	bc := b.chans[ch]
-	if bc != nil && !bc.ready {
-		// The channel is still binding (this send outran the setup
-		// reply): hold the payload, in order, until the bind lands.
-		if len(bc.queue) < bChanQueueMax {
-			bc.queue = append(bc.queue, payload)
-		}
-		b.mu.Unlock()
-		return
-	}
+	b.chans[c.key()] = c
 	b.mu.Unlock()
-	if bc == nil {
-		return // channel gone (broken, or setup never completed)
-	}
-	b.deliverChan(bc, payload)
 }
 
-// handleRDMA lands a relayed remote write in the registered region of
-// the real local NIC that minted the handle (handles travel to remote
-// writers through setup messages, so an arriving handle is always one
-// of ours).
-func (b *UDPBridge) handleRDMA(frame []byte) {
-	if len(frame) < 16 {
-		return
-	}
-	h := Handle(binary.LittleEndian.Uint64(frame))
-	off := int(binary.LittleEndian.Uint64(frame[8:]))
-	payload := frame[16:]
-	b.fabric.mu.Lock()
-	var target *NIC
-	for _, n := range b.fabric.nics {
-		if n.fw != nil {
-			continue
-		}
-		if _, ok := n.region(h); ok {
-			target = n
-			break
-		}
-	}
-	b.fabric.mu.Unlock()
-	if target == nil {
-		return // region deregistered; protection faults are silent on the wire
-	}
-	_ = target.deliverRDMA(h, off, payload)
-}
-
-// handleBreak breaks the local proxy VI (and through it the real VI)
-// for a channel the remote side reported dead.
-func (b *UDPBridge) handleBreak(frame []byte) {
-	if len(frame) < 10 {
-		return
-	}
-	ch := binary.LittleEndian.Uint64(frame)
-	msgLen := int(binary.LittleEndian.Uint16(frame[8:]))
-	msg := "peer broke connection"
-	if msgLen > 0 && len(frame) >= 10+msgLen {
-		msg = string(frame[10 : 10+msgLen])
-	}
+// end retires a channel: forget its route, hang up, and break the
+// proxy VI — and through it the real one — with reason. The route goes
+// first, so the break is not echoed to a peer that already knows.
+func (b *UDPBridge) end(c *bChan, reason error) {
 	b.mu.Lock()
-	bc := b.chans[ch]
-	delete(b.chans, ch)
+	delete(b.chans, c.key())
 	b.mu.Unlock()
-	if bc == nil {
-		return
-	}
-	bc.pv.breakConn(fmt.Errorf("%w: %s", ErrBroken, msg))
+	b.hangUp(c.conn)
+	c.pv.breakConn(reason)
+	c.pv.Close()
 }
 
-// Close stops the bridge. Proxy NICs stay on the fabric (the fabric's
-// own Close tears them down); channels through them break on use.
+// track records an open connection for Close, or hangs it up if the
+// bridge is closed.
+func (b *UDPBridge) track(conn net.Conn) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		conn.Close()
+		return false
+	}
+	b.conns[conn] = struct{}{}
+	return true
+}
+
+func (b *UDPBridge) hangUp(conn net.Conn) {
+	b.mu.Lock()
+	delete(b.conns, conn)
+	b.mu.Unlock()
+	conn.Close()
+}
+
+// Close stops the bridge: every connection closes, which breaks every
+// channel, and the proxy NICs leave the fabric, which fails a relayed
+// dial still waiting for the real listener to accept.
 func (b *UDPBridge) Close() {
 	b.mu.Lock()
 	if b.closed {
@@ -666,8 +578,15 @@ func (b *UDPBridge) Close() {
 		return
 	}
 	b.closed = true
+	for conn := range b.conns {
+		conn.Close()
+	}
+	proxies := b.proxies
 	b.mu.Unlock()
-	close(b.done)
-	b.pc.Close()
+	b.stop()
+	b.ln.Close()
+	for _, nic := range proxies {
+		nic.Close()
+	}
 	b.wg.Wait()
 }

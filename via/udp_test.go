@@ -2,14 +2,20 @@ package via
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"os"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
 
 // bridgedPair builds two single-NIC fabrics in this process, joined by
-// two UDPBridges over real loopback sockets — the exact topology two
+// two bridges over real loopback sockets — the exact topology two
 // pressd processes form, minus the fork.
 type bridgedPair struct {
 	fa, fb *Fabric
@@ -170,7 +176,6 @@ func TestBridgeRDMAWrite(t *testing.T) {
 	}
 	dreg.EnableRemoteWrite()
 
-	// Large payload: forces fragmentation into several datagrams.
 	payload := make([]byte, 200*1024)
 	for i := range payload {
 		payload[i] = byte(i * 31)
@@ -236,9 +241,9 @@ func TestBridgeReliableBreakPropagates(t *testing.T) {
 
 func TestBridgeConnectSurvivesLateListener(t *testing.T) {
 	p := newBridgedPair(t)
-	// Dial before nodeB's real listener exists: the relayed CONNECT
-	// must keep retrying (multi-process startup is unordered) and
-	// succeed once the service appears.
+	// Dial before nodeB's real listener exists: the relayed dial must
+	// keep retrying (multi-process startup is unordered) and succeed
+	// once the service appears.
 	va, err := p.na.CreateVI(ReliableDelivery, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +251,7 @@ func TestBridgeConnectSurvivesLateListener(t *testing.T) {
 	dialErr := make(chan error, 1)
 	go func() { dialErr <- va.Connect("nodeB", "svc") }()
 
-	time.Sleep(600 * time.Millisecond) // several CONNECT retransmits pass
+	time.Sleep(600 * time.Millisecond) // several not-yet verdicts and redials pass
 	ln, err := p.nb.Listen("svc")
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +276,7 @@ func TestBridgeConnectSurvivesLateListener(t *testing.T) {
 
 // TestBridgeConnectBeforeProxy: a CONNECT that reaches a bridge before
 // its Proxy call for the dialer (multi-process startup is unordered) is
-// met with silence, not a cached reject, so the dialer's retransmit
+// answered "not yet", not refused, so the dialer's next attempt
 // connects once the proxy is registered.
 func TestBridgeConnectBeforeProxy(t *testing.T) {
 	p := newBridges(t)
@@ -303,21 +308,23 @@ func TestBridgeConnectBeforeProxy(t *testing.T) {
 	select {
 	case err := <-dialErr:
 		t.Fatalf("dial resolved before the proxy existed: %v", err)
-	case <-time.After(udpConnectRetry / 2):
-		// The first CONNECT has long crossed loopback; no verdict came back.
+	case <-time.After(bridgeRetry / 2):
+		// The first CONNECT has long crossed loopback; its verdict was "not yet".
 	}
 	if err := p.bb.Proxy("nodeA", p.ba.Addr(), "svc"); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-dialErr; err != nil {
-		t.Fatalf("retransmitted dial after Proxy: %v", err)
+		t.Fatalf("redial after Proxy: %v", err)
 	}
 	if err := <-acceptErr; err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestBridgeOversizeSendFails(t *testing.T) {
+// TestBridgeLargeSendCrossesWhole: a send crosses as one frame, so a
+// 100 KiB one arrives whole, in one receive.
+func TestBridgeLargeSendCrossesWhole(t *testing.T) {
 	p := newBridgedPair(t)
 	va, vb := p.connect(t, ReliableDelivery)
 
@@ -327,17 +334,27 @@ func TestBridgeOversizeSendFails(t *testing.T) {
 	if err := vb.PostRecv(rd); err != nil {
 		t.Fatal(err)
 	}
-	big := make([]byte, maxUDPPayload+1)
-	sreg, _ := p.na.RegisterMemory(big)
+	big := make([]byte, 100*1024)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	sreg, _ := p.na.RegisterMemory(append([]byte(nil), big...))
 	sd := MustDescriptor(Segment{Region: sreg, Offset: 0, Len: len(big)})
 	if err := va.PostSend(sd); err != nil {
 		t.Fatal(err)
 	}
-	// The engine completes the descriptor with the forwarder's error
-	// and breaks the reliable channel.
-	_ = sd.Wait(testTimeout)
-	if err := sd.Err(); !errors.Is(err, ErrTooLong) {
-		t.Fatalf("oversize send: %v", err)
+	if err := sd.Wait(testTimeout); err != nil {
+		t.Fatalf("large send: %v", err)
+	}
+	if err := rd.Wait(testTimeout); err != nil {
+		t.Fatalf("large receive: %v", err)
+	}
+	got := make([]byte, rd.Transferred())
+	if err := rreg.Read(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, big) {
+		t.Fatalf("received %d bytes, want the %d sent", len(got), len(big))
 	}
 }
 
@@ -378,4 +395,192 @@ func TestBridgeRDMARaisesDoorbell(t *testing.T) {
 	if string(got) != "over the wire" {
 		t.Errorf("region holds %q when the bell rings", got)
 	}
+}
+
+// waitErr polls until cond holds for the pair's errors, or fails.
+func waitErr(t *testing.T, va, vb *VI, cond func(a, b error) bool) {
+	t.Helper()
+	deadline := time.Now().Add(testTimeout)
+	for !cond(va.Err(), vb.Err()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("A=%v B=%v", va.Err(), vb.Err())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestBridgeConnectionLossBreaksChannel: the connection is the channel,
+// so losing it (here: the remote bridge closes) breaks the local VI
+// with nothing posted on either side.
+func TestBridgeConnectionLossBreaksChannel(t *testing.T) {
+	p := newBridgedPair(t)
+	va, vb := p.connect(t, ReliableDelivery)
+	p.bb.Close()
+	waitErr(t, va, vb, func(a, b error) bool {
+		return errors.Is(a, ErrBroken) && b != nil
+	})
+}
+
+// TestBridgeRDMAProtectionBreaksChannel: a bridged remote write the real
+// NIC refuses breaks both VIs, as it does in process, and the reason
+// names the protection fault on both sides.
+func TestBridgeRDMAProtectionBreaksChannel(t *testing.T) {
+	p := newBridgedPair(t)
+	va, vb := p.connect(t, ReliableDelivery)
+	dreg, err := p.nb.RegisterMemory(make([]byte, 16)) // not enabled for remote write
+	if err != nil {
+		t.Fatal(err)
+	}
+	sreg, err := p.na.RegisterMemory([]byte("data"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd := MustDescriptor(Segment{Region: sreg, Offset: 0, Len: 4})
+	if err := va.PostRDMAWrite(sd, dreg.Handle(), 0); err != nil {
+		t.Fatal(err)
+	}
+	waitErr(t, va, vb, func(a, b error) bool {
+		return errors.Is(b, ErrProtection) && a != nil && strings.Contains(a.Error(), ErrProtection.Error())
+	})
+}
+
+// TestBridgeAcceptorSendsFirst: the acceptor's transport may send the
+// instant Accept binds, before the bridge has answered the dialer; the
+// REPLY still reaches the dialer first, and the send after it.
+func TestBridgeAcceptorSendsFirst(t *testing.T) {
+	p := newBridgedPair(t)
+	for round := 0; round < 20; round++ {
+		ln, err := p.nb.Listen("svc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		va, _ := p.na.CreateVI(ReliableDelivery, 4)
+		vb, _ := p.nb.CreateVI(ReliableDelivery, 4)
+		rreg, _ := p.na.RegisterMemory(make([]byte, 16))
+		rd := MustDescriptor(Segment{Region: rreg, Offset: 0, Len: 16})
+		if err := va.PostRecv(rd); err != nil {
+			t.Fatal(err)
+		}
+		sreg, _ := p.nb.RegisterMemory([]byte("first"))
+		sendErr := make(chan error, 1)
+		go func() {
+			if _, err := ln.Accept(vb); err != nil {
+				sendErr <- err
+				return
+			}
+			sd := MustDescriptor(Segment{Region: sreg, Offset: 0, Len: 5})
+			if err := vb.PostSend(sd); err != nil {
+				sendErr <- err
+				return
+			}
+			sendErr <- sd.Wait(testTimeout)
+		}()
+		if err := va.Connect("nodeB", "svc"); err != nil {
+			t.Fatalf("round %d: dial: %v", round, err)
+		}
+		if err := <-sendErr; err != nil {
+			t.Fatalf("round %d: acceptor's send: %v", round, err)
+		}
+		if err := rd.Wait(testTimeout); err != nil {
+			t.Fatalf("round %d: dialer's receive: %v", round, err)
+		}
+		ln.Close()
+		va.Close()
+		vb.Close()
+	}
+}
+
+// bridgeFrame encodes one bridge frame: length, kind, fields.
+func bridgeFrame(kind byte, fields ...[]byte) []byte {
+	body := []byte{kind}
+	for _, f := range fields {
+		body = append(body, f...)
+	}
+	return append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
+func str8s(ss ...string) []byte {
+	var out []byte
+	for _, s := range ss {
+		out = append(append(out, byte(len(s))), s...)
+	}
+	return out
+}
+
+// FuzzBridgeConn feeds arbitrary bytes into an accepted bridge
+// connection: another process's input must not panic the bridge, a
+// malformed frame closes the connection, and Close leaves no channel
+// registered and no goroutine running.
+func FuzzBridgeConn(f *testing.F) {
+	connect := bridgeFrame(frameConnect, []byte{byte(ReliableDelivery)}, str8s("nodeA", "nodeB", "svc"))
+	rdma := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 1), 8)
+	f.Add(connect)
+	f.Add(bytes.Join([][]byte{
+		connect,
+		bridgeFrame(frameSend, []byte("hello")),
+		bridgeFrame(frameRDMA, rdma, []byte("remote")),
+		bridgeFrame(frameBreak, str16(nil, "bye")),
+	}, nil))
+	f.Add(binary.LittleEndian.AppendUint32(nil, 0))
+	f.Add(binary.LittleEndian.AppendUint32(nil, maxBridgeFrame+1))
+	f.Add(bridgeFrame(frameConnect, []byte{byte(ReliableDelivery), 9, 'n', 'o'}))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		base := runtime.NumGoroutine()
+		fb := NewFabric()
+		nb, err := fb.CreateNIC("nodeB")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg, _ := nb.RegisterMemory(make([]byte, 64)) // handle 1
+		reg.EnableRemoteWrite()
+		ln, _ := nb.Listen("svc")
+		go func() {
+			for {
+				vi, err := nb.CreateVI(ReliableDelivery, 4)
+				if err != nil {
+					return
+				}
+				if _, err := ln.Accept(vi); errors.Is(err, ErrClosed) {
+					return
+				}
+			}
+		}()
+		bb, err := NewUDPBridge(fb, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bb.Proxy("nodeA", "127.0.0.1:1"); err != nil {
+			t.Fatal(err)
+		}
+
+		conn, err := net.Dial("tcp", bb.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = conn.Write(in)
+		_ = conn.(*net.TCPConn).CloseWrite()
+		// Whatever the input, the bridge hangs up: at once on a
+		// malformed frame, else at our EOF. A reset is a hang-up too.
+		_ = conn.SetReadDeadline(time.Now().Add(testTimeout))
+		if _, err := io.Copy(io.Discard, conn); errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatal("bridge kept the connection open")
+		}
+		conn.Close()
+
+		bb.Close()
+		bb.mu.Lock()
+		left := len(bb.chans)
+		bb.mu.Unlock()
+		if left != 0 {
+			t.Fatalf("%d channels registered after Close", left)
+		}
+		fb.Close()
+		deadline := time.Now().Add(testTimeout)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines, %d before", runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
 }

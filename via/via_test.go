@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -301,16 +302,20 @@ func TestRDMAWriteProtection(t *testing.T) {
 }
 
 func TestRDMAWriteOutOfBounds(t *testing.T) {
-	_, na, nb, va, _ := pair(t, ReliableDelivery)
-	local, _ := na.RegisterMemory([]byte("0123456789"))
-	rreg, _ := nb.RegisterMemory(make([]byte, 8))
-	rreg.EnableRemoteWrite()
-	d := MustDescriptor(Segment{Region: local, Offset: 0, Len: 10})
-	if err := va.PostRDMAWrite(d, rreg.Handle(), 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Wait(testTimeout); !errors.Is(err, ErrProtection) {
-		t.Fatalf("out-of-bounds write: %v", err)
+	// The second offset overflows off+len: a bridge carries offsets off
+	// the wire, so the bound must hold for any int.
+	for _, off := range []int{4, math.MaxInt - 2} {
+		_, na, nb, va, _ := pair(t, ReliableDelivery)
+		local, _ := na.RegisterMemory([]byte("0123456789"))
+		rreg, _ := nb.RegisterMemory(make([]byte, 8))
+		rreg.EnableRemoteWrite()
+		d := MustDescriptor(Segment{Region: local, Offset: 0, Len: 10})
+		if err := va.PostRDMAWrite(d, rreg.Handle(), off); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Wait(testTimeout); !errors.Is(err, ErrProtection) {
+			t.Fatalf("out-of-bounds write at %d: %v", off, err)
+		}
 	}
 }
 
