@@ -10,8 +10,8 @@
 //
 //   - press/via — a software implementation of VIA: NICs on a fabric,
 //     connected VIs with descriptor work queues, completion queues,
-//     memory registration, remote memory writes, and unreliable /
-//     reliable-delivery service.
+//     memory registration, remote memory writes, reliable-delivery
+//     service, and node-level fault injection.
 //   - press/server — PRESS itself, runnable: an N-node cluster in one
 //     process serving HTTP over loopback, distributing requests
 //     internally over VIA or kernel TCP with the paper's version matrix

@@ -201,6 +201,15 @@ if grep -n 'PacketConn\|maxUDPPayload\|udpConnectRetry\|bChanQueueMax\|nextTok' 
     exit 1
 fi
 
+# The software VIA provides what PRESS runs: reliable delivery and
+# node-level faults. Unreliable service, the lossy and shaped fabric,
+# pairwise partitions and the NIC options nothing set stay gone.
+echo "==> via offers one service level"
+if grep -nE 'Unreliable|WithLoss|WithSeed|WithLatency|WithBandwidth|WithWorkDepth|transferDelay|lossRate|ReliabilitySupport|func \(f \*Fabric\) Partition' $(ls via/*.go | grep -v _test.go); then
+    echo "check: via/ offers a second service level or a lossy fabric again" >&2
+    exit 1
+fi
+
 echo "==> presslint ./..."
 go run ./cmd/presslint ./...
 

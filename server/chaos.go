@@ -123,23 +123,13 @@ func (cl *Cluster) HealNode(i int) error {
 // SlowNode adds extra delay to every fabric transfer touching node i —
 // a slow-but-alive gray failure: the node keeps answering, just too
 // late. The brownout layer, not the dead-or-alive health tracker, is
-// what routes around it.
+// what routes around it. extra <= 0 restores the node's normal speed.
 func (cl *Cluster) SlowNode(i int, extra time.Duration) error {
 	f, addr, err := cl.faultTarget(i)
 	if err != nil {
 		return err
 	}
 	f.SlowNode(addr, extra)
-	return nil
-}
-
-// HealSlowNode restores node i's normal fabric speed.
-func (cl *Cluster) HealSlowNode(i int) error {
-	f, addr, err := cl.faultTarget(i)
-	if err != nil {
-		return err
-	}
-	f.HealSlowNode(addr)
 	return nil
 }
 

@@ -59,11 +59,6 @@ type Config struct {
 	CacheBytes int64
 	// DiskDelay is the artificial per-read disk latency (default 2 ms).
 	DiskDelay time.Duration
-	// DiskThreads is the number of disk helper threads per node (2).
-	DiskThreads int
-	// FileRingBytes sizes the RMW file data ring (default 1 MB; must
-	// exceed the large-file cutoff so every forwarded file fits).
-	FileRingBytes int
 	// Metrics, when non-nil, collects the cluster's observability
 	// counters: per-node/per-type message accounting, copied bytes,
 	// credit stalls, NIC activity, and the request account. With nil
@@ -147,16 +142,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if cfg.DiskDelay == 0 {
 		cfg.DiskDelay = 2 * time.Millisecond
-	}
-	if cfg.DiskThreads <= 0 {
-		cfg.DiskThreads = 2
-	}
-	if cfg.FileRingBytes <= 0 {
-		cfg.FileRingBytes = 1 << 20
-	}
-	if int64(cfg.FileRingBytes) < cfg.Policy.LargeFileBytes {
-		return cfg, fmt.Errorf("server: file ring (%d) smaller than the large-file cutoff (%d)",
-			cfg.FileRingBytes, cfg.Policy.LargeFileBytes)
 	}
 	if cfg.RMWTimeout == 0 {
 		cfg.RMWTimeout = DefaultRMWTimeout

@@ -278,7 +278,6 @@ func TestClusterConfigValidation(t *testing.T) {
 		{Nodes: 99, Trace: tr},
 		{Nodes: 2},
 		{Nodes: 2, Trace: tr, CacheBytes: -1},
-		{Nodes: 2, Trace: tr, FileRingBytes: 1024}, // below large-file cutoff
 	}
 	for i, cfg := range bad {
 		if _, err := Start(cfg); err == nil {

@@ -422,10 +422,10 @@ func newNode(id int, cfg Config, store *Store, tr Transport, nic *via.NIC) *Node
 }
 
 func (n *Node) start() {
-	n.wg.Add(2 + n.cfg.DiskThreads)
+	n.wg.Add(2 + diskThreads)
 	go n.mainLoop()
 	go n.sendThread()
-	for i := 0; i < n.cfg.DiskThreads; i++ {
+	for i := 0; i < diskThreads; i++ {
 		go n.diskThread()
 	}
 }
@@ -1356,6 +1356,9 @@ func (n *Node) PeerState(peer int) NodeState {
 // Degraded reports whether the node has fallen back to content-
 // oblivious local service because every peer is dead.
 func (n *Node) Degraded() bool { return n.degFlag.Load() }
+
+// diskThreads is the number of disk helper threads per node.
+const diskThreads = 2
 
 // diskThread performs blocking disk reads so the main loop never does.
 func (n *Node) diskThread() {

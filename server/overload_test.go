@@ -57,20 +57,19 @@ func TestOverloadConfigDefaults(t *testing.T) {
 	}
 }
 
-// overloadTestConfig is a deliberately slow 8-node TCP cluster: one
-// disk thread, 40 ms per read, and a cache too small to absorb the file
+// overloadTestConfig is a deliberately slow 8-node TCP cluster: two
+// disk threads, 80 ms per read, and a cache too small to absorb the file
 // population, so saturation sits at a couple hundred requests per
 // second — far under what the open-loop driver offers. Heartbeats are an
 // hour apart to keep failure detection out of a test about overload.
 func overloadTestConfig(tr *trace.Trace) Config {
 	return Config{
-		Nodes:       8,
-		Trace:       tr,
-		Transport:   TransportTCP,
-		CacheBytes:  16 << 10,
-		DiskDelay:   40 * time.Millisecond,
-		DiskThreads: 1,
-		Health:      HealthConfig{HeartbeatInterval: time.Hour},
+		Nodes:      8,
+		Trace:      tr,
+		Transport:  TransportTCP,
+		CacheBytes: 16 << 10,
+		DiskDelay:  80 * time.Millisecond,
+		Health:     HealthConfig{HeartbeatInterval: time.Hour},
 	}
 }
 
@@ -342,7 +341,7 @@ func TestBrownoutSlowPeer(t *testing.T) {
 
 	// Recovery: heal the fabric; the probe trickle refreshes the EWMA
 	// below the hysteresis threshold and forwards resume.
-	if err := cl.HealSlowNode(victim); err != nil {
+	if err := cl.SlowNode(victim, 0); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 15*time.Second, "brownout to lift after heal", func() bool {

@@ -189,10 +189,12 @@ func (pn *ProcNode) build(shared *via.Fabric) error {
 				}
 			}
 		}
+		// The file ring is twice the large-file cutoff, so every file a
+		// node forwards fits (1 MiB at the default policy).
 		vt, err := newViaTransport(pn.nic, viaConfig{
 			self: mesh.Self, nodes: cfg.Nodes, version: cfg.Version,
 			window: viaWindow, batch: viaBatch, chunk: viaChunkBytes,
-			fileRing: cfg.FileRingBytes, metrics: cfg.Metrics,
+			fileRing: 2 * int(cfg.Policy.LargeFileBytes), metrics: cfg.Metrics,
 			rmwTimeout: cfg.RMWTimeout, trc: cfg.Tracer.Collector(mesh.Self), names: names,
 		})
 		if err != nil {

@@ -575,7 +575,7 @@ func TestCreditConservation(t *testing.T) {
 		if sent, _ := out.gate.inFlight(); sent != 1 || out.next != 1 {
 			t.Fatalf("sent %d, next %d; the posted write alone holds a slot", sent, out.next)
 		}
-		fx.fabric.HealSlowNode("a")
+		fx.fabric.SlowNode("a", 0)
 		waitFor(t, 5*time.Second, "the slow write to complete", func() bool {
 			return out.out.desc.Status() != via.DescPosted
 		})

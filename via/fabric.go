@@ -2,7 +2,6 @@ package via
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -12,53 +11,24 @@ import (
 // FabricOption configures a Fabric.
 type FabricOption func(*Fabric)
 
-// WithLatency sets the one-way propagation latency applied to every
-// transfer.
-func WithLatency(d time.Duration) FabricOption {
-	return func(f *Fabric) { f.latency = d }
-}
-
-// WithBandwidth caps the per-NIC transmit rate in bytes per second
-// (0 = unlimited).
-func WithBandwidth(bytesPerSec float64) FabricOption {
-	return func(f *Fabric) { f.bandwidth = bytesPerSec }
-}
-
-// WithLoss drops the given fraction of unreliable transfers
-// (reliable-delivery VIs are unaffected, as the hardware retransmits).
-func WithLoss(rate float64) FabricOption {
-	return func(f *Fabric) { f.lossRate = rate }
-}
-
-// WithSeed seeds the deterministic loss process.
-func WithSeed(seed int64) FabricOption {
-	return func(f *Fabric) { f.seed = seed }
-}
-
 // WithMetrics attaches an observability registry: every NIC created on
 // the fabric registers per-NIC counters (sends, receives, remote
-// writes, bytes, drops), a descriptor work-queue depth gauge, and a
-// send completion-latency histogram. A nil registry (the default)
-// disables the latency/depth instrumentation entirely; the counters
-// always run, as they back NIC.Stats.
+// writes, bytes), a descriptor work-queue depth gauge, and a send
+// completion-latency histogram. A nil registry (the default) disables
+// the latency/depth instrumentation entirely; the counters always run,
+// as they back NIC.Stats.
 func WithMetrics(r *metrics.Registry) FabricOption {
 	return func(f *Fabric) { f.metrics = r }
 }
 
 // Fabric is the cluster interconnect: it owns the NIC address space and
-// the link-shaping parameters. All NICs on one fabric can connect to
-// each other.
+// the node-level faults (see Isolate and SlowNode). All NICs on one
+// fabric can connect to each other.
 type Fabric struct {
-	latency   time.Duration
-	bandwidth float64
-	lossRate  float64
-	seed      int64
-	metrics   *metrics.Registry
+	metrics *metrics.Registry
 
 	mu       sync.Mutex
 	nics     map[string]*NIC
-	rng      *rand.Rand
-	severed  map[linkKey]struct{}
 	isolated map[string]struct{}
 	slowed   map[string]time.Duration
 	closed   bool
@@ -70,13 +40,12 @@ func NewFabric(opts ...FabricOption) *Fabric {
 	for _, o := range opts {
 		o(f)
 	}
-	f.rng = rand.New(rand.NewSource(f.seed))
 	return f
 }
 
 // CreateNIC attaches a new NIC with the given address to the fabric
 // and starts its processing engine.
-func (f *Fabric) CreateNIC(addr string, opts ...NICOption) (*NIC, error) {
+func (f *Fabric) CreateNIC(addr string) (*NIC, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("via: empty NIC address")
 	}
@@ -88,7 +57,7 @@ func (f *Fabric) CreateNIC(addr string, opts ...NICOption) (*NIC, error) {
 	if _, dup := f.nics[addr]; dup {
 		return nil, fmt.Errorf("via: address %q already on fabric", addr)
 	}
-	n := newNIC(f, addr, opts...)
+	n := newNIC(f, addr)
 	f.nics[addr] = n
 	return n, nil
 }
@@ -105,25 +74,6 @@ func (f *Fabric) lookup(addr string) (*NIC, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownAddress, addr)
 	}
 	return n, nil
-}
-
-// drop decides whether an unreliable transfer is lost.
-func (f *Fabric) drop() bool {
-	if f.lossRate <= 0 {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.rng.Float64() < f.lossRate
-}
-
-// transferDelay returns the shaping delay for a payload of n bytes.
-func (f *Fabric) transferDelay(n int) time.Duration {
-	d := f.latency
-	if f.bandwidth > 0 {
-		d += time.Duration(float64(n) / f.bandwidth * 1e9)
-	}
-	return d
 }
 
 // Close shuts down the fabric and every NIC on it.

@@ -5,50 +5,17 @@ import (
 	"time"
 )
 
-// Fault injection: the fabric can sever the link between two NICs, the
-// software analogue of pulling a cLAN cable. Transfers over a severed
-// link fail — detected and reported on reliable-delivery VIs (breaking
-// the connection, per the VIA error model), silently lost on
-// unreliable ones. It can also slow a node without severing anything —
-// the gray-failure mode (overcommitted host, failing disk, congested
-// uplink) that health checks built on dead-or-alive evidence cannot
-// see.
+// Fault injection is node-level, as the server's chaos is: the fabric
+// can isolate a NIC, the software analogue of pulling the node's cLAN
+// cable, and transfers touching it fail — detected and reported,
+// breaking the connection, per the VIA error model. It can also slow a
+// node without severing anything — the gray-failure mode (overcommitted
+// host, failing disk, congested uplink) that health checks built on
+// dead-or-alive evidence cannot see.
 
-type linkKey struct{ a, b string }
-
-func normLink(a, b string) linkKey {
-	if a > b {
-		a, b = b, a
-	}
-	return linkKey{a, b}
-}
-
-// Partition severs the bidirectional link between two NIC addresses.
-// It is idempotent; unknown addresses are accepted (the link simply
-// stays severed if such a NIC appears later).
-func (f *Fabric) Partition(a, b string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.severed == nil {
-		f.severed = make(map[linkKey]struct{})
-	}
-	f.severed[normLink(a, b)] = struct{}{}
-}
-
-// Heal restores the link between two NIC addresses. It does not lift a
-// node-level Isolate: a link is up only when it is neither pairwise
-// severed nor touching an isolated NIC.
-func (f *Fabric) Heal(a, b string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.severed, normLink(a, b))
-}
-
-// Isolate severs every link of one NIC address at once — the software
-// analogue of pulling the node's cable rather than cutting individual
-// pairs. It is idempotent and accepts unknown addresses, and it
-// composes with Partition: node-level chaos does not need to enumerate
-// O(n) pairs.
+// Isolate severs every link of one NIC address. It is idempotent and
+// accepts unknown addresses (the node stays isolated if such a NIC
+// appears later).
 func (f *Fabric) Isolate(addr string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -58,8 +25,7 @@ func (f *Fabric) Isolate(addr string) {
 	f.isolated[addr] = struct{}{}
 }
 
-// HealNode lifts a node-level Isolate. Pairwise Partition cuts touching
-// the address, if any, remain in force until healed individually.
+// HealNode lifts an Isolate, restoring every link of the address.
 func (f *Fabric) HealNode(addr string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -69,7 +35,8 @@ func (f *Fabric) HealNode(addr string) {
 // SlowNode adds extra one-way delay to every transfer touching the
 // given NIC address — a slow-but-alive node: its links stay up, its
 // messages all arrive, they just take longer. Idempotent (the latest
-// delay wins); unknown addresses are accepted. extra <= 0 is HealSlowNode.
+// delay wins); unknown addresses are accepted. extra <= 0 restores the
+// node's normal speed.
 func (f *Fabric) SlowNode(addr string, extra time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -83,39 +50,17 @@ func (f *Fabric) SlowNode(addr string, extra time.Duration) {
 	f.slowed[addr] = extra
 }
 
-// HealSlowNode restores the node's normal speed.
-func (f *Fabric) HealSlowNode(addr string) {
+// link reports whether the two addresses can currently communicate and
+// the extra delay a transfer between them takes: the larger of their
+// SlowNode penalties (delays do not stack — the slowest party on the
+// path sets the pace).
+func (f *Fabric) link(a, b string) (up bool, slow time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	delete(f.slowed, addr)
+	_, cutA := f.isolated[a]
+	_, cutB := f.isolated[b]
+	return !cutA && !cutB, max(f.slowed[a], f.slowed[b])
 }
 
-// slowDelay returns the extra delay for a transfer between the two
-// addresses: the larger of their SlowNode penalties (delays do not
-// stack — the slowest party on the path sets the pace).
-func (f *Fabric) slowDelay(a, b string) time.Duration {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	da, db := f.slowed[a], f.slowed[b]
-	if db > da {
-		return db
-	}
-	return da
-}
-
-// linkUp reports whether the two addresses can currently communicate.
-func (f *Fabric) linkUp(a, b string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, cut := f.isolated[a]; cut {
-		return false
-	}
-	if _, cut := f.isolated[b]; cut {
-		return false
-	}
-	_, cut := f.severed[normLink(a, b)]
-	return !cut
-}
-
-// ErrLinkDown is reported on transfers over a severed link.
+// ErrLinkDown is reported on transfers to or from an isolated node.
 var ErrLinkDown = fmt.Errorf("via: link down")

@@ -2,30 +2,32 @@ package via
 
 import (
 	"errors"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 )
 
 func TestPartitionBreaksReliableConnection(t *testing.T) {
-	f, na, nb, va, vb := pair(t, ReliableDelivery)
+	f, na, nb, va, vb := pair(t)
 	// Healthy transfer first.
 	msg := sendRecv(t, na, nb, va, vb, []byte("before"))
 	if string(msg) != "before" {
-		t.Fatal("pre-partition transfer failed")
+		t.Fatal("pre-isolation transfer failed")
 	}
 
-	f.Partition("nodeA", "nodeB")
+	f.Isolate("nodeB")
 	sreg, _ := na.RegisterMemory([]byte("lost"))
 	d := MustDescriptor(Segment{Region: sreg, Offset: 0, Len: 4})
 	if err := va.PostSend(d); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Wait(testTimeout); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("send over severed link: %v", err)
+		t.Fatalf("send to an isolated node: %v", err)
 	}
 	// The connection is broken; healing the link does not resurrect it
 	// (the application must reconnect), matching the VIA error model.
-	f.Heal("nodeA", "nodeB")
+	f.HealNode("nodeB")
 	d2 := MustDescriptor(Segment{Region: sreg, Offset: 0, Len: 4})
 	if err := va.PostSend(d2); !errors.Is(err, ErrBroken) {
 		t.Fatalf("post after break: %v", err)
@@ -35,30 +37,8 @@ func TestPartitionBreaksReliableConnection(t *testing.T) {
 	}
 }
 
-func TestPartitionSilentOnUnreliable(t *testing.T) {
-	f, na, nb, va, _ := pair(t, Unreliable)
-	f.Partition("nodeA", "nodeB")
-	sreg, _ := na.RegisterMemory([]byte("lost"))
-	d := MustDescriptor(Segment{Region: sreg, Offset: 0, Len: 4})
-	if err := va.PostSend(d); err != nil {
-		t.Fatal(err)
-	}
-	// Unreliable delivery: the loss is undetected.
-	if err := d.Wait(testTimeout); err != nil {
-		t.Fatalf("unreliable send over severed link reported %v", err)
-	}
-	deadline := time.Now().Add(testTimeout)
-	for na.Stats().Drops == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("drop not recorded")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	_ = nb
-}
-
 func TestPartitionFailsRDMAWrite(t *testing.T) {
-	f, na, nb, va, _ := pair(t, ReliableDelivery)
+	f, na, nb, va, _ := pair(t)
 
 	// Remote-writable region on nodeB, the target of the RDMA writes.
 	rbuf := make([]byte, 64)
@@ -79,7 +59,7 @@ func TestPartitionFailsRDMAWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := d.Wait(testTimeout); err != nil {
-		t.Fatalf("pre-partition RDMA write: %v", err)
+		t.Fatalf("pre-isolation RDMA write: %v", err)
 	}
 	got := make([]byte, 12)
 	if err := rreg.Read(got, 0); err != nil {
@@ -89,15 +69,15 @@ func TestPartitionFailsRDMAWrite(t *testing.T) {
 		t.Fatalf("remote memory = %q", got)
 	}
 
-	// Over a severed link the write must fail with a checked error on
+	// To an isolated node the write must fail with a checked error on
 	// the completion path — never a panic, never silent success.
-	f.Partition("nodeA", "nodeB")
+	f.Isolate("nodeB")
 	d2 := MustDescriptor(Segment{Region: sreg, Offset: 0, Len: 12})
 	if err := va.PostRDMAWrite(d2, rreg.Handle(), 0); err != nil {
 		t.Fatalf("post itself should succeed, completion carries the fault: %v", err)
 	}
 	if err := d2.Wait(testTimeout); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("RDMA write over severed link: %v, want ErrLinkDown", err)
+		t.Fatalf("RDMA write to an isolated node: %v, want ErrLinkDown", err)
 	}
 	// The reliable connection is now broken; further posts report it.
 	d3 := MustDescriptor(Segment{Region: sreg, Offset: 0, Len: 12})
@@ -107,7 +87,7 @@ func TestPartitionFailsRDMAWrite(t *testing.T) {
 }
 
 func TestPartitionCompletesPendingRecvWithError(t *testing.T) {
-	f, na, nb, va, vb := pair(t, ReliableDelivery)
+	f, na, nb, va, vb := pair(t)
 
 	// Park a receive descriptor on nodeB before the link is cut.
 	rreg, err := nb.RegisterMemory(make([]byte, 32))
@@ -120,7 +100,7 @@ func TestPartitionCompletesPendingRecvWithError(t *testing.T) {
 	}
 
 	// Cut the link and trip the failure from the sender side.
-	f.Partition("nodeA", "nodeB")
+	f.Isolate("nodeB")
 	sreg, err := na.RegisterMemory([]byte("drop"))
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +110,7 @@ func TestPartitionCompletesPendingRecvWithError(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := sd.Wait(testTimeout); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("send over severed link: %v, want ErrLinkDown", err)
+		t.Fatalf("send to an isolated node: %v, want ErrLinkDown", err)
 	}
 
 	// The break propagates: the parked descriptor completes with a
@@ -151,9 +131,9 @@ func TestPartitionCompletesPendingRecvWithError(t *testing.T) {
 }
 
 func TestHealRestoresNewConnections(t *testing.T) {
-	f, na, nb, _, _ := pair(t, ReliableDelivery)
-	f.Partition("nodeA", "nodeB")
-	f.Heal("nodeA", "nodeB")
+	f, na, nb, _, _ := pair(t)
+	f.Isolate("nodeB")
+	f.HealNode("nodeB")
 
 	// A fresh VI pair over the healed link works.
 	ln, err := nb.Listen("svc2")
@@ -180,8 +160,8 @@ func TestHealRestoresNewConnections(t *testing.T) {
 }
 
 func TestConnectOverSeveredLink(t *testing.T) {
-	f, na, nb, _, _ := pair(t, ReliableDelivery)
-	f.Partition("nodeA", "nodeB")
+	f, na, nb, _, _ := pair(t)
+	f.Isolate("nodeB")
 
 	ln, err := nb.Listen("svc2")
 	if err != nil {
@@ -190,10 +170,10 @@ func TestConnectOverSeveredLink(t *testing.T) {
 	defer ln.Close()
 	va2, _ := na.CreateVI(ReliableDelivery, 8)
 	if err := va2.Connect("nodeB", "svc2"); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("Connect over severed link: %v, want ErrLinkDown", err)
+		t.Fatalf("Connect to an isolated node: %v, want ErrLinkDown", err)
 	}
 	// Healing restores dialability.
-	f.Heal("nodeA", "nodeB")
+	f.HealNode("nodeB")
 	vb2, _ := nb.CreateVI(ReliableDelivery, 8)
 	done := make(chan error, 1)
 	go func() {
@@ -267,6 +247,46 @@ func expectSend(t *testing.T, nic *NIC, vi *VI) error {
 	return d.Wait(testTimeout)
 }
 
+// TestSlowNodeDelaysDelivery: a transfer between two slowed NICs
+// sleeps the larger of their penalties, not the sum, and SlowNode with
+// no delay restores a node's speed.
+func TestSlowNodeDelaysDelivery(t *testing.T) {
+	var slept struct {
+		sync.Mutex
+		d []time.Duration
+	}
+	old := sleep
+	sleep = func(d time.Duration) {
+		slept.Lock()
+		slept.d = append(slept.d, d)
+		slept.Unlock()
+	}
+	t.Cleanup(func() { sleep = old })
+	f, na, nb, va, vb := pair(t)
+	transfer := func(want ...time.Duration) {
+		t.Helper()
+		slept.Lock()
+		slept.d = nil
+		slept.Unlock()
+		if got := sendRecv(t, na, nb, va, vb, []byte("slow")); string(got) != "slow" {
+			t.Fatalf("received %q", got)
+		}
+		slept.Lock()
+		defer slept.Unlock()
+		if !slices.Equal(slept.d, want) {
+			t.Fatalf("transfer slept %v, want %v", slept.d, want)
+		}
+	}
+
+	f.SlowNode("nodeA", 3*time.Millisecond)
+	f.SlowNode("nodeB", 5*time.Millisecond)
+	transfer(5 * time.Millisecond)
+	f.SlowNode("nodeB", 0)
+	transfer(3 * time.Millisecond)
+	f.SlowNode("nodeA", 0)
+	transfer()
+}
+
 func TestIsolateSeversAllLinks(t *testing.T) {
 	f, nics, vis := triad(t)
 
@@ -311,13 +331,7 @@ func TestHealNodeRestoresDialing(t *testing.T) {
 		t.Fatalf("Connect to isolated node: %v, want ErrLinkDown", err)
 	}
 
-	// A pairwise Heal must not lift node-level isolation...
-	f.Heal("n0", "n1")
-	if err := dial.Connect("n1", "svc-heal"); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("Connect after pairwise Heal of isolated node: %v, want ErrLinkDown", err)
-	}
-
-	// ...but HealNode does, restoring every link at once.
+	// HealNode restores every link at once.
 	f.HealNode("n1")
 	acc, _ := nics[1].CreateVI(ReliableDelivery, 8)
 	done := make(chan error, 1)
@@ -352,7 +366,7 @@ func vis0to1Recv(t *testing.T, rnic *NIC, acc, dial *VI) *VI {
 }
 
 func TestVIPeer(t *testing.T) {
-	_, _, _, va, vb := pair(t, ReliableDelivery)
+	_, _, _, va, vb := pair(t)
 	addr, id, ok := va.Peer()
 	if !ok || addr != "nodeB" || id != vb.ID() {
 		t.Fatalf("peer = %q/%d/%v", addr, id, ok)
@@ -360,26 +374,5 @@ func TestVIPeer(t *testing.T) {
 	va.Close()
 	if _, _, ok := va.Peer(); ok {
 		t.Fatal("closed VI still reports a peer")
-	}
-}
-
-func TestNICAttributes(t *testing.T) {
-	f := NewFabric()
-	defer f.Close()
-	n, _ := f.CreateNIC("x")
-	a := n.Attributes()
-	if !a.RDMAWrite {
-		t.Error("RDMA write unsupported")
-	}
-	if a.RDMARead {
-		t.Error("RDMA read must be unsupported (Giganet parity)")
-	}
-	for _, r := range a.ReliabilitySupport {
-		if r != Unreliable && r != ReliableDelivery {
-			t.Errorf("unexpected reliability %v", r)
-		}
-	}
-	if len(a.ReliabilitySupport) != 2 {
-		t.Errorf("reliability levels = %d", len(a.ReliabilitySupport))
 	}
 }

@@ -62,7 +62,7 @@ func (n *NIC) listener(service string) (*Listener, error) {
 
 // Accept blocks for the next connection request and binds it to the
 // given local VI, returning the dialing NIC's address. The local VI
-// must be idle and match the dialer's reliability level.
+// must be idle.
 func (l *Listener) Accept(vi *VI) (remoteAddr string, err error) {
 	select {
 	case req := <-l.ch:

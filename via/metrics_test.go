@@ -14,7 +14,7 @@ func metricsPair(t *testing.T, r *metrics.Registry) (*NIC, *NIC, *VI, *VI) {
 	t.Helper()
 	f := NewFabric(WithMetrics(r))
 	t.Cleanup(f.Close)
-	na, err := f.CreateNIC("nodeA", WithWorkDepth(128))
+	na, err := f.CreateNIC("nodeA")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,45 +83,13 @@ func TestNICMetricsRegistered(t *testing.T) {
 // TestNICMetricsDisabled: without a registry the NIC keeps its Stats
 // counters but records no latency (the clock is never read).
 func TestNICMetricsDisabled(t *testing.T) {
-	_, na, nb, va, vb := pair(t, ReliableDelivery)
+	_, na, nb, va, vb := pair(t)
 	sendRecv(t, na, nb, va, vb, []byte("x"))
 	if na.m.sendLatency != nil || na.m.workDepth != nil {
 		t.Error("disabled NIC must not carry latency/depth instruments")
 	}
 	if st := na.Stats(); st.SendsPosted != 1 || st.SendsComplete != 1 {
 		t.Errorf("Stats must still count when metrics are disabled: %+v", st)
-	}
-}
-
-func TestWithLossOption(t *testing.T) {
-	f := NewFabric(WithLoss(1.0), WithSeed(1))
-	defer f.Close()
-	if f.lossRate != 1.0 {
-		t.Errorf("WithLoss did not set loss rate: %v", f.lossRate)
-	}
-	f2 := NewFabric(WithLoss(0.25))
-	defer f2.Close()
-	if f2.lossRate != 0.25 {
-		t.Errorf("WithLoss did not set loss rate: %v", f2.lossRate)
-	}
-}
-
-func TestWithWorkDepth(t *testing.T) {
-	f := NewFabric()
-	defer f.Close()
-	n, err := f.CreateNIC("a", WithWorkDepth(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cap(n.work) != 7 {
-		t.Errorf("work depth = %d, want 7", cap(n.work))
-	}
-	n2, err := f.CreateNIC("b", WithWorkDepth(0)) // <= 0 keeps the default
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cap(n2.work) != defaultWorkDepth {
-		t.Errorf("work depth = %d, want default %d", cap(n2.work), defaultWorkDepth)
 	}
 }
 

@@ -16,7 +16,6 @@ type Stats struct {
 	RecvsComplete int64
 	RDMAWrites    int64
 	BytesSent     int64
-	Drops         int64
 }
 
 // nicMetrics holds a NIC's instruments. The counters and the
@@ -32,7 +31,6 @@ type nicMetrics struct {
 	recvsComplete *metrics.Counter
 	rdmaWrites    *metrics.Counter
 	bytesSent     *metrics.Counter
-	drops         *metrics.Counter
 	registered    *metrics.Gauge
 	workDepth     *metrics.Gauge
 	sendLatency   *metrics.Histogram
@@ -47,7 +45,6 @@ func newNICMetrics(r *metrics.Registry, addr string) nicMetrics {
 			recvsComplete: metrics.NewCounter(),
 			rdmaWrites:    metrics.NewCounter(),
 			bytesSent:     metrics.NewCounter(),
-			drops:         metrics.NewCounter(),
 			registered:    metrics.NewGauge(),
 		}
 	}
@@ -59,7 +56,6 @@ func newNICMetrics(r *metrics.Registry, addr string) nicMetrics {
 		recvsComplete: r.Counter("via_recvs_complete_total", label),
 		rdmaWrites:    r.Counter("via_rmw_total", label),
 		bytesSent:     r.Counter("via_sent_bytes", label),
-		drops:         r.Counter("via_drops_total", label),
 		registered:    r.Gauge("via_registered_bytes", label),
 		workDepth:     r.Gauge("via_workq_depth", label),
 		sendLatency:   r.Histogram("via_send_latency_ns", label),
@@ -119,39 +115,17 @@ type workItem struct {
 	posted time.Time // set only when the send-latency histogram is live
 }
 
-// defaultWorkDepth is the descriptor work-queue capacity when
-// WithWorkDepth is not given.
-const defaultWorkDepth = 4096
+// workDepth is the descriptor work-queue capacity of every NIC.
+const workDepth = 4096
 
-// NICOption configures a NIC at creation.
-type NICOption func(*nicConfig)
-
-type nicConfig struct {
-	workDepth int
-}
-
-// WithWorkDepth sets the NIC's descriptor work-queue capacity
-// (default 4096). n <= 0 keeps the default.
-func WithWorkDepth(n int) NICOption {
-	return func(c *nicConfig) {
-		if n > 0 {
-			c.workDepth = n
-		}
-	}
-}
-
-func newNIC(f *Fabric, addr string, opts ...NICOption) *NIC {
-	cfg := nicConfig{workDepth: defaultWorkDepth}
-	for _, o := range opts {
-		o(&cfg)
-	}
+func newNIC(f *Fabric, addr string) *NIC {
 	n := &NIC{
 		fabric:    f,
 		addr:      addr,
 		regions:   make(map[Handle]*MemoryRegion),
 		vis:       make(map[uint32]*VI),
 		listeners: make(map[string]*Listener),
-		work:      make(chan workItem, cfg.workDepth),
+		work:      make(chan workItem, workDepth),
 		done:      make(chan struct{}),
 		bell:      make(chan struct{}, 1),
 		m:         newNICMetrics(f.metrics, addr),
@@ -163,33 +137,6 @@ func newNIC(f *Fabric, addr string, opts ...NICOption) *NIC {
 // Addr returns the NIC's fabric address.
 func (n *NIC) Addr() string { return n.addr }
 
-// Attributes describes a NIC's capabilities, the VipQueryNic analogue.
-type Attributes struct {
-	// MaxTransferSize is the largest single transfer (unbounded here;
-	// reported as 1<<31 - 1 for parity with 32-bit length fields).
-	MaxTransferSize int
-	// MaxRegisteredBytes reports the registration budget (unbounded).
-	MaxRegisteredBytes int64
-	// ReliabilitySupport lists the service levels this NIC offers;
-	// reliable reception is absent, as on Giganet VIA.
-	ReliabilitySupport []Reliability
-	// RDMAWrite and RDMARead report remote-memory-access support;
-	// remote reads are unsupported, as on Giganet VIA.
-	RDMAWrite bool
-	RDMARead  bool
-}
-
-// Attributes returns the NIC's capability description.
-func (n *NIC) Attributes() Attributes {
-	return Attributes{
-		MaxTransferSize:    1<<31 - 1,
-		MaxRegisteredBytes: 1<<63 - 1,
-		ReliabilitySupport: []Reliability{Unreliable, ReliableDelivery},
-		RDMAWrite:          true,
-		RDMARead:           false,
-	}
-}
-
 // Stats returns a snapshot of the NIC's counters.
 func (n *NIC) Stats() Stats {
 	return Stats{
@@ -199,7 +146,6 @@ func (n *NIC) Stats() Stats {
 		RecvsComplete: n.m.recvsComplete.Value(),
 		RDMAWrites:    n.m.rdmaWrites.Value(),
 		BytesSent:     n.m.bytesSent.Value(),
-		Drops:         n.m.drops.Value(),
 	}
 }
 
@@ -253,12 +199,12 @@ func (n *NIC) region(h Handle) (*MemoryRegion, bool) {
 	return r, ok
 }
 
-// CreateVI creates a communication end-point with the given reliability
-// level and work-queue depth (sends and receives each). depth <= 0 uses
-// the default of 64.
+// CreateVI creates a communication end-point with the given service
+// level, which must be ReliableDelivery, and work-queue depth (sends
+// and receives each). depth <= 0 uses the default of 64.
 func (n *NIC) CreateVI(rel Reliability, depth int) (*VI, error) {
-	if rel != Unreliable && rel != ReliableDelivery {
-		return nil, fmt.Errorf("via: unsupported reliability %v (reliable reception is not provided, as on Giganet VIA)", rel)
+	if rel != ReliableDelivery {
+		return nil, fmt.Errorf("via: unsupported service level %d (only reliable delivery is provided)", rel)
 	}
 	if depth <= 0 {
 		depth = 64
@@ -269,7 +215,7 @@ func (n *NIC) CreateVI(rel Reliability, depth int) (*VI, error) {
 		return nil, ErrClosed
 	}
 	n.nextVI++
-	vi := newVI(n, n.nextVI, rel, depth)
+	vi := newVI(n, n.nextVI, depth)
 	n.vis[vi.id] = vi
 	return vi, nil
 }
@@ -302,7 +248,7 @@ func (n *NIC) post(w workItem) error {
 }
 
 // engine is the DMA engine: it serializes the NIC's outbound transfers,
-// applying the fabric's shaping, and delivers them into the remote NIC.
+// applying the fabric's faults, and delivers them into the remote NIC.
 func (n *NIC) engine() {
 	for {
 		select {
@@ -334,51 +280,30 @@ func (n *NIC) process(w workItem) {
 		return
 	}
 	n.wire = payload
-	peer, peerVI, perr := w.vi.peerRef()
-	if perr != nil {
-		n.completeSend(w, 0, perr)
+	peer, peerVI, err := w.vi.peerRef()
+	if err != nil {
+		n.completeSend(w, 0, err)
 		return
 	}
-	if d := n.fabric.transferDelay(len(payload)); d > 0 {
-		sleep(d)
-	}
-	if d := n.fabric.slowDelay(n.addr, peer.addr); d > 0 {
-		// Slow-node fault injection: the transfer succeeds, just late.
-		sleep(d)
-	}
-	if !n.fabric.linkUp(n.addr, peer.addr) {
-		if w.vi.reliability == Unreliable {
-			// Lost without detection.
-			n.m.drops.Inc()
-			n.completeSend(w, len(payload), nil)
-			return
-		}
-		err := fmt.Errorf("%w: %s <-> %s", ErrLinkDown, n.addr, peer.addr)
+	up, slow := n.fabric.link(n.addr, peer.addr)
+	if !up {
+		err = fmt.Errorf("%w: %s <-> %s", ErrLinkDown, n.addr, peer.addr)
 		w.vi.breakConn(err)
 		n.completeSend(w, 0, err)
 		return
 	}
-	if w.vi.reliability == Unreliable && n.fabric.drop() {
-		n.m.drops.Inc()
-		// Lost on the wire: the local completion still succeeds, as the
-		// interface has no way to know.
-		n.completeSend(w, len(payload), nil)
-		return
+	if slow > 0 {
+		// Slow-node fault injection: the transfer succeeds, just late.
+		sleep(slow)
 	}
 	switch w.op {
 	case opSend:
-		err = peer.deliverSend(peerVI, payload, w.vi.reliability)
+		err = peer.deliverSend(peerVI, payload)
 	case opRDMA:
 		err = peer.deliverRDMA(peerVI, w.desc.remoteHandle, w.desc.remoteOffset, payload)
 		if err == nil {
 			n.m.rdmaWrites.Inc()
 		}
-	}
-	if err != nil && w.vi.reliability == Unreliable {
-		// Undetected loss: a missing receive descriptor or protection
-		// fault at the receiver is silent for unreliable service.
-		n.m.drops.Inc()
-		err = nil
 	}
 	if err != nil {
 		w.vi.breakConn(err)
@@ -399,7 +324,7 @@ func (n *NIC) completeSend(w workItem, bytes int, err error) {
 // forwarder intercepts a proxy NIC's deliveries (see NIC.fw).
 type forwarder interface {
 	// forwardSend relays a send addressed to proxy VI viID.
-	forwardSend(viID uint32, payload []byte, rel Reliability) error
+	forwardSend(viID uint32, payload []byte) error
 	// forwardRDMA relays a remote write posted on proxy VI viID's channel.
 	forwardRDMA(viID uint32, h Handle, off int, payload []byte) error
 	// viBroken reports that proxy VI viID transitioned to broken, so
@@ -410,9 +335,9 @@ type forwarder interface {
 // deliverSend is the receive path: match the message with the target
 // VI's next receive descriptor and scatter the payload into it. On a
 // proxy NIC the payload is forwarded to the real process instead.
-func (n *NIC) deliverSend(viID uint32, payload []byte, rel Reliability) error {
+func (n *NIC) deliverSend(viID uint32, payload []byte) error {
 	if n.fw != nil {
-		return n.fw.forwardSend(viID, payload, rel)
+		return n.fw.forwardSend(viID, payload)
 	}
 	vi, ok := n.vi(viID)
 	if !ok {
@@ -420,23 +345,17 @@ func (n *NIC) deliverSend(viID uint32, payload []byte, rel Reliability) error {
 	}
 	d := vi.popRecv()
 	if d == nil {
-		if rel == ReliableDelivery {
-			err := ErrNoRecvDescriptor
-			vi.breakConn(err)
-			return err
-		}
-		n.m.drops.Inc()
-		return nil
+		vi.breakConn(ErrNoRecvDescriptor)
+		return ErrNoRecvDescriptor
 	}
 	written, err := d.scatter(payload)
 	d.complete(written, err)
 	n.m.recvsComplete.Inc()
 	vi.recvCompleted(d, err)
-	if err != nil && rel == ReliableDelivery {
+	if err != nil {
 		vi.breakConn(err)
-		return err
 	}
-	return nil
+	return err
 }
 
 // deliverRDMA is the remote-memory-write path: data lands directly in
@@ -525,5 +444,5 @@ func (n *NIC) Close() {
 	n.fabric.remove(n.addr)
 }
 
-// sleep is a test seam for the fabric shaping delay.
+// sleep is a test seam for the slow-node delay.
 var sleep = defaultSleep

@@ -21,8 +21,8 @@ import (
 // breaks) is framed over a TCP connection to the process that owns the
 // real NIC, where the mirror-image proxy feeds it into the real VI.
 // Descriptor, credit, and RMW semantics are preserved end to end: a
-// missing receive descriptor still breaks a reliable channel (the
-// break is relayed back), credits ride as ordinary sends, and a remote
+// missing receive descriptor still breaks the channel (the break is
+// relayed back), credits ride as ordinary sends, and a remote
 // write lands through the channel it was posted on.
 //
 // Each cross-process VI channel is its own TCP connection: the
@@ -66,7 +66,7 @@ const (
 // answers with one REPLY; after an ok REPLY the connection carries
 // only its channel's SEND, RDMA and BREAK frames, both ways.
 //
-//	CONNECT {rel u8, fromAddr str8, toAddr str8, service str8}
+//	CONNECT {fromAddr str8, toAddr str8, service str8}
 //	REPLY   {verdict u8, reason str16}
 //	SEND    {payload...}
 //	RDMA    {handle u64, offset u64, payload...}
@@ -274,7 +274,7 @@ func (p *proxyFwd) chanFor(viID uint32) (*bChan, error) {
 	return c, nil
 }
 
-func (p *proxyFwd) forwardSend(viID uint32, payload []byte, _ Reliability) error {
+func (p *proxyFwd) forwardSend(viID uint32, payload []byte) error {
 	c, err := p.chanFor(viID)
 	if err != nil {
 		return err
@@ -330,12 +330,12 @@ func (b *UDPBridge) acceptPump(proxy *NIC, l *Listener, bridgeAddr, service stri
 func (b *UDPBridge) relayDial(proxy *NIC, bridgeAddr, service string, req *connReq) {
 	defer b.wg.Done()
 	v := req.fromVI
-	pv, err := proxy.CreateVI(v.reliability, v.depth)
+	pv, err := proxy.CreateVI(ReliableDelivery, v.depth)
 	if err != nil {
 		req.reply <- err
 		return
 	}
-	connect := []byte{byte(v.reliability)}
+	var connect []byte
 	for _, s := range []string{v.nic.addr, proxy.addr, service} {
 		connect = append(connect, byte(len(s)))
 		connect = append(connect, s...)
@@ -444,12 +444,11 @@ func (b *UDPBridge) accept(conn net.Conn) {
 	c := &bChan{conn: conn}
 	fr := &frameReader{r: bufio.NewReader(conn)}
 	f, err := fr.next()
-	if err != nil || f[0] != frameConnect || len(f) < 2 {
+	if err != nil || f[0] != frameConnect {
 		b.hangUp(conn) // not a bridge dialer
 		return
 	}
-	rel := Reliability(f[1])
-	fromAddr, rest, ok1 := takeStr8(f[2:])
+	fromAddr, rest, ok1 := takeStr8(f[1:])
 	toAddr, rest, ok2 := takeStr8(rest)
 	service, _, ok3 := takeStr8(rest)
 	if !ok1 || !ok2 || !ok3 {
@@ -461,7 +460,7 @@ func (b *UDPBridge) accept(conn net.Conn) {
 	b.mu.Unlock()
 	err = fmt.Errorf("%w: no proxy for %s", errNotYet, fromAddr)
 	if proxy != nil {
-		c.pv, err = proxy.CreateVI(rel, 64)
+		c.pv, err = proxy.CreateVI(ReliableDelivery, 64)
 	}
 	if err != nil {
 		_ = c.write(frameReply, reply(err), nil)
@@ -499,12 +498,11 @@ func (b *UDPBridge) serve(c *bChan, fr *frameReader) error {
 		}
 		switch f[0] {
 		case frameSend:
-			// Full receive-descriptor semantics: a missing descriptor on a
-			// reliable channel breaks the VI pair inside deliverSend, and
-			// the proxy side of the break reaches viBroken, which reports
-			// it back.
+			// Full receive-descriptor semantics: a missing descriptor
+			// breaks the VI pair inside deliverSend, and the proxy side
+			// of the break reaches viBroken, which reports it back.
 			if realNIC, realVI, err := c.pv.peerRef(); err == nil {
-				_ = realNIC.deliverSend(realVI, f[1:], c.pv.reliability)
+				_ = realNIC.deliverSend(realVI, f[1:])
 			}
 		case frameRDMA:
 			if len(f) < 17 {
@@ -517,8 +515,8 @@ func (b *UDPBridge) serve(c *bChan, fr *frameReader) error {
 			h := Handle(binary.LittleEndian.Uint64(f[1:]))
 			off := int(binary.LittleEndian.Uint64(f[9:]))
 			// A refused write breaks its channel, as the sender's engine
-			// does in process; unreliable service drops it silently.
-			if err := realNIC.deliverRDMA(realVI, h, off, f[17:]); err != nil && c.pv.reliability == ReliableDelivery {
+			// does in process.
+			if err := realNIC.deliverRDMA(realVI, h, off, f[17:]); err != nil {
 				c.pv.breakConn(err)
 			}
 		case frameBreak:

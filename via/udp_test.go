@@ -66,18 +66,18 @@ func newBridges(t *testing.T) *bridgedPair {
 
 // connect dials nodeA -> nodeB across the bridge and returns the bound
 // pair (va in process A, vb in process B).
-func (p *bridgedPair) connect(t *testing.T, rel Reliability) (*VI, *VI) {
+func (p *bridgedPair) connect(t *testing.T) (*VI, *VI) {
 	t.Helper()
 	ln, err := p.nb.Listen("svc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	vb, err := p.nb.CreateVI(rel, 16)
+	vb, err := p.nb.CreateVI(ReliableDelivery, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	va, err := p.na.CreateVI(rel, 16)
+	va, err := p.na.CreateVI(ReliableDelivery, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func (p *bridgedPair) connect(t *testing.T, rel Reliability) (*VI, *VI) {
 
 func TestBridgeSendReceive(t *testing.T) {
 	p := newBridgedPair(t)
-	va, vb := p.connect(t, ReliableDelivery)
+	va, vb := p.connect(t)
 
 	for i := 0; i < 8; i++ {
 		msg := []byte(fmt.Sprintf("cross-process message %d", i))
@@ -136,7 +136,7 @@ func TestBridgeSendReceive(t *testing.T) {
 
 func TestBridgeBidirectional(t *testing.T) {
 	p := newBridgedPair(t)
-	va, vb := p.connect(t, ReliableDelivery)
+	va, vb := p.connect(t)
 
 	// B -> A over the same channel: replies and credits flow backward.
 	rbuf := make([]byte, 32)
@@ -165,7 +165,7 @@ func TestBridgeBidirectional(t *testing.T) {
 
 func TestBridgeRDMAWrite(t *testing.T) {
 	p := newBridgedPair(t)
-	va, _ := p.connect(t, ReliableDelivery)
+	va, _ := p.connect(t)
 
 	// Register a remote-writable region in process B; its handle would
 	// normally reach A through a setup message.
@@ -211,7 +211,7 @@ func TestBridgeRDMAWrite(t *testing.T) {
 
 func TestBridgeReliableBreakPropagates(t *testing.T) {
 	p := newBridgedPair(t)
-	va, vb := p.connect(t, ReliableDelivery)
+	va, vb := p.connect(t)
 
 	// Reliable send with no receive descriptor posted: process B must
 	// break the pair, and the break must cross back to process A.
@@ -326,7 +326,7 @@ func TestBridgeConnectBeforeProxy(t *testing.T) {
 // 100 KiB one arrives whole, in one receive.
 func TestBridgeLargeSendCrossesWhole(t *testing.T) {
 	p := newBridgedPair(t)
-	va, vb := p.connect(t, ReliableDelivery)
+	va, vb := p.connect(t)
 
 	rbuf := make([]byte, 128*1024)
 	rreg, _ := p.nb.RegisterMemory(rbuf)
@@ -363,7 +363,7 @@ func TestBridgeLargeSendCrossesWhole(t *testing.T) {
 // so it marks its region and raises the real NIC's bell too.
 func TestBridgeRDMARaisesDoorbell(t *testing.T) {
 	p := newBridgedPair(t)
-	va, _ := p.connect(t, ReliableDelivery)
+	va, _ := p.connect(t)
 	dreg, err := p.nb.RegisterMemory(make([]byte, 64))
 	if err != nil {
 		t.Fatal(err)
@@ -414,7 +414,7 @@ func waitErr(t *testing.T, va, vb *VI, cond func(a, b error) bool) {
 // with nothing posted on either side.
 func TestBridgeConnectionLossBreaksChannel(t *testing.T) {
 	p := newBridgedPair(t)
-	va, vb := p.connect(t, ReliableDelivery)
+	va, vb := p.connect(t)
 	p.bb.Close()
 	waitErr(t, va, vb, func(a, b error) bool {
 		return errors.Is(a, ErrBroken) && b != nil
@@ -426,7 +426,7 @@ func TestBridgeConnectionLossBreaksChannel(t *testing.T) {
 // names the protection fault on both sides.
 func TestBridgeRDMAProtectionBreaksChannel(t *testing.T) {
 	p := newBridgedPair(t)
-	va, vb := p.connect(t, ReliableDelivery)
+	va, vb := p.connect(t)
 	dreg, err := p.nb.RegisterMemory(make([]byte, 16)) // not enabled for remote write
 	if err != nil {
 		t.Fatal(err)
@@ -512,7 +512,7 @@ func str8s(ss ...string) []byte {
 // malformed frame closes the connection, and Close leaves no channel
 // registered and no goroutine running.
 func FuzzBridgeConn(f *testing.F) {
-	connect := bridgeFrame(frameConnect, []byte{byte(ReliableDelivery)}, str8s("nodeA", "nodeB", "svc"))
+	connect := bridgeFrame(frameConnect, str8s("nodeA", "nodeB", "svc"))
 	rdma := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 1), 8)
 	f.Add(connect)
 	f.Add(bytes.Join([][]byte{
@@ -523,7 +523,7 @@ func FuzzBridgeConn(f *testing.F) {
 	}, nil))
 	f.Add(binary.LittleEndian.AppendUint32(nil, 0))
 	f.Add(binary.LittleEndian.AppendUint32(nil, maxBridgeFrame+1))
-	f.Add(bridgeFrame(frameConnect, []byte{byte(ReliableDelivery), 9, 'n', 'o'}))
+	f.Add(bridgeFrame(frameConnect, []byte{9, 'n', 'o'}))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		base := runtime.NumGoroutine()
 		fb := NewFabric()

@@ -23,7 +23,7 @@ func defaultSleep(d time.Duration) {
 	}
 }
 
-// Delay is the wait the fabric's shaping delays use, for the other
+// Delay is the wait a slowed node's transfers use, for the other
 // modelled devices of a node (the server's simulated disk).
 func Delay(d time.Duration) { defaultSleep(d) }
 
@@ -40,10 +40,9 @@ const (
 // communication end-point with a send queue and a receive queue,
 // analogous to a socket end-point in a TCP connection (Section 2.1).
 type VI struct {
-	nic         *NIC
-	id          uint32
-	reliability Reliability
-	depth       int
+	nic   *NIC
+	id    uint32
+	depth int
 
 	mu        sync.Mutex
 	state     viState
@@ -63,23 +62,19 @@ type VI struct {
 	recvDone    chan Completion
 }
 
-func newVI(n *NIC, id uint32, rel Reliability, depth int) *VI {
+func newVI(n *NIC, id uint32, depth int) *VI {
 	return &VI{
-		nic:         n,
-		id:          id,
-		reliability: rel,
-		depth:       depth,
-		recvQ:       make([]*Descriptor, depth),
-		sendDone:    make(chan Completion, 4*depth),
-		recvDone:    make(chan Completion, 4*depth),
+		nic:      n,
+		id:       id,
+		depth:    depth,
+		recvQ:    make([]*Descriptor, depth),
+		sendDone: make(chan Completion, 4*depth),
+		recvDone: make(chan Completion, 4*depth),
 	}
 }
 
 // ID returns the VI's identifier on its NIC.
 func (v *VI) ID() uint32 { return v.id }
-
-// Reliability returns the VI's service level.
-func (v *VI) Reliability() Reliability { return v.reliability }
 
 // NIC returns the owning network interface.
 func (v *VI) NIC() *NIC { return v.nic }
@@ -118,10 +113,10 @@ func (v *VI) Connect(remoteAddr, service string) error {
 	if err != nil {
 		return err
 	}
-	// Connection management rides the same wires as data: dialing across
-	// a severed or isolated link fails, so reconnect probes cannot
+	// Connection management rides the same wires as data: dialing to
+	// or from an isolated node fails, so reconnect probes cannot
 	// succeed while the fault is still in force.
-	if !v.nic.fabric.linkUp(v.nic.addr, remoteAddr) {
+	if up, _ := v.nic.fabric.link(v.nic.addr, remoteAddr); !up {
 		return fmt.Errorf("%w: %s -> %s", ErrLinkDown, v.nic.addr, remoteAddr)
 	}
 	l, err := remote.listener(service)
@@ -146,9 +141,6 @@ func (v *VI) Connect(remoteAddr, service string) error {
 
 // bind pairs two VIs; called by Listener.Accept with both sides known.
 func bind(a, b *VI) error {
-	if a.reliability != b.reliability {
-		return fmt.Errorf("%w: reliability mismatch (%v vs %v)", ErrRejected, a.reliability, b.reliability)
-	}
 	// Lock in a global order to avoid deadlock with concurrent binds.
 	first, second := a, b
 	if first.nic.addr > second.nic.addr || (first.nic.addr == second.nic.addr && first.id > second.id) {

@@ -4,7 +4,7 @@
 // PRESS server. It provides, in-process:
 //
 //   - NICs connected by a Fabric (the cluster interconnect), with
-//     optional latency, bandwidth, and loss shaping;
+//     node-level fault injection: isolating a node, or slowing one;
 //   - Virtual Interfaces (VIs): connected communication end-points,
 //     each with a send and a receive work queue of descriptors;
 //   - memory registration: every buffer involved in a transfer must be
@@ -14,45 +14,26 @@
 //   - remote memory writes (RDMA writes) into registered remote
 //     regions, with no remote-processor involvement — receivers poll
 //     the region, as PRESS does with its circular buffers;
-//   - two reliability levels: unreliable delivery (messages may be
-//     dropped) and reliable delivery (exactly once, in order, errors
-//     reported).
+//   - one service level, reliable delivery (exactly once, in order,
+//     errors reported), the one PRESS runs every VI at.
 //
 // Like the Giganet cLAN hardware used in the paper, this implementation
 // supports remote memory writes but not remote memory reads, and not
 // reliable reception (Section 2.1).
 package via
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Reliability is the service level of a VI (Section 2.1). Reliable
-// reception is intentionally unsupported, matching Giganet VIA.
+// delivery is the only one provided: PRESS runs no other, and its error
+// model (a failed transfer is reported and breaks the connection) rests
+// on it.
 type Reliability int
 
-const (
-	// Unreliable delivery: messages (regular and remote memory writes)
-	// can be lost without being detected or retransmitted.
-	Unreliable Reliability = iota
-	// ReliableDelivery: data submitted for transfer arrives at the
-	// destination network interface exactly once and in order, in the
-	// absence of errors; errors are reported and break the connection.
-	ReliableDelivery
-)
-
-// String names the reliability level.
-func (r Reliability) String() string {
-	switch r {
-	case Unreliable:
-		return "unreliable"
-	case ReliableDelivery:
-		return "reliable-delivery"
-	default:
-		return fmt.Sprintf("Reliability(%d)", int(r))
-	}
-}
+// ReliableDelivery: data submitted for transfer arrives at the
+// destination network interface exactly once and in order, in the
+// absence of errors; errors are reported and break the connection.
+const ReliableDelivery Reliability = 1
 
 // Errors reported by the package.
 var (
@@ -64,8 +45,8 @@ var (
 	ErrAlreadyConnected = errors.New("via: VI already connected")
 	// ErrQueueFull: the work queue has no free descriptor slots.
 	ErrQueueFull = errors.New("via: work queue full")
-	// ErrNoRecvDescriptor: a reliable message arrived at a VI with no
-	// posted receive descriptor; the connection is broken.
+	// ErrNoRecvDescriptor: a message arrived at a VI with no posted
+	// receive descriptor; the connection is broken.
 	ErrNoRecvDescriptor = errors.New("via: no receive descriptor posted")
 	// ErrTooLong: the payload does not fit the receive descriptor or
 	// the remote region window.

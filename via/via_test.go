@@ -14,10 +14,10 @@ import (
 
 const testTimeout = 5 * time.Second
 
-// pair builds two connected VIs on fresh NICs of a fabric built with opts.
-func pair(t testing.TB, rel Reliability, opts ...FabricOption) (*Fabric, *NIC, *NIC, *VI, *VI) {
+// pair builds two connected VIs on fresh NICs of a new fabric.
+func pair(t testing.TB) (*Fabric, *NIC, *NIC, *VI, *VI) {
 	t.Helper()
-	f := NewFabric(opts...)
+	f := NewFabric()
 	t.Cleanup(f.Close)
 	na, err := f.CreateNIC("nodeA")
 	if err != nil {
@@ -31,11 +31,11 @@ func pair(t testing.TB, rel Reliability, opts ...FabricOption) (*Fabric, *NIC, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	vb, err := nb.CreateVI(rel, 16)
+	vb, err := nb.CreateVI(ReliableDelivery, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	va, err := na.CreateVI(rel, 16)
+	va, err := na.CreateVI(ReliableDelivery, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func sendRecv(t *testing.T, na, nb *NIC, va, vb *VI, msg []byte) []byte {
 }
 
 func TestSendReceiveRoundTrip(t *testing.T) {
-	_, na, nb, va, vb := pair(t, ReliableDelivery)
+	_, na, nb, va, vb := pair(t)
 	msg := []byte("user-level communication in cluster-based servers")
 	got := sendRecv(t, na, nb, va, vb, msg)
 	if !bytes.Equal(got, msg) {
@@ -106,7 +106,7 @@ func TestSendReceiveRoundTrip(t *testing.T) {
 }
 
 func TestSendGatherScatter(t *testing.T) {
-	_, na, nb, va, vb := pair(t, ReliableDelivery)
+	_, na, nb, va, vb := pair(t)
 
 	// Gather from two segments; scatter into two segments.
 	s1, _ := na.RegisterMemory([]byte("hello, "))
@@ -145,7 +145,7 @@ func TestSendGatherScatter(t *testing.T) {
 }
 
 func TestInOrderDelivery(t *testing.T) {
-	_, na, nb, va, vb := pair(t, ReliableDelivery)
+	_, na, nb, va, vb := pair(t)
 	const n = 64
 	rbufs := make([]*MemoryRegion, n)
 	for i := range rbufs {
@@ -182,7 +182,7 @@ func TestInOrderDelivery(t *testing.T) {
 }
 
 func TestReliableNoRecvDescriptorBreaksConnection(t *testing.T) {
-	_, na, _, va, vb := pair(t, ReliableDelivery)
+	_, na, _, va, vb := pair(t)
 	sreg, _ := na.RegisterMemory([]byte("data"))
 	sd := MustDescriptor(Segment{Region: sreg, Offset: 0, Len: 4})
 	if err := va.PostSend(sd); err != nil {
@@ -200,65 +200,8 @@ func TestReliableNoRecvDescriptorBreaksConnection(t *testing.T) {
 	}
 }
 
-func TestUnreliableDropsSilently(t *testing.T) {
-	_, na, nb, va, _ := pair(t, Unreliable)
-	sreg, _ := na.RegisterMemory([]byte("data"))
-	sd := MustDescriptor(Segment{Region: sreg, Offset: 0, Len: 4})
-	if err := va.PostSend(sd); err != nil {
-		t.Fatal(err)
-	}
-	// No receive descriptor posted: unreliable service drops, the send
-	// still completes successfully.
-	if err := sd.Wait(testTimeout); err != nil {
-		t.Fatalf("unreliable send failed: %v", err)
-	}
-	deadline := time.Now().Add(testTimeout)
-	for nb.Stats().Drops == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("drop not recorded")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestUnreliableLossRate(t *testing.T) {
-	f := NewFabric(WithLoss(0.5), WithSeed(42))
-	defer f.Close()
-	na, _ := f.CreateNIC("a")
-	nb, _ := f.CreateNIC("b")
-	ln, _ := nb.Listen("svc")
-	vb, _ := nb.CreateVI(Unreliable, 128)
-	va, _ := na.CreateVI(Unreliable, 128)
-	go ln.Accept(vb)
-	if err := va.Connect("b", "svc"); err != nil {
-		t.Fatal(err)
-	}
-	const total = 200
-	for i := 0; i < total; i++ {
-		r, _ := nb.RegisterMemory(make([]byte, 4))
-		vb.PostRecv(MustDescriptor(Segment{Region: r, Offset: 0, Len: 4}))
-	}
-	sreg, _ := na.RegisterMemory([]byte("ping"))
-	for i := 0; i < total; i++ {
-		d := MustDescriptor(Segment{Region: sreg, Offset: 0, Len: 4})
-		if err := va.PostSend(d); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Wait(testTimeout); err != nil {
-			t.Fatal(err)
-		}
-	}
-	delivered := int(na.Stats().SendsComplete) - int(na.Stats().Drops)
-	if drops := na.Stats().Drops; drops < total/5 || drops > total*4/5 {
-		t.Errorf("drops = %d of %d, want roughly half", drops, total)
-	}
-	if delivered <= 0 {
-		t.Error("nothing delivered")
-	}
-}
-
 func TestRDMAWrite(t *testing.T) {
-	_, na, nb, va, _ := pair(t, ReliableDelivery)
+	_, na, nb, va, _ := pair(t)
 
 	remote := make([]byte, 64)
 	rreg, _ := nb.RegisterMemory(remote)
@@ -287,7 +230,7 @@ func TestRDMAWrite(t *testing.T) {
 }
 
 func TestRDMAWriteProtection(t *testing.T) {
-	_, na, nb, va, _ := pair(t, ReliableDelivery)
+	_, na, nb, va, _ := pair(t)
 	local, _ := na.RegisterMemory([]byte("data"))
 
 	// Not enabled for remote write.
@@ -305,7 +248,7 @@ func TestRDMAWriteOutOfBounds(t *testing.T) {
 	// The second offset overflows off+len: a bridge carries offsets off
 	// the wire, so the bound must hold for any int.
 	for _, off := range []int{4, math.MaxInt - 2} {
-		_, na, nb, va, _ := pair(t, ReliableDelivery)
+		_, na, nb, va, _ := pair(t)
 		local, _ := na.RegisterMemory([]byte("0123456789"))
 		rreg, _ := nb.RegisterMemory(make([]byte, 8))
 		rreg.EnableRemoteWrite()
@@ -320,7 +263,7 @@ func TestRDMAWriteOutOfBounds(t *testing.T) {
 }
 
 func TestRDMAWriteUnknownHandle(t *testing.T) {
-	_, na, _, va, _ := pair(t, ReliableDelivery)
+	_, na, _, va, _ := pair(t)
 	local, _ := na.RegisterMemory([]byte("data"))
 	d := MustDescriptor(Segment{Region: local, Offset: 0, Len: 4})
 	if err := va.PostRDMAWrite(d, Handle(9999), 0); err != nil {
@@ -334,7 +277,7 @@ func TestRDMAWriteUnknownHandle(t *testing.T) {
 func TestPollOnSequenceNumber(t *testing.T) {
 	// The PRESS pattern: RDMA-write a payload then its sequence number;
 	// the receiver polls the sequence word and then reads the payload.
-	_, na, nb, va, _ := pair(t, ReliableDelivery)
+	_, na, nb, va, _ := pair(t)
 	remote := make([]byte, 64)
 	rreg, _ := nb.RegisterMemory(remote)
 	rreg.EnableRemoteWrite()
@@ -369,7 +312,7 @@ func TestPollOnSequenceNumber(t *testing.T) {
 }
 
 func TestMessageLargerThanRecvDescriptor(t *testing.T) {
-	_, na, nb, va, vb := pair(t, ReliableDelivery)
+	_, na, nb, va, vb := pair(t)
 	rreg, _ := nb.RegisterMemory(make([]byte, 4))
 	rd := MustDescriptor(Segment{Region: rreg, Offset: 0, Len: 4})
 	vb.PostRecv(rd)
@@ -434,7 +377,7 @@ func TestCompletionQueueMultiplexes(t *testing.T) {
 }
 
 func TestQueueDepthEnforced(t *testing.T) {
-	_, na, nb, va, vb := pair(t, ReliableDelivery)
+	_, na, nb, va, vb := pair(t)
 	rreg, _ := nb.RegisterMemory(make([]byte, 1024))
 	for i := 0; i < 16; i++ {
 		if err := vb.PostRecv(MustDescriptor(Segment{Region: rreg, Offset: i, Len: 1})); err != nil {
@@ -446,6 +389,23 @@ func TestQueueDepthEnforced(t *testing.T) {
 	}
 	_ = na
 	_ = va
+}
+
+// TestCreateVIRefusesOtherServiceLevels: reliable delivery is the one
+// service level; the zero value and any other one are refused.
+func TestCreateVIRefusesOtherServiceLevels(t *testing.T) {
+	f := NewFabric()
+	defer f.Close()
+	n, _ := f.CreateNIC("solo")
+	for _, rel := range []Reliability{0, 2} {
+		if vi, err := n.CreateVI(rel, 4); err == nil {
+			vi.Close()
+			t.Errorf("CreateVI(Reliability(%d)) succeeded", rel)
+		}
+	}
+	if _, err := n.CreateVI(ReliableDelivery, 4); err != nil {
+		t.Fatalf("CreateVI(ReliableDelivery): %v", err)
+	}
 }
 
 func TestPostWithoutConnect(t *testing.T) {
@@ -475,36 +435,15 @@ func TestConnectErrors(t *testing.T) {
 	_ = nb
 }
 
-func TestConnectReliabilityMismatchRejected(t *testing.T) {
-	f := NewFabric()
-	defer f.Close()
-	na, _ := f.CreateNIC("a")
-	nb, _ := f.CreateNIC("b")
-	ln, _ := nb.Listen("svc")
-	vb, _ := nb.CreateVI(Unreliable, 4)
-	va, _ := na.CreateVI(ReliableDelivery, 4)
-	accepted := make(chan error, 1)
-	go func() {
-		_, err := ln.Accept(vb)
-		accepted <- err
-	}()
-	if err := va.Connect("b", "svc"); !errors.Is(err, ErrRejected) {
-		t.Fatalf("mismatch: %v", err)
-	}
-	if err := <-accepted; !errors.Is(err, ErrRejected) {
-		t.Fatalf("accept: %v", err)
-	}
-}
-
 func TestDoubleConnect(t *testing.T) {
-	_, _, _, va, _ := pair(t, ReliableDelivery)
+	_, _, _, va, _ := pair(t)
 	if err := va.Connect("nodeB", "svc"); !errors.Is(err, ErrAlreadyConnected) {
 		t.Fatalf("double connect: %v", err)
 	}
 }
 
 func TestDeregisteredRegionFailsTransfers(t *testing.T) {
-	_, na, _, va, _ := pair(t, ReliableDelivery)
+	_, na, _, va, _ := pair(t)
 	reg, _ := na.RegisterMemory(make([]byte, 8))
 	if err := na.DeregisterMemory(reg); err != nil {
 		t.Fatal(err)
@@ -522,7 +461,7 @@ func TestDeregisteredRegionFailsTransfers(t *testing.T) {
 }
 
 func TestDescriptorReuse(t *testing.T) {
-	_, na, nb, va, vb := pair(t, ReliableDelivery)
+	_, na, nb, va, vb := pair(t)
 	sreg, _ := na.RegisterMemory([]byte("abcd"))
 	rreg, _ := nb.RegisterMemory(make([]byte, 4))
 	sd := MustDescriptor(Segment{Region: sreg, Offset: 0, Len: 4})
@@ -547,7 +486,7 @@ func TestDescriptorReuse(t *testing.T) {
 }
 
 func TestDoublePostRejected(t *testing.T) {
-	_, na, _, va, _ := pair(t, ReliableDelivery)
+	_, na, _, va, _ := pair(t)
 	// Install a slow fabric? Not needed: post the same descriptor twice
 	// quickly; the second post must fail if the first is still pending.
 	reg, _ := na.RegisterMemory(make([]byte, 4))
@@ -597,48 +536,8 @@ func TestCloseUnblocksWaiters(t *testing.T) {
 	}
 }
 
-func TestFabricShapingDelaysDelivery(t *testing.T) {
-	var slept struct {
-		sync.Mutex
-		total time.Duration
-	}
-	old := sleep
-	sleep = func(d time.Duration) {
-		slept.Lock()
-		slept.total += d
-		slept.Unlock()
-	}
-	defer func() { sleep = old }()
-
-	f := NewFabric(WithLatency(time.Millisecond), WithBandwidth(1e6))
-	defer f.Close()
-	na, _ := f.CreateNIC("a")
-	nb, _ := f.CreateNIC("b")
-	ln, _ := nb.Listen("svc")
-	vb, _ := nb.CreateVI(ReliableDelivery, 4)
-	va, _ := na.CreateVI(ReliableDelivery, 4)
-	go ln.Accept(vb)
-	if err := va.Connect("b", "svc"); err != nil {
-		t.Fatal(err)
-	}
-	rreg, _ := nb.RegisterMemory(make([]byte, 1000))
-	vb.PostRecv(MustDescriptor(Segment{Region: rreg, Offset: 0, Len: 1000}))
-	sreg, _ := na.RegisterMemory(make([]byte, 1000))
-	d := MustDescriptor(Segment{Region: sreg, Offset: 0, Len: 1000})
-	va.PostSend(d)
-	if err := d.Wait(testTimeout); err != nil {
-		t.Fatal(err)
-	}
-	slept.Lock()
-	defer slept.Unlock()
-	// 1 ms latency + 1000 bytes at 1 MB/s = 1 ms -> 2 ms total.
-	if slept.total != 2*time.Millisecond {
-		t.Fatalf("shaping slept %v, want 2ms", slept.total)
-	}
-}
-
 func TestConcurrentBidirectionalTraffic(t *testing.T) {
-	_, na, nb, va, vb := pair(t, ReliableDelivery)
+	_, na, nb, va, vb := pair(t)
 	const msgs = 200
 	var wg sync.WaitGroup
 	run := func(sn, rn *NIC, sv, rv *VI, tag byte) {
@@ -673,7 +572,7 @@ func TestConcurrentBidirectionalTraffic(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	_, na, nb, va, vb := pair(t, ReliableDelivery)
+	_, na, nb, va, vb := pair(t)
 	msg := []byte("12345678")
 	sendRecv(t, na, nb, va, vb, msg)
 	sa, sb := na.Stats(), nb.Stats()
@@ -719,7 +618,7 @@ func TestRegisterMemoryValidation(t *testing.T) {
 // Property: arbitrary payloads survive arbitrary gather/scatter segment
 // splits bit-for-bit.
 func TestGatherScatterIntegrityProperty(t *testing.T) {
-	_, na, nb, va, vb := pair(t, ReliableDelivery)
+	_, na, nb, va, vb := pair(t)
 	check := func(payload []byte, cut1, cut2 uint8) bool {
 		if len(payload) == 0 {
 			return true
@@ -789,7 +688,7 @@ func bellRaised(n *NIC) bool {
 // nobody listening, raise the bell once and never block the engine, and
 // each written region is listed once however often it was written.
 func TestDoorbellCoalesces(t *testing.T) {
-	_, na, nb, va, _ := pair(t, ReliableDelivery)
+	_, na, nb, va, _ := pair(t)
 	r1, _ := nb.RegisterMemory(make([]byte, 64))
 	r2, _ := nb.RegisterMemory(make([]byte, 64))
 	r1.EnableRemoteWrite()
@@ -881,7 +780,7 @@ func TestDoorbellSilentOnRefusedWrite(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, na, nb, va, _ := pair(t, ReliableDelivery)
+			_, na, nb, va, _ := pair(t)
 			h, off := tc.prepare(nb)
 			d := local(na)
 			if err := va.PostRDMAWrite(d, h, off); err != nil {
@@ -905,7 +804,7 @@ func TestDoorbellSilentOnRefusedWrite(t *testing.T) {
 // reports ErrTimeout and leaves it usable — and SetSegment moves a
 // descriptor's source between transfers but never under the NIC.
 func TestWaitTimerReuse(t *testing.T) {
-	_, na, nb, va, _ := pair(t, ReliableDelivery)
+	_, na, nb, va, _ := pair(t)
 	rreg, _ := nb.RegisterMemory(make([]byte, 8))
 	rreg.EnableRemoteWrite()
 	src, _ := na.RegisterMemory([]byte("abcdefgh"))
@@ -961,7 +860,8 @@ func TestWaitTimerReuse(t *testing.T) {
 // completion, and return with the second transfer's status and count.
 func TestWaitTimerIgnoresStaleSignal(t *testing.T) {
 	const latency = 20 * time.Millisecond
-	_, na, nb, va, _ := pair(t, ReliableDelivery, WithLatency(latency))
+	f, na, nb, va, _ := pair(t)
+	f.SlowNode("nodeB", latency)
 	dst, _ := nb.RegisterMemory(make([]byte, 8))
 	dst.EnableRemoteWrite()
 	src, _ := na.RegisterMemory([]byte("abcdefgh"))
@@ -999,7 +899,7 @@ func TestWaitTimerIgnoresStaleSignal(t *testing.T) {
 // a wait on it with a reused timer allocate nothing, sender and engine
 // included.
 func TestWaitTimerAllocs(t *testing.T) {
-	_, na, nb, va, _ := pair(t, ReliableDelivery)
+	_, na, nb, va, _ := pair(t)
 	dst, _ := nb.RegisterMemory(make([]byte, 8))
 	dst.EnableRemoteWrite()
 	src, _ := na.RegisterMemory([]byte("abcdefgh"))
