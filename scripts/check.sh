@@ -139,6 +139,12 @@ TestSimRealParity|.
 # that took it, so only a fresh look at the status may end a wait: a
 # stale signal against a reused descriptor, ten fresh passes.
 -count=10 TestWaitTimerIgnoresStaleSignal|TestWaitTimerAllocs|./via
+# A post moves inline on an idle NIC and queues behind the engine
+# otherwise: order behind a slowed transfer, from one poster and from
+# several at once, the slow-node penalty slept with nothing locked,
+# crossed one-copy transfers between two regions, and queued work
+# completed at Close. Ten fresh passes.
+-count=10 TestPostCompletesInlineOnIdleLink|TestPostQueuesBehindSlowedWork|TestConcurrentPostsKeepPostOrder|TestCrossedTransfersDoNotDeadlock|TestCloseCompletesQueuedWork|TestSlowNodeDelaysDelivery|TestWaitTimerIgnoresStaleSignal|./via
 # The VIA bridge is one TCP connection per channel, and its setup races
 # the real transport: the acceptor's first send against its REPLY, a
 # dial against the peer's Proxy call and listener, a lost connection
@@ -222,12 +228,13 @@ echo "==> presslint self-lint ./lint ./cmd/..."
 go run ./cmd/presslint ./lint ./cmd/...
 
 # Static half of the 0-alloc proofs: every //presslint:hotpath root
-# (the VIA Post* send path, the tracing-off path, the overload hooks:
-# budget 0; the request path every request takes, ServeHTTP and
-# handleClient: budgets 1 and 5; the message path — Node.send 0,
-# sendRegular, sendCtrlRMW and the TCP sendOn 3, 3, 4 (the encoder's
-# appends into owned scratch), sendFileRMW 0 (its staging area's one-time
-# registration gated), decodeInto 2, Descriptor.WaitTimer 1)
+# (the VIA Post* send path, which moves an idle NIC's transfer itself,
+# the tracing-off path, the overload hooks: budget 0; the request path
+# every request takes, ServeHTTP and handleClient: budgets 1 and 5;
+# the message path — Node.send 0, sendRegular, sendCtrlRMW and the TCP
+# sendOn 3, 3, 4 (the encoder's appends into owned scratch), sendFileRMW
+# 0 (its staging area's one-time registration gated), decodeInto 2,
+# Descriptor.WaitTimer 1)
 # must be provably within budget across the whole call graph.
 # The dynamic half is the benchmark gates below (ViaSendMetrics,
 # ServeTracingOff, LocalHit1K, Forwarded1K), which also justify the

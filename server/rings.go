@@ -74,7 +74,9 @@ type outWrite struct {
 	desc   *via.Descriptor
 	timer  *time.Timer // reused wait after wait, stopped in between
 	// lazy: a write is not waited for; the next write of the channel reaps
-	// it, so the calling thread parks only if the engine is that far behind.
+	// it. A write the NIC moved inline is done before the post returns;
+	// one queued behind a slowed transfer parks the calling thread only
+	// if it is still queued a write later.
 	lazy bool
 }
 
@@ -107,9 +109,9 @@ func newOutWrite(op string, vi *via.VI, timeout time.Duration, remote via.Handle
 //     is refused with the same timeout error until the first completes.
 //   - A full work queue is not retried. via.ErrQueueFull was counted
 //     over go test ./server and one run of each VIA workload: zero, at
-//     most 6 posts pending of a depth of 32 (sends are serialized and
-//     waited, so a VI carries one data write, one credit message and four
-//     flow counters). It surfaces as a send failure, which
+//     most 6 posts pending of a depth of 32 (sends are serialized, and
+//     each is waited or reaped by its channel's next write, so a VI
+//     carries one data write, one credit message and four flow counters). It surfaces as a send failure, which
 //     handleSendFailure counts as suspicion before failing the forward
 //     over.
 func (w *outWrite) transfer(g *creditGate, n int64, image []byte, remoteOff int) (posted bool, err error) {
@@ -295,8 +297,9 @@ type fileRingOut struct {
 // writeFile transfers one file: a remote write of the data followed by a
 // remote write of the metadata entry pointing at it — the two messages
 // per file that keep version 3 from improving on version 2. The two are
-// posted back to back and only the second is waited for: the engine
-// works in post order, and on a reliable VI a failed data write breaks
+// posted back to back and only the second is waited for: the NIC moves
+// one poster's writes in post order (inline or queued behind one
+// another, never past), and on a reliable VI a failed data write breaks
 // the connection before the metadata can land, so a completed metadata
 // write means the data is there too.
 //
@@ -407,8 +410,9 @@ func (f *fileRingIn) poll(extraCopy bool) (fileArrival, bool, error) {
 }
 
 // DefaultRMWTimeout is the default bound on the wait for a remote
-// write completion (Config.RMWTimeout). The engine processes work in
-// bounded time, so expiry indicates shutdown or a wedged peer.
+// write completion (Config.RMWTimeout). A transfer moves inline or
+// behind a bounded queue of others, so expiry indicates shutdown or a
+// wedged peer.
 const DefaultRMWTimeout = 30 * time.Second
 
 // RMWTimeoutError reports a remote-memory-write completion wait that

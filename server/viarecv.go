@@ -127,8 +127,8 @@ func (t *viaTransport) returnCredits(p *viaPeer, n uint64) {
 // writeFlowCounter remote-writes one cumulative counter into the peer's
 // flow region and does not wait for it: the counter's descriptor is
 // reaped by the next write of the same counter, a credit batch of
-// messages later, so the calling thread parks only if the engine is
-// that far behind (and gives up if it is wedged: the next batch carries
+// messages later, so the calling thread parks only if the NIC is that
+// far behind (and gives up if it is wedged: the next batch carries
 // the count). Each counter has one writer goroutine (see viaPeer).
 func (t *viaTransport) writeFlowCounter(p *viaPeer, off int, v uint64) {
 	w := &p.ack[off/8]

@@ -250,6 +250,7 @@ func (d *Descriptor) complete(n int, err error) {
 func (d *Descriptor) gather(buf []byte) ([]byte, error) {
 	size := d.Len()
 	if cap(buf) < size {
+		//presslint:alloc-gated the wire grows to the largest gathered transfer once, then is reused
 		buf = make([]byte, size)
 	}
 	out := buf[:size]
@@ -263,27 +264,22 @@ func (d *Descriptor) gather(buf []byte) ([]byte, error) {
 	return out, nil
 }
 
-// scatter distributes payload into the descriptor's segments ("DMA in"
-// to receiver memory); payload must fit.
-func (d *Descriptor) scatter(payload []byte) (int, error) {
-	if len(payload) > d.Len() {
+// scatter distributes the payload into the descriptor's segments ("DMA
+// in" to receiver memory); it must fit.
+func (d *Descriptor) scatter(p payload) (int, error) {
+	if p.n > d.Len() {
 		return 0, ErrTooLong
 	}
 	written := 0
-	rest := payload
 	for _, s := range d.segments {
-		if len(rest) == 0 {
+		if written == p.n {
 			break
 		}
-		n := s.Len
-		if n > len(rest) {
-			n = len(rest)
-		}
-		if _, err := s.Region.copyIn(rest[:n], s.Offset, n); err != nil {
+		k := min(s.Len, p.n-written)
+		if err := s.Region.copyIn(p, written, k, s.Offset, s.Len); err != nil {
 			return written, err
 		}
-		written += n
-		rest = rest[n:]
+		written += k
 	}
 	return written, nil
 }

@@ -44,7 +44,8 @@ func NewFabric(opts ...FabricOption) *Fabric {
 }
 
 // CreateNIC attaches a new NIC with the given address to the fabric
-// and starts its processing engine.
+// and starts its engine, which moves the transfers that cannot complete
+// on the goroutine posting them.
 func (f *Fabric) CreateNIC(addr string) (*NIC, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("via: empty NIC address")

@@ -142,37 +142,114 @@ func (r *MemoryRegion) Store64(off int, v uint64) error {
 	return nil
 }
 
-// rdmaWrite is the fabric-side entry: copy src into the region if the
-// protection checks pass.
-func (r *MemoryRegion) rdmaWrite(src []byte, off int) error {
+// payload is the bytes one delivery carries: gathered into buf (the
+// wire, a bridge frame), or, when src is set, still in the sender's
+// registered memory at [off, off+n), to be copied from there straight
+// into the target.
+type payload struct {
+	buf []byte
+	src *MemoryRegion
+	off int
+	n   int
+}
+
+func bytesPayload(b []byte) payload { return payload{buf: b, n: len(b)} }
+
+// copyTo copies payload bytes [from, from+len(dst)) into dst. The
+// caller holds p.src's lock (see lockPair).
+func (p payload) copyTo(dst []byte, from int) error {
+	if p.src == nil {
+		copy(dst, p.buf[from:])
+		return nil
+	}
+	src := p.src.buf
+	if src == nil {
+		return ErrRegionReleased
+	}
+	if at := p.off + from; at < 0 || at+len(dst) > len(src) {
+		return fmt.Errorf("%w: read [%d,%d) of %d", ErrProtection, at, at+len(dst), len(src))
+	}
+	copy(dst, src[p.off+from:])
+	return nil
+}
+
+// lockPair locks dst and the payload's source region, if it has one:
+// both in one global order, (NIC address, handle), the way bind orders
+// VIs, so two NICs copying between each other's regions at once cannot
+// deadlock. unlockPair releases what lockPair took.
+func lockPair(dst *MemoryRegion, p payload) {
+	first, second := dst, p.src
+	if second == nil || second == first {
+		first.mu.Lock()
+		return
+	}
+	if second.before(first) {
+		first, second = second, first
+	}
+	first.mu.Lock()
+	//presslint:ignore lock-order the two regions are locked in the global (NIC address, handle) order chosen above, so crossed copies cannot deadlock
+	second.mu.Lock()
+}
+
+func unlockPair(dst *MemoryRegion, p payload) {
+	dst.mu.Unlock()
+	if p.src != nil && p.src != dst {
+		p.src.mu.Unlock()
+	}
+}
+
+// before orders regions by (NIC address, handle): unique among the
+// regions of one fabric.
+func (r *MemoryRegion) before(o *MemoryRegion) bool {
+	if r.nic.addr != o.nic.addr {
+		return r.nic.addr < o.nic.addr
+	}
+	return r.handle < o.handle
+}
+
+// readable checks that [off, off+n) can be read, as Read would.
+func (r *MemoryRegion) readable(off, n int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.buf == nil {
+		return ErrRegionReleased
+	}
+	if off < 0 || n < 0 || off+n > len(r.buf) {
+		return fmt.Errorf("%w: read [%d,%d) of %d", ErrProtection, off, off+n, len(r.buf))
+	}
+	return nil
+}
+
+// rdmaWrite is the fabric-side entry: copy the payload into the region
+// at off if the protection checks pass.
+func (r *MemoryRegion) rdmaWrite(p payload, off int) error {
+	lockPair(r, p)
+	defer unlockPair(r, p)
 	if r.buf == nil {
 		return ErrRegionReleased
 	}
 	if !r.remoteWrite {
 		return fmt.Errorf("%w: region %d not enabled for remote write", ErrProtection, r.handle)
 	}
-	if off < 0 || off > len(r.buf)-len(src) {
-		return fmt.Errorf("%w: remote write [%d,%d) of %d", ErrProtection, off, off+len(src), len(r.buf))
+	if off < 0 || off > len(r.buf)-p.n {
+		return fmt.Errorf("%w: remote write [%d,%d) of %d", ErrProtection, off, off+p.n, len(r.buf))
 	}
-	copy(r.buf[off:], src)
-	return nil
+	return p.copyTo(r.buf[off:off+p.n], 0)
 }
 
-// copyIn copies src into the region at off without the remote-write
-// check (receive DMA into a posted descriptor's buffer).
-func (r *MemoryRegion) copyIn(src []byte, off, limit int) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// copyIn copies payload bytes [from, from+k) into the region at off, a
+// segment of limit bytes, without the remote-write check (receive DMA
+// into a posted descriptor's buffer).
+func (r *MemoryRegion) copyIn(p payload, from, k, off, limit int) error {
+	lockPair(r, p)
+	defer unlockPair(r, p)
 	if r.buf == nil {
-		return 0, ErrRegionReleased
+		return ErrRegionReleased
 	}
 	if off < 0 || off+limit > len(r.buf) {
-		return 0, fmt.Errorf("%w: recv [%d,%d) of %d", ErrProtection, off, off+limit, len(r.buf))
+		return fmt.Errorf("%w: recv [%d,%d) of %d", ErrProtection, off, off+limit, len(r.buf))
 	}
-	n := copy(r.buf[off:off+limit], src)
-	return n, nil
+	return p.copyTo(r.buf[off:off+k], from)
 }
 
 func (r *MemoryRegion) released() bool {

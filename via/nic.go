@@ -63,9 +63,11 @@ func newNICMetrics(r *metrics.Registry, addr string) nicMetrics {
 }
 
 // NIC is one node's network interface. Processes gain user-level access
-// to it by creating VIs and registering memory; a single engine
-// goroutine (the DMA engine) processes posted descriptors
-// asynchronously, in doorbell order.
+// to it by creating VIs and registering memory. A posted descriptor
+// moves in doorbell order: on the posting goroutine, complete before
+// the post returns, when the NIC is idle and the peer is an unslowed
+// NIC of this process; otherwise on the NIC's engine goroutine (the
+// DMA engine), asynchronously, behind everything queued before it.
 type NIC struct {
 	fabric *Fabric
 	addr   string
@@ -87,9 +89,21 @@ type NIC struct {
 
 	work chan workItem
 	done chan struct{}
-	// wire is the engine's transfer buffer: each descriptor is gathered
-	// into it and delivered from it. Only the engine goroutine touches
-	// it, and every delivery path copies out before process returns.
+
+	// xfer guards queued, the descriptors handed to the engine and not
+	// yet completed. A post moves its transfer inline, holding xfer,
+	// only while queued is zero, and the engine moves only what queued
+	// counts, so the two never move transfers at once and one poster's
+	// transfers land in post order. The engine takes xfer only to count
+	// a transfer done, never while it moves one, so neither a slowed
+	// link nor a bridge write holds up a post.
+	xfer   sync.Mutex
+	queued int
+	// wire is the transfer buffer of a descriptor that cannot move in
+	// one copy (several segments, or a peer behind a bridge): it is
+	// gathered into wire and delivered from it. Whoever moves the
+	// transfer owns wire, and every delivery path copies out before the
+	// transfer completes.
 	wire []byte
 
 	// bell is the remote-write doorbell (see Doorbell); written lists
@@ -101,18 +115,57 @@ type NIC struct {
 	m nicMetrics
 }
 
-type opcode int
+type opcode uint8
 
 const (
 	opSend opcode = iota
 	opRDMA
 )
 
+// workItem is one posted descriptor. The engine's queue holds workDepth
+// of them per NIC, so they stay small.
 type workItem struct {
 	vi     *VI
 	desc   *Descriptor
-	op     opcode
 	posted time.Time // set only when the send-latency histogram is live
+	// slow and up are the link's state as the post looked it up
+	// (linked), when nothing was queued ahead of the descriptor;
+	// otherwise the engine looks it up.
+	slow   time.Duration
+	op     opcode
+	linked bool
+	up     bool
+}
+
+// route is what one transfer needs: the peer, or why there is none, and
+// the state of the link to it. The link is looked up once per transfer.
+type route struct {
+	peer   *NIC
+	peerVI uint32
+	err    error
+	up     bool
+	slow   time.Duration
+}
+
+func (n *NIC) route(w workItem) route {
+	var r route
+	if r.peer, r.peerVI, r.err = w.vi.peerRef(); r.err != nil {
+		return r
+	}
+	if w.linked {
+		r.up, r.slow = w.up, w.slow
+	} else {
+		r.up, r.slow = n.fabric.link(n.addr, r.peer.addr)
+	}
+	return r
+}
+
+// inline reports whether the posting goroutine may move the transfer
+// itself: the peer is a NIC of this process, reached over a link that
+// is up and not slowed. Everything else (a slow-node penalty, a bridge
+// write, a failure to report) is the engine's.
+func (r route) inline() bool {
+	return r.err == nil && r.up && r.slow == 0 && r.peer.fw == nil
 }
 
 // workDepth is the descriptor work-queue capacity of every NIC.
@@ -227,7 +280,9 @@ func (n *NIC) vi(id uint32) (*VI, bool) {
 	return v, ok
 }
 
-// post rings the doorbell: the engine will process the descriptor.
+// post rings the doorbell. An idle NIC moves the transfer on the
+// calling goroutine and completes it before post returns; otherwise the
+// descriptor queues for the engine behind what is already there.
 func (n *NIC) post(w workItem) error {
 	n.mu.Lock()
 	closed := n.closed
@@ -235,20 +290,35 @@ func (n *NIC) post(w workItem) error {
 	if closed {
 		return ErrClosed
 	}
+	n.m.sendsPosted.Inc()
 	if n.m.sendLatency != nil {
 		w.posted = time.Now()
 	}
+	n.xfer.Lock()
+	if n.queued == 0 {
+		r := n.route(w)
+		if r.inline() {
+			n.carry(w, r)
+			n.xfer.Unlock()
+			return nil
+		}
+		w.linked, w.up, w.slow = true, r.up, r.slow
+	}
+	n.queued++
+	n.xfer.Unlock()
 	select {
 	case n.work <- w:
 		n.m.workDepth.Set(int64(len(n.work)))
-		return nil
 	case <-n.done:
-		return ErrClosed
+		n.abort(w)
 	}
+	return nil
 }
 
-// engine is the DMA engine: it serializes the NIC's outbound transfers,
-// applying the fabric's faults, and delivers them into the remote NIC.
+// engine is the DMA engine: it moves the transfers that cannot move on
+// the posting goroutine, one at a time in post order, sleeping a slowed
+// link's penalty first, and stops at Close. Close wins over queued
+// work: what is still queued then completes with ErrClosed.
 func (n *NIC) engine() {
 	for {
 		select {
@@ -256,8 +326,30 @@ func (n *NIC) engine() {
 			n.drainWork()
 			return
 		case w := <-n.work:
-			n.process(w)
+			if n.isClosed() {
+				n.abort(w)
+				n.drainWork()
+				return
+			}
+			n.m.workDepth.Set(int64(len(n.work)))
+			r := n.route(w)
+			if r.err == nil && r.up && r.slow > 0 {
+				// Slow-node fault injection: the transfer succeeds, just
+				// late. Nothing is locked, so posts keep queueing.
+				sleep(r.slow)
+			}
+			n.carry(w, r)
+			n.dequeue()
 		}
+	}
+}
+
+func (n *NIC) isClosed() bool {
+	select {
+	case <-n.done:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -265,51 +357,83 @@ func (n *NIC) drainWork() {
 	for {
 		select {
 		case w := <-n.work:
-			w.desc.complete(0, ErrClosed)
+			n.abort(w)
 		default:
 			return
 		}
 	}
 }
 
-func (n *NIC) process(w workItem) {
-	n.m.workDepth.Set(int64(len(n.work)))
-	payload, err := w.desc.gather(n.wire)
-	if err != nil {
-		n.completeSend(w, 0, err)
+// abort completes a queued descriptor the engine will not move.
+func (n *NIC) abort(w workItem) {
+	n.completeSend(w, 0, ErrClosed)
+	n.dequeue()
+}
+
+// dequeue ends a queued descriptor's hold on the NIC: posts move inline
+// again once every queued one has completed.
+func (n *NIC) dequeue() {
+	n.xfer.Lock()
+	n.queued--
+	n.xfer.Unlock()
+}
+
+// carry moves w's payload to the peer r names and completes w. A
+// single segment to a NIC of this process is copied straight from the
+// sender's region into the target; anything else is gathered into wire
+// first.
+func (n *NIC) carry(w workItem, r route) {
+	if r.err != nil {
+		n.completeSend(w, 0, r.err)
 		return
 	}
-	n.wire = payload
-	peer, peerVI, err := w.vi.peerRef()
-	if err != nil {
-		n.completeSend(w, 0, err)
-		return
-	}
-	up, slow := n.fabric.link(n.addr, peer.addr)
-	if !up {
-		err = fmt.Errorf("%w: %s <-> %s", ErrLinkDown, n.addr, peer.addr)
+	if !r.up {
+		err := fmt.Errorf("%w: %s <-> %s", ErrLinkDown, n.addr, r.peer.addr)
+		//presslint:alloc-gated failure path: a transfer over a severed link breaks the connection
 		w.vi.breakConn(err)
 		n.completeSend(w, 0, err)
 		return
 	}
-	if slow > 0 {
-		// Slow-node fault injection: the transfer succeeds, just late.
-		sleep(slow)
+	p, err := n.payload(w.desc, r.peer.fw == nil)
+	if err != nil {
+		n.completeSend(w, 0, err)
+		return
 	}
-	switch w.op {
-	case opSend:
-		err = peer.deliverSend(peerVI, payload)
-	case opRDMA:
-		err = peer.deliverRDMA(peerVI, w.desc.remoteHandle, w.desc.remoteOffset, payload)
-		if err == nil {
-			n.m.rdmaWrites.Inc()
-		}
+	switch {
+	case w.op == opSend && r.peer.fw != nil:
+		err = r.peer.deliverSend(r.peerVI, p.buf)
+	case w.op == opSend:
+		err = r.peer.receive(r.peerVI, p)
+	case r.peer.fw != nil:
+		err = r.peer.deliverRDMA(r.peerVI, w.desc.remoteHandle, w.desc.remoteOffset, p.buf)
+	default:
+		err = r.peer.remoteWrite(w.desc.remoteHandle, w.desc.remoteOffset, p)
+	}
+	if err == nil && w.op == opRDMA {
+		n.m.rdmaWrites.Inc()
 	}
 	if err != nil {
+		//presslint:alloc-gated failure path: a refused delivery breaks the connection
 		w.vi.breakConn(err)
 	}
-	n.m.bytesSent.Add(int64(len(payload)))
-	n.completeSend(w, len(payload), err)
+	n.m.bytesSent.Add(int64(p.n))
+	n.completeSend(w, p.n, err)
+}
+
+// payload is what d carries, checked readable. With oneCopy a single
+// segment stays where it is in the sender's registered memory;
+// otherwise the segments are gathered into wire.
+func (n *NIC) payload(d *Descriptor, oneCopy bool) (payload, error) {
+	if oneCopy && len(d.segments) == 1 {
+		s := d.segments[0]
+		return payload{src: s.Region, off: s.Offset, n: s.Len}, s.Region.readable(s.Offset, s.Len)
+	}
+	b, err := d.gather(n.wire)
+	if err != nil {
+		return payload{}, err
+	}
+	n.wire = b
+	return bytesPayload(b), nil
 }
 
 func (n *NIC) completeSend(w workItem, bytes int, err error) {
@@ -332,13 +456,21 @@ type forwarder interface {
 	viBroken(viID uint32, err error)
 }
 
-// deliverSend is the receive path: match the message with the target
-// VI's next receive descriptor and scatter the payload into it. On a
-// proxy NIC the payload is forwarded to the real process instead.
-func (n *NIC) deliverSend(viID uint32, payload []byte) error {
+// deliverSend is the receive path of gathered bytes: on a proxy NIC
+// they are forwarded to the real process; otherwise they are received
+// into the target VI.
+func (n *NIC) deliverSend(viID uint32, b []byte) error {
 	if n.fw != nil {
-		return n.fw.forwardSend(viID, payload)
+		return n.fw.forwardSend(viID, b)
 	}
+	return n.receive(viID, bytesPayload(b))
+}
+
+// receive matches a message with the target VI's next receive
+// descriptor and scatters the payload into it. It never takes the NIC's
+// transfer lock: it runs on whatever goroutine moves the sender's
+// transfer.
+func (n *NIC) receive(viID uint32, p payload) error {
 	vi, ok := n.vi(viID)
 	if !ok {
 		return fmt.Errorf("%w: VI %d gone", ErrBroken, viID)
@@ -348,7 +480,7 @@ func (n *NIC) deliverSend(viID uint32, payload []byte) error {
 		vi.breakConn(ErrNoRecvDescriptor)
 		return ErrNoRecvDescriptor
 	}
-	written, err := d.scatter(payload)
+	written, err := d.scatter(p)
 	d.complete(written, err)
 	n.m.recvsComplete.Inc()
 	vi.recvCompleted(d, err)
@@ -358,19 +490,25 @@ func (n *NIC) deliverSend(viID uint32, payload []byte) error {
 	return err
 }
 
-// deliverRDMA is the remote-memory-write path: data lands directly in
-// the registered region with no processor or descriptor involvement.
-// viID is the VI the write was posted to; on a proxy NIC the write is
+// deliverRDMA is the remote-memory-write path of gathered bytes. viID
+// is the VI the write was posted to; on a proxy NIC the write is
 // forwarded to the real process over that VI's channel.
-func (n *NIC) deliverRDMA(viID uint32, h Handle, off int, payload []byte) error {
+func (n *NIC) deliverRDMA(viID uint32, h Handle, off int, b []byte) error {
 	if n.fw != nil {
-		return n.fw.forwardRDMA(viID, h, off, payload)
+		return n.fw.forwardRDMA(viID, h, off, b)
 	}
+	return n.remoteWrite(h, off, bytesPayload(b))
+}
+
+// remoteWrite lands p directly in the registered region with no
+// processor or descriptor involvement, and raises the doorbell. Like
+// receive, it never takes the NIC's transfer lock.
+func (n *NIC) remoteWrite(h Handle, off int, p payload) error {
 	r, ok := n.region(h)
 	if !ok {
 		return fmt.Errorf("%w: unknown handle %d", ErrProtection, h)
 	}
-	if err := r.rdmaWrite(payload, off); err != nil {
+	if err := r.rdmaWrite(p, off); err != nil {
 		return err
 	}
 	n.ringDoorbell(r)
@@ -381,7 +519,7 @@ func (n *NIC) deliverRDMA(viID uint32, h Handle, off int, payload []byte) error 
 // registered memory — the one event a remote write, which consumes no
 // descriptor and completes nothing locally, otherwise leaves behind. It
 // coalesces: any number of writes between two receives raise it once,
-// and raising it never blocks the engine. A consumer parks on it and,
+// and raising it never blocks the writer. A consumer parks on it and,
 // on each signal, asks Written which regions to look at. Writes refused
 // by the protection checks raise nothing.
 func (n *NIC) Doorbell() <-chan struct{} { return n.bell }
@@ -406,6 +544,7 @@ func (n *NIC) ringDoorbell(r *MemoryRegion) {
 	n.bellMu.Lock()
 	if !r.written {
 		r.written = true
+		//presslint:alloc-gated amortized: Written empties the list in place, so it grows only to the most regions written between two looks
 		n.written = append(n.written, r)
 	}
 	n.bellMu.Unlock()

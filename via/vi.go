@@ -227,7 +227,6 @@ func (v *VI) postOut(d *Descriptor, op opcode) error {
 		d.complete(0, err)
 		return err
 	}
-	v.nic.m.sendsPosted.Inc()
 	return nil
 }
 
@@ -303,7 +302,8 @@ func (v *VI) sendCompleted(d *Descriptor, err error) {
 	}
 	// Best-effort notification: the descriptor's own status is the
 	// authoritative completion record (Descriptor.Wait/Status), so an
-	// undrained notification channel must not stall the NIC engine.
+	// undrained notification channel must not stall the goroutine
+	// moving the transfer — the poster's own, or the engine.
 	select {
 	case v.sendDone <- c:
 	default:
