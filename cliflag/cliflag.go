@@ -12,9 +12,9 @@ import (
 	"press/core"
 )
 
-// DisseminationNames returns the accepted strategy flag values,
+// DisseminationNames returns the six accepted strategy flag values,
 // comma-separated: the paper's five (PB, L16, L4, L1, NLB) plus the
-// scalable directory modes (SHARD, GOSSIP).
+// sharded directory (SHARD).
 func DisseminationNames() string {
 	var names []string
 	for _, s := range core.Strategies() {

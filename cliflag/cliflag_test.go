@@ -9,7 +9,7 @@ import (
 )
 
 func TestDisseminationFlagParsing(t *testing.T) {
-	for _, name := range []string{"PB", "L16", "L4", "L1", "NLB", "SHARD", "GOSSIP"} {
+	for _, name := range []string{"PB", "L16", "L4", "L1", "NLB", "SHARD"} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		s := Dissemination(fs, "dissemination", core.PB(), "")
 		if err := fs.Parse([]string{"-dissemination", name}); err != nil {
@@ -33,11 +33,13 @@ func TestDisseminationFlagDefault(t *testing.T) {
 }
 
 func TestDisseminationFlagRejectsUnknown(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(&strings.Builder{})
-	Dissemination(fs, "dissemination", core.PB(), "")
-	if err := fs.Parse([]string{"-dissemination", "L7"}); err == nil {
-		t.Error("unknown strategy L7 accepted")
+	for _, name := range []string{"L7", "GOSSIP"} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(&strings.Builder{})
+		Dissemination(fs, "dissemination", core.PB(), "")
+		if err := fs.Parse([]string{"-dissemination", name}); err == nil {
+			t.Errorf("unknown strategy %s accepted", name)
+		}
 	}
 }
 

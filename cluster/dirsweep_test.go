@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"testing"
-	"time"
 
 	"press/core"
 )
@@ -48,42 +47,6 @@ func TestSimShardedDirectoryTraffic(t *testing.T) {
 	}
 	if sh.Throughput <= 0 {
 		t.Fatalf("throughput = %v", sh.Throughput)
-	}
-}
-
-// TestSimGossipLoadFlow checks that epidemic gossip emits periodic load
-// digests, terminates (the gossip timers stop with the workload), and
-// stays deterministic.
-func TestSimGossipLoadFlow(t *testing.T) {
-	tr := testTrace(t, 8000)
-	cfg := baseConfig(tr)
-	cfg.Dissemination = core.EpidemicGossip(2, 2*time.Millisecond)
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Msgs.Count[core.MsgLoad] == 0 {
-		t.Error("gossip run sent no load digests")
-	}
-	// Digests carry the versioned table, so they are bigger than the
-	// bare load message.
-	if avg := a.Msgs.AvgSize(core.MsgLoad); avg <= float64(core.LoadMsgBytes) {
-		t.Errorf("gossip digest average size %.0f not above bare load message %d",
-			avg, core.LoadMsgBytes)
-	}
-	// Gossip implies directory sharding.
-	if a.Msgs.Count[core.MsgDirLookup] == 0 {
-		t.Error("gossip run sent no directory lookups")
-	}
-	if a.Throughput <= 0 {
-		t.Fatalf("throughput = %v", a.Throughput)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Throughput != b.Throughput || a.Msgs != b.Msgs {
-		t.Fatalf("gossip run nondeterministic: %v vs %v", a.Throughput, b.Throughput)
 	}
 }
 

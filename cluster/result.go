@@ -36,8 +36,8 @@ func (s *simState) result() *Result {
 		Reasons:   s.reasons,
 	}
 	// The window ends at the last measured completion, not the final
-	// event: trailing timer ticks (gossip rounds, telemetry polls) run
-	// after the workload drains and must not stretch Elapsed.
+	// event: trailing timer ticks (replication scans, telemetry polls)
+	// run after the workload drains and must not stretch Elapsed.
 	end := s.measEnd
 	if end < s.measStart {
 		end = s.sim.Now()

@@ -30,9 +30,9 @@ type node struct {
 	extRX  *eventsim.Resource
 	cache  *cache.LRU
 	policy *core.Policy
-	diss   core.Disseminator
+	load   core.LoadTracker
 	// peerLoad is this node's (possibly stale) view of peer loads,
-	// updated by load broadcasts, piggy-backed values, or gossip.
+	// updated by load broadcasts or piggy-backed values.
 	peerLoad []int
 	// repl is the node's hot-object replication policy, nil when off;
 	// the simulator only costs and schedules what it decides.
@@ -54,10 +54,6 @@ type simState struct {
 	// where each node's ShardDir holds what that node knows.
 	dir *cache.Directory
 	fc  *core.FlowControl
-
-	// pb is true when every intra-cluster message carries the sender's
-	// load (PiggyBack strategies).
-	pb bool
 
 	// Hot-object replication activity in the measured window.
 	replicaPushes int64
@@ -166,7 +162,7 @@ func (v nodeView) Cachers(id cache.FileID) cache.NodeSet {
 
 func (v nodeView) Load(n int) int {
 	if n == v.id {
-		return v.s.nodes[n].diss.Load()
+		return v.s.nodes[n].load.Load()
 	}
 	return v.s.nodes[v.id].peerLoad[n]
 }
@@ -223,7 +219,7 @@ func newSimState(cfg Config) *simState {
 			extRX:    s.sim.NewResource("ext-rx"),
 			cache:    cache.NewLRU(cfg.CacheBytes),
 			policy:   core.NewPolicy(cfg.Policy),
-			diss:     core.NewDisseminator(cfg.Dissemination, i, cfg.Nodes, cfg.Seed),
+			load:     *core.NewLoadTracker(cfg.Dissemination),
 			peerLoad: make([]int, cfg.Nodes),
 		}
 		if !cfg.ContentOblivious {
@@ -234,7 +230,6 @@ func newSimState(cfg Config) *simState {
 		s.ins = append(s.ins, newSimNodeInstruments(cfg.Metrics, i))
 		s.trc = append(s.trc, cfg.Tracing.Collector(i))
 	}
-	s.pb = s.nodes[0].diss.Piggyback()
 	if cfg.Dissemination.Dir != core.DirSharded || cfg.ContentOblivious {
 		s.dir = cache.NewDirectory(cfg.Nodes, len(cfg.Trace.Files))
 		return s
@@ -291,11 +286,6 @@ func Run(c Config) (*Result, error) {
 	}
 	for i := 0; i < clients; i++ {
 		s.issueNext()
-	}
-	if cfg.Dissemination.Kind == core.Gossip && cfg.Nodes > 1 {
-		for i := range s.nodes {
-			s.scheduleGossip(i)
-		}
 	}
 	if s.nodes[0].repl != nil {
 		s.sim.Every(cfg.Replication.Interval, func() bool {
@@ -760,7 +750,7 @@ func (s *simState) finishRequest(nid int, t0 eventsim.Time, root *tracing.Span) 
 // new load if the dissemination strategy demands it.
 func (s *simState) loadChange(nid, delta int) {
 	n := s.nodes[nid]
-	if !n.diss.Change(delta) {
+	if !n.load.Change(delta) {
 		return
 	}
 	style := netmodel.StyleRegular
@@ -769,7 +759,7 @@ func (s *simState) loadChange(nid, delta int) {
 	}
 	c := s.cfg.Combo.Cost(style, core.LoadMsgBytes, true, true)
 	loadRMW := s.isRMW(style)
-	load := n.diss.Load()
+	load := n.load.Load()
 	for p := 0; p < s.cfg.Nodes; p++ {
 		if p == nid {
 			continue
@@ -784,56 +774,11 @@ func (s *simState) loadChange(nid, delta int) {
 	}
 }
 
-// scheduleGossip arms node nid's gossip rounds. Rounds stop firing
-// once the trace is exhausted and every request has completed, so the
-// periodic timers never keep the event loop alive past the workload.
-func (s *simState) scheduleGossip(nid int) {
-	s.sim.Every(s.cfg.Dissemination.Interval, func() bool {
-		if s.workloadDrained() {
-			return false
-		}
-		s.gossipRound(nid)
-		return true
-	})
-}
-
 // workloadDrained reports that the trace is exhausted and every issued
 // request has completed — the stop condition shared by the periodic
-// timers (gossip, telemetry sampling).
+// timers (replication scans, telemetry sampling).
 func (s *simState) workloadDrained() bool {
 	return s.cursor >= len(s.cfg.Trace.Requests) && s.completed >= int64(s.cursor)
-}
-
-// gossipRound pushes node nid's versioned load digest to its fanout
-// random peers; receivers adopt fresher entries into their peer-load
-// views and relay them on their own next round.
-func (s *simState) gossipRound(nid int) {
-	n := s.nodes[nid]
-	digest := n.diss.Digest(nil)
-	targets := n.diss.GossipTargets(nil)
-	if len(digest) == 0 || len(targets) == 0 {
-		return
-	}
-	style := netmodel.StyleRegular
-	if s.cfg.LoadViaRMW {
-		style = netmodel.StyleRMW
-	}
-	wire := int64(core.LoadMsgBytes + len(digest))
-	c := s.cfg.Combo.Cost(style, wire, true, true)
-	gossipRMW := s.isRMW(style)
-	for _, p := range targets {
-		p := p
-		if gossipRMW {
-			s.rmwWrite(nid)
-		}
-		s.sendMsg(nid, p, core.MsgLoad, wire, c.SendCPU, c.RecvCPU, func() {
-			s.nodes[p].diss.Merge(digest, func(node, load int) {
-				if node != p {
-					s.nodes[p].peerLoad[node] = load
-				}
-			})
-		})
-	}
 }
 
 // sendMsg models one intra-cluster message: sender CPU, sender NIC,
@@ -844,7 +789,7 @@ func (s *simState) sendMsg(src, dst int, mt core.MsgType, wireBytes int64,
 	sendCPU, recvCPU time.Duration, onRecv func()) {
 
 	m := s.cfg.Combo
-	pb := s.pb && mt != core.MsgLoad
+	pb := s.cfg.Dissemination.Piggyback() && mt != core.MsgLoad
 	if pb {
 		wireBytes += core.PiggybackBytes
 	}
@@ -856,7 +801,7 @@ func (s *simState) sendMsg(src, dst int, mt core.MsgType, wireBytes int64,
 	from, to := s.nodes[src], s.nodes[dst]
 	deliver := func() {
 		if pb {
-			to.peerLoad[src] = from.diss.Load()
+			to.peerLoad[src] = from.load.Load()
 		}
 		if m.Protocol == netmodel.ProtoVIA && (mt == core.MsgForward || mt == core.MsgCaching || mt == core.MsgFile) {
 			if s.fc.OnData(src, dst) {

@@ -10,7 +10,7 @@
 //
 //	press-loadgen -targets http://127.0.0.1:PORT1,http://127.0.0.1:PORT2 \
 //	              [-trace clarknet] [-files 2000] [-requests 20000] [-concurrency 32] \
-//	              [-rate R] [-duration D] [-dissemination PB|...|SHARD|GOSSIP]
+//	              [-rate R] [-duration D] [-dissemination PB|...|NLB|SHARD]
 //
 // The -trace/-files flags must match the pressd instance so the
 // requested names exist. With -dissemination, the generator asks the

@@ -859,15 +859,14 @@ func dirSweep(o experiments.Options) error {
 	if err != nil {
 		return err
 	}
-	header("Directory scaling: broadcast vs sharded vs gossip directory traffic (trace " + o.Trace + ")")
+	header("Directory scaling: broadcast vs sharded directory traffic (trace " + o.Trace + ")")
 	t := stats.NewTable("Nodes", "Strategy", "Throughput", "Dir msgs",
-		"Dir/req", "Dir/req/node", "Load msgs")
+		"Dir/req", "Dir/req/node")
 	for _, r := range rows {
 		for _, c := range r.Cells {
 			t.AddRowf(r.Nodes, c.Strategy, c.Throughput, c.DirMsgs,
 				fmt.Sprintf("%.2f", c.DirPerReq),
-				fmt.Sprintf("%.4f", c.DirPerNodeReq),
-				c.LoadMsgs)
+				fmt.Sprintf("%.4f", c.DirPerNodeReq))
 		}
 	}
 	fmt.Print(t)

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	pressd [-nodes 4] [-transport via|tcp] [-version V0..V5]
-//	       [-dissemination PB|L16|L4|L1|NLB|SHARD|GOSSIP] [-trace clarknet] [-files N]
+//	       [-dissemination PB|L16|L4|L1|NLB|SHARD] [-trace clarknet] [-files N]
 //	       [-cache BYTES] [-disk-delay 2ms] [-heartbeat 250ms] [-replication]
 //	       [-metrics] [-expose]
 //	       [-incident-out FILE] [-trace-out FILE] [-trace-sample RATE]

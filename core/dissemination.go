@@ -1,14 +1,11 @@
 package core
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math/rand"
-	"time"
-)
+import "fmt"
 
 // StrategyKind selects how load information travels between nodes
-// (Section 3.3, extended with epidemic gossip).
+// (Section 3.3): piggy-backed on every message, broadcast past a
+// threshold, or not at all. With the directory organization it names
+// six strategies: the paper's five and SHARD (see Strategies).
 type StrategyKind int
 
 const (
@@ -21,10 +18,6 @@ const (
 	ThresholdBroadcast
 	// NoLoadBalancing distributes requests on cache locality alone.
 	NoLoadBalancing
-	// Gossip spreads versioned load digests epidemically: every Interval
-	// each node pushes its view of the cluster's loads to Fanout random
-	// peers. Per-node traffic is O(fanout), independent of cluster size.
-	Gossip
 )
 
 // DirectoryKind selects who owns the caching directory.
@@ -41,12 +34,6 @@ const (
 	DirSharded
 )
 
-// Defaults for the gossip strategy.
-const (
-	DefaultGossipFanout   = 2
-	DefaultGossipInterval = 25 * time.Millisecond
-)
-
 // Strategy names a (load dissemination, directory ownership) pair.
 type Strategy struct {
 	Kind StrategyKind
@@ -54,10 +41,6 @@ type Strategy struct {
 	L int
 	// Dir selects the caching-directory organization.
 	Dir DirectoryKind
-	// Fanout is the number of gossip targets per round (Gossip only).
-	Fanout int
-	// Interval is the gossip period (Gossip only).
-	Interval time.Duration
 }
 
 // PB returns the piggy-backing strategy.
@@ -78,35 +61,16 @@ func NLB() Strategy { return Strategy{Kind: NoLoadBalancing} }
 // information over consistent-hash directory ownership.
 func Sharded() Strategy { return Strategy{Kind: PiggyBack, Dir: DirSharded} }
 
-// EpidemicGossip returns the gossip strategy. Zero fanout or interval
-// select the defaults. Gossip implies a sharded directory: both exist
-// to eliminate broadcast.
-func EpidemicGossip(fanout int, interval time.Duration) Strategy {
-	if fanout < 0 {
-		panic(fmt.Sprintf("core: negative gossip fanout %d", fanout))
-	}
-	if interval < 0 {
-		panic(fmt.Sprintf("core: negative gossip interval %v", interval))
-	}
-	if fanout == 0 {
-		fanout = DefaultGossipFanout
-	}
-	if interval == 0 {
-		interval = DefaultGossipInterval
-	}
-	return Strategy{Kind: Gossip, Dir: DirSharded, Fanout: fanout, Interval: interval}
-}
-
 // LoadAware reports whether the strategy uses load at all in its
 // distribution decisions.
 func (s Strategy) LoadAware() bool { return s.Kind != NoLoadBalancing }
 
-// String returns the strategy's flag name: the bar labels of Figure 4
-// ("PB", "L16", "L4", "L1", "NLB") plus "SHARD" and "GOSSIP".
+// Piggyback reports whether outgoing messages carry the sender's load.
+func (s Strategy) Piggyback() bool { return s.Kind == PiggyBack }
+
+// String returns the strategy's flag name, one of six: the bar labels
+// of Figure 4 ("PB", "L16", "L4", "L1", "NLB") plus "SHARD".
 func (s Strategy) String() string {
-	if s.Kind == Gossip {
-		return "GOSSIP"
-	}
 	base := ""
 	switch s.Kind {
 	case PiggyBack:
@@ -132,251 +96,21 @@ func PaperStrategies() []Strategy {
 	return []Strategy{PB(), LThreshold(16), LThreshold(4), LThreshold(1), NLB()}
 }
 
-// Strategies returns every named strategy: the paper's five plus the
-// scalable directory modes.
+// Strategies returns the six named strategies: the paper's five plus
+// SHARD, the sharded-directory mode.
 func Strategies() []Strategy {
-	return append(PaperStrategies(), Sharded(), EpidemicGossip(0, 0))
+	return append(PaperStrategies(), Sharded())
 }
 
-// StrategyByName parses a strategy flag name (see Strategy.String).
+// StrategyByName parses one of the six strategy flag names (see
+// Strategy.String).
 func StrategyByName(name string) (Strategy, error) {
 	for _, s := range Strategies() {
 		if s.String() == name {
 			return s, nil
 		}
 	}
-	return Strategy{}, fmt.Errorf("core: unknown dissemination strategy %q (want PB, L16, L4, L1, NLB, SHARD, or GOSSIP)", name)
-}
-
-// Disseminator is the pluggable load-information policy: it owns the
-// node's load counter and decides how its value reaches the rest of the
-// cluster — stamped on every message (piggy-back), broadcast past a
-// threshold, spread epidemically, or not at all. Implementations are
-// not thread-safe; both the simulator and the server's main loop drive
-// one from a single goroutine.
-type Disseminator interface {
-	// Strategy returns the strategy this disseminator implements.
-	Strategy() Strategy
-	// Load returns the current open-connection count.
-	Load() int
-	// Change applies a load delta (connection opened: +1, closed: -1)
-	// and reports whether the new value must be broadcast to all peers
-	// now (threshold strategies only).
-	Change(delta int) (broadcast bool)
-	// Piggyback reports whether outgoing messages carry the load.
-	Piggyback() bool
-	// LoadKnown reports whether peers learn this node's load at all;
-	// false makes the distribution policy ignore load (NLB).
-	LoadKnown() bool
-	// GossipInterval returns the gossip period, 0 when the strategy
-	// does not gossip.
-	GossipInterval() time.Duration
-	// GossipTargets appends this round's gossip targets to dst[:0] and
-	// returns it; nil when the strategy does not gossip.
-	GossipTargets(dst []int) []int
-	// Digest appends the node's load digest to dst and returns it; nil
-	// when the strategy does not gossip.
-	Digest(dst []byte) []byte
-	// Merge folds a received digest into the local view, calling apply
-	// for every entry that is news (fresher version than known).
-	Merge(digest []byte, apply func(node, load int))
-}
-
-// NewDisseminator returns the Disseminator implementing s for a node.
-// self and nodes describe the cluster; seed randomizes gossip target
-// selection (distinct per node, or the cluster gossips in lockstep).
-func NewDisseminator(s Strategy, self, nodes int, seed int64) Disseminator {
-	if s.Kind == Gossip {
-		return newGossipDisseminator(s, self, nodes, seed)
-	}
-	return &trackerDisseminator{strategy: s, tracker: *NewLoadTracker(s)}
-}
-
-// trackerDisseminator implements the paper's three strategies (PB,
-// L-threshold, NLB) over a LoadTracker.
-type trackerDisseminator struct {
-	strategy Strategy
-	tracker  LoadTracker
-}
-
-func (d *trackerDisseminator) Strategy() Strategy            { return d.strategy }
-func (d *trackerDisseminator) Load() int                     { return d.tracker.Load() }
-func (d *trackerDisseminator) Change(delta int) bool         { return d.tracker.Change(delta) }
-func (d *trackerDisseminator) Piggyback() bool               { return d.strategy.Kind == PiggyBack }
-func (d *trackerDisseminator) LoadKnown() bool               { return d.strategy.Kind != NoLoadBalancing }
-func (d *trackerDisseminator) GossipInterval() time.Duration { return 0 }
-func (d *trackerDisseminator) GossipTargets(dst []int) []int { return nil }
-func (d *trackerDisseminator) Digest(dst []byte) []byte      { return nil }
-func (d *trackerDisseminator) Merge(digest []byte, apply func(node, load int)) {
-}
-
-// gossipDisseminator implements epidemic push gossip: load changes bump
-// a local version, and every Interval the full versioned view travels
-// to Fanout random peers, who adopt any fresher entries and forward
-// them on their own next round.
-type gossipDisseminator struct {
-	strategy Strategy
-	view     GossipView
-	rng      *rand.Rand
-	current  int
-}
-
-func newGossipDisseminator(s Strategy, self, nodes int, seed int64) *gossipDisseminator {
-	d := &gossipDisseminator{
-		strategy: s,
-		rng:      rand.New(rand.NewSource(seed ^ int64(uint64(self+1)*0x9e3779b97f4a7c15>>1))),
-	}
-	d.view.Init(self, nodes)
-	return d
-}
-
-func (d *gossipDisseminator) Strategy() Strategy { return d.strategy }
-func (d *gossipDisseminator) Load() int          { return d.current }
-
-func (d *gossipDisseminator) Change(delta int) bool {
-	d.current += delta
-	if d.current < 0 {
-		panic("core: negative open-connection count")
-	}
-	d.view.SetLocal(d.current)
-	return false // gossip rounds carry the value; never broadcast
-}
-
-func (d *gossipDisseminator) Piggyback() bool               { return false }
-func (d *gossipDisseminator) LoadKnown() bool               { return true }
-func (d *gossipDisseminator) GossipInterval() time.Duration { return d.strategy.Interval }
-
-func (d *gossipDisseminator) GossipTargets(dst []int) []int {
-	return d.view.Targets(d.rng, d.strategy.Fanout, dst)
-}
-
-func (d *gossipDisseminator) Digest(dst []byte) []byte { return d.view.Digest(dst) }
-
-func (d *gossipDisseminator) Merge(digest []byte, apply func(node, load int)) {
-	d.view.Merge(digest, apply)
-}
-
-// GossipView is the versioned per-origin load table behind epidemic
-// dissemination. Each node's load carries a version its origin alone
-// increments, so an entry relayed through any number of hops can be
-// ordered against any other copy without clocks.
-type GossipView struct {
-	self int
-	ver  []uint64
-	load []int32
-}
-
-// Init prepares the view for a cluster of the given size. The local
-// entry starts at version 1 so the first digest already names it.
-func (g *GossipView) Init(self, nodes int) {
-	if self < 0 || self >= nodes {
-		panic(fmt.Sprintf("core: gossip self %d out of range 0..%d", self, nodes-1))
-	}
-	g.self = self
-	g.ver = make([]uint64, nodes)
-	g.load = make([]int32, nodes)
-	g.ver[self] = 1
-}
-
-// SetLocal records the local node's load under a fresh version.
-func (g *GossipView) SetLocal(load int) {
-	g.ver[g.self]++
-	g.load[g.self] = int32(load)
-}
-
-// Load returns the last known load of a node (0 if never heard from).
-func (g *GossipView) Load(node int) int { return int(g.load[node]) }
-
-// DigestLen returns the encoded size of the current digest.
-func (g *GossipView) DigestLen() int {
-	n := 0
-	for _, v := range g.ver {
-		if v > 0 {
-			n += GossipEntryBytes
-		}
-	}
-	return n
-}
-
-// Digest appends every known entry to dst and returns it. Entry layout
-// (little-endian): node uint16, version uint64, load int32.
-func (g *GossipView) Digest(dst []byte) []byte {
-	for n, v := range g.ver {
-		if v == 0 {
-			continue
-		}
-		var e [GossipEntryBytes]byte
-		binary.LittleEndian.PutUint16(e[0:2], uint16(n))
-		binary.LittleEndian.PutUint64(e[2:10], v)
-		binary.LittleEndian.PutUint32(e[10:14], uint32(g.load[n]))
-		dst = append(dst, e[:]...)
-	}
-	return dst
-}
-
-// Merge folds a received digest into the view: entries with a version
-// newer than the local copy are adopted and reported through apply.
-// Malformed digests (bad length, out-of-range nodes) are ignored entry
-// by entry — gossip tolerates garbage, it does not crash on it.
-func (g *GossipView) Merge(digest []byte, apply func(node, load int)) {
-	for len(digest) >= GossipEntryBytes {
-		e := digest[:GossipEntryBytes]
-		digest = digest[GossipEntryBytes:]
-		n := int(binary.LittleEndian.Uint16(e[0:2]))
-		v := binary.LittleEndian.Uint64(e[2:10])
-		load := int32(binary.LittleEndian.Uint32(e[10:14]))
-		if n >= len(g.ver) || n == g.self || load < 0 {
-			continue // never let a relayed entry overwrite local truth
-		}
-		if v > g.ver[n] {
-			g.ver[n] = v
-			g.load[n] = load
-			if apply != nil {
-				apply(n, int(load))
-			}
-		}
-	}
-}
-
-// Targets appends fanout distinct random peers (never self) to dst[:0]
-// and returns it.
-func (g *GossipView) Targets(rng *rand.Rand, fanout int, dst []int) []int {
-	dst = dst[:0]
-	nodes := len(g.ver)
-	if nodes <= 1 || fanout <= 0 {
-		return dst
-	}
-	if fanout >= nodes-1 {
-		for n := 0; n < nodes; n++ {
-			if n != g.self {
-				dst = append(dst, n)
-			}
-		}
-		return dst
-	}
-	// Floyd's sampling over the nodes-1 peers, self excluded by index
-	// shifting: peer index i maps to node i, or i+1 once i >= self. The
-	// picked set is a slice, not a map: map iteration order would make
-	// target order nondeterministic and break reproducible simulations.
-	picked := make([]int, 0, fanout)
-	for i := nodes - 1 - fanout; i < nodes-1; i++ {
-		j := rng.Intn(i + 1)
-		for _, p := range picked {
-			if p == j {
-				j = i
-				break
-			}
-		}
-		picked = append(picked, j)
-	}
-	for _, j := range picked {
-		n := j
-		if n >= g.self {
-			n++
-		}
-		dst = append(dst, n)
-	}
-	return dst
+	return Strategy{}, fmt.Errorf("core: unknown dissemination strategy %q (want PB, L16, L4, L1, NLB, or SHARD)", name)
 }
 
 // LoadTracker tracks one node's open-connection count and decides when a

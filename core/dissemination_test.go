@@ -6,7 +6,7 @@ import (
 )
 
 func TestStrategyLabels(t *testing.T) {
-	want := []string{"PB", "L16", "L4", "L1", "NLB", "SHARD", "GOSSIP"}
+	want := []string{"PB", "L16", "L4", "L1", "NLB", "SHARD"}
 	got := Strategies()
 	if len(got) != len(want) {
 		t.Fatalf("strategies = %d", len(got))
@@ -35,20 +35,40 @@ func TestPaperStrategiesBarOrder(t *testing.T) {
 }
 
 func TestStrategyByName(t *testing.T) {
-	for _, name := range []string{"PB", "L16", "L4", "L1", "NLB", "SHARD", "GOSSIP"} {
+	for _, name := range []string{"PB", "L16", "L4", "L1", "NLB", "SHARD"} {
 		s, err := StrategyByName(name)
 		if err != nil || s.String() != name {
 			t.Errorf("StrategyByName(%q) = %v, %v", name, s, err)
 		}
 	}
-	if _, err := StrategyByName("L7"); err == nil {
-		t.Error("unknown strategy accepted")
-	}
-	if s, _ := StrategyByName("GOSSIP"); s.Fanout != DefaultGossipFanout || s.Interval != DefaultGossipInterval || s.Dir != DirSharded {
-		t.Errorf("GOSSIP defaults = %+v", s)
+	for _, name := range []string{"L7", "GOSSIP"} {
+		if _, err := StrategyByName(name); err == nil {
+			t.Errorf("unknown strategy %q accepted", name)
+		}
 	}
 	if s, _ := StrategyByName("SHARD"); s.Kind != PiggyBack || s.Dir != DirSharded {
 		t.Errorf("SHARD = %+v", s)
+	}
+}
+
+func TestStrategyPiggybackAndLoadAware(t *testing.T) {
+	want := map[string]struct{ piggyback, loadAware bool }{
+		"PB":    {true, true},
+		"L16":   {false, true},
+		"L4":    {false, true},
+		"L1":    {false, true},
+		"NLB":   {false, false},
+		"SHARD": {true, true},
+	}
+	for _, s := range Strategies() {
+		w, ok := want[s.String()]
+		if !ok {
+			t.Errorf("%v: no expectation", s)
+			continue
+		}
+		if s.Piggyback() != w.piggyback || s.LoadAware() != w.loadAware {
+			t.Errorf("%v: Piggyback = %v, LoadAware = %v", s, s.Piggyback(), s.LoadAware())
+		}
 	}
 }
 

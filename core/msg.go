@@ -112,9 +112,6 @@ const (
 	// DirInvalBytes is a directory invalidation (a file name plus the
 	// changed node).
 	DirInvalBytes = 57
-	// GossipEntryBytes is one entry of an epidemic load digest: node id
-	// (2), per-origin version (8), load (4).
-	GossipEntryBytes = 14
 	// ReplicateMsgBytes is a replica-pull request (a file name), same
 	// shape as a forward.
 	ReplicateMsgBytes = 53

@@ -98,8 +98,8 @@ func (s *Sim) After(d time.Duration, fn func()) {
 }
 
 // Every runs fn every d of simulated time, starting d from now, until
-// fn returns false. Periodic instrumentation (gossip rounds, telemetry
-// sampling) uses the return value to stop once the workload drains, so
+// fn returns false. Periodic timers (replication scans, telemetry
+// sampling) use the return value to stop once the workload drains, so
 // recurring timers never keep the event loop alive on their own.
 // Non-positive d panics: it would spin the clock in place.
 func (s *Sim) Every(d time.Duration, fn func() bool) {

@@ -31,7 +31,7 @@ func main() {
 	fmt.Println("PRESS on 8 simulated nodes, VIA/cLAN, clarknet trace")
 	fmt.Println()
 	t := stats.NewTable("Strategy", "Throughput (req/s)", "Load msgs", "Total msgs")
-	for _, st := range core.Strategies() {
+	for _, st := range core.PaperStrategies() {
 		r, err := cluster.Run(cluster.Config{
 			Nodes:         8,
 			Trace:         tr,

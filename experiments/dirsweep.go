@@ -16,9 +16,6 @@ type DirScalingCell struct {
 	// window: caching updates plus, under sharding, lookups, replies,
 	// and invalidations.
 	DirMsgs int64 `json:"dirMsgs"`
-	// LoadMsgs counts explicit load messages (threshold broadcasts or
-	// gossip digests; zero under pure piggy-backing).
-	LoadMsgs int64 `json:"loadMsgs"`
 	// DirPerReq is cluster-wide directory messages per completed
 	// request: ~O(N) under the replicated broadcast directory, ~O(1)
 	// under sharding.
@@ -42,13 +39,13 @@ type DirScalingRow struct {
 func DirectoryScalingSizes() []int { return []int{4, 8, 16, 32, 64, 128, 256} }
 
 // DirectoryScalingStrategies returns the compared strategies: the
-// paper's replicated broadcast directory under piggy-backing, the
-// consistent-hash sharded directory, and sharding plus epidemic gossip.
+// paper's replicated broadcast directory under piggy-backing, and the
+// consistent-hash sharded directory.
 func DirectoryScalingStrategies() []core.Strategy {
-	return []core.Strategy{core.PB(), core.Sharded(), core.EpidemicGossip(0, 0)}
+	return []core.Strategy{core.PB(), core.Sharded()}
 }
 
-// DirectoryScaling sweeps cluster size for the three directory regimes
+// DirectoryScaling sweeps cluster size for the two directory regimes
 // over one trace (Options.Trace) on VIA/cLAN. Options.Nodes is ignored;
 // the sweep runs DirectoryScalingSizes. Runs start from cold caches and
 // measure from the first request: directory traffic is maintenance
@@ -56,7 +53,7 @@ func DirectoryScalingStrategies() []core.Strategy {
 // almost none, hiding exactly the cost being measured. Under churn
 // every caching change broadcasts to N-1 peers in the replicated
 // design — total traffic ~O(N²) as the cluster grows — while the
-// sharded modes pay one directed update per change and one
+// sharded directory pays one directed update per change and one
 // lookup/reply per cold read-cache miss, ~O(N) total. The crossover is
 // this sweep's artifact.
 func DirectoryScaling(o Options) ([]DirScalingRow, error) {
@@ -95,7 +92,6 @@ func DirectoryScaling(o Options) ([]DirScalingRow, error) {
 			Throughput: r.Throughput,
 			Requests:   r.Requests,
 			DirMsgs:    dir,
-			LoadMsgs:   r.Msgs.Count[core.MsgLoad],
 		}
 		if r.Requests > 0 {
 			c.DirPerReq = float64(dir) / float64(r.Requests)

@@ -200,7 +200,7 @@ type Fig4Row struct {
 }
 
 // Figure4 reproduces Figure 4: the paper's five dissemination
-// strategies. The post-paper directory modes (SHARD, GOSSIP) are swept
+// strategies. The post-paper sharded directory (SHARD) is swept
 // separately by DirectoryScaling.
 func Figure4(o Options) ([]Fig4Row, error) {
 	o = o.withDefaults()

@@ -104,12 +104,12 @@ TestOpenLoop|./loadgen
 TestMetricsEndpoint|TestClusterTelemetry|./server
 TestRunTelemetry|./cluster
 # The dissemination seam (consistent-hash ring ownership, sharded
-# directory lookup/invalidation, gossip views) runs concurrently with
-# the chaos harness and the server main loops: the ShardDir machine's
-# own rule and property tests, then its two drivers.
+# directory lookup/invalidation, the load tracker) runs concurrently
+# with the chaos harness and the server main loops: the ShardDir
+# machine's own rule and property tests, then its two drivers.
 TestShardDir|./core
-TestRing|TestGossip|TestDisseminator|TestStrategy|./cache ./core ./server
-TestSimSharded|TestSimGossip|./cluster
+TestRing|TestStrategy|TestLoadTracker|./cache ./core ./server
+TestSimSharded|./cluster
 # Hot-object replication races the push/pull/drop policy against the
 # failover machinery by design (crash the hottest cacher mid-drive,
 # fail pendings over to surviving replicas): the policy machine's own
@@ -159,7 +159,7 @@ TestSimRealParity|.
 EOF
 
 # core holds the mechanisms the simulator and the server share (Policy,
-# Disseminator, Replicator, ShardDir): it must know neither of them, nor a
+# LoadTracker, Replicator, ShardDir): it must know neither of them, nor a
 # transport, nor the wall clock — time is an argument.
 echo "==> core stays driver-agnostic"
 if go list -f '{{join .Imports "\n"}}' ./core | grep -E '^press/(server|cluster|eventsim|via)$'; then
@@ -168,6 +168,17 @@ if go list -f '{{join .Imports "\n"}}' ./core | grep -E '^press/(server|cluster|
 fi
 if grep -n 'time\.Now' $(ls core/*.go | grep -v _test.go); then
     echo "check: core reads the wall clock" >&2
+    exit 1
+fi
+
+# Load information travels the paper's ways only: piggy-backed,
+# broadcast past a threshold, or not at all, each node holding one
+# core.LoadTracker. The epidemic gossip strategy and the interface that
+# existed to plug it in stay gone.
+echo "==> load information has one mechanism"
+if grep -nE 'EpidemicGossip|GossipView|Disseminator|GossipEntryBytes|gossipTick|"GOSSIP"' \
+    $(find core server cluster experiments cliflag cmd -name '*.go' ! -name '*_test.go'); then
+    echo "check: a second load-information mechanism is back" >&2
     exit 1
 fi
 

@@ -108,29 +108,6 @@ func TestClusterShardedEndToEnd(t *testing.T) {
 	}
 }
 
-// TestClusterGossipEndToEnd runs the GOSSIP strategy end to end: the
-// cluster serves correctly with epidemic load dissemination and a
-// sharded directory, and gossip rounds actually flow.
-func TestClusterGossipEndToEnd(t *testing.T) {
-	tr := serverTestTrace(t, 12)
-	cfg := testClusterConfig(tr, TransportVIA)
-	cfg.Dissemination = core.EpidemicGossip(2, 10*time.Millisecond)
-	cl, err := Start(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	fetchAll(t, cl, tr, 2, 11)
-	time.Sleep(50 * time.Millisecond) // a few gossip rounds
-	s := cl.Stats()
-	if s.Nodes.Errors != 0 {
-		t.Errorf("errors: %d", s.Nodes.Errors)
-	}
-	if s.Msgs.Count[core.MsgLoad] == 0 {
-		t.Error("no gossip rounds observed")
-	}
-}
-
 // TestChaosShardedOwnerCrash is the directory-correctness scenario of
 // the chaos harness under the sharded strategy: a shard owner dies,
 // its entries are re-owned, and after the dust settles no owner holds

@@ -225,8 +225,9 @@ type nameTable map[string]string
 // decodeFrame decodes the frame a transport received into buf and
 // settles who owns buf from here on. A message with no payload points
 // nowhere into the frame (Name is interned or a copy), so the frame goes
-// straight back; a file message owns it; any other payload (a gossip
-// digest, a join record) may be read by the main loop later: the GC's.
+// straight back; a file message owns it; any other payload (a join
+// record, a directory sync segment) may be read by the main loop later:
+// the GC's.
 func (nt nameTable) decodeFrame(m *Message, buf *recvBuf) error {
 	err := nt.decodeInto(m, buf.b)
 	switch {

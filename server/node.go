@@ -268,7 +268,7 @@ type Node struct {
 	regions   map[cache.FileID]*via.MemoryRegion // zero-copy TX (V5)
 	dir       Directory
 	policy    *core.Policy
-	diss      core.Disseminator
+	load      core.LoadTracker
 	peerLoad  []int
 	nameToID  map[string]cache.FileID
 	files     []trace.File
@@ -277,12 +277,6 @@ type Node struct {
 	pending   map[uint64]*pendingRemote
 	nextReqID uint64
 	waiting   map[string][]diskWaiter
-
-	// Gossip dissemination state (main loop).
-	lastGossip time.Time
-	gossipDst  []int
-	// pb mirrors diss.Piggyback() for the send thread (immutable).
-	pb bool
 
 	// Fault tolerance, owned by the main loop except where noted. Health
 	// runs wherever there is a peer to forward to (healthOn): more than
@@ -331,14 +325,14 @@ func (v nodeView) Cachers(id cache.FileID) cache.NodeSet {
 }
 func (v nodeView) Load(node int) int {
 	if node == v.n.id {
-		return v.n.diss.Load()
+		return v.n.load.Load()
 	}
 	if v.n.health.isDead(node) {
 		return int(^uint(0) >> 1) // least-loaded search never lands here
 	}
 	return v.n.peerLoad[node]
 }
-func (v nodeView) LoadKnown() bool { return v.n.diss.LoadKnown() }
+func (v nodeView) LoadKnown() bool { return v.n.cfg.Dissemination.LoadAware() }
 func (v nodeView) Nodes() int      { return v.n.cfg.Nodes }
 
 // lookupView pins the dispatched file's cacher set to the directory
@@ -368,7 +362,7 @@ func newNode(id int, cfg Config, store *Store, tr Transport, nic *via.NIC) *Node
 		content:    make(map[cache.FileID][]byte),
 		regions:    make(map[cache.FileID]*via.MemoryRegion),
 		policy:     core.NewPolicy(cfg.Policy),
-		diss:       core.NewDisseminator(cfg.Dissemination, id, cfg.Nodes, retrySeed),
+		load:       *core.NewLoadTracker(cfg.Dissemination),
 		peerLoad:   make([]int, cfg.Nodes),
 		nameToID:   make(map[string]cache.FileID, len(cfg.Trace.Files)),
 		files:      cfg.Trace.Files,
@@ -393,7 +387,6 @@ func newNode(id int, cfg Config, store *Store, tr Transport, nic *via.NIC) *Node
 	n.ov = newOverloadCtl(cfg, id)
 	n.repl = core.NewReplicator(cfg.Replication, id, cfg.Nodes, len(cfg.Trace.Files),
 		cfg.Policy.LargeFileBytes, time.Now())
-	n.pb = n.diss.Piggyback()
 	for i, f := range cfg.Trace.Files {
 		n.nameToID[f.Name] = cache.FileID(i)
 		n.clen[i] = []string{strconv.FormatInt(f.Size, 10)} // sizes are fixed
@@ -496,7 +489,6 @@ func (n *Node) mainLoop() {
 			}
 			n.replTick(now)
 			n.dir.Tick(now)
-			n.gossipTick(now)
 		}
 	}
 }
@@ -520,34 +512,9 @@ func (n *Node) tickInterval() time.Duration {
 		// Half the fold interval so rate folds land close to cadence.
 		lower(n.cfg.Replication.Interval / 2)
 	}
-	// Sharded-directory lookup timeouts and gossip rounds also ride the
-	// main-loop ticker.
+	// Sharded-directory lookup timeouts also ride the main-loop ticker.
 	lower(n.dir.TickInterval())
-	if n.gossipActive() {
-		lower(n.diss.GossipInterval() / 2)
-	}
 	return interval
-}
-
-// gossipActive reports whether epidemic load rounds run on this node.
-func (n *Node) gossipActive() bool {
-	return n.diss.GossipInterval() > 0 && n.cfg.Nodes > 1
-}
-
-// gossipTick pushes the node's versioned load digest to this round's
-// fanout targets; called from the main-loop ticker.
-func (n *Node) gossipTick(now time.Time) {
-	if !n.gossipActive() || now.Sub(n.lastGossip) < n.diss.GossipInterval() {
-		return
-	}
-	n.lastGossip = now
-	// One digest allocation per round, shared read-only by the fanout
-	// messages (the send thread never mutates Data).
-	digest := n.diss.Digest(nil)
-	n.gossipDst = n.diss.GossipTargets(n.gossipDst)
-	for _, dst := range n.gossipDst {
-		n.send(dst, Message{Type: core.MsgLoad, Load: int32(n.diss.Load()), Data: digest})
-	}
 }
 
 // handleClient's five budgeted sites: the directory's call of lookedUp
@@ -772,15 +739,7 @@ func (n *Node) handleMessage(m *Message) {
 	}
 	switch m.Type {
 	case core.MsgLoad:
-		// Explicit broadcast, already applied above; a gossip digest in
-		// the payload spreads relayed load entries epidemically.
-		if len(m.Data) > 0 {
-			n.diss.Merge(m.Data, func(node, load int) {
-				if node != n.id && !n.health.isDead(node) {
-					n.peerLoad[node] = load
-				}
-			})
-		}
+		// A threshold broadcast or a heartbeat: its load is applied above.
 	case core.MsgCaching, core.MsgDirLookup, core.MsgDirReply, core.MsgDirInval, core.MsgDirSync:
 		n.dir.HandleMessage(m)
 	case core.MsgReplicate:
@@ -939,12 +898,12 @@ func (n *Node) handleFileChunk(m *Message) {
 // loadChange tracks open client connections, broadcasting under the
 // threshold strategies.
 func (n *Node) loadChange(delta int) {
-	broadcast := n.diss.Change(delta)
-	n.loadMirror.Store(int64(n.diss.Load()))
+	broadcast := n.load.Change(delta)
+	n.loadMirror.Store(int64(n.load.Load()))
 	if !broadcast {
 		return
 	}
-	load := int32(n.diss.Load())
+	load := int32(n.load.Load())
 	for p := 0; p < n.cfg.Nodes; p++ {
 		if p == n.id {
 			continue
@@ -985,7 +944,7 @@ func (n *Node) send(dst int, m Message) (queued bool) {
 // it. Every message is popped into item, lent to Send.
 func (n *Node) sendThread() {
 	defer n.wg.Done()
-	pb := n.pb
+	pb := n.cfg.Dissemination.Piggyback()
 	var item outMsg
 	for {
 		var ok bool
@@ -1090,7 +1049,7 @@ func (n *Node) healthTick(now time.Time) {
 		}
 		if n.health.heartbeatDue(p, now) {
 			n.health.hbSent.Inc()
-			n.send(p, Message{Type: core.MsgLoad, Load: int32(n.diss.Load())})
+			n.send(p, Message{Type: core.MsgLoad, Load: int32(n.load.Load())})
 		}
 		if n.health.probeDue(p, now) {
 			n.probe(p)

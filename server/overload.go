@@ -69,9 +69,12 @@ type OverloadConfig struct {
 // The two overload settings no deployment tunes.
 const (
 	// dispatchQueueLimit bounds the send queue (outbound intra-cluster
-	// messages). When full, advisory gossip is dropped, forwards fall
-	// back to local service, and file replies are dropped (the origin's
-	// failover recovers them).
+	// messages). A full queue sheds whatever send is handed, and each
+	// kind recovers its own way: a forward falls back to local service,
+	// a file reply to the origin's failover, a load broadcast or
+	// heartbeat to the next one (or the next piggy-backed value), a
+	// sharded lookup to its timeout's local service, and a lost caching
+	// update to the next update of that entry.
 	dispatchQueueLimit = 1024
 	// retryAfterSeconds is the Retry-After hint on 503 responses.
 	retryAfterSeconds = "1"
@@ -186,8 +189,9 @@ func sumCounters[K comparable](family map[K]*metrics.Counter) int64 {
 // peerPace is the main loop's view of one peer's responsiveness: the
 // latency EWMA of completed forwards and the count still outstanding.
 // Distinct from health state — a browned-out peer is alive, keeps its
-// directory entries, and keeps gossiping; it just stops receiving the
-// bulk of the forwarding traffic until it recovers.
+// directory entries, and keeps exchanging load and directory messages;
+// it just stops receiving the bulk of the forwarding traffic until it
+// recovers.
 type peerPace struct {
 	ewma        time.Duration // smoothed forward→reply latency; 0 = no samples yet
 	outstanding int

@@ -475,9 +475,9 @@ func TestHotspotCrashFailoverGoodput(t *testing.T) {
 }
 
 // TestChaosReplicaReconvergence checks replica-set correctness under
-// the directed dissemination strategies: while a file is replicated,
-// a replica holder is partitioned away and healed, then the original
-// cacher is crashed. At every step no live node's directory view may
+// the sharded directory: while a file is replicated, a replica holder
+// is partitioned away and healed, then the original cacher is crashed.
+// At every step no live node's directory view may
 // route to a dead replica, the file keeps being served, and after the
 // heal the views reconverge on nodes that truly cache it.
 func TestChaosReplicaReconvergence(t *testing.T) {
@@ -486,7 +486,6 @@ func TestChaosReplicaReconvergence(t *testing.T) {
 		diss core.Strategy
 	}{
 		{"SHARD", core.Sharded()},
-		{"GOSSIP", core.EpidemicGossip(2, 10*time.Millisecond)},
 	}
 	for _, tc := range cases {
 		tc := tc

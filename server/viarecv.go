@@ -324,7 +324,8 @@ func (t *viaTransport) drainCtrlRing(p *viaPeer) bool {
 		var m Message
 		if err := t.cfg.names.decodeInto(&m, payload); err == nil && m.From == p.id {
 			// payload is the ring's scratch, which the next poll reuses:
-			// Name never points into it, a gossip digest is copied out here.
+			// Name never points into it, and any payload (a bridge peer
+			// may put one on any slot) is copied out here.
 			if len(m.Data) > 0 {
 				m.Data = append([]byte(nil), m.Data...)
 			}

@@ -452,9 +452,9 @@ func TestViaCloseJoinsParkedPoller(t *testing.T) {
 }
 
 // TestCtrlRingPollsDoNotAlias: the control ring decodes every slot out
-// of one scratch array, so a message that keeps a payload (the gossip
-// digest on MsgLoad) must have copied it out before the next slot is
-// polled. Two digests written back to back and drained in one pass must
+// of one scratch array, and a bridge peer may put a payload on any
+// control slot, so a payload must be copied out before the next slot is
+// polled. Two payloads written back to back and drained in one pass must
 // both arrive intact.
 func TestCtrlRingPollsDoNotAlias(t *testing.T) {
 	vt, raw, addrs := newRawMesh(t, 0)
