@@ -11,18 +11,18 @@
 //	       [-metrics] [-expose]
 //	       [-incident-out FILE] [-trace-out FILE] [-trace-sample RATE]
 //	       [-pprof ADDR]
-//	pressd -node I -peers HOST:PORT,... [-http ADDR] [-via-peers ADDR,...]
-//	       [-drain 5s] ...
+//	pressd -node I -peers HOST:PORT,... [-http ADDR] [-drain 5s] ...
 //
 // With -peers, pressd runs in mesh mode: ONE node per OS process. The
 // comma-separated list names every node's intra-cluster listen address
-// and -node says which entry this process is. Peers mesh over the
-// versioned membership handshake; a late or restarted process joins
-// under a fresh epoch and has the directory replayed. -transport via
-// additionally needs -via-peers, the VIA bridge endpoints: each
-// cross-process VI channel is one TCP connection between them. SIGTERM
-// announces the leave and drains in-flight clients (deadline -drain)
-// before exiting 0.
+// and -node says which entry this process is. Processes start in any
+// order; a late or restarted process joins and has the directory
+// replayed. On -transport tcp peers mesh over the versioned membership
+// handshake, and a new life runs under a fresh epoch. On -transport via
+// each entry is that node's VIA bridge endpoint: each cross-process VI
+// channel is one TCP connection between two of them. SIGTERM announces
+// the leave and drains in-flight clients (deadline -drain) before
+// exiting 0.
 //
 // -heartbeat sets the failure detectors' heartbeat interval (default
 // 250ms); the suspect, dead and failover timers scale with it, so a

@@ -23,26 +23,19 @@ func splitAddrs(s string) []string {
 
 // Mesh mode: -peers turns pressd from an in-process cluster into ONE
 // node of a multi-process one. Each process runs node -node of the
-// seed list, meshes with its peers over the membership handshake, and
-// serves clients on -http. A restarted process rejoins under a fresh
-// epoch and has the directory replayed; SIGTERM announces the leave,
-// drains in-flight clients, and exits 0.
+// seed list, binds its entry (on -transport via, as the VIA bridge),
+// meshes with its peers at theirs, and serves clients on -http. A
+// restarted process rejoins and has the directory replayed; SIGTERM
+// announces the leave, drains in-flight clients, and exits 0.
 
 // meshConfig checks the mesh-mode flags against each other and returns
 // this process's place in the cluster.
-func meshConfig(self int, peers, viaPeers, httpAddr string, kind server.TransportKind) (*server.MeshConfig, error) {
+func meshConfig(self int, peers, httpAddr string) (*server.MeshConfig, error) {
 	peerList := splitAddrs(peers)
-	var viaList []string
-	if viaPeers != "" {
-		viaList = splitAddrs(viaPeers)
-	}
 	if self < 0 || self >= len(peerList) {
 		return nil, fmt.Errorf("-node %d out of range for %d -peers", self, len(peerList))
 	}
-	if kind == server.TransportVIA && len(viaList) != len(peerList) {
-		return nil, fmt.Errorf("transport via needs -via-peers with %d addresses, got %d", len(peerList), len(viaList))
-	}
-	return &server.MeshConfig{Self: self, PeerAddrs: peerList, ViaAddrs: viaList, HTTPAddr: httpAddr}, nil
+	return &server.MeshConfig{Self: self, PeerAddrs: peerList, HTTPAddr: httpAddr}, nil
 }
 
 // runMeshNode runs one cluster node to completion. It returns the

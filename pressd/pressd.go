@@ -52,9 +52,8 @@ func Main(args []string) int {
 		traceSample = fs.Float64("trace-sample", 1.0, "fraction of requests to trace (head sampling)")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		node        = fs.Int("node", -1, "mesh mode: run ONE node of a multi-process cluster; this process's id in the -peers list")
-		peers       = fs.String("peers", "", "mesh mode: comma-separated intra-cluster listen addresses, one per node (enables mesh mode)")
+		peers       = fs.String("peers", "", "mesh mode: comma-separated intra-cluster listen addresses, one per node (enables mesh mode; on via, the bridge's)")
 		httpAddr    = fs.String("http", "", "mesh mode: client-facing HTTP bind address (default: loopback, ephemeral port)")
-		viaPeers    = fs.String("via-peers", "", "mesh mode: comma-separated VIA bridge TCP addresses, one per node (transport via)")
 		drain       = fs.Duration("drain", 5*time.Second, "mesh mode: deadline for the graceful SIGTERM drain")
 	)
 	strategy := cliflag.Dissemination(fs, "dissemination", core.PB(), "")
@@ -81,7 +80,7 @@ func Main(args []string) int {
 	}
 	var mesh *server.MeshConfig
 	if *peers != "" {
-		if mesh, err = meshConfig(*node, *peers, *viaPeers, *httpAddr, kind); err != nil {
+		if mesh, err = meshConfig(*node, *peers, *httpAddr); err != nil {
 			lg.Print(err)
 			return 1
 		}

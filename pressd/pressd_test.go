@@ -15,7 +15,7 @@ func TestMainRejectsBadCommandLines(t *testing.T) {
 		{"unknown version", []string{"-version", "V9"}},
 		{"unknown dissemination", []string{"-dissemination", "FLOOD"}},
 		{"node out of range", []string{"-transport", "tcp", "-node", "3", "-peers", "127.0.0.1:1,127.0.0.1:2"}},
-		{"via without via peers", []string{"-transport", "via", "-node", "0", "-peers", "127.0.0.1:1,127.0.0.1:2", "-via-peers", "127.0.0.1:3"}},
+		{"-via-peers is gone", []string{"-transport", "via", "-node", "0", "-peers", "127.0.0.1:1,127.0.0.1:2", "-via-peers", "127.0.0.1:3"}},
 		{"unknown flag", []string{"-no-such-flag"}},
 	}
 	for _, c := range cases {

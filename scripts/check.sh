@@ -153,9 +153,11 @@ TestSimRealParity|.
 # What a peer registers follows its version: the file staging area is
 # registered by a sender under sendMu and released by a reconnect's
 # retirePeer, a V0 and a V5 end (or two ends with different frame
-# bounds) fail each other's setup by name, and four
-# nodes' caches and NICs share one Store's bytes: three fresh passes.
--count=3 TestPeerFootprint|TestViaSetupVersionMismatch|TestClusterSharesOneStore|./server
+# bounds) fail each other's setup by name, four nodes' caches and NICs
+# share one Store's bytes, and two VIA processes come up in either
+# order through the accept loop and Reconnect, one dial per peer at a
+# time: three fresh passes.
+-count=3 TestPeerFootprint|TestViaSetupVersionMismatch|TestClusterSharesOneStore|TestViaProcessLateJoin|TestViaOneDialPerPeer|./server
 EOF
 
 # core holds the mechanisms the simulator and the server share (Policy,
@@ -224,6 +226,16 @@ fi
 echo "==> via offers one service level"
 if grep -nE 'Unreliable|WithLoss|WithSeed|WithLatency|WithBandwidth|WithWorkDepth|transferDelay|lossRate|ReliabilitySupport|func \(f \*Fabric\) Partition' $(ls via/*.go | grep -v _test.go); then
     echo "check: via/ offers a second service level or a lossy fabric again" >&2
+    exit 1
+fi
+
+# A node has one address, which its VIA bridge binds on -transport via,
+# and a VI channel comes up one way: Reconnect dials it, the accept loop
+# admits it. A second address list stays gone.
+echo "==> one address per node"
+if grep -nE 'ViaAddrs|via-peers|viaAddrs' \
+    $(find server pressd cmd -name '*.go' ! -name '*_test.go'); then
+    echo "check: a second per-node address list is back" >&2
     exit 1
 fi
 

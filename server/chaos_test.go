@@ -91,6 +91,16 @@ func TestChaosPartitionFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	// press_reconnects_total counts channels that replace an earlier one:
+	// the initial mesh, dialed by the same Reconnect, replaces none.
+	reconnects := func(i int) int64 {
+		return reg.Counter("press_reconnects_total", fmt.Sprintf("node=%d", i)).Value()
+	}
+	for i := 0; i < nodes; i++ {
+		if got := reconnects(i); got != 0 {
+			t.Fatalf("node %d: press_reconnects_total %d after Start, want 0", i, got)
+		}
+	}
 
 	// Warm the caches: each node loads its own slice of the files, so
 	// the victim holds content the others will want forwarded.
@@ -201,6 +211,9 @@ func TestChaosPartitionFailover(t *testing.T) {
 		}
 		return true
 	})
+	if reconnects(victim) == 0 {
+		t.Error("the healed node rejoined without replacing a channel")
+	}
 	// The healed node serves remote hits again: its cache survived the
 	// partition and its re-announcements put it back in the directory.
 	waitFor(t, 10*time.Second, "healed node to serve remote hits", func() bool {
@@ -405,18 +418,19 @@ func TestChaosNeedsVIA(t *testing.T) {
 // that follows must send the poll thread back to the table, or writes
 // into the fresh rings ring a bell nobody maps to a peer.
 func TestFailoverPromoteKicksPoller(t *testing.T) {
-	vt, raw, addrs := newRawMesh(t, 1)
-	first := raw.newVI()
-	connected := make(chan error, 1)
-	go func() { connected <- vt.connect(addrs) }()
-	// The transport may not be listening yet; the mesh dials until it is.
-	waitFor(t, 5*time.Second, "the raw peer's first dial", func() bool {
-		return first.Connect(addrs[1], "press-1") == nil
-	})
-	raw.sendSetup(first)
-	if err := <-connected; err != nil {
+	vt, raw := newRawMesh(t, 1)
+	// Node 1 of two dials nobody: its side of the mesh is the accept loop.
+	if err := vt.connect(true); err != nil {
 		t.Fatal(err)
 	}
+	first := raw.newVI()
+	if err := first.Connect(fabricAddr(1), "press-1"); err != nil {
+		t.Fatal(err)
+	}
+	raw.sendSetup(first)
+	waitFor(t, 5*time.Second, "the accept loop to promote the raw peer's channel", func() bool {
+		return vt.peer(0) != nil
+	})
 	old := vt.peer(0)
 	raw.writeCtrl(first, old.inCtrl.region.Handle(), 1, &Message{Type: core.MsgLoad, From: 0, Load: 1})
 	expectInbound(t, vt, 1)
@@ -439,7 +453,7 @@ func TestFailoverPromoteKicksPoller(t *testing.T) {
 	}
 	p.id = 0
 	vt.addPending(p)
-	if err := p.vi.Connect(addrs[0], "redial"); err != nil {
+	if err := p.vi.Connect(fabricAddr(0), "redial"); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-accepted; err != nil {

@@ -755,10 +755,11 @@ func TestTimersStoppedOnReturn(t *testing.T) {
 }
 
 // TestClusterLifecycle: bring-up and teardown leave nothing behind. Ten
-// Start/Close rounds per transport, plus a StartNode that fails at its
-// last step (HTTP address taken) and must unwind everything it built,
-// return the goroutine count to its baseline and leave the
-// intra-cluster port bindable.
+// Start/Close rounds per transport, plus a StartNode per transport that
+// fails at its last step (HTTP address taken) and must unwind everything
+// it built, return the goroutine count to its baseline and leave the
+// intra-cluster port bindable (on VIA, the bridge's, with the dials to
+// absent peers still in flight).
 func TestClusterLifecycle(t *testing.T) {
 	tr := serverTestTrace(t, 6)
 	idle := func() { http.DefaultTransport.(*http.Transport).CloseIdleConnections() }
@@ -795,17 +796,19 @@ func TestClusterLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer taken.Close()
-	cfg := testClusterConfig(tr, TransportTCP)
-	cfg.Mesh = &MeshConfig{
-		Self:      0,
-		PeerAddrs: []string{deadAddr(t), deadAddr(t), deadAddr(t)},
-		HTTPAddr:  taken.Addr().String(),
+	for _, kind := range []TransportKind{TransportTCP, TransportVIA} {
+		cfg := testClusterConfig(tr, kind)
+		cfg.Mesh = &MeshConfig{
+			Self:      0,
+			PeerAddrs: []string{deadAddr(t), deadAddr(t), deadAddr(t)},
+			HTTPAddr:  taken.Addr().String(),
+		}
+		if pn, err := StartNode(cfg); err == nil {
+			pn.Close()
+			t.Fatalf("%v: StartNode succeeded on a bound HTTP address", kind)
+		}
+		rebind(cfg.Mesh.PeerAddrs[0])
 	}
-	if pn, err := StartNode(cfg); err == nil {
-		pn.Close()
-		t.Fatal("StartNode succeeded on a bound HTTP address")
-	}
-	rebind(cfg.Mesh.PeerAddrs[0])
 
 	idle()
 	deadline := time.Now().Add(5 * time.Second)
@@ -815,5 +818,78 @@ func TestClusterLifecycle(t *testing.T) {
 			t.Fatalf("%d goroutines, baseline %d:\n%s", runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestViaProcessLateJoin: VIA processes start in either order, at one
+// address each. The first comes up at once with no peer up. Node 1, the
+// passive end of the one channel, waits for node 0 to dial it; node 0,
+// first, keeps dialing the absent node 1 while its health prober
+// declares node 1 dead and probes it too. Either way both nodes then
+// hold the channel and see each other alive, and every file fetched
+// through either is byte-exact, some of them forwarded.
+func TestViaProcessLateJoin(t *testing.T) {
+	tr := serverTestTrace(t, 8)
+	for _, first := range []int{1, 0} {
+		t.Run(fmt.Sprintf("node%d-first", first), func(t *testing.T) {
+			addrs := []string{deadAddr(t), deadAddr(t)}
+			start := func(self int) *ProcNode {
+				t.Helper()
+				cfg := testClusterConfig(tr, TransportVIA)
+				cfg.Nodes = 2
+				cfg.Mesh = &MeshConfig{Self: self, PeerAddrs: addrs}
+				pn, err := StartNode(cfg)
+				if err != nil {
+					t.Fatalf("node %d: %v", self, err)
+				}
+				t.Cleanup(pn.Close)
+				return pn
+			}
+			pns := make([]*ProcNode, 2)
+			began := time.Now()
+			pns[first] = start(first)
+			if took := time.Since(began); took > time.Second {
+				t.Fatalf("node %d took %v to start with no peer up, want under 1 s", first, took)
+			}
+			if first == 1 {
+				time.Sleep(300 * time.Millisecond)
+			} else {
+				waitFor(t, 5*time.Second, "node 0 to declare the absent node 1 dead", func() bool {
+					return pns[0].Node().PeerState(1) == StateDead
+				})
+			}
+			pns[1-first] = start(1 - first)
+
+			waitFor(t, 10*time.Second, "each node to hold a channel to the other and see it alive", func() bool {
+				for i, pn := range pns {
+					p := pn.transport.(*viaTransport).peer(1 - i)
+					if p == nil || pn.Node().PeerState(1-i) != StateAlive {
+						return false
+					}
+					select {
+					case <-p.ready:
+					default:
+						return false
+					}
+				}
+				return true
+			})
+			for round := 0; round < 2; round++ {
+				for id, f := range tr.Files {
+					for _, pn := range pns {
+						got, err := Fetch(pn.URL(), f.Name)
+						if err != nil {
+							t.Fatalf("round %d: %s via %s: %v", round, f.Name, pn.URL(), err)
+						}
+						if want := SynthesizeContent(f.Name, f.Size); !bytes.Equal(got, want) {
+							t.Fatalf("round %d: file %d via %s: %d bytes, want %d", round, id, pn.URL(), len(got), len(want))
+						}
+					}
+				}
+			}
+			if fwd := pns[0].Node().Stats().Forwarded + pns[1].Node().Stats().Forwarded; fwd == 0 {
+				t.Fatal("no request was forwarded between the two processes")
+			}
+		})
 	}
 }

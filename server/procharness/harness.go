@@ -57,7 +57,6 @@ type Harness struct {
 	exe       string
 	dir       string // scratch: logs and incident reports, removed on Close
 	peerAddrs []string
-	viaAddrs  []string
 	httpAddrs []string
 	tr        *trace.Trace
 
@@ -117,12 +116,6 @@ func Start(opts Options) (*Harness, error) {
 		h.cleanup()
 		return nil, err
 	}
-	if opts.Transport == "via" {
-		if h.viaAddrs, err = reserveTCP(opts.Nodes); err != nil {
-			h.cleanup()
-			return nil, err
-		}
-	}
 	for i := 0; i < opts.Nodes; i++ {
 		if err := h.spawn(i); err != nil {
 			h.Close()
@@ -179,9 +172,6 @@ func (h *Harness) args(id int) []string {
 	}
 	if h.opts.Strategy != "" {
 		args = append(args, "-dissemination", h.opts.Strategy)
-	}
-	if h.viaAddrs != nil {
-		args = append(args, "-via-peers", strings.Join(h.viaAddrs, ","))
 	}
 	if h.opts.Incidents {
 		args = append(args, "-incident-out", h.IncidentPath(id))

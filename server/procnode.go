@@ -24,13 +24,11 @@ type MeshConfig struct {
 	// Self is this process's node index in [0, Config.Nodes).
 	Self int
 	// PeerAddrs are the intra-cluster TCP listen addresses, indexed by
-	// node; PeerAddrs[Self] is the address this process binds.
-	PeerAddrs []string
-	// ViaAddrs are the per-node TCP endpoints of the VIA fabric bridge,
-	// required when Config.Transport is TransportVIA: the software VIA
+	// node; PeerAddrs[Self] is the address this process binds. On
+	// TransportVIA the fabric bridge listens there: the software VIA
 	// keeps its descriptor/credit/RMW semantics between processes, each
 	// VI channel framed over its own TCP connection.
-	ViaAddrs []string
+	PeerAddrs []string
 	// HTTPAddr is the client-facing HTTP bind address; empty means an
 	// ephemeral loopback port.
 	HTTPAddr string
@@ -164,9 +162,6 @@ func (pn *ProcNode) build(shared *via.Fabric) error {
 	case TransportVIA:
 		fabric := shared
 		if fabric == nil {
-			if len(mesh.ViaAddrs) != cfg.Nodes {
-				return fmt.Errorf("server: VIA mesh needs %d bridge addresses, have %d", cfg.Nodes, len(mesh.ViaAddrs))
-			}
 			pn.fabric = newFabric(cfg)
 			fabric = pn.fabric
 		}
@@ -175,7 +170,7 @@ func (pn *ProcNode) build(shared *via.Fabric) error {
 			return err
 		}
 		if shared == nil {
-			if pn.bridge, err = via.NewUDPBridge(fabric, mesh.ViaAddrs[mesh.Self]); err != nil {
+			if pn.bridge, err = via.NewUDPBridge(fabric, mesh.PeerAddrs[mesh.Self]); err != nil {
 				return err
 			}
 			for j := 0; j < cfg.Nodes; j++ {
@@ -184,7 +179,7 @@ func (pn *ProcNode) build(shared *via.Fabric) error {
 				}
 				// The remote node's transport listens on "press-<j>"; dials to
 				// its proxy relay there.
-				if err := pn.bridge.Proxy(fabricAddr(j), mesh.ViaAddrs[j], fmt.Sprintf("press-%d", j)); err != nil {
+				if err := pn.bridge.Proxy(fabricAddr(j), mesh.PeerAddrs[j], fmt.Sprintf("press-%d", j)); err != nil {
 					return err
 				}
 			}
@@ -207,19 +202,13 @@ func (pn *ProcNode) build(shared *via.Fabric) error {
 	return nil
 }
 
-// connect completes the node's side of the mesh. The VIA setup is
-// synchronous: every peer must come up for it to return (crash-restart
-// chaos across processes runs on TCP; the VIA bridge exists so V0–V5
-// comparisons still run cross-process). TCP has been dialing since
-// build; with awaitPeers it returns once every pair is seated.
+// connect completes the node's side of the mesh: TCP has been dialing
+// since build, VIA starts dialing here. With awaitPeers it returns once
+// the channels are up; without, peers join as they appear.
 func (pn *ProcNode) connect(awaitPeers bool) error {
 	switch t := pn.transport.(type) {
 	case *viaTransport:
-		addrs := make([]string, pn.cfg.Nodes)
-		for i := range addrs {
-			addrs[i] = fabricAddr(i)
-		}
-		if err := t.connect(addrs); err != nil {
+		if err := t.connect(awaitPeers); err != nil {
 			return fmt.Errorf("server: node %d mesh: %w", pn.cfg.Mesh.Self, err)
 		}
 	case *tcpTransport:

@@ -55,8 +55,9 @@ type Transport interface {
 	// promptly with an error wrapping ErrPeerDown instead of blocking on
 	// flow control.
 	PeerDown(dst int, reason error)
-	// Reconnect re-establishes the channel to dst after a failure. It
-	// returns errPassiveRole when dst is expected to dial us instead.
+	// Reconnect re-establishes the channel to dst after a failure (on
+	// VIA, also the first one). VIA returns errPassiveRole when dst is
+	// expected to dial us instead, errDialing while a dial is in flight.
 	Reconnect(dst int) error
 }
 
@@ -65,12 +66,16 @@ type Transport interface {
 // retrying cannot help until the peer is reconnected.
 var ErrPeerDown = errors.New("server: peer down")
 
-// errPassiveRole is returned by the VIA transport's Reconnect when
-// re-establishing the channel is the other side's job: the node with
-// the lower index dials, mirroring how the VI mesh was built, so
-// concurrent reconnects of the same pair cannot race. (TCP dials from
-// either side and lets epochs settle the race.)
-var errPassiveRole = errors.New("server: reconnect is dialed from the other side")
+// The VIA transport's Reconnect does not dial when the channel is the
+// other side's to dial (errPassiveRole: the lower index dials, at
+// bring-up and after a failure alike) or a dial to the peer is already
+// in flight (errDialing). A channel has one dial at a time, so both ends
+// promote the same one. (TCP dials from either side and lets epochs
+// settle the race.)
+var (
+	errPassiveRole = errors.New("server: reconnect is dialed from the other side")
+	errDialing     = errors.New("server: a dial to this peer is in flight")
+)
 
 // errSuperseded marks a send that failed because the peer re-dialed and
 // a fresh channel replaced the one the send was riding. It is the

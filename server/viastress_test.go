@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"press/core"
+	"press/metrics"
 	"press/netmodel"
 	"press/via"
 )
@@ -51,13 +52,11 @@ func newViaMeshOf(t *testing.T, cfgs ...viaConfig) (vts []*viaTransport, errs []
 	t.Helper()
 	fabric := via.NewFabric()
 	t.Cleanup(func() { fabric.Close() })
-	addrs := make([]string, len(cfgs))
 	vts = make([]*viaTransport, len(cfgs))
 	for i, cfg := range cfgs {
-		addrs[i] = fabricAddr(i)
-		nic, err := fabric.CreateNIC(addrs[i])
+		nic, err := fabric.CreateNIC(fabricAddr(i))
 		if err != nil {
-			t.Fatalf("CreateNIC(%s): %v", addrs[i], err)
+			t.Fatalf("CreateNIC(%s): %v", fabricAddr(i), err)
 		}
 		cfg.self, cfg.nodes = i, len(cfgs)
 		vt, err := newViaTransport(nic, cfg)
@@ -73,7 +72,7 @@ func newViaMeshOf(t *testing.T, cfgs ...viaConfig) (vts []*viaTransport, errs []
 		wg.Add(1)
 		go func(i int, vt *viaTransport) {
 			defer wg.Done()
-			errs[i] = vt.connect(addrs)
+			errs[i] = vt.connect(true)
 		}(i, vt)
 	}
 	wg.Wait()
@@ -290,12 +289,11 @@ func (r *rawPeer) writeCtrl(vi *via.VI, handle via.Handle, seq uint32, m *Messag
 
 // newRawMesh builds one real V5 transport (node self of two) on a fresh
 // fabric beside a raw peer playing the other node.
-func newRawMesh(t *testing.T, self int) (*viaTransport, *rawPeer, []string) {
+func newRawMesh(t *testing.T, self int) (*viaTransport, *rawPeer) {
 	t.Helper()
 	fabric := via.NewFabric()
 	t.Cleanup(fabric.Close)
-	addrs := []string{"node0", "node1"}
-	nic, err := fabric.CreateNIC(addrs[self])
+	nic, err := fabric.CreateNIC(fabricAddr(self))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,16 +305,16 @@ func newRawMesh(t *testing.T, self int) (*viaTransport, *rawPeer, []string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { vt.Close() })
-	raw := newRawPeer(t, fabric, addrs[1-self])
+	raw := newRawPeer(t, fabric, fabricAddr(1-self))
 	raw.regBuf = vt.layout.regBuf
-	return vt, raw, addrs
+	return vt, raw
 }
 
 // acceptTransport connects the raw peer (node 1) to the transport and
 // returns once the transport's setup frame has arrived: from there on its
 // rings are writable, while the channel is not ready until the test calls
 // raw.sendSetup. connected reports the transport's connect.
-func acceptTransport(t *testing.T, vt *viaTransport, raw *rawPeer, addrs []string) (vi *via.VI, connected <-chan error) {
+func acceptTransport(t *testing.T, vt *viaTransport, raw *rawPeer) (vi *via.VI, connected <-chan error) {
 	t.Helper()
 	ln, err := raw.nic.Listen("press-1")
 	if err != nil {
@@ -324,7 +322,7 @@ func acceptTransport(t *testing.T, vt *viaTransport, raw *rawPeer, addrs []strin
 	}
 	vi = raw.newVI()
 	done := make(chan error, 1)
-	go func() { done <- vt.connect(addrs) }()
+	go func() { done <- vt.connect(true) }()
 	if _, err := ln.Accept(vi); err != nil {
 		t.Fatal(err)
 	}
@@ -358,8 +356,8 @@ func expectInbound(t *testing.T, vt *viaTransport, load int32) {
 // nothing else will ever ring for it, so the arrival of the peer's setup
 // frame must itself send the poll thread back to the rings.
 func TestViaPollWriteBeforeReady(t *testing.T) {
-	vt, raw, addrs := newRawMesh(t, 0)
-	vi, connected := acceptTransport(t, vt, raw, addrs)
+	vt, raw := newRawMesh(t, 0)
+	vi, connected := acceptTransport(t, vt, raw)
 	p := vt.peer(1)
 	raw.writeCtrl(vi, p.inCtrl.region.Handle(), 1, &Message{Type: core.MsgLoad, From: 1, Load: 7})
 	// Two wakes, both empty: the peer-table kick, then this write's bell.
@@ -385,8 +383,8 @@ func TestViaPollWriteBeforeReady(t *testing.T) {
 // must still be counted as a consumed slot so the sender's window does
 // not shrink.
 func TestViaRefusesForeignFrom(t *testing.T) {
-	vt, raw, addrs := newRawMesh(t, 0)
-	vi, connected := acceptTransport(t, vt, raw, addrs)
+	vt, raw := newRawMesh(t, 0)
+	vi, connected := acceptTransport(t, vt, raw)
 	raw.sendSetup(vi)
 	if err := <-connected; err != nil {
 		t.Fatal(err)
@@ -427,6 +425,36 @@ func TestViaRefusesForeignFrom(t *testing.T) {
 	}
 }
 
+// TestViaOneDialPerPeer: a channel has one dial at a time. While the
+// mesh's first dial to a peer waits for it to accept, a probe's Reconnect
+// dials no second channel beside it: two in flight could land on the
+// acceptor in one order and be promoted by the dialer in the other,
+// leaving each end holding the channel the other retired.
+func TestViaOneDialPerPeer(t *testing.T) {
+	vt, raw := newRawMesh(t, 0)
+	ln, err := raw.nic.Listen("press-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	connected := make(chan error, 1)
+	go func() { connected <- vt.connect(true) }()
+	waitFor(t, 5*time.Second, "the mesh's dial to node 1", func() bool { return vt.dialing[1].Load() })
+	if err := vt.Reconnect(1); !errors.Is(err, errDialing) {
+		t.Fatalf("Reconnect beside the mesh's dial: %v, want %v", err, errDialing)
+	}
+	vi := raw.newVI()
+	if _, err := ln.Accept(vi); err != nil {
+		t.Fatal(err)
+	}
+	raw.sendSetup(vi)
+	if err := <-connected; err != nil {
+		t.Fatal(err)
+	}
+	if vt.dialing[1].Load() {
+		t.Fatal("the finished dial still holds node 1")
+	}
+}
+
 // TestViaCloseJoinsParkedPoller: an idle poll thread is parked on the
 // doorbell with nothing coming; Close must wake it and wait it out.
 func TestViaCloseJoinsParkedPoller(t *testing.T) {
@@ -457,8 +485,8 @@ func TestViaCloseJoinsParkedPoller(t *testing.T) {
 // polled. Two payloads written back to back and drained in one pass must
 // both arrive intact.
 func TestCtrlRingPollsDoNotAlias(t *testing.T) {
-	vt, raw, addrs := newRawMesh(t, 0)
-	vi, connected := acceptTransport(t, vt, raw, addrs)
+	vt, raw := newRawMesh(t, 0)
+	vi, connected := acceptTransport(t, vt, raw)
 	// Both slots are in the ring before the channel is ready, so one
 	// drain polls them back to back.
 	ctrl := vt.peer(1).inCtrl.region.Handle()
@@ -570,9 +598,15 @@ func TestViaSetupVersionMismatch(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			vts, errs := newViaMeshOf(t, tc.a, tc.b)
-			for i, err := range errs {
+			// Node 0 dials, and its connect reports; node 1 accepted, and
+			// fails the channel it promoted.
+			waitFor(t, 5*time.Second, "node 1 to fail its channel to node 0", func() bool {
+				p := vts[1].peer(0)
+				return p != nil && p.downErr() != nil
+			})
+			for i, err := range []error{errs[0], vts[1].peer(0).failErr} {
 				if !errors.Is(err, tc.want) || errors.Is(err, via.ErrProtection) || errors.Is(err, via.ErrBroken) {
-					t.Errorf("node %d (%s, %d-byte frames): connect returned %v, want %v",
+					t.Errorf("node %d (%s, %d-byte frames): channel failed with %v, want %v",
 						i, vts[i].cfg.version.Name, vts[i].layout.regBuf, err, tc.want)
 				}
 			}
@@ -613,8 +647,9 @@ func TestPeerFootprint(t *testing.T) {
 		{vs[5], ringed, true, true, true},
 	} {
 		t.Run(tc.version.Name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
 			vts, errs := newViaMesh(t, viaConfig{
-				window: viaWindow, batch: viaBatch, chunk: viaChunkBytes, fileRing: fileRing,
+				window: viaWindow, batch: viaBatch, chunk: viaChunkBytes, fileRing: fileRing, metrics: reg,
 			}, tc.version, tc.version)
 			for i, err := range errs {
 				if err != nil {
@@ -663,6 +698,18 @@ func TestPeerFootprint(t *testing.T) {
 				t.Fatalf("the refused frame kept its credit: sent %d -> %d", sent, after)
 			}
 
+			// A reconnect is a channel that replaces an earlier one: the
+			// first, dialed by connect, is none, and each forced one counts
+			// on both ends.
+			reconnects := func(want int64) {
+				t.Helper()
+				for i := range vts {
+					if got := reg.Counter("press_reconnects_total", fmt.Sprintf("node=%d", i)).Value(); got != want {
+						t.Fatalf("node %d: press_reconnects_total %d, want %d", i, got, want)
+					}
+				}
+			}
+			reconnects(0)
 			levels := []int64{a.nic.RegisteredBytes(), b.nic.RegisteredBytes()}
 			for i := 0; i < 10; i++ {
 				if err := a.Reconnect(1); err != nil {
@@ -674,6 +721,7 @@ func TestPeerFootprint(t *testing.T) {
 					return vt.nic.RegisteredBytes() == levels[i]
 				})
 			}
+			reconnects(10)
 
 			// Staging: every file sent with remote writes needs it but a
 			// zero-copy one from a registered page.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"press/core"
@@ -29,11 +30,6 @@ type viaTransport struct {
 	recvCQ  *via.CompletionQueue
 	ins     transportInstruments
 
-	// addrs is the fabric address of every node, fixed at connect time;
-	// reconnects dial the same address a crashed-and-restarted peer
-	// re-registers.
-	addrs []string
-
 	// peersMu guards the peer table. peers[i] is the live channel to
 	// node i and is replaced wholesale on reconnect; pending holds peers
 	// whose VI exists (receives posted, setup expected) but which have
@@ -43,6 +39,10 @@ type viaTransport struct {
 	peers   []*viaPeer
 	pending map[*via.VI]*viaPeer
 
+	// dialing[j] is set while a Reconnect to node j runs.
+	dialing []atomic.Bool
+
+	// reconnects counts channels that replaced an earlier one (promote).
 	reconnects *metrics.Counter
 
 	// kick wakes the poll thread for something the NIC's doorbell does
@@ -213,6 +213,7 @@ func newViaTransport(nic *via.NIC, cfg viaConfig) (*viaTransport, error) {
 		kick:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 		peers:   make([]*viaPeer, cfg.nodes),
+		dialing: make([]atomic.Bool, cfg.nodes),
 		pending: make(map[*via.VI]*viaPeer),
 		ins:     newTransportInstruments(cfg.metrics, cfg.self),
 
@@ -231,66 +232,33 @@ func newViaTransport(nic *via.NIC, cfg viaConfig) (*viaTransport, error) {
 	return t, nil
 }
 
-// connect establishes the VI mesh: this node accepts from lower-indexed
-// peers and dials higher-indexed ones, then exchanges setup frames
-// carrying the memory handles of the remote-write buffers. Afterwards a
-// persistent accept loop takes over the listener, so peers whose
-// channel later breaks can re-dial.
-func (t *viaTransport) connect(addrs []string) error {
-	t.addrs = addrs
-	errc := make(chan error, t.cfg.nodes)
-	for j := 0; j < t.cfg.nodes; j++ {
-		if j == t.cfg.self {
-			continue
-		}
-		go func(j int) {
-			// Memory is registered and receive descriptors posted
-			// before the connection exists, so the peer's first frame
-			// always finds a descriptor.
-			p, err := t.newPeer()
-			switch {
-			case err != nil:
-			case j > t.cfg.self:
-				p.id, err = j, p.vi.Connect(addrs[j], fmt.Sprintf("press-%d", j))
-			default:
-				var remote string
-				if remote, err = t.ln.Accept(p.vi); err == nil {
-					p.id, err = nodeIndex(remote, addrs)
-				}
-			}
-			if err == nil {
-				t.setPeer(p.id, p)
-			}
-			errc <- err
-		}(j)
-	}
-	var failed error
-	for i := 0; i < t.cfg.nodes-1; i++ {
-		if err := <-errc; err != nil && failed == nil {
-			failed = err
-		}
-	}
-	if failed != nil {
-		t.Close()
-		return failed
-	}
-	// Receive machinery first, then announce our buffers to every peer,
-	// then wait for every peer's.
-	t.wg.Add(2)
+// connect brings this node's side of the VI mesh up the way a broken
+// channel comes back: lower-indexed peers dial in through the accept
+// loop, and this node dials each higher-indexed one with Reconnect. With
+// await it returns the first dial error, or nil once every dialed
+// channel has exchanged setup frames; an acceptor promotes its channel
+// before it sends the setup frame the dialer waits for, so by then the
+// channel is in both peer tables. Without await the dials run in the
+// background, and a peer that is not up yet is found by the health
+// prober, as after a crash.
+func (t *viaTransport) connect(await bool) error {
+	t.wg.Add(3)
 	go t.recvThread()
 	go t.pollThread()
-	for _, step := range []func(*viaPeer) error{t.sendSetup, t.awaitSetup} {
-		for id := range addrs {
-			if p := t.peer(id); p != nil {
-				if err := step(p); err != nil {
-					t.Close()
-					return err
-				}
-			}
+	go t.acceptLoop()
+	errc := make(chan error, t.cfg.nodes)
+	for j := t.cfg.self + 1; j < t.cfg.nodes; j++ {
+		t.wg.Add(1)
+		go func() {
+			defer t.wg.Done()
+			errc <- t.Reconnect(j)
+		}()
+	}
+	for j := t.cfg.self + 1; await && j < t.cfg.nodes; j++ {
+		if err := <-errc; err != nil {
+			return err
 		}
 	}
-	t.wg.Add(1)
-	go t.acceptLoop()
 	return nil
 }
 
@@ -308,14 +276,6 @@ func (t *viaTransport) awaitSetup(p *viaPeer) error {
 	case <-t.done:
 		return via.ErrClosed
 	}
-}
-
-// setPeer installs the live channel for node id.
-func (t *viaTransport) setPeer(id int, p *viaPeer) {
-	t.peersMu.Lock()
-	t.peers[id] = p
-	t.peersMu.Unlock()
-	t.kickPoller()
 }
 
 // kickPoller makes the poll thread re-read the peer table and look at
@@ -360,6 +320,7 @@ func (t *viaTransport) promote(p *viaPeer) {
 	t.peersMu.Unlock()
 	t.kickPoller()
 	if old != nil && old != p {
+		t.reconnects.Inc()
 		old.fail(fmt.Errorf("%w: node %d", errSuperseded, p.id))
 		t.retirePeer(old)
 	}
@@ -384,11 +345,12 @@ func (t *viaTransport) PeerDown(dst int, reason error) {
 	}
 }
 
-// Reconnect re-establishes the channel to dst after a failure. The VIA
-// error model makes broken VIs permanent, so recovery is a fresh VI
-// plus a new setup-frame exchange — reconfigure-and-resume, not
-// resume-in-place. Only the lower-indexed side dials (errPassiveRole
-// otherwise), mirroring the initial mesh construction.
+// Reconnect dials the channel to dst: the first one, from connect, or a
+// fresh one after a failure. The VIA error model makes broken VIs
+// permanent, so recovery is a fresh VI plus a new setup-frame exchange —
+// reconfigure-and-resume, not resume-in-place. Only the lower-indexed
+// side dials (errPassiveRole otherwise), and one dial per peer at a time
+// (errDialing otherwise), so both ends promote the same channel.
 func (t *viaTransport) Reconnect(dst int) error {
 	if dst == t.cfg.self || dst < 0 || dst >= t.cfg.nodes {
 		return fmt.Errorf("server: bad reconnect destination %d", dst)
@@ -396,6 +358,10 @@ func (t *viaTransport) Reconnect(dst int) error {
 	if dst < t.cfg.self {
 		return errPassiveRole
 	}
+	if !t.dialing[dst].CompareAndSwap(false, true) {
+		return errDialing
+	}
+	defer t.dialing[dst].Store(false)
 	select {
 	case <-t.done:
 		return via.ErrClosed
@@ -407,7 +373,7 @@ func (t *viaTransport) Reconnect(dst int) error {
 	}
 	p.id = dst
 	t.addPending(p)
-	if err := p.vi.Connect(t.addrs[dst], fmt.Sprintf("press-%d", dst)); err != nil {
+	if err := p.vi.Connect(fabricAddr(dst), fmt.Sprintf("press-%d", dst)); err != nil {
 		t.removePending(p)
 		t.retirePeer(p)
 		return err
@@ -422,14 +388,12 @@ func (t *viaTransport) Reconnect(dst int) error {
 	}
 	if err != nil {
 		p.fail(err)
-		return err
 	}
-	t.reconnects.Inc()
-	return nil
+	return err
 }
 
-// acceptLoop serves post-mesh connection attempts: a peer that lost its
-// channel to us dials again, and the fresh VI supersedes the dead one.
+// acceptLoop admits every channel a lower-indexed peer dials: the first
+// one, and the fresh VI that supersedes a dead one.
 func (t *viaTransport) acceptLoop() {
 	defer t.wg.Done()
 	for {
@@ -443,7 +407,7 @@ func (t *viaTransport) acceptLoop() {
 			t.removePending(p)
 			return // listener closed
 		}
-		id, err := nodeIndex(remote, t.addrs)
+		id, err := nodeIndex(remote, t.cfg.nodes)
 		if err != nil || id == t.cfg.self {
 			t.removePending(p)
 			t.retirePeer(p)
@@ -454,7 +418,6 @@ func (t *viaTransport) acceptLoop() {
 		if err := t.sendSetup(p); err != nil {
 			p.fail(err)
 		}
-		t.reconnects.Inc()
 	}
 }
 
@@ -500,9 +463,10 @@ func (p *viaPeer) downErr() error {
 	}
 }
 
-func nodeIndex(addr string, addrs []string) (int, error) {
-	for i, a := range addrs {
-		if a == addr {
+// nodeIndex is the node of the given nodes whose fabric address addr is.
+func nodeIndex(addr string, nodes int) (int, error) {
+	for i := 0; i < nodes; i++ {
+		if fabricAddr(i) == addr {
 			return i, nil
 		}
 	}
