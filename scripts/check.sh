@@ -127,7 +127,7 @@ TestSimRealParity|.
 -count=10 TestRecvBufNotRecycledUnderReader|TestReplicaPullKeepsItsBuffer|TestFailoverMidReassembly|TestHandleFileChunk|./server
 # Credit conservation is an invariant of every VIA channel (a refused
 # write gives its slot back, a posted one keeps it) that only shows when
-# refusals, timeouts and acks interleave: ten fresh passes.
+# refusals and acks interleave: ten fresh passes.
 -count=10 TestCreditConservation|./server
 # A recycled request is the new way to serve the wrong bytes: handed to
 # the next client while a main loop still holds it; so is the main loop's
@@ -137,14 +137,16 @@ TestSimRealParity|.
 -count=10 TestClientRequestRecycleStress|./server
 # A descriptor's completion signal is made once and outlives the wait
 # that took it, so only a fresh look at the status may end a wait: a
-# stale signal against a reused descriptor, ten fresh passes.
--count=10 TestWaitTimerIgnoresStaleSignal|TestWaitTimerAllocs|./via
-# A post moves inline on an idle NIC and queues behind the engine
-# otherwise: order behind a slowed transfer, from one poster and from
-# several at once, the slow-node penalty slept with nothing locked,
-# crossed one-copy transfers between two regions, and queued work
-# completed at Close. Ten fresh passes.
--count=10 TestPostCompletesInlineOnIdleLink|TestPostQueuesBehindSlowedWork|TestConcurrentPostsKeepPostOrder|TestCrossedTransfersDoNotDeadlock|TestCloseCompletesQueuedWork|TestSlowNodeDelaysDelivery|TestWaitTimerIgnoresStaleSignal|./via
+# stale signal against a reposted receive, and a one-copy post that
+# allocates nothing, ten fresh passes.
+-count=10 TestWaitIgnoresStaleSignal|TestPostAllocs|./via
+# A post moves on the goroutine that posts it and is done when it
+# returns: a slowed link's penalty delays only its poster, posts keep
+# their order from several posters at once, crossed one-copy transfers
+# between two regions, a Close during a penalty fails the post, and a
+# bridge write to a peer that stops reading fails at its deadline. Ten
+# fresh passes.
+-count=10 TestPostCompletesInlineOnIdleLink|TestSlowedPostDelaysOnlyItsPoster|TestConcurrentPostsKeepPostOrder|TestCrossedTransfersDoNotDeadlock|TestCloseDuringPenaltyFailsPost|TestSlowNodeDelaysDelivery|TestWaitIgnoresStaleSignal|TestBridgeWriteToWedgedPeerFails|./via
 # The VIA bridge is one TCP connection per channel, and its setup races
 # the real transport: the acceptor's first send against its REPLY, a
 # dial against the peer's Proxy call and listener, a lost connection
@@ -239,6 +241,17 @@ if grep -nE 'ViaAddrs|via-peers|viaAddrs' \
     exit 1
 fi
 
+# A post completes before it returns: the NIC has no engine goroutine
+# or work queue, and the server no completion wait to time out, no
+# lazy reap and no RMWTimeout.
+echo "==> a post completes before it returns"
+if grep -nE 'func \(n \*NIC\) engine|workItem|via_workq_depth|WaitTimer' $(ls via/*.go | grep -v _test.go) ||
+    grep -nE 'RMWTimeout|\.lazy\b|func \(w \*outWrite\) (reap|idle)' \
+        $(find server pressd cmd -name '*.go' ! -name '*_test.go'); then
+    echo "check: an asynchronous post completion is back" >&2
+    exit 1
+fi
+
 echo "==> presslint ./..."
 go run ./cmd/presslint ./...
 
@@ -251,13 +264,12 @@ echo "==> presslint self-lint ./lint ./cmd/..."
 go run ./cmd/presslint ./lint ./cmd/...
 
 # Static half of the 0-alloc proofs: every //presslint:hotpath root
-# (the VIA Post* send path, which moves an idle NIC's transfer itself,
+# (the VIA Post* send path, which moves the transfer itself,
 # the tracing-off path, the overload hooks: budget 0; the request path
 # every request takes, ServeHTTP and handleClient: budgets 1 and 5;
 # the message path — Node.send 0, sendRegular, sendCtrlRMW and the TCP
 # sendOn 3, 3, 4 (the encoder's appends into owned scratch), sendFileRMW
-# 0 (its staging area's one-time registration gated), decodeInto 2,
-# Descriptor.WaitTimer 1)
+# 0 (its staging area's one-time registration gated), decodeInto 2)
 # must be provably within budget across the whole call graph.
 # The dynamic half is the benchmark gates below (ViaSendMetrics,
 # ServeTracingOff, LocalHit1K, Forwarded1K), which also justify the

@@ -45,7 +45,6 @@ func chaosClusterConfig(t *testing.T, nodes int) (Config, *trace.Trace, *metrics
 		CacheBytes: 1 << 20,
 		DiskDelay:  100 * time.Microsecond,
 		Health:     chaosHealth(),
-		RMWTimeout: 2 * time.Second,
 		Metrics:    reg,
 	}
 	return cfg, tr, reg

@@ -77,10 +77,6 @@ type Config struct {
 	// sampler turns the Metrics registry into time series. Nil (the
 	// default) disables every hook at the cost of one pointer test.
 	Telemetry *telemetry.Plane
-	// RMWTimeout bounds the wait for a remote-memory-write completion
-	// (default DefaultRMWTimeout). Expiry surfaces as *RMWTimeoutError,
-	// distinguishable from a hard via.ErrLinkDown.
-	RMWTimeout time.Duration
 	// Health tunes failure detection and failover; the zero value
 	// selects the defaults.
 	Health HealthConfig
@@ -142,12 +138,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if cfg.DiskDelay == 0 {
 		cfg.DiskDelay = 2 * time.Millisecond
-	}
-	if cfg.RMWTimeout == 0 {
-		cfg.RMWTimeout = DefaultRMWTimeout
-	}
-	if cfg.RMWTimeout < 0 {
-		return cfg, fmt.Errorf("server: negative RMWTimeout %v", cfg.RMWTimeout)
 	}
 	var err error
 	if cfg.Health, err = cfg.Health.withDefaults(); err != nil {

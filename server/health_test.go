@@ -1,11 +1,8 @@
 package server
 
 import (
-	"errors"
 	"testing"
 	"time"
-
-	"press/via"
 )
 
 func testHealthConfig(t *testing.T) HealthConfig {
@@ -182,18 +179,5 @@ func TestSleeper(t *testing.T) {
 	}
 	if e := time.Since(start); e > time.Second {
 		t.Fatalf("stopped sleep took %v", e)
-	}
-}
-
-func TestRMWTimeoutError(t *testing.T) {
-	err := &RMWTimeoutError{Op: "ctrl-ring", Timeout: time.Second}
-	if !errors.Is(err, via.ErrTimeout) {
-		t.Error("RMWTimeoutError does not unwrap to via.ErrTimeout")
-	}
-	if errors.Is(err, via.ErrLinkDown) {
-		t.Error("RMWTimeoutError matches ErrLinkDown")
-	}
-	if err.Error() == "" {
-		t.Error("empty error string")
 	}
 }

@@ -59,6 +59,14 @@ var clientRequests = sync.Pool{New: func() any {
 	return r
 }}
 
+// newStoppedTimer returns a timer parked as a pooled request keeps it:
+// stopped, channel empty.
+func newStoppedTimer() *time.Timer {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}
+
 // release recycles r. Only ServeHTTP calls it, and only after receiving
 // from r.resp: the main loop's send there is its last touch of r, while
 // on any other return (timeout, node stop, client gone, shed) it may

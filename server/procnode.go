@@ -190,7 +190,7 @@ func (pn *ProcNode) build(shared *via.Fabric) error {
 			self: mesh.Self, nodes: cfg.Nodes, version: cfg.Version,
 			window: viaWindow, batch: viaBatch, chunk: viaChunkBytes,
 			fileRing: 2 * int(cfg.Policy.LargeFileBytes), metrics: cfg.Metrics,
-			rmwTimeout: cfg.RMWTimeout, trc: cfg.Tracer.Collector(mesh.Self), names: names,
+			trc: cfg.Tracer.Collector(mesh.Self), names: names,
 		})
 		if err != nil {
 			return err

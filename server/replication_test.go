@@ -373,9 +373,9 @@ func runHotspotCrash(t *testing.T, replication bool) (ok, errs int64, plane *tel
 	// choice) in the fabric; the crash then fails those transfers at
 	// delivery time, and the resulting hard send errors sweep the
 	// parked pendings onto surviving replicas. The delay is kept short:
-	// each slowed transfer occupies its sender's serialized NIC engine
-	// for the full delay, so a long wedge stalls the survivors' whole
-	// send pipes deep into the measured window.
+	// each slowed transfer holds the goroutine that posts it for the
+	// full delay, so a long wedge stalls the survivors' whole send pipes
+	// deep into the measured window.
 	if err := cl.SlowNode(hotCacher, 50*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}

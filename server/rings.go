@@ -2,9 +2,7 @@ package server
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"time"
 
 	"press/tracing"
 	"press/via"
@@ -59,66 +57,50 @@ func (g ringGeom) room() int {
 }
 
 // outWrite is one outbound transfer a channel posts over and over: the
-// registered staging image, the descriptor over it and the timer that
-// bounds its completion wait. The regular channel, each slot ring, the
-// file data area and each flow counter own one; the owner serializes
-// its writes.
+// registered staging image and the descriptor over it. The regular
+// channel, each slot ring, the file data area and each flow counter own
+// one; the owner serializes its writes.
 type outWrite struct {
-	op      string // names the channel in an RMWTimeoutError
-	vi      *via.VI
-	timeout time.Duration // bounds each completion wait (Config.RMWTimeout)
+	op string // names the channel in errors
+	vi *via.VI
 	// remote is the peer region written to; zero posts a send instead.
 	remote via.Handle
 	stage  *via.MemoryRegion
 	off    int // where in stage the image lives
 	desc   *via.Descriptor
-	timer  *time.Timer // reused wait after wait, stopped in between
-	// lazy: a write is not waited for; the next write of the channel reaps
-	// it. A write the NIC moved inline is done before the post returns;
-	// one queued behind a slowed transfer parks the calling thread only
-	// if it is still queued a write later.
-	lazy bool
 }
 
 // newOutWrite builds a channel whose images, n bytes at most, are staged
 // at off in stage.
-func newOutWrite(op string, vi *via.VI, timeout time.Duration, remote via.Handle, stage *via.MemoryRegion, off, n int) outWrite {
-	if timeout <= 0 {
-		timeout = DefaultRMWTimeout
-	}
+func newOutWrite(op string, vi *via.VI, remote via.Handle, stage *via.MemoryRegion, off, n int) outWrite {
 	return outWrite{
-		op: op, vi: vi, timeout: timeout, remote: remote, stage: stage, off: off,
-		desc:  via.MustDescriptor(via.Segment{Region: stage, Offset: off, Len: n}),
-		timer: newStoppedTimer(),
+		op: op, vi: vi, remote: remote, stage: stage, off: off,
+		desc: via.MustDescriptor(via.Segment{Region: stage, Offset: off, Len: n}),
 	}
 }
 
 // transfer is every outbound write of the transport: stage image (nil:
-// the descriptor already points at the payload), post it — at remoteOff
-// of the remote region, or as a send — and wait for the completion
-// unless the channel reaps lazily. g, when non-nil, is the gate the
-// caller claimed n units from for this write. posted reports whether the
-// NIC took the descriptor, and three rules hang on it, written here once:
+// the descriptor already points at the payload) and post it — at
+// remoteOff of the remote region, or as a send. A post moves the
+// transfer before it returns, so transfer returns the write's own error,
+// and descriptor and image are the channel's again. g, when non-nil, is
+// the gate the caller claimed n units from for this write. posted
+// reports whether the NIC took the descriptor, and two rules hang on it,
+// written here once:
 //
 //   - Slot return. The units go back to g exactly when the write never
 //     reached the NIC (staging or the post refused), and the caller's
 //     sequence stays put; a posted write keeps them and moves the
 //     sequence whatever becomes of it, for the peer may yet consume it.
-//   - Never restage under a posted descriptor. After a completion wait
-//     timed out the NIC still owns descriptor and image: the next write
-//     is refused with the same timeout error until the first completes.
-//   - A full work queue is not retried. via.ErrQueueFull was counted
-//     over go test ./server and one run of each VIA workload: zero, at
-//     most 6 posts pending of a depth of 32 (sends are serialized, and
-//     each is waited or reaped by its channel's next write, so a VI
-//     carries one data write, one credit message and four flow counters). It surfaces as a send failure, which
+//   - A full work queue is not retried. A send is pending on its VI
+//     only while its post moves it, so a VI carries at most one per
+//     goroutine posting on it — the sender under sendMu, the receive
+//     thread's and the poll thread's credit counters — far below its
+//     depth. via.ErrQueueFull surfaces as a send failure, which
 //     handleSendFailure counts as suspicion before failing the forward
 //     over.
 func (w *outWrite) transfer(g *creditGate, n int64, image []byte, remoteOff int) (posted bool, err error) {
-	if w.lazy {
-		w.reap()
-	}
-	if err = w.idle(); err == nil && image != nil {
+	if image != nil {
 		if len(image) != w.desc.Len() {
 			err = w.desc.SetSegment(0, via.Segment{Region: w.stage, Offset: w.off, Len: len(image)})
 		}
@@ -139,34 +121,7 @@ func (w *outWrite) transfer(g *creditGate, n int64, image []byte, remoteOff int)
 		}
 		return false, err
 	}
-	if w.lazy {
-		return true, nil
-	}
-	return true, w.reap()
-}
-
-// idle refuses, as the timeout it is, a channel whose last transfer the
-// NIC still owns.
-func (w *outWrite) idle() error {
-	if w.desc.Status() == via.DescPosted {
-		return &RMWTimeoutError{Op: w.op, Timeout: w.timeout}
-	}
-	return nil
-}
-
-// reap waits out the transfer in flight, if any: afterwards descriptor
-// and image are the owner's again, unless the wait timed out — which it
-// reports as a typed RMWTimeoutError, passing link faults through
-// untouched.
-func (w *outWrite) reap() error {
-	if w.desc.Status() == via.DescIdle {
-		return nil
-	}
-	err := w.desc.WaitTimer(w.timer, w.timeout)
-	if errors.Is(err, via.ErrTimeout) {
-		return &RMWTimeoutError{Op: w.op, Timeout: w.timeout}
-	}
-	return err
+	return true, w.desc.Err()
 }
 
 // ackBatch is the receiver half of flow control on every channel: what
@@ -296,12 +251,9 @@ type fileRingOut struct {
 
 // writeFile transfers one file: a remote write of the data followed by a
 // remote write of the metadata entry pointing at it — the two messages
-// per file that keep version 3 from improving on version 2. The two are
-// posted back to back and only the second is waited for: the NIC moves
-// one poster's writes in post order (inline or queued behind one
-// another, never past), and on a reliable VI a failed data write breaks
-// the connection before the metadata can land, so a completed metadata
-// write means the data is there too.
+// per file that keep version 3 from improving on version 2. Each is
+// complete when it returns, so the metadata is written only once the
+// data is in place.
 //
 // src must be registered memory holding the payload (the cache page
 // itself under zero-copy transmit, a staging copy otherwise).
@@ -312,7 +264,6 @@ func (f *fileRingOut) writeFile(src *via.MemoryRegion, srcOff, n int, reqID uint
 	if uint64(n) > f.dataSize {
 		return fmt.Errorf("server: file of %d bytes exceeds %d-byte data ring", n, f.dataSize)
 	}
-	// via refuses this while a timed-out transfer still owns the descriptor.
 	if err := f.data.desc.SetSegment(0, via.Segment{Region: src, Offset: srcOff, Len: n}); err != nil {
 		return err
 	}
@@ -336,17 +287,7 @@ func (f *fileRingOut) writeFile(src *via.MemoryRegion, srcOff, n int, reqID uint
 	binary.LittleEndian.PutUint32(meta[8:], uint32(phys))
 	binary.LittleEndian.PutUint32(meta[12:], uint32(n))
 	binary.LittleEndian.PutUint64(meta[16:], uint64(virt+claim))
-	posted, err := f.meta.writeEntry(meta[:], trace, parent)
-	if !posted {
-		// The data write is in flight alone: reap it, so the descriptor is
-		// the caller's again. Its bytes stay claimed — they reached the
-		// NIC — until the next transfer's virtEnd acknowledges past them.
-		f.data.reap()
-	}
-	// The data write came first; when it is what failed, say so.
-	if err != nil && f.data.desc.Status() == via.DescError {
-		return f.data.desc.Err()
-	}
+	_, err := f.meta.writeEntry(meta[:], trace, parent)
 	return err
 }
 
@@ -407,37 +348,4 @@ func (f *fileRingIn) poll(extraCopy bool) (fileArrival, bool, error) {
 		buf = staged
 	}
 	return fileArrival{reqID: reqID, buf: buf}, true, nil
-}
-
-// DefaultRMWTimeout is the default bound on the wait for a remote
-// write completion (Config.RMWTimeout). A transfer moves inline or
-// behind a bounded queue of others, so expiry indicates shutdown or a
-// wedged peer.
-const DefaultRMWTimeout = 30 * time.Second
-
-// RMWTimeoutError reports a remote-memory-write completion wait that
-// expired. It is distinct from a link fault: the link may be fine and
-// the peer merely wedged, so callers can choose failover rather than
-// treating it as ErrLinkDown. errors.Is(err, via.ErrTimeout) also
-// matches, via Unwrap.
-type RMWTimeoutError struct {
-	// Op names the channel that timed out: regular-send, ctrl-ring,
-	// file-data, file-meta, flow-counter.
-	Op string
-	// Timeout is the configured bound that expired.
-	Timeout time.Duration
-}
-
-func (e *RMWTimeoutError) Error() string {
-	return fmt.Sprintf("server: remote write (%s) not completed within %v", e.Op, e.Timeout)
-}
-
-func (e *RMWTimeoutError) Unwrap() error { return via.ErrTimeout }
-
-// newStoppedTimer returns a timer in the state Descriptor.WaitTimer
-// takes and leaves it in: stopped, channel empty.
-func newStoppedTimer() *time.Timer {
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return t
 }

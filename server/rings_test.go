@@ -79,23 +79,22 @@ func (fx *ringFixture) region(nic *via.NIC, size int) *via.MemoryRegion {
 
 // slotPair builds both halves of one ring of the given geometry: the
 // receiver's on NIC b, the sender's view of it on NIC a.
-func (fx *ringFixture) slotPair(geom ringGeom, timeout time.Duration) (out, in *slotRing) {
+func (fx *ringFixture) slotPair(geom ringGeom) (out, in *slotRing) {
 	in = newSlotRingIn(geom, fx.region(fx.nb, geom.slots*geom.size))
-	w := newOutWrite("test-ring", fx.va, timeout, in.region.Handle(), fx.region(fx.na, geom.size), 0, geom.size)
+	w := newOutWrite("test-ring", fx.va, in.region.Handle(), fx.region(fx.na, geom.size), 0, geom.size)
 	return newSlotRingOut(geom, newCreditGate("test-ring", geom.slots, nil, nil), w), in
 }
 
 // filePair builds both ends of a file ring with a dataRing-byte data area.
 func (fx *ringFixture) filePair(dataRing int) (*fileRingOut, *fileRingIn) {
-	meta, metaIn := fx.slotPair(fileMetaRing, 0)
+	meta, metaIn := fx.slotPair(fileMetaRing)
 	in := &fileRingIn{meta: metaIn, data: fx.region(fx.nb, dataRing)}
 	in.data.EnableRemoteWrite()
 	out := &fileRingOut{
 		meta: meta, dataSize: uint64(dataRing),
 		dataCredit: newCreditGate("file-data", dataRing, nil, nil),
-		data:       newOutWrite("file-data", fx.va, 0, in.data.Handle(), meta.out.stage, 0, 0),
+		data:       newOutWrite("file-data", fx.va, in.data.Handle(), meta.out.stage, 0, 0),
 	}
-	out.data.lazy = true
 	return out, in
 }
 
@@ -176,7 +175,7 @@ func TestSlotRing(t *testing.T) {
 			}
 		}
 		t.Run(g.name+"/in-order", func(t *testing.T) {
-			out, in := newRingFixture(t, 1).slotPair(geom, 0)
+			out, in := newRingFixture(t, 1).slotPair(geom)
 			for i := 0; i < 10; i++ {
 				mustWrite(t, out, entryBody(geom, i))
 			}
@@ -188,7 +187,7 @@ func TestSlotRing(t *testing.T) {
 			// More than slots entries; sequence numbers and slot reuse must
 			// stay consistent across the wrap. Acks flow back so the
 			// writer's gate never starves.
-			out, in := newRingFixture(t, 1).slotPair(geom, 0)
+			out, in := newRingFixture(t, 1).slotPair(geom)
 			total := geom.slots*2 + 7
 			wrote := 0
 			for read := 0; read < total; read++ {
@@ -205,7 +204,7 @@ func TestSlotRing(t *testing.T) {
 			}
 		})
 		t.Run(g.name+"/oversize-refused", func(t *testing.T) {
-			out, _ := newRingFixture(t, 1).slotPair(geom, 0)
+			out, _ := newRingFixture(t, 1).slotPair(geom)
 			if posted, err := out.writeEntry(make([]byte, geom.room()+1), 0, 0); err == nil || posted {
 				t.Fatalf("oversized entry: posted %v, err %v", posted, err)
 			}
@@ -214,7 +213,7 @@ func TestSlotRing(t *testing.T) {
 			}
 		})
 		t.Run(g.name+"/blocks-until-acked", func(t *testing.T) {
-			out, in := newRingFixture(t, 1).slotPair(geom, 0)
+			out, in := newRingFixture(t, 1).slotPair(geom)
 			for i := 0; i < geom.slots; i++ {
 				mustWrite(t, out, entryBody(geom, i))
 			}
@@ -245,7 +244,7 @@ func TestSlotRing(t *testing.T) {
 		t.Run(g.name+"/sequence-wrap", func(t *testing.T) {
 			// The slot holds 32 bits of a 64-bit count: both sides truncate
 			// the same way, through 2^32-1, 0 and 1.
-			out, in := newRingFixture(t, 1).slotPair(geom, 0)
+			out, in := newRingFixture(t, 1).slotPair(geom)
 			out.next, in.read = 1<<32-3, 1<<32-3
 			for i := 0; i < 6; i++ {
 				mustWrite(t, out, entryBody(geom, i))
@@ -270,7 +269,7 @@ func TestSlotImageGolden(t *testing.T) {
 		return b
 	}
 	fx := newRingFixture(t, 8<<10)
-	out, in := fx.slotPair(ctrlRing, 0)
+	out, in := fx.slotPair(ctrlRing)
 	mustWrite(t, out, []byte("hello"))
 	mustWrite(t, out, nil)
 	pollEntry(t, in)
@@ -477,9 +476,7 @@ func TestFileRingBlocksUntilAcked(t *testing.T) {
 // the peer may still consume, no more. A write refused before the NIC had
 // it — the post refused, the message unencodable — gives its units back,
 // so any number of refusals leaves the whole window standing; a write the
-// NIC took keeps them even when its completion wait times out, and the
-// channel refuses the next write rather than restage under the
-// descriptor the NIC still owns.
+// NIC took keeps them.
 func TestCreditConservation(t *testing.T) {
 	idle := func(t *testing.T, g *creditGate, what string) {
 		t.Helper()
@@ -493,7 +490,7 @@ func TestCreditConservation(t *testing.T) {
 	}{{"ctrl-ring", ctrlRing}, {"file-meta", fileMetaRing}} {
 		t.Run(g.name, func(t *testing.T) {
 			fx := newRingFixture(t, 1)
-			out, in := fx.slotPair(g.geom, 0)
+			out, in := fx.slotPair(g.geom)
 			out.out.vi = fx.idle
 			for i := 0; i < g.geom.slots+5; i++ {
 				if posted, err := out.writeEntry(entryBody(g.geom, i), 0, 0); err == nil || posted {
@@ -556,34 +553,6 @@ func TestCreditConservation(t *testing.T) {
 				t.Fatal(err)
 			}
 			expectInbound(t, b, int32(i))
-		}
-	})
-	t.Run("posted-timeout", func(t *testing.T) {
-		const timeout = 30 * time.Millisecond
-		fx := newRingFixture(t, 1)
-		out, in := fx.slotPair(ctrlRing, timeout)
-		fx.fabric.SlowNode("a", 10*timeout)
-		var te *RMWTimeoutError
-		if posted, err := out.writeEntry([]byte("first"), 0, 0); !posted || !errors.As(err, &te) {
-			t.Fatalf("slow write: posted %v, err %v", posted, err)
-		}
-		// The NIC owns descriptor and image: refused up front, nothing
-		// restaged, nothing claimed.
-		if posted, err := out.writeEntry([]byte("second"), 0, 0); posted || !errors.As(err, &te) {
-			t.Fatalf("write under a posted descriptor: posted %v, err %v", posted, err)
-		}
-		if sent, _ := out.gate.inFlight(); sent != 1 || out.next != 1 {
-			t.Fatalf("sent %d, next %d; the posted write alone holds a slot", sent, out.next)
-		}
-		fx.fabric.SlowNode("a", 0)
-		waitFor(t, 5*time.Second, "the slow write to complete", func() bool {
-			return out.out.desc.Status() != via.DescPosted
-		})
-		mustWrite(t, out, []byte("third"))
-		for _, want := range []string{"first", "third"} {
-			if got := pollEntry(t, in); string(got) != want {
-				t.Fatalf("polled %q, want %q", got, want)
-			}
 		}
 	})
 }

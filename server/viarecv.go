@@ -125,11 +125,9 @@ func (t *viaTransport) returnCredits(p *viaPeer, n uint64) {
 }
 
 // writeFlowCounter remote-writes one cumulative counter into the peer's
-// flow region and does not wait for it: the counter's descriptor is
-// reaped by the next write of the same counter, a credit batch of
-// messages later, so the calling thread parks only if the NIC is that
-// far behind (and gives up if it is wedged: the next batch carries
-// the count). Each counter has one writer goroutine (see viaPeer).
+// flow region. A write that fails is not retried: the next batch
+// carries the count. Each counter has one writer goroutine (see
+// viaPeer).
 func (t *viaTransport) writeFlowCounter(p *viaPeer, off int, v uint64) {
 	w := &p.ack[off/8]
 	if w.remote == 0 {
@@ -183,7 +181,7 @@ func (t *viaTransport) handleSetup(p *viaPeer, frame []byte) {
 		return newCreditGate(name, window, t.ins.stalls, t.cfg.trc)
 	}
 	out := func(op string, remote via.Handle, stage *via.MemoryRegion, n int) outWrite {
-		return newOutWrite(op, p.vi, t.cfg.rmwTimeout, remote, stage, 0, n)
+		return newOutWrite(op, p.vi, remote, stage, 0, n)
 	}
 	// The peer runs this version, so it announced every region this
 	// node's layout writes.
@@ -203,7 +201,6 @@ func (t *viaTransport) handleSetup(p *viaPeer, frame []byte) {
 			dataCredit: gate("file-data", dataSize),
 			data:       out("file-data", data, p.metaStage, 0),
 		}
-		p.outFile.data.lazy = true
 	}
 	p.peerMu.Unlock()
 	// If the peer failed while the setup frame was in flight, the fresh

@@ -57,15 +57,14 @@ type viaTransport struct {
 
 // viaConfig is the transport slice of the server configuration.
 type viaConfig struct {
-	self       int
-	nodes      int
-	version    netmodel.Version
-	window     int
-	batch      int
-	chunk      int
-	fileRing   int
-	rmwTimeout time.Duration
-	metrics    *metrics.Registry
+	self     int
+	nodes    int
+	version  netmodel.Version
+	window   int
+	batch    int
+	chunk    int
+	fileRing int
+	metrics  *metrics.Registry
 	// trc, when non-nil, records credit-stall and staging-copy spans for
 	// traced messages passing through the transport.
 	trc   *tracing.Collector
@@ -189,18 +188,15 @@ type viaPeer struct {
 
 	// Credit write-back: ack[i] stages cumulative counter i and
 	// remote-writes it into the peer's flow region (its remote handle
-	// arrives with the setup frame), without waiting. Every counter has
-	// one writer goroutine — the receive thread for the regular channel,
-	// the poll thread for the rings — so none of this is locked.
+	// arrives with the setup frame). Every counter has one writer
+	// goroutine — the receive thread for the regular channel, the poll
+	// thread for the rings — so none of this is locked.
 	ack [flowCounters]outWrite
 }
 
 const setupMagic = 0xFF
 
 func newViaTransport(nic *via.NIC, cfg viaConfig) (*viaTransport, error) {
-	if cfg.rmwTimeout <= 0 {
-		cfg.rmwTimeout = DefaultRMWTimeout
-	}
 	layout, err := newPeerLayout(cfg)
 	if err != nil {
 		return nil, err
@@ -262,9 +258,12 @@ func (t *viaTransport) connect(await bool) error {
 	return nil
 }
 
-// awaitSetup waits, a full timeout long, for p's setup frame.
+// setupTimeout bounds the wait for a peer's setup frame.
+const setupTimeout = 30 * time.Second
+
+// awaitSetup waits, setupTimeout long, for p's setup frame.
 func (t *viaTransport) awaitSetup(p *viaPeer) error {
-	timer := time.NewTimer(t.cfg.rmwTimeout)
+	timer := time.NewTimer(setupTimeout)
 	defer timer.Stop()
 	select {
 	case <-p.ready:
@@ -515,11 +514,10 @@ func (t *viaTransport) newPeer() (*viaPeer, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.reg = newOutWrite("regular-send", vi, t.cfg.rmwTimeout, 0, regStage, 0, l.regBuf)
+	p.reg = newOutWrite("regular-send", vi, 0, regStage, 0, l.regBuf)
 	if l.flow {
 		for i := range p.ack {
-			p.ack[i] = newOutWrite("flow-counter", vi, t.cfg.rmwTimeout, 0, ackReg, 8*i, 8)
-			p.ack[i].lazy = true
+			p.ack[i] = newOutWrite("flow-counter", vi, 0, ackReg, 8*i, 8)
 		}
 		p.flowIn.EnableRemoteWrite()
 	}
@@ -775,11 +773,6 @@ func (t *viaTransport) sendFileRMW(p *viaPeer, m *Message) error {
 	t.ins.acct.add(core.MsgFile, core.FileMetaBytes)
 	p.sendMu.Lock()
 	defer p.sendMu.Unlock()
-	// Descriptor and staging area are the data write's: not ours while a
-	// timed-out transfer is still posted.
-	if err := p.outFile.data.idle(); err != nil {
-		return err
-	}
 	src := m.SrcRegion
 	srcOff := m.SrcOffset
 	if !t.cfg.version.ZeroCopyTX || src == nil {

@@ -11,9 +11,9 @@ import (
 // for activity on many VIs — PRESS's receive thread does exactly this.
 //
 // Size the queue for the sum of the attached work-queue depths: a full
-// CQ stalls whoever completes into it — the goroutine posting a
-// transfer that moves inline, or the NIC engine — the software analogue
-// of a CQ overrun error in the VIA specification.
+// CQ stalls whoever completes into it — the goroutine posting the
+// transfer — the software analogue of a CQ overrun error in the VIA
+// specification.
 type CompletionQueue struct {
 	ch   chan Completion
 	done chan struct{}

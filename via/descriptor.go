@@ -30,7 +30,8 @@ type DescStatus int
 const (
 	// DescIdle: not posted.
 	DescIdle DescStatus = iota
-	// DescPosted: on a work queue, being processed asynchronously.
+	// DescPosted: owned by the VI: a send or remote write while its post
+	// moves it, a receive until a send lands in it.
 	DescPosted
 	// DescDone: completed successfully.
 	DescDone
@@ -40,9 +41,10 @@ const (
 
 // Descriptor describes one transfer request: a gather/scatter list over
 // registered memory plus, for remote memory writes, the remote target.
-// The network interface processes posted descriptors asynchronously and
-// marks them complete; descriptors are then reused for subsequent
-// requests (Section 2.1).
+// The network interface processes posted descriptors and marks them
+// complete; descriptors are then reused for subsequent requests
+// (Section 2.1). A send or remote write is complete when its post
+// returns; a receive completes when a send lands in it.
 type Descriptor struct {
 	segments []Segment
 
@@ -111,45 +113,25 @@ func (d *Descriptor) Transferred() int {
 }
 
 // Wait blocks until the descriptor completes or the timeout elapses
-// (timeout <= 0 waits forever). It returns the completion error.
+// (timeout <= 0 waits forever), and returns the completion error. One
+// waiter at a time. Only the status ends the wait, looked at before the
+// timer is armed and after every wake: a signal left over from an
+// earlier transfer costs one more look, never an early return.
 func (d *Descriptor) Wait(timeout time.Duration) error {
-	return d.WaitTimer(nil, timeout)
-}
-
-// WaitTimer is Wait for a caller that waits on transfer after transfer:
-// instead of arming a fresh timer per call it bounds the wait with
-// reused, which the caller owns and hands over stopped and drained, and
-// which is stopped and drained again when WaitTimer returns. A nil
-// reused arms a fresh timer, as Wait does. One waiter at a time. Only
-// the status ends the wait, looked at before the timer is armed and after
-// every wake: a signal left over from an earlier transfer costs one more
-// look, never an early return. The one counted site is done's make, once
-// per descriptor; the nil-timer path is gated.
-//
-//presslint:hotpath budget=1
-func (d *Descriptor) WaitTimer(reused *time.Timer, timeout time.Duration) error {
 	ch, finished, err := d.settled()
 	if finished {
 		return err
 	}
-	t := reused
 	var expired <-chan time.Time
 	if timeout > 0 {
-		if t == nil {
-			//presslint:alloc-gated a one-off Wait; callers that wait transfer after transfer hand in their timer
-			t = time.NewTimer(timeout)
-		} else {
-			t.Reset(timeout)
-		}
+		t := time.NewTimer(timeout)
+		defer t.Stop()
 		expired = t.C
 	}
 	for {
 		select {
 		case <-ch:
 			if _, finished, err := d.settled(); finished {
-				if expired != nil && !t.Stop() {
-					<-t.C
-				}
 				return err
 			}
 		case <-expired:

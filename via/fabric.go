@@ -13,10 +13,9 @@ type FabricOption func(*Fabric)
 
 // WithMetrics attaches an observability registry: every NIC created on
 // the fabric registers per-NIC counters (sends, receives, remote
-// writes, bytes), a descriptor work-queue depth gauge, and a send
-// completion-latency histogram. A nil registry (the default) disables
-// the latency/depth instrumentation entirely; the counters always run,
-// as they back NIC.Stats.
+// writes, bytes) and a send completion-latency histogram. A nil
+// registry (the default) disables the latency histogram entirely; the
+// counters always run, as they back NIC.Stats.
 func WithMetrics(r *metrics.Registry) FabricOption {
 	return func(f *Fabric) { f.metrics = r }
 }
@@ -43,9 +42,9 @@ func NewFabric(opts ...FabricOption) *Fabric {
 	return f
 }
 
-// CreateNIC attaches a new NIC with the given address to the fabric
-// and starts its engine, which moves the transfers that cannot complete
-// on the goroutine posting them.
+// CreateNIC attaches a new NIC with the given address to the fabric.
+// It starts no goroutine: each transfer moves on the goroutine that
+// posts it.
 func (f *Fabric) CreateNIC(addr string) (*NIC, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("via: empty NIC address")

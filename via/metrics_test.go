@@ -71,9 +71,6 @@ func TestNICMetricsRegistered(t *testing.T) {
 	if h.Count != 1 {
 		t.Errorf("send latency histogram count = %d, want 1", h.Count)
 	}
-	if _, ok := s.Gauges[metrics.Key("via_workq_depth", "nic=nodeA")]; !ok {
-		t.Error("work-queue depth gauge missing")
-	}
 	// Registry and NIC.Stats must agree: the counters are shared.
 	if st := na.Stats(); st.SendsPosted != 1 || st.BytesSent != int64(len(msg)) {
 		t.Errorf("NIC.Stats diverges from registry: %+v", st)
@@ -85,8 +82,8 @@ func TestNICMetricsRegistered(t *testing.T) {
 func TestNICMetricsDisabled(t *testing.T) {
 	_, na, nb, va, vb := pair(t)
 	sendRecv(t, na, nb, va, vb, []byte("x"))
-	if na.m.sendLatency != nil || na.m.workDepth != nil {
-		t.Error("disabled NIC must not carry latency/depth instruments")
+	if na.m.sendLatency != nil {
+		t.Error("disabled NIC must not carry a latency instrument")
 	}
 	if st := na.Stats(); st.SendsPosted != 1 || st.SendsComplete != 1 {
 		t.Errorf("Stats must still count when metrics are disabled: %+v", st)

@@ -21,9 +21,9 @@ type Stats struct {
 // nicMetrics holds a NIC's instruments. The counters and the
 // registered-bytes gauge always exist — they back Stats and
 // RegisteredBytes — either standalone or interned in the fabric's
-// registry under a nic=<addr> label. The depth gauge and the send
-// completion-latency histogram exist only with a registry attached, so
-// the disabled path never reads the clock.
+// registry under a nic=<addr> label. The send completion-latency
+// histogram exists only with a registry attached, so the disabled path
+// never reads the clock.
 type nicMetrics struct {
 	sendsPosted   *metrics.Counter
 	recvsPosted   *metrics.Counter
@@ -32,7 +32,6 @@ type nicMetrics struct {
 	rdmaWrites    *metrics.Counter
 	bytesSent     *metrics.Counter
 	registered    *metrics.Gauge
-	workDepth     *metrics.Gauge
 	sendLatency   *metrics.Histogram
 }
 
@@ -57,17 +56,14 @@ func newNICMetrics(r *metrics.Registry, addr string) nicMetrics {
 		rdmaWrites:    r.Counter("via_rmw_total", label),
 		bytesSent:     r.Counter("via_sent_bytes", label),
 		registered:    r.Gauge("via_registered_bytes", label),
-		workDepth:     r.Gauge("via_workq_depth", label),
 		sendLatency:   r.Histogram("via_send_latency_ns", label),
 	}
 }
 
 // NIC is one node's network interface. Processes gain user-level access
-// to it by creating VIs and registering memory. A posted descriptor
-// moves in doorbell order: on the posting goroutine, complete before
-// the post returns, when the NIC is idle and the peer is an unslowed
-// NIC of this process; otherwise on the NIC's engine goroutine (the
-// DMA engine), asynchronously, behind everything queued before it.
+// to it by creating VIs and registering memory. A posted send or remote
+// write moves on the goroutine that posts it and is complete when the
+// post returns.
 type NIC struct {
 	fabric *Fabric
 	addr   string
@@ -87,23 +83,16 @@ type NIC struct {
 	// bound (see UDPBridge), immutable afterwards.
 	fw forwarder
 
-	work chan workItem
+	// done is closed by Close; a Connect waiting on this NIC gives up.
 	done chan struct{}
 
-	// xfer guards queued, the descriptors handed to the engine and not
-	// yet completed. A post moves its transfer inline, holding xfer,
-	// only while queued is zero, and the engine moves only what queued
-	// counts, so the two never move transfers at once and one poster's
-	// transfers land in post order. The engine takes xfer only to count
-	// a transfer done, never while it moves one, so neither a slowed
-	// link nor a bridge write holds up a post.
-	xfer   sync.Mutex
-	queued int
-	// wire is the transfer buffer of a descriptor that cannot move in
-	// one copy (several segments, or a peer behind a bridge): it is
-	// gathered into wire and delivered from it. Whoever moves the
-	// transfer owns wire, and every delivery path copies out before the
-	// transfer completes.
+	// xfer is held while a transfer moves, so the NIC moves one at a
+	// time and each poster's transfers land in post order. It guards
+	// wire, the transfer buffer of a descriptor that cannot move in one
+	// copy (several segments, or a peer behind a bridge): it is gathered
+	// into wire and delivered from it, and every delivery path copies
+	// out before the transfer completes.
+	xfer sync.Mutex
 	wire []byte
 
 	// bell is the remote-write doorbell (see Doorbell); written lists
@@ -122,23 +111,8 @@ const (
 	opRDMA
 )
 
-// workItem is one posted descriptor. The engine's queue holds workDepth
-// of them per NIC, so they stay small.
-type workItem struct {
-	vi     *VI
-	desc   *Descriptor
-	posted time.Time // set only when the send-latency histogram is live
-	// slow and up are the link's state as the post looked it up
-	// (linked), when nothing was queued ahead of the descriptor;
-	// otherwise the engine looks it up.
-	slow   time.Duration
-	op     opcode
-	linked bool
-	up     bool
-}
-
 // route is what one transfer needs: the peer, or why there is none, and
-// the state of the link to it. The link is looked up once per transfer.
+// the state of the link to it, looked up once per transfer.
 type route struct {
 	peer   *NIC
 	peerVI uint32
@@ -147,29 +121,13 @@ type route struct {
 	slow   time.Duration
 }
 
-func (n *NIC) route(w workItem) route {
+func (n *NIC) route(vi *VI) route {
 	var r route
-	if r.peer, r.peerVI, r.err = w.vi.peerRef(); r.err != nil {
-		return r
-	}
-	if w.linked {
-		r.up, r.slow = w.up, w.slow
-	} else {
+	if r.peer, r.peerVI, r.err = vi.peerRef(); r.err == nil {
 		r.up, r.slow = n.fabric.link(n.addr, r.peer.addr)
 	}
 	return r
 }
-
-// inline reports whether the posting goroutine may move the transfer
-// itself: the peer is a NIC of this process, reached over a link that
-// is up and not slowed. Everything else (a slow-node penalty, a bridge
-// write, a failure to report) is the engine's.
-func (r route) inline() bool {
-	return r.err == nil && r.up && r.slow == 0 && r.peer.fw == nil
-}
-
-// workDepth is the descriptor work-queue capacity of every NIC.
-const workDepth = 4096
 
 func newNIC(f *Fabric, addr string) *NIC {
 	n := &NIC{
@@ -178,12 +136,10 @@ func newNIC(f *Fabric, addr string) *NIC {
 		regions:   make(map[Handle]*MemoryRegion),
 		vis:       make(map[uint32]*VI),
 		listeners: make(map[string]*Listener),
-		work:      make(chan workItem, workDepth),
 		done:      make(chan struct{}),
 		bell:      make(chan struct{}, 1),
 		m:         newNICMetrics(f.metrics, addr),
 	}
-	go n.engine()
 	return n
 }
 
@@ -280,10 +236,16 @@ func (n *NIC) vi(id uint32) (*VI, bool) {
 	return v, ok
 }
 
-// post rings the doorbell. An idle NIC moves the transfer on the
-// calling goroutine and completes it before post returns; otherwise the
-// descriptor queues for the engine behind what is already there.
-func (n *NIC) post(w workItem) error {
+// post rings the doorbell and moves the transfer on the calling
+// goroutine, complete when post returns. A slowed link's penalty is
+// slept first with nothing locked, so a slowed peer delays only the
+// goroutines that post to it; a NIC closed by then refuses the post.
+func (n *NIC) post(vi *VI, d *Descriptor, op opcode) error {
+	r := n.route(vi)
+	if r.err == nil && r.up && r.slow > 0 {
+		// Slow-node fault injection: the transfer succeeds, just late.
+		sleep(r.slow)
+	}
 	n.mu.Lock()
 	closed := n.closed
 	n.mu.Unlock()
@@ -291,133 +253,59 @@ func (n *NIC) post(w workItem) error {
 		return ErrClosed
 	}
 	n.m.sendsPosted.Inc()
+	var posted time.Time
 	if n.m.sendLatency != nil {
-		w.posted = time.Now()
+		posted = time.Now()
 	}
 	n.xfer.Lock()
-	if n.queued == 0 {
-		r := n.route(w)
-		if r.inline() {
-			n.carry(w, r)
-			n.xfer.Unlock()
-			return nil
-		}
-		w.linked, w.up, w.slow = true, r.up, r.slow
+	defer n.xfer.Unlock()
+	moved, err := n.carry(vi, d, op, r)
+	d.complete(moved, err)
+	n.m.sendsComplete.Inc()
+	if n.m.sendLatency != nil {
+		n.m.sendLatency.Observe(int64(time.Since(posted)))
 	}
-	n.queued++
-	n.xfer.Unlock()
-	select {
-	case n.work <- w:
-		n.m.workDepth.Set(int64(len(n.work)))
-	case <-n.done:
-		n.abort(w)
-	}
+	vi.sendCompleted(d, err)
 	return nil
 }
 
-// engine is the DMA engine: it moves the transfers that cannot move on
-// the posting goroutine, one at a time in post order, sleeping a slowed
-// link's penalty first, and stops at Close. Close wins over queued
-// work: what is still queued then completes with ErrClosed.
-func (n *NIC) engine() {
-	for {
-		select {
-		case <-n.done:
-			n.drainWork()
-			return
-		case w := <-n.work:
-			if n.isClosed() {
-				n.abort(w)
-				n.drainWork()
-				return
-			}
-			n.m.workDepth.Set(int64(len(n.work)))
-			r := n.route(w)
-			if r.err == nil && r.up && r.slow > 0 {
-				// Slow-node fault injection: the transfer succeeds, just
-				// late. Nothing is locked, so posts keep queueing.
-				sleep(r.slow)
-			}
-			n.carry(w, r)
-			n.dequeue()
-		}
-	}
-}
-
-func (n *NIC) isClosed() bool {
-	select {
-	case <-n.done:
-		return true
-	default:
-		return false
-	}
-}
-
-func (n *NIC) drainWork() {
-	for {
-		select {
-		case w := <-n.work:
-			n.abort(w)
-		default:
-			return
-		}
-	}
-}
-
-// abort completes a queued descriptor the engine will not move.
-func (n *NIC) abort(w workItem) {
-	n.completeSend(w, 0, ErrClosed)
-	n.dequeue()
-}
-
-// dequeue ends a queued descriptor's hold on the NIC: posts move inline
-// again once every queued one has completed.
-func (n *NIC) dequeue() {
-	n.xfer.Lock()
-	n.queued--
-	n.xfer.Unlock()
-}
-
-// carry moves w's payload to the peer r names and completes w. A
-// single segment to a NIC of this process is copied straight from the
-// sender's region into the target; anything else is gathered into wire
-// first.
-func (n *NIC) carry(w workItem, r route) {
+// carry moves d's payload to the peer r names and returns the bytes
+// moved. A single segment to a NIC of this process is copied straight
+// from the sender's region into the target; anything else is gathered
+// into wire first.
+func (n *NIC) carry(vi *VI, d *Descriptor, op opcode, r route) (int, error) {
 	if r.err != nil {
-		n.completeSend(w, 0, r.err)
-		return
+		return 0, r.err
 	}
 	if !r.up {
 		err := fmt.Errorf("%w: %s <-> %s", ErrLinkDown, n.addr, r.peer.addr)
 		//presslint:alloc-gated failure path: a transfer over a severed link breaks the connection
-		w.vi.breakConn(err)
-		n.completeSend(w, 0, err)
-		return
+		vi.breakConn(err)
+		return 0, err
 	}
-	p, err := n.payload(w.desc, r.peer.fw == nil)
+	p, err := n.payload(d, r.peer.fw == nil)
 	if err != nil {
-		n.completeSend(w, 0, err)
-		return
+		return 0, err
 	}
 	switch {
-	case w.op == opSend && r.peer.fw != nil:
+	case op == opSend && r.peer.fw != nil:
 		err = r.peer.deliverSend(r.peerVI, p.buf)
-	case w.op == opSend:
+	case op == opSend:
 		err = r.peer.receive(r.peerVI, p)
 	case r.peer.fw != nil:
-		err = r.peer.deliverRDMA(r.peerVI, w.desc.remoteHandle, w.desc.remoteOffset, p.buf)
+		err = r.peer.deliverRDMA(r.peerVI, d.remoteHandle, d.remoteOffset, p.buf)
 	default:
-		err = r.peer.remoteWrite(w.desc.remoteHandle, w.desc.remoteOffset, p)
+		err = r.peer.remoteWrite(d.remoteHandle, d.remoteOffset, p)
 	}
-	if err == nil && w.op == opRDMA {
+	if err == nil && op == opRDMA {
 		n.m.rdmaWrites.Inc()
 	}
 	if err != nil {
 		//presslint:alloc-gated failure path: a refused delivery breaks the connection
-		w.vi.breakConn(err)
+		vi.breakConn(err)
 	}
 	n.m.bytesSent.Add(int64(p.n))
-	n.completeSend(w, p.n, err)
+	return p.n, err
 }
 
 // payload is what d carries, checked readable. With oneCopy a single
@@ -434,15 +322,6 @@ func (n *NIC) payload(d *Descriptor, oneCopy bool) (payload, error) {
 	}
 	n.wire = b
 	return bytesPayload(b), nil
-}
-
-func (n *NIC) completeSend(w workItem, bytes int, err error) {
-	w.desc.complete(bytes, err)
-	n.m.sendsComplete.Inc()
-	if n.m.sendLatency != nil && !w.posted.IsZero() {
-		n.m.sendLatency.Observe(int64(time.Since(w.posted)))
-	}
-	w.vi.sendCompleted(w.desc, err)
 }
 
 // forwarder intercepts a proxy NIC's deliveries (see NIC.fw).
@@ -554,8 +433,8 @@ func (n *NIC) ringDoorbell(r *MemoryRegion) {
 	}
 }
 
-// Close shuts the NIC down: the engine stops, pending descriptors and
-// connections complete with ErrClosed.
+// Close shuts the NIC down: its connections and pending receive
+// descriptors complete with ErrClosed, and later posts are refused.
 func (n *NIC) Close() {
 	n.mu.Lock()
 	if n.closed {

@@ -60,6 +60,11 @@ const (
 	maxBridgeFrame = 64 << 20
 )
 
+// bridgeWriteTimeout bounds one frame write: a peer process that stops
+// reading breaks that one channel instead of holding its poster, and the
+// NIC's transfers behind it, for good. A var only so tests can shorten it.
+var bridgeWriteTimeout = 30 * time.Second
+
 // Frames are a u32 length, then a kind byte and its fields. All
 // integers little-endian; strings length-prefixed (str8: u8 length,
 // str16: u16 length). The dialer opens with CONNECT and the acceptor
@@ -130,13 +135,20 @@ func (c *bChan) write(kind byte, head, body []byte) error {
 	return c.writeLocked(kind, head, body)
 }
 
+// writeLocked is write with wmu held. A write that fails, its deadline
+// passed included, closes the connection, so the channel's reader ends
+// the channel.
 func (c *bChan) writeLocked(kind byte, head, body []byte) error {
 	f := binary.LittleEndian.AppendUint32(c.buf[:0], uint32(1+len(head)+len(body)))
 	f = append(f, kind)
 	f = append(f, head...)
 	f = append(f, body...)
 	c.buf = f
+	_ = c.conn.SetWriteDeadline(time.Now().Add(bridgeWriteTimeout))
 	_, err := c.conn.Write(f)
+	if err != nil {
+		c.conn.Close()
+	}
 	return err
 }
 
@@ -514,7 +526,7 @@ func (b *UDPBridge) serve(c *bChan, fr *frameReader) error {
 			}
 			h := Handle(binary.LittleEndian.Uint64(f[1:]))
 			off := int(binary.LittleEndian.Uint64(f[9:]))
-			// A refused write breaks its channel, as the sender's engine
+			// A refused write breaks its channel, as the poster's carry
 			// does in process.
 			if err := realNIC.deliverRDMA(realVI, h, off, f[17:]); err != nil {
 				c.pv.breakConn(err)

@@ -421,6 +421,32 @@ func TestBridgeConnectionLossBreaksChannel(t *testing.T) {
 	})
 }
 
+// TestBridgeWriteToWedgedPeerFails: a peer process that stops reading
+// fails the frame write once bridgeWriteTimeout passes, and the write
+// closes the connection, so the channel's reader ends the channel
+// instead of the poster hanging for good.
+func TestBridgeWriteToWedgedPeerFails(t *testing.T) {
+	old := bridgeWriteTimeout
+	bridgeWriteTimeout = 20 * time.Millisecond
+	t.Cleanup(func() { bridgeWriteTimeout = old })
+	near, far := net.Pipe()
+	defer far.Close()
+	c := &bChan{conn: near}
+	done := make(chan error, 1)
+	go func() { done <- c.write(frameSend, nil, []byte("never read")) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("a frame nobody reads was written")
+		}
+	case <-time.After(testTimeout):
+		t.Fatal("a write to a peer that never reads outlived its deadline")
+	}
+	if _, err := near.Read(make([]byte, 1)); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("read after the failed write: %v, want the connection closed", err)
+	}
+}
+
 // TestBridgeRDMAProtectionBreaksChannel: a bridged remote write the real
 // NIC refuses breaks both VIs, as it does in process, and the reason
 // names the protection fault on both sides.

@@ -220,7 +220,7 @@ func (v *VI) postOut(d *Descriptor, op opcode) error {
 	v.sendPending++
 	v.mu.Unlock()
 
-	if err := v.nic.post(workItem{vi: v, desc: d, op: op}); err != nil {
+	if err := v.nic.post(v, d, op); err != nil {
 		v.mu.Lock()
 		v.sendPending--
 		v.mu.Unlock()
@@ -302,8 +302,7 @@ func (v *VI) sendCompleted(d *Descriptor, err error) {
 	}
 	// Best-effort notification: the descriptor's own status is the
 	// authoritative completion record (Descriptor.Wait/Status), so an
-	// undrained notification channel must not stall the goroutine
-	// moving the transfer — the poster's own, or the engine.
+	// undrained notification channel must not stall the poster.
 	select {
 	case v.sendDone <- c:
 	default:

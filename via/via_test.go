@@ -685,7 +685,7 @@ func bellRaised(n *NIC) bool {
 }
 
 // TestDoorbellCoalesces: any number of back-to-back remote writes, with
-// nobody listening, raise the bell once and never block the engine, and
+// nobody listening, raise the bell once and never block the poster, and
 // each written region is listed once however often it was written.
 func TestDoorbellCoalesces(t *testing.T) {
 	_, na, nb, va, _ := pair(t)
@@ -799,123 +799,83 @@ func TestDoorbellSilentOnRefusedWrite(t *testing.T) {
 	}
 }
 
-// TestWaitTimerReuse: one caller-owned timer bounds wait after wait —
-// completed transfers leave it stopped and drained, an expired wait
-// reports ErrTimeout and leaves it usable — and SetSegment moves a
-// descriptor's source between transfers but never under the NIC.
-func TestWaitTimerReuse(t *testing.T) {
+// TestPostAllocs: a one-copy post allocates nothing, its descriptor
+// retargeted between posts by SetSegment included, and is done when it
+// returns.
+func TestPostAllocs(t *testing.T) {
 	_, na, nb, va, _ := pair(t)
-	rreg, _ := nb.RegisterMemory(make([]byte, 8))
-	rreg.EnableRemoteWrite()
+	dst, _ := nb.RegisterMemory(make([]byte, 8))
+	dst.EnableRemoteWrite()
 	src, _ := na.RegisterMemory([]byte("abcdefgh"))
-	d := MustDescriptor(Segment{Region: src, Offset: 0, Len: 4})
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
-
-	for i := 0; i < 50; i++ {
+	d := MustDescriptor(Segment{Region: src, Len: 4})
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		i++
 		if err := d.SetSegment(0, Segment{Region: src, Offset: i % 4, Len: 4}); err != nil {
 			t.Fatal(err)
 		}
-		if err := va.PostRDMAWrite(d, rreg.Handle(), 0); err != nil {
+		if err := va.PostRDMAWrite(d, dst.Handle(), 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.WaitTimer(timer, testTimeout); err != nil {
-			t.Fatalf("wait %d: %v", i, err)
+		if s := d.Status(); s != DescDone {
+			t.Fatalf("post %d is %v when it returns, want done", i, s)
 		}
-		select {
-		case <-timer.C:
-			t.Fatalf("wait %d left a value in the timer", i)
-		default:
-		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a one-copy post allocates %.2f times, want 0", allocs)
 	}
 	got := make([]byte, 4)
-	rreg.Read(got, 0)
-	if string(got) != "bcde" {
-		t.Errorf("last transfer wrote %q, want the retargeted segment", got)
-	}
-
-	// A descriptor nobody completes: the reused timer expires the wait.
-	stuck := MustDescriptor(Segment{Region: src, Offset: 0, Len: 4})
-	if err := stuck.markPosted(); err != nil {
-		t.Fatal(err)
-	}
-	if err := stuck.WaitTimer(timer, 5*time.Millisecond); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("stuck wait: %v", err)
-	}
-	if err := stuck.SetSegment(0, Segment{Region: src, Offset: 0, Len: 1}); err == nil {
-		t.Error("SetSegment of a posted descriptor accepted")
-	}
-	stuck.complete(0, nil)
-	if err := stuck.WaitTimer(timer, testTimeout); err != nil {
-		t.Fatalf("wait after the timeout: %v", err)
+	dst.Read(got, 0)
+	if want := "abcdefgh"[i%4 : i%4+4]; string(got) != want {
+		t.Errorf("last transfer wrote %q, want the retargeted segment %q", got, want)
 	}
 	if err := d.SetSegment(1, Segment{Region: src}); err == nil {
 		t.Error("SetSegment past the segment list accepted")
 	}
 }
 
-// TestWaitTimerIgnoresStaleSignal: a wait that times out leaves the
-// completion's signal behind when the transfer lands; the next wait on
-// the reused descriptor must take it as a reason to look, not as its own
-// completion, and return with the second transfer's status and count.
-func TestWaitTimerIgnoresStaleSignal(t *testing.T) {
-	const latency = 20 * time.Millisecond
-	f, na, nb, va, _ := pair(t)
-	f.SlowNode("nodeB", latency)
-	dst, _ := nb.RegisterMemory(make([]byte, 8))
-	dst.EnableRemoteWrite()
+// TestWaitIgnoresStaleSignal: a receive wait that times out leaves the
+// completion's signal behind when a send lands; the next wait on the
+// reposted descriptor must take it as a reason to look, not as its own
+// completion, and return with the second receive's status and count.
+func TestWaitIgnoresStaleSignal(t *testing.T) {
+	_, na, nb, va, vb := pair(t)
 	src, _ := na.RegisterMemory([]byte("abcdefgh"))
-	d := MustDescriptor(Segment{Region: src, Len: 4})
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
+	dst, _ := nb.RegisterMemory(make([]byte, 8))
+	rd := MustDescriptor(Segment{Region: dst, Len: 8})
+	send := func(n int) {
+		t.Helper()
+		if err := va.PostSend(MustDescriptor(Segment{Region: src, Len: n})); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	if err := va.PostRDMAWrite(d, dst.Handle(), 0); err != nil {
+	if err := vb.PostRecv(rd); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.WaitTimer(timer, latency/10); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("a wait shorter than the latency returned %v, want ErrTimeout", err)
+	if err := rd.SetSegment(0, Segment{Region: dst, Len: 4}); err == nil {
+		t.Error("SetSegment of a posted descriptor accepted")
 	}
-	for d.Status() == DescPosted {
-		time.Sleep(time.Millisecond)
+	if err := rd.Wait(5 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("a wait with no send returned %v, want ErrTimeout", err)
 	}
-	if d.Transferred() != 4 {
-		t.Fatalf("first transfer moved %d bytes, want 4", d.Transferred())
+	send(4)
+	if s, n := rd.Status(), rd.Transferred(); s != DescDone || n != 4 {
+		t.Fatalf("first receive is %v with %d bytes, want done with 4", s, n)
 	}
-	if err := d.SetSegment(0, Segment{Region: src, Len: 8}); err != nil {
+
+	if err := vb.PostRecv(rd); err != nil {
 		t.Fatal(err)
 	}
-	if err := va.PostRDMAWrite(d, dst.Handle(), 0); err != nil {
-		t.Fatal(err)
+	if err := rd.Wait(5 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("a wait on the reposted receive returned %v before any send, want ErrTimeout", err)
 	}
-	if err := d.WaitTimer(timer, testTimeout); err != nil {
+	send(8)
+	if err := rd.Wait(testTimeout); err != nil {
 		t.Fatalf("second wait: %v", err)
 	}
-	if s, n := d.Status(), d.Transferred(); s != DescDone || n != 8 {
+	if s, n := rd.Status(), rd.Transferred(); s != DescDone || n != 8 {
 		t.Fatalf("the second wait returned at status %v with %d bytes moved; want done with 8", s, n)
-	}
-}
-
-// TestWaitTimerAllocs: once a descriptor has made its signal, a post and
-// a wait on it with a reused timer allocate nothing, sender and engine
-// included.
-func TestWaitTimerAllocs(t *testing.T) {
-	_, na, nb, va, _ := pair(t)
-	dst, _ := nb.RegisterMemory(make([]byte, 8))
-	dst.EnableRemoteWrite()
-	src, _ := na.RegisterMemory([]byte("abcdefgh"))
-	d := MustDescriptor(Segment{Region: src, Len: 8})
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := va.PostRDMAWrite(d, dst.Handle(), 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.WaitTimer(timer, testTimeout); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("post + WaitTimer allocates %.2f times per transfer, want 0", allocs)
 	}
 }
 
