@@ -8,13 +8,15 @@ import (
 )
 
 // descriptorLifecycle enforces the VIA descriptor ownership rule
-// (spec Section 2.1, reproduced by via.Descriptor): once posted with
-// PostSend/PostRecv/PostRDMAWrite, a descriptor — and the registered
-// memory its segments describe — belongs to the NIC until the
-// completion is reaped. The analyzer flags, within one function:
+// (spec Section 2.1, reproduced by via.Descriptor) where it still
+// spans time: once posted with PostRecv, a receive descriptor — and the
+// registered memory its segments describe — belongs to the NIC until
+// the completion is reaped. A send or remote write is complete when
+// PostSend/PostRDMAWrite returns, so those posts leave nothing owned and
+// are not tracked. The analyzer flags, within one function:
 //
 //   - a descriptor posted again while still posted (no intervening
-//     Wait/SendWait/RecvWait/Poll/Status between the posts);
+//     Wait/RecvWait/Poll/Status between the posts);
 //   - Reset called on a posted descriptor (panics at runtime);
 //   - a Write/Store32/Store64 on a memory region that backs a posted
 //     descriptor's segments (the transfer races the mutation).
@@ -33,21 +35,19 @@ const descriptorLifecycleName = "descriptor-lifecycle"
 
 var descriptorLifecycle = &Analyzer{
 	Name: descriptorLifecycleName,
-	Doc:  "via.Descriptor re-posted or its buffer mutated between Post* and completion",
+	Doc:  "receive via.Descriptor re-posted or its buffer mutated between PostRecv and completion",
 	Run:  runDescriptorLifecycle,
 }
 
+// postMethods hand a descriptor to the NIC until a later completion.
 var postMethods = map[string]bool{
-	"PostSend":      true,
-	"PostRecv":      true,
-	"PostRDMAWrite": true,
+	"PostRecv": true,
 }
 
 // reapMethods drain completions; seeing one means any descriptor may
 // have completed, so all posted state clears.
 var reapMethods = map[string]bool{
 	"Wait":     true,
-	"SendWait": true,
 	"RecvWait": true,
 	"Poll":     true,
 }

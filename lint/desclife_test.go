@@ -13,8 +13,8 @@ func TestDescriptorLifecycle(t *testing.T) {
 
 func f() {
 	d := MustDescriptor(Segment{Region: r, Len: 8})
-	vi.PostSend(d)
-	vi.PostSend(d) // want
+	vi.PostRecv(d)
+	vi.PostRecv(d) // want
 }
 `,
 		},
@@ -23,7 +23,7 @@ func f() {
 			src: `package fx
 
 func f(d *Descriptor) {
-	vi.PostSend(d)
+	vi.PostRecv(d)
 	d.Reset() // want
 }
 `,
@@ -34,7 +34,7 @@ func f(d *Descriptor) {
 
 func f(buf []byte) {
 	d := MustDescriptor(Segment{Region: r, Len: 8})
-	vi.PostSend(d)
+	vi.PostRecv(d)
 	r.Write(buf, 0) // want
 }
 `,
@@ -45,7 +45,7 @@ func f(buf []byte) {
 
 func f(n int) {
 	for i := 0; i < n; i++ {
-		vi.PostSend(d) // want
+		vi.PostRecv(d) // want
 	}
 }
 `,
@@ -55,9 +55,9 @@ func f(n int) {
 			src: `package fx
 
 func f() {
-	vi.PostSend(d)
+	vi.PostRecv(d)
 	cq.Wait(0)
-	vi.PostSend(d)
+	vi.PostRecv(d)
 }
 `,
 		},
@@ -66,9 +66,9 @@ func f() {
 			src: `package fx
 
 func f() {
-	vi.PostSend(d)
+	vi.PostRecv(d)
 	if d.Status() == DescDone {
-		vi.PostSend(d)
+		vi.PostRecv(d)
 	}
 }
 `,
@@ -78,9 +78,9 @@ func f() {
 			src: `package fx
 
 func f() {
-	vi.PostSend(d)
+	vi.PostRecv(d)
 	ship(d)
-	vi.PostSend(d)
+	vi.PostRecv(d)
 }
 `,
 		},
@@ -90,7 +90,7 @@ func f() {
 
 func f(n int) {
 	for i := 0; i < n; i++ {
-		vi.PostSend(d)
+		vi.PostRecv(d)
 		cq.Wait(0)
 	}
 }
@@ -102,7 +102,7 @@ func f(n int) {
 
 func f(buf []byte) {
 	d := MustDescriptor(Segment{Region: r, Len: 8})
-	vi.PostSend(d)
+	vi.PostRecv(d)
 	d.Wait(0)
 	r.Write(buf, 0)
 }
@@ -113,9 +113,66 @@ func f(buf []byte) {
 			src: `package fx
 
 func f() {
-	vi.PostSend(d)
+	vi.PostRecv(d)
 	//presslint:ignore descriptor-lifecycle retried only after ErrQueueFull
+	vi.PostRecv(d)
+}
+`,
+		},
+		// A send or remote write is complete when its post returns, so
+		// nothing below is a finding.
+		{
+			name: "send posted twice",
+			src: `package fx
+
+func f() {
+	d := MustDescriptor(Segment{Region: r, Len: 8})
 	vi.PostSend(d)
+	vi.PostSend(d)
+}
+`,
+		},
+		{
+			name: "remote write posted twice",
+			src: `package fx
+
+func f(h Handle) {
+	d := MustDescriptor(Segment{Region: r, Len: 8})
+	vi.PostRDMAWrite(d, h, 0)
+	vi.PostRDMAWrite(d, h, 8)
+}
+`,
+		},
+		{
+			name: "send in a loop",
+			src: `package fx
+
+func f(n int) {
+	for i := 0; i < n; i++ {
+		vi.PostSend(d)
+	}
+}
+`,
+		},
+		{
+			name: "region restaged after a send",
+			src: `package fx
+
+func f(buf []byte) {
+	d := MustDescriptor(Segment{Region: r, Len: 8})
+	vi.PostSend(d)
+	r.Write(buf, 0)
+	vi.PostSend(d)
+}
+`,
+		},
+		{
+			name: "reset after a send",
+			src: `package fx
+
+func f(d *Descriptor) {
+	vi.PostSend(d)
+	d.Reset()
 }
 `,
 		},
@@ -141,12 +198,12 @@ func TestDescriptorLifecycleSummaries(t *testing.T) {
 			src: `package fx
 
 func f() {
-	vi.PostSend(d)
+	vi.PostRecv(d)
 	shipOut(d) // want
 }
 
 func shipOut(d *Descriptor) {
-	vi.PostSend(d)
+	vi.PostRecv(d)
 }
 `,
 		},
@@ -155,9 +212,9 @@ func shipOut(d *Descriptor) {
 			src: `package fx
 
 func f() {
-	vi.PostSend(d)
+	vi.PostRecv(d)
 	settle(d)
-	vi.PostSend(d)
+	vi.PostRecv(d)
 }
 
 func settle(d *Descriptor) {
@@ -170,9 +227,9 @@ func settle(d *Descriptor) {
 			src: `package fx
 
 func f() {
-	vi.PostSend(d)
+	vi.PostRecv(d)
 	note(d)
-	vi.PostSend(d) // want
+	vi.PostRecv(d) // want
 }
 
 func note(d *Descriptor) {
@@ -185,9 +242,9 @@ func note(d *Descriptor) {
 			src: `package fx
 
 func f() {
-	vi.PostSend(d)
+	vi.PostRecv(d)
 	relay(d)
-	vi.PostSend(d)
+	vi.PostRecv(d)
 }
 
 func relay(d *Descriptor) {
@@ -195,7 +252,7 @@ func relay(d *Descriptor) {
 }
 
 func forward(d *Descriptor) {
-	vi.PostSend(d)
+	vi.PostRecv(d)
 }
 `,
 		},
@@ -206,13 +263,13 @@ func forward(d *Descriptor) {
 type W struct{}
 
 func f() {
-	vi.PostSend(d)
+	vi.PostRecv(d)
 	handle(d)
-	vi.PostSend(d)
+	vi.PostRecv(d)
 }
 
 func handle(d *Descriptor) {
-	vi.PostSend(d)
+	vi.PostRecv(d)
 }
 
 func (w *W) handle(d *Descriptor) {

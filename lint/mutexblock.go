@@ -14,7 +14,7 @@ import (
 // operation: a channel send or receive, a select without a default
 // clause, or a call into a known-blocking API (VI.Connect,
 // Listener.Accept, CompletionQueue.Wait, Descriptor.Wait,
-// VI.SendWait/RecvWait, sync.WaitGroup.Wait, time.Sleep). That shape
+// VI.RecvWait, sync.WaitGroup.Wait, time.Sleep). That shape
 // deadlocks the moment the blocking operation's progress depends on
 // another goroutine taking the same lock — the latent hazard of the
 // VIA layer's lock-per-VI design (via/vi.go), where completion
@@ -36,7 +36,6 @@ var mutexAcrossBlock = &Analyzer{
 // filtered out separately.
 var blockingMethods = map[string]bool{
 	"Wait":     true, // CompletionQueue, Descriptor, WaitGroup
-	"SendWait": true, // VI
 	"RecvWait": true, // VI
 	"Connect":  true, // VI
 	"Accept":   true, // Listener, net.Listener

@@ -26,8 +26,8 @@ import (
 //
 // The loop is clean when pacing is visible inside it: time.Sleep, a
 // select on time.After/Tick/NewTimer/NewTicker, a backoff schedule
-// (next on a backoff value), or a completion wait (Wait, SendWait,
-// RecvWait — blocked on the NIC is paced by the NIC). Accept is
+// (next on a backoff value), or a completion wait (Wait, RecvWait —
+// blocked on the NIC is paced by the NIC). Accept is
 // excluded from the trigger set entirely: an accept loop blocks until
 // a connection arrives, so re-entering it immediately is the correct
 // shape, not a spin.
@@ -51,7 +51,6 @@ var pauseCalls = map[string]bool{
 	"NewTicker": true,
 	"next":      true,
 	"Wait":      true,
-	"SendWait":  true,
 	"RecvWait":  true,
 	"Accept":    true, // an accept loop is paced by inbound dials
 }

@@ -21,7 +21,7 @@ const (
 	fateUnknown paramFate = iota
 	// fateInspect: only reads/annotates; ownership stays with caller.
 	fateInspect
-	// fatePosts: posts the descriptor (PostSend/PostRecv/PostRDMAWrite).
+	// fatePosts: posts the receive descriptor (PostRecv).
 	fatePosts
 	// fateReaps: waits for or observes completion (descriptors), or
 	// ends/cancels (spans); the lifecycle obligation is met.

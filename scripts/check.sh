@@ -242,11 +242,13 @@ if grep -nE 'ViaAddrs|via-peers|viaAddrs' \
 fi
 
 # A post completes before it returns: the NIC has no engine goroutine
-# or work queue, and the server no completion wait to time out, no
-# lazy reap and no RMWTimeout.
+# or work queue, a send no later completion to report (no send CQ, wait
+# or pending count), and the server no completion wait to time out, no
+# lazy reap, no RMWTimeout and no "posted" result beside the write's
+# error.
 echo "==> a post completes before it returns"
-if grep -nE 'func \(n \*NIC\) engine|workItem|via_workq_depth|WaitTimer' $(ls via/*.go | grep -v _test.go) ||
-    grep -nE 'RMWTimeout|\.lazy\b|func \(w \*outWrite\) (reap|idle)' \
+if grep -nE 'func \(n \*NIC\) engine|workItem|via_workq_depth|WaitTimer|SendWait|SetSendCQ|sendDone|sendCQ|sendPending|sendCompleted' $(ls via/*.go | grep -v _test.go) ||
+    grep -nE 'RMWTimeout|\.lazy\b|func \(w \*outWrite\) (reap|idle)|posted bool|c\.Send\b' \
         $(find server pressd cmd -name '*.go' ! -name '*_test.go'); then
     echo "check: an asynchronous post completion is back" >&2
     exit 1

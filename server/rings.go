@@ -82,24 +82,15 @@ func newOutWrite(op string, vi *via.VI, remote via.Handle, stage *via.MemoryRegi
 // transfer is every outbound write of the transport: stage image (nil:
 // the descriptor already points at the payload) and post it — at
 // remoteOff of the remote region, or as a send. A post moves the
-// transfer before it returns, so transfer returns the write's own error,
-// and descriptor and image are the channel's again. g, when non-nil, is
-// the gate the caller claimed n units from for this write. posted
-// reports whether the NIC took the descriptor, and two rules hang on it,
-// written here once:
-//
-//   - Slot return. The units go back to g exactly when the write never
-//     reached the NIC (staging or the post refused), and the caller's
-//     sequence stays put; a posted write keeps them and moves the
-//     sequence whatever becomes of it, for the peer may yet consume it.
-//   - A full work queue is not retried. A send is pending on its VI
-//     only while its post moves it, so a VI carries at most one per
-//     goroutine posting on it — the sender under sendMu, the receive
-//     thread's and the poll thread's credit counters — far below its
-//     depth. via.ErrQueueFull surfaces as a send failure, which
-//     handleSendFailure counts as suspicion before failing the forward
-//     over.
-func (w *outWrite) transfer(g *creditGate, n int64, image []byte, remoteOff int) (posted bool, err error) {
+// transfer before it returns and returns its error, so transfer returns
+// the write's own error, and descriptor and image are the channel's
+// again. g, when non-nil, is the gate the caller claimed n units from
+// for this write. The slot-return rule hangs on the error, written here
+// once: the units go back to g exactly when the write failed, and the
+// caller's sequence stays put. A failed write moved nothing the peer
+// will consume: staging or the post refused it, it moved nothing, or it
+// broke the VI, whose gates and rings die with it.
+func (w *outWrite) transfer(g *creditGate, n int64, image []byte, remoteOff int) (err error) {
 	if image != nil {
 		if len(image) != w.desc.Len() {
 			err = w.desc.SetSegment(0, via.Segment{Region: w.stage, Offset: w.off, Len: len(image)})
@@ -115,13 +106,10 @@ func (w *outWrite) transfer(g *creditGate, n int64, image []byte, remoteOff int)
 			err = w.vi.PostRDMAWrite(w.desc, w.remote, remoteOff)
 		}
 	}
-	if err != nil {
-		if g != nil {
-			g.release(n)
-		}
-		return false, err
+	if err != nil && g != nil {
+		g.release(n)
 	}
-	return true, w.desc.Err()
+	return err
 }
 
 // ackBatch is the receiver half of flow control on every channel: what
@@ -183,12 +171,12 @@ func newSlotRingIn(geom ringGeom, region *via.MemoryRegion) *slotRing {
 // and remote-writes it into the slot its sequence number selects. The
 // caller serializes writes per peer. A blocked claim records as a
 // credit-stall span under the sender's trace context.
-func (r *slotRing) writeEntry(body []byte, trace tracing.TraceID, parent tracing.SpanID) (posted bool, err error) {
+func (r *slotRing) writeEntry(body []byte, trace tracing.TraceID, parent tracing.SpanID) error {
 	if len(body) > r.room() {
-		return false, fmt.Errorf("server: %s entry of %d bytes exceeds the slot's %d", r.out.op, len(body), r.room())
+		return fmt.Errorf("server: %s entry of %d bytes exceeds the slot's %d", r.out.op, len(body), r.room())
 	}
 	if err := r.gate.acquire(1, trace, parent); err != nil {
-		return false, err
+		return err
 	}
 	img, at := r.buf, 0
 	clear(img)
@@ -198,11 +186,11 @@ func (r *slotRing) writeEntry(body []byte, trace tracing.TraceID, parent tracing
 	}
 	copy(img[at:], body)
 	binary.LittleEndian.PutUint32(img[r.size-4:], uint32(r.next+1))
-	posted, err = r.out.transfer(r.gate, 1, img, int(r.next%uint64(r.slots))*r.size)
-	if posted {
-		r.next++
+	if err := r.out.transfer(r.gate, 1, img, int(r.next%uint64(r.slots))*r.size); err != nil {
+		return err
 	}
-	return posted, err
+	r.next++
+	return nil
 }
 
 // poll returns the body of the next entry if it has arrived, detected by
@@ -279,7 +267,7 @@ func (f *fileRingOut) writeFile(src *via.MemoryRegion, srcOff, n int, reqID uint
 	if err := f.dataCredit.acquire(claim, trace, parent); err != nil {
 		return err
 	}
-	if _, err := f.data.transfer(f.dataCredit, claim, nil, int(phys)); err != nil {
+	if err := f.data.transfer(f.dataCredit, claim, nil, int(phys)); err != nil {
 		return err
 	}
 	var meta [fileMetaLen]byte
@@ -287,8 +275,7 @@ func (f *fileRingOut) writeFile(src *via.MemoryRegion, srcOff, n int, reqID uint
 	binary.LittleEndian.PutUint32(meta[8:], uint32(phys))
 	binary.LittleEndian.PutUint32(meta[12:], uint32(n))
 	binary.LittleEndian.PutUint64(meta[16:], uint64(virt+claim))
-	_, err := f.meta.writeEntry(meta[:], trace, parent)
-	return err
+	return f.meta.writeEntry(meta[:], trace, parent)
 }
 
 // fileRingIn is the receiver's local file-transfer buffers.

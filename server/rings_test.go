@@ -156,7 +156,7 @@ func entryBody(geom ringGeom, i int) []byte {
 
 func mustWrite(t *testing.T, out *slotRing, body []byte) {
 	t.Helper()
-	if _, err := out.writeEntry(body, 0, 0); err != nil {
+	if err := out.writeEntry(body, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -205,8 +205,8 @@ func TestSlotRing(t *testing.T) {
 		})
 		t.Run(g.name+"/oversize-refused", func(t *testing.T) {
 			out, _ := newRingFixture(t, 1).slotPair(geom)
-			if posted, err := out.writeEntry(make([]byte, geom.room()+1), 0, 0); err == nil || posted {
-				t.Fatalf("oversized entry: posted %v, err %v", posted, err)
+			if err := out.writeEntry(make([]byte, geom.room()+1), 0, 0); err == nil {
+				t.Fatal("oversized entry written")
 			}
 			if sent, _ := out.gate.inFlight(); sent != 0 || out.next != 0 {
 				t.Fatalf("refused entry took a slot: sent %d, next %d", sent, out.next)
@@ -219,8 +219,7 @@ func TestSlotRing(t *testing.T) {
 			}
 			done := make(chan error, 1)
 			go func() {
-				_, err := out.writeEntry(entryBody(geom, geom.slots), 0, 0)
-				done <- err
+				done <- out.writeEntry(entryBody(geom, geom.slots), 0, 0)
 			}()
 			select {
 			case err := <-done:
@@ -473,10 +472,10 @@ func TestFileRingBlocksUntilAcked(t *testing.T) {
 }
 
 // TestCreditConservation: sent - consumed of a channel's gate is what
-// the peer may still consume, no more. A write refused before the NIC had
-// it — the post refused, the message unencodable — gives its units back,
-// so any number of refusals leaves the whole window standing; a write the
-// NIC took keeps them.
+// the peer may still consume, no more. A write that fails — the post
+// refused, the message unencodable, the link severed under it — gives
+// its units back and leaves the sequence put, so any number of failures
+// leaves the whole window standing; a write that succeeded keeps them.
 func TestCreditConservation(t *testing.T) {
 	idle := func(t *testing.T, g *creditGate, what string) {
 		t.Helper()
@@ -493,8 +492,8 @@ func TestCreditConservation(t *testing.T) {
 			out, in := fx.slotPair(g.geom)
 			out.out.vi = fx.idle
 			for i := 0; i < g.geom.slots+5; i++ {
-				if posted, err := out.writeEntry(entryBody(g.geom, i), 0, 0); err == nil || posted {
-					t.Fatalf("write %d on an unconnected VI: posted %v, err %v", i, posted, err)
+				if err := out.writeEntry(entryBody(g.geom, i), 0, 0); err == nil {
+					t.Fatalf("write %d on an unconnected VI succeeded", i)
 				}
 			}
 			idle(t, out.gate, g.name)
@@ -537,6 +536,38 @@ func TestCreditConservation(t *testing.T) {
 		if in.virtSeen != ringSize/fileSize*fileSize {
 			t.Fatalf("virtual end %d after %d transfers of %d", in.virtSeen, ringSize/fileSize, fileSize)
 		}
+	})
+	// A write over a severed link fails at its post and breaks the VI: it
+	// moved nothing the peer will consume, so it keeps no slot.
+	severed := func(t *testing.T, g *creditGate, next uint64, err error) {
+		t.Helper()
+		if !errors.Is(err, via.ErrLinkDown) {
+			t.Fatalf("write over a severed link: %v, want ErrLinkDown", err)
+		}
+		if sent, unacked := g.inFlight(); sent != 0 || unacked != 0 || next != 0 {
+			t.Fatalf("severed write kept its slot: sent %d, unacked %d, next %d", sent, unacked, next)
+		}
+	}
+	for _, g := range []struct {
+		name string
+		geom ringGeom
+	}{{"ctrl-ring", ctrlRing}, {"file-meta", fileMetaRing}} {
+		t.Run(g.name+"/severed", func(t *testing.T) {
+			fx := newRingFixture(t, 1)
+			out, _ := fx.slotPair(g.geom)
+			fx.fabric.Isolate("b")
+			err := out.writeEntry(entryBody(g.geom, 0), 0, 0)
+			severed(t, out.gate, out.next, err)
+		})
+	}
+	t.Run("file-data/severed", func(t *testing.T) {
+		const ringSize, fileSize = 8 << 10, 3 << 10
+		fx := newRingFixture(t, fileSize)
+		out, _ := fx.filePair(ringSize)
+		fx.fabric.Isolate("b")
+		err := out.writeFile(fx.src, 0, fileSize, 0, 0, 0)
+		severed(t, out.dataCredit, out.meta.next, err)
+		idle(t, out.meta.gate, "file-meta")
 	})
 	t.Run("regular", func(t *testing.T) {
 		a, b := newViaPair(t, netmodel.Versions()[0])

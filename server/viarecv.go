@@ -21,9 +21,6 @@ func (t *viaTransport) recvThread() {
 		if err != nil {
 			return
 		}
-		if c.Send {
-			continue
-		}
 		p := t.peerByVI(c.VI)
 		if p == nil {
 			continue
@@ -136,7 +133,7 @@ func (t *viaTransport) writeFlowCounter(p *viaPeer, off int, v uint64) {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
 	//presslint:ignore unchecked-comms-error counters are cumulative, so the next batch repairs a write that could not be posted; a broken VI fails the channel through its senders
-	_, _ = w.transfer(nil, 0, buf[:], off)
+	_ = w.transfer(nil, 0, buf[:], off)
 }
 
 // errVersionMismatch fails a channel whose two ends run different

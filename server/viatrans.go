@@ -577,8 +577,7 @@ func (t *viaTransport) sendSetup(p *viaPeer) error {
 	binary.LittleEndian.PutUint32(frame[26:], uint32(t.layout.regBuf))
 	p.sendMu.Lock()
 	defer p.sendMu.Unlock()
-	_, err := p.reg.transfer(nil, 0, frame[:], 0)
-	return err
+	return p.reg.transfer(nil, 0, frame[:], 0)
 }
 
 // inRegions returns the rings the peer remote-writes on this node, nil
@@ -713,10 +712,7 @@ func (t *viaTransport) sendRegular(p *viaPeer, m *Message, takeCredit bool) erro
 	}
 	cp.End()
 	t.ins.acct.add(m.Type, int64(len(frame)))
-	if _, err := p.reg.transfer(gate, 1, frame, 0); err != nil {
-		return err
-	}
-	return nil
+	return p.reg.transfer(gate, 1, frame, 0)
 }
 
 // sendFileChunked splits a large file over multiple regular messages.
@@ -754,10 +750,7 @@ func (t *viaTransport) sendCtrlRMW(p *viaPeer, m *Message) error {
 	t.ins.acct.add(m.Type, int64(len(frame)))
 	p.sendMu.Lock()
 	defer p.sendMu.Unlock()
-	if _, err := p.outCtrl.writeEntry(frame, m.TraceID, m.ParentSpan); err != nil {
-		return err
-	}
-	return nil
+	return p.outCtrl.writeEntry(frame, m.TraceID, m.ParentSpan)
 }
 
 // sendFileRMW transfers a file with remote memory writes: the data into

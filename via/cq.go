@@ -7,13 +7,15 @@ import (
 )
 
 // CompletionQueue combines the completion notifications of multiple
-// work queues into a single queue (Section 2.1), so one thread can wait
-// for activity on many VIs — PRESS's receive thread does exactly this.
+// receive queues into a single queue (Section 2.1), so one thread can
+// wait for activity on many VIs — PRESS's receive thread does exactly
+// this. Only receives complete into it: a send is finished when its
+// post returns.
 //
-// Size the queue for the sum of the attached work-queue depths: a full
-// CQ stalls whoever completes into it — the goroutine posting the
-// transfer — the software analogue of a CQ overrun error in the VIA
-// specification.
+// Size the queue for the sum of the attached receive-queue depths: a
+// full CQ stalls whoever completes into it — the goroutine posting the
+// send that lands — the software analogue of a CQ overrun error in the
+// VIA specification.
 type CompletionQueue struct {
 	ch   chan Completion
 	done chan struct{}

@@ -19,12 +19,7 @@ func TestPartitionBreaksReliableConnection(t *testing.T) {
 	f.Isolate("nodeB")
 	sreg, _ := na.RegisterMemory([]byte("lost"))
 	d := MustDescriptor(Segment{Region: sreg, Offset: 0, Len: 4})
-	if err := va.PostSend(d); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Wait(testTimeout); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("send to an isolated node: %v", err)
-	}
+	wantFailedPost(t, "send to an isolated node", va.PostSend(d), d, ErrLinkDown)
 	// The connection is broken; healing the link does not resurrect it
 	// (the application must reconnect), matching the VIA error model.
 	f.HealNode("nodeB")
@@ -69,16 +64,12 @@ func TestPartitionFailsRDMAWrite(t *testing.T) {
 		t.Fatalf("remote memory = %q", got)
 	}
 
-	// To an isolated node the write must fail with a checked error on
-	// the completion path — never a panic, never silent success.
+	// To an isolated node the write must fail with a checked error,
+	// returned by the post and recorded on the descriptor — never a
+	// panic, never silent success.
 	f.Isolate("nodeB")
 	d2 := MustDescriptor(Segment{Region: sreg, Offset: 0, Len: 12})
-	if err := va.PostRDMAWrite(d2, rreg.Handle(), 0); err != nil {
-		t.Fatalf("post itself should succeed, completion carries the fault: %v", err)
-	}
-	if err := d2.Wait(testTimeout); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("RDMA write to an isolated node: %v, want ErrLinkDown", err)
-	}
+	wantFailedPost(t, "RDMA write to an isolated node", va.PostRDMAWrite(d2, rreg.Handle(), 0), d2, ErrLinkDown)
 	// The reliable connection is now broken; further posts report it.
 	d3 := MustDescriptor(Segment{Region: sreg, Offset: 0, Len: 12})
 	if err := va.PostRDMAWrite(d3, rreg.Handle(), 0); !errors.Is(err, ErrBroken) {
@@ -106,12 +97,7 @@ func TestPartitionCompletesPendingRecvWithError(t *testing.T) {
 		t.Fatal(err)
 	}
 	sd := MustDescriptor(Segment{Region: sreg, Offset: 0, Len: 4})
-	if err := va.PostSend(sd); err != nil {
-		t.Fatal(err)
-	}
-	if err := sd.Wait(testTimeout); !errors.Is(err, ErrLinkDown) {
-		t.Fatalf("send to an isolated node: %v, want ErrLinkDown", err)
-	}
+	wantFailedPost(t, "send to an isolated node", va.PostSend(sd), sd, ErrLinkDown)
 
 	// The break propagates: the parked descriptor completes with a
 	// checked error through the normal completion path.

@@ -209,8 +209,9 @@ func (n *NIC) region(h Handle) (*MemoryRegion, bool) {
 }
 
 // CreateVI creates a communication end-point with the given service
-// level, which must be ReliableDelivery, and work-queue depth (sends
-// and receives each). depth <= 0 uses the default of 64.
+// level, which must be ReliableDelivery, and receive-queue depth: how
+// many receive descriptors may be posted at once. A send has no queue to
+// size, for its post moves it. depth <= 0 uses the default of 64.
 func (n *NIC) CreateVI(rel Reliability, depth int) (*VI, error) {
 	if rel != ReliableDelivery {
 		return nil, fmt.Errorf("via: unsupported service level %d (only reliable delivery is provided)", rel)
@@ -237,9 +238,10 @@ func (n *NIC) vi(id uint32) (*VI, bool) {
 }
 
 // post rings the doorbell and moves the transfer on the calling
-// goroutine, complete when post returns. A slowed link's penalty is
-// slept first with nothing locked, so a slowed peer delays only the
-// goroutines that post to it; a NIC closed by then refuses the post.
+// goroutine: d is complete when post returns, and post returns its
+// error. A slowed link's penalty is slept first with nothing locked, so
+// a slowed peer delays only the goroutines that post to it; a NIC
+// closed by then refuses the post.
 func (n *NIC) post(vi *VI, d *Descriptor, op opcode) error {
 	r := n.route(vi)
 	if r.err == nil && r.up && r.slow > 0 {
@@ -250,6 +252,7 @@ func (n *NIC) post(vi *VI, d *Descriptor, op opcode) error {
 	closed := n.closed
 	n.mu.Unlock()
 	if closed {
+		d.complete(0, ErrClosed)
 		return ErrClosed
 	}
 	n.m.sendsPosted.Inc()
@@ -265,8 +268,7 @@ func (n *NIC) post(vi *VI, d *Descriptor, op opcode) error {
 	if n.m.sendLatency != nil {
 		n.m.sendLatency.Observe(int64(time.Since(posted)))
 	}
-	vi.sendCompleted(d, err)
-	return nil
+	return err
 }
 
 // carry moves d's payload to the peer r names and returns the bytes
@@ -362,7 +364,7 @@ func (n *NIC) receive(viID uint32, p payload) error {
 	written, err := d.scatter(p)
 	d.complete(written, err)
 	n.m.recvsComplete.Inc()
-	vi.recvCompleted(d, err)
+	vi.recvCompleted(d)
 	if err != nil {
 		vi.breakConn(err)
 	}

@@ -342,7 +342,7 @@ func (b *UDPBridge) acceptPump(proxy *NIC, l *Listener, bridgeAddr, service stri
 func (b *UDPBridge) relayDial(proxy *NIC, bridgeAddr, service string, req *connReq) {
 	defer b.wg.Done()
 	v := req.fromVI
-	pv, err := proxy.CreateVI(ReliableDelivery, v.depth)
+	pv, err := proxy.CreateVI(ReliableDelivery, len(v.recvQ))
 	if err != nil {
 		req.reply <- err
 		return

@@ -37,38 +37,33 @@ const (
 )
 
 // VI is a Virtual Interface: a connected, bidirectional point-to-point
-// communication end-point with a send queue and a receive queue,
-// analogous to a socket end-point in a TCP connection (Section 2.1).
+// communication end-point with a receive queue, analogous to a socket
+// end-point in a TCP connection (Section 2.1). A send needs no queue:
+// it moves before its post returns.
 type VI struct {
-	nic   *NIC
-	id    uint32
-	depth int
+	nic *NIC
+	id  uint32
 
 	mu        sync.Mutex
 	state     viState
 	brokenErr error
 	peerNIC   *NIC
 	peerVIID  uint32
-	// recvQ is a fixed ring of depth slots: posting a receive writes the
+	// recvQ is a fixed ring of the VI's depth in slots: posting a receive writes the
 	// tail, the fabric pops the head. Sized once at creation so the
 	// steady-state post/pop cycle never allocates.
-	recvQ       []*Descriptor
-	recvHead    int
-	recvLen     int
-	sendPending int
-	sendCQ      *CompletionQueue
-	recvCQ      *CompletionQueue
-	sendDone    chan Completion
-	recvDone    chan Completion
+	recvQ    []*Descriptor
+	recvHead int
+	recvLen  int
+	recvCQ   *CompletionQueue
+	recvDone chan Completion
 }
 
 func newVI(n *NIC, id uint32, depth int) *VI {
 	return &VI{
 		nic:      n,
 		id:       id,
-		depth:    depth,
 		recvQ:    make([]*Descriptor, depth),
-		sendDone: make(chan Completion, 4*depth),
 		recvDone: make(chan Completion, 4*depth),
 	}
 }
@@ -78,14 +73,6 @@ func (v *VI) ID() uint32 { return v.id }
 
 // NIC returns the owning network interface.
 func (v *VI) NIC() *NIC { return v.nic }
-
-// SetSendCQ routes send completions to a completion queue instead of
-// the VI-local SendWait channel. Must be set before posting.
-func (v *VI) SetSendCQ(cq *CompletionQueue) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.sendCQ = cq
-}
 
 // SetRecvCQ routes receive completions to a completion queue instead of
 // the VI-local RecvWait channel. Must be set before posting.
@@ -209,25 +196,12 @@ func (v *VI) postOut(d *Descriptor, op opcode) error {
 		v.mu.Unlock()
 		return ErrNotConnected
 	}
-	if v.sendPending >= v.depth {
-		v.mu.Unlock()
-		return ErrQueueFull
-	}
-	if err := d.markPosted(); err != nil {
-		v.mu.Unlock()
-		return err
-	}
-	v.sendPending++
+	err := d.markPosted()
 	v.mu.Unlock()
-
-	if err := v.nic.post(v, d, op); err != nil {
-		v.mu.Lock()
-		v.sendPending--
-		v.mu.Unlock()
-		d.complete(0, err)
+	if err != nil {
 		return err
 	}
-	return nil
+	return v.nic.post(v, d, op)
 }
 
 // PostRecv posts a receive descriptor; incoming sends consume posted
@@ -240,7 +214,7 @@ func (v *VI) PostRecv(d *Descriptor) error {
 	if v.state == viClosed {
 		return ErrClosed
 	}
-	if v.recvLen >= v.depth {
+	if v.recvLen >= len(v.recvQ) {
 		return ErrQueueFull
 	}
 	if err := d.markPosted(); err != nil {
@@ -282,59 +256,37 @@ func (v *VI) drainRecvLocked() []*Descriptor {
 	return out
 }
 
-// Completion reports one finished descriptor.
+// Completion reports one finished receive descriptor. Sends have no
+// completion to report: a send or remote write is finished when its
+// post returns, and the post returns its error.
 type Completion struct {
 	VI   *VI
 	Desc *Descriptor
-	// Send is true for send/RDMA completions, false for receives.
-	Send bool
 }
 
-func (v *VI) sendCompleted(d *Descriptor, err error) {
+func (v *VI) recvCompleted(d *Descriptor) {
 	v.mu.Lock()
-	v.sendPending--
-	cq := v.sendCQ
+	cq := v.recvCQ
 	v.mu.Unlock()
-	c := Completion{VI: v, Desc: d, Send: true}
+	c := Completion{VI: v, Desc: d}
 	if cq != nil {
 		cq.push(c)
 		return
 	}
 	// Best-effort notification: the descriptor's own status is the
 	// authoritative completion record (Descriptor.Wait/Status), so an
-	// undrained notification channel must not stall the poster.
-	select {
-	case v.sendDone <- c:
-	default:
-	}
-}
-
-func (v *VI) recvCompleted(d *Descriptor, err error) {
-	v.mu.Lock()
-	cq := v.recvCQ
-	v.mu.Unlock()
-	c := Completion{VI: v, Desc: d, Send: false}
-	if cq != nil {
-		cq.push(c)
-		return
-	}
+	// undrained notification channel must not stall the sender whose
+	// transfer completes the receive.
 	select {
 	case v.recvDone <- c:
 	default:
 	}
 }
 
-// SendWait waits for the next send completion on a VI without a send
-// CQ. timeout <= 0 waits forever. Notifications are best-effort with a
-// 4x queue-depth buffer: a caller that lets them accumulate must fall
-// back to Descriptor.Wait, which never loses a completion.
-func (v *VI) SendWait(timeout time.Duration) (Completion, error) {
-	return waitCompletion(v.sendDone, timeout)
-}
-
 // RecvWait waits for the next receive completion on a VI without a
-// receive CQ. timeout <= 0 waits forever. The same best-effort
-// buffering as SendWait applies.
+// receive CQ. timeout <= 0 waits forever. Notifications are best-effort
+// with a 4x queue-depth buffer: a caller that lets them accumulate must
+// fall back to Descriptor.Wait, which never loses a completion.
 func (v *VI) RecvWait(timeout time.Duration) (Completion, error) {
 	return waitCompletion(v.recvDone, timeout)
 }
@@ -376,7 +328,7 @@ func (v *VI) breakConn(err error) {
 	v.mu.Unlock()
 	for _, d := range pending {
 		d.complete(0, err)
-		v.recvCompleted(d, err)
+		v.recvCompleted(d)
 	}
 	if peer != nil {
 		if pv, ok := peer.vi(peerID); ok {
@@ -425,7 +377,7 @@ func (v *VI) Close() {
 	v.mu.Unlock()
 	for _, d := range pending {
 		d.complete(0, ErrClosed)
-		v.recvCompleted(d, ErrClosed)
+		v.recvCompleted(d)
 	}
 	if wasConnected && peer != nil {
 		if pv, ok := peer.vi(peerID); ok {

@@ -6,11 +6,13 @@
 //   - NICs connected by a Fabric (the cluster interconnect), with
 //     node-level fault injection: isolating a node, or slowing one;
 //   - Virtual Interfaces (VIs): connected communication end-points,
-//     each with a send and a receive work queue of descriptors;
+//     each with a receive work queue of descriptors; a send or remote
+//     write posted on one moves before the post returns, and the post
+//     returns its error;
 //   - memory registration: every buffer involved in a transfer must be
 //     registered first, mirroring the page-locking requirement that
 //     enables DMA directly from user memory;
-//   - completion queues (CQs) combining completions of many VIs;
+//   - completion queues (CQs) combining receive completions of many VIs;
 //   - remote memory writes (RDMA writes) into registered remote
 //     regions, with no remote-processor involvement — receivers poll
 //     the region, as PRESS does with its circular buffers;
@@ -43,7 +45,7 @@ var (
 	ErrNotConnected = errors.New("via: VI not connected")
 	// ErrAlreadyConnected: the VI is already connected.
 	ErrAlreadyConnected = errors.New("via: VI already connected")
-	// ErrQueueFull: the work queue has no free descriptor slots.
+	// ErrQueueFull: the receive queue has no free descriptor slots.
 	ErrQueueFull = errors.New("via: work queue full")
 	// ErrNoRecvDescriptor: a message arrived at a VI with no posted
 	// receive descriptor; the connection is broken.

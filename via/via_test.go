@@ -53,6 +53,19 @@ func pair(t testing.TB) (*Fabric, *NIC, *NIC, *VI, *VI) {
 	return f, na, nb, va, vb
 }
 
+// wantFailedPost checks that a post returned want and completed d with
+// the very error it returned: the post's return and the descriptor
+// report one transfer.
+func wantFailedPost(t *testing.T, what string, err error, d *Descriptor, want error) {
+	t.Helper()
+	if !errors.Is(err, want) {
+		t.Fatalf("%s: post returned %v, want %v", what, err, want)
+	}
+	if s, derr := d.Status(), d.Err(); s != DescError || derr != err {
+		t.Fatalf("%s: descriptor %v with %v, want completed with the post's %v", what, s, derr, err)
+	}
+}
+
 // sendRecv pushes msg from va to vb through registered buffers.
 func sendRecv(t *testing.T, na, nb *NIC, va, vb *VI, msg []byte) []byte {
 	t.Helper()
@@ -83,7 +96,7 @@ func sendRecv(t *testing.T, na, nb *NIC, va, vb *VI, msg []byte) []byte {
 	if err != nil {
 		t.Fatalf("recv: %v", err)
 	}
-	if c.Desc != rd || c.Send {
+	if c.Desc != rd {
 		t.Fatalf("unexpected completion %+v", c)
 	}
 	if err := rd.Err(); err != nil {
@@ -185,12 +198,7 @@ func TestReliableNoRecvDescriptorBreaksConnection(t *testing.T) {
 	_, na, _, va, vb := pair(t)
 	sreg, _ := na.RegisterMemory([]byte("data"))
 	sd := MustDescriptor(Segment{Region: sreg, Offset: 0, Len: 4})
-	if err := va.PostSend(sd); err != nil {
-		t.Fatal(err)
-	}
-	if err := sd.Wait(testTimeout); !errors.Is(err, ErrNoRecvDescriptor) {
-		t.Fatalf("send completed with %v, want ErrNoRecvDescriptor", err)
-	}
+	wantFailedPost(t, "send with no receive posted", va.PostSend(sd), sd, ErrNoRecvDescriptor)
 	// Both ends are now broken.
 	if err := va.PostSend(MustDescriptor(Segment{Region: sreg, Offset: 0, Len: 4})); !errors.Is(err, ErrBroken) {
 		t.Fatalf("post on broken VI: %v", err)
@@ -236,12 +244,7 @@ func TestRDMAWriteProtection(t *testing.T) {
 	// Not enabled for remote write.
 	rreg, _ := nb.RegisterMemory(make([]byte, 16))
 	d := MustDescriptor(Segment{Region: local, Offset: 0, Len: 4})
-	if err := va.PostRDMAWrite(d, rreg.Handle(), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Wait(testTimeout); !errors.Is(err, ErrProtection) {
-		t.Fatalf("write to protected region: %v", err)
-	}
+	wantFailedPost(t, "write to protected region", va.PostRDMAWrite(d, rreg.Handle(), 0), d, ErrProtection)
 }
 
 func TestRDMAWriteOutOfBounds(t *testing.T) {
@@ -253,12 +256,7 @@ func TestRDMAWriteOutOfBounds(t *testing.T) {
 		rreg, _ := nb.RegisterMemory(make([]byte, 8))
 		rreg.EnableRemoteWrite()
 		d := MustDescriptor(Segment{Region: local, Offset: 0, Len: 10})
-		if err := va.PostRDMAWrite(d, rreg.Handle(), off); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Wait(testTimeout); !errors.Is(err, ErrProtection) {
-			t.Fatalf("out-of-bounds write at %d: %v", off, err)
-		}
+		wantFailedPost(t, fmt.Sprintf("out-of-bounds write at %d", off), va.PostRDMAWrite(d, rreg.Handle(), off), d, ErrProtection)
 	}
 }
 
@@ -266,12 +264,7 @@ func TestRDMAWriteUnknownHandle(t *testing.T) {
 	_, na, _, va, _ := pair(t)
 	local, _ := na.RegisterMemory([]byte("data"))
 	d := MustDescriptor(Segment{Region: local, Offset: 0, Len: 4})
-	if err := va.PostRDMAWrite(d, Handle(9999), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Wait(testTimeout); !errors.Is(err, ErrProtection) {
-		t.Fatalf("unknown handle: %v", err)
-	}
+	wantFailedPost(t, "unknown handle", va.PostRDMAWrite(d, Handle(9999), 0), d, ErrProtection)
 }
 
 func TestPollOnSequenceNumber(t *testing.T) {
@@ -319,12 +312,7 @@ func TestMessageLargerThanRecvDescriptor(t *testing.T) {
 
 	sreg, _ := na.RegisterMemory([]byte("way too long"))
 	sd := MustDescriptor(Segment{Region: sreg, Offset: 0, Len: 12})
-	if err := va.PostSend(sd); err != nil {
-		t.Fatal(err)
-	}
-	if err := sd.Wait(testTimeout); !errors.Is(err, ErrTooLong) {
-		t.Fatalf("send: %v", err)
-	}
+	wantFailedPost(t, "send", va.PostSend(sd), sd, ErrTooLong)
 	if err := rd.Err(); !errors.Is(err, ErrTooLong) {
 		t.Fatalf("recv: %v", err)
 	}
@@ -362,9 +350,6 @@ func TestCompletionQueueMultiplexes(t *testing.T) {
 		c, err := cq.Wait(testTimeout)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if c.Send {
-			t.Fatal("send completion on recv CQ")
 		}
 		seen[c.VI.ID()] = true
 	}
@@ -449,12 +434,7 @@ func TestDeregisteredRegionFailsTransfers(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := MustDescriptor(Segment{Region: reg, Offset: 0, Len: 8})
-	if err := va.PostSend(d); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Wait(testTimeout); !errors.Is(err, ErrRegionReleased) {
-		t.Fatalf("send from released region: %v", err)
-	}
+	wantFailedPost(t, "send from released region", va.PostSend(d), d, ErrRegionReleased)
 	if err := na.DeregisterMemory(reg); !errors.Is(err, ErrRegionReleased) {
 		t.Fatalf("double deregister: %v", err)
 	}
@@ -783,12 +763,7 @@ func TestDoorbellSilentOnRefusedWrite(t *testing.T) {
 			_, na, nb, va, _ := pair(t)
 			h, off := tc.prepare(nb)
 			d := local(na)
-			if err := va.PostRDMAWrite(d, h, off); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.Wait(testTimeout); err == nil {
-				t.Fatal("refused write completed without error")
-			}
+			wantFailedPost(t, "refused write", va.PostRDMAWrite(d, h, off), d, ErrProtection)
 			if bellRaised(nb) {
 				t.Error("a refused write raised the bell")
 			}
