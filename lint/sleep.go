@@ -9,7 +9,8 @@ import (
 )
 
 // nakedSleep flags time.Sleep in production (non-test) code outside
-// the dedicated defaultSleep seam (via/vi.go). A naked sleep either
+// the dedicated seam, press/via's defaultSleep (via/vi.go); a function
+// of that name in any other package is not the seam. A naked sleep either
 // hides a synchronization bug behind a timing assumption or embeds a
 // latency constant that belongs in the event simulator's cost model
 // (press/eventsim, press/netmodel), where the paper's methodology puts
@@ -25,7 +26,15 @@ import (
 // 1.44 ms, which pinned the V5 poll thread's p90 at 1.4 ms whatever the
 // file size. Such a wait is flagged whichever of the four forms it
 // takes; a zero duration (fire now) is not a wait and is left alone.
+// The seam waits a sub-millisecond delay in nanosleep(2), blocking its
+// thread in the kernel with a 1 µs timer slack.
 const nakedSleepName = "naked-sleep"
+
+// The seam: the one function allowed to call time.Sleep.
+const (
+	sleepSeamPkg  = "press/via"
+	sleepSeamFunc = "defaultSleep"
+)
 
 var nakedSleep = &Analyzer{
 	Name:      nakedSleepName,
@@ -36,14 +45,14 @@ var nakedSleep = &Analyzer{
 
 const (
 	nakedSleepMsg = "naked time.Sleep in production code; model the delay (eventsim/netmodel) or route it through a documented seam"
-	subMilliMsg   = "constant wait below 1 ms: the runtime rounds an idle wait up to 1 ms; wait on an event or use the disk-wait helper (via.Delay)"
+	subMilliMsg   = "constant wait below 1 ms: the runtime rounds an idle wait up to 1 ms; wait on an event or use the disk-wait helper (via.Delay), which blocks its thread in the kernel"
 )
 
 func runNakedSleep(p *Package, f *File) []Finding {
 	var out []Finding
 	for _, decl := range f.AST.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil || fd.Name.Name == "defaultSleep" {
+		if !ok || fd.Body == nil || (p.Path == sleepSeamPkg && fd.Name.Name == sleepSeamFunc) {
 			continue
 		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {

@@ -12,6 +12,7 @@ func TestNakedSleep(t *testing.T) {
 		name string
 		src  string
 		test bool
+		path string // the fixture package's import path
 	}{
 		{
 			name: "time.Sleep in production code",
@@ -24,12 +25,23 @@ func pace() {
 		},
 		{
 			name: "defaultSleep is the sanctioned seam",
-			src: `package fx
+			src: `package via
 
 func defaultSleep(d time.Duration) {
 	time.Sleep(d)
 }
 `,
+			path: "press/via",
+		},
+		{
+			name: "defaultSleep outside the via package is not the seam",
+			src: `package fx
+
+func defaultSleep(d time.Duration) {
+	time.Sleep(d) // want
+}
+`,
+			path: "press/fx",
 		},
 		{
 			name: "Sleep on a non-time receiver",
@@ -111,7 +123,9 @@ func f() {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			checkFixture(t, nakedSleepName, tc.src, tc.test)
+			p := parseFixture(t, tc.src, tc.test)
+			p.Path = tc.path
+			assertFindings(t, p, tc.src, nakedSleepName)
 		})
 	}
 }

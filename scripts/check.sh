@@ -144,9 +144,11 @@ TestSimRealParity|.
 # returns: a slowed link's penalty delays only its poster, posts keep
 # their order from several posters at once, crossed one-copy transfers
 # between two regions, a Close during a penalty fails the post, and a
-# bridge write to a peer that stops reading fails at its deadline. Ten
-# fresh passes.
--count=10 TestPostCompletesInlineOnIdleLink|TestSlowedPostDelaysOnlyItsPoster|TestConcurrentPostsKeepPostOrder|TestCrossedTransfersDoNotDeadlock|TestCloseDuringPenaltyFailsPost|TestSlowNodeDelaysDelivery|TestWaitIgnoresStaleSignal|TestBridgeWriteToWedgedPeerFails|./via
+# bridge write to a peer that stops reading fails at its deadline. The
+# penalty's wait, which is also the disk's, blocks its thread off the
+# CPU, is never short and seldom long, and hands the thread back with
+# its timer slack. Ten fresh passes.
+-count=10 TestPostCompletesInlineOnIdleLink|TestSlowedPostDelaysOnlyItsPoster|TestConcurrentPostsKeepPostOrder|TestCrossedTransfersDoNotDeadlock|TestCloseDuringPenaltyFailsPost|TestSlowNodeDelaysDelivery|TestWaitIgnoresStaleSignal|TestBridgeWriteToWedgedPeerFails|TestDelayWaitsOffCPU|TestDelayIsSharp|TestDelayRestoresTimerSlack|./via
 # The VIA bridge is one TCP connection per channel, and its setup races
 # the real transport: the acceptor's first send against its REPLY, a
 # dial against the peer's Proxy call and listener, a lost connection
@@ -251,6 +253,16 @@ if grep -nE 'func \(n \*NIC\) engine|workItem|via_workq_depth|WaitTimer|SendWait
     grep -nE 'RMWTimeout|\.lazy\b|func \(w \*outWrite\) (reap|idle)|posted bool|c\.Send\b' \
         $(find server pressd cmd -name '*.go' ! -name '*_test.go'); then
     echo "check: an asynchronous post completion is back" >&2
+    exit 1
+fi
+
+# A modelled device delay (the disk, a slowed link) waits off the CPU:
+# via's defaultSleep blocks its thread in the kernel. A wait that spins
+# on the clock, yielding between looks, charges the disk to the
+# processor and stays gone.
+echo "==> a modelled delay waits off the CPU"
+if grep -nE 'runtime\.Gosched' $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); then
+    echo "check: non-test code spins on runtime.Gosched again" >&2
     exit 1
 fi
 

@@ -316,9 +316,9 @@ func TestClusterDissemination(t *testing.T) {
 
 // TestStoreDelayIsHonest: the modelled disk takes the time it was
 // given. An idle Go process rounds a sub-millisecond time.Sleep up to
-// its 1 ms poll granularity (the parent's 50 µs read took 1.1-1.4 ms
-// here), so short delays are waited out on the clock instead; 2 ms is
-// still slept, costing no CPU.
+// its 1 ms poll granularity (a 50 µs read once took 1.1-1.4 ms), so a
+// short delay is a nanosleep with a 1 µs timer slack instead; 2 ms is
+// still slept. Neither costs CPU.
 func TestStoreDelayIsHonest(t *testing.T) {
 	tr := serverTestTrace(t, 1)
 	name := tr.Files[0].Name

@@ -413,4 +413,21 @@ func TestSynthesizeContentDeterministic(t *testing.T) {
 	if len(a) != 1000 {
 		t.Errorf("length %d", len(a))
 	}
+	// Each step writes a whole word and a short tail is cut from the
+	// next one: every size, word-aligned or not, is deterministic and a
+	// prefix of every larger size.
+	for _, n := range []int64{0, 1, 7, 8, 9, 4097} {
+		got := SynthesizeContent("/x.html", n)
+		if int64(len(got)) != n {
+			t.Errorf("size %d: length %d", n, len(got))
+		}
+		if !bytes.Equal(got, SynthesizeContent("/x.html", n)) {
+			t.Errorf("size %d: content not deterministic", n)
+		}
+		for _, k := range []int64{1, 7, 8, 9, 4097} {
+			if longer := SynthesizeContent("/x.html", n+k); !bytes.HasPrefix(longer, got) {
+				t.Errorf("size %d is not a prefix of size %d", n, n+k)
+			}
+		}
+	}
 }

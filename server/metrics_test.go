@@ -93,8 +93,14 @@ func TestClusterMetricsVIA(t *testing.T) {
 				}
 			}
 			// The drive pairs name k with node k%4 until it wraps the 25 names:
-			// on a fast run the rounds above end before anything is forwarded.
-			waitFor(t, 10*time.Second, "a forwarded request", func() bool { return cl.Stats().Nodes.Forwarded > 0 })
+			// on a fast run the rounds above end before anything is forwarded,
+			// and node 0 serves its first forward a few requests after the
+			// cluster's first. Wait for that one: the file-message check below
+			// reads node 0.
+			waitFor(t, 10*time.Second, "a request forwarded to node 0", func() bool {
+				ns := cl.Nodes()[0].Stats()
+				return ns.RemoteHits+ns.Replicas > 0
+			})
 			answered, notFound := drv.stop()
 
 			// Requests are quiescent now; heartbeats are not, so the message

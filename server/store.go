@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -40,20 +41,29 @@ func NewStore(t *trace.Trace, readDelay time.Duration) *Store {
 	return s
 }
 
-// SynthesizeContent generates the deterministic content of a file.
+// SynthesizeContent generates the deterministic content of a file: a
+// name-seeded xorshift64 stream, each step's word written as 8
+// little-endian bytes, so the content of a size is a prefix of the
+// content of every larger size.
 func SynthesizeContent(name string, size int64) []byte {
 	h := fnv.New64a()
 	h.Write([]byte(name))
-	seed := h.Sum64()
+	state := h.Sum64()
 	out := make([]byte, size)
-	state := seed
-	for i := range out {
+	for i := 0; i < len(out); i += 8 {
 		// xorshift64 keeps generation fast and content incompressible
 		// enough to be a fair payload.
 		state ^= state << 13
 		state ^= state >> 7
 		state ^= state << 17
-		out[i] = byte(state)
+		if len(out)-i >= 8 {
+			binary.LittleEndian.PutUint64(out[i:], state)
+			continue
+		}
+		for j := i; j < len(out); j++ { // the tail: a word's first bytes
+			out[j] = byte(state)
+			state >>= 8
+		}
 	}
 	return out
 }
@@ -71,8 +81,9 @@ func (s *Store) read(name string, delay time.Duration) ([]byte, error) {
 	}
 	if delay > 0 {
 		// The simulated disk latency is the modelled workload delay (the
-		// paper's disk-bound working sets); via.Delay keeps a
-		// sub-millisecond one from being rounded up to the runtime's 1 ms.
+		// paper's disk-bound working sets). via.Delay blocks this disk
+		// thread in the kernel, as a real read would, and keeps a
+		// sub-millisecond delay from being rounded up to the runtime's 1 ms.
 		via.Delay(delay)
 	}
 	return data, nil

@@ -7,24 +7,39 @@ import (
 	"time"
 )
 
-// defaultSleep waits out a modelled device latency on the real clock.
-// An idle Go process parks in epoll_wait, whose timeout is whole
-// milliseconds, so time.Sleep of a sub-millisecond d takes 1-1.5 ms
-// whenever nothing else keeps the runtime's timers sharp. Delays of a
-// millisecond and up are slept; shorter ones are waited on the
-// monotonic clock, yielding the processor between looks.
+// defaultSleep waits out a modelled device latency on the real clock,
+// off the CPU: the waiting thread blocks in the kernel, as a disk
+// helper thread blocks on its read, so a waiting disk costs the node's
+// processor almost nothing (the paper's model gives the disk a queue of
+// its own). An idle Go process parks in epoll_wait, whose timeout is
+// whole milliseconds, so time.Sleep of a sub-millisecond d takes
+// 1-1.5 ms; a millisecond and up is slept. A shorter d is one
+// nanosleep(2) on a thread locked for the call, with the thread's timer
+// slack (how late the kernel may fire its timer, 50 µs by default)
+// lowered to 1 µs for that call only: a 50 µs wait then takes about
+// 55 µs instead of up to 100 µs. The runtime gets the thread back with
+// the slack it had.
 func defaultSleep(d time.Duration) {
-	if d >= time.Millisecond {
+	if d >= time.Millisecond || !threadTimers {
 		time.Sleep(d)
 		return
 	}
-	for start := time.Now(); time.Since(start) < d; {
-		runtime.Gosched()
-	}
+	runtime.LockOSThread()
+	slack := timerSlack()
+	setTimerSlack(sharpSlack)
+	nanosleep(d)
+	setTimerSlack(slack)
+	runtime.UnlockOSThread()
 }
 
-// Delay is the wait a slowed node's transfers use, for the other
-// modelled devices of a node (the server's simulated disk).
+// sharpSlack is the timer slack, in nanoseconds, of a thread blocked in
+// defaultSleep.
+const sharpSlack = 1000
+
+// Delay waits d the way a slowed link's penalty does, for the other
+// modelled devices of a node (the server's simulated disk): it blocks
+// the calling goroutine's thread in the kernel for about d (on Linux to
+// within a few microseconds) and uses almost no CPU while it waits.
 func Delay(d time.Duration) { defaultSleep(d) }
 
 type viState int
