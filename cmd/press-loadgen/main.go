@@ -13,15 +13,15 @@
 //	              [-rate R] [-duration D] [-dissemination PB|...|NLB|SHARD]
 //
 // The -trace/-files flags must match the pressd instance so the
-// requested names exist. With -dissemination, the generator asks the
-// first target's /_press/stats endpoint which strategy the cluster
-// runs and refuses to start on a mismatch — catching the classic
-// benchmarking error of loading a differently-configured cluster.
+// requested names exist. With -dissemination, the generator reads the
+// press_strategy series of the first target's /_press/metrics to learn
+// which strategy the cluster runs and refuses to start on a mismatch —
+// catching the classic benchmarking error of loading a
+// differently-configured cluster.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -34,6 +34,7 @@ import (
 
 	"press/cliflag"
 	"press/loadgen"
+	"press/telemetry"
 	"press/trace"
 )
 
@@ -115,42 +116,43 @@ func main() {
 	}
 }
 
-// verifyStrategy asks one cluster node's stats endpoint which
-// dissemination strategy it runs and errors on a mismatch with want —
-// the flag value is validated against the shared strategy surface
-// first, so a typo fails before the network round trip.
+// verifyStrategy reads which dissemination strategy one cluster node
+// runs from its /_press/metrics press_strategy{name} info gauge and
+// errors on a mismatch with want — the flag value is validated against
+// the shared strategy surface first, so a typo fails before the network
+// round trip.
 func verifyStrategy(target, want string) error {
 	if _, err := cliflag.DisseminationList(want); err != nil || want == "all" {
 		return fmt.Errorf("bad -dissemination %q (choose from %s)", want, cliflag.DisseminationNames())
 	}
-	url := strings.TrimSuffix(target, "/") + "/_press/stats"
+	url := strings.TrimSuffix(target, "/") + "/_press/metrics"
 	client := &http.Client{Timeout: 5 * time.Second}
 	resp, err := client.Get(url)
 	if err != nil {
 		return fmt.Errorf("strategy check: %w", err)
 	}
 	defer resp.Body.Close()
-	// Read the body up front (capped: an error page can be arbitrarily
-	// large) so every failure mode below can quote what the server
-	// actually said instead of leaving the operator to re-curl it.
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-	if err != nil {
-		return fmt.Errorf("strategy check: reading %s: %w", url, err)
-	}
 	if resp.StatusCode != http.StatusOK {
+		// Quote what the server said (capped: an error page can be
+		// arbitrarily large) instead of leaving the operator to re-curl it.
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 		return fmt.Errorf("strategy check: %s returned %s: %s", url, resp.Status, excerpt(body))
 	}
-	var stats struct {
-		Strategy string `json:"strategy"`
+	samples, err := telemetry.ParseProm(resp.Body)
+	if err != nil {
+		return fmt.Errorf("strategy check: parsing %s: %w", url, err)
 	}
-	if err := json.Unmarshal(body, &stats); err != nil {
-		return fmt.Errorf("strategy check: decoding %s: %w (body: %s)", url, err, excerpt(body))
+	for _, s := range samples {
+		if s.Name != "press_strategy" {
+			continue
+		}
+		if got := s.Label("name"); got != want {
+			return fmt.Errorf("cluster runs dissemination %s, not %s (%s said so); restart pressd or drop -dissemination",
+				got, want, url)
+		}
+		return nil
 	}
-	if stats.Strategy != want {
-		return fmt.Errorf("cluster runs dissemination %s, not %s (%s said: %s); restart pressd or drop -dissemination",
-			stats.Strategy, want, url, excerpt(body))
-	}
-	return nil
+	return fmt.Errorf("strategy check: %s serves no press_strategy series; is it a PRESS node?", url)
 }
 
 // excerpt flattens a response body onto one log line.

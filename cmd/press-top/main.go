@@ -9,11 +9,13 @@
 //	press-top -targets http://HOST:PORT[,http://HOST:PORT...]
 //	          [-interval 1s] [-width 40] [-iterations 0] [-no-clear]
 //
-// Point -targets at pressd nodes started with -expose (or any endpoint
-// serving the press families in Prometheus text format). Because an
-// in-process cluster shares one registry, scraping any one node yields
-// every node's series; press-top dedupes by the node label, so listing
-// every address is still correct and survives individual node deaths.
+// Point -targets at the scrape URLs pressd prints (or any endpoint
+// serving the press families in Prometheus text format); the
+// accept-queue delay panel needs pressd -metrics, the rest does not.
+// An in-process cluster run with -metrics shares one registry, so
+// scraping any one node yields every node's series; press-top dedupes
+// by the node label, so listing every address is still correct and
+// survives individual node deaths.
 //
 // -iterations N stops after N refreshes and -no-clear appends frames
 // instead of redrawing in place; together they make the dashboard
@@ -49,7 +51,7 @@ func main() {
 	)
 	flag.Parse()
 	if *targets == "" {
-		log.Fatal("no targets: pass -targets with at least one node URL (pressd -expose prints them)")
+		log.Fatal("no targets: pass -targets with at least one node URL (pressd prints them)")
 	}
 	urls := strings.Split(*targets, ",")
 	for i, u := range urls {
@@ -249,7 +251,7 @@ func rate(cur, prev, dt float64) float64 {
 
 func (t *top) render(w io.Writer) error {
 	if len(t.panels) == 0 {
-		_, err := fmt.Fprintln(w, "waiting for samples (need two scrapes for rates; are targets up and started with -expose?)")
+		_, err := fmt.Fprintln(w, "waiting for samples (need two scrapes for rates; are the targets up?)")
 		return err
 	}
 	nodes := make([]string, 0, len(t.panels))

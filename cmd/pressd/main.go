@@ -1,14 +1,15 @@
 // Command pressd runs a real PRESS cluster in one process: N server
 // nodes over software VIA or loopback TCP, each serving HTTP. Node
-// addresses are printed at startup; drive them with press-loadgen or
-// any HTTP client, and stop with SIGINT.
+// addresses and their /_press/metrics scrape URLs are printed at
+// startup; drive them with press-loadgen or any HTTP client, and stop
+// with SIGINT.
 //
 // Usage:
 //
 //	pressd [-nodes 4] [-transport via|tcp] [-version V0..V5]
 //	       [-dissemination PB|L16|L4|L1|NLB|SHARD] [-trace clarknet] [-files N]
 //	       [-cache BYTES] [-disk-delay 2ms] [-heartbeat 250ms] [-replication]
-//	       [-metrics] [-expose]
+//	       [-metrics]
 //	       [-incident-out FILE] [-trace-out FILE] [-trace-sample RATE]
 //	       [-pprof ADDR]
 //	pressd -node I -peers HOST:PORT,... [-http ADDR] [-drain 5s] ...
@@ -35,13 +36,14 @@
 // thresholds are pushed to extra replicas and routed with
 // power-of-two choices (see press_replica_* metric families).
 //
-// With -metrics, pressd collects per-NIC and per-node instrument
-// families in a metrics registry and dumps the report on exit; SIGUSR1
-// dumps a live report without stopping the server.
-//
-// With -expose (implies -metrics), every node serves the registry in
+// Every node serves its request and message account, its view of its
+// peers and its strategy (and on TCP its membership epochs) in
 // Prometheus text format at /_press/metrics — point press-top or any
-// scraper at the printed URLs.
+// scraper at the printed URLs. With -metrics, pressd also collects
+// per-NIC and per-node instrument families (histograms, fault-tolerance
+// counters) in a metrics registry, which the same endpoint then serves,
+// and dumps the report on exit; SIGUSR1 dumps a live report without
+// stopping the server.
 //
 // With -incident-out FILE (implies -metrics), pressd runs a telemetry
 // plane — a flight recorder sampling the registry once a second and

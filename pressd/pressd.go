@@ -46,7 +46,6 @@ func Main(args []string) int {
 		heartbeat   = fs.Duration("heartbeat", 0, "failure-detector heartbeat interval; the suspect, dead and failover timers scale with it (0 = server default, 250ms)")
 		replication = fs.Bool("replication", false, "enable hot-object replication (popularity-triggered replicas, power-of-two-choices routing)")
 		withMet     = fs.Bool("metrics", false, "collect a metrics registry; dump on exit and on SIGUSR1")
-		expose      = fs.Bool("expose", false, "serve Prometheus exposition at /_press/metrics on every node (implies -metrics)")
 		incidentOut = fs.String("incident-out", "", "run the telemetry flight recorder; write a JSON incident report to FILE on peer death, shed spike, or SIGQUIT (implies -metrics)")
 		traceOut    = fs.String("trace-out", "", "record request traces; write Chrome trace-event JSON to FILE on exit and on SIGUSR1")
 		traceSample = fs.Float64("trace-sample", 1.0, "fraction of requests to trace (head sampling)")
@@ -111,7 +110,7 @@ func Main(args []string) int {
 	}
 
 	o := &observers{log: lg, traceOut: *traceOut}
-	if *withMet || *expose || *incidentOut != "" {
+	if *withMet || *incidentOut != "" {
 		o.reg = metrics.NewRegistry()
 	}
 	if *traceOut != "" {
@@ -157,7 +156,7 @@ func Main(args []string) int {
 		cfg.Mesh = mesh
 		return o.runMeshNode(cfg, *drain)
 	}
-	return o.runCluster(cfg, *expose)
+	return o.runCluster(cfg)
 }
 
 // observers is the observability a pressd process runs, every part
@@ -173,7 +172,7 @@ type observers struct {
 
 // runCluster runs all cfg.Nodes nodes in this process until SIGINT or
 // SIGTERM, then prints the cluster's request and message account.
-func (o *observers) runCluster(cfg server.Config, expose bool) int {
+func (o *observers) runCluster(cfg server.Config) int {
 	cl, err := server.Start(cfg)
 	if err != nil {
 		o.log.Print(err)
@@ -191,10 +190,8 @@ func (o *observers) runCluster(cfg server.Config, expose bool) int {
 	for i, a := range cl.Addrs() {
 		fmt.Printf("  node %d: http://%s\n", i, a)
 	}
-	if expose {
-		for i, a := range cl.Addrs() {
-			fmt.Printf("  scrape node %d: http://%s/_press/metrics\n", i, a)
-		}
+	for i, a := range cl.Addrs() {
+		fmt.Printf("  scrape node %d: http://%s/_press/metrics\n", i, a)
 	}
 	fmt.Println("serving; Ctrl-C to stop")
 
@@ -227,19 +224,20 @@ func (o *observers) runCluster(cfg server.Config, expose bool) int {
 }
 
 // awaitStop owns all signal handling, in both modes, until a stop
-// signal arrives, and returns that signal: SIGUSR1 dumps live
+// signal arrives, and returns that signal: on Unix SIGUSR1 dumps live
 // observability (metrics report and trace file) without stopping the
-// server; SIGQUIT forces a flight-recorder incident dump; SIGINT and
-// SIGTERM end the loop, and the caller decides what each means.
+// server and SIGQUIT forces a flight-recorder incident dump (see
+// dumpSignal); SIGINT and SIGTERM end the loop, and the caller decides
+// what each means.
 func (o *observers) awaitStop() os.Signal {
 	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGUSR1, syscall.SIGQUIT)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, dumpSignal, incidentSignal)
 	defer signal.Stop(sig)
 	for {
 		switch s := <-sig; s {
-		case syscall.SIGUSR1:
+		case dumpSignal:
 			o.dumpLive()
-		case syscall.SIGQUIT:
+		case incidentSignal:
 			if o.plane != nil {
 				o.plane.DumpIncident("SIGQUIT")
 			} else {

@@ -65,6 +65,13 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+# pressd and the rest build off Linux too: what only Unix has (SIGUSR1,
+# nanosleep, timer slack) sits behind build tags with a portable twin.
+for goos in windows darwin; do
+    echo "==> GOOS=$goos go build ./..."
+    GOOS=$goos go build ./...
+done
+
 echo "==> go test -race ./..."
 go test -race ./...
 
@@ -266,6 +273,17 @@ if grep -nE 'runtime\.Gosched' $(find . -name '*.go' ! -name '*_test.go' ! -path
     exit 1
 fi
 
+# A node has one operator surface: /_press/metrics, Prometheus text
+# that always answers, its account kept in a registry with or without
+# Config.Metrics. The JSON stats endpoint, its encoder and the
+# standalone-counter constructor stay gone.
+echo "==> one operator surface"
+if grep -nE '_press/stats|serveStats|nodeStatsJSON|statsPath|counterIn\(' \
+    $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); then
+    echo "check: a second node stats surface is back" >&2
+    exit 1
+fi
+
 echo "==> presslint ./..."
 go run ./cmd/presslint ./...
 
@@ -306,8 +324,9 @@ EOF
 # Message encode/decode round-trip catches framing regressions the
 # table tests miss, and the same treatment for the membership
 # handshake payload, for what a peer may remote-write into our rings,
-# and for the bytes another process sends a VIA bridge.
-for fuzz in FuzzMessageRoundTrip:./server FuzzJoinInfo:./server FuzzSlotRingPoll:./server FuzzBridgeConn:./via; do
+# for the bytes another process sends a VIA bridge, and for the
+# exposition text every reader of node state parses.
+for fuzz in FuzzMessageRoundTrip:./server FuzzJoinInfo:./server FuzzSlotRingPoll:./server FuzzBridgeConn:./via FuzzParseProm:./telemetry; do
     target=${fuzz%%:*} pkg=${fuzz#*:}
     echo "==> fuzz smoke ($target)"
     go test -run '^$' -fuzz "$target" -fuzztime 10s "$pkg"

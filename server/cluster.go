@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -62,8 +61,9 @@ type Config struct {
 	// Metrics, when non-nil, collects the cluster's observability
 	// counters: per-node/per-type message accounting, copied bytes,
 	// credit stalls, NIC activity, and the request account. With nil
-	// (the default) the counters Stats reports are standalone, nothing
-	// else is collected, and /_press/metrics answers 404.
+	// (the default) each node keeps its account — the counters Stats
+	// reports — in a registry of its own, /_press/metrics serves that,
+	// and nothing else is collected.
 	Metrics *metrics.Registry
 	// Tracer, when non-nil, records end-to-end request traces: every
 	// sampled HTTP request becomes a span tree that follows the request
@@ -208,13 +208,9 @@ type nodeHandler struct {
 // clientTimeout bounds how long a request may wait on the cluster.
 const clientTimeout = 30 * time.Second
 
-// statsPath serves the node's counters as JSON for operators and
-// tests; it bypasses the main loop.
-const statsPath = "/_press/stats"
-
-// metricsPath serves the shared registry in the Prometheus text
-// exposition format for scrapers and press-top; it also bypasses the
-// main loop.
+// metricsPath serves the node's account and state in the Prometheus
+// text exposition format for operators, scrapers, press-top and tests;
+// it bypasses the main loop.
 const metricsPath = "/_press/metrics"
 
 var octetStream = []string{"application/octet-stream"} // shared: net/http only copies header values
@@ -227,10 +223,6 @@ var octetStream = []string{"application/octet-stream"} // shared: net/http only 
 func (h *nodeHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	if r.URL.Path == statsPath {
-		h.serveStats(w)
 		return
 	}
 	if r.URL.Path == metricsPath {
@@ -342,79 +334,48 @@ func (h *nodeHandler) reject(w http.ResponseWriter, msg string) {
 	http.Error(w, msg, http.StatusServiceUnavailable)
 }
 
-// nodeStatsJSON is the wire form of the stats endpoint: the node's
-// NodeStats, flattened, plus what only the live node can say.
-type nodeStatsJSON struct {
-	Node     int    `json:"node"`
-	Strategy string `json:"strategy"`
-	NodeStats
-	Messages map[string][2]int64 `json:"messages"` // type -> [count, bytes]
-	// Peers is this node's health verdict per node ("alive", "suspect",
-	// "dead"; its own entry always "alive"); Degraded reports the
-	// content-oblivious fallback.
-	Peers    []string `json:"peers"`
-	Degraded bool     `json:"degraded"`
-	// BrownedOut lists the peers this node has browned out of its
-	// forwarding path.
-	BrownedOut []int `json:"brownedOut,omitempty"`
-	// Membership (TCP transport only): the epoch this process life runs
-	// under, the highest epoch accepted per peer (0 = never seen),
-	// and the count of frames dropped for carrying a stale epoch.
-	Epoch           uint64   `json:"epoch,omitempty"`
-	PeerEpochs      []uint64 `json:"peerEpochs,omitempty"`
-	StaleEpochDrops int64    `json:"staleEpochDrops,omitempty"`
-}
-
-//presslint:alloc-gated operator endpoint, not the request path
-func (h *nodeHandler) serveStats(w http.ResponseWriter) {
-	ms := h.node.MsgStats()
-	peers := make([]string, h.node.cfg.Nodes)
-	for p := range peers {
-		peers[p] = h.node.PeerState(p).String()
-	}
-	out := nodeStatsJSON{
-		Node:      h.node.ID(),
-		Strategy:  h.node.cfg.Dissemination.String(),
-		NodeStats: h.node.Stats(),
-		Messages:  map[string][2]int64{},
-		Peers:     peers,
-		Degraded:  h.node.Degraded(),
-	}
-	for p := 0; p < h.node.cfg.Nodes; p++ {
-		if h.node.PeerBrownedOut(p) {
-			out.BrownedOut = append(out.BrownedOut, p)
-		}
-	}
-	for mt := core.MsgType(0); mt < core.NumMsgTypes; mt++ {
-		out.Messages[mt.String()] = [2]int64{ms.Count[mt], ms.Bytes[mt]}
-	}
-	if et, ok := h.node.transport.(epochTransport); ok {
-		out.Epoch = et.SelfEpoch()
-		out.PeerEpochs = make([]uint64, h.node.cfg.Nodes)
-		for p := range out.PeerEpochs {
-			out.PeerEpochs[p] = et.PeerEpoch(p)
-		}
-		out.StaleEpochDrops = et.StaleEpochDrops()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(out)
-}
-
-// serveMetrics renders the registry as Prometheus exposition text.
-// In-process clusters share one registry, so every node's endpoint
-// serves the full cluster's families with node=N labels telling the
-// series apart — exactly what a future multi-process deployment serves
-// per node, merged.
+// serveMetrics renders the node's account registry as Prometheus
+// exposition text, with the state only the live node can say read from
+// its accessors at scrape time: press_node_state{peer} (a NodeState),
+// press_degraded, press_browned_out{peer}, a press_strategy{name} info
+// gauge and, on TCP, the membership epochs and the stale-epoch drops.
+// An epoch is a UnixNano, past a float64 sample's 53-bit mantissa, so
+// press_epoch and press_peer_epoch{peer} carry it as an epoch label.
+// In-process clusters with Config.Metrics share that one registry, so
+// every node's endpoint then serves the full cluster's families with
+// node=N labels telling the series apart.
 //
 //presslint:alloc-gated operator endpoint, not the request path
 func (h *nodeHandler) serveMetrics(w http.ResponseWriter) {
-	reg := h.node.cfg.Metrics
-	if !reg.Enabled() {
-		http.Error(w, "metrics disabled (start the cluster with a registry)", http.StatusNotFound)
-		return
+	n := h.node
+	s := n.account.Snapshot()
+	node := "node=" + strconv.Itoa(n.id)
+	gauge := func(v int64, family string, labels ...string) {
+		s.Gauges[metrics.Key(family, append(labels, node)...)] = v
+	}
+	flag := func(b bool) int64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	et, epochs := n.transport.(epochTransport)
+	gauge(1, "press_strategy", "name="+n.cfg.Dissemination.String())
+	gauge(flag(n.Degraded()), "press_degraded")
+	for p := 0; p < n.cfg.Nodes; p++ {
+		peer := "peer=" + strconv.Itoa(p)
+		gauge(int64(n.PeerState(p)), "press_node_state", peer)
+		gauge(flag(n.PeerBrownedOut(p)), "press_browned_out", peer)
+		if epochs {
+			gauge(1, "press_peer_epoch", peer, "epoch="+strconv.FormatUint(et.PeerEpoch(p), 10))
+		}
+	}
+	if epochs {
+		gauge(1, "press_epoch", "epoch="+strconv.FormatUint(et.SelfEpoch(), 10))
+		s.Counters[metrics.Key("press_stale_epoch_drops_total", node)] = et.StaleEpochDrops()
 	}
 	w.Header().Set("Content-Type", telemetry.PromContentType)
-	_ = telemetry.WriteProm(w, reg.Snapshot())
+	_ = telemetry.WriteProm(w, s)
 }
 
 // Addrs returns the nodes' HTTP addresses (host:port).

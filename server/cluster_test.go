@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -476,6 +477,9 @@ func TestClusterSharesOneStore(t *testing.T) {
 	}
 }
 
+// TestStatsEndpoint: without Config.Metrics every node's /_press/metrics
+// serves its own account and state — every sample labelled with its
+// id, per-type message counts, and on TCP alone the membership epochs.
 func TestStatsEndpoint(t *testing.T) {
 	for _, kind := range []TransportKind{TransportVIA, TransportTCP} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -489,19 +493,35 @@ func TestStatsEndpoint(t *testing.T) {
 			fetchAll(t, cl, tr, 1, 2)
 
 			for i := 0; i < cfg.Nodes; i++ {
-				got := getStats(t, cl.URL(i))
-				if got.Node != i {
-					t.Errorf("node = %d, want %d", got.Node, i)
+				own, others := scrapeNode(t, cl.URL(i), i)
+				if others != 0 || len(own) == 0 {
+					t.Errorf("node %d serves %d samples of its own and %d of other nodes", i, len(own), others)
 				}
-				if _, ok := got.Messages["File"]; !ok {
-					t.Errorf("messages missing File entry: %v", got.Messages)
+				got := sumFamilies(own)
+				if got["press_strategy"] != 1 {
+					t.Errorf("node %d: press_strategy sums to %d, want one info gauge", i, got["press_strategy"])
 				}
-				if i == 0 && got.Requests == 0 {
+				var file bool
+				epoch, peerEpochs := "", map[string]string{}
+				for _, s := range own {
+					switch s.Name {
+					case "press_msgs_total":
+						file = file || s.Label("type") == core.MsgFile.String()
+					case "press_epoch":
+						epoch = s.Label("epoch")
+					case "press_peer_epoch":
+						peerEpochs[s.Label("peer")] = s.Label("epoch")
+					}
+				}
+				if !file {
+					t.Errorf("node %d: no press_msgs_total{type=File} series", i)
+				}
+				if i == 0 && got["press_requests_total"] == 0 {
 					t.Error("no requests counted")
 				}
 				if kind != TransportTCP {
-					if got.Epoch != 0 || got.PeerEpochs != nil {
-						t.Errorf("node %d: membership fields on a transport without epochs: %+v", i, got)
+					if epoch != "" || len(peerEpochs) != 0 || got["press_stale_epoch_drops_total"] != 0 {
+						t.Errorf("node %d: membership families on a transport without epochs: %q %v", i, epoch, peerEpochs)
 					}
 					continue
 				}
@@ -509,20 +529,20 @@ func TestStatsEndpoint(t *testing.T) {
 				// handshake as a multi-process one: every node runs under
 				// an epoch, has accepted one from each peer, and no frame
 				// of a healthy run is mistaken for a previous life's.
-				if got.Epoch == 0 {
+				if epoch == "" || epoch == "0" {
 					t.Errorf("node %d: no epoch", i)
 				}
 				seen := 0
-				for p, e := range got.PeerEpochs {
-					if p != i && e != 0 {
+				for p, e := range peerEpochs {
+					if p != strconv.Itoa(i) && e != "0" {
 						seen++
 					}
 				}
 				if seen != cfg.Nodes-1 {
-					t.Errorf("node %d: peerEpochs = %v, want %d non-zero", i, got.PeerEpochs, cfg.Nodes-1)
+					t.Errorf("node %d: peer epochs = %v, want %d non-zero", i, peerEpochs, cfg.Nodes-1)
 				}
-				if got.StaleEpochDrops != 0 {
-					t.Errorf("node %d: %d frames dropped as stale", i, got.StaleEpochDrops)
+				if n := got["press_stale_epoch_drops_total"]; n != 0 {
+					t.Errorf("node %d: %d frames dropped as stale", i, n)
 				}
 			}
 		})

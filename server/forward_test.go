@@ -7,6 +7,7 @@ import (
 
 	"press/cache"
 	"press/core"
+	"press/metrics"
 	"press/tracing"
 )
 
@@ -87,7 +88,7 @@ func TestForwardEndsOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := newNode(0, cfg, NewStore(tr, 0), idleTransport{}, nil)
+			n := newNode(0, cfg, metrics.NewRegistry(), NewStore(tr, 0), idleTransport{}, nil)
 			n.dir.HandleMessage(&Message{Type: core.MsgCaching, From: 2, Name: tr.Files[file].Name, Cached: true})
 
 			var req *clientRequest

@@ -107,7 +107,7 @@ type healthTransition struct {
 // healthTracker is a node's view of its peers' liveness. All mutating
 // methods run on the owning node's main loop; the published atomic
 // state (State, AliveMask) is readable from any goroutine, which is how
-// the stats endpoint and tests observe it race-free.
+// /_press/metrics and tests observe it race-free.
 type healthTracker struct {
 	self int
 	cfg  HealthConfig
@@ -125,7 +125,6 @@ type healthTracker struct {
 	published []atomic.Int32
 	aliveMask atomic.Uint64
 
-	stateG   []*metrics.Gauge
 	hbSent   *metrics.Counter
 	hbMissed *metrics.Counter
 }
@@ -141,7 +140,6 @@ func newHealthTracker(self, n int, cfg HealthConfig, seed int64, reg *metrics.Re
 		probeDelay: make([]time.Duration, n),
 		rng:        rand.New(rand.NewSource(seed + int64(self)*7919)),
 		published:  make([]atomic.Int32, n),
-		stateG:     make([]*metrics.Gauge, n),
 	}
 	now := time.Now()
 	mask := uint64(0)
@@ -151,14 +149,9 @@ func newHealthTracker(self, n int, cfg HealthConfig, seed int64, reg *metrics.Re
 		mask |= 1 << uint(p)
 	}
 	h.aliveMask.Store(mask)
-	if reg.Enabled() {
-		node := fmt.Sprintf("node=%d", self)
-		for p := range h.stateG {
-			h.stateG[p] = reg.Gauge("press_node_state", node, fmt.Sprintf("peer=%d", p))
-		}
-		h.hbSent = reg.Counter("press_heartbeats_sent_total", node)
-		h.hbMissed = reg.Counter("press_heartbeat_misses_total", node)
-	}
+	node := fmt.Sprintf("node=%d", self)
+	h.hbSent = reg.Counter("press_heartbeats_sent_total", node)
+	h.hbMissed = reg.Counter("press_heartbeat_misses_total", node)
 	return h
 }
 
@@ -290,7 +283,6 @@ func (h *healthTracker) scheduleProbe(peer int, now time.Time) {
 func (h *healthTracker) setState(peer int, s NodeState) {
 	h.state[peer] = s
 	h.published[peer].Store(int32(s))
-	h.stateG[peer].Set(int64(s))
 	for {
 		old := h.aliveMask.Load()
 		nw := old

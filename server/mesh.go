@@ -65,9 +65,10 @@ type epochTransport interface {
 // and peerAddrs agree on the cluster. No connection exists at return:
 // startup dialers run in the background with a doubling backoff until
 // each peer answers, and peers dial us symmetrically, so whichever side
-// comes up last completes the pair. names interns received file names.
+// comes up last completes the pair. names interns received file names;
+// account is the node's account registry.
 func newMeshTCPTransport(ln net.Listener, info JoinInfo, peerAddrs []string, names nameTable,
-	reg *metrics.Registry, trc *tracing.Collector) *tcpTransport {
+	account *metrics.Registry, trc *tracing.Collector) *tcpTransport {
 	if info.Epoch == 0 {
 		info.Epoch = newEpoch()
 	}
@@ -82,7 +83,7 @@ func newMeshTCPTransport(ln net.Listener, info JoinInfo, peerAddrs []string, nam
 		names:     names,
 		done:      make(chan struct{}),
 		ln:        ln,
-		ins:       newTransportInstruments(reg, info.Node),
+		ins:       newTransportInstruments(account, info.Node),
 		trc:       trc,
 		meshState: meshState{
 			info:      info,

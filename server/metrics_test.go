@@ -1,9 +1,10 @@
 package server
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"press/core"
 	"press/metrics"
 	"press/netmodel"
+	"press/telemetry"
 )
 
 // statFamilies is the accounting vocabulary: the registry family (summed
@@ -34,24 +36,45 @@ func statFamilies(ns NodeStats) map[string]int64 {
 	}
 }
 
-// getStats fetches and decodes a node's stats endpoint.
-func getStats(t *testing.T, url string) nodeStatsJSON {
+// scrapeNode fetches url's /_press/metrics and returns the samples
+// labelled node=id, and how many samples carry another node's label.
+func scrapeNode(t *testing.T, url string, id int) (own []telemetry.PromSample, others int) {
 	t.Helper()
-	var got nodeStatsJSON
-	body, err := Fetch(url, statsPath)
-	if err == nil {
-		err = json.Unmarshal(body, &got)
-	}
+	body, err := Fetch(url, metricsPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got
+	all, err := telemetry.ParseProm(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range all {
+		switch s.Label("node") {
+		case strconv.Itoa(id):
+			own = append(own, s)
+		case "":
+		default:
+			others++
+		}
+	}
+	return own, others
+}
+
+// sumFamilies totals samples per family.
+func sumFamilies(samples []telemetry.PromSample) map[string]int64 {
+	sum := map[string]int64{}
+	for _, s := range samples {
+		sum[s.Name] += int64(s.Value)
+	}
+	return sum
 }
 
 // TestClusterMetricsVIA: the server keeps one account. Node.Stats,
-// /_press/stats, Cluster.Stats and (when there is one) the registry are
+// /_press/metrics, Cluster.Stats and (when there is one) the registry are
 // reads of the same counters, so after a drive they carry identical
-// values whether or not a registry is configured, and on a fault-free
+// values whether or not a registry is configured — /_press/metrics
+// answers either way, with only the account when there is no registry
+// — and on a fault-free
 // run those values partition the requests the way the paper's Table 5
 // terms need. Every view is also read while the counters move, for the
 // race detector. With a registry, the transport and NIC families agree
@@ -85,10 +108,9 @@ func TestClusterMetricsVIA(t *testing.T) {
 			drv := startDrive(cl, []int{0, 1, 2, 3}, names, 4)
 			for round := 0; round < 10; round++ {
 				for i, n := range cl.Nodes() {
-					_, _, _ = getStats(t, cl.URL(i)), n.Stats(), cl.Stats()
-					_, err := Fetch(cl.URL(i), metricsPath)
-					if withRegistry != (err == nil) || err != nil && !strings.Contains(err.Error(), "404") {
-						t.Fatalf("node %d: %s with registry=%v: %v", i, metricsPath, withRegistry, err)
+					_, _ = n.Stats(), cl.Stats()
+					if own, _ := scrapeNode(t, cl.URL(i), i); len(own) == 0 {
+						t.Fatalf("node %d: %s with registry=%v has no node=%d samples", i, metricsPath, withRegistry, i)
 					}
 				}
 			}
@@ -112,8 +134,12 @@ func TestClusterMetricsVIA(t *testing.T) {
 			for i, n := range cl.Nodes() {
 				ns := n.Stats()
 				sum.add(ns)
-				if wire := getStats(t, cl.URL(i)).NodeStats; wire != ns {
-					t.Errorf("node %d: %s says %+v, Stats() %+v", i, statsPath, wire, ns)
+				own, _ := scrapeNode(t, cl.URL(i), i)
+				wire := sumFamilies(own)
+				for _, s := range own {
+					if !withRegistry && (s.Label("quantile") != "" || s.Name == "press_failovers_total") {
+						t.Errorf("node %d: registry-only %s served without a registry", i, s.Name)
+					}
 				}
 				node := fmt.Sprintf("node=%d", i)
 				inReg := map[string]int64{}
@@ -124,6 +150,9 @@ func TestClusterMetricsVIA(t *testing.T) {
 					}
 				}
 				for fam, want := range statFamilies(ns) {
+					if wire[fam] != want {
+						t.Errorf("node %d: %s says %s = %d, Stats() has %d", i, metricsPath, fam, wire[fam], want)
+					}
 					if withRegistry && inReg[fam] != want {
 						t.Errorf("node %d: registry %s = %d, Stats() has %d", i, fam, inReg[fam], want)
 					}

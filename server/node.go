@@ -148,11 +148,11 @@ type sendFailure struct {
 
 // nodeInstruments are the node's counters. The first block is the
 // node's account of its requests in the paper's terms: every event
-// increments exactly one of these counters and nothing else. They are
-// made with counterIn, so they exist with or without a registry, and
-// Node.Stats, /_press/stats and /_press/metrics are all reads of them.
-// The fault-tolerance families have no NodeStats view; they are nil —
-// their methods no-ops — without a registry.
+// increments exactly one of these counters and nothing else. They live
+// in the node's account registry, which exists with or without
+// Config.Metrics, and Node.Stats and /_press/metrics are both reads of
+// them. The fault-tolerance families have no NodeStats view; they are
+// nil — their methods no-ops — without Config.Metrics.
 type nodeInstruments struct {
 	requests   *metrics.Counter // client requests the main loop dequeued
 	localHit   *metrics.Counter // served here from the cache
@@ -174,7 +174,6 @@ type nodeInstruments struct {
 	sendErrs  [core.NumMsgTypes]*metrics.Counter
 	failovers map[string]*metrics.Counter
 	purged    *metrics.Counter
-	degraded  *metrics.Gauge
 }
 
 // The failover reasons press_failovers_total distinguishes.
@@ -185,23 +184,22 @@ const (
 	failoverPeerLeft  = "peer-left"  // the peer announced an orderly departure
 )
 
-func newNodeInstruments(r *metrics.Registry, id int) nodeInstruments {
+func newNodeInstruments(account, r *metrics.Registry, id int) nodeInstruments {
 	node := fmt.Sprintf("node=%d", id)
 	ni := nodeInstruments{
-		requests:   counterIn(r, "press_requests_total", node),
-		localHit:   counterIn(r, "press_serve_local_total", node),
-		localMiss:  counterIn(r, "press_serve_local_miss_total", node),
-		forward:    counterIn(r, "press_serve_forward_total", node),
-		remoteHit:  counterIn(r, "press_serve_remote_total", node),
-		remoteMiss: counterIn(r, "press_serve_remote_miss_total", node),
-		disk:       counterIn(r, "press_disk_reads_total", node),
-		errors:     counterIn(r, "press_errors_total", node),
-		replPushes: counterIn(r, "press_replica_pushes_total", node),
-		replPulls:  counterIn(r, "press_replica_pulls_total", node),
-		replDrops:  counterIn(r, "press_replica_drops_total", node),
+		requests:   account.Counter("press_requests_total", node),
+		localHit:   account.Counter("press_serve_local_total", node),
+		localMiss:  account.Counter("press_serve_local_miss_total", node),
+		forward:    account.Counter("press_serve_forward_total", node),
+		remoteHit:  account.Counter("press_serve_remote_total", node),
+		remoteMiss: account.Counter("press_serve_remote_miss_total", node),
+		disk:       account.Counter("press_disk_reads_total", node),
+		errors:     account.Counter("press_errors_total", node),
+		replPushes: account.Counter("press_replica_pushes_total", node),
+		replPulls:  account.Counter("press_replica_pulls_total", node),
+		replDrops:  account.Counter("press_replica_drops_total", node),
 
 		purged:    r.Counter("press_dir_purged_total", node),
-		degraded:  r.Gauge("press_degraded", node),
 		failovers: make(map[string]*metrics.Counter, 4),
 	}
 	for mt := core.MsgType(0); mt < core.NumMsgTypes; mt++ {
@@ -216,29 +214,30 @@ func newNodeInstruments(r *metrics.Registry, id int) nodeInstruments {
 // NodeStats is a snapshot of one node's request accounting, in the
 // paper's terms: a request is a local hit, a local miss, or forwarded
 // (or fails); a forward is a remote hit or a remote miss at the peer
-// that serves it. The JSON names are the /_press/stats wire format.
+// that serves it. /_press/metrics serves the families each field is a
+// read of.
 type NodeStats struct {
-	Requests    int64 `json:"requests"`
-	LocalHits   int64 `json:"localHits"`
-	LocalMisses int64 `json:"localMisses"`
-	Forwarded   int64 `json:"forwarded"`
-	RemoteHits  int64 `json:"remoteHits"` // served here for another node, from cache
+	Requests    int64
+	LocalHits   int64
+	LocalMisses int64
+	Forwarded   int64
+	RemoteHits  int64 // served here for another node, from cache
 	// Replicas counts remote misses: served here for another node, from
 	// disk, which caches the file here too — how a second copy of a file
 	// materializes without the replication layer.
-	Replicas  int64 `json:"replicas"`
-	DiskReads int64 `json:"diskReads"`
-	Errors    int64 `json:"errors"`
+	Replicas  int64
+	DiskReads int64
+	Errors    int64
 	// Hot-object replication accounting: pushes requested of peers,
 	// replica pulls completed here, surplus replicas dropped here.
-	ReplicaPushes int64 `json:"replicaPushes,omitempty"`
-	ReplicaPulls  int64 `json:"replicaPulls,omitempty"`
-	ReplicaDrops  int64 `json:"replicaDrops,omitempty"`
+	ReplicaPushes int64
+	ReplicaPulls  int64
+	ReplicaDrops  int64
 	// Overload accounting: requests refused by admission control,
 	// dropped past their deadline, and served within it (goodput).
-	Shed            int64 `json:"shed"`
-	DeadlineExpired int64 `json:"deadlineExpired"`
-	Goodput         int64 `json:"goodput"`
+	Shed            int64
+	DeadlineExpired int64
+	Goodput         int64
 }
 
 // add accumulates o into s.
@@ -318,9 +317,14 @@ type Node struct {
 	// touching main-loop state.
 	loadMirror atomic.Int64
 
-	m   nodeInstruments
-	trc *tracing.Collector
-	tel *telemetry.Plane // flight-recorder event sink; nil-safe
+	// account is the registry the node keeps its account in (the
+	// request counters, the transport's message counts, shed, expired
+	// and goodput): Config.Metrics when there is one, else a registry of
+	// the node's own, so /_press/metrics always has it to serve.
+	account *metrics.Registry
+	m       nodeInstruments
+	trc     *tracing.Collector
+	tel     *telemetry.Plane // flight-recorder event sink; nil-safe
 }
 
 // view adapts the node's state to core.View.
@@ -359,10 +363,11 @@ func (v *lookupView) Cachers(id cache.FileID) cache.NodeSet {
 	return v.nodeView.Cachers(id)
 }
 
-func newNode(id int, cfg Config, store *Store, tr Transport, nic *via.NIC) *Node {
+func newNode(id int, cfg Config, account *metrics.Registry, store *Store, tr Transport, nic *via.NIC) *Node {
 	n := &Node{
 		id:         id,
 		cfg:        cfg,
+		account:    account,
 		store:      store,
 		transport:  tr,
 		nic:        nic,
@@ -386,13 +391,13 @@ func newNode(id int, cfg Config, store *Store, tr Transport, nic *via.NIC) *Node
 		sendFailCh: make(chan sendFailure, 256),
 		probing:    make([]bool, cfg.Nodes),
 		stop:       make(chan struct{}),
-		m:          newNodeInstruments(cfg.Metrics, id),
+		m:          newNodeInstruments(account, cfg.Metrics, id),
 		trc:        cfg.Tracer.Collector(id),
 		tel:        cfg.Telemetry,
 	}
 	n.health = newHealthTracker(id, cfg.Nodes, cfg.Health, retrySeed, cfg.Metrics)
 	n.healthOn = cfg.Nodes > 1
-	n.ov = newOverloadCtl(cfg, id)
+	n.ov = newOverloadCtl(cfg, account, id)
 	n.repl = core.NewReplicator(cfg.Replication, id, cfg.Nodes, len(cfg.Trace.Files),
 		cfg.Policy.LargeFileBytes, time.Now())
 	for i, f := range cfg.Trace.Files {
@@ -1248,10 +1253,8 @@ func (n *Node) updateDegraded() {
 	n.degraded = deg
 	n.degFlag.Store(deg)
 	if deg {
-		n.m.degraded.Set(1)
 		n.tel.Event(telemetry.EvDegradedEnter, n.id, -1, "all peers dead", 0)
 	} else {
-		n.m.degraded.Set(0)
 		n.tel.Event(telemetry.EvDegradedExit, n.id, -1, "", 0)
 	}
 }
@@ -1356,6 +1359,3 @@ func (n *Node) shutdown() {
 
 // ID returns the node's index.
 func (n *Node) ID() int { return n.id }
-
-// MsgStats returns the node's send-side message accounting.
-func (n *Node) MsgStats() core.MsgStats { return n.transport.Metrics().Msgs }

@@ -132,8 +132,9 @@ const (
 
 // overloadInstruments are the goodput-accounting metric families.
 // shed, expired and goodput are the node's account of those events —
-// counterIn counters, summed per family by Node.Stats; brownouts and
-// acceptDelay have no NodeStats view and are nil without a registry.
+// counters in its account registry, summed per family by Node.Stats;
+// brownouts and acceptDelay have no NodeStats view and are nil without
+// Config.Metrics.
 // The maps are built once and only read afterwards, so the HTTP
 // goroutines may touch them concurrently with the main loop.
 type overloadInstruments struct {
@@ -144,24 +145,24 @@ type overloadInstruments struct {
 	acceptDelay *metrics.Histogram // accept-queue wait, nanoseconds
 }
 
-func newOverloadInstruments(r *metrics.Registry, id, nodes int) overloadInstruments {
+func newOverloadInstruments(account, r *metrics.Registry, id, nodes int) overloadInstruments {
 	node := fmt.Sprintf("node=%d", id)
 	im := overloadInstruments{
 		shed:      make(map[[2]string]*metrics.Counter),
 		expired:   make(map[string]*metrics.Counter),
-		goodput:   counterIn(r, "press_goodput_requests_total", node),
+		goodput:   account.Counter("press_goodput_requests_total", node),
 		brownouts: make([]*metrics.Counter, nodes),
 		acceptDelay: r.Histogram("press_queue_delay_ns", node,
 			"queue="+shedQueueAccept),
 	}
 	for _, q := range []string{shedQueueAccept, shedQueueDispatch, shedQueueDisk} {
 		for _, reason := range []string{shedReasonFull, shedReasonQueueDelay} {
-			im.shed[[2]string{q, reason}] = counterIn(r, "press_shed_total", node,
+			im.shed[[2]string{q, reason}] = account.Counter("press_shed_total", node,
 				"queue="+q, "reason="+reason)
 		}
 	}
 	for _, st := range []string{dlStageAccept, dlStageSend, dlStagePending, dlStageDisk, dlStageReply} {
-		im.expired[st] = counterIn(r, "press_deadline_expired_total", node, "stage="+st)
+		im.expired[st] = account.Counter("press_deadline_expired_total", node, "stage="+st)
 	}
 	for p := 0; p < nodes; p++ {
 		im.brownouts[p] = r.Counter("press_brownout_total", node, fmt.Sprintf("peer=%d", p))
@@ -208,12 +209,12 @@ type overloadCtl struct {
 	im         overloadInstruments
 }
 
-func newOverloadCtl(cfg Config, id int) overloadCtl {
+func newOverloadCtl(cfg Config, account *metrics.Registry, id int) overloadCtl {
 	return overloadCtl{
 		cfg:        cfg.Overload,
 		pace:       make([]peerPace, cfg.Nodes),
 		brownedPub: make([]atomic.Bool, cfg.Nodes),
-		im:         newOverloadInstruments(cfg.Metrics, id, cfg.Nodes),
+		im:         newOverloadInstruments(account, cfg.Metrics, id, cfg.Nodes),
 	}
 }
 

@@ -1,8 +1,8 @@
 package procharness
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -14,6 +14,8 @@ import (
 	"syscall"
 	"time"
 
+	"press/server"
+	"press/telemetry"
 	"press/trace"
 )
 
@@ -240,23 +242,28 @@ func (h *Harness) Running(id int) bool {
 	}
 }
 
-// NodeStats is the subset of the stats endpoint the harness reads.
+// NodeStats is the part of a node's /_press/metrics the harness reads.
 type NodeStats struct {
-	Node            int      `json:"node"`
-	Requests        int64    `json:"requests"`
-	Errors          int64    `json:"errors"`
-	Peers           []string `json:"peers"`
-	Degraded        bool     `json:"degraded"`
-	Epoch           uint64   `json:"epoch"`
-	PeerEpochs      []uint64 `json:"peerEpochs"`
-	StaleEpochDrops int64    `json:"staleEpochDrops"`
+	Node     int
+	Requests int64
+	Errors   int64
+	// Peers is the node's verdict on each node ("alive", "suspect",
+	// "dead"; its own entry "alive").
+	Peers    []string
+	Degraded bool
+	// Membership (TCP only; zero and nil on VIA): the epoch this process
+	// life runs under, the highest accepted per peer, and the frames
+	// dropped for a stale epoch.
+	Epoch           uint64
+	PeerEpochs      []uint64
+	StaleEpochDrops int64
 }
 
 var statsClient = &http.Client{Timeout: 2 * time.Second}
 
-// Stats fetches node id's stats endpoint.
+// Stats scrapes node id's /_press/metrics.
 func (h *Harness) Stats(id int) (*NodeStats, error) {
-	resp, err := statsClient.Get(h.URL(id) + "/_press/stats")
+	resp, err := statsClient.Get(h.URL(id) + "/_press/metrics")
 	if err != nil {
 		return nil, err
 	}
@@ -264,14 +271,53 @@ func (h *Harness) Stats(id int) (*NodeStats, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("procharness: stats node %d: %s", id, resp.Status)
 	}
-	var ns NodeStats
-	if err := json.NewDecoder(resp.Body).Decode(&ns); err != nil {
-		return nil, err
-	}
-	return &ns, nil
+	return parseStats(resp.Body, id, h.opts.Nodes)
 }
 
-// WaitReady polls until node id answers its stats endpoint.
+// parseStats reads node id's samples out of a /_press/metrics scrape of
+// a cluster of n nodes. Only samples labelled node=id count: an
+// in-process cluster's endpoint serves every node's families. Epochs
+// are read from their label, where they keep all 64 bits.
+func parseStats(r io.Reader, id, n int) (*NodeStats, error) {
+	samples, err := telemetry.ParseProm(r)
+	if err != nil {
+		return nil, err
+	}
+	ns := &NodeStats{Node: id, Peers: make([]string, n)}
+	self, seen := strconv.Itoa(id), false
+	for _, s := range samples {
+		peer, err := strconv.Atoi(s.Label("peer"))
+		if s.Label("node") != self || err == nil && (peer < 0 || peer >= n) {
+			continue
+		}
+		epoch, _ := strconv.ParseUint(s.Label("epoch"), 10, 64)
+		switch s.Name {
+		case "press_requests_total":
+			ns.Requests, seen = int64(s.Value), true
+		case "press_errors_total":
+			ns.Errors = int64(s.Value)
+		case "press_degraded":
+			ns.Degraded = s.Value != 0
+		case "press_stale_epoch_drops_total":
+			ns.StaleEpochDrops = int64(s.Value)
+		case "press_node_state":
+			ns.Peers[peer] = server.NodeState(s.Value).String()
+		case "press_epoch":
+			ns.Epoch = epoch
+		case "press_peer_epoch":
+			if ns.PeerEpochs == nil {
+				ns.PeerEpochs = make([]uint64, n)
+			}
+			ns.PeerEpochs[peer] = epoch
+		}
+	}
+	if !seen {
+		return nil, fmt.Errorf("procharness: node %d serves no account", id)
+	}
+	return ns, nil
+}
+
+// WaitReady polls until node id answers /_press/metrics.
 func (h *Harness) WaitReady(id int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"press/metrics"
 	"press/via"
 )
 
@@ -49,6 +50,7 @@ type ProcNode struct {
 	fabric    *via.Fabric    // only when this node owns it (StartNode on VIA)
 	bridge    *via.UDPBridge // likewise
 	nic       *via.NIC
+	account   *metrics.Registry // see Node.account
 	transport Transport
 	node      *Node
 	httpSrv   *http.Server
@@ -145,6 +147,9 @@ func fabricAddr(i int) string { return fmt.Sprintf("node%d", i) }
 // it to the peers'.
 func (pn *ProcNode) build(shared *via.Fabric) error {
 	cfg, mesh := pn.cfg, pn.cfg.Mesh
+	if pn.account = cfg.Metrics; pn.account == nil {
+		pn.account = metrics.NewRegistry()
+	}
 	names := make(nameTable, len(cfg.Trace.Files))
 	for _, f := range cfg.Trace.Files {
 		names[f.Name] = f.Name
@@ -158,7 +163,7 @@ func (pn *ProcNode) build(shared *via.Fabric) error {
 			Strategy:  cfg.Dissemination.String(),
 			Transport: "tcp",
 		}
-		pn.transport = newMeshTCPTransport(pn.ln, info, mesh.PeerAddrs, names, cfg.Metrics, cfg.Tracer.Collector(mesh.Self))
+		pn.transport = newMeshTCPTransport(pn.ln, info, mesh.PeerAddrs, names, pn.account, cfg.Tracer.Collector(mesh.Self))
 	case TransportVIA:
 		fabric := shared
 		if fabric == nil {
@@ -189,7 +194,7 @@ func (pn *ProcNode) build(shared *via.Fabric) error {
 		vt, err := newViaTransport(pn.nic, viaConfig{
 			self: mesh.Self, nodes: cfg.Nodes, version: cfg.Version,
 			window: viaWindow, batch: viaBatch, chunk: viaChunkBytes,
-			fileRing: 2 * int(cfg.Policy.LargeFileBytes), metrics: cfg.Metrics,
+			fileRing: 2 * int(cfg.Policy.LargeFileBytes), account: pn.account, metrics: cfg.Metrics,
 			trc: cfg.Tracer.Collector(mesh.Self), names: names,
 		})
 		if err != nil {
@@ -222,7 +227,7 @@ func (pn *ProcNode) connect(awaitPeers bool) error {
 // serve starts the node on its transport and opens the HTTP front end.
 func (pn *ProcNode) serve() error {
 	mesh := pn.cfg.Mesh
-	pn.node = newNode(mesh.Self, pn.cfg, pn.store, pn.transport, pn.nic)
+	pn.node = newNode(mesh.Self, pn.cfg, pn.account, pn.store, pn.transport, pn.nic)
 	pn.node.start()
 
 	httpAddr := mesh.HTTPAddr

@@ -99,10 +99,10 @@ func bounces(err error) bool {
 	return errors.Is(err, errSuperseded) || errors.Is(err, via.ErrNoRecvDescriptor)
 }
 
-// msgAccounting counts messages per type on lock-free counters, either
-// standalone or interned in a metrics registry under the owning node's
-// label — the counters themselves are the accounting, so enabling
-// observability adds no second bookkeeping path.
+// msgAccounting counts messages per type on lock-free counters interned
+// in the node's account registry under the owning node's label — the
+// counters themselves are the accounting, so a scrape adds no second
+// bookkeeping path.
 type msgAccounting struct {
 	count [core.NumMsgTypes]*metrics.Counter
 	bytes [core.NumMsgTypes]*metrics.Counter
@@ -122,24 +122,12 @@ func (a *msgAccounting) snapshot() core.MsgStats {
 	return s
 }
 
-// counterIn returns the counter for family+labels: interned in r when a
-// registry is configured, standalone otherwise. Every count a view other
-// than /_press/metrics reads (Transport.Metrics, Node.Stats, the stats
-// endpoint) is made this way, so the counter is the one account of its
-// event and the registry only decides whether scrapers see it too.
-func counterIn(r *metrics.Registry, family string, labels ...string) *metrics.Counter {
-	if !r.Enabled() {
-		return metrics.NewCounter()
-	}
-	return r.Counter(family, labels...)
-}
-
-// transportInstruments bundles the counters every transport maintains.
-// With a registry they appear as press_msgs_total{node=N,type=T},
-// press_msg_bytes{node=N,type=T}, press_copied_bytes{node=N},
-// press_credit_stalls_total{node=N}, press_poll_wakes_total{node=N} and
-// press_poll_empty_total{node=N}; without one they are standalone and
-// only back Metrics().
+// transportInstruments bundles the counters every transport maintains,
+// as press_msgs_total{node=N,type=T}, press_msg_bytes{node=N,type=T},
+// press_copied_bytes{node=N}, press_credit_stalls_total{node=N},
+// press_poll_wakes_total{node=N} and press_poll_empty_total{node=N} in
+// the node's account registry (see Node.account); Metrics() and
+// /_press/metrics are reads of them.
 type transportInstruments struct {
 	acct      msgAccounting
 	copied    *metrics.Counter
@@ -148,18 +136,18 @@ type transportInstruments struct {
 	pollEmpty *metrics.Counter
 }
 
-func newTransportInstruments(r *metrics.Registry, self int) transportInstruments {
+func newTransportInstruments(account *metrics.Registry, self int) transportInstruments {
 	var ins transportInstruments
 	node := fmt.Sprintf("node=%d", self)
 	for t := core.MsgType(0); t < core.NumMsgTypes; t++ {
 		typ := "type=" + t.String()
-		ins.acct.count[t] = counterIn(r, "press_msgs_total", node, typ)
-		ins.acct.bytes[t] = counterIn(r, "press_msg_bytes", node, typ)
+		ins.acct.count[t] = account.Counter("press_msgs_total", node, typ)
+		ins.acct.bytes[t] = account.Counter("press_msg_bytes", node, typ)
 	}
-	ins.copied = counterIn(r, "press_copied_bytes", node)
-	ins.stalls = counterIn(r, "press_credit_stalls_total", node)
-	ins.pollWakes = counterIn(r, "press_poll_wakes_total", node)
-	ins.pollEmpty = counterIn(r, "press_poll_empty_total", node)
+	ins.copied = account.Counter("press_copied_bytes", node)
+	ins.stalls = account.Counter("press_credit_stalls_total", node)
+	ins.pollWakes = account.Counter("press_poll_wakes_total", node)
+	ins.pollEmpty = account.Counter("press_poll_empty_total", node)
 	return ins
 }
 

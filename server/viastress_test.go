@@ -58,7 +58,7 @@ func newViaMeshOf(t *testing.T, cfgs ...viaConfig) (vts []*viaTransport, errs []
 		if err != nil {
 			t.Fatalf("CreateNIC(%s): %v", fabricAddr(i), err)
 		}
-		cfg.self, cfg.nodes = i, len(cfgs)
+		cfg.self, cfg.nodes, cfg.account = i, len(cfgs), metrics.NewRegistry()
 		vt, err := newViaTransport(nic, cfg)
 		if err != nil {
 			t.Fatalf("newViaTransport(%d): %v", i, err)
@@ -300,6 +300,7 @@ func newRawMesh(t *testing.T, self int) (*viaTransport, *rawPeer) {
 	vt, err := newViaTransport(nic, viaConfig{
 		self: self, nodes: 2, version: netmodel.Versions()[5],
 		window: 8, batch: 4, chunk: 1 << 10, fileRing: 1 << 16,
+		account: metrics.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)

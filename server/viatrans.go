@@ -64,7 +64,8 @@ type viaConfig struct {
 	batch    int
 	chunk    int
 	fileRing int
-	metrics  *metrics.Registry
+	account  *metrics.Registry // the node's account registry (Node.account)
+	metrics  *metrics.Registry // Config.Metrics: registry-only families
 	// trc, when non-nil, records credit-stall and staging-copy spans for
 	// traced messages passing through the transport.
 	trc   *tracing.Collector
@@ -211,7 +212,7 @@ func newViaTransport(nic *via.NIC, cfg viaConfig) (*viaTransport, error) {
 		peers:   make([]*viaPeer, cfg.nodes),
 		dialing: make([]atomic.Bool, cfg.nodes),
 		pending: make(map[*via.VI]*viaPeer),
-		ins:     newTransportInstruments(cfg.metrics, cfg.self),
+		ins:     newTransportInstruments(cfg.account, cfg.self),
 
 		// Registry-only (nothing else reads it): nil, and free, without one.
 		reconnects: cfg.metrics.Counter("press_reconnects_total", fmt.Sprintf("node=%d", cfg.self)),

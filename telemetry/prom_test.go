@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"maps"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -133,4 +135,58 @@ func TestParsePromErrors(t *testing.T) {
 			t.Errorf("ParseProm(%q) succeeded, want error", bad)
 		}
 	}
+}
+
+// FuzzParseProm: ParseProm never panics, whatever it reads, and every
+// sample of a snapshot of counters and gauges survives WriteProm and
+// ParseProm — names, labels (escapes included) and values, an int64
+// past float64's 53-bit mantissa rounded the way float64(v) rounds it.
+// The fuzzer's strings become a valid family name and a label value
+// with any byte but ',', which separates pairs in a registry key.
+func FuzzParseProm(f *testing.F) {
+	f.Add("# TYPE x counter\nx{a=\"1\"} 5\n", "press_requests_total", `a"b\c`, int64(1729000000123456789), int64(-3))
+	f.Add("x{a=\"\\", "", "\n}{=", int64(0), int64(1<<53+1))
+	f.Add("x 1 2\ny{} NaN\n", "9lives", "", int64(-1<<63), int64(1<<63-1))
+	f.Fuzz(func(t *testing.T, text, family, label string, counter, gauge int64) {
+		_, _ = ParseProm(strings.NewReader(text))
+
+		fam := []byte("m_")
+		for _, c := range []byte(family) {
+			if c == '_' || c == ':' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' {
+				fam = append(fam, c)
+			}
+		}
+		label = strings.ReplaceAll(label, ",", "")
+		s := metrics.Snapshot{Counters: map[string]int64{}, Gauges: map[string]int64{}}
+		s.Counters[metrics.Key(string(fam)+"_total", "node=0", "v="+label)] = counter
+		s.Counters[metrics.Key(string(fam)+"_total")] = gauge
+		s.Gauges[metrics.Key(string(fam), "v="+label)] = gauge
+		s.Gauges[metrics.Key("press_epoch", "epoch="+strconv.FormatInt(counter, 10), "node=1")] = 1
+		want := map[string]float64{}
+		for _, m := range []map[string]int64{s.Counters, s.Gauges} {
+			for k, v := range m {
+				want[k] = float64(v)
+			}
+		}
+
+		var b strings.Builder
+		if err := WriteProm(&b, s); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := ParseProm(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatalf("parsing our own output: %v\n%s", err, b.String())
+		}
+		got := map[string]float64{}
+		for _, p := range samples {
+			labels := make([]string, 0, len(p.Labels))
+			for k, v := range p.Labels {
+				labels = append(labels, k+"="+v)
+			}
+			got[metrics.Key(p.Name, labels...)] = p.Value
+		}
+		if len(samples) != len(want) || !maps.Equal(got, want) {
+			t.Fatalf("round trip of %v gave %v\n%s", want, got, b.String())
+		}
+	})
 }
