@@ -284,6 +284,19 @@ if grep -nE '_press/stats|serveStats|nodeStatsJSON|statsPath|counterIn\(' \
     exit 1
 fi
 
+# A node's queues are buffered channels, pushed with a select that
+# sheds when full, and a queue is closed only by its one producer: the
+# main loop closes the send and disk queues, and a transport's inbound,
+# which a goroutine per peer feeds, is never closed. The hand-written
+# mutex-and-Cond queue and the lock that guarded inbound against its
+# close stay gone.
+echo "==> the node's queues are channels"
+if grep -nE 'workQueue|inClosed|inboundMu|close\(t\.inbound\)' \
+    $(find server -name '*.go' ! -name '*_test.go'); then
+    echo "check: server/ builds a queue other than a channel, or closes inbound, again" >&2
+    exit 1
+fi
+
 echo "==> presslint ./..."
 go run ./cmd/presslint ./...
 

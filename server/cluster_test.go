@@ -761,11 +761,12 @@ func TestTimersStoppedOnReturn(t *testing.T) {
 }
 
 // TestClusterLifecycle: bring-up and teardown leave nothing behind. Ten
-// Start/Close rounds per transport, plus a StartNode per transport that
-// fails at its last step (HTTP address taken) and must unwind everything
-// it built, return the goroutine count to its baseline and leave the
-// intra-cluster port bindable (on VIA, the bridge's, with the dials to
-// absent peers still in flight).
+// Start/Close rounds per transport, a StartNode per transport that fails
+// at its last step (HTTP address taken) and must unwind everything it
+// built, and a Close per transport with work still queued must return
+// the goroutine count to its baseline and leave the intra-cluster port
+// bindable (on VIA, the bridge's, with the dials to absent peers still
+// in flight).
 func TestClusterLifecycle(t *testing.T) {
 	tr := serverTestTrace(t, 6)
 	idle := func() { http.DefaultTransport.(*http.Transport).CloseIdleConnections() }
@@ -814,6 +815,46 @@ func TestClusterLifecycle(t *testing.T) {
 			t.Fatalf("%v: StartNode succeeded on a bound HTTP address", kind)
 		}
 		rebind(cfg.Mesh.PeerAddrs[0])
+	}
+
+	// Node 0's main loop, the one producer of its queues, fills its send
+	// queue and its disk queue, holds until the close has stopped the
+	// node, fills both again and returns: it closes them full, and the
+	// helper threads drain or drop what is left. Nothing may be sent on a
+	// closed queue, and no helper may be left waiting on one.
+	for _, kind := range []TransportKind{TransportTCP, TransportVIA} {
+		cl, err := Start(testClusterConfig(tr, kind))
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		n := cl.Nodes()[0]
+		fill := func() {
+			for n.send(1, Message{Type: core.MsgLoad, Load: 1}) {
+			}
+			for len(n.diskQ) < cap(n.diskQ) {
+				n.diskQ <- tr.Files[0].Name
+			}
+		}
+		filled, release := make(chan struct{}), make(chan struct{})
+		n.inject(func() {
+			fill()
+			close(filled)
+			<-release
+			fill()
+		})
+		<-filled
+		closed := make(chan struct{})
+		go func() {
+			cl.Close()
+			close(closed)
+		}()
+		<-n.stop
+		close(release)
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%v: Close with work queued did not return", kind)
+		}
 	}
 
 	idle()

@@ -101,7 +101,8 @@ func TestForwardEndsOnce(t *testing.T) {
 				req.span = n.trc.StartTrace("request")
 				fwd = req.span.StartChild("forward")
 				if row.shed {
-					for n.sendQ.push(outMsg{}) {
+					for len(n.sendQ) < cap(n.sendQ) {
+						n.sendQ <- outMsg{}
 					}
 				}
 				n.startForward(&pendingRemote{req: req, file: file, span: fwd, tried: cache.NodeSetOf(0)}, 1)
@@ -194,7 +195,7 @@ func TestNoSendToDeadPeer(t *testing.T) {
 	if got := n.Stats().LocalMisses; got == 0 {
 		t.Fatal("no file was read from disk and cached on the survivor")
 	}
-	waitQuiet(t, "the survivor's broadcasts to drain", func() int64 { return int64(n.sendQ.len()) })
+	waitQuiet(t, "the survivor's broadcasts to drain", func() int64 { return int64(len(n.sendQ)) })
 	if got := sendErrs() - errsBefore; got != 0 {
 		t.Errorf("the survivor counted %d send errors after declaring the victim dead", got)
 	}

@@ -184,15 +184,8 @@ func (t *tcpTransport) notifyJoin(peer int, j *JoinInfo) {
 	if err != nil {
 		return
 	}
-	m := Message{Type: core.MsgJoin, From: peer, Data: payload}
-	t.inboundMu.RLock()
-	defer t.inboundMu.RUnlock()
-	if t.inClosed {
-		return
-	}
-	//presslint:ignore mutex-across-block bounded: Close closes t.done before taking the write lock, so the select always exits
 	select {
-	case t.inbound <- m:
+	case t.inbound <- Message{Type: core.MsgJoin, From: peer, Data: payload}:
 	case <-t.done:
 	}
 }

@@ -84,10 +84,7 @@ func recvType(t *testing.T, tr *tcpTransport, want core.MsgType, timeout time.Du
 	defer deadline.Stop()
 	for {
 		select {
-		case m, ok := <-tr.Inbound():
-			if !ok {
-				t.Fatal("inbound closed")
-			}
+		case m := <-tr.Inbound():
 			if m.Type == want {
 				return m
 			}

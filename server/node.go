@@ -80,11 +80,6 @@ func (r *clientRequest) release() {
 	clientRequests.Put(r)
 }
 
-// diskJob asks the disk helper threads to read a file.
-type diskJob struct {
-	name string
-}
-
 // diskDone reports a finished disk read back to the main loop.
 type diskDone struct {
 	name string
@@ -303,9 +298,9 @@ type Node struct {
 
 	httpCh     chan *clientRequest
 	doneCh     chan struct{} // HTTP completion events (load decrement)
-	diskQ      *workQueue[diskJob]
+	diskQ      chan string   // names to read; closed by mainLoop
 	diskDone   chan diskDone
-	sendQ      *workQueue[outMsg]
+	sendQ      chan outMsg      // closed by mainLoop
 	ctrlCh     chan func()      // closures run on the main loop
 	sendFailCh chan sendFailure // send thread -> main loop
 
@@ -384,9 +379,9 @@ func newNode(id int, cfg Config, account *metrics.Registry, store *Store, tr Tra
 		waiting:    make(map[string][]diskWaiter),
 		httpCh:     make(chan *clientRequest, cfg.Overload.AcceptQueue),
 		doneCh:     make(chan struct{}, 1024),
-		diskQ:      newWorkQueue[diskJob](cfg.Overload.DiskQueue),
+		diskQ:      make(chan string, cfg.Overload.DiskQueue),
 		diskDone:   make(chan diskDone, 256),
-		sendQ:      newWorkQueue[outMsg](dispatchQueueLimit),
+		sendQ:      make(chan outMsg, dispatchQueueLimit),
 		ctrlCh:     make(chan func(), 64),
 		sendFailCh: make(chan sendFailure, 256),
 		probing:    make([]bool, cfg.Nodes),
@@ -461,11 +456,14 @@ func (n *Node) Stats() NodeStats {
 
 // mainLoop is the event-driven heart of the node: it owns all policy
 // and cache state and must never block (helper threads do the waiting).
+// It is the one producer of the send and disk queues, so it closes them
+// when it returns, which ends the helper threads' range over them.
 func (n *Node) mainLoop() {
 	defer n.wg.Done()
+	defer close(n.diskQ)
+	defer close(n.sendQ)
 	inbound := n.transport.Inbound()
 	var m Message // every message is received here; see handleMessage
-	var ok bool
 	// The periodic tick sweeps pending forwards (expired deadlines,
 	// overdue replies) and drives failure detection (heartbeats, probes);
 	// a nil channel (nothing ticks on this node) removes the case
@@ -484,10 +482,7 @@ func (n *Node) mainLoop() {
 			n.handleClient(r)
 		case <-n.doneCh:
 			n.loadChange(-1)
-		case m, ok = <-inbound:
-			if !ok {
-				return
-			}
+		case m = <-inbound:
 			n.handleMessage(&m)
 		case d := <-n.diskDone:
 			n.handleDiskDone(d)
@@ -637,7 +632,11 @@ func (n *Node) readDisk(name string, w diskWaiter) {
 		n.waiting[name] = append(ws, w)
 		return
 	}
-	if !n.diskQ.push(diskJob{name: name}) {
+	select {
+	case n.diskQ <- name:
+		n.waiting[name] = []diskWaiter{w}
+		n.m.disk.Inc()
+	default:
 		w.span.End()
 		w.serve.End()
 		if w.local != nil {
@@ -645,10 +644,7 @@ func (n *Node) readDisk(name string, w diskWaiter) {
 			return
 		}
 		n.ov.im.shedInc(shedQueueDisk, shedReasonFull)
-		return
 	}
-	n.waiting[name] = []diskWaiter{w}
-	n.m.disk.Inc()
 }
 
 func (n *Node) handleDiskDone(d diskDone) {
@@ -820,7 +816,7 @@ func (n *Node) AnnounceLeave(timeout time.Duration) {
 	// deadline) so they actually reach the wire.
 	tick := time.NewTicker(5 * time.Millisecond)
 	defer tick.Stop()
-	for n.sendQ.len() > 0 {
+	for len(n.sendQ) > 0 {
 		select {
 		case <-tick.C:
 		case <-deadline.C:
@@ -930,10 +926,10 @@ func (n *Node) loadChange(delta int) {
 // channel has been failed, and it comes back only through markAlive,
 // after which PeerJoined replays the directory, so nothing queued for it
 // meanwhile is owed. Any outbound message doubles as a heartbeat, so the
-// tracker learns it was sent. A full dispatch queue sheds the message
-// instead of growing without bound. queued reports whether the message
-// went out; only startForward looks. The queue's growth and the shed
-// are gated: no site is counted.
+// tracker learns it was sent. The queue is a channel of
+// dispatchQueueLimit slots that the push never waits on: a full one
+// sheds the message. queued reports whether the message went out; only
+// startForward looks. The shed is gated: no site is counted.
 //
 //presslint:hotpath budget=0
 func (n *Node) send(dst int, m Message) (queued bool) {
@@ -942,11 +938,13 @@ func (n *Node) send(dst int, m Message) (queued bool) {
 	}
 	m.From = n.id
 	n.health.noteSent(dst, time.Now())
-	if !n.sendQ.push(outMsg{dst: dst, msg: m}) {
+	select {
+	case n.sendQ <- outMsg{dst: dst, msg: m}:
+		return true
+	default:
 		n.ov.im.shedInc(shedQueueDispatch, shedReasonFull)
 		return false
 	}
-	return true
 }
 
 // sendThread drains the send queue, stamping the piggy-backed load and
@@ -954,16 +952,15 @@ func (n *Node) send(dst int, m Message) (queued bool) {
 // transports' supersede bounce is the one retry. A failure is counted per
 // message type and reported to the main loop, which owns the health
 // state and fails the owning forward over instead of silently dropping
-// it. Every message is popped into item, lent to Send.
+// it. It ranges over the send queue until mainLoop closes it; every
+// message is received into item, lent to Send. item lives outside the
+// loop: a per-iteration variable, whose address Send takes through the
+// interface, would be heap-allocated for each message.
 func (n *Node) sendThread() {
 	defer n.wg.Done()
 	pb := n.cfg.Dissemination.Piggyback()
 	var item outMsg
-	for {
-		var ok bool
-		if item, ok = n.sendQ.pop(); !ok {
-			return
-		}
+	for item = range n.sendQ {
 		if item.msg.Type != core.MsgLoad {
 			if pb {
 				item.msg.Load = int32(n.loadMirror.Load())
@@ -1330,17 +1327,14 @@ func (n *Node) Degraded() bool { return n.degFlag.Load() }
 // diskThreads is the number of disk helper threads per node.
 const diskThreads = 2
 
-// diskThread performs blocking disk reads so the main loop never does.
+// diskThread performs blocking disk reads so the main loop never does,
+// ranging over the disk queue until mainLoop closes it.
 func (n *Node) diskThread() {
 	defer n.wg.Done()
-	for {
-		job, ok := n.diskQ.pop()
-		if !ok {
-			return
-		}
-		data, err := n.store.read(job.name, n.cfg.DiskDelay)
+	for name := range n.diskQ {
+		data, err := n.store.read(name, n.cfg.DiskDelay)
 		select {
-		case n.diskDone <- diskDone{name: job.name, data: data, err: err}:
+		case n.diskDone <- diskDone{name: name, data: data, err: err}:
 		case <-n.stop:
 			return
 		}
@@ -1350,8 +1344,6 @@ func (n *Node) diskThread() {
 func (n *Node) shutdown() {
 	n.stopOnce.Do(func() {
 		close(n.stop)
-		n.sendQ.close()
-		n.diskQ.close()
 		n.transport.Close()
 	})
 	n.wg.Wait()

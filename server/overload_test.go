@@ -167,10 +167,10 @@ func TestOverloadGoodputUnderSaturation(t *testing.T) {
 			if l := len(n.httpCh); l > cfg.Overload.AcceptQueue {
 				violations = append(violations, fmt.Sprintf("node %d accept queue %d > %d", i, l, cfg.Overload.AcceptQueue))
 			}
-			if l := n.diskQ.len(); l > cfg.Overload.DiskQueue {
+			if l := len(n.diskQ); l > cfg.Overload.DiskQueue {
 				violations = append(violations, fmt.Sprintf("node %d disk queue %d > %d", i, l, cfg.Overload.DiskQueue))
 			}
-			if l := n.sendQ.len(); l > dispatchQueueLimit {
+			if l := len(n.sendQ); l > dispatchQueueLimit {
 				violations = append(violations, fmt.Sprintf("node %d send queue %d > %d", i, l, dispatchQueueLimit))
 			}
 		}

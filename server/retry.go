@@ -39,11 +39,15 @@ func (s *sleeper) sleep(d time.Duration, stop <-chan struct{}) bool {
 }
 
 // hardSendErr reports whether a send failure is evidence that the peer
-// is dead: a peer already marked down, a severed link, a broken VI — and
-// a reliable send that found no receive descriptor, which breaks the VI
-// at both ends, so sending again only meets via.ErrBroken. Anything else
-// — a remote-write timeout, a superseded channel, a full work queue — is
-// grounds for suspicion only.
+// is dead: a peer already marked down (on VIA, every failed channel is
+// reported so), a severed link, a broken VI — and a reliable send that
+// found no receive descriptor, which breaks the VI at both ends, so
+// sending again only meets via.ErrBroken. The rest of what Send returns
+// is grounds for suspicion only: a channel superseded more often than
+// Send bounces, a transport closing under the send (via.ErrClosed), a
+// TCP write's socket error, no channel to the peer yet, a post's other
+// refusals (via.ErrTooLong, via.ErrProtection) and a message that does
+// not encode.
 func hardSendErr(err error) bool {
 	return errors.Is(err, ErrPeerDown) || errors.Is(err, via.ErrLinkDown) ||
 		errors.Is(err, via.ErrBroken) || errors.Is(err, via.ErrNoRecvDescriptor)

@@ -42,13 +42,6 @@ type tcpTransport struct {
 	unseated int
 	seated   chan struct{}
 
-	// inboundMu guards delivery into inbound from goroutines outside wg
-	// (a Reconnect caller's join notification): Close marks inClosed
-	// before closing the channel, so such a delivery can never hit a
-	// closed channel.
-	inboundMu sync.RWMutex
-	inClosed  bool
-
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 	ln        net.Listener
@@ -326,10 +319,6 @@ func (t *tcpTransport) Close() error {
 			}
 		}
 		t.wg.Wait()
-		t.inboundMu.Lock()
-		t.inClosed = true
-		t.inboundMu.Unlock()
-		close(t.inbound)
 	})
 	return nil
 }

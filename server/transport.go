@@ -49,7 +49,8 @@ type Transport interface {
 	Inbound() <-chan Message
 	// Metrics snapshots the transport's counters.
 	Metrics() TransportMetrics
-	// Close tears the transport down; Inbound is closed afterwards.
+	// Close tears the transport down. Inbound is never closed: it has a
+	// producer per peer, and its reader stops on a signal of its own.
 	Close() error
 	// PeerDown marks dst dead: in-flight and future sends to it fail
 	// promptly with an error wrapping ErrPeerDown instead of blocking on

@@ -138,11 +138,7 @@ func TestViaTransportRaceStress(t *testing.T) {
 				deadline := time.After(30 * time.Second)
 				for caching < wantMsgs || load < wantMsgs || bytes < wantBytes {
 					select {
-					case m, ok := <-vt.Inbound():
-						if !ok {
-							done <- fmt.Errorf("node %d: inbound closed early", vt.cfg.self)
-							return
-						}
+					case m := <-vt.Inbound():
 						switch m.Type {
 						case core.MsgCaching:
 							caching++
@@ -473,9 +469,6 @@ func TestViaCloseJoinsParkedPoller(t *testing.T) {
 		case <-closed:
 		case <-time.After(5 * time.Second):
 			t.Fatalf("node %d: Close did not join the poll thread", vt.cfg.self)
-		}
-		if _, open := <-vt.Inbound(); open {
-			t.Errorf("node %d: inbound still open after Close", vt.cfg.self)
 		}
 	}
 }

@@ -826,7 +826,6 @@ func (t *viaTransport) Close() error {
 		t.recvCQ.Close()
 		t.nic.Close()
 		t.wg.Wait()
-		close(t.inbound)
 	})
 	return nil
 }
