@@ -297,6 +297,17 @@ if grep -nE 'workQueue|inClosed|inboundMu|close\(t\.inbound\)' \
     exit 1
 fi
 
+# A TCP peer is reached one way, as a VIA peer is: connect dials each
+# higher-indexed peer once, and a peer that is not up yet is found by
+# the health prober through Reconnect. The startup dial loop with its
+# own backoff, and the seating count Start waited on, stay gone.
+echo "==> a TCP peer is reached one way"
+if grep -nE 'meshDialLoop|meshDialBackoff|awaitSeated|unseated' \
+    $(find server -name '*.go' ! -name '*_test.go'); then
+    echo "check: server/ brings TCP peers up a second way again" >&2
+    exit 1
+fi
+
 echo "==> presslint ./..."
 go run ./cmd/presslint ./...
 
@@ -351,6 +362,11 @@ done
 echo "==> benchmark smoke"
 go test -run '^$' -bench '^$' ./...
 go test -run '^$' -bench BenchmarkViaSendMetrics -benchtime 1x .
+
+# The paired-run tool every performance claim cites: one short pair of
+# the bypass workload, HEAD against the working tree.
+echo "==> paired-run smoke (scripts/pairs.sh HEAD edge-local 1 1)"
+bash scripts/pairs.sh HEAD edge-local 1 1
 
 # The dynamic half of the free-when-off proofs. Tracing: the serve path
 # with no tracer. Telemetry: servers always call plane.Event at the

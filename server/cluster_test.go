@@ -876,13 +876,41 @@ func TestClusterLifecycle(t *testing.T) {
 // hold the channel and see each other alive, and every file fetched
 // through either is byte-exact, some of them forwarded.
 func TestViaProcessLateJoin(t *testing.T) {
+	processLateJoin(t, TransportVIA, func(pn *ProcNode, peer int) bool {
+		p := pn.transport.(*viaTransport).peer(peer)
+		if p == nil {
+			return false
+		}
+		select {
+		case <-p.ready:
+			return true
+		default:
+			return false
+		}
+	})
+}
+
+// TestMeshProcessLateJoin is the same on TCP, which comes up the way VIA
+// does: node 0, first, dials the absent node 1 once and fails, and node
+// 1 dials no lower-indexed peer at start, so only a health prober, from
+// either end, can bring the pair up.
+func TestMeshProcessLateJoin(t *testing.T) {
+	processLateJoin(t, TransportTCP, func(pn *ProcNode, peer int) bool {
+		p := pn.transport.(*tcpTransport).peer(peer)
+		return p != nil && p.down() == nil
+	})
+}
+
+// processLateJoin starts two processes' nodes on transport in either
+// order; holds reports whether pn has a live channel to peer.
+func processLateJoin(t *testing.T, transport TransportKind, holds func(pn *ProcNode, peer int) bool) {
 	tr := serverTestTrace(t, 8)
 	for _, first := range []int{1, 0} {
 		t.Run(fmt.Sprintf("node%d-first", first), func(t *testing.T) {
 			addrs := []string{deadAddr(t), deadAddr(t)}
 			start := func(self int) *ProcNode {
 				t.Helper()
-				cfg := testClusterConfig(tr, TransportVIA)
+				cfg := testClusterConfig(tr, transport)
 				cfg.Nodes = 2
 				cfg.Mesh = &MeshConfig{Self: self, PeerAddrs: addrs}
 				pn, err := StartNode(cfg)
@@ -909,13 +937,7 @@ func TestViaProcessLateJoin(t *testing.T) {
 
 			waitFor(t, 10*time.Second, "each node to hold a channel to the other and see it alive", func() bool {
 				for i, pn := range pns {
-					p := pn.transport.(*viaTransport).peer(1 - i)
-					if p == nil || pn.Node().PeerState(1-i) != StateAlive {
-						return false
-					}
-					select {
-					case <-p.ready:
-					default:
+					if !holds(pn, 1-i) || pn.Node().PeerState(1-i) != StateAlive {
 						return false
 					}
 				}

@@ -1,9 +1,8 @@
 package server
 
 import (
-	"errors"
+	"context"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync/atomic"
 	"time"
@@ -30,12 +29,6 @@ const (
 	// meshJoinMaxFrame bounds a handshake frame; join payloads are tiny,
 	// so anything larger is garbage on the port.
 	meshJoinMaxFrame = 4096
-	// meshDialBackoffBase/Cap pace the startup dialers: a peer that is
-	// not up yet is re-dialed on a doubling schedule until it answers or
-	// the transport closes. After the first success, redials are the
-	// health prober's job.
-	meshDialBackoffBase = 100 * time.Millisecond
-	meshDialBackoffCap  = 2 * time.Second
 )
 
 // meshState is the membership side of a tcpTransport.
@@ -62,11 +55,9 @@ type epochTransport interface {
 // newMeshTCPTransport builds one node's side of the mesh. ln is this
 // node's intra-cluster listener; peerAddrs[i] is node i's listen address
 // (peerAddrs[info.Node] is our own) — the caller has checked that info
-// and peerAddrs agree on the cluster. No connection exists at return:
-// startup dialers run in the background with a doubling backoff until
-// each peer answers, and peers dial us symmetrically, so whichever side
-// comes up last completes the pair. names interns received file names;
-// account is the node's account registry.
+// and peerAddrs agree on the cluster. No connection exists and no
+// goroutine runs at return: connect brings the mesh up. names interns
+// received file names; account is the node's account registry.
 func newMeshTCPTransport(ln net.Listener, info JoinInfo, peerAddrs []string, names nameTable,
 	account *metrics.Registry, trc *tracing.Collector) *tcpTransport {
 	if info.Epoch == 0 {
@@ -74,14 +65,16 @@ func newMeshTCPTransport(ln net.Listener, info JoinInfo, peerAddrs []string, nam
 	}
 	info.Proto = joinProtoVersion
 	info.Ack, info.OK, info.Reason = false, false, ""
-	t := &tcpTransport{
+	ctx, cancel := context.WithCancel(context.Background())
+	return &tcpTransport{
 		self:      info.Node,
 		nodes:     info.Nodes,
 		peerAddrs: append([]string(nil), peerAddrs...),
 		peers:     make([]*tcpPeer, info.Nodes),
 		inbound:   make(chan Message, 1024),
 		names:     names,
-		done:      make(chan struct{}),
+		ctx:       ctx,
+		cancel:    cancel,
 		ln:        ln,
 		ins:       newTransportInstruments(account, info.Node),
 		trc:       trc,
@@ -89,22 +82,34 @@ func newMeshTCPTransport(ln net.Listener, info JoinInfo, peerAddrs []string, nam
 			info:      info,
 			peerEpoch: make([]atomic.Uint64, info.Nodes),
 		},
-		unseated: info.Nodes - 1,
-		seated:   make(chan struct{}),
 	}
-	if t.unseated == 0 {
-		close(t.seated)
-	}
+}
+
+// connect brings this node's side of the mesh up the way the VIA
+// transport does: lower-indexed peers dial in through the accept loop,
+// and this node dials each higher-indexed one once with dialJoin. With
+// await it returns the first dial error, or nil once every dialed
+// connection is acked; an acceptor installs its connection before it
+// writes the ack, so by then the pair is in both peer tables. Without
+// await the dials run in the background, and a peer that is not up yet
+// is found by the health prober, as after a crash.
+func (t *tcpTransport) connect(await bool) error {
 	t.wg.Add(1)
 	go t.acceptLoop()
-	for j := 0; j < info.Nodes; j++ {
-		if j == info.Node {
-			continue
-		}
+	errc := make(chan error, t.nodes)
+	for j := t.self + 1; j < t.nodes; j++ {
 		t.wg.Add(1)
-		go t.meshDialLoop(j)
+		go func() {
+			defer t.wg.Done()
+			errc <- t.dialJoin(j)
+		}()
 	}
-	return t
+	for j := t.self + 1; await && j < t.nodes; j++ {
+		if err := <-errc; err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (t *tcpTransport) SelfEpoch() uint64 { return t.info.Epoch }
@@ -117,21 +122,6 @@ func (t *tcpTransport) PeerEpoch(id int) uint64 {
 }
 
 func (t *tcpTransport) StaleEpochDrops() int64 { return t.staleDrops.Load() }
-
-// awaitSeated blocks until every peer has had a connection installed.
-// Start binds every listener before the first dial, so one dial and
-// both handshake halves bound the wait unless a handshake is wedged.
-func (t *tcpTransport) awaitSeated() error {
-	const timeout = meshDialTimeout + 2*meshHelloTimeout
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-t.seated:
-		return nil
-	case <-timer.C:
-		return fmt.Errorf("server: node %d: mesh not seated within %v", t.self, timeout)
-	}
-}
 
 // casMax raises a to at least v.
 func casMax(a *atomic.Uint64, v uint64) {
@@ -186,29 +176,28 @@ func (t *tcpTransport) notifyJoin(peer int, j *JoinInfo) {
 	}
 	select {
 	case t.inbound <- Message{Type: core.MsgJoin, From: peer, Data: payload}:
-	case <-t.done:
+	case <-t.ctx.Done():
 	}
 }
 
 // dialJoin opens a connection to dst with the full join handshake:
 // send our hello, read the ack, install the connection under the
-// acceptor's epoch. Called by Reconnect (health probes) and the
-// startup dialers; a refused join surfaces as *JoinRejectedError.
+// acceptor's epoch. Called by connect, once per higher-indexed peer, and
+// by Reconnect (health probes); a refused join surfaces as
+// *JoinRejectedError. Close hangs up a dial still in its handshake.
 func (t *tcpTransport) dialJoin(dst int) error {
-	select {
-	case <-t.done:
-		return fmt.Errorf("server: transport closed")
-	default:
-	}
-	conn, err := net.DialTimeout("tcp", t.peerAddrs[dst], meshDialTimeout)
+	d := net.Dialer{Timeout: meshDialTimeout}
+	conn, err := d.DialContext(t.ctx, "tcp", t.peerAddrs[dst])
 	if err != nil {
 		return err
 	}
+	stop := context.AfterFunc(t.ctx, func() { conn.Close() })
+	defer stop()
 	// TCP self-connect: dialing a not-yet-bound loopback port in the
 	// ephemeral range can simultaneous-open onto itself (local addr ==
 	// remote addr). The phantom connection would wedge the handshake
 	// AND hold the peer's listen port hostage (its bind then fails
-	// with EADDRINUSE), so drop it immediately and let backoff retry.
+	// with EADDRINUSE), so drop it immediately; the prober dials again.
 	if conn.LocalAddr().String() == conn.RemoteAddr().String() {
 		conn.Close()
 		return fmt.Errorf("server: self-connect dialing node %d at %s", dst, t.peerAddrs[dst])
@@ -248,10 +237,13 @@ func (t *tcpTransport) dialJoin(dst int) error {
 
 // meshAccept runs the acceptor half of the join handshake on one
 // freshly accepted connection: read the hello, validate it against our
-// own configuration and the peer's epoch history, then ack and install
-// or reject with a typed reason and close.
+// own configuration and the peer's epoch history, then install and ack,
+// or reject with a typed reason and close. Close hangs up a dialer that
+// is still in the handshake.
 func (t *tcpTransport) meshAccept(conn net.Conn) {
 	defer t.wg.Done()
+	stop := context.AfterFunc(t.ctx, func() { conn.Close() })
+	defer stop()
 	hello, err := readJoinFrame(conn)
 	if err != nil {
 		conn.Close()
@@ -280,56 +272,25 @@ func (t *tcpTransport) meshAccept(conn net.Conn) {
 		reject(joinRejectStaleEpoch)
 		return
 	}
-	// Record the epoch, then ack: whoever has read the ack may rely on
-	// PeerEpoch, and a dialer of an older life is refused from here on.
+	// Record the epoch, install the connection, then ack: whoever has
+	// read the ack may rely on PeerEpoch and on the pair being in both
+	// peer tables, and a dialer of an older life is refused from here
+	// on. The peer's write lock is held from the install until the ack
+	// is out, so the ack is the connection's first frame.
 	casMax(&t.peerEpoch[hello.Node], hello.Epoch)
-	ack := t.info
-	ack.Ack, ack.OK = true, true
-	if err := writeJoinFrame(conn, t.self, &ack); err != nil {
-		conn.Close()
+	p := &tcpPeer{conn: conn, id: hello.Node, epoch: hello.Epoch}
+	p.mu.Lock()
+	if !t.setPeer(hello.Node, p) { // setPeer closed the conn
+		p.mu.Unlock()
 		return
 	}
-	p := &tcpPeer{conn: conn, id: hello.Node, epoch: hello.Epoch}
-	if t.setPeer(hello.Node, p) { // else setPeer closed the conn
-		t.notifyJoin(hello.Node, hello)
+	ack := t.info
+	ack.Ack, ack.OK = true, true
+	err = writeJoinFrame(conn, t.self, &ack)
+	p.mu.Unlock()
+	if err != nil {
+		p.markDown(err)
+		return
 	}
-}
-
-// meshDialLoop brings up the initial connection to dst: re-dial on a
-// doubling backoff until a connection exists (ours or one dst dialed
-// to us), the transport closes, or dst tells us our epoch is stale —
-// a newer life of this node id is running, so this process must not
-// fight it. The higher-indexed side of each pair defers briefly so
-// one dial usually wins outright; epoch supersession absorbs the rest.
-func (t *tcpTransport) meshDialLoop(dst int) {
-	defer t.wg.Done()
-	rng := rand.New(rand.NewSource(int64(t.self)<<16 | int64(dst)))
-	var wait time.Duration
-	if t.self > dst {
-		wait = meshDialBackoffBase + time.Duration(rng.Int63n(int64(meshDialBackoffBase)))
-	}
-	step := meshDialBackoffBase
-	var pause sleeper
-	for {
-		if wait > 0 && !pause.sleep(wait, t.done) {
-			return
-		}
-		if p := t.peer(dst); p != nil && p.down() == nil {
-			return
-		}
-		err := t.dialJoin(dst)
-		if err == nil {
-			return
-		}
-		var jr *JoinRejectedError
-		if errors.As(err, &jr) && jr.Reason == joinRejectStaleEpoch {
-			return // we are the previous life; stop dialing
-		}
-		half := step / 2
-		wait = half + time.Duration(rng.Int63n(int64(half)+1))
-		step *= 2
-		if step > meshDialBackoffCap {
-			step = meshDialBackoffCap
-		}
-	}
+	t.notifyJoin(hello.Node, hello)
 }

@@ -51,6 +51,9 @@ func startMeshAs(t *testing.T, ln net.Listener, info JoinInfo, peerAddrs []strin
 	info.Transport = "tcp"
 	tr := newMeshTCPTransport(ln, info, peerAddrs, nil, nil, nil)
 	t.Cleanup(func() { tr.Close() })
+	if err := tr.connect(false); err != nil {
+		t.Fatal(err)
+	}
 	return tr
 }
 
@@ -211,6 +214,29 @@ func TestMeshAckFollowsEpoch(t *testing.T) {
 	}
 	if !ack.Ack || !ack.OK {
 		t.Fatalf("join acked %+v", ack)
+	}
+}
+
+// TestMeshCloseHangsUpSilentDialer: Close ends every handshake still
+// running instead of waiting out meshHelloTimeout. Node 0 dials a peer
+// whose listener never answers, and a connection that sends nothing sits
+// in the acceptor half; Close must return promptly all the same.
+func TestMeshCloseHangsUpSilentDialer(t *testing.T) {
+	ln, silent := meshListener(t), meshListener(t)
+	defer silent.Close()
+	tr := startMesh(t, ln, 0, 2, 500, []string{ln.Addr().String(), silent.Addr().String()})
+	client, srv := net.Pipe()
+	defer client.Close()
+	tr.wg.Add(1)
+	go tr.meshAccept(srv)
+
+	start := time.Now()
+	tr.Close()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v with silent handshakes open, want under 1s", d)
+	}
+	if _, err := client.Write([]byte{0}); err == nil {
+		t.Fatal("the silent dialer's connection is still open after Close")
 	}
 }
 

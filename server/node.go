@@ -1256,9 +1256,10 @@ func (n *Node) updateDegraded() {
 	}
 }
 
-// probe tries to re-establish the channel to a dead peer off the main
-// loop. Whether this side is the one that should dial is the
-// transport's call: TCP dials from either side (the dead side may be
+// probe tries to establish the channel to a dead peer off the main
+// loop: one that crashed, or one that was not up yet when this node's
+// transport connected. Whether this side is the one that should dial is
+// the transport's call: TCP dials from either side (the dead side may be
 // exactly the one a fixed role would have picked), VIA answers
 // errPassiveRole on the higher-indexed side and recovers when the
 // peer's dial lands. At most one probe per peer is in flight.

@@ -61,10 +61,10 @@ type ProcNode struct {
 }
 
 // StartNode launches this process's node of a multi-process cluster:
-// intra-cluster listener bound, membership dialers running, HTTP
-// accepting. It returns as soon as the local node is up — peers may
-// not exist yet (late join is the normal case) and connections
-// complete in the background as they appear.
+// intra-cluster listener bound, each higher-indexed peer dialed once,
+// HTTP accepting. It returns as soon as the local node is up — peers
+// may not exist yet (late join is the normal case); lower-indexed peers
+// dial in as they come up, and the health prober finds the rest.
 func StartNode(c Config) (*ProcNode, error) {
 	cfg, err := c.withDefaults()
 	if err != nil {
@@ -99,10 +99,10 @@ func StartNode(c Config) (*ProcNode, error) {
 // listener are already set, and a failure is unwound by the caller's
 // Close.
 //
-// Build and connect are separate passes because of VIA: a vi.Connect to
-// an address nobody listens on yet fails rather than retries, so on a
-// shared fabric every NIC and listener must exist before the first
-// connect. TCP's dialers retry, but ride the same sequence.
+// Build and connect are separate passes because a dial to an address
+// nobody listens on yet fails rather than retries: on a shared fabric
+// every NIC and listener, and on TCP every intra-cluster listener, must
+// exist before the first connect.
 func bringUp(procs []*ProcNode, shared *via.Fabric) error {
 	for _, pn := range procs {
 		if err := pn.build(shared); err != nil {
@@ -207,19 +207,12 @@ func (pn *ProcNode) build(shared *via.Fabric) error {
 	return nil
 }
 
-// connect completes the node's side of the mesh: TCP has been dialing
-// since build, VIA starts dialing here. With awaitPeers it returns once
-// the channels are up; without, peers join as they appear.
+// connect brings the node's side of the mesh up (Transport.connect).
+// With awaitPeers it returns once the channels are up; without, peers
+// join as they appear.
 func (pn *ProcNode) connect(awaitPeers bool) error {
-	switch t := pn.transport.(type) {
-	case *viaTransport:
-		if err := t.connect(awaitPeers); err != nil {
-			return fmt.Errorf("server: node %d mesh: %w", pn.cfg.Mesh.Self, err)
-		}
-	case *tcpTransport:
-		if awaitPeers {
-			return t.awaitSeated()
-		}
+	if err := pn.transport.connect(awaitPeers); err != nil {
+		return fmt.Errorf("server: node %d mesh: %w", pn.cfg.Mesh.Self, err)
 	}
 	return nil
 }

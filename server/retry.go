@@ -18,8 +18,8 @@ import (
 // tracker's probe jitter.
 const retrySeed = 1
 
-// sleeper paces a loop — a fault plan, a redial — on one reusable
-// timer: time.After in a loop would leak a timer per turn.
+// sleeper paces a loop (a fault plan) on one reusable timer:
+// time.After in a loop would leak a timer per turn.
 type sleeper struct{ timer *time.Timer }
 
 // sleep waits d out and reports true, or false as soon as stop closes.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -16,10 +17,12 @@ import (
 // the server (Section 2.2), so no flow messages appear on the wire.
 //
 // This file is the data plane: peer table, framing, Send, read loop.
-// How connections come to exist — the MsgJoin handshake every one opens
-// with, epochs, the startup dialers — is mesh.go. There is one mode:
-// sibling nodes of an in-process Cluster pair up over loopback exactly
-// as pressd processes do across hosts.
+// How connections come to exist is mesh.go: the MsgJoin handshake every
+// one opens with, epochs, and connect, which dials each higher-indexed
+// peer once and leaves a peer that is not up yet to the health prober,
+// as the VIA transport does. There is one mode: sibling nodes of an
+// in-process Cluster pair up over loopback exactly as pressd processes
+// do across hosts.
 type tcpTransport struct {
 	self      int
 	nodes     int
@@ -28,19 +31,16 @@ type tcpTransport struct {
 	names     nameTable // interns the names received messages carry
 	ins       transportInstruments
 	trc       *tracing.Collector
-	done      chan struct{}
+	// ctx ends at Close, which hangs up every handshake still running.
+	ctx    context.Context
+	cancel context.CancelFunc
 	meshState
 
-	// peersMu guards the peer table, the closed flag and the seating
-	// count; peers[i] is replaced wholesale when a connection is
-	// re-established.
+	// peersMu guards the peer table and the closed flag; peers[i] is
+	// replaced wholesale when a connection is re-established.
 	peersMu sync.RWMutex
 	peers   []*tcpPeer // indexed by node, nil for self
 	closed  bool
-	// unseated counts peers that never had a connection installed; seated
-	// closes when it reaches zero (what Start waits for).
-	unseated int
-	seated   chan struct{}
 
 	closeOnce sync.Once
 	wg        sync.WaitGroup
@@ -131,11 +131,6 @@ func (t *tcpTransport) setPeer(id int, p *tcpPeer) bool {
 		return false
 	}
 	t.peers[id] = p
-	if old == nil {
-		if t.unseated--; t.unseated == 0 {
-			close(t.seated)
-		}
-	}
 	t.wg.Add(1)
 	go t.readLoop(p)
 	t.peersMu.Unlock()
@@ -268,7 +263,7 @@ func (t *tcpTransport) readLoop(p *tcpPeer) {
 	conn := p.conn
 	fail := func(err error) {
 		select {
-		case <-t.done: // orderly shutdown, not a peer fault
+		case <-t.ctx.Done(): // orderly shutdown, not a peer fault
 		default:
 			p.markDown(err)
 		}
@@ -291,7 +286,7 @@ func (t *tcpTransport) readLoop(p *tcpPeer) {
 		// the sender when the main loop is saturated.
 		select {
 		case t.inbound <- m:
-		case <-t.done:
+		case <-t.ctx.Done():
 			return
 		}
 	}
@@ -307,7 +302,7 @@ func (t *tcpTransport) Metrics() TransportMetrics { return t.ins.metrics() }
 
 func (t *tcpTransport) Close() error {
 	t.closeOnce.Do(func() {
-		close(t.done)
+		t.cancel()
 		t.peersMu.Lock()
 		t.closed = true
 		peers := append([]*tcpPeer(nil), t.peers...)

@@ -56,10 +56,17 @@ type Transport interface {
 	// promptly with an error wrapping ErrPeerDown instead of blocking on
 	// flow control.
 	PeerDown(dst int, reason error)
-	// Reconnect re-establishes the channel to dst after a failure (on
-	// VIA, also the first one). VIA returns errPassiveRole when dst is
-	// expected to dial us instead, errDialing while a dial is in flight.
+	// Reconnect re-establishes the channel to dst after a failure, and
+	// makes the first one to a peer that was not up at connect. VIA
+	// returns errPassiveRole when dst is expected to dial us instead,
+	// errDialing while a dial is in flight.
 	Reconnect(dst int) error
+	// connect brings this node's side of the mesh up: it admits the
+	// peers that dial in and dials each higher-indexed peer once. With
+	// await it returns once every dialed channel is up at both ends;
+	// without, a peer that is not up yet is left to the health prober
+	// (Reconnect), as after a crash.
+	connect(await bool) error
 }
 
 // ErrPeerDown marks a send addressed to a peer the transport has been
@@ -71,8 +78,9 @@ var ErrPeerDown = errors.New("server: peer down")
 // other side's to dial (errPassiveRole: the lower index dials, at
 // bring-up and after a failure alike) or a dial to the peer is already
 // in flight (errDialing). A channel has one dial at a time, so both ends
-// promote the same one. (TCP dials from either side and lets epochs
-// settle the race.)
+// promote the same one. (TCP's bring-up dials from the lower index too,
+// but its Reconnect dials from either side and lets epochs settle the
+// race.)
 var (
 	errPassiveRole = errors.New("server: reconnect is dialed from the other side")
 	errDialing     = errors.New("server: a dial to this peer is in flight")

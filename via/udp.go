@@ -65,6 +65,11 @@ const (
 // NIC's transfers behind it, for good. A var only so tests can shorten it.
 var bridgeWriteTimeout = 30 * time.Second
 
+// bridgeHelloTimeout bounds the wait for a dialer's CONNECT frame: a
+// connection that never sends one is hung up on instead of holding its
+// goroutine and socket until Close. A var only so tests can shorten it.
+var bridgeHelloTimeout = 5 * time.Second
+
 // Frames are a u32 length, then a kind byte and its fields. All
 // integers little-endian; strings length-prefixed (str8: u8 length,
 // str16: u16 length). The dialer opens with CONNECT and the acceptor
@@ -455,11 +460,13 @@ func (b *UDPBridge) accept(conn net.Conn) {
 	defer b.wg.Done()
 	c := &bChan{conn: conn}
 	fr := &frameReader{r: bufio.NewReader(conn)}
+	_ = conn.SetReadDeadline(time.Now().Add(bridgeHelloTimeout))
 	f, err := fr.next()
 	if err != nil || f[0] != frameConnect {
 		b.hangUp(conn) // not a bridge dialer
 		return
 	}
+	_ = conn.SetReadDeadline(time.Time{})
 	fromAddr, rest, ok1 := takeStr8(f[1:])
 	toAddr, rest, ok2 := takeStr8(rest)
 	service, _, ok3 := takeStr8(rest)

@@ -447,6 +447,25 @@ func TestBridgeWriteToWedgedPeerFails(t *testing.T) {
 	}
 }
 
+// TestBridgeHangsUpSilentDialer: a connection to the bridge that never
+// sends its CONNECT frame is closed once bridgeHelloTimeout passes,
+// not held until the bridge closes.
+func TestBridgeHangsUpSilentDialer(t *testing.T) {
+	old := bridgeHelloTimeout
+	bridgeHelloTimeout = 20 * time.Millisecond
+	t.Cleanup(func() { bridgeHelloTimeout = old })
+	p := newBridges(t)
+	conn, err := net.Dial("tcp", p.ba.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetReadDeadline(time.Now().Add(testTimeout))
+	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("read from a bridge that was sent nothing: %v, want EOF", err)
+	}
+}
+
 // TestBridgeRDMAProtectionBreaksChannel: a bridged remote write the real
 // NIC refuses breaks both VIs, as it does in process, and the reason
 // names the protection fault on both sides.
