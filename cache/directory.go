@@ -20,7 +20,7 @@ const MaxNodes = nodeSetWords * 64
 type NodeSet [nodeSetWords]uint64
 
 // NodeSetFromMask builds a set from a 64-node bitmask (bit i = node i),
-// the form the server's health tracker publishes atomically.
+// the form the server's peer table publishes atomically.
 func NodeSetFromMask(mask uint64) NodeSet { return NodeSet{mask} }
 
 // NodeSetOf builds a set from the listed node indices.

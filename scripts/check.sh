@@ -205,6 +205,17 @@ if [ "$exits" -ne 1 ]; then
     exit 1
 fi
 
+# A peer's fate is one table (server/peers.go): health, brownout pace
+# and last load, which it clears itself when the peer dies or comes
+# back. The tracker, the pace, their published copies and the node's
+# hand reconciliation of them stay gone.
+echo "==> a peer's fate has one table"
+if grep -nE 'healthTracker|peerPace|ovResetPeer|brownedPub|pickFailover|peerLoad|degFlag' \
+    $(ls server/*.go | grep -v _test.go); then
+    echo "check: server/ keeps a peer's state outside its peer table again" >&2
+    exit 1
+fi
+
 # Overload control is how a node runs, not an option: no switch, no
 # unbounded queue.
 echo "==> overload control has no off switch"
@@ -321,7 +332,7 @@ go run ./cmd/presslint ./lint ./cmd/...
 
 # Static half of the 0-alloc proofs: every //presslint:hotpath root
 # (the VIA Post* send path, which moves the transfer itself,
-# the tracing-off path, the overload hooks: budget 0; the request path
+# the tracing-off path, the peer table's pace hooks: budget 0; the request path
 # every request takes, ServeHTTP and handleClient: budgets 1 and 5;
 # the message path — Node.send 0, sendRegular, sendCtrlRMW and the TCP
 # sendOn 3, 3, 4 (the encoder's appends into owned scratch), sendFileRMW

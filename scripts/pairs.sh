@@ -14,6 +14,11 @@
 # two trees' bench/out/ are written; no machine setting is touched. The
 # exit status is 1 when a run fails or prints no result.
 #
+# A pair's second run tends to win: A/A runs (REV = HEAD against an
+# unchanged tree, 10 pairs of 10 s) showed no bias toward either side,
+# but the first runner won only 2 to 4 of 10 pairs. So a result must come
+# from alternated pairs, as these are, never from one side run first.
+#
 #   scripts/pairs.sh HEAD~1 fwd-tcp 10
 set -u
 

@@ -100,7 +100,7 @@ type Config struct {
 
 // MaxNodes is the largest cluster the real server supports. It is
 // smaller than cache.MaxNodes (which the simulator uses to sweep to 256
-// nodes) because the health tracker publishes liveness as a single
+// nodes) because the peer table publishes liveness as a single
 // atomic 64-bit mask.
 const MaxNodes = 64
 

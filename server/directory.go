@@ -61,7 +61,7 @@ type dirEnv struct {
 	fileID   func(name string) (cache.FileID, bool)
 	// localFiles iterates the node's currently cached files.
 	localFiles func(fn func(id cache.FileID))
-	// alive is the health tracker's current non-dead set (self always
+	// alive is the peer table's current non-dead set (self always
 	// included).
 	alive func() cache.NodeSet
 	// event feeds the telemetry flight recorder (nil-safe through the

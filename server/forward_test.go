@@ -8,6 +8,7 @@ import (
 	"press/cache"
 	"press/core"
 	"press/metrics"
+	"press/telemetry"
 	"press/tracing"
 )
 
@@ -66,7 +67,7 @@ func TestForwardEndsOnce(t *testing.T) {
 			n.sweepPending(p.deadline.Add(time.Millisecond))
 		}},
 		{name: "peer death", end: func(n *Node, reqID uint64, p *pendingRemote) {
-			n.health.markDead(1, time.Now())
+			n.peers.markDead(1, time.Now())
 			n.onPeerDead(1, failoverPeerDead)
 		}},
 		{name: "crash", fails: true, end: func(n *Node, reqID uint64, p *pendingRemote) {
@@ -128,9 +129,9 @@ func TestForwardEndsOnce(t *testing.T) {
 			if len(n.pending) != 0 {
 				t.Errorf("%d pending entries left", len(n.pending))
 			}
-			for dst, pace := range n.ov.pace {
-				if pace.outstanding != 0 {
-					t.Errorf("node %d's pace has %d forwards outstanding", dst, pace.outstanding)
+			for dst, e := range n.peers.entries {
+				if e.outstanding != 0 {
+					t.Errorf("node %d's pace has %d forwards outstanding", dst, e.outstanding)
 				}
 			}
 			if row.pull {
@@ -153,6 +154,43 @@ func TestForwardEndsOnce(t *testing.T) {
 				t.Errorf("the client was answered with error %v", res.err)
 			}
 		})
+	}
+}
+
+// TestDeadPeerIsNotBrownedOut: a forward pending when its peer dies
+// fails over, and its wait — which measured the death, not the peer —
+// browns nothing out: no brownout flag, count or event for the dead
+// peer.
+func TestDeadPeerIsNotBrownedOut(t *testing.T) {
+	tr := uniformTrace(2, 2000, 500)
+	reg, plane := metrics.NewRegistry(), telemetry.New(telemetry.Config{})
+	cfg, err := (&Config{Nodes: 3, Trace: tr, Metrics: reg, Telemetry: plane,
+		Overload: OverloadConfig{RequestTimeout: time.Hour, BrownoutLatency: time.Microsecond}}).withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := newNode(0, cfg, metrics.NewRegistry(), NewStore(tr, 0), idleTransport{}, nil)
+	n.startForward(&pendingRemote{req: n.newRequest(tr.Files[0].Name), file: 0, tried: cache.NodeSetOf(0)}, 1)
+	p := n.pending[n.nextReqID]
+	if p == nil {
+		t.Fatal("the forward did not start")
+	}
+	p.sentAt = p.sentAt.Add(-2 * time.Millisecond) // pending 2 ms, a thousand times BrownoutLatency
+	n.peerLeft(1, 0)
+
+	if n.PeerState(1) != StateDead || len(n.pending) != 0 {
+		t.Fatalf("node 1 is %v with %d forwards pending, want dead and none", n.PeerState(1), len(n.pending))
+	}
+	if n.PeerBrownedOut(1) {
+		t.Error("the dead peer is browned out")
+	}
+	if got := reg.Counter("press_brownout_total", "node=0", "peer=1").Value(); got != 0 {
+		t.Errorf("press_brownout_total{peer=1} = %d, want 0", got)
+	}
+	for _, ev := range plane.Events() {
+		if ev.Type == telemetry.EvBrownoutEnter {
+			t.Errorf("brownout event for node %d", ev.Peer)
+		}
 	}
 }
 

@@ -135,14 +135,15 @@ func TestMeshHandshake(t *testing.T) {
 	}
 }
 
-// TestMeshLateJoin starts one side long after the other: the startup
-// dialer's backoff must carry the early node across the gap.
+// TestMeshLateJoin starts one side long after the other: the early
+// node's one startup dial finds nobody, and a Reconnect — the health
+// prober's, nudged here by waitMeshLive — must carry it across the gap.
 func TestMeshLateJoin(t *testing.T) {
 	lnA, lnB := meshListener(t), meshListener(t)
 	addrs := []string{lnA.Addr().String(), lnB.Addr().String()}
 	a := startMesh(t, lnA, 0, 2, 100, addrs)
 
-	time.Sleep(700 * time.Millisecond) // several backoff steps pass
+	time.Sleep(700 * time.Millisecond) // the startup dial has long failed
 	b := startMesh(t, lnB, 1, 2, 200, addrs)
 
 	waitMeshLive(t, a, 1, 10*time.Second)

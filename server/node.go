@@ -271,7 +271,7 @@ type Node struct {
 	dir       Directory
 	policy    *core.Policy
 	load      core.LoadTracker
-	peerLoad  []int
+	peers     *peerTable // each peer's health, pace and load; see peers.go
 	nameToID  map[string]cache.FileID
 	files     []trace.File
 	clen      [][]string // per file, its Content-Length header value; immutable
@@ -280,16 +280,7 @@ type Node struct {
 	nextReqID uint64
 	waiting   map[string][]diskWaiter
 
-	// Fault tolerance, owned by the main loop except where noted. Health
-	// runs wherever there is a peer to forward to (healthOn): more than
-	// one node.
-	health   *healthTracker
-	healthOn bool
-	degraded bool // all peers dead: content-oblivious fallback
-	probing  []bool
-	degFlag  atomic.Bool // published copy of degraded
-
-	// Overload control (admission, deadlines, brownout); see overload.go.
+	// Overload control (admission, deadlines); see overload.go.
 	ov overloadCtl
 
 	// Hot-object replication: the policy machine, nil when the layer is
@@ -328,16 +319,13 @@ type nodeView struct{ n *Node }
 // Cachers masks dead nodes out of the directory view: the policy must
 // never pick a node the cluster has routed around.
 func (v nodeView) Cachers(id cache.FileID) cache.NodeSet {
-	return v.n.dir.Cachers(id).Intersect(cache.NodeSetFromMask(v.n.health.AliveMask()))
+	return v.n.dir.Cachers(id).Intersect(v.n.peers.alive())
 }
 func (v nodeView) Load(node int) int {
 	if node == v.n.id {
 		return v.n.load.Load()
 	}
-	if v.n.health.isDead(node) {
-		return int(^uint(0) >> 1) // least-loaded search never lands here
-	}
-	return v.n.peerLoad[node]
+	return v.n.peers.load(node)
 }
 func (v nodeView) LoadKnown() bool { return v.n.cfg.Dissemination.LoadAware() }
 func (v nodeView) Nodes() int      { return v.n.cfg.Nodes }
@@ -371,7 +359,7 @@ func newNode(id int, cfg Config, account *metrics.Registry, store *Store, tr Tra
 		regions:    make(map[cache.FileID]*via.MemoryRegion),
 		policy:     core.NewPolicy(cfg.Policy),
 		load:       *core.NewLoadTracker(cfg.Dissemination),
-		peerLoad:   make([]int, cfg.Nodes),
+		peers:      newPeerTable(id, cfg, time.Now()),
 		nameToID:   make(map[string]cache.FileID, len(cfg.Trace.Files)),
 		files:      cfg.Trace.Files,
 		clen:       make([][]string, len(cfg.Trace.Files)),
@@ -384,15 +372,12 @@ func newNode(id int, cfg Config, account *metrics.Registry, store *Store, tr Tra
 		sendQ:      make(chan outMsg, dispatchQueueLimit),
 		ctrlCh:     make(chan func(), 64),
 		sendFailCh: make(chan sendFailure, 256),
-		probing:    make([]bool, cfg.Nodes),
 		stop:       make(chan struct{}),
 		m:          newNodeInstruments(account, cfg.Metrics, id),
 		trc:        cfg.Tracer.Collector(id),
 		tel:        cfg.Telemetry,
 	}
-	n.health = newHealthTracker(id, cfg.Nodes, cfg.Health, retrySeed, cfg.Metrics)
-	n.healthOn = cfg.Nodes > 1
-	n.ov = newOverloadCtl(cfg, account, id)
+	n.ov = overloadCtl{cfg: cfg.Overload, im: newOverloadInstruments(account, cfg.Metrics, id)}
 	n.repl = core.NewReplicator(cfg.Replication, id, cfg.Nodes, len(cfg.Trace.Files),
 		cfg.Policy.LargeFileBytes, time.Now())
 	for i, f := range cfg.Trace.Files {
@@ -414,7 +399,7 @@ func newNode(id int, cfg Config, account *metrics.Registry, store *Store, tr Tra
 				fn(id)
 			}
 		},
-		alive: func() cache.NodeSet { return cache.NodeSetFromMask(n.health.AliveMask()) },
+		alive: n.peers.alive,
 		event: func(typ telemetry.EventType, peer int, detail string, value int64) {
 			n.tel.Event(typ, n.id, peer, detail, value)
 		},
@@ -492,9 +477,7 @@ func (n *Node) mainLoop() {
 			n.handleSendFailure(sf)
 		case now := <-tickCh:
 			n.sweepPending(now)
-			if n.healthOn {
-				n.healthTick(now)
-			}
+			n.healthTick(now)
 			n.replTick(now)
 			n.dir.Tick(now)
 		}
@@ -512,7 +495,7 @@ func (n *Node) tickInterval() time.Duration {
 			interval = d
 		}
 	}
-	if n.healthOn {
+	if n.cfg.Nodes > 1 {
 		lower(n.cfg.Health.HeartbeatInterval / 2)
 		lower(n.ov.cfg.RequestTimeout / 4)
 	}
@@ -554,7 +537,7 @@ func (n *Node) handleClient(r *clientRequest) {
 		r.resp <- clientResult{err: fmt.Errorf("%w: %q", ErrNoSuchFile, r.name)}
 		return
 	}
-	if n.degraded {
+	if n.peers.degraded() {
 		// Graceful degradation: an isolated node keeps serving from its
 		// own cache and disk.
 		n.serveLocal(r, id)
@@ -578,21 +561,21 @@ func (n *Node) dispatchDecided(r *clientRequest, id cache.FileID, cachers cache.
 	}
 	size := n.files[id].Size
 	n.lv = lookupView{nodeView: nodeView{n}, id: id,
-		set: cachers.Intersect(cache.NodeSetFromMask(n.health.AliveMask()))}
+		set: cachers.Intersect(n.peers.alive())}
 	d := n.policy.Decide(n.id, id, size, first, &n.lv)
 	dsp.Annotate("service", int64(d.Service))
 	dsp.End()
 	dst := d.Service
-	if dst != n.id && !n.health.isDead(dst) && !n.ovAllowForward(dst, time.Now()) {
+	if dst != n.id && !n.peers.allowForward(dst, time.Now()) {
 		// The chosen service node is browned out (slow but alive): route
 		// around it without touching its directory entries — next-best
 		// healthy cacher, else local disk.
 		r.span.Annotate("brownout-redirect", int64(dst))
-		if dst = n.pickFailover(id, cache.NodeSetOf(n.id, dst)); dst < 0 || n.ovBrowned(dst) {
+		if dst = n.peers.pick(n.dir.Cachers(id), cache.NodeSetOf(n.id, dst)); dst < 0 || n.peers.browned(dst) {
 			dst = n.id
 		}
 	}
-	if dst == n.id || n.health.isDead(dst) {
+	if dst == n.id || n.peers.dead(dst) {
 		n.serveLocal(r, id)
 		return
 	}
@@ -735,16 +718,11 @@ func (n *Node) sendFile(dst int, reqID uint64, id cache.FileID, data []byte, par
 // one Message, overwritten by the next receive: no handler keeps m; what
 // outlives the call is copied out of it (Data, buf, Name, field values).
 func (n *Node) handleMessage(m *Message) {
-	// Every message from a peer is proof of life; a resurrection means
-	// the peer must be re-integrated into the caching view.
-	if n.healthOn && m.From != n.id {
-		if n.health.noteRecv(m.From, time.Now()) {
-			n.reintegrate(m.From)
-		}
-	}
-	// Piggy-backed load information updates the sender's entry.
-	if m.Load >= 0 && m.From != n.id {
-		n.peerLoad[m.From] = int(m.Load)
+	// Every message from a peer is proof of life, and its piggy-backed
+	// load updates the sender's entry; a resurrection means the peer must
+	// be re-integrated into the caching view.
+	if n.peers.heard(m.From, m.Load, time.Now()) {
+		n.reintegrate(m.From)
 	}
 	switch m.Type {
 	case core.MsgLoad:
@@ -780,7 +758,7 @@ func (n *Node) peerLeft(peer int, epoch uint64) {
 		return
 	}
 	n.tel.Event(telemetry.EvPeerLeave, n.id, peer, "leave announced", int64(epoch))
-	if n.health.markDead(peer, time.Now()) {
+	if n.peers.markDead(peer, time.Now()) {
 		n.onPeerDead(peer, failoverPeerLeft)
 	}
 }
@@ -923,21 +901,20 @@ func (n *Node) loadChange(delta int) {
 
 // send queues a message, by value, for the send thread — unless dst is
 // a peer this node has declared dead: routing already avoids it, its
-// channel has been failed, and it comes back only through markAlive,
-// after which PeerJoined replays the directory, so nothing queued for it
-// meanwhile is owed. Any outbound message doubles as a heartbeat, so the
-// tracker learns it was sent. The queue is a channel of
+// channel has been failed, and when it comes back PeerJoined replays the
+// directory, so nothing queued for it meanwhile is owed. Any outbound
+// message doubles as a heartbeat, so the peer table learns it was sent. The queue is a channel of
 // dispatchQueueLimit slots that the push never waits on: a full one
 // sheds the message. queued reports whether the message went out; only
 // startForward looks. The shed is gated: no site is counted.
 //
 //presslint:hotpath budget=0
 func (n *Node) send(dst int, m Message) (queued bool) {
-	if n.health.isDead(dst) {
+	if n.peers.dead(dst) {
 		return false
 	}
 	m.From = n.id
-	n.health.noteSent(dst, time.Now())
+	n.peers.sent(dst, time.Now())
 	select {
 	case n.sendQ <- outMsg{dst: dst, msg: m}:
 		return true
@@ -1021,12 +998,12 @@ func (n *Node) handleSendFailure(sf sendFailure) {
 		n.ov.im.expiredInc(dlStageSend)
 	case hardSendErr(sf.err):
 		n.m.errors.Inc()
-		if n.health.markDead(sf.dst, time.Now()) {
+		if n.peers.markDead(sf.dst, time.Now()) {
 			n.onPeerDead(sf.dst, failoverSendError)
 		}
 	default:
 		n.m.errors.Inc()
-		n.health.noteSendFault(sf.dst)
+		n.peers.sendFault(sf.dst)
 	}
 	p := n.pending[sf.msg.ReqID]
 	if sf.msg.Type != core.MsgForward || p == nil || p.dst != sf.dst {
@@ -1045,7 +1022,7 @@ func (n *Node) handleSendFailure(sf sendFailure) {
 // silence-based state transitions, idle heartbeats, and reconnect probes
 // to dead peers.
 func (n *Node) healthTick(now time.Time) {
-	for _, tr := range n.health.tick(now) {
+	for _, tr := range n.peers.tick(now) {
 		switch tr.to {
 		case StateSuspect:
 			n.tel.Event(telemetry.EvPeerSuspect, n.id, tr.peer, "probe overdue", 0)
@@ -1054,23 +1031,19 @@ func (n *Node) healthTick(now time.Time) {
 		}
 	}
 	for p := 0; p < n.cfg.Nodes; p++ {
-		if p == n.id {
-			continue
-		}
-		if n.health.heartbeatDue(p, now) {
-			n.health.hbSent.Inc()
+		if n.peers.heartbeatDue(p, now) {
 			n.send(p, Message{Type: core.MsgLoad, Load: int32(n.load.Load())})
 		}
-		if n.health.probeDue(p, now) {
+		if n.peers.probeDue(p, now) {
 			n.probe(p)
 		}
 	}
-	n.updateDegraded()
 }
 
-// onPeerDead routes the cluster around a dead node: its channel fails
-// fast (parked senders wake), its entries leave the caching view, and
-// every request it was serving is re-dispatched.
+// onPeerDead routes the cluster around a node the peer table has just
+// declared dead, which cleared its pace and load: its channel fails fast
+// (parked senders wake), its entries leave the caching view, and every
+// request it was serving is re-dispatched.
 func (n *Node) onPeerDead(peer int, reason string) {
 	n.transport.PeerDown(peer, fmt.Errorf("health: declared dead (%s)", reason))
 	n.tel.Event(telemetry.EvPeerDead, n.id, peer, reason, 0)
@@ -1079,14 +1052,11 @@ func (n *Node) onPeerDead(peer int, reason string) {
 	if purged > 0 {
 		n.tel.Event(telemetry.EvDirPurge, n.id, peer, "", int64(purged))
 	}
-	n.peerLoad[peer] = 0
-	n.ovResetPeer(peer)
 	for reqID, p := range n.pending {
 		if p.dst == peer {
 			n.failover(reqID, p, failoverPeerDead)
 		}
 	}
-	n.updateDegraded()
 }
 
 // A forward's life cycle: startForward is the one way one begins,
@@ -1118,16 +1088,15 @@ func (n *Node) startForward(p *pendingRemote, dst int) {
 		return
 	}
 	n.pending[n.nextReqID] = p
-	n.ovForwardSent(dst, now)
+	n.peers.forwardSent(dst, now)
 }
 
 // leavePending takes forward reqID out of n.pending and gives dst's pace
 // its sample back: the wait for a reply, or for the failure that ended
-// it — a peer that times requests out is slow by definition.
+// it (forwardDone).
 func (n *Node) leavePending(reqID uint64, p *pendingRemote) {
 	delete(n.pending, reqID)
-	now := time.Now()
-	n.ovForwardDone(p.dst, now.Sub(p.sentAt), now)
+	n.peers.forwardDone(p.dst, p.sentAt, time.Now())
 }
 
 // endForward ends forward reqID with res, a reply or why there is none:
@@ -1185,7 +1154,7 @@ func (n *Node) failover(reqID uint64, p *pendingRemote, reason string) {
 	n.m.failovers[reason].Inc()
 	n.tel.Event(telemetry.EvFailover, n.id, p.dst, reason, 0)
 	p.span.AnnotateStr("failover", reason)
-	dst := n.pickFailover(p.file, p.tried)
+	dst := n.peers.pick(n.dir.Cachers(p.file), p.tried)
 	if dst < 0 {
 		p.span.Annotate("failover-dst", int64(n.id))
 		n.serveHere(p)
@@ -1198,62 +1167,13 @@ func (n *Node) failover(reqID uint64, p *pendingRemote, reason string) {
 	n.startForward(p, dst)
 }
 
-// pickFailover returns the least-loaded alive cacher of the file not
-// yet tried, -1 if none. Browned-out peers are passed over when a
-// healthy candidate exists, but — unlike dead ones — remain eligible as
-// a last resort: slow beats local disk when the disk path is the
-// bottleneck being escaped. (A brownout redirect wants a healthy peer
-// or none, and checks the answer.)
-func (n *Node) pickFailover(id cache.FileID, tried cache.NodeSet) int {
-	set := n.dir.Cachers(id).Intersect(cache.NodeSetFromMask(n.health.AliveMask()))
-	best, bestLoad := -1, int(^uint(0)>>1)
-	bestBrowned, bestBrownedLoad := -1, int(^uint(0)>>1)
-	for _, c := range set.Nodes() {
-		if c == n.id || tried.Has(c) {
-			continue
-		}
-		if n.ovBrowned(c) {
-			if l := n.peerLoad[c]; l < bestBrownedLoad {
-				bestBrowned, bestBrownedLoad = c, l
-			}
-			continue
-		}
-		if l := n.peerLoad[c]; l < bestLoad {
-			best, bestLoad = c, l
-		}
-	}
-	if best < 0 {
-		return bestBrowned
-	}
-	return best
-}
-
 // reintegrate welcomes a peer back from the dead: this node's view of
 // it was purged, and a restarted process lost its directory, so
 // re-announce everything cached here. The peer's own broadcasts rebuild
 // this node's view of its cache.
 func (n *Node) reintegrate(peer int) {
 	n.tel.Event(telemetry.EvPeerAlive, n.id, peer, "reintegrated", 0)
-	n.peerLoad[peer] = 0
-	n.ovResetPeer(peer)
 	n.dir.PeerJoined(peer)
-	n.updateDegraded()
-}
-
-// updateDegraded recomputes the content-oblivious fallback flag: with
-// every peer dead there is no cluster left to aggregate caches with.
-func (n *Node) updateDegraded() {
-	deg := n.healthOn && n.health.alivePeers() == 0
-	if deg == n.degraded {
-		return
-	}
-	n.degraded = deg
-	n.degFlag.Store(deg)
-	if deg {
-		n.tel.Event(telemetry.EvDegradedEnter, n.id, -1, "all peers dead", 0)
-	} else {
-		n.tel.Event(telemetry.EvDegradedExit, n.id, -1, "", 0)
-	}
 }
 
 // probe tries to establish the channel to a dead peer off the main
@@ -1262,23 +1182,18 @@ func (n *Node) updateDegraded() {
 // the transport's call: TCP dials from either side (the dead side may be
 // exactly the one a fixed role would have picked), VIA answers
 // errPassiveRole on the higher-indexed side and recovers when the
-// peer's dial lands. At most one probe per peer is in flight.
+// peer's dial lands. The peer table keeps one probe per peer in flight
+// and the next one scheduled with backoff.
 func (n *Node) probe(peer int) {
-	if n.probing[peer] {
-		return
-	}
-	n.probing[peer] = true
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
 		err := n.transport.Reconnect(peer)
 		n.inject(func() {
-			n.probing[peer] = false
-			if err != nil {
-				return // next probe is already scheduled with backoff
+			n.peers.probed(peer, err == nil, time.Now())
+			if err == nil {
+				n.reintegrate(peer)
 			}
-			n.health.markAlive(peer, time.Now())
-			n.reintegrate(peer)
 		})
 	}()
 }
@@ -1314,16 +1229,17 @@ func (n *Node) crashLocalState() {
 
 // PeerState is this node's health verdict on a peer, readable from any
 // goroutine; a node's verdict on itself is always StateAlive.
-func (n *Node) PeerState(peer int) NodeState {
-	if peer == n.id {
-		return StateAlive
-	}
-	return n.health.State(peer)
-}
+func (n *Node) PeerState(peer int) NodeState { return n.peers.state(peer) }
+
+// PeerBrownedOut reports whether this node has browned peer out of its
+// forwarding path; readable from any goroutine.
+//
+//presslint:hotpath budget=0
+func (n *Node) PeerBrownedOut(peer int) bool { return n.peers.brownedOut(peer) }
 
 // Degraded reports whether the node has fallen back to content-
 // oblivious local service because every peer is dead.
-func (n *Node) Degraded() bool { return n.degFlag.Load() }
+func (n *Node) Degraded() bool { return n.peers.degraded() }
 
 // diskThreads is the number of disk helper threads per node.
 const diskThreads = 2

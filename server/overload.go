@@ -3,11 +3,9 @@ package server
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"press/metrics"
-	"press/telemetry"
 )
 
 // Overload control keeps the cluster doing useful work past saturation
@@ -133,25 +131,22 @@ const (
 // overloadInstruments are the goodput-accounting metric families.
 // shed, expired and goodput are the node's account of those events —
 // counters in its account registry, summed per family by Node.Stats;
-// brownouts and acceptDelay have no NodeStats view and are nil without
-// Config.Metrics.
+// acceptDelay has no NodeStats view and is nil without Config.Metrics.
 // The maps are built once and only read afterwards, so the HTTP
 // goroutines may touch them concurrently with the main loop.
 type overloadInstruments struct {
 	shed        map[[2]string]*metrics.Counter // [queue, reason]
 	expired     map[string]*metrics.Counter    // stage
 	goodput     *metrics.Counter
-	brownouts   []*metrics.Counter // transitions into brownout, per peer
 	acceptDelay *metrics.Histogram // accept-queue wait, nanoseconds
 }
 
-func newOverloadInstruments(account, r *metrics.Registry, id, nodes int) overloadInstruments {
+func newOverloadInstruments(account, r *metrics.Registry, id int) overloadInstruments {
 	node := fmt.Sprintf("node=%d", id)
 	im := overloadInstruments{
-		shed:      make(map[[2]string]*metrics.Counter),
-		expired:   make(map[string]*metrics.Counter),
-		goodput:   account.Counter("press_goodput_requests_total", node),
-		brownouts: make([]*metrics.Counter, nodes),
+		shed:    make(map[[2]string]*metrics.Counter),
+		expired: make(map[string]*metrics.Counter),
+		goodput: account.Counter("press_goodput_requests_total", node),
 		acceptDelay: r.Histogram("press_queue_delay_ns", node,
 			"queue="+shedQueueAccept),
 	}
@@ -163,9 +158,6 @@ func newOverloadInstruments(account, r *metrics.Registry, id, nodes int) overloa
 	}
 	for _, st := range []string{dlStageAccept, dlStageSend, dlStagePending, dlStageDisk, dlStageReply} {
 		im.expired[st] = account.Counter("press_deadline_expired_total", node, "stage="+st)
-	}
-	for p := 0; p < nodes; p++ {
-		im.brownouts[p] = r.Counter("press_brownout_total", node, fmt.Sprintf("peer=%d", p))
 	}
 	return im
 }
@@ -187,133 +179,12 @@ func sumCounters[K comparable](family map[K]*metrics.Counter) int64 {
 	return sum
 }
 
-// peerPace is the main loop's view of one peer's responsiveness: the
-// latency EWMA of completed forwards and the count still outstanding.
-// Distinct from health state — a browned-out peer is alive, keeps its
-// directory entries, and keeps exchanging load and directory messages;
-// it just stops receiving the bulk of the forwarding traffic until it
-// recovers.
-type peerPace struct {
-	ewma        time.Duration // smoothed forward→reply latency; 0 = no samples yet
-	outstanding int
-	browned     bool
-	lastProbe   time.Time
-}
-
-// overloadCtl is the per-node overload state. Everything except
-// brownedPub is owned by the main loop.
+// overloadCtl is the per-node overload state: the configuration and
+// the goodput accounting. A peer's brownout lives in its peerTable
+// entry (peers.go).
 type overloadCtl struct {
-	cfg        OverloadConfig
-	pace       []peerPace
-	brownedPub []atomic.Bool // published copies for tests/stats
-	im         overloadInstruments
-}
-
-func newOverloadCtl(cfg Config, account *metrics.Registry, id int) overloadCtl {
-	return overloadCtl{
-		cfg:        cfg.Overload,
-		pace:       make([]peerPace, cfg.Nodes),
-		brownedPub: make([]atomic.Bool, cfg.Nodes),
-		im:         newOverloadInstruments(account, cfg.Metrics, id, cfg.Nodes),
-	}
-}
-
-// ewmaAlphaNum/Den ≈ 0.4: heavy enough that a handful of slow replies
-// trips the brownout, light enough that one outlier does not.
-const (
-	ewmaAlphaNum = 2
-	ewmaAlphaDen = 5
-)
-
-// ovForwardSent records a forward dispatched to dst.
-//
-//presslint:hotpath budget=0
-func (n *Node) ovForwardSent(dst int, now time.Time) {
-	n.ov.pace[dst].outstanding++
-	n.ovUpdateBrown(dst, now)
-}
-
-// ovForwardDone records a forward that has left pending — answered,
-// failed or failed over — and its latency sample: a peer that times
-// requests out is slow by definition.
-//
-//presslint:hotpath budget=0
-func (n *Node) ovForwardDone(dst int, elapsed time.Duration, now time.Time) {
-	p := &n.ov.pace[dst]
-	if p.outstanding > 0 {
-		p.outstanding--
-	}
-	if p.ewma == 0 {
-		p.ewma = elapsed
-	} else {
-		p.ewma += (elapsed - p.ewma) * ewmaAlphaNum / ewmaAlphaDen
-	}
-	n.ovUpdateBrown(dst, now)
-}
-
-// ovUpdateBrown recomputes dst's brownout state with hysteresis: enter
-// when the EWMA exceeds BrownoutLatency or the outstanding count hits
-// the cap, leave only when the EWMA has fallen under half the threshold
-// and the backlog under half the cap.
-func (n *Node) ovUpdateBrown(dst int, now time.Time) {
-	p := &n.ov.pace[dst]
-	lat, outCap := n.ov.cfg.BrownoutLatency, n.ov.cfg.BrownoutOutstanding
-	over := (lat > 0 && p.ewma > lat) || (outCap > 0 && p.outstanding >= outCap)
-	if !p.browned && over {
-		p.browned = true
-		p.lastProbe = now
-		n.ov.brownedPub[dst].Store(true)
-		n.ov.im.brownouts[dst].Inc()
-		n.tel.Event(telemetry.EvBrownoutEnter, n.id, dst, "latency/backlog over threshold", int64(p.ewma))
-		return
-	}
-	if p.browned {
-		ok := (lat <= 0 || p.ewma < lat/2) && (outCap <= 0 || p.outstanding < (outCap+1)/2)
-		if ok {
-			p.browned = false
-			n.ov.brownedPub[dst].Store(false)
-			n.tel.Event(telemetry.EvBrownoutExit, n.id, dst, "recovered", int64(p.ewma))
-		}
-	}
-}
-
-// ovAllowForward decides whether a forward to dst may proceed. A
-// healthy peer always may; a browned-out one only gets the trickle of
-// probes that lets recovery be observed.
-//
-//presslint:hotpath budget=0
-func (n *Node) ovAllowForward(dst int, now time.Time) bool {
-	p := &n.ov.pace[dst]
-	if !p.browned {
-		return true
-	}
-	if now.Sub(p.lastProbe) >= n.ov.cfg.BrownoutProbeInterval {
-		p.lastProbe = now
-		return true
-	}
-	return false
-}
-
-// ovBrowned is the main-loop view of dst's brownout state.
-//
-//presslint:hotpath budget=0
-func (n *Node) ovBrowned(dst int) bool {
-	return n.ov.pace[dst].browned
-}
-
-// ovResetPeer clears a peer's pace on death or re-integration: the
-// samples described a channel that no longer exists.
-func (n *Node) ovResetPeer(peer int) {
-	n.ov.pace[peer] = peerPace{}
-	n.ov.brownedPub[peer].Store(false)
-}
-
-// PeerBrownedOut reports whether this node has browned peer out of its
-// forwarding path; readable from any goroutine.
-//
-//presslint:hotpath budget=0
-func (n *Node) PeerBrownedOut(peer int) bool {
-	return peer >= 0 && peer < len(n.ov.brownedPub) && n.ov.brownedPub[peer].Load()
+	cfg OverloadConfig
+	im  overloadInstruments
 }
 
 // shedClient answers a dequeued request with a shed/expired error and

@@ -46,9 +46,9 @@ type ProcNode struct {
 
 	// Filled in bring-up order. Close releases whichever exist, so a
 	// bring-up that fails half-way unwinds like a running node.
-	ln        net.Listener   // intra-cluster listener (TCP)
-	fabric    *via.Fabric    // only when this node owns it (StartNode on VIA)
-	bridge    *via.UDPBridge // likewise
+	ln        net.Listener // intra-cluster listener (TCP)
+	fabric    *via.Fabric  // only when this node owns it (StartNode on VIA)
+	bridge    *via.Bridge  // likewise
 	nic       *via.NIC
 	account   *metrics.Registry // see Node.account
 	transport Transport
@@ -175,7 +175,7 @@ func (pn *ProcNode) build(shared *via.Fabric) error {
 			return err
 		}
 		if shared == nil {
-			if pn.bridge, err = via.NewUDPBridge(fabric, mesh.PeerAddrs[mesh.Self]); err != nil {
+			if pn.bridge, err = via.NewBridge(fabric, mesh.PeerAddrs[mesh.Self]); err != nil {
 				return err
 			}
 			for j := 0; j < cfg.Nodes; j++ {

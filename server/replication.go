@@ -21,7 +21,7 @@ type replView struct{ nodeView }
 func (v replView) Cached() []cache.FileID     { return v.n.lru.Files() }
 func (v replView) Size(id cache.FileID) int64 { return v.n.files[id].Size }
 func (v replView) Eligible(p int) bool {
-	return !v.n.health.isDead(p) && !v.n.ovBrowned(p)
+	return !v.n.peers.dead(p) && !v.n.peers.browned(p)
 }
 
 // replTick runs the policy on the main-loop ticker and carries out its
@@ -49,7 +49,7 @@ func (n *Node) replTick(now time.Time) {
 // reassembles through handleFileChunk like any other.
 func (n *Node) handleReplicate(m *Message) {
 	id, ok := n.nameToID[m.Name]
-	if !ok || !n.repl.Offer(id, n.lru.Contains(id), !n.health.isDead(m.From)) {
+	if !ok || !n.repl.Offer(id, n.lru.Contains(id), !n.peers.dead(m.From)) {
 		return
 	}
 	n.startForward(&pendingRemote{file: id, tried: cache.NodeSetOf(n.id)}, m.From)

@@ -14,8 +14,8 @@ import (
 // loops that wait for a peer to come back: reconnect probes, the mesh
 // redial, a fault plan.
 
-// retrySeed makes the pacing jitter deterministic: it seeds the health
-// tracker's probe jitter.
+// retrySeed makes the pacing jitter deterministic: it seeds the peer
+// table's probe jitter.
 const retrySeed = 1
 
 // sleeper paces a loop (a fault plan) on one reusable timer:

@@ -80,7 +80,7 @@ type NIC struct {
 	// another OS process: deliveries addressed to it are forwarded over
 	// a real wire instead of landing in local descriptors, and local
 	// connection breaks are relayed out. Set once before any VI is
-	// bound (see UDPBridge), immutable afterwards.
+	// bound (see Bridge), immutable afterwards.
 	fw forwarder
 
 	// done is closed by Close; a Connect waiting on this NIC gives up.
