@@ -27,9 +27,8 @@ type LRU struct {
 }
 
 type lruEntry struct {
-	id     FileID
-	size   int64
-	pinned int
+	id   FileID
+	size int64
 }
 
 // NewLRU returns an empty cache with the given byte capacity.
@@ -72,10 +71,10 @@ func (c *LRU) Touch(id FileID) bool {
 	return true
 }
 
-// Insert adds the file, evicting least-recently-used unpinned files to
-// make room, and reports the evicted file IDs. Files larger than the
-// capacity are not cached (inserted == false). Inserting a present file
-// just touches it.
+// Insert adds the file, evicting least-recently-used files to make
+// room, and reports the evicted file IDs. Files larger than the capacity
+// are not cached (inserted == false). Inserting a present file just
+// touches it.
 func (c *LRU) Insert(id FileID, size int64) (evicted []FileID, inserted bool) {
 	if size <= 0 {
 		panic(fmt.Sprintf("cache: non-positive size %d for file %d", size, id))
@@ -88,11 +87,7 @@ func (c *LRU) Insert(id FileID, size int64) (evicted []FileID, inserted bool) {
 		return nil, false
 	}
 	for c.used+size > c.capacity {
-		victim := c.oldestUnpinned()
-		if victim == nil {
-			// Everything is pinned; refuse rather than overflow.
-			return evicted, false
-		}
+		victim := c.order.Back()
 		ent := victim.Value.(*lruEntry)
 		c.order.Remove(victim)
 		delete(c.entries, ent.id)
@@ -104,20 +99,10 @@ func (c *LRU) Insert(id FileID, size int64) (evicted []FileID, inserted bool) {
 	return evicted, true
 }
 
-func (c *LRU) oldestUnpinned() *list.Element {
-	for e := c.order.Back(); e != nil; e = e.Prev() {
-		if e.Value.(*lruEntry).pinned == 0 {
-			return e
-		}
-	}
-	return nil
-}
-
 // Remove evicts the file explicitly, reporting whether it was present.
-// Pinned files cannot be removed.
 func (c *LRU) Remove(id FileID) bool {
 	e, ok := c.entries[id]
-	if !ok || e.Value.(*lruEntry).pinned > 0 {
+	if !ok {
 		return false
 	}
 	ent := e.Value.(*lruEntry)
@@ -125,33 +110,6 @@ func (c *LRU) Remove(id FileID) bool {
 	delete(c.entries, id)
 	c.used -= ent.size
 	return true
-}
-
-// Pin prevents eviction of the file while pinned, mirroring VIA memory
-// registration of cached pages for zero-copy sends (version 5): a page
-// being DMA'd must not be replaced. Pins nest. Pinning an absent file
-// reports false.
-func (c *LRU) Pin(id FileID) bool {
-	e, ok := c.entries[id]
-	if !ok {
-		return false
-	}
-	e.Value.(*lruEntry).pinned++
-	return true
-}
-
-// Unpin releases one pin. Unpinning an absent or unpinned file panics:
-// it indicates a refcount bug in the caller.
-func (c *LRU) Unpin(id FileID) {
-	e, ok := c.entries[id]
-	if !ok {
-		panic(fmt.Sprintf("cache: unpin of uncached file %d", id))
-	}
-	ent := e.Value.(*lruEntry)
-	if ent.pinned == 0 {
-		panic(fmt.Sprintf("cache: unpin of unpinned file %d", id))
-	}
-	ent.pinned--
 }
 
 // Files returns the cached file IDs, most recently used first.

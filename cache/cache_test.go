@@ -96,71 +96,6 @@ func TestLRURemove(t *testing.T) {
 	}
 }
 
-func TestLRUPinPreventsEviction(t *testing.T) {
-	c := NewLRU(100)
-	c.Insert(1, 60)
-	if !c.Pin(1) {
-		t.Fatal("pin failed")
-	}
-	// 1 is pinned and LRU; inserting 2 must fail for lack of space
-	// rather than evict the pinned file.
-	ev, ok := c.Insert(2, 60)
-	if ok || len(ev) != 0 {
-		t.Fatalf("insert over pinned: ev=%v ok=%v", ev, ok)
-	}
-	if c.Remove(1) {
-		t.Fatal("removed pinned file")
-	}
-	c.Unpin(1)
-	if _, ok := c.Insert(2, 60); !ok {
-		t.Fatal("insert after unpin failed")
-	}
-	if c.Contains(1) {
-		t.Fatal("unpinned file not evicted")
-	}
-}
-
-func TestLRUPinNesting(t *testing.T) {
-	c := NewLRU(100)
-	c.Insert(1, 60)
-	c.Pin(1)
-	c.Pin(1)
-	c.Unpin(1)
-	// Still pinned once.
-	if _, ok := c.Insert(2, 60); ok {
-		t.Fatal("evicted file with remaining pin")
-	}
-	c.Unpin(1)
-	if _, ok := c.Insert(2, 60); !ok {
-		t.Fatal("insert after final unpin failed")
-	}
-}
-
-func TestLRUPinAbsent(t *testing.T) {
-	c := NewLRU(10)
-	if c.Pin(5) {
-		t.Fatal("pinned absent file")
-	}
-}
-
-func TestLRUUnpinPanics(t *testing.T) {
-	c := NewLRU(10)
-	c.Insert(1, 5)
-	for name, fn := range map[string]func(){
-		"absent":   func() { c.Unpin(9) },
-		"unpinned": func() { c.Unpin(1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Unpin(%s) did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestLRUBadParamsPanic(t *testing.T) {
 	func() {
 		defer func() {

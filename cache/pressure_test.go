@@ -5,208 +5,30 @@ import (
 	"testing"
 )
 
-// Pressure tests for the LRU under overload-shaped access patterns:
-// eviction storms racing pinned (DMA-registered) files, inserts against
-// a fully pinned cache, and pin/unpin interleavings. The overload layer
-// makes these patterns routine — a node past saturation churns its
-// cache at wire speed while zero-copy sends hold pins — so the
-// invariants (pinned files never evicted, used never above capacity,
-// refused inserts leave consistent state) get exercised here at storm
-// intensity rather than discovered under load.
-
-// TestLRUEvictionStormSparesPinned churns thousands of inserts through
-// a small cache holding pinned files; the pinned files must survive
-// every storm and the byte accounting must hold throughout.
-func TestLRUEvictionStormSparesPinned(t *testing.T) {
-	c := NewLRU(100)
-	for _, id := range []FileID{1, 2} {
-		if _, ok := c.Insert(id, 30); !ok {
-			t.Fatalf("insert pinned-to-be file %d", id)
-		}
-		if !c.Pin(id) {
-			t.Fatalf("pin file %d", id)
-		}
-	}
-	for i := 0; i < 5000; i++ {
-		id := FileID(100 + i%50)
-		evicted, ok := c.Insert(id, 10)
-		if !ok {
-			t.Fatalf("iteration %d: insert of %d refused with 40 unpinned bytes free", i, id)
-		}
-		for _, v := range evicted {
-			if v == 1 || v == 2 {
-				t.Fatalf("iteration %d: pinned file %d evicted", i, v)
-			}
-		}
-		if c.Used() > c.Capacity() {
-			t.Fatalf("iteration %d: used %d exceeds capacity %d", i, c.Used(), c.Capacity())
-		}
-		if !c.Contains(1) || !c.Contains(2) {
-			t.Fatalf("iteration %d: pinned file missing", i)
-		}
-	}
-}
-
-// TestLRUInsertAllPinned drives inserts into a cache whose entire
-// contents are pinned: the insert must be refused, evict nothing, and
-// leave the cache untouched.
-func TestLRUInsertAllPinned(t *testing.T) {
-	c := NewLRU(100)
-	for id := FileID(1); id <= 4; id++ {
-		if _, ok := c.Insert(id, 25); !ok {
-			t.Fatalf("insert %d", id)
-		}
-		if !c.Pin(id) {
-			t.Fatalf("pin %d", id)
-		}
-	}
-	evicted, ok := c.Insert(50, 10)
-	if ok {
-		t.Fatal("insert succeeded into a fully pinned cache")
-	}
-	if len(evicted) != 0 {
-		t.Fatalf("refused insert evicted %v", evicted)
-	}
-	if c.Used() != 100 || c.Len() != 4 {
-		t.Fatalf("refused insert changed state: used %d, len %d", c.Used(), c.Len())
-	}
-	if c.Contains(50) {
-		t.Fatal("refused file present")
-	}
-}
-
-// TestLRUInsertPartialEvictionThenPinWall documents the boundary
-// behavior when an insert evicts unpinned victims and then hits a wall
-// of pinned files: the insert reports failure AND the victims it
-// already evicted, so the caller can account for the lost entries.
-func TestLRUInsertPartialEvictionThenPinWall(t *testing.T) {
-	c := NewLRU(100)
-	if _, ok := c.Insert(1, 60); !ok {
-		t.Fatal("insert pinned base")
-	}
-	if !c.Pin(1) {
-		t.Fatal("pin base")
-	}
-	if _, ok := c.Insert(2, 20); !ok {
-		t.Fatal("insert unpinned victim")
-	}
-	evicted, ok := c.Insert(3, 50)
-	if ok {
-		t.Fatal("insert fit despite 60 pinned + 50 requested > 100")
-	}
-	if len(evicted) != 1 || evicted[0] != 2 {
-		t.Fatalf("evicted %v, want [2]", evicted)
-	}
-	if c.Used() != 60 || !c.Contains(1) || c.Contains(2) || c.Contains(3) {
-		t.Fatalf("post-refusal state: used %d files %v", c.Used(), c.Files())
-	}
-}
-
-// TestLRUPinUnpinInterleaving exercises nested pins under churn: a file
-// stays unevictable until its last pin is released, and Remove respects
-// pins the same way eviction does.
-func TestLRUPinUnpinInterleaving(t *testing.T) {
-	c := NewLRU(100)
-	if _, ok := c.Insert(1, 50); !ok {
-		t.Fatal("insert")
-	}
-	c.Pin(1)
-	c.Pin(1) // nested: two concurrent zero-copy sends of the same file
-	if c.Remove(1) {
-		t.Fatal("Remove succeeded on a pinned file")
-	}
-	c.Unpin(1)
-	if c.Remove(1) {
-		t.Fatal("Remove succeeded with one pin still held")
-	}
-	// Storm against the half-pinned cache: file 1 must survive.
-	for i := 0; i < 100; i++ {
-		if _, ok := c.Insert(FileID(10+i), 25); !ok {
-			t.Fatalf("storm insert %d", i)
-		}
-		if !c.Contains(1) {
-			t.Fatalf("iteration %d: singly pinned file evicted", i)
-		}
-	}
-	c.Unpin(1)
-	if !c.Remove(1) {
-		t.Fatal("Remove failed after last unpin")
-	}
-	if c.Contains(1) {
-		t.Fatal("removed file still present")
-	}
-}
-
-// TestLRUUnpinMisuse verifies the refcount-bug panics: unpinning an
-// absent or unpinned file is a caller error and must not pass silently.
-func TestLRUUnpinMisuse(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	c := NewLRU(100)
-	mustPanic("unpin absent", func() { c.Unpin(1) })
-	if _, ok := c.Insert(1, 10); !ok {
-		t.Fatal("insert")
-	}
-	mustPanic("unpin unpinned", func() { c.Unpin(1) })
-}
-
-// TestLRUPressureRandomized runs a seeded op mix (insert, touch, pin,
-// unpin, remove) against a shadow pin count, checking the structural
-// invariants after every op.
+// TestLRUPressureRandomized runs a seeded op mix (insert, touch,
+// remove) at storm intensity, checking after every op that the cache
+// never holds more bytes than its capacity, and that the drained cache
+// is empty: no entry is stuck.
 func TestLRUPressureRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	c := NewLRU(500)
-	pins := map[FileID]int{}
 	for i := 0; i < 20000; i++ {
 		id := FileID(rng.Intn(40))
-		switch rng.Intn(10) {
+		switch rng.Intn(7) {
 		case 0, 1, 2, 3: // insert-heavy: this is a pressure test
-			size := int64(10 + rng.Intn(90))
-			evicted, _ := c.Insert(id, size)
-			for _, v := range evicted {
-				if pins[v] > 0 {
-					t.Fatalf("op %d: pinned file %d evicted", i, v)
-				}
-			}
+			c.Insert(id, int64(10+rng.Intn(90)))
 		case 4, 5:
 			c.Touch(id)
-		case 6, 7:
-			if c.Pin(id) {
-				pins[id]++
-			}
-		case 8:
-			if pins[id] > 0 && c.Contains(id) {
-				c.Unpin(id)
-				pins[id]--
-			}
-		case 9:
-			if c.Remove(id) {
-				if pins[id] > 0 {
-					t.Fatalf("op %d: Remove succeeded on pinned file %d", i, id)
-				}
-			}
+		case 6:
+			c.Remove(id)
 		}
 		if c.Used() > c.Capacity() {
 			t.Fatalf("op %d: used %d over capacity", i, c.Used())
 		}
 	}
-	// Drain: release every pin and verify the cache can then be emptied —
-	// no entry is stuck.
-	for id, n := range pins {
-		for j := 0; j < n && c.Contains(id); j++ {
-			c.Unpin(id)
-		}
-	}
 	for _, id := range c.Files() {
 		if !c.Remove(id) {
-			t.Fatalf("file %d unremovable after all pins released", id)
+			t.Fatalf("file %d unremovable", id)
 		}
 	}
 	if c.Used() != 0 || c.Len() != 0 {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/presslint [-json|-sarif] [-analyzer a,b] [packages...]
+//	go run ./cmd/presslint [-analyzer a,b] [packages...]
 //
 // Package arguments are directories; a trailing /... walks
 // recursively. All packages are parsed and type-checked ONCE into a
@@ -17,13 +17,6 @@
 //
 //	file:line: [analyzer] message
 //
-// or, with -json, as one JSON object per line:
-//
-//	{"file":...,"line":...,"analyzer":...,"message":...}
-//
-// or, with -sarif, as a single SARIF 2.1.0 document for code-scanning
-// upload.
-//
 // -analyzer restricts the run to a comma-separated subset, e.g.
 // -analyzer hotpath-alloc,lock-order.
 //
@@ -32,7 +25,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/importer"
@@ -46,11 +38,9 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as JSON, one object per line")
-	sarifOut := flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 document")
 	analyzerFlag := flag.String("analyzer", "", "comma-separated analyzer names to run (default all)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: presslint [-json|-sarif] [-analyzer a,b] [packages...]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: presslint [-analyzer a,b] [packages...]\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(os.Stderr, "  %-22s %s\n", a.Name, a.Doc)
 		}
@@ -60,10 +50,6 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "presslint: -json and -sarif are mutually exclusive")
-		os.Exit(2)
-	}
 
 	only, err := parseAnalyzers(*analyzerFlag)
 	if err != nil {
@@ -105,24 +91,8 @@ func main() {
 	prog := lint.LoadProgram(fset, pkgs, importer.ForCompiler(fset, "source", nil))
 	findings := prog.CheckAnalyzers(only)
 
-	switch {
-	case *sarifOut:
-		if err := writeSARIF(os.Stdout, findings); err != nil {
-			fmt.Fprintf(os.Stderr, "presslint: %v\n", err)
-			os.Exit(2)
-		}
-	case *jsonOut:
-		enc := json.NewEncoder(os.Stdout)
-		for _, f := range findings {
-			if err := enc.Encode(f); err != nil {
-				fmt.Fprintf(os.Stderr, "presslint: %v\n", err)
-				os.Exit(2)
-			}
-		}
-	default:
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "presslint: %d finding(s)\n", len(findings))
@@ -230,97 +200,4 @@ func expand(patterns []string) ([]string, error) {
 		}
 	}
 	return dirs, nil
-}
-
-// --- SARIF output -----------------------------------------------------
-
-// sarifLog is the subset of SARIF 2.1.0 that code-scanning consumers
-// require: one run, one rule per analyzer, one result per finding.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	ShortDescription sarifMessage `json:"shortDescription"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine int `json:"startLine"`
-}
-
-func writeSARIF(w *os.File, findings []lint.Finding) error {
-	docs := make(map[string]string)
-	for _, a := range lint.Analyzers() {
-		docs[a.Name] = a.Doc
-	}
-	for _, a := range lint.ProgramAnalyzers() {
-		docs[a.Name] = a.Doc
-	}
-	var rules []sarifRule
-	ruleSeen := make(map[string]bool)
-	results := make([]sarifResult, 0, len(findings))
-	for _, f := range findings {
-		if !ruleSeen[f.Analyzer] {
-			ruleSeen[f.Analyzer] = true
-			rules = append(rules, sarifRule{ID: f.Analyzer, ShortDescription: sarifMessage{Text: docs[f.Analyzer]}})
-		}
-		results = append(results, sarifResult{
-			RuleID:  f.Analyzer,
-			Level:   "warning",
-			Message: sarifMessage{Text: f.Message},
-			Locations: []sarifLocation{{PhysicalLocation: sarifPhysical{
-				ArtifactLocation: sarifArtifact{URI: filepath.ToSlash(f.File)},
-				Region:           sarifRegion{StartLine: f.Line},
-			}}},
-		})
-	}
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs:    []sarifRun{{Tool: sarifTool{Driver: sarifDriver{Name: "presslint", Rules: rules}}, Results: results}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
 }

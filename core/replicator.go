@@ -239,8 +239,8 @@ func (r *Replicator) Evicted(id cache.FileID) {
 }
 
 // Dropped confirms the driver carried out a drop decision. A driver
-// whose cache refused (the copy is pinned under a send) simply does not
-// confirm, and the copy is a candidate again at the next scan.
+// whose cache refused the drop simply does not confirm, and the copy is
+// a candidate again at the next scan.
 func (r *Replicator) Dropped(id cache.FileID, now time.Time) {
 	delete(r.pulled, id)
 	r.lastAction[id] = now

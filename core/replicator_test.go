@@ -279,9 +279,9 @@ func TestReplicatorDrop(t *testing.T) {
 }
 
 // TestReplicatorRefusedDropStaysCandidate: a drop is only real once the
-// driver confirms it. A cache that refuses (the copy is pinned under a
-// send) leaves the copy a candidate at the very next scan; a confirmed
-// drop stamps the cooldown and clears the mark.
+// driver confirms it. A cache that refuses leaves the copy a candidate
+// at the very next scan; a confirmed drop stamps the cooldown and clears
+// the mark.
 func TestReplicatorRefusedDropStaysCandidate(t *testing.T) {
 	r, w := newTestReplicator(), newFakeWorld()
 	w.cached = []cache.FileID{1}
@@ -292,7 +292,7 @@ func TestReplicatorRefusedDropStaysCandidate(t *testing.T) {
 	if acts := r.Tick(at(r.cfg.Interval), w); len(acts) != 1 || acts[0] != drop {
 		t.Fatalf("first scan decided %+v", acts)
 	}
-	// Pinned: the driver confirms nothing.
+	// Refused: the driver confirms nothing.
 	if acts := r.Tick(at(2*r.cfg.Interval), w); len(acts) != 1 || acts[0] != drop {
 		t.Fatalf("refused drop not retried at the next scan: %+v", acts)
 	}

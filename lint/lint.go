@@ -7,9 +7,9 @@
 // VIA (press/via) and the cluster server (press/server) reproduce
 // exactly that lock- and queue-heavy machinery, so the bug classes that
 // silently corrupt throughput numbers — mutexes held across blocking
-// operations, descriptor ownership violations, dropped transport
-// errors, leaked goroutines, and naked sleeps — get dedicated
-// analyzers here instead of relying on convention.
+// operations, dropped transport errors, leaked goroutines, and naked
+// sleeps — get dedicated analyzers here instead of relying on
+// convention.
 //
 // Analyzers are heuristic and intra-procedural by design: they use only
 // the stdlib go/ast, go/parser, go/token, and go/types packages, degrade
@@ -35,10 +35,10 @@ import (
 
 // Finding is one analyzer hit.
 type Finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+	File     string
+	Line     int
+	Analyzer string
+	Message  string
 }
 
 func (f Finding) String() string {
@@ -68,9 +68,6 @@ type Package struct {
 	// package to importers of other module packages. Nil until
 	// TypeCheck runs.
 	Types *types.Package
-	// funcsByName lazily indexes function declarations for the
-	// one-call-boundary summaries; see funcIndex.
-	funcsByName map[string][]*ast.FuncDecl
 }
 
 // Analyzer is one check.
@@ -89,10 +86,7 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		mutexAcrossBlock,
-		descriptorLifecycle,
-		spanLeak,
 		uncheckedCommsError,
-		retryWithoutBackoff,
 		goroutineLeak,
 		nakedSleep,
 		timeAfterLoop,

@@ -134,8 +134,10 @@ TestSimRealParity|.
 -count=10 TestRecvBufNotRecycledUnderReader|TestReplicaPullKeepsItsBuffer|TestFailoverMidReassembly|TestHandleFileChunk|./server
 # Credit conservation is an invariant of every VIA channel (a refused
 # write gives its slot back, a posted one keeps it) that only shows when
-# refusals and acks interleave: ten fresh passes.
--count=10 TestCreditConservation|./server
+# refusals and acks interleave, and a V5 reply whose cache page was
+# deregistered under it gives back its refused zero-copy claim and goes
+# out staged: ten fresh passes.
+-count=10 TestCreditConservation|TestFileReplyOutlivesItsPage|./server
 # A recycled request is the new way to serve the wrong bytes: handed to
 # the next client while a main loop still holds it; so is the main loop's
 # one inbound Message, kept by a handler past the next receive. Every way

@@ -34,8 +34,6 @@ func (n *Node) replTick(now time.Time) {
 			n.m.replPushes.Inc()
 			n.send(a.Dst, Message{Type: core.MsgReplicate, Name: f.Name})
 		case n.lru.Remove(a.File):
-			// (A copy pinned under a send in flight stays, unconfirmed,
-			// and is a candidate again at the next scan.)
 			n.uncache(a.File)
 			n.repl.Dropped(a.File, now)
 			n.m.replDrops.Inc()
@@ -69,7 +67,7 @@ func (p *pendingRemote) finish(n *Node, res clientResult) {
 		return
 	}
 	// A local disk read may have cached the file while the pull flew,
-	// and a copy that does not fit (everything pinned) is no replica.
+	// and a copy larger than the whole cache is no replica.
 	if res.err == nil && !n.lru.Contains(p.file) {
 		n.insertCache(p.file, res.data)
 		if n.lru.Contains(p.file) {

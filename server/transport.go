@@ -11,9 +11,8 @@ import (
 	"press/via"
 )
 
-// TransportMetrics is a transport's unified observability snapshot. It
-// replaces the former Stats()+CopiedBytes() pair with one value read
-// atomically enough for reporting.
+// TransportMetrics is a snapshot of a transport's counters, each read
+// atomically, the set close enough in time for reporting.
 type TransportMetrics struct {
 	// Msgs is the per-type message accounting (counts and byte
 	// volumes), the data behind the paper's Table 4.

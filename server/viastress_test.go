@@ -786,6 +786,31 @@ func expectDirSync(t *testing.T, vt *viaTransport, n int) {
 	}
 }
 
+// TestFileReplyOutlivesItsPage sends a version-5 file reply whose cache
+// page was deregistered after the reply was built, as the main loop's
+// eviction or replica drop does while the reply waits in sendQ: the
+// zero-copy write is refused and gives its data-ring claim back, and the
+// reply goes out through the staging copy of versions 0-4 instead.
+func TestFileReplyOutlivesItsPage(t *testing.T) {
+	a, b := newViaPair(t, netmodel.Versions()[5])
+	data := bytes.Repeat([]byte("evicted!"), 512)
+	page, err := a.nic.RegisterMemory(append([]byte(nil), data...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.nic.DeregisterMemory(page); err != nil {
+		t.Fatal(err)
+	}
+	copied := a.Metrics().CopiedBytes
+	sendFile(t, a, b, data, page)
+	if got := a.Metrics().CopiedBytes - copied; got != int64(len(data)) {
+		t.Fatalf("copied %d bytes, want the file's %d through the staging area", got, len(data))
+	}
+	if sent, _ := a.peer(1).outFile.dataCredit.inFlight(); sent != int64(len(data)) {
+		t.Fatalf("the data ring has %d bytes sent after one %d-byte file: the refused write kept its claim", sent, len(data))
+	}
+}
+
 // sendFile sends data from a to b as a file reply, from src when
 // non-nil, and checks it arrives byte-exact.
 func sendFile(t *testing.T, a, b *viaTransport, data []byte, src *via.MemoryRegion) {

@@ -759,7 +759,9 @@ func (t *viaTransport) sendCtrlRMW(p *viaPeer, m *Message) error {
 // small one. Under zero-copy transmit (version 5) the data is written
 // straight from the registered cache page; otherwise it is staged first
 // (the sender-side copy of versions 0-4), in a staging area the first
-// such file registers.
+// such file registers. A page the main loop deregistered while the reply
+// waited in sendQ (an eviction or a replica drop) refuses the zero-copy
+// write, and the reply is staged from the bytes it still holds.
 //
 //presslint:hotpath budget=0
 func (t *viaTransport) sendFileRMW(p *viaPeer, m *Message) error {
@@ -767,35 +769,34 @@ func (t *viaTransport) sendFileRMW(p *viaPeer, m *Message) error {
 	t.ins.acct.add(core.MsgFile, core.FileMetaBytes)
 	p.sendMu.Lock()
 	defer p.sendMu.Unlock()
-	src := m.SrcRegion
-	srcOff := m.SrcOffset
-	if !t.cfg.version.ZeroCopyTX || src == nil {
-		// Sender-side staging copy, eliminated by version 5's
-		// registration of all cached pages.
-		if p.fileStage == nil {
-			// A retired channel has failed first: registering now would
-			// outlive retirePeer's release.
-			if err := p.downErr(); err != nil {
-				return err
-			}
-			//presslint:alloc-gated once per channel: the staging area is registered by the first file that needs a copy (every file on V3/V4, on V5 only one without a registered cache page)
-			stage, err := t.register(p, t.cfg.fileRing)
-			if err != nil {
-				return err
-			}
-			p.fileStage = stage
-		}
-		cp := t.cfg.trc.StartSpan("staging-copy", m.TraceID, m.ParentSpan)
-		if err := p.fileStage.Write(m.Data, 0); err != nil {
-			cp.Cancel()
+	if t.cfg.version.ZeroCopyTX && m.SrcRegion != nil {
+		err := p.outFile.writeFile(m.SrcRegion, m.SrcOffset, len(m.Data), m.ReqID, m.TraceID, m.ParentSpan)
+		if !errors.Is(err, via.ErrRegionReleased) {
 			return err
 		}
-		cp.Annotate("bytes", int64(len(m.Data)))
-		cp.End()
-		t.ins.copied.Add(int64(len(m.Data)))
-		src, srcOff = p.fileStage, 0
 	}
-	return p.outFile.writeFile(src, srcOff, len(m.Data), m.ReqID, m.TraceID, m.ParentSpan)
+	if p.fileStage == nil {
+		// A retired channel has failed first: registering now would
+		// outlive retirePeer's release.
+		if err := p.downErr(); err != nil {
+			return err
+		}
+		//presslint:alloc-gated once per channel: the staging area is registered by the first file that needs a copy (every file on V3/V4, on V5 only one whose cache page is unregistered or was deregistered)
+		stage, err := t.register(p, t.cfg.fileRing)
+		if err != nil {
+			return err
+		}
+		p.fileStage = stage
+	}
+	cp := t.cfg.trc.StartSpan("staging-copy", m.TraceID, m.ParentSpan)
+	if err := p.fileStage.Write(m.Data, 0); err != nil {
+		cp.Cancel()
+		return err
+	}
+	cp.Annotate("bytes", int64(len(m.Data)))
+	cp.End()
+	t.ins.copied.Add(int64(len(m.Data)))
+	return p.outFile.writeFile(p.fileStage, 0, len(m.Data), m.ReqID, m.TraceID, m.ParentSpan)
 }
 
 func (t *viaTransport) Inbound() <-chan Message { return t.inbound }
